@@ -43,8 +43,10 @@ const NODE_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 const GARBLE_MIX: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
 /// How long past the configured deadline a hung (or over-deadline
-/// delayed) worker sleeps before exiting silently — bounds teardown
-/// joins without ever racing the coordinator's timeout.
+/// delayed) worker holds its connection at most. It lets go the moment
+/// the coordinator gives up on the connection, which a coordinator
+/// does once its deadline has passed; the grace only bounds a worker
+/// whose coordinator never does, without ever racing that deadline.
 pub(crate) const HANG_GRACE_MS: u64 = 200;
 
 /// One transport-level fault, applied to a node's reply for the round.
@@ -82,8 +84,9 @@ pub enum ChaosEffect {
     /// ([`FailureCause::Reset`]).
     Reset,
     /// The worker never replies within any deadline
-    /// ([`FailureCause::Timeout`]). Worker-side the hang is bounded to
-    /// deadline-plus-grace so teardown joins cannot block forever.
+    /// ([`FailureCause::Timeout`]). Worker-side the hang ends when the
+    /// coordinator gives up on the connection, at the latest after
+    /// deadline-plus-grace.
     Hang,
 }
 
@@ -266,11 +269,13 @@ pub enum WorkerAction {
         /// Milliseconds to sleep first (a within-deadline delay).
         delay_ms: u64,
     },
-    /// Sleep `sleep_ms` (bounded: at most deadline + grace), then close
-    /// without replying — a hang, as observed by the coordinator's real
-    /// read timeout.
+    /// Hold the connection open without replying — a hang, as observed
+    /// by the coordinator's real read deadline — until the coordinator
+    /// gives up on it, at most `sleep_ms` (deadline + grace), then
+    /// close.
     Mute {
-        /// Milliseconds to sleep before exiting silently.
+        /// The longest the worker stays silent before exiting on its
+        /// own, in milliseconds.
         sleep_ms: u64,
     },
     /// Close the connection immediately without replying.

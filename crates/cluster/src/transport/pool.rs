@@ -6,73 +6,115 @@
 //! a [`Task`] frame down every lane and read one reply back; between
 //! rounds the lanes idle inside [`serve_worker_loop`]. Health checks
 //! use `camelot-ping v1`/`camelot-pong v1`, and teardown is always an
-//! explicit `camelot-shutdown v1` frame followed by a join/reap — the
-//! only hard kill in the module is the [`WorkerPool::kill_worker`]
-//! chaos hook, whose entire purpose is simulating a crashed node.
+//! explicit `camelot-shutdown v1` frame plus a closed connection. A
+//! retired lane's worker is reaped *off the round's critical path*:
+//! its handle waits on a pool-owned list that is swept without blocking
+//! at round boundaries and drained in [`WorkerPool::shutdown`]; a
+//! worker process that has ignored both signals for a whole I/O
+//! deadline by then is killed. The only other hard kill is the
+//! [`WorkerPool::kill_worker`] chaos hook, whose entire purpose is
+//! simulating a crashed node.
 //!
 //! [`SocketTransport::persistent`]: crate::transport::SocketTransport::persistent
 //! [`Task`]: crate::transport::Task
 
 use crate::chaos::{ChaosEffect, ChaosPlan, Demotion, FailureCause};
-use crate::retry::TransportTuning;
-use crate::round::{crash_frames, NodeFrames, RoundSpec};
+use crate::retry::{Deadline, TransportTuning};
+use crate::round::{NodeFrames, RoundSpec};
 use crate::transport::socket::{
-    accept_with_deadline, io_err, read_message, read_message_or_eof, serve_worker_loop,
-    task_for_node, validate_reply, WorkerMode,
+    accept_with_deadline, arm, io_err, read_message, read_message_or_eof, reap_child,
+    serve_worker_loop, task_for_node, DeadlineStream, LaneReader, ReplyDrain, WorkerMode,
 };
 use crate::transport::{
-    control_frame, parse_reply, EvalProgram, TransportError, PING_HEADER, PONG_HEADER,
-    SHUTDOWN_HEADER,
+    control_frame, EvalProgram, TransportError, PING_HEADER, PONG_HEADER, SHUTDOWN_HEADER,
 };
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
 
+/// What it takes to reap a worker, per mode.
+#[derive(Debug)]
+enum WorkerHandle {
+    Process(Child),
+    Thread(JoinHandle<Result<(), TransportError>>),
+}
+
+impl WorkerHandle {
+    /// Reaps the worker if it has already exited — or is a process that
+    /// has overstayed its `grace`, which is killed; hands the handle
+    /// back if it is still running. Never waits for a worker to exit
+    /// on its own.
+    fn reap_if_finished(mut self, grace: Deadline) -> Option<WorkerHandle> {
+        let finished = match &mut self {
+            WorkerHandle::Process(child) if grace.expired() => reap_child(child, grace).is_ok(),
+            // A child that cannot be polled cannot be waited for either.
+            WorkerHandle::Process(child) => !matches!(child.try_wait(), Ok(None)),
+            WorkerHandle::Thread(thread) => thread.is_finished(),
+        };
+        if !finished {
+            return Some(self);
+        }
+        if let WorkerHandle::Thread(thread) = self {
+            // Retired means its failure is already booked.
+            let _joined = thread.join();
+        }
+        None
+    }
+
+    /// Blocks until the worker is gone and says how it went. A process
+    /// gets until `grace` to exit on its own and is then killed. A
+    /// thread is joined: it runs [`serve_worker_loop`], which returns
+    /// once its connection is closed.
+    fn reap(self, grace: Deadline) -> Result<(), String> {
+        match self {
+            WorkerHandle::Process(mut child) => match reap_child(&mut child, grace) {
+                Ok(status) if status.success() => Ok(()),
+                Ok(status) => Err(format!("exit status {status}")),
+                Err(e) => Err(format!("waiting for worker: {e}")),
+            },
+            WorkerHandle::Thread(thread) => match thread.join() {
+                Ok(Ok(())) => Ok(()),
+                Ok(Err(e)) => Err(e.to_string()),
+                Err(_) => Err("worker thread panicked".to_string()),
+            },
+        }
+    }
+}
+
 /// One long-lived worker: its task/reply connection plus the handle
-/// needed to reap it (a child process or a join handle, per mode).
+/// needed to reap it.
 #[derive(Debug)]
 struct PoolLane {
     stream: TcpStream,
-    reader: BufReader<TcpStream>,
-    child: Option<Child>,
-    thread: Option<JoinHandle<Result<(), TransportError>>>,
+    reader: LaneReader,
+    worker: WorkerHandle,
 }
 
 impl PoolLane {
-    /// Health check: one ping frame down, one pong frame back.
-    fn ping(&mut self) -> bool {
-        let delivered = self
-            .stream
-            .write_all(control_frame(PING_HEADER).as_bytes())
-            .and_then(|()| self.stream.flush());
-        if delivered.is_err() {
-            return false;
-        }
+    /// Writes one frame down the lane.
+    fn send(&mut self, frame: &str) -> std::io::Result<()> {
+        self.stream.write_all(frame.as_bytes()).and_then(|()| self.stream.flush())
+    }
+
+    /// The second half of a health check: the pong for a ping already
+    /// sent, read under `deadline`.
+    fn pong(&mut self, deadline: Deadline) -> bool {
+        arm(&mut self.reader, deadline);
         match read_message(&mut self.reader) {
             Ok(text) => text.lines().next() == Some(PONG_HEADER),
             Err(_) => false,
         }
     }
 
-    /// Best-effort teardown for a lane being replaced or scrapped.
-    /// There is no error channel here by design: a lane is only retired
-    /// when it already failed (or the whole round did), and closing the
-    /// streams is an equally valid shutdown signal (EOF) when the frame
-    /// cannot be delivered.
-    fn retire(mut self) {
-        let _delivered = self
-            .stream
-            .write_all(control_frame(SHUTDOWN_HEADER).as_bytes())
-            .and_then(|()| self.stream.flush());
-        drop(self.reader);
-        drop(self.stream);
-        if let Some(mut child) = self.child.take() {
-            let _reaped = child.wait();
-        }
-        if let Some(thread) = self.thread.take() {
-            let _joined = thread.join();
-        }
+    /// Tells the worker to exit — shutdown frame, then the closed
+    /// connection — and hands back what is needed to reap it, without
+    /// waiting for it. There is no error channel here by design: a
+    /// worker that cannot take the frame is already gone or will see
+    /// EOF, an equally valid shutdown signal.
+    fn retire(mut self) -> WorkerHandle {
+        let _delivered = self.send(&control_frame(SHUTDOWN_HEADER));
+        self.worker
     }
 }
 
@@ -90,6 +132,11 @@ pub struct WorkerPool {
     /// One slot per node; `None` marks a lane that is down (killed or
     /// scrapped) and awaiting [`WorkerPool::ensure_ready`].
     lanes: Vec<Option<PoolLane>>,
+    /// Workers of retired lanes that have been told to exit and not yet
+    /// been reaped, each with the grace it has left before it is
+    /// killed. Swept at every round boundary, so it holds no more than
+    /// the workers retired within the last I/O deadline.
+    retired: Vec<(WorkerHandle, Deadline)>,
     respawns: usize,
     tuning: TransportTuning,
 }
@@ -110,7 +157,15 @@ impl WorkerPool {
         let listener =
             TcpListener::bind("127.0.0.1:0").map_err(|e| io_err("binding listener", &e))?;
         let addr = listener.local_addr().map_err(|e| io_err("local addr", &e))?;
-        let mut pool = WorkerPool { listener, addr, mode, lanes: Vec::new(), respawns: 0, tuning };
+        let mut pool = WorkerPool {
+            listener,
+            addr,
+            mode,
+            lanes: Vec::new(),
+            retired: Vec::new(),
+            respawns: 0,
+            tuning,
+        };
         for node in 0..nodes {
             // On failure the partial pool is dropped, and Drop shuts
             // the already-started lanes down gracefully.
@@ -142,18 +197,13 @@ impl WorkerPool {
     /// connects back to the pool listener).
     fn spawn_lane(&self, node: usize) -> Result<PoolLane, TransportError> {
         let addr = self.addr;
-        let mut child: Option<Child> = None;
-        let mut thread = None;
-        match &self.mode {
-            WorkerMode::Threads => {
-                thread = Some(std::thread::spawn(move || {
-                    let stream =
-                        TcpStream::connect(addr).map_err(|e| io_err("worker connect", &e))?;
-                    serve_worker_loop(stream)
-                }));
-            }
-            WorkerMode::Process(bin) => {
-                let spawned = Command::new(bin)
+        let mut worker = match &self.mode {
+            WorkerMode::Threads => WorkerHandle::Thread(std::thread::spawn(move || {
+                let stream = TcpStream::connect(addr).map_err(|e| io_err("worker connect", &e))?;
+                serve_worker_loop(stream)
+            })),
+            WorkerMode::Process(bin) => WorkerHandle::Process(
+                Command::new(bin)
                     .arg("--connect")
                     .arg(addr.to_string())
                     .arg("--persist")
@@ -162,13 +212,12 @@ impl WorkerPool {
                     .map_err(|err| TransportError::WorkerFailed {
                         node,
                         reason: format!("spawning {}: {err}", bin.display()),
-                    })?;
-                child = Some(spawned);
-            }
-        }
-        let children: &mut [Child] = match child.as_mut() {
-            Some(child) => std::slice::from_mut(child),
-            None => &mut [],
+                    })?,
+            ),
+        };
+        let children: &mut [Child] = match &mut worker {
+            WorkerHandle::Process(child) => std::slice::from_mut(child),
+            WorkerHandle::Thread(_) => &mut [],
         };
         let accepted = accept_with_deadline(&self.listener, children, self.tuning.io_deadline)
             .map_err(|err| match err {
@@ -181,7 +230,7 @@ impl WorkerPool {
         let stream = match accepted {
             Ok(stream) => stream,
             Err(err) => {
-                if let Some(mut child) = child {
+                if let WorkerHandle::Process(mut child) = worker {
                     // The worker failed its handshake, so there is no
                     // connection to send a shutdown frame down; a hard
                     // kill is the only way to avoid leaking it (best
@@ -192,48 +241,62 @@ impl WorkerPool {
                 return Err(err);
             }
         };
-        stream
-            .set_read_timeout(Some(self.tuning.io_deadline))
-            .map_err(|e| io_err("set timeout", &e))?;
-        let reader = BufReader::new(stream.try_clone().map_err(|e| io_err("clone stream", &e))?);
-        Ok(PoolLane { stream, reader, child, thread })
+        let reader =
+            DeadlineStream::reader(stream.try_clone().map_err(|e| io_err("clone stream", &e))?);
+        Ok(PoolLane { stream, reader, worker })
+    }
+
+    /// Respawns lane `node` into its (empty) slot.
+    fn respawn_lane(&mut self, node: usize) -> Result<(), TransportError> {
+        let lane = self.spawn_lane(node)?;
+        if let Some(slot) = self.lanes.get_mut(node) {
+            *slot = Some(lane);
+            self.respawns += 1;
+        }
+        Ok(())
     }
 
     /// Health-checks every lane and respawns the dead ones. Returns how
-    /// many lanes were respawned.
+    /// many lanes were respawned. All lanes are pinged first and the
+    /// pongs collected under one I/O deadline, so the check costs one
+    /// deadline however many workers are hung.
     ///
     /// # Errors
     ///
     /// A respawn failure (e.g. the worker binary disappeared); lanes
     /// already respawned stay live.
     pub fn ensure_ready(&mut self) -> Result<usize, TransportError> {
+        self.reap_finished();
+        let ping = control_frame(PING_HEADER);
+        for node in 0..self.lanes.len() {
+            let lane = self.lanes.get_mut(node).and_then(Option::as_mut);
+            if lane.is_some_and(|lane| lane.send(&ping).is_err()) {
+                self.retire_lane(node);
+            }
+        }
+        let deadline = Deadline::after(self.tuning.io_deadline);
         let mut dead = Vec::new();
-        for (node, slot) in self.lanes.iter_mut().enumerate() {
-            let alive = match slot.as_mut() {
-                Some(lane) => lane.ping(),
-                None => false,
-            };
+        for node in 0..self.lanes.len() {
+            let alive =
+                self.lanes.get_mut(node).and_then(Option::as_mut).is_some_and(|l| l.pong(deadline));
             if !alive {
-                if let Some(lane) = slot.take() {
-                    lane.retire();
-                }
+                self.retire_lane(node);
                 dead.push(node);
             }
         }
         for node in dead.iter().copied() {
-            let lane = self.spawn_lane(node)?;
-            if let Some(slot) = self.lanes.get_mut(node) {
-                *slot = Some(lane);
-                self.respawns += 1;
-            }
+            self.respawn_lane(node)?;
         }
         Ok(dead.len())
     }
 
     /// Runs one broadcast round over the persistent lanes: writes every
     /// node's task first (workers compute concurrently), then drains
-    /// and validates the replies in lane order. Chaos effects ride in
-    /// the tasks; the afflicted workers sabotage their own replies.
+    /// and validates the replies in lane order under one deadline that
+    /// starts when the last task has been flushed — a round costs at
+    /// most one I/O deadline however many nodes hang, drop or trickle.
+    /// Chaos effects ride in the tasks; the afflicted workers sabotage
+    /// their own replies.
     ///
     /// # Errors
     ///
@@ -250,7 +313,8 @@ impl WorkerPool {
     /// book a [`Demotion`] with the structured cause; down lanes get
     /// one respawn attempt at round start, and a lane that cannot come
     /// back is demoted with [`FailureCause::RespawnExhausted`]. The
-    /// round then completes via erasure decoding.
+    /// round then completes via erasure decoding. Retiring never waits
+    /// for the worker: it is reaped at a later round boundary.
     pub fn run_round(
         &mut self,
         spec: &RoundSpec<'_>,
@@ -259,38 +323,24 @@ impl WorkerPool {
         demote: bool,
     ) -> Result<(Vec<NodeFrames>, Vec<Demotion>), TransportError> {
         let nodes = self.lanes.len();
-        let e = spec.points.len();
-        let width = programs.len();
         let deadline_ms = self.tuning.deadline_ms();
-        let mut demotions: Vec<Demotion> = Vec::new();
-        let mut demoted = vec![false; nodes];
+        let mut drain = ReplyDrain::new(nodes, spec.points.len(), programs.len(), demote);
+        self.reap_finished();
 
         // With demotion enabled, give every down lane one respawn
         // attempt before the round starts.
         if demote {
             for node in 0..nodes {
-                if self.lanes.get(node).is_some_and(Option::is_none) {
-                    match self.spawn_lane(node) {
-                        Ok(lane) => {
-                            if let Some(slot) = self.lanes.get_mut(node) {
-                                *slot = Some(lane);
-                                self.respawns += 1;
-                            }
-                        }
-                        Err(_) => {
-                            if let Some(slot) = demoted.get_mut(node) {
-                                *slot = true;
-                            }
-                            demotions
-                                .push(Demotion { node, cause: FailureCause::RespawnExhausted });
-                        }
-                    }
+                if self.lanes.get(node).is_some_and(Option::is_none)
+                    && self.respawn_lane(node).is_err()
+                {
+                    drain.demote_node(node, FailureCause::RespawnExhausted);
                 }
             }
         }
 
         for node in 0..nodes {
-            if demoted.get(node).copied().unwrap_or(false) {
+            if drain.is_demoted(node) {
                 continue;
             }
             let effect = chaos.and_then(|plan| plan.effect(node));
@@ -300,106 +350,69 @@ impl WorkerPool {
                     node,
                     reason: "lane is down (awaiting respawn)".to_string(),
                 }),
-                Some(lane) => lane
-                    .stream
-                    .write_all(wire.as_bytes())
-                    .and_then(|()| lane.stream.flush())
-                    .map_err(|err| TransportError::WorkerFailed {
-                        node,
-                        reason: format!("writing task: {err}"),
-                    }),
+                Some(lane) => lane.send(&wire).map_err(|err| TransportError::WorkerFailed {
+                    node,
+                    reason: format!("writing task: {err}"),
+                }),
             };
             if let Err(err) = delivered {
-                if demote {
-                    self.retire_lane(node);
-                    if let Some(flag) = demoted.get_mut(node) {
-                        *flag = true;
-                    }
-                    demotions.push(Demotion { node, cause: FailureCause::from_transport(&err) });
-                } else {
+                if !demote {
                     return Err(self.fail_round(err));
                 }
+                self.retire_lane(node);
+                drain.demote_node(node, FailureCause::from_transport(&err));
             }
         }
 
-        let mut frames = Vec::with_capacity(nodes);
+        let deadline = Deadline::after(self.tuning.io_deadline);
         for node in 0..nodes {
-            if demoted.get(node).copied().unwrap_or(false) {
-                frames.push(crash_frames(e, nodes, node, width));
-                continue;
-            }
-            let effect = chaos.and_then(|plan| plan.effect(node));
-            let outcome = match self.lanes.get_mut(node).and_then(Option::as_mut) {
-                None => Err(TransportError::WorkerFailed {
-                    node,
-                    reason: "lane is down (awaiting respawn)".to_string(),
-                }),
-                Some(lane) => {
-                    let read = match read_message_or_eof(&mut lane.reader) {
-                        Ok(Some(text)) => parse_reply(&text).and_then(|reply| {
-                            validate_reply(&reply, node, nodes, e, width).map(|()| reply)
-                        }),
-                        // Clean close before any reply: the worker
-                        // dropped its frame or reset the connection.
-                        Ok(None) => Err(TransportError::Io {
-                            reason: format!("worker {node} closed before replying"),
-                        }),
-                        Err(err) => Err(err),
-                    };
-                    // A Duplicate-chaos worker sent its reply twice;
-                    // drain the copy so the lane stays at a frame
-                    // boundary for the next round. (The copy was
-                    // written back-to-back with the original, so a
-                    // failed drain means the lane is broken anyway and
-                    // the retire below handles it.)
-                    if read.is_ok()
-                        && effect == Some(ChaosEffect::Duplicate)
-                        && read_message_or_eof(&mut lane.reader).is_err()
-                    {
-                        self.retire_lane(node);
-                    }
-                    read
-                }
+            // Every lane still in the round took its task above.
+            let Some(lane) = self.lanes.get_mut(node).and_then(Option::as_mut) else { continue };
+            let delivered = match drain.collect(node, &mut lane.reader, deadline) {
+                Ok(delivered) => delivered,
+                Err(err) => return Err(self.fail_round(err)),
             };
-            match outcome {
-                Ok(reply) => frames.push(reply),
-                Err(err) if demote => {
-                    self.retire_lane(node);
-                    demotions.push(Demotion { node, cause: FailureCause::from_transport(&err) });
-                    frames.push(crash_frames(e, nodes, node, width));
-                }
-                Err(err) => {
-                    let err = match err {
-                        TransportError::WorkerFailed { .. } => err,
-                        other => TransportError::WorkerFailed {
-                            node,
-                            reason: format!("reading reply: {other}"),
-                        },
-                    };
-                    return Err(self.fail_round(err));
-                }
+            // A Duplicate-chaos worker sent its reply twice; drain the
+            // copy so the lane stays at a frame boundary for the next
+            // round. (The copy was written back-to-back with the
+            // original, so a failed drain means the lane is broken.)
+            let duplicated =
+                chaos.and_then(|plan| plan.effect(node)) == Some(ChaosEffect::Duplicate);
+            let usable =
+                delivered && (!duplicated || read_message_or_eof(&mut lane.reader).is_ok());
+            if !usable {
+                self.retire_lane(node);
             }
         }
-        Ok((frames, demotions))
+        Ok(drain.finish())
     }
 
-    /// Retires exactly one lane (best-effort graceful), leaving its
-    /// slot empty for a later respawn. Survivor lanes are untouched —
-    /// they are still at a frame boundary.
+    /// Retires exactly one lane, leaving its slot empty for a later
+    /// respawn; its worker joins the retired list to be reaped off the
+    /// critical path. Survivor lanes are untouched — they are still at
+    /// a frame boundary.
     fn retire_lane(&mut self, node: usize) {
         if let Some(lane) = self.lanes.get_mut(node).and_then(Option::take) {
-            lane.retire();
+            self.retired.push((lane.retire(), Deadline::after(self.tuning.io_deadline)));
         }
+    }
+
+    /// Reaps the retired workers that have exited and kills the worker
+    /// processes that have outlived their grace; never waits.
+    fn reap_finished(&mut self) {
+        let retired = std::mem::take(&mut self.retired);
+        self.retired = retired
+            .into_iter()
+            .filter_map(|(worker, grace)| Some((worker.reap_if_finished(grace)?, grace)))
+            .collect();
     }
 
     /// A round failed mid-flight: scrap every lane (graceful retire) so
     /// no stale buffered reply can desynchronise a later round, and
     /// pass the failure through.
     fn fail_round(&mut self, err: TransportError) -> TransportError {
-        for slot in &mut self.lanes {
-            if let Some(lane) = slot.take() {
-                lane.retire();
-            }
+        for node in 0..self.lanes.len() {
+            self.retire_lane(node);
         }
         err
     }
@@ -418,71 +431,56 @@ impl WorkerPool {
         let Some(slot) = self.lanes.get_mut(node) else {
             return Err(TransportError::Protocol { reason: format!("pool has no worker {node}") });
         };
-        let Some(mut lane) = slot.take() else {
+        let Some(PoolLane { stream, reader, worker }) = slot.take() else {
             return Ok(()); // already down
         };
-        if let Some(mut child) = lane.child.take() {
-            // The one intentional hard kill: this hook simulates a
-            // crashed node, so graceful shutdown is off the table.
-            child.kill().map_err(|e| io_err("killing worker", &e))?;
-            child.wait().map_err(|e| io_err("reaping worker", &e))?;
-        }
-        drop(lane.reader);
-        drop(lane.stream);
-        if let Some(thread) = lane.thread.take() {
-            // A thread worker unblocks promptly: its connection is gone.
-            let _joined = thread.join();
+        match worker {
+            WorkerHandle::Process(mut child) => {
+                // The one intentional hard kill: this hook simulates a
+                // crashed node, so graceful shutdown is off the table.
+                child.kill().map_err(|e| io_err("killing worker", &e))?;
+                child.wait().map_err(|e| io_err("reaping worker", &e))?;
+            }
+            WorkerHandle::Thread(thread) => {
+                // A thread worker unblocks promptly: its connection is gone.
+                drop((stream, reader));
+                let _joined = thread.join();
+            }
         }
         Ok(())
     }
 
-    /// Shuts every lane down gracefully: explicit shutdown frame, close
-    /// the connection, join/reap the worker. Idempotent.
+    /// Shuts every lane down gracefully — explicit shutdown frame,
+    /// closed connection — then reaps every worker, the previously
+    /// retired ones included. All workers are told first and share one
+    /// I/O deadline of grace (retired ones keep what is left of
+    /// theirs); a worker process still running after it is killed, so
+    /// shutdown always returns. Idempotent.
     ///
     /// # Errors
     ///
-    /// The first teardown failure — a worker that exited uncleanly or
-    /// could not be reaped; the remaining lanes are still drained.
+    /// The first teardown failure among the lanes live at the call — a
+    /// worker that exited uncleanly or had to be killed; the remaining
+    /// workers are still reaped. Retired workers' exits are not
+    /// reported: their failures were booked when they were retired.
     pub fn shutdown(&mut self) -> Result<(), TransportError> {
-        let mut first_err: Option<TransportError> = None;
-        for (node, slot) in self.lanes.iter_mut().enumerate() {
-            let Some(mut lane) = slot.take() else { continue };
-            // A delivery failure just means the worker is already gone,
-            // which the wait/join below will report.
-            let _delivered = lane
-                .stream
-                .write_all(control_frame(SHUTDOWN_HEADER).as_bytes())
-                .and_then(|()| lane.stream.flush());
-            drop(lane.reader);
-            drop(lane.stream);
-            if let Some(mut child) = lane.child.take() {
-                match child.wait() {
-                    Ok(status) if status.success() => {}
-                    Ok(status) => keep_first(
-                        &mut first_err,
-                        TransportError::WorkerFailed {
-                            node,
-                            reason: format!("exit status {status}"),
-                        },
-                    ),
-                    Err(e) => keep_first(&mut first_err, io_err("waiting for worker", &e)),
-                }
-            }
-            if let Some(thread) = lane.thread.take() {
-                match thread.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => keep_first(&mut first_err, e),
-                    Err(_) => keep_first(
-                        &mut first_err,
-                        TransportError::Protocol { reason: "worker thread panicked".to_string() },
-                    ),
-                }
+        let live: Vec<(usize, WorkerHandle)> = self
+            .lanes
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(node, slot)| slot.take().map(|lane| (node, lane.retire())))
+            .collect();
+        let grace = Deadline::after(self.tuning.io_deadline);
+        let mut first_err = None;
+        for (node, worker) in live {
+            if let Err(reason) = worker.reap(grace) {
+                first_err.get_or_insert(TransportError::WorkerFailed { node, reason });
             }
         }
-        match first_err {
-            Some(err) => Err(err),
-            None => Ok(()),
+        for (worker, grace) in self.retired.drain(..) {
+            let _booked_at_retirement = worker.reap(grace);
         }
+        first_err.map_or(Ok(()), Err)
     }
 }
 
@@ -494,9 +492,155 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Records `err` only if no earlier error was recorded.
-fn keep_first(slot: &mut Option<TransportError>, err: TransportError) {
-    if slot.is_none() {
-        *slot = Some(err);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{encode_reply, execute_task, Task};
+    use crate::{FaultPlan, RoundSpec};
+    use camelot_ff::PrimeField;
+    use std::time::{Duration, Instant};
+
+    const NODES: usize = 4;
+    const IMPOSTOR: usize = 2;
+
+    fn tuning(io_deadline: Duration) -> TransportTuning {
+        TransportTuning::default().with_io_deadline(io_deadline).with_demotion(true)
+    }
+
+    /// A thread-worker pool whose lane `IMPOSTOR` is a raw TCP peer
+    /// instead: `peer` gets the worker end of the connection, `worker`
+    /// is what the pool believes it has to reap.
+    fn pool_with_impostor(
+        io_deadline: Duration,
+        peer: impl FnOnce(TcpStream) -> Result<(), TransportError> + Send + 'static,
+        worker: impl FnOnce(JoinHandle<Result<(), TransportError>>) -> WorkerHandle,
+    ) -> WorkerPool {
+        let mut pool = WorkerPool::start(WorkerMode::Threads, NODES, tuning(io_deadline)).unwrap();
+        pool.retire_lane(IMPOSTOR);
+        let addr = pool.addr;
+        let peer = std::thread::spawn(move || peer(TcpStream::connect(addr).unwrap()));
+        let stream = accept_with_deadline(&pool.listener, &mut [], io_deadline).unwrap();
+        let reader = DeadlineStream::reader(stream.try_clone().unwrap());
+        pool.lanes[IMPOSTOR] = Some(PoolLane { stream, reader, worker: worker(peer) });
+        pool
+    }
+
+    /// One demoting round over `pool`: everyone but the impostor
+    /// delivers, the impostor is demoted with `Timeout`, and the round
+    /// costs one deadline, not one per misbehaviour.
+    fn round_demotes_the_impostor(pool: &mut WorkerPool, io_deadline: Duration) {
+        let field = PrimeField::new(1_000_003).unwrap();
+        let points: Vec<u64> = (0..16).collect();
+        let plan = FaultPlan::all_honest(NODES);
+        let spec = RoundSpec { field: &field, points: &points, plan: &plan };
+        let started = Instant::now();
+        let (frames, demotions) =
+            pool.run_round(&spec, &[EvalProgram::Poly(vec![3, 1, 4])], None, true).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(demotions, vec![Demotion { node: IMPOSTOR, cause: FailureCause::Timeout }]);
+        assert_eq!(frames.len(), NODES);
+        assert!(elapsed >= io_deadline, "the impostor gets its whole deadline ({elapsed:?})");
+        assert!(elapsed < io_deadline * 3 / 2, "the round must cost one deadline ({elapsed:?})");
+        assert_eq!(pool.live_workers(), NODES - 1);
+    }
+
+    /// A peer that trickles a *valid* reply one byte per half deadline
+    /// never lets a single read time out; only the round's absolute
+    /// deadline catches it.
+    #[test]
+    fn a_trickling_worker_is_demoted_within_one_deadline() {
+        let io_deadline = Duration::from_millis(300);
+        let trickle = move |mut stream: TcpStream| {
+            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+            let task = Task::from_wire(&read_message(&mut reader)?)?;
+            for byte in encode_reply(&execute_task(&task)).bytes() {
+                std::thread::sleep(io_deadline / 2);
+                if stream.write_all(&[byte]).is_err() {
+                    break; // the coordinator gave up on us
+                }
+            }
+            Ok(())
+        };
+        let mut pool = pool_with_impostor(io_deadline, trickle, WorkerHandle::Thread);
+        round_demotes_the_impostor(&mut pool, io_deadline);
+        pool.shutdown().unwrap();
+        assert!(pool.retired.is_empty(), "shutdown reaps every retired worker");
+    }
+
+    /// A pool after one round in which lane `IMPOSTOR` was a worker
+    /// process that never answers, never closes and ignores the
+    /// shutdown frame and EOF (`sleep` does not even know about the
+    /// connection): demoted, retired, and not waited for.
+    fn pool_with_a_stuck_process(io_deadline: Duration) -> (WorkerPool, impl FnOnce()) {
+        let (hold, release) = std::sync::mpsc::channel::<()>();
+        let silent = move |stream: TcpStream| {
+            // Keep the connection open and silent until the test ends.
+            let _until_released = release.recv();
+            drop(stream);
+            Ok(())
+        };
+        let stuck = Command::new("/bin/sleep").arg("60").spawn().unwrap();
+        let mut peer = None;
+        let mut pool = pool_with_impostor(io_deadline, silent, |handle| {
+            peer = Some(handle);
+            WorkerHandle::Process(stuck)
+        });
+        round_demotes_the_impostor(&mut pool, io_deadline);
+        assert_eq!(pool.retired.len(), 1, "retired, not yet reaped: the round did not wait");
+        let release_peer = move || {
+            drop(hold);
+            peer.unwrap().join().unwrap().unwrap();
+        };
+        (pool, release_peer)
+    }
+
+    /// Shutdown gives a stuck worker process what is left of its grace,
+    /// then kills it; nothing waits for it to end on its own.
+    #[test]
+    fn a_stuck_worker_process_is_killed_at_shutdown() {
+        let (mut pool, release_peer) = pool_with_a_stuck_process(Duration::from_millis(300));
+        let started = Instant::now();
+        pool.shutdown().unwrap();
+        assert!(started.elapsed() < Duration::from_secs(10), "shutdown must not wait for `sleep`");
+        assert!(pool.retired.is_empty());
+        assert_eq!(pool.live_workers(), 0);
+        release_peer();
+    }
+
+    /// A pool that keeps running sweeps the stuck process out at the
+    /// first round boundary past its grace, so the retired list cannot
+    /// grow with the number of stuck workers ever seen.
+    #[test]
+    fn a_stuck_worker_process_is_killed_at_the_first_sweep_past_its_grace() {
+        let io_deadline = Duration::from_millis(300);
+        let (mut pool, release_peer) = pool_with_a_stuck_process(io_deadline);
+        std::thread::sleep(io_deadline);
+        pool.reap_finished();
+        assert!(pool.retired.is_empty(), "past its grace it is killed and reaped");
+        pool.shutdown().unwrap();
+        release_peer();
+    }
+
+    /// A simulated hang waits on its own connection, so the worker is
+    /// gone the moment the coordinator gives up on it — the hang's
+    /// configured length (here a minute) is an upper bound, not a cost.
+    #[test]
+    fn a_muted_worker_exits_when_the_coordinator_hangs_up() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let worker =
+            std::thread::spawn(move || serve_worker_loop(TcpStream::connect(addr).unwrap()));
+        let (mut stream, _) = listener.accept().unwrap();
+        let field = PrimeField::new(97).unwrap();
+        let points: Vec<u64> = (0..4).collect();
+        let plan = FaultPlan::all_honest(1);
+        let spec = RoundSpec { field: &field, points: &points, plan: &plan };
+        let programs = [EvalProgram::Poly(vec![1, 2])];
+        let task = task_for_node(&spec, &programs, 1, 0, Some(ChaosEffect::Hang), 60_000);
+        stream.write_all(task.to_wire().as_bytes()).unwrap();
+        let started = Instant::now();
+        drop(stream);
+        worker.join().unwrap().unwrap();
+        assert!(started.elapsed() < Duration::from_secs(10), "the hang must end at EOF");
     }
 }

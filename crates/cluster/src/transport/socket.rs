@@ -14,7 +14,7 @@
 //! ([`RoundEval::programs`]); closures cannot cross a process boundary.
 
 use crate::chaos::{worker_action, ChaosEffect, ChaosPlan, Demotion, FailureCause, WorkerAction};
-use crate::retry::{env_io_deadline, TransportTuning};
+use crate::retry::{env_io_deadline, Deadline, TransportTuning};
 use crate::round::{
     assemble_round, crash_frames, node_slice, FrameBody, NodeFrames, RoundEval, RoundOutcome,
     RoundSpec,
@@ -24,10 +24,10 @@ use crate::transport::{
     check_chaos, control_frame, encode_reply, execute_task, parse_reply, EvalProgram, Task,
     Transport, TransportError, PING_HEADER, PONG_HEADER, SHUTDOWN_HEADER,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -123,12 +123,16 @@ impl SocketTransport {
     }
 
     /// Gracefully shuts the persistent pool down: every worker receives
-    /// an explicit shutdown frame and is joined/reaped — never killed.
-    /// A no-op for per-round transports or an unstarted pool.
+    /// an explicit shutdown frame and is joined/reaped, the workers of
+    /// lanes retired earlier included; only a worker process that is
+    /// still running one I/O deadline later is killed, so the call
+    /// always returns. A no-op for per-round transports or an unstarted
+    /// pool.
     ///
     /// # Errors
     ///
-    /// The first teardown failure (a worker that exited uncleanly).
+    /// The first teardown failure (a worker that exited uncleanly or
+    /// had to be killed).
     pub fn shutdown_pool(&self) -> Result<(), TransportError> {
         match self.pool_state().as_mut().and_then(|guard| guard.take()) {
             Some(mut pool) => pool.shutdown(),
@@ -191,6 +195,49 @@ pub(crate) fn io_err(what: &str, err: &std::io::Error) -> TransportError {
     TransportError::Io { reason: format!("{what}: {err}") }
 }
 
+/// The read half of a worker connection under an absolute deadline:
+/// every socket read is re-armed with the time *left*, so a message is
+/// bounded as a whole — a peer trickling one byte per almost-timeout
+/// runs out of budget like a silent one — and lanes drained one after
+/// another share one budget instead of getting a fresh one each.
+#[derive(Debug)]
+pub(crate) struct DeadlineStream {
+    stream: TcpStream,
+    deadline: Deadline,
+}
+
+/// How long a socket read may still wait once its deadline has passed:
+/// the `ε` in "a round costs at most one I/O deadline + ε", paid once
+/// per lane that is still silent by then.
+const LATE_READ_GRACE: Duration = Duration::from_millis(1);
+
+/// The buffered reader every coordinator-side lane reads through.
+pub(crate) type LaneReader = BufReader<DeadlineStream>;
+
+impl DeadlineStream {
+    /// Wraps `stream` with no deadline armed yet.
+    pub(crate) fn reader(stream: TcpStream) -> LaneReader {
+        BufReader::new(DeadlineStream { stream, deadline: Deadline::unbounded() })
+    }
+}
+
+impl Read for DeadlineStream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        // Past the deadline a read still takes what has arrived — time
+        // the coordinator spent on one lane must not demote the
+        // punctual lanes behind it — and waits just long enough for a
+        // writer stalled on a full socket buffer to be scheduled again.
+        let left = self.deadline.remaining().map(|left| left.max(LATE_READ_GRACE));
+        self.stream.set_read_timeout(left)?;
+        self.stream.read(buf)
+    }
+}
+
+/// Arms `reader` with the deadline its following reads share.
+pub(crate) fn arm(reader: &mut LaneReader, deadline: Deadline) {
+    reader.get_mut().deadline = deadline;
+}
+
 /// Reads one v1 message (through its `end` line) from a buffered
 /// stream; `Ok(None)` on a clean EOF at a message boundary.
 pub(crate) fn read_message_or_eof<R: BufRead>(
@@ -251,11 +298,19 @@ fn perform_action(stream: &mut TcpStream, action: WorkerAction) -> Result<bool, 
             Ok(true)
         }
         WorkerAction::Mute { sleep_ms } => {
-            // Hold the connection open silently until the coordinator's
-            // deadline has certainly passed (bounded: deadline + grace),
-            // then exit cleanly — the hang, as the coordinator's real
-            // read timeout observes it.
-            std::thread::sleep(Duration::from_millis(sleep_ms));
+            // Hold the connection open silently — the hang, as the
+            // coordinator's real read deadline observes it — until the
+            // coordinator gives up on this connection (its shutdown
+            // frame or EOF wakes the read), at most `sleep_ms`.
+            let watched = stream.try_clone().map_err(|e| io_err("clone stream", &e))?;
+            let mut watch = DeadlineStream {
+                stream: watched,
+                deadline: Deadline::after(Duration::from_millis(sleep_ms)),
+            };
+            while watch
+                .read(&mut [0u8; 1])
+                .is_err_and(|e| e.kind() == std::io::ErrorKind::Interrupted)
+            {}
             Ok(false)
         }
         WorkerAction::Close => Ok(false),
@@ -391,6 +446,118 @@ pub(crate) fn validate_reply(
     Ok(())
 }
 
+/// One round's reply collection, shared by the per-round transport and
+/// the persistent [`WorkerPool`]: which nodes were demoted and why,
+/// and one set of frames per node — the worker's own, or crash frames
+/// for a demoted node, so the round completes via erasure decoding.
+pub(crate) struct ReplyDrain {
+    nodes: usize,
+    e: usize,
+    width: usize,
+    demote: bool,
+    frames: Vec<NodeFrames>,
+    demotions: Vec<Demotion>,
+}
+
+impl ReplyDrain {
+    /// A drain for a round of `nodes` nodes over `e` points and `width`
+    /// polynomials; `demote` selects demotion over failing fast.
+    pub(crate) fn new(nodes: usize, e: usize, width: usize, demote: bool) -> Self {
+        ReplyDrain {
+            nodes,
+            e,
+            width,
+            demote,
+            frames: Vec::with_capacity(nodes),
+            demotions: Vec::new(),
+        }
+    }
+
+    /// Books `node` as crashed this round.
+    pub(crate) fn demote_node(&mut self, node: usize, cause: FailureCause) {
+        self.demotions.push(Demotion { node, cause });
+        self.frames.push(crash_frames(self.e, self.nodes, node, self.width));
+    }
+
+    /// Whether `node` has already been demoted this round.
+    pub(crate) fn is_demoted(&self, node: usize) -> bool {
+        self.demotions.iter().any(|demotion| demotion.node == node)
+    }
+
+    /// Reads, parses and validates `node`'s reply, every socket read
+    /// bounded by what is left of the round's one `deadline`. Since all
+    /// workers compute concurrently, draining lane after lane under one
+    /// shared deadline costs a round at most one deadline however many
+    /// nodes are silent. `Ok(true)`: delivered. `Ok(false)`: the node
+    /// was demoted with its structured cause (the caller retires its
+    /// lane).
+    ///
+    /// # Errors
+    ///
+    /// Without demotion, the failure as [`TransportError::WorkerFailed`]
+    /// naming the node.
+    pub(crate) fn collect(
+        &mut self,
+        node: usize,
+        reader: &mut LaneReader,
+        deadline: Deadline,
+    ) -> Result<bool, TransportError> {
+        arm(reader, deadline);
+        let read = match read_message_or_eof(reader) {
+            Ok(Some(text)) => parse_reply(&text).and_then(|reply| {
+                validate_reply(&reply, node, self.nodes, self.e, self.width).map(|()| reply)
+            }),
+            // Clean close before any reply: the worker dropped its
+            // frame or reset the connection.
+            Ok(None) => {
+                Err(TransportError::Io { reason: format!("worker {node} closed before replying") })
+            }
+            Err(err) => Err(err),
+        };
+        match read {
+            Ok(reply) => {
+                self.frames.push(reply);
+                Ok(true)
+            }
+            Err(err) if self.demote => {
+                self.demote_node(node, FailureCause::from_transport(&err));
+                Ok(false)
+            }
+            Err(err) => {
+                Err(TransportError::WorkerFailed { node, reason: format!("reading reply: {err}") })
+            }
+        }
+    }
+
+    /// The round's frames (one per node) and demotions.
+    pub(crate) fn finish(self) -> (Vec<NodeFrames>, Vec<Demotion>) {
+        (self.frames, self.demotions)
+    }
+}
+
+/// Ceiling of the exponential poll backoff in [`accept_with_deadline`]
+/// and [`reap_child`].
+const POLL_CAP: Duration = Duration::from_millis(16);
+
+/// Reaps a worker process that has been told to exit (shutdown frame,
+/// closed connection): it gets until `grace` to go on its own, then it
+/// is killed — a worker that ignores both must not hold the coordinator
+/// hostage.
+pub(crate) fn reap_child(child: &mut Child, grace: Deadline) -> std::io::Result<ExitStatus> {
+    let mut pause = Duration::from_micros(200);
+    loop {
+        if let Some(status) = child.try_wait()? {
+            return Ok(status);
+        }
+        if grace.expired() {
+            child.kill()?;
+            return child.wait();
+        }
+        std::thread::sleep(pause);
+        pause = (pause * 2).min(POLL_CAP);
+    }
+}
+
 impl Transport for SocketTransport {
     fn name(&self) -> &'static str {
         match (&self.mode, &self.pool) {
@@ -481,7 +648,7 @@ impl Transport for SocketTransport {
             None => self.drive_round(spec, &programs, nodes, e, &listener, &mut worker_processes),
         };
 
-        // Graceful teardown — no kill: close the listener first so any
+        // Graceful teardown: close the listener first so any
         // worker still blocked on an unserved or queued connection sees
         // a reset and exits on its own, then join/reap everything. A
         // round that survived by demoting nodes tolerates the demoted
@@ -501,10 +668,13 @@ impl Transport for SocketTransport {
                 worker?;
             }
         }
+        let grace = Deadline::after(self.tuning.io_deadline);
         for (node, mut child) in worker_processes.into_iter().enumerate() {
             // One-shot workers exit on their own once their connection
-            // (or the listener) is gone; wait() reaps without killing.
-            let status = child.wait().map_err(|e| io_err("waiting for worker", &e))?;
+            // (or the listener) is gone; only one that is still there
+            // a whole deadline later is killed.
+            let status =
+                reap_child(&mut child, grace).map_err(|e| io_err("waiting for worker", &e))?;
             if clean && !status.success() {
                 return Err(TransportError::WorkerFailed {
                     node,
@@ -534,7 +704,6 @@ pub(crate) fn accept_with_deadline(
     // microsecond (the common loopback case), relaxed toward a 16 ms
     // cap while genuinely waiting — replaces the old fixed 2 ms sleep.
     let mut poll = Duration::from_micros(500);
-    const POLL_CAP: Duration = Duration::from_millis(16);
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -587,46 +756,27 @@ impl SocketTransport {
     ) -> Result<(Vec<NodeFrames>, Vec<Demotion>), TransportError> {
         let io_deadline = self.tuning.io_deadline;
         let deadline_ms = self.tuning.deadline_ms();
-        let demote = self.demote();
         // Hand out all tasks first (workers compute concurrently), then
-        // drain the replies.
-        let mut streams = Vec::with_capacity(nodes);
+        // drain the replies under one deadline.
+        let mut readers = Vec::with_capacity(nodes);
         for node in 0..nodes {
             let mut stream = accept_with_deadline(listener, children, io_deadline)?;
-            stream.set_read_timeout(Some(io_deadline)).map_err(|e| io_err("set timeout", &e))?;
             let chaos = self.chaos.as_ref().and_then(|plan| plan.effect(node));
             let task = task_for_node(spec, programs, nodes, node, chaos, deadline_ms);
             stream
                 .write_all(task.to_wire().as_bytes())
                 .and_then(|()| stream.flush())
                 .map_err(|e| io_err("writing task", &e))?;
-            streams.push(stream);
+            readers.push(DeadlineStream::reader(stream));
         }
-        let mut frames = Vec::with_capacity(nodes);
-        let mut demotions = Vec::new();
-        for (node, stream) in streams.into_iter().enumerate() {
-            let mut reader = BufReader::new(stream);
-            let outcome = match read_message_or_eof(&mut reader) {
-                Ok(Some(text)) => parse_reply(&text).and_then(|reply| {
-                    validate_reply(&reply, node, nodes, e, programs.len()).map(|()| reply)
-                }),
-                // Clean close before any reply: the worker dropped its
-                // frame or reset the connection.
-                Ok(None) => Err(TransportError::Io {
-                    reason: format!("worker {node} closed before replying"),
-                }),
-                Err(err) => Err(err),
-            };
-            match outcome {
-                Ok(reply) => frames.push(reply),
-                Err(err) if demote => {
-                    demotions.push(Demotion { node, cause: FailureCause::from_transport(&err) });
-                    frames.push(crash_frames(e, nodes, node, programs.len()));
-                }
-                Err(err) => return Err(err),
-            }
+        let deadline = Deadline::after(io_deadline);
+        let mut drain = ReplyDrain::new(nodes, e, programs.len(), self.demote());
+        for (node, mut reader) in readers.into_iter().enumerate() {
+            // Dropping the reader closes the connection, which is what
+            // releases a worker still holding it (a simulated hang).
+            drain.collect(node, &mut reader, deadline)?;
         }
-        Ok((frames, demotions))
+        Ok(drain.finish())
     }
 }
 

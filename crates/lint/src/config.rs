@@ -54,6 +54,10 @@ impl Config {
                 "crates/store/src/".to_string(),
             ],
             hot_regions: vec!["crates/ff/src/".to_string(), "crates/poly/src/".to_string()],
+            no_sleep: vec![
+                "crates/cluster/src/transport/".to_string(),
+                "crates/server/src/service.rs".to_string(),
+            ],
             all_paths: false,
         };
         Config { scope, allows: Vec::new() }
@@ -139,6 +143,7 @@ pub fn parse(text: &str) -> Result<Config, String> {
                     "panic-free" => config.scope.panic_free = items,
                     "no-dropped-result" => config.scope.dropped_result = items,
                     "hot-regions" => config.scope.hot_regions = items,
+                    "no-sleep" => config.scope.no_sleep = items,
                     _ => return Err(format!("line {lineno}: unknown [paths] key `{key}`")),
                 }
             }

@@ -9,6 +9,7 @@
 //! | `hot-path`       | `hot-regions` prefixes      | inside `// lint:hot-begin(name)` … `// lint:hot-end` regions: no `%` reduction, no `.clone()`, no allocation |
 //! | `crate-header`   | every `src/lib.rs`          | crate root carries `#![forbid(unsafe_code)]` + the shared `#![deny(...)]` set |
 //! | `dropped-result` | `no-dropped-result` prefixes| no `let _ = fallible(...)` — errors must propagate or be handled |
+//! | `critical-path-sleep` | `no-sleep` prefixes     | no `thread::sleep` — on the request path waiting is a blocking read or accept against a deadline, never a poll interval |
 //!
 //! Code under `#[cfg(test)]` / `#[test]` items is exempt from every rule:
 //! tests panicking on broken invariants is exactly what tests are for.
@@ -44,6 +45,8 @@ pub struct RuleScope {
     pub dropped_result: Vec<String>,
     /// Path prefixes whose `lint:hot-begin/end` regions are checked.
     pub hot_regions: Vec<String>,
+    /// Path prefixes (the TCP request paths) that may not `thread::sleep`.
+    pub no_sleep: Vec<String>,
     /// When set, every rule applies to every file regardless of prefixes.
     pub all_paths: bool,
 }
@@ -76,6 +79,9 @@ pub fn lint_file(rel_path: &str, source: &str, scope: &RuleScope) -> Vec<Finding
     }
     if scope.applies(rel_path, &scope.dropped_result) {
         dropped_result_rule(&file, &mut findings);
+    }
+    if scope.applies(rel_path, &scope.no_sleep) {
+        critical_path_sleep_rule(&file, &mut findings);
     }
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     findings
@@ -526,6 +532,26 @@ fn dropped_result_rule(file: &FileView<'_>, out: &mut Vec<Finding>) {
                 s,
                 "dropped-result",
                 "`let _ =` silently drops a possible `Result`; propagate or handle it".to_string(),
+            ));
+        }
+    }
+}
+
+fn critical_path_sleep_rule(file: &FileView<'_>, out: &mut Vec<Finding>) {
+    // `thread::sleep` as a path, wherever it appears: a call, or an import
+    // that would let later calls go by the bare name.
+    for s in 3..file.sig.len() {
+        if !file.in_test[s]
+            && file.text(s) == "sleep"
+            && file.text(s - 1) == ":"
+            && file.text(s - 2) == ":"
+            && file.text(s - 3) == "thread"
+        {
+            out.push(file.finding(
+                s,
+                "critical-path-sleep",
+                "`thread::sleep` on a request path; wait on the socket against a deadline instead"
+                    .to_string(),
             ));
         }
     }

@@ -71,6 +71,7 @@ fn scoped_rules_skip_out_of_scope_files() {
         panic_free: vec!["crates/core/".to_string()],
         dropped_result: vec![],
         hot_regions: vec![],
+        no_sleep: vec![],
         all_paths: false,
     };
     let findings = lint_file("crates/bench/src/panic_sites.rs", &source, &scope);

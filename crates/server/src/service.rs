@@ -28,7 +28,7 @@ use camelot_core::{
 use camelot_ff::{crt_u, PrimeField, Residue};
 use camelot_store::{cert_key, CertKey, CertStore};
 use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -359,11 +359,12 @@ impl Service {
     }
 
     /// Shuts the worker pool down gracefully (shutdown frames, then
-    /// join/reap — no kills). Idempotent.
+    /// join/reap; a worker process still running one I/O deadline
+    /// later is killed). Idempotent.
     ///
     /// # Errors
     ///
-    /// A worker that exited uncleanly.
+    /// A worker that exited uncleanly or had to be killed.
     pub fn shutdown(&self) -> Result<(), String> {
         self.transport.shutdown_pool().map_err(|e| e.to_string())
     }
@@ -387,9 +388,69 @@ fn outcome_response(result: Result<CamelotOutcome<u128>, CamelotError>) -> Respo
     }
 }
 
+/// How a handler stops the daemon: the accept loop blocks in `accept`
+/// with no timeout, so raising the flag is followed by a throwaway
+/// connection to the listener that wakes it.
+struct StopSignal {
+    raised: AtomicBool,
+    /// The listener's own address, as reachable from this host.
+    wake: SocketAddr,
+}
+
+impl StopSignal {
+    fn for_listener(listener: &TcpListener) -> Result<StopSignal, String> {
+        let mut wake = listener.local_addr().map_err(|e| format!("listener address: {e}"))?;
+        // A listener bound to "any address" is reached over loopback.
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        Ok(StopSignal { raised: AtomicBool::new(false), wake })
+    }
+
+    fn raise(&self) {
+        self.raised.store(true, Ordering::SeqCst);
+        // A failed wake-up means the listener is not blocked on an
+        // empty queue; the loop meets the flag at its next connection.
+        let _woken = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+    }
+
+    fn is_raised(&self) -> bool {
+        self.raised.load(Ordering::SeqCst)
+    }
+}
+
+/// The daemon's connection handler threads. Finished handlers are
+/// joined whenever a new one starts, so under any load the set holds
+/// the requests in flight and no more — an unjoined finished thread
+/// would keep its stack.
+#[derive(Default)]
+struct Handlers {
+    live: Vec<thread::JoinHandle<()>>,
+}
+
+impl Handlers {
+    fn spawn(&mut self, work: impl FnOnce() + Send + 'static) {
+        let (finished, live) =
+            std::mem::take(&mut self.live).into_iter().partition(|handle| handle.is_finished());
+        self.live = live;
+        Self::join(finished);
+        self.live.push(thread::spawn(work));
+    }
+
+    fn join(handlers: Vec<thread::JoinHandle<()>>) {
+        for handle in handlers {
+            // Handlers report to their client, not to the daemon.
+            let _joined = handle.join();
+        }
+    }
+}
+
 /// Serves one client connection: one request frame in, one response
 /// frame out.
-fn try_handle(stream: TcpStream, service: &Service, stop: &AtomicBool) -> Result<(), String> {
+fn try_handle(stream: TcpStream, service: &Service, stop: &StopSignal) -> Result<(), String> {
     stream.set_read_timeout(Some(service.config.client_timeout)).map_err(|e| e.to_string())?;
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
     let mut stream = stream;
@@ -411,7 +472,7 @@ fn try_handle(stream: TcpStream, service: &Service, stop: &AtomicBool) -> Result
             Err(err) => Response::failure(&err),
         },
         Ok(Request::Shutdown) => {
-            stop.store(true, Ordering::SeqCst);
+            stop.raise();
             Response { ok: true, ..Response::default() }
         }
     };
@@ -421,41 +482,36 @@ fn try_handle(stream: TcpStream, service: &Service, stop: &AtomicBool) -> Result
         .map_err(|e| format!("writing response: {e}"))
 }
 
-/// The daemon accept loop: serves requests (one handler thread per
-/// connection) until a `shutdown` request arrives, then joins every
-/// handler and shuts the worker pool down gracefully. Returns only
-/// after all workers are reaped — a clean exit means no orphans.
+/// The daemon accept loop: blocks in `accept` (a request is picked up
+/// the moment it connects) and serves each connection on its own
+/// handler thread until a `shutdown` request arrives — its handler
+/// wakes the blocked `accept` with a loopback connection to the
+/// listener — then joins every handler and shuts the worker pool down
+/// gracefully. Returns only after all workers are reaped — a clean exit
+/// means no orphans.
 ///
 /// # Errors
 ///
 /// Listener failures, and pool-teardown failures at the end.
 pub fn run_daemon(listener: &TcpListener, service: &Arc<Service>) -> Result<(), String> {
-    listener.set_nonblocking(true).map_err(|e| format!("nonblocking listener: {e}"))?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let service = Arc::clone(service);
-                let stop = Arc::clone(&stop);
-                handlers.push(thread::spawn(move || {
-                    // A client that vanishes mid-request only costs us
-                    // this handler; the error has nowhere useful to go.
-                    let _handled = try_handle(stream, &service, &stop);
-                }));
-            }
-            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                handlers.retain(|handle| !handle.is_finished());
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(err) => return Err(format!("accepting client: {err}")),
+    listener.set_nonblocking(false).map_err(|e| format!("blocking listener: {e}"))?;
+    let stop = Arc::new(StopSignal::for_listener(listener)?);
+    let mut handlers = Handlers::default();
+    loop {
+        let (stream, _) = listener.accept().map_err(|e| format!("accepting client: {e}"))?;
+        if stop.is_raised() {
+            break; // the wake-up connection, or a client too late to serve
         }
+        let (service, stop) = (Arc::clone(service), Arc::clone(&stop));
+        handlers.spawn(move || {
+            // A client that vanishes mid-request only costs us this
+            // handler; the error has nowhere useful to go.
+            let _handled = try_handle(stream, &service, &stop);
+        });
     }
-    for handle in handlers {
-        // Handlers are bounded by CLIENT_TIMEOUT; joining keeps the
-        // pool alive until the last in-flight request is answered.
-        let _joined = handle.join();
-    }
+    // Handlers are bounded by CLIENT_TIMEOUT; joining keeps the pool
+    // alive until the last in-flight request is answered.
+    Handlers::join(handlers.live);
     service.shutdown()
 }
 
@@ -515,5 +571,38 @@ fn try_request(addr: &str, request: &Request, timeout: Duration) -> Result<Respo
     match read_frame(&mut reader)? {
         Some(text) => Response::from_wire(&text),
         None => Err("server closed the connection without responding".to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Sustained load with no idle gap: each handler is over before the
+    /// next starts, and starting the next joins it — the set never
+    /// grows with the number of requests served.
+    #[test]
+    fn finished_handlers_are_joined_as_new_ones_start() {
+        let mut handlers = Handlers::default();
+        let (done, finished) = channel();
+        for _ in 0..500 {
+            let done = done.clone();
+            handlers.spawn(move || done.send(()).unwrap());
+            finished.recv().unwrap();
+            // A handler is "finished" a moment after its last statement.
+            assert!(handlers.live.len() <= 8, "{} handlers piled up", handlers.live.len());
+        }
+        Handlers::join(handlers.live);
+    }
+
+    #[test]
+    fn an_any_address_listener_is_woken_over_loopback() {
+        let listener = TcpListener::bind("0.0.0.0:0").unwrap();
+        let stop = StopSignal::for_listener(&listener).unwrap();
+        assert_eq!(stop.wake.ip(), IpAddr::V4(Ipv4Addr::LOCALHOST));
+        assert_eq!(stop.wake.port(), listener.local_addr().unwrap().port());
+        stop.raise();
+        assert!(stop.is_raised());
+        listener.accept().expect("the wake-up connection");
     }
 }

@@ -142,10 +142,14 @@ fn hung_worker_is_demoted_within_the_deadline_and_the_round_still_decodes() {
     let outcome = service.prepare(&p).unwrap();
     let elapsed = started.elapsed();
     assert_eq!(outcome.output, poly_sum(&p.coefficients, p.sum_count));
+    // One deadline per round — the hang's — plus one of slack for the
+    // admission window, pool start and decoding; not the three per
+    // round that joining the hung worker on the critical path cost.
+    let budget = Duration::from_millis(300) * (outcome.report.rounds as u32 + 1);
     assert!(
-        elapsed < Duration::from_secs(10),
-        "a hung worker must not stall the round anywhere near the old 60 s \
-         timeout (took {elapsed:?})"
+        elapsed < budget,
+        "a hung worker must cost each of the {} rounds one deadline (took {elapsed:?})",
+        outcome.report.rounds
     );
     assert!(
         outcome.report.demotions.iter().any(|d| d.node == 1 && d.cause == FailureCause::Timeout),
@@ -159,10 +163,7 @@ fn hung_worker_is_demoted_within_the_deadline_and_the_round_still_decodes() {
 
 #[test]
 fn daemon_serves_prepare_verify_status_and_shuts_down() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let service = service(5);
-    let daemon = thread::spawn(move || run_daemon(&listener, &service));
+    let (addr, daemon) = daemon(service(5));
     let p = poly(vec![1, 2, 3]);
 
     let prepared = request(&addr, &Request::Prepare(p.clone())).unwrap();
@@ -214,4 +215,42 @@ fn daemon_serves_prepare_verify_status_and_shuts_down() {
     let bye = request(&addr, &Request::Shutdown).unwrap();
     assert!(bye.ok);
     daemon.join().unwrap().unwrap();
+}
+
+/// Starts a daemon on an ephemeral port over `service`.
+fn daemon(service: Arc<Service>) -> (String, thread::JoinHandle<Result<(), String>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    (addr, thread::spawn(move || run_daemon(&listener, &service)))
+}
+
+/// Sends `shutdown` and waits for `run_daemon` to return.
+fn shut_down_within_a_second(addr: &str, daemon: thread::JoinHandle<Result<(), String>>) {
+    let started = Instant::now();
+    assert!(request(addr, &Request::Shutdown).unwrap().ok);
+    daemon.join().unwrap().unwrap();
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "shutdown took {elapsed:?}");
+}
+
+#[test]
+fn idle_daemon_wakes_up_for_shutdown() {
+    // The accept loop blocks with no timeout; only the shutdown
+    // handler's wake-up connection gets run_daemon out of it, to join
+    // its handlers and reap the (started) worker pool.
+    let (addr, daemon) = daemon(service(5));
+    assert!(request(&addr, &Request::Prepare(poly(vec![5, 5, 5]))).unwrap().ok);
+    assert_eq!(request(&addr, &Request::Status).unwrap().workers, 4);
+    shut_down_within_a_second(&addr, daemon);
+}
+
+#[test]
+fn daemon_stays_prompt_under_sustained_load() {
+    // 500 requests with no idle gap between them: every one is answered
+    // and the handlers they leave behind do not slow shutdown down.
+    let (addr, daemon) = daemon(service(5));
+    for _ in 0..500 {
+        assert!(request(&addr, &Request::Status).unwrap().ok);
+    }
+    shut_down_within_a_second(&addr, daemon);
 }

@@ -14,7 +14,7 @@ use camelot::core::{
 use camelot::ff::{crt_u, PrimeField, Residue};
 use camelot::triangles::TriangleCount;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One of each behaviour over 10 nodes — the full fault matrix.
 fn full_matrix_plan(nodes: usize) -> FaultPlan {
@@ -342,6 +342,81 @@ fn chaos_rounds_are_bit_identical_across_all_four_backends() {
             }
         }
     }
+}
+
+/// Three hung nodes, a dropped frame and a punctual straggler on the
+/// persistent pool: the silent nodes share the round's one deadline
+/// instead of queueing for one each, nobody waits for a hung worker to
+/// come back, and what the coordinator sees is still exactly what the
+/// in-process simulation of the same plan reports. Over several rounds
+/// every demoted lane is respawned once, and shutdown leaves nothing
+/// behind.
+#[test]
+fn silent_nodes_share_one_deadline_on_the_socket_pool() {
+    let nodes = 10;
+    let field = PrimeField::new(1_048_583).unwrap();
+    let points: Vec<u64> = (0..40).collect();
+    let plan = FaultPlan::all_honest(nodes);
+    let spec = RoundSpec { field: &field, points: &points, plan: &plan };
+    let eval = ProgramEval::new(&field, vec![EvalProgram::Poly(vec![5, 0, 3, 1])]);
+    let chaos = ChaosPlan::with_effects(
+        nodes,
+        &[
+            (1, ChaosEffect::Hang),
+            (2, ChaosEffect::Delay { millis: 30 }),
+            (4, ChaosEffect::Hang),
+            (6, ChaosEffect::DropFrame),
+            (8, ChaosEffect::Hang),
+        ],
+    )
+    .expect("all nodes in range");
+    let tuning = TransportTuning::default().with_io_deadline(Duration::from_millis(400));
+    let reference = InProcess::new(false)
+        .with_tuning(tuning.clone())
+        .with_chaos(Some(chaos.clone()))
+        .run(&spec, &eval)
+        .expect("reference chaos round");
+    let demoted: Vec<(usize, FailureCause)> =
+        reference.demotions.iter().map(|demotion| (demotion.node, demotion.cause)).collect();
+    assert_eq!(
+        demoted,
+        vec![
+            (1, FailureCause::Timeout),
+            (4, FailureCause::Timeout),
+            (6, FailureCause::Reset),
+            (8, FailureCause::Timeout),
+        ],
+        "the delayed node is delivered, not demoted"
+    );
+
+    let pool = SocketTransport::persistent(WorkerMode::Threads)
+        .with_tuning(tuning.clone())
+        .with_chaos(Some(chaos));
+    for round in 0..3 {
+        let started = Instant::now();
+        let outcome = pool.run(&spec, &eval).expect("the round survives by demotion");
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < tuning.io_deadline * 3 / 2,
+            "round {round}: three hangs must cost one deadline, took {elapsed:?}"
+        );
+        assert_eq!(outcome.demotions, reference.demotions, "round {round}");
+        assert_eq!(outcome.traffic, reference.traffic, "round {round}");
+        assert!(outcome.broadcasts[0].same_word(&reference.broadcasts[0]), "round {round}");
+        for receiver in 0..nodes {
+            assert_eq!(
+                outcome.broadcasts[0].view_for(receiver),
+                reference.broadcasts[0].view_for(receiver),
+                "round {round}, receiver {receiver}"
+            );
+        }
+        // The lanes demoted in one round come back at the start of the
+        // next, each exactly once.
+        assert_eq!(pool.pool_respawns(), demoted.len() * round, "round {round}");
+        assert_eq!(pool.pool_live_workers(), nodes - demoted.len(), "round {round}");
+    }
+    pool.shutdown_pool().expect("every worker, retired ones included, exits cleanly");
+    assert_eq!(pool.pool_live_workers(), 0);
 }
 
 /// Within the decoding radius, chaos costs nothing but redundancy: the
