@@ -10,7 +10,7 @@
 
 use camelot_core::{CamelotError, CamelotProblem, Evaluate, PrimeProof, ProofSpec};
 use camelot_ff::{crt_u, PrimeField, Residue, UBig};
-use camelot_poly::lagrange_basis_at;
+use camelot_poly::ConsecutiveBasis;
 
 /// A CNF formula. Literals are nonzero integers: `+k` is variable `k`,
 /// `-k` its negation (variables are 1-based, DIMACS style).
@@ -148,13 +148,15 @@ impl CamelotProblem for CountCnfSat {
         let half = self.half();
         let n = 1usize << half;
         let m = self.formula.clauses.len();
+        let lagrange = ConsecutiveBasis::new(field, n);
         Box::new(move |x0: u64| {
             // z_j = A_j(x0) by barycentric evaluation over nodes 1..n,
             // with A_j(i) = [assignment i-1 satisfies no first-half
             // literal of clause j].
-            let basis = lagrange_basis_at(&f, n, x0);
-            let mut z = vec![0u64; m];
-            for (i, &w) in basis.iter().enumerate().take(n) {
+            let mut scratch = vec![0u64; n + m];
+            let (basis, z) = scratch.split_at_mut(n);
+            lagrange.basis_at(x0, basis);
+            for (i, &w) in basis.iter().enumerate() {
                 if w == 0 {
                     continue;
                 }

@@ -9,7 +9,7 @@
 
 use camelot_core::{CamelotError, CamelotProblem, Evaluate, PrimeProof, ProofSpec};
 use camelot_ff::PrimeField;
-use camelot_poly::lagrange_basis_at;
+use camelot_poly::ConsecutiveBasis;
 
 /// The Convolution3SUM Camelot problem.
 #[derive(Clone, Debug)]
@@ -151,33 +151,32 @@ impl CamelotProblem for Convolution3Sum {
         // the barycentric combination.
         let bits: Vec<Vec<u64>> =
             self.values.iter().map(|&v| (0..t).map(|j| v >> j & 1).collect()).collect();
+        let lagrange = ConsecutiveBasis::new(field, n);
         Box::new(move |x0: u64| {
-            // A(x0) by barycentric evaluation over nodes 1..n.
-            let eval_at = |x: u64| -> Vec<u64> {
-                let x = f.reduce(x);
-                if (1..=n as u64).contains(&x) {
-                    return bits[(x - 1) as usize].clone();
-                }
-                let basis = lagrange_basis_at(&f, n, x);
-                let mut out = vec![0u64; t];
-                for (i, &wgt) in basis.iter().enumerate() {
+            let mut scratch = vec![0u64; n + 2 * t];
+            let (basis, rest) = scratch.split_at_mut(n);
+            let (y, w) = rest.split_at_mut(t);
+            // A(x) by barycentric evaluation over nodes 1..n.
+            let mut eval_at = |x: u64, out: &mut [u64]| {
+                lagrange.basis_at(x, basis);
+                out.fill(0);
+                for (row, &wgt) in bits.iter().zip(basis.iter()) {
                     if wgt == 0 {
                         continue;
                     }
-                    for (j, slot) in out.iter_mut().enumerate() {
-                        if bits[i][j] == 1 {
+                    for (slot, &bit) in out.iter_mut().zip(row) {
+                        if bit == 1 {
                             *slot = f.add(*slot, wgt);
                         }
                     }
                 }
-                out
             };
-            let y = eval_at(x0);
+            eval_at(x0, y);
             let mut acc = 0u64;
             for l in 1..=half as u64 {
                 let z = &bits[(l - 1) as usize];
-                let w = eval_at(f.add(f.reduce(x0), f.reduce(l)));
-                acc = f.add(acc, adder_indicator(&f, &y, z, &w));
+                eval_at(f.add(f.reduce(x0), f.reduce(l)), w);
+                acc = f.add(acc, adder_indicator(&f, y, z, w));
             }
             acc
         })

@@ -11,7 +11,7 @@
 use camelot_core::{CamelotError, CamelotProblem, Evaluate, PrimeProof, ProofSpec};
 use camelot_ff::{crt_i, PrimeField, Residue, UBig};
 use camelot_graph::Graph;
-use camelot_poly::lagrange_basis_at;
+use camelot_poly::ConsecutiveBasis;
 
 /// The Hamiltonian-cycle-counting Camelot problem.
 #[derive(Clone, Debug)]
@@ -100,10 +100,12 @@ impl CamelotProblem for HamiltonianCycles {
         let h1 = self.h1();
         let h2 = n - 1 - h1;
         let points = 1usize << h1;
+        let lagrange = ConsecutiveBasis::new(field, points);
         Box::new(move |x0: u64| {
-            let basis = lagrange_basis_at(&f, points, x0);
+            let mut scratch = vec![0u64; points + n - 1];
+            let (basis, z) = scratch.split_at_mut(points);
+            lagrange.basis_at(x0, basis);
             // First-half indicators (vertices 1..h1).
-            let mut z = vec![0u64; n - 1];
             for (i, &w) in basis.iter().enumerate() {
                 if w == 0 {
                     continue;
@@ -123,7 +125,7 @@ impl CamelotProblem for HamiltonianCycles {
                 for j in 0..h2 {
                     z[h1 + j] = mask >> j & 1;
                 }
-                let walks = self.walk_sum(&f, &z);
+                let walks = self.walk_sum(&f, z);
                 let mut term = f.mul(sign_first, walks);
                 // (-1)^{|mask|} for the explicit half, (-1)^{n-1} overall.
                 let flips = mask.count_ones() as usize + (n - 1) % 2;

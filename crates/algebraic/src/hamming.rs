@@ -11,7 +11,7 @@
 use crate::ov::BoolMatrix;
 use camelot_core::{CamelotError, CamelotProblem, Evaluate, PrimeProof, ProofSpec};
 use camelot_ff::PrimeField;
-use camelot_poly::lagrange_basis_at;
+use camelot_poly::ConsecutiveBasis;
 
 /// The Hamming-distribution Camelot problem.
 #[derive(Clone, Debug)]
@@ -87,14 +87,16 @@ impl CamelotProblem for HammingDistribution {
         let nodes = self.node_count();
         let a = self.a.clone();
         let b = self.b.clone();
+        let lagrange = ConsecutiveBasis::new(field, nodes);
         Box::new(move |x0: u64| {
             // Nodes are t+1 ..= nodes+t; shift into 1..=nodes for the
             // consecutive-point Lagrange basis.
             let shifted = f.sub(f.reduce(x0), f.reduce(t as u64));
-            let basis = lagrange_basis_at(&f, nodes, shifted);
+            let mut scratch = vec![0u64; nodes + 2 * t];
+            let (basis, rest) = scratch.split_at_mut(nodes);
             // z_j = A_j(x0), w_ℓ = H_ℓ(x0).
-            let mut z = vec![0u64; t];
-            let mut w = vec![0u64; t];
+            let (z, w) = rest.split_at_mut(t);
+            lagrange.basis_at(shifted, basis);
             for (r, &weight) in basis.iter().enumerate() {
                 if weight == 0 {
                     continue;
@@ -124,7 +126,7 @@ impl CamelotProblem for HammingDistribution {
                     dist = f.add(dist, term);
                 }
                 let mut prod = 1u64;
-                for &wl in &w {
+                for &wl in w.iter() {
                     prod = f.mul(prod, f.sub(dist, wl));
                     if prod == 0 {
                         break;

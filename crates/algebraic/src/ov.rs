@@ -13,7 +13,7 @@
 
 use camelot_core::{CamelotError, CamelotProblem, Evaluate, PrimeProof, ProofSpec};
 use camelot_ff::PrimeField;
-use camelot_poly::lagrange_basis_at;
+use camelot_poly::ConsecutiveBasis;
 
 /// A Boolean matrix given as rows of bits.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -133,14 +133,16 @@ impl CamelotProblem for OrthogonalVectors {
         let (n, t) = (self.a.rows, self.a.cols);
         let a = self.a.clone();
         let b = self.b.clone();
+        let lagrange = ConsecutiveBasis::new(field, n);
         Box::new(move |x0: u64| {
             // Barycentric evaluation of the interpolants A_j at x0:
             // A_j(x0) = Σ_i a_ij Λ_i(x0) over the nodes 1..n, in O(nt)
             // total — no coefficient-form interpolation, so the per-node
             // cost stays linear in the input (§A.1/§A.2 of the paper).
-            let basis = lagrange_basis_at(&f, n, x0);
-            let mut z = vec![0u64; t];
-            for (i, &w) in basis.iter().enumerate().take(n) {
+            let mut scratch = vec![0u64; n + t];
+            let (basis, z) = scratch.split_at_mut(n);
+            lagrange.basis_at(x0, basis);
+            for (i, &w) in basis.iter().enumerate() {
                 if w == 0 {
                     continue;
                 }

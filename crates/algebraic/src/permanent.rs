@@ -18,7 +18,7 @@
 
 use camelot_core::{CamelotError, CamelotProblem, Evaluate, PrimeProof, ProofSpec};
 use camelot_ff::{crt_i, IBig, PrimeField, Residue};
-use camelot_poly::lagrange_basis_at;
+use camelot_poly::ConsecutiveBasis;
 
 /// The permanent Camelot problem for an `n × n` integer matrix.
 #[derive(Clone, Debug)]
@@ -151,10 +151,13 @@ impl CamelotProblem for Permanent {
         let h = self.half();
         let points = 1usize << h;
         let a: Vec<u64> = self.entries.iter().map(|&v| f.from_i64(v)).collect();
+        let lagrange = ConsecutiveBasis::new(field, points);
         Box::new(move |x0: u64| {
+            let mut scratch = vec![0u64; points + h + n];
+            let (basis, rest) = scratch.split_at_mut(points);
+            let (z, rows) = rest.split_at_mut(h);
             // z = D(x0): bit polynomials evaluated barycentrically.
-            let basis = lagrange_basis_at(&f, points, x0);
-            let mut z = vec![0u64; h];
+            lagrange.basis_at(x0, basis);
             for (i, &w) in basis.iter().enumerate() {
                 if w == 0 {
                     continue;
@@ -167,17 +170,13 @@ impl CamelotProblem for Permanent {
             }
             // First-half contributions.
             let mut sign_first = 1u64;
-            for &zj in &z {
+            for &zj in z.iter() {
                 sign_first = f.mul(sign_first, f.sub(1, f.add(zj, zj)));
             }
-            let mut row_first = vec![0u64; n];
-            for (i, row) in row_first.iter_mut().enumerate() {
-                for (j, &zj) in z.iter().enumerate() {
-                    *row = f.mul_add(*row, a[i * n + j], zj);
-                }
+            for (i, row) in rows.iter_mut().enumerate() {
+                *row = f.dot(&a[i * n..i * n + h], z);
             }
             // Second half: Gray-code sweep over 2^h subsets.
-            let mut rows = row_first;
             let mut acc = 0u64;
             let mut prev_gray = 0u64;
             for s in 0u64..1 << h {
@@ -196,13 +195,15 @@ impl CamelotProblem for Permanent {
                     }
                 }
                 prev_gray = gray;
-                let mut prod = sign_first;
-                for &row in &rows {
-                    if prod == 0 {
-                        break;
+                // Π_i row_i as four interleaved chains: one serial chain
+                // of n Barrett products is bound by their latency.
+                let mut lanes = [sign_first, 1, 1, 1];
+                for block in rows.chunks(4) {
+                    for (lane, &row) in lanes.iter_mut().zip(block) {
+                        *lane = f.mul(*lane, row);
                     }
-                    prod = f.mul(prod, row);
                 }
+                let prod = f.mul(f.mul(lanes[0], lanes[1]), f.mul(lanes[2], lanes[3]));
                 // (-1)^n (1-2z)-product over the second half = (-1)^{|s|}
                 // (and (-1)^n = 1 since n is even after padding).
                 if gray.count_ones() % 2 == 1 {

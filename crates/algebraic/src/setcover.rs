@@ -12,7 +12,7 @@
 
 use camelot_core::{CamelotError, CamelotProblem, Evaluate, PrimeProof, ProofSpec};
 use camelot_ff::{crt_i, PrimeField, Residue, UBig};
-use camelot_poly::lagrange_basis_at;
+use camelot_poly::ConsecutiveBasis;
 
 /// The set-cover-counting Camelot problem.
 #[derive(Clone, Debug)]
@@ -86,9 +86,13 @@ impl CamelotProblem for SetCovers {
         let h2 = n - h1;
         let points = 1usize << h1;
         let first_mask = (1u64 << h1) - 1;
+        let lagrange = ConsecutiveBasis::new(field, points);
+        let second_need: Vec<u64> = self.family.iter().map(|&x| x >> h1).collect();
         Box::new(move |x0: u64| {
-            let basis = lagrange_basis_at(&f, points, x0);
-            let mut y = vec![0u64; h1];
+            let mut scratch = vec![0u64; points + h1 + self.family.len()];
+            let (basis, rest) = scratch.split_at_mut(points);
+            let (y, first_prod) = rest.split_at_mut(h1);
+            lagrange.basis_at(x0, basis);
             for (i, &w) in basis.iter().enumerate() {
                 if w == 0 {
                     continue;
@@ -100,14 +104,12 @@ impl CamelotProblem for SetCovers {
                 }
             }
             let mut sign_first = 1u64;
-            for &yj in &y {
+            for &yj in y.iter() {
                 sign_first = f.mul(sign_first, f.sub(1, f.add(yj, yj)));
             }
-            // Per set X: Π_{j ∈ X ∩ first} y_j (field value) and the
-            // second-half membership mask.
-            let mut first_prod = Vec::with_capacity(self.family.len());
-            let mut second_need = Vec::with_capacity(self.family.len());
-            for &x in &self.family {
+            // Per set X: Π_{j ∈ X ∩ first} y_j (field value); its
+            // second-half membership mask is `second_need`.
+            for (slot, &x) in first_prod.iter_mut().zip(&self.family) {
                 let mut prod = 1u64;
                 let mut bits = x & first_mask;
                 while bits != 0 {
@@ -115,8 +117,7 @@ impl CamelotProblem for SetCovers {
                     bits &= bits - 1;
                     prod = f.mul(prod, y[j]);
                 }
-                first_prod.push(prod);
-                second_need.push(x >> h1);
+                *slot = prod;
             }
             let mut acc = 0u64;
             for mask in 0u64..1 << h2 {

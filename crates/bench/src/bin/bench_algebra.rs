@@ -14,7 +14,13 @@
 //!   same breakdown, and erasure decoding cold vs warm (punctured-tree
 //!   cache);
 //! * the partial-xgcd step in isolation, classical vs half-GCD, on the
-//!   exact `(g0, g1, stop)` triple the Gao decoder feeds it.
+//!   exact `(g0, g1, stop)` triple the Gao decoder feeds it;
+//! * the per-point building blocks of the catalogue evaluators at the
+//!   end-to-end benchmark's shapes (ns per call): prepared vs one-shot
+//!   Lagrange basis, the compiled Strassen Yates plan against a Barrett
+//!   `mul_add` per accumulation, the target-coefficient dot product
+//!   against a whole truncated bivariate product, and split vs serial
+//!   Horner.
 //!
 //! Every per-length row records the thread budget the NTT/decode paths
 //! ran under (`CAMELOT_THREADS`, defaulting to the machine parallelism).
@@ -39,7 +45,12 @@
 
 use camelot_bench::{fault_every_16th, fmt_duration, random_message, Table};
 use camelot_ff::{ntt_prime, thread_budget, PrimeField, RngLike, SplitMix64};
-use camelot_poly::{eval_many, interpolate, interpolate_fast, set_hgcd_crossover, vanishing_poly};
+use camelot_linalg::{MatMulTensor, YatesPlan};
+use camelot_partition::Shape;
+use camelot_poly::{
+    eval_many, interpolate, interpolate_fast, lagrange_basis_at, set_hgcd_crossover,
+    vanishing_poly, ConsecutiveBasis,
+};
 use camelot_rscode::{DecodeProfile, RsCode};
 use std::time::{Duration, Instant};
 
@@ -265,6 +276,131 @@ fn kernel_bench(field: &PrimeField, samples: usize, rng: &mut SplitMix64) -> Str
     )
 }
 
+/// Calls per timed sample in [`evaluator_bench`]: enough that a sample is
+/// far above timer resolution, few enough that the smoke run stays
+/// instant.
+const EVALUATOR_REPS: usize = 200;
+
+/// Nanoseconds per call of `f`, best of `samples` batches of
+/// [`EVALUATOR_REPS`] calls.
+fn ns_per_call<T>(samples: usize, mut f: impl FnMut(usize) -> T) -> f64 {
+    let best = best_of(samples, || {
+        for rep in 0..EVALUATOR_REPS {
+            std::hint::black_box(f(rep));
+        }
+    });
+    best.as_secs_f64() * 1e9 / EVALUATOR_REPS as f64
+}
+
+/// The x-dependent building blocks of the catalogue evaluators, at the
+/// shapes `bench_e2e`'s `catalogue_inproc` runs them: returns the
+/// `"evaluators"` JSON object and prints a table. Each fast form is
+/// checked against its reference before it is timed.
+fn evaluator_bench(field: &PrimeField, samples: usize, rng: &mut SplitMix64) -> String {
+    let q = field.modulus();
+    let mut table = Table::new(&["evaluator block", "reference ns", "fast ns", "x"]);
+    let mut row = |name: &str, reference: f64, fast: f64| {
+        table.row(&[
+            name.to_string(),
+            format!("{reference:.0}"),
+            format!("{fast:.0}"),
+            format!("{:.2}", reference / fast.max(1e-9)),
+        ]);
+    };
+
+    // Lagrange basis over 1..=R: one-shot (factorials and an inversion
+    // per call) vs prepared (x-dependent sweeps only).
+    let mut basis_json = Vec::new();
+    for r_count in [49usize, 343] {
+        let prepared = ConsecutiveBasis::new(field, r_count);
+        let mut out = vec![0u64; r_count];
+        let x_of = |rep: usize| r_count as u64 + 1 + rep as u64;
+        prepared.basis_at(x_of(0), &mut out);
+        assert_eq!(out, lagrange_basis_at(field, r_count, x_of(0)), "prepared basis diverged");
+        let one_shot = ns_per_call(samples, |rep| lagrange_basis_at(field, r_count, x_of(rep)));
+        let fast = ns_per_call(samples, |rep| prepared.basis_at(x_of(rep), &mut out));
+        row(&format!("lagrange basis R={r_count}"), one_shot, fast);
+        basis_json.push(format!(
+            "{{\"nodes\": {r_count}, \"one_shot_ns\": {one_shot:.1}, \"basis_at_ns\": {fast:.1}}}"
+        ));
+    }
+
+    // Strassen 4^4 -> 7^4 (the triangle inner transform): the compiled
+    // ±1 plan vs one Barrett mul_add per accumulation, which is what the
+    // uncompiled schedule paid for the same op count.
+    let plan = YatesPlan::new(&MatMulTensor::strassen().alpha0().transpose(), 4);
+    let x: Vec<u64> = (0..plan.input_len()).map(|_| rng.next_u64() % q).collect();
+    let mut scratch = vec![0u64; plan.scratch_len()];
+    let accumulations = plan.accumulations();
+    let operands: Vec<u64> = (0..accumulations).map(|_| rng.next_u64() % q).collect();
+    let mut sink = vec![0u64; plan.output_len()];
+    let yates_mul_add = ns_per_call(samples, |_| {
+        for (k, &v) in operands.iter().enumerate() {
+            let slot = &mut sink[k % plan.output_len()];
+            *slot = field.mul_add(*slot, q - 1, v);
+        }
+    });
+    let yates_plan = ns_per_call(samples, |_| plan.apply(field, &x, &mut scratch)[0]);
+    row("yates 256->2401 (8580 acc)", yates_mul_add, yates_plan);
+
+    // Truncated bivariate polynomials at (|E|, |B|) = (6, 6): the one
+    // coefficient the template reads vs the whole product.
+    let shape = Shape::new(6, 6);
+    let poly = |rng: &mut SplitMix64| -> Vec<u64> {
+        (0..shape.stride()).map(|_| rng.next_u64() % q).collect()
+    };
+    let (a, b) = (poly(rng), poly(rng));
+    let (mut product, mut reversed) = (vec![0u64; shape.stride()], vec![0u64; shape.stride()]);
+    shape.mul_into(field, (&a, 7), (&b, 7), &mut product);
+    assert_eq!(
+        shape.top_coefficient_of_product(field, &a, &b, &mut reversed),
+        product[shape.stride() - 1],
+        "target coefficient diverged from the full product"
+    );
+    let full = ns_per_call(samples, |_| shape.mul_into(field, (&a, 7), (&b, 7), &mut product));
+    let target =
+        ns_per_call(samples, |_| shape.top_coefficient_of_product(field, &a, &b, &mut reversed));
+    row("bipoly 7x7 target coefficient", full, target);
+
+    // Horner on 2049 reduced coefficients: one serial mul_add chain vs
+    // four interleaved Shoup chains in x^4.
+    let coeffs: Vec<u64> = (0..2049).map(|_| rng.next_u64() % q).collect();
+    let serial_horner = |x: u64| coeffs.iter().rev().fold(0u64, |acc, &c| field.mul_add(c, acc, x));
+    assert_eq!(field.horner(&coeffs, 12_345), serial_horner(12_345), "split Horner diverged");
+    let serial = ns_per_call(samples, |rep| serial_horner(rep as u64 + 2)) / coeffs.len() as f64;
+    let split =
+        ns_per_call(samples, |rep| field.horner(&coeffs, rep as u64 + 2)) / coeffs.len() as f64;
+    row("horner, per coefficient", serial, split);
+    table.print("evaluator building blocks (ns per call; reference = what the block replaced)");
+
+    format!(
+        concat!(
+            "  \"evaluators\": {{\"prime\": {}, \"reps_per_sample\": {},\n",
+            "    \"lagrange_basis\": [{}],\n",
+            "    \"yates_strassen_k4\": {{\"input_len\": {}, \"output_len\": {}, ",
+            "\"accumulations\": {}, \"mul_add_schedule_ns\": {:.1}, ",
+            "\"plan_apply_ns\": {:.1}}},\n",
+            "    \"bipoly_7x7\": {{\"full_product_ns\": {:.1}, ",
+            "\"target_coefficient_ns\": {:.1}}},\n",
+            "    \"horner\": {{\"coefficients\": {}, \"serial_ns_per_coefficient\": {:.3}, ",
+            "\"split_ns_per_coefficient\": {:.3}}}}}"
+        ),
+        q,
+        EVALUATOR_REPS,
+        basis_json.join(", "),
+        plan.input_len(),
+        plan.output_len(),
+        accumulations,
+        yates_mul_add,
+        yates_plan,
+        full,
+        target,
+        coeffs.len(),
+        serial,
+        split,
+    )
+}
+
 fn main() {
     let args = parse_args();
     if let Some(crossover) = args.hgcd_crossover {
@@ -273,6 +409,8 @@ fn main() {
     let threads = thread_budget().max(1);
     let kernel_field = PrimeField::new(ntt_prime(1 << 20, KERNEL_LOG + 1).0).unwrap();
     let kernels = kernel_bench(&kernel_field, args.samples, &mut SplitMix64::new(0xCA_FE_F0_0D));
+    let evaluators =
+        evaluator_bench(&kernel_field, args.samples, &mut SplitMix64::new(0xE7_A1_0A_7E));
     let mut rows = Vec::new();
     let mut table = Table::new(&[
         "len", "prime", "thr", "enc tree", "x", "enc NTT", "x", "int tree", "x", "dec tree",
@@ -429,9 +567,11 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"camelot-bench-algebra/v4\",\n",
+            "  \"schema\": \"camelot-bench-algebra/v5\",\n",
             "  \"description\": \"Field slice-kernel throughput (Melem/s, chunked vs per-element ",
-            "scalar loops) plus the Reed-Solomon codeword pipeline: Horner/Newton/classical-xgcd ",
+            "scalar loops), the per-point building blocks of the catalogue evaluators (ns per ",
+            "call, each beside what it replaced), plus the Reed-Solomon codeword pipeline: ",
+            "Horner/Newton/classical-xgcd ",
             "baselines vs subproduct-tree, NTT, and half-GCD fast paths (message degree = len/2; ",
             "decode_us is the sum of its three phase columns; quadratic baselines are null above ",
             "2^14; threads is the CAMELOT_THREADS budget the NTT/decode paths ran under)\",\n",
@@ -440,12 +580,14 @@ fn main() {
             "  \"threads\": {},\n",
             "  \"timer\": \"best-of-samples wall clock, release build\",\n",
             "{},\n",
+            "{},\n",
             "  \"results\": [\n{}\n  ]\n",
             "}}\n"
         ),
         args.samples,
         threads,
         kernels,
+        evaluators,
         rows.join(",\n")
     );
     std::fs::write(&args.out, &json)

@@ -20,8 +20,8 @@
 //!   polynomial ([`Form62::eval_proof_at`], §5.2–5.3).
 
 use camelot_ff::PrimeField;
-use camelot_linalg::{yates, MatMulTensor, Matrix};
-use camelot_poly::lagrange_basis_at;
+use camelot_linalg::{mul_transposed_into, MatMulTensor, Matrix, YatesPlan};
+use camelot_poly::ConsecutiveBasis;
 
 /// Flat index of the pair `(s, t)`, `1 <= s < t <= 6`, in the fixed order
 /// `(1,2), (1,3), …, (5,6)`.
@@ -212,6 +212,7 @@ impl Form62 {
         assert_eq!(n, tensor.n0().pow(t_pow as u32), "size must be n0^t_pow");
         let r_total = tensor.r0().pow(t_pow as u32);
         let mut total = 0u64;
+        let mut workspace = vec![0u64; TERM_WORKSPACE * n * n];
         for r in 0..r_total {
             let alpha =
                 Matrix::from_fn(n, n, |d, e| field.from_i64(tensor.alpha_power(t_pow, d, e, r)));
@@ -219,37 +220,72 @@ impl Form62 {
                 Matrix::from_fn(n, n, |e, f| field.from_i64(tensor.beta_power(t_pow, e, f, r)));
             let gamma =
                 Matrix::from_fn(n, n, |d, f| field.from_i64(tensor.gamma_power(t_pow, d, f, r)));
-            total = field.add(total, self.term(field, &alpha, &beta, &gamma));
+            let term = self.term(field, alpha.data(), beta.data(), gamma.data(), &mut workspace);
+            total = field.add(total, term);
         }
-        // Inputs + the three coefficient matrices + ~6 temporaries inside
-        // `term` — all N².
-        let peak = 15 * n * n + 9 * n * n;
+        // Inputs + the three coefficient matrices + the term workspace —
+        // all N².
+        let peak = (15 + 3 + TERM_WORKSPACE) * n * n;
         (total, SpaceStats { peak_field_elements: peak })
     }
 
     /// One term of the circuit: equations (11)–(12) of the paper with
-    /// coefficient matrices `alpha[d][e']`, `beta[e][f']`,
-    /// `gamma[d'][f]`.
-    fn term(&self, field: &PrimeField, alpha: &Matrix, beta: &Matrix, gamma: &Matrix) -> u64 {
+    /// row-major coefficient matrices `alpha[d][e']`, `beta[e][f']`,
+    /// `gamma[d'][f]`, computed in the caller's `workspace` of
+    /// [`TERM_WORKSPACE`]` · N²` elements. Six of the seven products are
+    /// against a transposed operand and the seventh is arranged to be, so
+    /// all run as row-by-row dot products with no transposed copies.
+    /// (Schoolbook on purpose: the proof polynomial has `R0^t` nodes, so
+    /// an `N = n0^t` this code can be run at stays far below the size
+    /// where [`Matrix::mul`] would switch to Strassen.)
+    fn term(
+        &self,
+        field: &PrimeField,
+        alpha: &[u64],
+        beta: &[u64],
+        gamma: &[u64],
+        workspace: &mut [u64],
+    ) -> u64 {
+        let n = self.size;
+        let chi = |s: usize, t: usize| self.chi(s, t).data();
+        let (w, rest) = workspace.split_at_mut(n * n);
+        let (h, rest) = rest.split_at_mut(n * n);
+        let (a, rest) = rest.split_at_mut(n * n);
+        let (b, rest) = rest.split_at_mut(n * n);
+        let c = &mut rest[..n * n];
         // H_ad = Σ_{e'} χ15_{ae'} (α_{de'} χ45_{de'}):  H = χ15 · (α∘χ45)^T
-        let h = self.chi(1, 5).mul(field, &alpha.hadamard(field, self.chi(4, 5)).transpose());
+        w.copy_from_slice(alpha);
+        field.mul_slice(w, chi(4, 5));
+        mul_transposed_into(field, chi(1, 5), w, n, h);
         // A_ab = Σ_d χ14_{ad} H_ad χ24_{bd}:  A = (χ14 ∘ H) · χ24^T
-        let a = self.chi(1, 4).hadamard(field, &h).mul(field, &self.chi(2, 4).transpose());
+        field.mul_slice(h, chi(1, 4));
+        mul_transposed_into(field, h, chi(2, 4), n, a);
         // K_be = Σ_{f'} χ26_{bf'} (β_{ef'} χ56_{ef'}):  K = χ26 · (β∘χ56)^T
-        let k = self.chi(2, 6).mul(field, &beta.hadamard(field, self.chi(5, 6)).transpose());
+        w.copy_from_slice(beta);
+        field.mul_slice(w, chi(5, 6));
+        mul_transposed_into(field, chi(2, 6), w, n, h);
         // B_bc = Σ_e χ25_{be} K_be χ35_{ce}:  B = (χ25 ∘ K) · χ35^T
-        let b = self.chi(2, 5).hadamard(field, &k).mul(field, &self.chi(3, 5).transpose());
-        // L_cf = Σ_{d'} χ34_{cd'} (γ_{d'f} χ46_{d'f}):  L = χ34 · (γ∘χ46)
-        let l = self.chi(3, 4).mul(field, &gamma.hadamard(field, self.chi(4, 6)));
+        field.mul_slice(h, chi(2, 5));
+        mul_transposed_into(field, h, chi(3, 5), n, b);
+        // L_cf = Σ_{d'} χ34_{cd'} (γ_{d'f} χ46_{d'f}):  L = χ34 · W^T with
+        // W = (γ∘χ46)^T built directly.
+        let chi46 = chi(4, 6);
+        for d in 0..n {
+            for f in 0..n {
+                w[f * n + d] = field.mul(gamma[d * n + f], chi46[d * n + f]);
+            }
+        }
+        mul_transposed_into(field, chi(3, 4), w, n, h);
         // C_ac = Σ_f χ16_{af} (χ36_{cf} L_cf):  C = χ16 · (χ36 ∘ L)^T
-        let c = self.chi(1, 6).mul(field, &self.chi(3, 6).hadamard(field, &l).transpose());
+        field.mul_slice(h, chi(3, 6));
+        mul_transposed_into(field, chi(1, 6), h, n, c);
         // Q_ab = Σ_c (χ13_{ac} C_ac)(χ23_{bc} B_bc):  Q = (χ13∘C) · (χ23∘B)^T
-        let q = self
-            .chi(1, 3)
-            .hadamard(field, &c)
-            .mul(field, &self.chi(2, 3).hadamard(field, &b).transpose());
+        field.mul_slice(c, chi(1, 3));
+        field.mul_slice(b, chi(2, 3));
+        mul_transposed_into(field, c, b, n, h);
         // P = Σ_ab χ12_ab A_ab Q_ab
-        self.chi(1, 2).hadamard(field, &a).hadamard(field, &q).sum(field)
+        field.mul_slice(a, chi(1, 2));
+        field.dot(a, h)
     }
 
     /// Evaluates the proof polynomial `P(x)` of §5.2 at `x0`: the
@@ -258,6 +294,49 @@ impl Form62 {
     /// Kronecker structure plus the `O(R)` Lagrange scaffolding of §5.3),
     /// and one circuit term is evaluated. `deg P <= 3(R-1)` and
     /// `Σ_{r=1}^R P(r) = X`.
+    ///
+    /// `plan` and `basis` carry everything that does not depend on `x0`
+    /// ([`ProofPlan::new`] once per problem, [`ProofPlan::basis`] once per
+    /// prime); the call itself allocates one scratch buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the form's size is not the plan's, or `basis` is not
+    /// over the plan's `R` nodes.
+    #[must_use]
+    pub fn proof_at(
+        &self,
+        field: &PrimeField,
+        plan: &ProofPlan,
+        basis: &ConsecutiveBasis,
+        x0: u64,
+    ) -> u64 {
+        let n = self.size;
+        assert_eq!(n * n, plan.unflatten.len(), "size must be n0^t_pow");
+        // The three factors share one shape, hence one scratch size.
+        let yates_len = plan.families[0].scratch_len();
+        let mut scratch = vec![0u64; plan.rank + yates_len + (3 + TERM_WORKSPACE) * n * n];
+        let (lambda, rest) = scratch.split_at_mut(plan.rank);
+        let (yates_scratch, rest) = rest.split_at_mut(yates_len);
+        let (coefficients, workspace) = rest.split_at_mut(3 * n * n);
+        // Λ_r(x0) over nodes 1..R, then one Yates transform per
+        // coefficient family: the N² × R Kronecker-power matrix applied
+        // to the Λ vector (equation (18) of the paper), read back into
+        // row-major order through the plan's index map.
+        basis.basis_at(x0, lambda);
+        for (family, matrix) in plan.families.iter().zip(coefficients.chunks_exact_mut(n * n)) {
+            let flat = family.apply(field, lambda, yates_scratch);
+            for (slot, &index) in matrix.iter_mut().zip(&plan.unflatten) {
+                *slot = flat[index as usize];
+            }
+        }
+        let (alpha, rest) = coefficients.split_at(n * n);
+        let (beta, gamma) = rest.split_at(n * n);
+        self.term(field, alpha, beta, gamma, workspace)
+    }
+
+    /// One-shot form of [`Form62::proof_at`] (tests and single-point
+    /// callers): compiles the plan and prepares the basis for this call.
     ///
     /// # Panics
     ///
@@ -270,29 +349,65 @@ impl Form62 {
         t_pow: usize,
         x0: u64,
     ) -> u64 {
-        let n = self.size;
-        let n0 = tensor.n0();
-        assert_eq!(n, n0.pow(t_pow as u32), "size must be n0^t_pow");
-        let r_total = tensor.r0().pow(t_pow as u32);
-        // Λ_r(x0) over nodes 1..R, then one Yates transform per
-        // coefficient family: the N² × R Kronecker-power matrix applied
-        // to the Λ vector (equation (18) of the paper).
-        let lambda = lagrange_basis_at(field, r_total, x0);
-        let alpha_flat = yates(field, tensor.alpha0(), t_pow, &lambda);
-        let beta_flat = yates(field, tensor.beta0(), t_pow, &lambda);
-        let gamma_flat = yates(field, tensor.gamma0(), t_pow, &lambda);
-        let unflatten =
-            |flat: &[u64]| Matrix::from_fn(n, n, |i, j| flat[interleave(i, j, n0, t_pow)]);
-        let alpha = unflatten(&alpha_flat);
-        let beta = unflatten(&beta_flat);
-        let gamma = unflatten(&gamma_flat);
-        self.term(field, &alpha, &beta, &gamma)
+        let plan = ProofPlan::new(tensor, t_pow);
+        self.proof_at(field, &plan, &plan.basis(field), x0)
     }
 
     /// Degree bound of the proof polynomial: `3(R - 1)` for `R = R0^t`.
     #[must_use]
     pub fn proof_degree_bound(tensor: &MatMulTensor, t_pow: usize) -> usize {
         3 * (tensor.r0().pow(t_pow as u32) - 1)
+    }
+}
+
+/// `N²`-element buffers [`Form62::term`] works in.
+const TERM_WORKSPACE: usize = 5;
+
+/// Everything about evaluating a `(6 2)` proof polynomial that depends
+/// only on the tensor and the Kronecker power — not on the modulus, the
+/// matrices or the point: the three coefficient families' compiled Yates
+/// plans (`R → N²`) and the map from row-major `(i, j)` to the
+/// interleaved Kronecker index the transforms produce.
+#[derive(Clone, Debug)]
+pub struct ProofPlan {
+    rank: usize,
+    /// `α`, `β`, `γ`.
+    families: [YatesPlan; 3],
+    /// `unflatten[i * N + j] = interleave(i, j, n0, t_pow)`.
+    unflatten: Vec<u32>,
+}
+
+impl ProofPlan {
+    /// Compiles the plan for matrices of size `n0^t_pow`.
+    #[must_use]
+    pub fn new(tensor: &MatMulTensor, t_pow: usize) -> Self {
+        let n0 = tensor.n0();
+        let n = n0.pow(t_pow as u32);
+        let unflatten = (0..n * n)
+            .map(|ij| u32::try_from(interleave(ij / n, ij % n, n0, t_pow)).expect("N² fits u32"))
+            .collect();
+        ProofPlan {
+            rank: tensor.r0().pow(t_pow as u32),
+            families: [tensor.alpha0(), tensor.beta0(), tensor.gamma0()]
+                .map(|factor| YatesPlan::new(factor, t_pow)),
+            unflatten,
+        }
+    }
+
+    /// The rank `R = R0^t`: the number of interpolation nodes.
+    #[must_use]
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// The Lagrange basis over the nodes `1..=R` for one field.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `R >= q`.
+    #[must_use]
+    pub fn basis(&self, field: &PrimeField) -> ConsecutiveBasis {
+        ConsecutiveBasis::new(field, self.rank)
     }
 }
 

@@ -11,7 +11,7 @@
 //!   node evaluates it in `O(N^{ω+ε})` time — proof size and per-node
 //!   time `O(n^{(ω+ε)k/6})`, matching the Nešetřil–Poljak total.
 
-use crate::form62::Form62;
+use crate::form62::{Form62, ProofPlan};
 use camelot_core::{CamelotError, CamelotProblem, Evaluate, PrimeProof, ProofSpec};
 use camelot_ff::{crt_u, PrimeField, Residue, UBig};
 use camelot_graph::Graph;
@@ -89,6 +89,10 @@ pub struct KCliqueCount {
     tensor: MatMulTensor,
     t_pow: usize,
     padded: usize,
+    /// The uniform form over `χ` — 0/1 entries, so one copy serves every
+    /// modulus.
+    form: Form62,
+    plan: ProofPlan,
 }
 
 impl KCliqueCount {
@@ -119,7 +123,9 @@ impl KCliqueCount {
             padded *= n0;
             t_pow += 1;
         }
-        KCliqueCount { graph, k, tensor, t_pow, padded }
+        let form = Form62::uniform(clique_chi(&graph, k / 6, padded));
+        let plan = ProofPlan::new(&tensor, t_pow);
+        KCliqueCount { graph, k, tensor, t_pow, padded, form, plan }
     }
 
     /// The matrix size `N` after padding.
@@ -162,11 +168,8 @@ impl CamelotProblem for KCliqueCount {
 
     fn evaluator<'a>(&'a self, field: &PrimeField) -> Box<dyn Evaluate + 'a> {
         let f = *field;
-        let chi = clique_chi(&self.graph, self.k / 6, self.padded);
-        let form = Form62::uniform(chi);
-        let tensor = self.tensor.clone();
-        let t_pow = self.t_pow;
-        Box::new(move |x0: u64| form.eval_proof_at(&f, &tensor, t_pow, x0))
+        let basis = self.plan.basis(field);
+        Box::new(move |x0: u64| self.form.proof_at(&f, &self.plan, &basis, x0))
     }
 
     fn recover(&self, proofs: &[PrimeProof]) -> Result<UBig, CamelotError> {
@@ -199,13 +202,11 @@ pub fn count_cliques_circuit(g: &Graph, k: usize, tensor: &MatMulTensor) -> UBig
     let problem = KCliqueCount::with_tensor(g.clone(), k, tensor.clone());
     let spec = problem.spec();
     let primes = camelot_core::choose_primes(&spec, 0);
-    let chi = clique_chi(g, k / 6, problem.padded);
-    let form = Form62::uniform(chi);
     let residues: Vec<Residue> = primes
         .iter()
         .map(|&q| {
             let field = PrimeField::new_unchecked(q);
-            let (value, _) = form.eval_circuit(&field, tensor, problem.t_pow);
+            let (value, _) = problem.form.eval_circuit(&field, tensor, problem.t_pow);
             Residue { modulus: q, value }
         })
         .collect();

@@ -16,7 +16,7 @@
 mod form62;
 mod kclique;
 
-pub use form62::{interleave, pair_index, Form62, SpaceStats};
+pub use form62::{interleave, pair_index, Form62, ProofPlan, SpaceStats};
 pub use kclique::{
     clique_chi, clique_multiplicity, count_cliques_circuit, count_cliques_nesetril_poljak,
     subsets_of_size, KCliqueCount,

@@ -50,8 +50,9 @@ pub use round::{
 pub use transport::{
     control_frame, encode_reply, execute_task, frame_wire_cost, parse_reply, serve_worker,
     serve_worker_loop, sibling_binary, sibling_worker_binary, Backend, ChannelTransport,
-    ClusterConfig, EvalProgram, InProcess, SocketTransport, Task, Transport, TransportError,
-    WorkerMode, WorkerPool, PING_HEADER, PONG_HEADER, REPLY_HEADER, SHUTDOWN_HEADER, TASK_HEADER,
+    ClusterConfig, EvalProgram, InProcess, PreparedProgram, SocketTransport, Task, Transport,
+    TransportError, WorkerMode, WorkerPool, PING_HEADER, PONG_HEADER, REPLY_HEADER,
+    SHUTDOWN_HEADER, TASK_HEADER,
 };
 
 use camelot_ff::PrimeField;

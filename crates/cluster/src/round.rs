@@ -14,7 +14,7 @@ use crate::chaos::Demotion;
 use crate::fault::{
     adversarial_symbol, corrupt_symbol, equivocated_symbol, fault_lane, FaultKind, FaultPlan,
 };
-use crate::transport::{frame_wire_cost, EvalProgram};
+use crate::transport::{frame_wire_cost, EvalProgram, PreparedProgram};
 use camelot_ff::PrimeField;
 use std::time::{Duration, Instant};
 
@@ -53,8 +53,10 @@ impl<F: Fn(u64) -> u64 + Sync> RoundEval for SingleEval<F> {
 /// Wire-expressible programs as a round (usable on every backend,
 /// including process-spanning ones).
 pub struct ProgramEval {
-    field: PrimeField,
+    /// As given: what [`RoundEval::programs`] ships, byte for byte.
     programs: Vec<EvalProgram>,
+    /// The same programs with their constants reduced once, for `eval`.
+    prepared: Vec<PreparedProgram>,
 }
 
 impl ProgramEval {
@@ -66,7 +68,8 @@ impl ProgramEval {
     #[must_use]
     pub fn new(field: &PrimeField, programs: Vec<EvalProgram>) -> Self {
         assert!(!programs.is_empty(), "a round needs at least one polynomial");
-        ProgramEval { field: *field, programs }
+        let prepared = programs.iter().map(|p| p.prepare(field)).collect();
+        ProgramEval { programs, prepared }
     }
 }
 
@@ -76,7 +79,7 @@ impl RoundEval for ProgramEval {
     }
 
     fn eval(&self, poly: usize, x: u64) -> u64 {
-        self.programs[poly].eval(&self.field, x)
+        self.prepared[poly].eval(x)
     }
 
     fn programs(&self) -> Option<Vec<EvalProgram>> {

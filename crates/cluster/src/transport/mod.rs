@@ -140,19 +140,52 @@ pub enum EvalProgram {
 }
 
 impl EvalProgram {
-    /// Evaluates the program at `x0` over `field`.
+    /// Reduces the program's constants modulo `field` once, for repeated
+    /// evaluation. Programs arrive with arbitrary `u64` coefficients
+    /// (the wire does not promise reduced ones).
+    #[must_use]
+    pub fn prepare(&self, field: &PrimeField) -> PreparedProgram {
+        match self {
+            EvalProgram::Poly(coeffs) => PreparedProgram::poly(field, coeffs),
+        }
+    }
+
+    /// Evaluates the program at `x0` over `field`: the one-shot form of
+    /// [`EvalProgram::prepare`]; a round prepares each program once.
     #[must_use]
     pub fn eval(&self, field: &PrimeField, x0: u64) -> u64 {
-        match self {
-            EvalProgram::Poly(coeffs) => {
-                let x = field.reduce(x0);
-                let mut acc = 0u64;
-                for &c in coeffs.iter().rev() {
-                    acc = field.mul_add(field.reduce(c), acc, x);
-                }
-                acc
-            }
-        }
+        self.prepare(field).eval(x0)
+    }
+}
+
+/// An [`EvalProgram`] bound to one field with its constants reduced:
+/// what a node evaluates point after point.
+#[derive(Clone, Debug)]
+pub struct PreparedProgram {
+    field: PrimeField,
+    coeffs: Vec<u64>,
+}
+
+impl PreparedProgram {
+    /// The polynomial with the given little-endian coefficients (any
+    /// `u64`s), reduced into `field`.
+    #[must_use]
+    pub fn poly(field: &PrimeField, coefficients: &[u64]) -> Self {
+        let mut coeffs = coefficients.to_vec();
+        field.reduce_slice(&mut coeffs);
+        PreparedProgram { field: *field, coeffs }
+    }
+
+    /// `P(x0) mod q` ([`PrimeField::horner`]).
+    #[must_use]
+    pub fn eval(&self, x0: u64) -> u64 {
+        self.field.horner(&self.coeffs, x0)
+    }
+
+    /// The program with reduced constants, as shipped to workers.
+    #[must_use]
+    pub fn program(&self) -> EvalProgram {
+        EvalProgram::Poly(self.coeffs.clone())
     }
 }
 

@@ -37,12 +37,26 @@ impl ProofSpec {
 /// A per-prime evaluation oracle for the proof polynomial: the node-side
 /// workhorse.
 ///
-/// One `Evaluate` value is built per prime modulus (any `mod q`
-/// precomputation — interpolated input polynomials, reduced matrices,
-/// Lagrange scaffolding — happens in [`CamelotProblem::evaluator`]), and
-/// then `eval` is called once per assigned evaluation point. The verifier
-/// calls the *same* oracle for its spot checks, which is the paper's
-/// guarantee that verification costs what one node contributes.
+/// One `Evaluate` value is built per prime modulus, and then `eval` is
+/// called once per assigned evaluation point. The verifier calls the
+/// *same* oracle for its spot checks, which is the paper's guarantee that
+/// verification costs what one node contributes.
+///
+/// The contract every catalogue evaluator keeps, and the per-layer
+/// benchmark (`problem.evaluator_build_s`, `*.eval_point_us`) holds them
+/// to — work is done at the outermost place it can be:
+///
+/// * **the problem** owns whatever depends on neither the modulus nor the
+///   point (compiled Yates plans, index maps, 0/1 matrices, independence
+///   tables, split sparse supports) — paid once per problem, outside
+///   every timed path but set-up;
+/// * **[`CamelotProblem::evaluator`]** does the `mod q` set-up (reduced
+///   coefficients and matrices, the prepared Lagrange basis) and costs
+///   less than one evaluation: the engine builds an evaluator per prime
+///   per run, and `redeem` builds one to evaluate two points;
+/// * **`eval`** touches only state that depends on `x0`, and allocates at
+///   most one scratch buffer per call. It takes `&self` from several
+///   threads at once, so scratch is per call, never shared behind a lock.
 pub trait Evaluate: Sync {
     /// Computes `P(x0) mod q`.
     fn eval(&self, x0: u64) -> u64;
@@ -135,7 +149,7 @@ pub trait CamelotProblem {
     fn spec(&self) -> ProofSpec;
 
     /// Builds the per-prime evaluation oracle (performing any `mod q`
-    /// precomputation once).
+    /// precomputation once; see [`Evaluate`] for what belongs where).
     fn evaluator<'a>(&'a self, field: &PrimeField) -> Box<dyn Evaluate + 'a>;
 
     /// Maps decoded per-prime proofs back to the answer (Chinese

@@ -24,7 +24,7 @@ mod weighted;
 
 pub use weighted::{enumerate_by_satisfied_weight, WeightedCsp2};
 
-use camelot_cliques::{pair_index, Form62};
+use camelot_cliques::{pair_index, Form62, ProofPlan};
 use camelot_core::{CamelotError, CamelotProblem, Engine, Evaluate, PrimeProof, ProofSpec};
 use camelot_ff::{crt_u, IBig, PrimeField, Residue, UBig};
 use camelot_linalg::{MatMulTensor, Matrix};
@@ -220,6 +220,11 @@ pub struct CspWeightValue {
     tensor: MatMulTensor,
     t_pow: usize,
     padded: usize,
+    /// `exponents[pair_index(s, t)][a * padded + b] = f^{(s,t)}(a, b)`,
+    /// `None` on the zero padding — the modulus-independent half of the
+    /// 15 matrices `χ^{(s,t)} = w0^{f^{(s,t)}}`.
+    exponents: Vec<Vec<Option<u64>>>,
+    plan: ProofPlan,
 }
 
 impl CspWeightValue {
@@ -248,7 +253,19 @@ impl CspWeightValue {
             padded *= tensor.n0();
             t_pow += 1;
         }
-        CspWeightValue { csp, weights, w0, tensor, t_pow, padded }
+        let mut exponents = vec![Vec::new(); 15];
+        for s in 1..6 {
+            for t in s + 1..=6 {
+                exponents[pair_index(s, t)] = (0..padded * padded)
+                    .map(|ab| {
+                        let (a, b) = (ab / padded, ab % padded);
+                        (a < real && b < real).then(|| csp.satisfied_of_type(&weights, s, t, a, b))
+                    })
+                    .collect();
+            }
+        }
+        let plan = ProofPlan::new(&tensor, t_pow);
+        CspWeightValue { csp, weights, w0, tensor, t_pow, padded, exponents, plan }
     }
 
     fn rank(&self) -> usize {
@@ -276,27 +293,22 @@ impl CamelotProblem for CspWeightValue {
 
     fn evaluator<'a>(&'a self, field: &PrimeField) -> Box<dyn Evaluate + 'a> {
         let f = *field;
-        let real = self.csp.block_assignments();
         let w0 = f.reduce(self.w0);
         // One matrix per pair: χ^{(s,t)}[a_s][a_t] = w0^{f^{(s,t)}},
         // zero-padded (padding zeroes the whole product for any tuple
         // touching a padded index).
-        let mut mats: Vec<Matrix> = vec![Matrix::zeros(1, 1); 15];
-        for s in 1..6 {
-            for t in s + 1..=6 {
-                mats[pair_index(s, t)] = Matrix::from_fn(self.padded, self.padded, |a, b| {
-                    if a >= real || b >= real {
-                        0
-                    } else {
-                        f.pow(w0, self.csp.satisfied_of_type(&self.weights, s, t, a, b))
-                    }
-                });
-            }
-        }
+        let mats = self
+            .exponents
+            .iter()
+            .map(|exps| {
+                Matrix::from_fn(self.padded, self.padded, |a, b| {
+                    exps[a * self.padded + b].map_or(0, |e| f.pow(w0, e))
+                })
+            })
+            .collect();
         let form = Form62::new(mats);
-        let tensor = self.tensor.clone();
-        let t_pow = self.t_pow;
-        Box::new(move |x0: u64| form.eval_proof_at(&f, &tensor, t_pow, x0))
+        let basis = self.plan.basis(field);
+        Box::new(move |x0: u64| form.proof_at(&f, &self.plan, &basis, x0))
     }
 
     fn recover(&self, proofs: &[PrimeProof]) -> Result<UBig, CamelotError> {

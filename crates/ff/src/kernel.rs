@@ -17,7 +17,10 @@
 //! * **Fully-reduced kernels** (`add_slice`, `sub_slice`, `mul_slice`,
 //!   `mul_shoup_slice`, `mul_const_shoup_slice`, `mul_add_slice`,
 //!   `reduce_slice`, `inv_batch_blocked`) — drop-in slice versions of the
-//!   scalar ops, bit-identical element-for-element.
+//!   scalar ops, bit-identical element-for-element — and the two
+//!   reductions over a slice the evaluators are built on: `dot` (one
+//!   Barrett reduction per eight products) and `horner` (four
+//!   interleaved Shoup chains).
 //! * **Lazy-reduction butterfly kernels** (`butterfly_ct_lazy_slice`,
 //!   `butterfly_gs_lazy_slice`, `reduce_lazy_slice`) — Harvey-style NTT
 //!   lanes that carry values in a redundant `[0, 4q)` / `[0, 2q)`
@@ -336,6 +339,62 @@ impl PrimeField {
         }
     }
 
+    /// `Σ a[i]·b[i] mod q` with one Barrett reduction per [`LANES`]
+    /// products instead of one per product: `q < 2^62`, so eight
+    /// unreduced products plus a reduced carry stay below `2^128`. The
+    /// sum is a field element, so this equals any chain of
+    /// [`PrimeField::mul_add`] over the same pairs. Inputs must be
+    /// reduced.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the slices have equal length.
+    #[must_use]
+    pub fn dot(&self, a: &[u64], b: &[u64]) -> u64 {
+        assert_eq!(a.len(), b.len(), "slice kernel length mismatch");
+        let (q, barrett) = (self.q, self.barrett);
+        let mut acc = 0u64;
+        for (xa, xb) in a.chunks(LANES).zip(b.chunks(LANES)) {
+            let mut wide = u128::from(acc);
+            for (&x, &y) in xa.iter().zip(xb) {
+                wide += u128::from(x) * u128::from(y);
+            }
+            acc = barrett_lane(q, barrett, wide);
+        }
+        acc
+    }
+
+    /// Horner evaluation `Σ coeffs[i]·x^i mod q` (little-endian, reduced
+    /// coefficients; `x` may be unreduced) as four interleaved chains in
+    /// `x⁴`, each step a Shoup product by the per-call constant `x⁴` —
+    /// a serial Barrett `mul_add` chain is bound by its latency, four
+    /// Shoup chains by the multiplier. The chains are recombined with
+    /// `1, x, x², x³`; the value is the same field element.
+    #[must_use]
+    pub fn horner(&self, coeffs: &[u64], x: u64) -> u64 {
+        let x = self.reduce(x);
+        let x2 = self.mul(x, x);
+        let x4 = self.mul(x2, x2);
+        let x4_shoup = self.shoup_precompute(x4);
+        let q = self.q;
+        let mut lanes = [0u64; 4];
+        let blocks = coeffs.chunks_exact(4);
+        // The ragged top block (fewer than four coefficients) seeds the
+        // low lanes; every block below it is one step of all four.
+        let top = blocks.remainder();
+        lanes[..top.len()].copy_from_slice(top);
+        for block in blocks.rev() {
+            for (lane, &c) in lanes.iter_mut().zip(block) {
+                let r = shoup_lane_lazy(q, *lane, x4, x4_shoup);
+                let s = r.min(r.wrapping_sub(q)) + c;
+                *lane = s.min(s.wrapping_sub(q));
+            }
+        }
+        let odd = self.mul_add(lanes[1], lanes[3], x2);
+        let even = self.mul_add(lanes[0], lanes[2], x2);
+        self.mul_add(even, odd, x)
+    }
+
     // lint:hot-end
 
     /// Batch inversion in the blocked multi-chain layout: [`LANES`]
@@ -461,6 +520,29 @@ mod tests {
                 let expect: Vec<u64> =
                     acc.iter().zip(&a).zip(&b).map(|((&x, &y), &z)| f.mul_add(x, y, z)).collect();
                 assert_eq!(out, expect, "n = {n}, q = {}", f.modulus());
+            }
+        }
+    }
+
+    #[test]
+    fn dot_and_horner_match_mul_add_chains() {
+        for f in fields() {
+            let mut rng = SplitMix64::new(f.modulus() ^ 7);
+            for n in SHAPES.into_iter().chain([2, 3, 4, 5, 6]) {
+                // All-(q-1) operands put the lazy accumulator at its
+                // least headroom.
+                let top = vec![f.modulus() - 1; n];
+                for (a, b) in
+                    [(randoms(&f, n, &mut rng), randoms(&f, n, &mut rng)), (top.clone(), top)]
+                {
+                    let dot = a.iter().zip(&b).fold(0, |acc, (&x, &y)| f.mul_add(acc, x, y));
+                    assert_eq!(f.dot(&a, &b), dot, "dot, n = {n}, q = {}", f.modulus());
+                    for x in [0, 1, f.modulus() - 1, f.sample(&mut rng), rng.next_u64()] {
+                        let xr = f.reduce(x);
+                        let chain = a.iter().rev().fold(0, |acc, &c| f.mul_add(c, acc, xr));
+                        assert_eq!(f.horner(&a, x), chain, "horner, n = {n}, x = {x}");
+                    }
+                }
             }
         }
     }

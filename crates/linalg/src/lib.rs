@@ -9,9 +9,10 @@
 //!   (10) of the paper) with Kronecker-power coefficient access, the
 //!   backbone of the `(6 2)`-linear-form circuit (§4) and the sparse
 //!   triangle algorithms (§6);
-//! * [`yates`], [`SplitSparseYates`] — Yates's algorithm (§3.1), its
-//!   split/sparse variant (§3.2), and the polynomial extension (§3.3) that
-//!   turns the split into a Camelot proof polynomial.
+//! * [`YatesPlan`] / [`yates`], [`SplitSparseYates`] — Yates's algorithm
+//!   (§3.1, compiled once per Kronecker factor), its split/sparse variant
+//!   (§3.2), and the polynomial extension (§3.3) that turns the split
+//!   into a Camelot proof polynomial.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -21,6 +22,8 @@ mod matrix;
 mod tensor;
 mod yates;
 
-pub use matrix::Matrix;
+pub use matrix::{mul_transposed_into, Matrix};
 pub use tensor::MatMulTensor;
-pub use yates::{kronecker_apply_naive, yates, SmallMatrix, SparseVec, SplitSparseYates};
+pub use yates::{
+    kronecker_apply_naive, yates, SmallMatrix, SparseVec, SplitSparseYates, SplitSupport, YatesPlan,
+};

@@ -204,23 +204,24 @@ impl Matrix {
     #[must_use]
     pub fn mul_naive(&self, field: &PrimeField, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "inner dimension mismatch");
-        let q = u128::from(field.modulus());
         let mut out = Matrix::zeros(self.rows, other.cols);
+        // lint:hot-begin(matrix-mul-naive) — the schoolbook inner loop
+        // every Strassen base case bottoms out in: Barrett `mul_add`, no
+        // `%`, no clones, no allocation.
         for i in 0..self.rows {
+            let row_o = &mut out.data[i * other.cols..(i + 1) * other.cols];
             for k in 0..self.cols {
                 let a = self.data[i * self.cols + k];
                 if a == 0 {
                     continue;
                 }
-                let a = u128::from(a);
                 let row_b = &other.data[k * other.cols..(k + 1) * other.cols];
-                let row_o = &mut out.data[i * other.cols..(i + 1) * other.cols];
                 for (o, &b) in row_o.iter_mut().zip(row_b) {
-                    let cur = u128::from(*o) + a * u128::from(b) % q;
-                    *o = if cur >= q { (cur - q) as u64 } else { cur as u64 };
+                    *o = field.mul_add(*o, a, b);
                 }
             }
         }
+        // lint:hot-end
         out
     }
 
@@ -301,6 +302,36 @@ impl Matrix {
     }
 }
 
+/// `out = X · Yᵀ` on row-major slices: `x` is `rows × inner`, `y` is
+/// `cols × inner`, `out` is `rows × cols`. Every entry is the dot product
+/// of two contiguous rows ([`PrimeField::dot`]: one Barrett reduction per
+/// eight products), so a product against a transposed operand needs
+/// neither the transposed copy nor an output allocation — the form the
+/// `(6 2)`-circuit's per-point term uses six times.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match its shape.
+pub fn mul_transposed_into(
+    field: &PrimeField,
+    x: &[u64],
+    y: &[u64],
+    inner: usize,
+    out: &mut [u64],
+) {
+    assert!(inner > 0, "inner dimension must be positive");
+    assert!(x.len().is_multiple_of(inner) && y.len().is_multiple_of(inner), "ragged operand");
+    let cols = y.len() / inner;
+    assert_eq!(out.len(), x.len() / inner * cols, "output shape mismatch");
+    // lint:hot-begin(matrix-mul-transposed)
+    for (row_x, row_o) in x.chunks_exact(inner).zip(out.chunks_exact_mut(cols)) {
+        for (row_y, o) in y.chunks_exact(inner).zip(row_o) {
+            *o = field.dot(row_x, row_y);
+        }
+    }
+    // lint:hot-end
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,6 +374,25 @@ mod tests {
             let a = random_matrix(&field, n, n, &mut rng);
             let b = random_matrix(&field, n, n, &mut rng);
             assert_eq!(a.mul_strassen(&field, &b), a.mul_naive(&field, &b), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn transposed_product_matches_naive() {
+        let field = f();
+        let mut rng = SplitMix64::new(7);
+        for (r, inner, c) in
+            [(1usize, 1usize, 1usize), (4, 4, 4), (8, 8, 8), (3, 17, 5), (9, 64, 2)]
+        {
+            let a = random_matrix(&field, r, inner, &mut rng);
+            let b = random_matrix(&field, c, inner, &mut rng);
+            let mut out = vec![u64::MAX; r * c];
+            mul_transposed_into(&field, a.data(), b.data(), inner, &mut out);
+            assert_eq!(
+                out,
+                a.mul_naive(&field, &b.transpose()).data(),
+                "{r}x{inner} · ({c}x{inner})ᵀ"
+            );
         }
     }
 

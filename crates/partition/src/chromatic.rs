@@ -10,9 +10,10 @@
 //! per evaluation, proof size `O*(2^{n/2})`, against the best known
 //! sequential `O*(2^n)`.
 
-use crate::bipoly::BiPoly;
 use crate::ipoly::interpolate_integer;
-use crate::template::{alternating_power_coefficient, zeta_in_place, Split};
+use crate::template::{
+    alternating_power_coefficient, subset_powers, zeta_in_place, Split, POWER_SCRATCH,
+};
 use camelot_core::{
     CamelotError, CamelotProblem, Certificate, Engine, Evaluate, PrimeProof, ProofSpec,
 };
@@ -25,6 +26,11 @@ pub struct ChromaticValue {
     graph: Graph,
     split: Split,
     colors: u64,
+    /// `b_independent[X]`: is `X ⊆ B` (re-based to bit 0) independent?
+    b_independent: Vec<bool>,
+    /// For independent `X ⊆ E`, the compatible set `B ∖ Γ(X)` (re-based);
+    /// `None` when `X` spans an edge.
+    e_compatible: Vec<Option<u32>>,
 }
 
 impl ChromaticValue {
@@ -38,7 +44,21 @@ impl ChromaticValue {
         assert!(graph.vertex_count() > 0, "empty graph");
         assert!(colors > 0, "need at least one color");
         let split = Split::balanced(graph.vertex_count());
-        ChromaticValue { graph, split, colors }
+        let (e_size, b_size) = (split.e_size, split.b_size);
+        let b_independent =
+            (0..1u64 << b_size).map(|x| graph.is_independent(x << e_size)).collect();
+        let full_b = (1u64 << b_size) - 1;
+        let e_compatible = (0..1u64 << e_size)
+            .map(|x| {
+                graph.is_independent(x).then(|| {
+                    let gamma = (0..e_size)
+                        .filter(|&v| x >> v & 1 == 1)
+                        .fold(0u64, |acc, v| acc | graph.neighbors(v) >> e_size);
+                    (full_b & !gamma) as u32
+                })
+            })
+            .collect();
+        ChromaticValue { graph, split, colors, b_independent, e_compatible }
     }
 
     /// The universe split in use.
@@ -64,52 +84,35 @@ impl CamelotProblem for ChromaticValue {
     fn evaluator<'a>(&'a self, field: &PrimeField) -> Box<dyn Evaluate + 'a> {
         let f = *field;
         let split = self.split;
-        let g = self.graph.clone();
-        let e_size = split.e_size;
-        let b_size = split.b_size;
-        // B-side masks of each E-vertex's neighborhood, re-based.
-        let e_nbr_in_b: Vec<u64> = (0..e_size).map(|v| g.neighbors(v) >> e_size).collect();
+        let shape = split.shape();
+        let (stride, cols) = (shape.stride(), shape.cols());
+        let (b_entries, e_entries) = (1usize << split.b_size, 1usize << split.e_size);
         Box::new(move |x0: u64| {
-            let x0 = f.reduce(x0);
-            // f_B, then ζ over B: g_B[Y] = Σ_{X ⊆ Y independent} w_B^{|X|} x0^X.
-            let mut g_b: Vec<BiPoly> = (0..1usize << b_size)
-                .map(|x| {
-                    let mask = (x as u64) << e_size;
-                    if g.is_independent(mask) {
-                        BiPoly::monomial(
-                            e_size,
-                            b_size,
-                            0,
-                            (x as u64).count_ones() as usize,
-                            f.pow(x0, x as u64),
-                        )
-                    } else {
-                        BiPoly::zero(e_size, b_size)
-                    }
-                })
-                .collect();
-            zeta_in_place(&f, &mut g_b, b_size);
+            let mut scratch =
+                vec![0u64; b_entries * (1 + cols) + (e_entries + POWER_SCRATCH) * stride];
+            let (weights, rest) = scratch.split_at_mut(b_entries);
+            let (g_b, rest) = rest.split_at_mut(b_entries * cols);
+            let (g_e, power_scratch) = rest.split_at_mut(e_entries * stride);
+            // f_B, then ζ over B: g_B[Y] = Σ_{X ⊆ Y independent} w_B^{|X|} x0^X
+            // — polynomials in w_B alone, |B|+1 coefficients each.
+            subset_powers(&f, f.reduce(x0), weights);
+            for (x, (&weight, &independent)) in weights.iter().zip(&self.b_independent).enumerate()
+            {
+                if independent {
+                    g_b[x * cols + x.count_ones() as usize] = weight;
+                }
+            }
+            zeta_in_place(&f, g_b, cols);
             // f̂_E(X) = [X independent] w_E^{|X|} g_B(B ∖ Γ(X)), then ζ over E.
-            let full_b = (1u64 << b_size) - 1;
-            let mut g_e: Vec<BiPoly> = (0..1usize << e_size)
-                .map(|x| {
-                    let mask = x as u64;
-                    if !g.is_independent(mask) {
-                        return BiPoly::zero(e_size, b_size);
-                    }
-                    let mut gamma = 0u64;
-                    let mut rest = mask;
-                    while rest != 0 {
-                        let v = rest.trailing_zeros() as usize;
-                        rest &= rest - 1;
-                        gamma |= e_nbr_in_b[v];
-                    }
-                    let compatible = (full_b & !gamma) as usize;
-                    g_b[compatible].mul_monomial(&f, mask.count_ones() as usize, 0, 1)
-                })
-                .collect();
-            zeta_in_place(&f, &mut g_e, e_size);
-            alternating_power_coefficient(&f, &g_e, &split, self.colors)
+            for (x, compatible) in self.e_compatible.iter().enumerate() {
+                if let Some(compatible) = *compatible {
+                    let row = x * stride + shape.index(x.count_ones() as usize, 0);
+                    g_e[row..row + cols]
+                        .copy_from_slice(&g_b[compatible as usize * cols..][..cols]);
+                }
+            }
+            zeta_in_place(&f, g_e, stride);
+            alternating_power_coefficient(&f, g_e, &split, self.colors, power_scratch)
         })
     }
 

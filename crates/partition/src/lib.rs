@@ -25,9 +25,11 @@ mod setpartition;
 mod template;
 mod tutte;
 
-pub use bipoly::BiPoly;
+pub use bipoly::Shape;
 pub use chromatic::{chromatic_polynomial, ChromaticOutcome, ChromaticValue};
 pub use ipoly::{eval_integer, eval_integer_2d, interpolate_integer, interpolate_integer_2d};
 pub use setpartition::SetPartitions;
-pub use template::{alternating_power_coefficient, zeta_in_place, Split};
+pub use template::{
+    alternating_power_coefficient, subset_powers, zeta_in_place, Split, POWER_SCRATCH,
+};
 pub use tutte::{eval_tutte, tutte_polynomial, PottsValue, TutteOutcome};

@@ -7,8 +7,9 @@
 //! `O*(2^{n/2})` budget by bucketing the family on `X ∩ E` and running
 //! one zeta transform — §8.2's dedicated algorithm.
 
-use crate::bipoly::BiPoly;
-use crate::template::{alternating_power_coefficient, zeta_in_place, Split};
+use crate::template::{
+    alternating_power_coefficient, subset_powers, zeta_in_place, Split, POWER_SCRATCH,
+};
 use camelot_core::{CamelotError, CamelotProblem, Evaluate, PrimeProof, ProofSpec};
 use camelot_ff::{crt_u, PrimeField, Residue, UBig};
 
@@ -80,24 +81,31 @@ impl CamelotProblem for SetPartitions {
     fn evaluator<'a>(&'a self, field: &PrimeField) -> Box<dyn Evaluate + 'a> {
         let f = *field;
         let split = self.split;
-        Box::new(move |x0: u64| {
-            let x0 = f.reduce(x0);
-            let mut g: Vec<BiPoly> = (0..1usize << split.e_size)
-                .map(|_| BiPoly::zero(split.e_size, split.b_size))
-                .collect();
-            // Bucket the family on X ∩ E (the §8.2 iteration).
-            for &x in &self.family {
+        let shape = split.shape();
+        let stride = shape.stride();
+        let (b_entries, e_entries) = (1usize << split.b_size, 1usize << split.e_size);
+        // Where each family member lands: its table slot (bucketed on
+        // X ∩ E, the §8.2 iteration) and its B-side bit set.
+        let slots: Vec<(usize, usize)> = self
+            .family
+            .iter()
+            .map(|&x| {
                 let (me, mb) = split.split_mask(x);
-                let weight = f.pow(x0, mb); // x0^{Σ bits of X ∩ B}
-                g[me as usize].add_monomial(
-                    &f,
-                    me.count_ones() as usize,
-                    mb.count_ones() as usize,
-                    weight,
-                );
+                let slot = me as usize * stride
+                    + shape.index(me.count_ones() as usize, mb.count_ones() as usize);
+                (slot, mb as usize)
+            })
+            .collect();
+        Box::new(move |x0: u64| {
+            let mut scratch = vec![0u64; b_entries + (e_entries + POWER_SCRATCH) * stride];
+            let (weights, rest) = scratch.split_at_mut(b_entries);
+            let (g, power_scratch) = rest.split_at_mut(e_entries * stride);
+            subset_powers(&f, f.reduce(x0), weights); // x0^{Σ bits of X ∩ B}
+            for &(slot, mb) in &slots {
+                g[slot] = f.add(g[slot], weights[mb]);
             }
-            zeta_in_place(&f, &mut g, split.e_size);
-            alternating_power_coefficient(&f, &g, &split, self.tuple_len)
+            zeta_in_place(&f, g, stride);
+            alternating_power_coefficient(&f, g, &split, self.tuple_len, power_scratch)
         })
     }
 

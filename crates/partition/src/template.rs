@@ -16,7 +16,7 @@
 //! coefficient of `w_E^{|E|} w_B^{|B|}` in
 //! `a(w) = Σ_{Y ⊆ E} (-1)^{|E∖Y|} g(Y)^t` (equation (28)).
 
-use crate::bipoly::BiPoly;
+use crate::bipoly::Shape;
 use camelot_ff::PrimeField;
 
 /// The universe split `U = E ∪ B` with `E` the low `e_size` elements.
@@ -79,6 +79,12 @@ impl Split {
         (1u64 << self.e_size) - 1
     }
 
+    /// The truncation shape `(|E|, |B|)` of the node polynomials.
+    #[must_use]
+    pub fn shape(&self) -> Shape {
+        Shape::new(self.e_size, self.b_size)
+    }
+
     /// Splits a universe subset into `(X ∩ E, X ∩ B)` with the `B` part
     /// re-based to bits `0..b_size`.
     #[must_use]
@@ -87,41 +93,93 @@ impl Split {
     }
 }
 
-/// In-place zeta transform over the explicit part: `g[Y] = Σ_{Z ⊆ Y}
-/// g0[Z]` (Yates's algorithm specialised to the subset lattice).
+/// `out[mask] = x0^mask` for every `mask < out.len()` (a power of two):
+/// the Kronecker weights `x0^{Σ bits(X ∩ B)}` of all `2^{|B|}` bit sets at
+/// once, by doubling — one multiplication per mask instead of one
+/// exponentiation. `x0` must be reduced.
 ///
 /// # Panics
 ///
-/// Panics if `table.len() != 2^e_size`.
-pub fn zeta_in_place(field: &PrimeField, table: &mut [BiPoly], e_size: usize) {
-    assert_eq!(table.len(), 1 << e_size, "table must have 2^|E| entries");
-    for j in 0..e_size {
-        for y in 0..table.len() {
-            if y >> j & 1 == 1 {
-                let (lo, hi) = table.split_at_mut(y);
-                hi[0].add_assign(field, &lo[y & !(1 << j)]);
-            }
+/// Panics unless `out.len()` is a power of two.
+pub fn subset_powers(field: &PrimeField, x0: u64, out: &mut [u64]) {
+    assert!(out.len().is_power_of_two(), "one weight per subset");
+    out[0] = 1;
+    let mut bit_power = x0; // x0^{2^j}
+    let mut filled = 1;
+    while filled < out.len() {
+        let (low, high) = out.split_at_mut(filled);
+        for (h, &l) in high.iter_mut().zip(low.iter()) {
+            *h = field.mul(l, bit_power);
+        }
+        bit_power = field.mul(bit_power, bit_power);
+        filled *= 2;
+    }
+}
+
+/// In-place zeta transform of a flat table of `2^k` entries of `stride`
+/// coefficients each: `g[Y] = Σ_{Z ⊆ Y} g0[Z]` (Yates's algorithm
+/// specialised to the subset lattice).
+///
+/// # Panics
+///
+/// Panics unless `table.len() / stride` is a power of two.
+pub fn zeta_in_place(field: &PrimeField, table: &mut [u64], stride: usize) {
+    let entries = table.len() / stride;
+    assert!(
+        entries * stride == table.len() && entries.is_power_of_two(),
+        "table must have 2^k entries"
+    );
+    for j in 0..entries.trailing_zeros() {
+        for y in (0..entries).filter(|y| y >> j & 1 == 1) {
+            let (lo, hi) = table.split_at_mut(y * stride);
+            field.add_slice(&mut hi[..stride], &lo[(y & !(1 << j)) * stride..][..stride]);
         }
     }
 }
 
+/// Scratch [`alternating_power_coefficient`] needs, in polynomials of the
+/// split's shape.
+pub const POWER_SCRATCH: usize = 4;
+
 /// Equation (28): `a(w) = Σ_{Y ⊆ E} (-1)^{|E∖Y|} g(Y)^t`, returning the
 /// target coefficient `a_{|E|,|B|} = P(x_0) (mod q)`.
 ///
+/// Per table entry this computes `g^{t-1}` truncated and then only the
+/// target coefficient of `g^{t-1} · g` (a dot product), and skips entries
+/// whose `w_E`-degree is too small for `g^t` to reach `w_E^{|E|}` at all.
+/// `g` is the flat table of `2^{|E|}` polynomials of [`Split::shape`];
+/// `scratch` holds [`POWER_SCRATCH`] more.
+///
 /// # Panics
 ///
-/// Panics if `g.len() != 2^e_size`.
+/// Panics if `g` does not have `2^{|E|}` entries, `t == 0`, or `scratch`
+/// is too short.
 #[must_use]
 pub fn alternating_power_coefficient(
     field: &PrimeField,
-    g: &[BiPoly],
+    g: &[u64],
     split: &Split,
     t: u64,
+    scratch: &mut [u64],
 ) -> u64 {
-    assert_eq!(g.len(), 1 << split.e_size, "table must have 2^|E| entries");
+    let shape = split.shape();
+    let stride = shape.stride();
+    assert_eq!(g.len(), stride << split.e_size, "table must have 2^|E| entries");
+    assert!(t > 0, "a partition has at least one part");
+    let (reversed, power_scratch) = scratch.split_at_mut(stride);
     let mut acc = 0u64;
-    for (y, poly) in g.iter().enumerate() {
-        let coeff = poly.pow(field, t).coeff(split.e_size, split.b_size);
+    for (y, poly) in g.chunks_exact(stride).enumerate() {
+        let rows = shape.live_rows(poly);
+        // deg_{w_E} g^t <= t · deg_{w_E} g.
+        if (rows as u64).saturating_sub(1).saturating_mul(t) < split.e_size as u64 {
+            continue;
+        }
+        let coeff = if t == 1 {
+            poly[stride - 1]
+        } else {
+            let (power, _) = shape.pow_into(field, (poly, rows), t - 1, power_scratch);
+            shape.top_coefficient_of_product(field, power, poly, reversed)
+        };
         if (split.e_size - (y as u64).count_ones() as usize).is_multiple_of(2) {
             acc = field.add(acc, coeff);
         } else {
@@ -153,22 +211,36 @@ mod tests {
     #[test]
     fn zeta_is_subset_sum() {
         let field = f();
-        let e = 3;
-        let mut table: Vec<BiPoly> =
-            (0..8).map(|i| BiPoly::monomial(2, 2, 0, 0, i as u64 + 1)).collect();
-        let original: Vec<u64> = table.iter().map(|p| p.coeff(0, 0)).collect();
-        zeta_in_place(&field, &mut table, e);
-        for (y, entry) in table.iter().enumerate() {
-            let mut expect = 0u64;
-            let mut sub = y;
-            loop {
-                expect += original[sub];
-                if sub == 0 {
-                    break;
+        let stride = 3;
+        // Entry i holds (i + 1, 0, 2i).
+        let mut table: Vec<u64> = (0..8u64).flat_map(|i| [i + 1, 0, 2 * i]).collect();
+        let original = table.clone();
+        zeta_in_place(&field, &mut table, stride);
+        for y in 0..8usize {
+            for k in 0..stride {
+                let mut expect = 0u64;
+                let mut sub = y;
+                loop {
+                    expect += original[sub * stride + k];
+                    if sub == 0 {
+                        break;
+                    }
+                    sub = (sub - 1) & y;
                 }
-                sub = (sub - 1) & y;
+                assert_eq!(table[y * stride + k], expect, "Y = {y:b}, k = {k}");
             }
-            assert_eq!(entry.coeff(0, 0), expect, "Y = {y:b}");
+        }
+    }
+
+    #[test]
+    fn subset_powers_are_powers() {
+        let field = f();
+        for x0 in [0u64, 1, 2, 999_999_999] {
+            let mut powers = vec![0u64; 32];
+            subset_powers(&field, x0, &mut powers);
+            for (mask, &p) in powers.iter().enumerate() {
+                assert_eq!(p, field.pow(x0, mask as u64), "x0 = {x0}, mask = {mask}");
+            }
         }
     }
 
@@ -182,31 +254,23 @@ mod tests {
         // nothing else (parts nonempty, exactly cover).
         let field = f();
         let split = Split::with_explicit(3, 2);
+        let shape = split.shape();
         let family: Vec<u64> = (1..8).collect();
-        // Build g for x0 = the target evaluation x0 such that the answer
-        // is the target coefficient... here we instead check Σ over the
-        // evaluations: P(x0) at x0 = 1 sums all coefficients; easier to
-        // check the fully-explicit coefficient extraction path on a
-        // single point with x0 chosen as a variable stand-in is overkill —
-        // use x0 = 2 so bit sums are faithfully Kronecker-separated:
-        // p_s coefficients with s <= 2^{|B|-1}|B| = 1 * 1... b_size = 1,
-        // degree bound 1, target coefficient 1, so P(x) = p0 + p1 x and
-        // p1 is the answer. Interpolate from x = 0, 1.
+        // b_size = 1: degree bound 1, target coefficient 1, so
+        // P(x) = p0 + p1 x and p1 is the answer. Interpolate from
+        // x = 0, 1.
         let eval = |x0: u64| -> u64 {
-            let mut g0: Vec<BiPoly> =
-                (0..4).map(|_| BiPoly::zero(split.e_size, split.b_size)).collect();
+            let mut g0 = vec![0u64; 4 * shape.stride()];
             for &x in &family {
                 let (me, mb) = split.split_mask(x);
                 let c = field.pow(field.reduce(x0), mb);
-                g0[me as usize].add_monomial(
-                    &field,
-                    me.count_ones() as usize,
-                    mb.count_ones() as usize,
-                    c,
-                );
+                let slot = &mut g0[me as usize * shape.stride()
+                    + shape.index(me.count_ones() as usize, mb.count_ones() as usize)];
+                *slot = field.add(*slot, c);
             }
-            zeta_in_place(&field, &mut g0, split.e_size);
-            alternating_power_coefficient(&field, &g0, &split, 2)
+            zeta_in_place(&field, &mut g0, shape.stride());
+            let mut scratch = vec![0u64; POWER_SCRATCH * shape.stride()];
+            alternating_power_coefficient(&field, &g0, &split, 2, &mut scratch)
         };
         let p0 = eval(0);
         let p1 = field.sub(eval(1), p0);

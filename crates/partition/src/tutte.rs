@@ -15,9 +15,10 @@
 //! time `O*(2^{(ω+ε)n/3})`. Proof size is `O*(2^{n/3})`, per-node space
 //! `O*(2^{2n/3})`.
 
-use crate::bipoly::BiPoly;
 use crate::ipoly::{eval_integer_2d, interpolate_integer_2d};
-use crate::template::{alternating_power_coefficient, zeta_in_place, Split};
+use crate::template::{
+    alternating_power_coefficient, subset_powers, zeta_in_place, Split, POWER_SCRATCH,
+};
 use camelot_core::{CamelotError, CamelotProblem, Engine, Evaluate, PrimeProof, ProofSpec};
 use camelot_ff::{crt_u, IBig, PrimeField, Residue, UBig};
 use camelot_graph::MultiGraph;
@@ -104,16 +105,17 @@ impl CamelotProblem for PottsValue {
         let y2_of = |y2: u64| y2 << e1;
         let x_of = |x: u64| x << e_size;
         let one_plus_r = f.reduce(1 + self.weight);
-        // x0-independent tables.
-        let v_entry: Vec<Vec<u64>> = (0..1u64 << b)
-            .map(|x| {
-                (0..1u64 << e2)
-                    .map(|y2| {
-                        let exp =
-                            self.edges_between(x_of(x), y2_of(y2)) + self.edges_within(y2_of(y2));
-                        f.pow(one_plus_r, exp)
-                    })
-                    .collect()
+        // x0-independent tables. The κ-th product's right factor V_κ
+        // keeps the rows X with |X| = κ.
+        let v_kappa: Vec<Matrix> = (0..=b)
+            .map(|kappa| {
+                Matrix::from_fn(1 << b, 1 << e2, |x, y2| {
+                    if x.count_ones() as usize != kappa {
+                        return 0;
+                    }
+                    let (x, y2) = (x_of(x as u64), y2_of(y2 as u64));
+                    f.pow(one_plus_r, self.edges_between(x, y2) + self.edges_within(y2))
+                })
             })
             .collect();
         let u_base: Vec<Vec<u64>> = (0..1u64 << e1)
@@ -139,43 +141,32 @@ impl CamelotProblem for PottsValue {
             })
             .collect();
         let states = self.states;
+        let shape = split.shape();
+        let stride = shape.stride();
         Box::new(move |x0: u64| {
-            let x0 = f.reduce(x0);
-            // |B|+1 matrix products, one per κ = |X| (the w_B-degree).
-            let mut m_kappa: Vec<Matrix> = Vec::with_capacity(b + 1);
-            for kappa in 0..=b {
+            let mut scratch = vec![0u64; (1 << b) + ((1 << e_size) + POWER_SCRATCH) * stride];
+            let (weights, rest) = scratch.split_at_mut(1 << b);
+            let (g, power_scratch) = rest.split_at_mut(stride << e_size);
+            subset_powers(&f, f.reduce(x0), weights);
+            // |B|+1 matrix products, one per κ = |X| (the w_B-degree),
+            // assembled into g0 over E = E1 × E2.
+            for (kappa, v) in v_kappa.iter().enumerate() {
                 let u = Matrix::from_fn(1 << e1, 1 << b, |y1, x| {
-                    if (x as u64).count_ones() as usize != kappa {
-                        0
+                    if x.count_ones() as usize == kappa {
+                        f.mul(u_base[y1][x], weights[x])
                     } else {
-                        f.mul(u_base[y1][x], f.pow(x0, x as u64))
+                        0
                     }
                 });
-                let v = Matrix::from_fn(1 << b, 1 << e2, |x, y2| {
-                    if (x as u64).count_ones() as usize != kappa {
-                        0
-                    } else {
-                        v_entry[x][y2]
-                    }
-                });
-                m_kappa.push(u.mul(&f, &v));
-            }
-            // Assemble g0 over E = E1 × E2 and sweep with ζ.
-            let mut g: Vec<BiPoly> = (0..1usize << e_size)
-                .map(|y| {
+                let m = u.mul(&f, v);
+                for y in 0..1usize << e_size {
                     let (y1, y2) = (y & ((1 << e1) - 1), y >> e1);
-                    let weight_e = (y as u64).count_ones() as usize;
-                    let scale = pair_factor[y1][y2];
-                    let mut poly = BiPoly::zero(e_size, b);
-                    for (kappa, m) in m_kappa.iter().enumerate() {
-                        let c = f.mul(scale, m.get(y1, y2));
-                        poly.add_monomial(&f, weight_e, kappa, c);
-                    }
-                    poly
-                })
-                .collect();
-            zeta_in_place(&f, &mut g, e_size);
-            alternating_power_coefficient(&f, &g, &split, states)
+                    g[y * stride + shape.index(y.count_ones() as usize, kappa)] =
+                        f.mul(pair_factor[y1][y2], m.get(y1, y2));
+                }
+            }
+            zeta_in_place(&f, g, stride);
+            alternating_power_coefficient(&f, g, &split, states, power_scratch)
         })
     }
 

@@ -190,11 +190,7 @@ impl Poly {
     /// right-hand side of check (2) in the paper).
     #[must_use]
     pub fn eval(&self, field: &PrimeField, x0: u64) -> u64 {
-        let mut acc = 0u64;
-        for &c in self.coeffs.iter().rev() {
-            acc = field.mul_add(c, acc, x0);
-        }
-        acc
+        field.horner(&self.coeffs, x0)
     }
 
     /// Formal derivative.

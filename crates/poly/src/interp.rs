@@ -55,62 +55,116 @@ pub fn eval_many(field: &PrimeField, poly: &Poly, xs: &[u64]) -> Vec<u64> {
     xs.iter().map(|&x| poly.eval(field, x)).collect()
 }
 
-/// Evaluates all `R` Lagrange basis polynomials over the consecutive nodes
-/// `1, 2, ..., R` at the point `x0`, in `O(R)` field operations.
+/// The Lagrange basis over the consecutive nodes `1, 2, ..., R`, prepared
+/// for one field: everything that depends only on `(q, R)` is computed
+/// once, so [`ConsecutiveBasis::basis_at`] pays per point only for the
+/// `O(R)` products that involve the point.
 ///
-/// `Λ_r(x) = Π_{j != r} (x - j) / (r - j)` — returned as a vector indexed
-/// by `r - 1`. This is the initialization step of the proof-polynomial
-/// evaluation algorithm in §5.3 of the paper: precompute factorials
-/// `F_j`, the product `Γ(x0) = Π_j (x0 - j)`, and combine
-/// `Λ_r(x0) = Γ(x0) / ((x0 - r) · (-1)^{R-r} F_{r-1} F_{R-r})`.
+/// `Λ_r(x) = Π_{j != r} (x - j) / (r - j)`; the denominator is
+/// `(-1)^{R-r} F_{r-1} F_{R-r}` with `F_j = j!` (§5.3 of the paper), and
+/// this type holds its inverse for every `r`.
+#[derive(Clone, Debug)]
+pub struct ConsecutiveBasis {
+    field: PrimeField,
+    /// `inv_denominators[r - 1] = 1 / ((-1)^{R-r} F_{r-1} F_{R-r})`.
+    inv_denominators: Vec<u64>,
+}
+
+impl ConsecutiveBasis {
+    /// Prepares the basis over `1..=r_count`: one pass of factorials and
+    /// a single field inversion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r_count == 0` or `r_count >= q` (the nodes `1..=R` must
+    /// be distinct field elements).
+    #[must_use]
+    pub fn new(field: &PrimeField, r_count: usize) -> Self {
+        assert!(r_count > 0, "need at least one interpolation node");
+        let r64 = u64::try_from(r_count).expect("node count fits u64");
+        assert!(r64 < field.modulus(), "nodes 1..=R must be distinct mod q");
+        // F_0..F_{R-1}, then 1/F_j downwards from the one inversion.
+        let mut fact = vec![1u64; r_count];
+        for j in 1..r_count {
+            fact[j] = field.mul(fact[j - 1], field.reduce(j as u64));
+        }
+        let mut inv_fact = vec![0u64; r_count];
+        inv_fact[r_count - 1] = field.inv(fact[r_count - 1]);
+        for j in (1..r_count).rev() {
+            inv_fact[j - 1] = field.mul(inv_fact[j], field.reduce(j as u64));
+        }
+        let inv_denominators = (1..=r_count)
+            .map(|r| {
+                let v = field.mul(inv_fact[r - 1], inv_fact[r_count - r]);
+                if (r_count - r) % 2 == 1 {
+                    field.neg(v)
+                } else {
+                    v
+                }
+            })
+            .collect();
+        ConsecutiveBasis { field: *field, inv_denominators }
+    }
+
+    /// Number of nodes `R`.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.inv_denominators.len()
+    }
+
+    /// Writes `Λ_1(x0), …, Λ_R(x0)` into `out` (indexed by `r - 1`):
+    /// `Λ_r(x0)` is the prepared inverse denominator times
+    /// `Π_{j<r}(x0 - j) · Π_{j>r}(x0 - j)`, so one prefix sweep and one
+    /// suffix sweep produce all of them — `4R` multiplications, no
+    /// inversion, no allocation. Inside the node range the basis is an
+    /// indicator vector and no arithmetic runs at all.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out.len() == R`.
+    pub fn basis_at(&self, x0: u64, out: &mut [u64]) {
+        let field = &self.field;
+        let r_count = self.node_count();
+        assert_eq!(out.len(), r_count, "output must hold one value per node");
+        let x0 = field.reduce(x0);
+        if (1..=r_count as u64).contains(&x0) {
+            out.fill(0);
+            out[(x0 - 1) as usize] = 1;
+            return;
+        }
+        // lint:hot-begin(lagrange-basis) — the per-point sweeps.
+        // Forward: out[r-1] = Π_{j<r} (x0 - j), with x0 - r kept as a
+        // running difference.
+        let mut diff = x0;
+        let mut prefix = 1u64;
+        for slot in out.iter_mut() {
+            diff = field.sub(diff, 1);
+            *slot = prefix;
+            prefix = field.mul(prefix, diff);
+        }
+        // Backward: fold in Π_{j>r} (x0 - j) and the denominator.
+        let mut suffix = 1u64;
+        for (slot, &inv_den) in out.iter_mut().zip(&self.inv_denominators).rev() {
+            *slot = field.mul(field.mul(*slot, inv_den), suffix);
+            suffix = field.mul(suffix, diff);
+            diff = field.add(diff, 1);
+        }
+        // lint:hot-end
+    }
+}
+
+/// Evaluates all `R` Lagrange basis polynomials over the consecutive nodes
+/// `1, 2, ..., R` at the point `x0`: the one-shot form of
+/// [`ConsecutiveBasis`], for callers that evaluate a single point. Anything
+/// that evaluates many points over one field prepares the basis once.
 ///
 /// # Panics
 ///
-/// Panics if `r_count == 0` or `r_count >= q` (the nodes `1..=R` must be
-/// distinct field elements).
+/// Panics if `r_count == 0` or `r_count >= q`.
 #[must_use]
 pub fn lagrange_basis_at(field: &PrimeField, r_count: usize, x0: u64) -> Vec<u64> {
-    assert!(r_count > 0, "need at least one interpolation node");
-    let r64 = u64::try_from(r_count).expect("node count fits u64");
-    assert!(r64 < field.modulus(), "nodes 1..=R must be distinct mod q");
-    let x0 = field.reduce(x0);
-    // Inside the node range the basis is an indicator vector.
-    if (1..=r64).contains(&x0) {
-        let mut out = vec![0u64; r_count];
-        out[(x0 - 1) as usize] = 1;
-        return out;
-    }
-    // Factorials F_0..F_{R-1}.
-    let mut fact = Vec::with_capacity(r_count);
-    let mut acc = 1u64;
-    for j in 0..r_count as u64 {
-        if j > 0 {
-            acc = field.mul(acc, field.reduce(j));
-        }
-        fact.push(acc);
-    }
-    // Γ(x0) and the per-node denominators (x0 - r).
-    let mut diffs: Vec<u64> = (1..=r64).map(|r| field.sub(x0, field.reduce(r))).collect();
-    let mut gamma = 1u64;
-    for &d in &diffs {
-        gamma = field.mul(gamma, d);
-    }
-    // Batch-invert denominators and factorials together.
-    let mut to_invert = diffs.clone();
-    to_invert.extend_from_slice(&fact);
-    field.inv_batch_blocked(&mut to_invert);
-    let (inv_diffs, inv_fact) = to_invert.split_at(r_count);
-    diffs.clear();
-    let mut out = Vec::with_capacity(r_count);
-    for r in 1..=r_count {
-        let mut v = field.mul(gamma, inv_diffs[r - 1]);
-        v = field.mul(v, inv_fact[r - 1]);
-        v = field.mul(v, inv_fact[r_count - r]);
-        if (r_count - r) % 2 == 1 {
-            v = field.neg(v);
-        }
-        out.push(v);
-    }
+    let mut out = vec![0u64; r_count];
+    ConsecutiveBasis::new(field, r_count).basis_at(x0, &mut out);
     out
 }
 
@@ -183,6 +237,38 @@ mod tests {
                     (1..=r_count as u64).map(|j| (j, u64::from(j == r as u64))).collect();
                 let basis = interpolate(&field, &pts);
                 assert_eq!(fast[r - 1], basis.eval(&field, x0), "r = {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_basis_matches_the_product_definition_at_edge_points() {
+        // Λ_r(x) = Π_{j≠r} (x − j)/(r − j), term by term, under a prime
+        // just above the largest R and under a large one; the prepared
+        // basis is reused across points, as the evaluators use it.
+        for q in [347u64, 1_000_000_007] {
+            let field = PrimeField::new(q).unwrap();
+            let mut rng = SplitMix64::new(q);
+            for r_count in [1usize, 2, 7, 49, 343] {
+                let r64 = r_count as u64;
+                let basis = ConsecutiveBasis::new(&field, r_count);
+                let mut points = vec![0, 1, r64 / 2 + 1, r64, r64 + 1, q - 1, q, q + 2, u64::MAX];
+                points.extend((0..32).map(|_| rng.next_u64()));
+                let mut got = vec![u64::MAX; r_count];
+                for x in points {
+                    basis.basis_at(x, &mut got);
+                    let x = field.reduce(x);
+                    for r in 1..=r64 {
+                        let (mut num, mut den) = (1u64, 1u64);
+                        for j in (1..=r64).filter(|&j| j != r) {
+                            num = field.mul(num, field.sub(x, j));
+                            den = field.mul(den, field.sub(r, j));
+                        }
+                        let expect = field.mul(num, field.inv(den));
+                        assert_eq!(got[(r - 1) as usize], expect, "q {q} R {r_count} x {x} r {r}");
+                    }
+                    assert_eq!(got, lagrange_basis_at(&field, r_count, x), "one-shot wrapper");
+                }
             }
         }
     }

@@ -38,7 +38,9 @@ mod par;
 
 pub use dense::Poly;
 pub use hgcd::{hgcd_crossover, partial_xgcd_fast, partial_xgcd_structured, set_hgcd_crossover};
-pub use interp::{eval_many, interpolate, interpolate_consecutive, lagrange_basis_at};
+pub use interp::{
+    eval_many, interpolate, interpolate_consecutive, lagrange_basis_at, ConsecutiveBasis,
+};
 pub use multipoint::{
     cached_ntt_plan, div_rem_fast, eval_many_fast, interpolate_fast, vanishing_poly, PointTree,
     TREE_CACHE_CROSSOVER,

@@ -19,7 +19,7 @@
 //!   health-checked and respawned, and the batch retries once.
 
 use crate::wire::{read_frame, schedule_token, PolyRequest, Request, Response};
-use camelot_cluster::{EvalProgram, SocketTransport};
+use camelot_cluster::{EvalProgram, PreparedProgram, SocketTransport};
 use camelot_core::{
     CamelotError, CamelotOutcome, CamelotProblem, Certificate, ChaosPlan, Deadline, Engine,
     EngineConfig, Evaluate, PrimeProof, PrimeSchedule, ProofSpec, RecoveryPolicy, RetryPolicy,
@@ -110,20 +110,18 @@ impl Default for ServiceConfig {
 #[derive(Clone, Debug)]
 pub struct ServicePoly(pub PolyRequest);
 
-/// Per-prime oracle for [`ServicePoly`]: Horner on the reduced
-/// coefficients, shippable to workers as an [`EvalProgram`].
-struct PolyEval {
-    field: PrimeField,
-    program: EvalProgram,
-}
+/// Per-prime oracle for [`ServicePoly`]: Horner on the coefficients,
+/// reduced once at construction, shippable to workers as an
+/// [`EvalProgram`].
+struct PolyEval(PreparedProgram);
 
 impl Evaluate for PolyEval {
     fn eval(&self, x0: u64) -> u64 {
-        self.program.eval(&self.field, x0)
+        self.0.eval(x0)
     }
 
     fn program(&self) -> Option<EvalProgram> {
-        Some(self.program.clone())
+        Some(self.0.program())
     }
 }
 
@@ -139,8 +137,7 @@ impl CamelotProblem for ServicePoly {
     }
 
     fn evaluator<'a>(&'a self, field: &PrimeField) -> Box<dyn Evaluate + 'a> {
-        let reduced = self.0.coefficients.iter().map(|&c| field.reduce(c)).collect();
-        Box::new(PolyEval { field: *field, program: EvalProgram::Poly(reduced) })
+        Box::new(PolyEval(PreparedProgram::poly(field, &self.0.coefficients)))
     }
 
     fn recover(&self, proofs: &[PrimeProof]) -> Result<u128, CamelotError> {

@@ -11,7 +11,7 @@
 //!
 //! Proof size `Õ(R/m) = Õ(n^ω/m)`, per-node evaluation `Õ(m + R/m)`.
 
-use crate::trace::{Family, TriangleSplit};
+use crate::trace::TriangleSplit;
 use camelot_core::{CamelotError, CamelotProblem, Evaluate, PrimeProof, ProofSpec};
 use camelot_ff::{crt_u, PrimeField, Residue};
 use camelot_graph::Graph;
@@ -69,16 +69,8 @@ impl CamelotProblem for TriangleCount {
 
     fn evaluator<'a>(&'a self, field: &PrimeField) -> Box<dyn Evaluate + 'a> {
         let f = *field;
-        Box::new(move |z0: u64| {
-            let a = self.split.family_part_poly(&f, Family::Alpha, z0);
-            let b = self.split.family_part_poly(&f, Family::Beta, z0);
-            let c = self.split.family_part_poly(&f, Family::Gamma, z0);
-            let mut acc = 0u64;
-            for i in 0..a.len() {
-                acc = f.add(acc, f.mul(f.mul(a[i], b[i]), c[i]));
-            }
-            acc
-        })
+        let basis = self.split.part_basis(field);
+        Box::new(move |z0: u64| self.split.part_product_at(&f, &basis, z0))
     }
 
     fn recover(&self, proofs: &[PrimeProof]) -> Result<u64, CamelotError> {

@@ -11,15 +11,22 @@
 
 use camelot_ff::PrimeField;
 use camelot_graph::Graph;
-use camelot_linalg::{MatMulTensor, SparseVec, SplitSparseYates};
+use camelot_linalg::{MatMulTensor, SparseVec, SplitSparseYates, SplitSupport};
+use camelot_poly::ConsecutiveBasis;
 
-/// Geometry of a split/sparse triangle-count run.
+/// Geometry of a split/sparse triangle-count run: the three family
+/// splitters (one per coefficient matrix of the trilinear decomposition,
+/// same `k` and `ℓ`) and the adjacency input, all independent of the
+/// modulus and built once.
 #[derive(Clone, Debug)]
 pub struct TriangleSplit {
-    tensor: MatMulTensor,
+    rank: usize,
     t_pow: usize,
-    splitter: SplitSparseYates,
+    /// Indexed by [`Family`] in declaration order.
+    splitters: [SplitSparseYates; 3],
     sparse: SparseVec,
+    /// `sparse` split at the splitters' common `ℓ`-digit boundary.
+    support: SplitSupport,
     n_padded: usize,
 }
 
@@ -44,27 +51,38 @@ impl TriangleSplit {
         let sparse = adjacency_sparse(g, n0, t_pow);
         // One Yates factor per Kronecker level, transposed: rows = R0,
         // cols = n0² (input is indexed by interleaved (i,j) digits).
-        let a0 = tensor.alpha0().transpose();
-        let splitter = SplitSparseYates::with_support_size(a0, t_pow, sparse.len());
-        TriangleSplit { tensor: tensor.clone(), t_pow, splitter, sparse, n_padded }
+        let alpha =
+            SplitSparseYates::with_support_size(tensor.alpha0().transpose(), t_pow, sparse.len());
+        let ell = alpha.ell();
+        let beta = SplitSparseYates::new(tensor.beta0().transpose(), t_pow, ell);
+        let gamma = SplitSparseYates::new(tensor.gamma0().transpose(), t_pow, ell);
+        let support = alpha.split_support(&sparse);
+        TriangleSplit {
+            rank: tensor.r0().pow(t_pow as u32),
+            t_pow,
+            splitters: [alpha, beta, gamma],
+            sparse,
+            support,
+            n_padded,
+        }
     }
 
     /// Number of independent parts (`= number of parallel nodes`).
     #[must_use]
     pub fn part_count(&self) -> usize {
-        self.splitter.part_count()
+        self.splitters[0].part_count()
     }
 
     /// Values per part (`Θ(m)` by the choice of `ℓ`).
     #[must_use]
     pub fn part_len(&self) -> usize {
-        self.splitter.part_len()
+        self.splitters[0].part_len()
     }
 
     /// Total rank `R = R0^t`.
     #[must_use]
     pub fn rank(&self) -> usize {
-        self.tensor.r0().pow(self.t_pow as u32)
+        self.rank
     }
 
     /// Padded matrix dimension.
@@ -95,27 +113,49 @@ impl TriangleSplit {
     /// Panics if `outer` is out of range.
     #[must_use]
     pub fn family_part(&self, field: &PrimeField, family: Family, outer: usize) -> Vec<u64> {
-        let a0 = self.family_matrix(family);
-        let splitter = SplitSparseYates::new(a0, self.t_pow, self.splitter.ell());
-        splitter.part(field, &self.sparse, outer)
+        self.splitters[family as usize].part(field, &self.sparse, outer)
     }
 
     /// Polynomial-extension evaluation of a family's part polynomials at
-    /// `z0` (§3.3) — the building block of the Theorem 3 proof
-    /// polynomial.
+    /// `z0` (§3.3), one-shot: the building block of the Theorem 3 proof
+    /// polynomial, which shares the per-point work between the families
+    /// ([`TriangleSplit::part_product_at`]).
     #[must_use]
     pub fn family_part_poly(&self, field: &PrimeField, family: Family, z0: u64) -> Vec<u64> {
-        let a0 = self.family_matrix(family);
-        let splitter = SplitSparseYates::new(a0, self.t_pow, self.splitter.ell());
-        splitter.part_poly_eval(field, &self.sparse, z0)
+        let splitter = &self.splitters[family as usize];
+        let mut phi = vec![0u64; self.part_count()];
+        self.part_basis(field).basis_at(z0, &mut phi);
+        let mut scratch = vec![0u64; splitter.poly_scratch_len()];
+        splitter.part_poly_eval(field, &self.support, &phi, &mut scratch).to_vec()
     }
 
-    fn family_matrix(&self, family: Family) -> camelot_linalg::SmallMatrix {
-        match family {
-            Family::Alpha => self.tensor.alpha0().transpose(),
-            Family::Beta => self.tensor.beta0().transpose(),
-            Family::Gamma => self.tensor.gamma0().transpose(),
-        }
+    /// The Lagrange basis over the part nodes `1..=part_count()` for one
+    /// field: what [`TriangleSplit::part_product_at`] needs prepared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part_count() >= q`.
+    #[must_use]
+    pub fn part_basis(&self, field: &PrimeField) -> ConsecutiveBasis {
+        ConsecutiveBasis::new(field, self.part_count())
+    }
+
+    /// `Σ_{r'} A_{r'}(z0) B_{r'}(z0) C_{r'}(z0)` — the Theorem 3 proof
+    /// polynomial at `z0`. The part-node basis is evaluated once and
+    /// shared by the three families, which also share one scratch buffer
+    /// (the call's only allocation).
+    #[must_use]
+    pub fn part_product_at(&self, field: &PrimeField, basis: &ConsecutiveBasis, z0: u64) -> u64 {
+        // The three splitters share one geometry, hence one scratch size.
+        let poly_len = self.splitters[0].poly_scratch_len();
+        let mut scratch = vec![0u64; self.part_count() + self.part_len() + poly_len];
+        let (phi, rest) = scratch.split_at_mut(self.part_count());
+        let (product, poly_scratch) = rest.split_at_mut(self.part_len());
+        basis.basis_at(z0, phi);
+        let [alpha, beta, gamma] = &self.splitters;
+        product.copy_from_slice(alpha.part_poly_eval(field, &self.support, phi, poly_scratch));
+        field.mul_slice(product, beta.part_poly_eval(field, &self.support, phi, poly_scratch));
+        field.dot(product, gamma.part_poly_eval(field, &self.support, phi, poly_scratch))
     }
 
     /// `trace(A³) mod q` assembled from all parts (what the community
