@@ -8,11 +8,16 @@
 //!   thread budget;
 //! * consecutive-point Reed–Solomon code: encode (Horner baseline vs
 //!   subproduct-tree dispatch), interpolation (Newton baseline vs tree),
-//!   full Gao decode with a per-phase breakdown;
-//! * roots-of-unity code (the engine's NTT-friendly schedule): encode
-//!   (Horner baseline vs single forward NTT), full Gao decode with the
-//!   same breakdown, and erasure decoding cold vs warm (punctured-tree
-//!   cache);
+//!   full Gao decode with a per-phase breakdown, and the same word
+//!   decoded with five symbols erased;
+//! * roots-of-unity code filling its orbit (the engine's NTT-friendly
+//!   schedule when `e` is a power of two): encode (Horner baseline vs
+//!   single forward NTT), full Gao decode with the same breakdown, and
+//!   the erasure decode;
+//! * roots-of-unity code on a partial orbit, in the shape `bench_e2e`'s
+//!   `poly_faulted_fulldecode` runs (`e = 5·2^k/8`, degree `2^k/2`, one
+//!   node in sixteen corrupt, one crashed): errors-only and erasure
+//!   decode, each with its phase breakdown;
 //! * the partial-xgcd step in isolation, classical vs half-GCD, on the
 //!   exact `(g0, g1, stop)` triple the Gao decoder feeds it;
 //! * the per-point building blocks of the catalogue evaluators at the
@@ -151,10 +156,41 @@ fn t_speedup(naive: Option<Duration>, fast: Duration) -> String {
     naive.map_or("-".to_string(), |n| format!("{:.1}", speedup(n, fast)))
 }
 
-/// Strictly increasing erasure positions for the cold/warm punctured-tree
-/// bench: five spread-out points, fixed per length.
-fn erasure_positions(e: usize) -> Vec<usize> {
-    (0..5).map(|k| k * e / 8 + 3).collect()
+/// `word` with five spread-out symbols withheld, fixed per length.
+fn erase_five(word: &[Option<u64>]) -> Vec<Option<u64>> {
+    let mut erased = word.to_vec();
+    for k in 0..5 {
+        erased[k * word.len() / 8 + 3] = None;
+    }
+    erased
+}
+
+/// Best per-phase profile of decoding `word`. A decode leaves nothing
+/// behind in the code, so a fresh clone and the reused code cost the
+/// same; this checks that they also agree and times only the latter.
+fn decode_profile(
+    samples: usize,
+    field: &PrimeField,
+    code: &RsCode,
+    word: &[Option<u64>],
+    d: usize,
+) -> DecodeProfile {
+    let fresh = code.clone().decode(field, word, d);
+    assert_eq!(fresh, code.decode(field, word, d), "reused code diverged from a fresh clone");
+    assert!(fresh.is_ok(), "bench word must decode: {fresh:?}");
+    best_profile(samples, || code.decode_profiled(field, word, d).expect("checked above").1)
+}
+
+/// `"<name>_us"` and its three phase columns, as JSON object members.
+fn j_profile(name: &str, p: DecodeProfile) -> String {
+    format!(
+        "\"{name}_us\": {:.2}, \"{name}_interpolate_us\": {:.2}, \
+         \"{name}_xgcd_us\": {:.2}, \"{name}_reencode_us\": {:.2}",
+        us(p.total()),
+        us(p.interpolate),
+        us(p.xgcd),
+        us(p.reencode)
+    )
 }
 
 /// Million field elements per second for `len` elements processed in
@@ -412,9 +448,11 @@ fn main() {
     let evaluators =
         evaluator_bench(&kernel_field, args.samples, &mut SplitMix64::new(0xE7_A1_0A_7E));
     let mut rows = Vec::new();
+    // `+era` is the column to its left decoded again with symbols
+    // erased; `5/8` is the partial-orbit code.
     let mut table = Table::new(&[
         "len", "prime", "thr", "enc tree", "x", "enc NTT", "x", "int tree", "x", "dec tree",
-        "dec NTT", "~int", "~xgcd", "~reenc", "xgcd x",
+        "+era", "dec NTT", "~int", "~xgcd", "~reenc", "+era", "dec 5/8", "+era", "xgcd x",
     ]);
 
     for log in args.min_log..=args.max_log {
@@ -444,7 +482,8 @@ fn main() {
         });
         let t_int_tree = best_of(args.samples, || interpolate_fast(&field, &pts));
         let word = fault_every_16th(&field, &clean);
-        let prof = best_profile(args.samples, || code.decode_profiled(&field, &word, d).unwrap().1);
+        let prof = decode_profile(args.samples, &field, &code, &word, d);
+        let prof_e = decode_profile(args.samples, &field, &code, &erase_five(&word), d);
 
         // Roots-of-unity points: transform-backed paths (the engine's
         // NTT-friendly schedule).
@@ -456,23 +495,22 @@ fn main() {
         });
         let t_enc_ntt = best_of(args.samples, || roots.encode(&field, &msg));
         let word_r = fault_every_16th(&field, &clean_r);
-        let prof_r =
-            best_profile(args.samples, || roots.decode_profiled(&field, &word_r, d).unwrap().1);
+        let prof_r = decode_profile(args.samples, &field, &roots, &word_r, d);
+        let prof_r_e = decode_profile(args.samples, &field, &roots, &erase_five(&word_r), d);
 
-        // Erasure decoding: same word with five symbols withheld. Cold
-        // punctures the full point tree from scratch (fresh clone each
-        // run, empty cache); warm hits the keyed punctured-tree cache.
-        let mut word_e = word_r.clone();
-        for &pos in &erasure_positions(e) {
-            word_e[pos] = None;
-        }
-        let t_erase_cold = best_of(args.samples, || {
-            let fresh = roots.clone();
-            fresh.decode(&field, &word_e, d).unwrap()
-        });
-        let warm = roots.clone();
-        warm.decode(&field, &word_e, d).unwrap();
-        let t_erase_warm = best_of(args.samples, || warm.decode(&field, &word_e, d).unwrap());
+        // Partial orbit, the shape behind `poly_faulted_fulldecode`
+        // (e = 2549 of 4096, degree 2048, sixteen nodes): 5/8 of the
+        // orbit, one node's worth of errors, then one node's contiguous
+        // slice erased besides.
+        let e_p = 5 * e / 8;
+        let partial = RsCode::roots_of_unity(&field, e_p).expect("prime admits the orbit");
+        let msg_p = random_message(&field, e / 2, &mut rng);
+        let word_p = fault_every_16th(&field, &partial.encode(&field, &msg_p));
+        let prof_p = decode_profile(args.samples, &field, &partial, &word_p, e / 2);
+        let crashed = e_p / 2..e_p / 2 + (e_p / 16).max(1);
+        let mut word_p_e = word_p.clone();
+        word_p_e[crashed.clone()].fill(None);
+        let prof_p_e = decode_profile(args.samples, &field, &partial, &word_p_e, e / 2);
 
         // The partial-xgcd step in isolation, on the exact triple the
         // Gao decoder feeds it: g0 vanishing on the points, g1 the
@@ -507,10 +545,14 @@ fn main() {
             fmt_duration(t_int_tree),
             t_speedup(t_int_naive, t_int_tree),
             fmt_duration(prof.total()),
+            fmt_duration(prof_e.total()),
             fmt_duration(prof_r.total()),
             fmt_duration(prof_r.interpolate),
             fmt_duration(prof_r.xgcd),
             fmt_duration(prof_r.reencode),
+            fmt_duration(prof_r_e.total()),
+            fmt_duration(prof_p.total()),
+            fmt_duration(prof_p_e.total()),
             t_speedup(t_xgcd_classical, t_xgcd_fast),
         ]);
         rows.push(format!(
@@ -521,15 +563,12 @@ fn main() {
                 "\"encode_horner_us\": {}, \"encode_tree_us\": {:.2}, ",
                 "\"encode_speedup\": {}, ",
                 "\"interpolate_newton_us\": {}, \"interpolate_tree_us\": {:.2}, ",
-                "\"interpolate_speedup\": {}, \"decode_us\": {:.2}, ",
-                "\"decode_interpolate_us\": {:.2}, \"decode_xgcd_us\": {:.2}, ",
-                "\"decode_reencode_us\": {:.2}}},\n",
+                "\"interpolate_speedup\": {}, {}, \"erasure_decode_us\": {:.2}}},\n",
                 "     \"roots_of_unity\": {{",
                 "\"encode_horner_us\": {}, \"encode_ntt_us\": {:.2}, ",
-                "\"encode_speedup\": {}, \"decode_us\": {:.2}, ",
-                "\"decode_interpolate_us\": {:.2}, \"decode_xgcd_us\": {:.2}, ",
-                "\"decode_reencode_us\": {:.2}, ",
-                "\"erasure_decode_cold_us\": {:.2}, \"erasure_decode_warm_us\": {:.2}}},\n",
+                "\"encode_speedup\": {}, {}, \"erasure_decode_us\": {:.2}}},\n",
+                "     \"partial_orbit\": {{\"len\": {}, \"degree\": {}, \"errors\": {}, ",
+                "\"erasures\": {},\n      {},\n      {}}},\n",
                 "     \"xgcd\": {{\"stop_degree\": {}, \"classical_us\": {}, ",
                 "\"fast_us\": {:.2}, \"speedup\": {}}}}}"
             ),
@@ -544,19 +583,19 @@ fn main() {
             j_us(t_int_naive),
             us(t_int_tree),
             j_speedup(t_int_naive, t_int_tree),
-            us(prof.total()),
-            us(prof.interpolate),
-            us(prof.xgcd),
-            us(prof.reencode),
+            j_profile("decode", prof),
+            us(prof_e.total()),
             j_us(t_enc_r_naive),
             us(t_enc_ntt),
             j_speedup(t_enc_r_naive, t_enc_ntt),
-            us(prof_r.total()),
-            us(prof_r.interpolate),
-            us(prof_r.xgcd),
-            us(prof_r.reencode),
-            us(t_erase_cold),
-            us(t_erase_warm),
+            j_profile("decode", prof_r),
+            us(prof_r_e.total()),
+            e_p,
+            e / 2,
+            e_p / 16,
+            crashed.len(),
+            j_profile("decode", prof_p),
+            j_profile("erasure_decode", prof_p_e),
             stop,
             j_us(t_xgcd_classical),
             us(t_xgcd_fast),
@@ -567,13 +606,17 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"camelot-bench-algebra/v5\",\n",
+            "  \"schema\": \"camelot-bench-algebra/v6\",\n",
             "  \"description\": \"Field slice-kernel throughput (Melem/s, chunked vs per-element ",
             "scalar loops), the per-point building blocks of the catalogue evaluators (ns per ",
             "call, each beside what it replaced), plus the Reed-Solomon codeword pipeline: ",
             "Horner/Newton/classical-xgcd ",
             "baselines vs subproduct-tree, NTT, and half-GCD fast paths (message degree = len/2; ",
-            "decode_us is the sum of its three phase columns; quadratic baselines are null above ",
+            "every *decode_us is the sum of the decode's three phases, listed or not; ",
+            "erasure_decode_us decodes the block's word with five more symbols withheld; ",
+            "partial_orbit is a roots-of-unity code on 5/8 of the 2^log2_len orbit at half the ",
+            "orbit's degree, the shape of bench_e2e's poly_faulted_fulldecode, its erasures one ",
+            "contiguous sixteenth of the code; quadratic baselines are null above ",
             "2^14; threads is the CAMELOT_THREADS budget the NTT/decode paths ran under)\",\n",
             "  \"prime_schedule\": \"smallest q >= 2^20 with q = 1 mod 2^(log2_len+1)\",\n",
             "  \"samples\": {},\n",

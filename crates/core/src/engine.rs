@@ -19,7 +19,7 @@ use camelot_cluster::{
     Backend, Broadcast, ChaosPlan, ClusterConfig, Demotion, EvalProgram, FaultPlan, RoundEval,
     RoundSpec, Transport, TransportTuning,
 };
-use camelot_ff::{ntt_prime, primes_above, worker_count, PrimeField, SplitMix64};
+use camelot_ff::{ntt_prime, primes_above, worker_count, PrimeField, SplitMix64, MAX_MODULUS};
 use camelot_rscode::RsCode;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -612,6 +612,15 @@ impl Engine {
                 reason: "certificate repeats a prime modulus".into(),
             });
         }
+        // A certificate need not have come through `from_wire`: check the
+        // range here too, before a modulus reaches the bit count below
+        // (which underflows on 0) or a `PrimeField` (Barrett headroom).
+        let admissible = spec.min_modulus.max(2)..MAX_MODULUS;
+        if let Some(&q) = moduli.iter().find(|q| !admissible.contains(q)) {
+            return Err(CamelotError::MalformedProof {
+                reason: format!("modulus {q} outside {admissible:?}"),
+            });
+        }
         let bits: u64 =
             certificate.proofs.iter().map(|p| 63 - u64::from(p.modulus.leading_zeros())).sum();
         if bits <= spec.value_bits + 1 {
@@ -1129,6 +1138,34 @@ mod tests {
         let mut thin = prepared.certificate.clone();
         thin.proofs.truncate(1);
         assert!(matches!(engine.redeem(&problem, &thin), Err(CamelotError::MalformedProof { .. })));
+    }
+
+    /// A modulus outside `min_modulus..MAX_MODULUS` is a structural
+    /// rejection, in debug and release alike: `0` used to underflow the
+    /// bit count, `MAX_MODULUS` and up used to reach an unchecked field.
+    #[test]
+    fn redeem_rejects_moduli_outside_the_field_range() {
+        let problem = Cube { c: 99 };
+        let engine = Engine::sequential(4, 2);
+        let prepared = engine.run(&problem).unwrap();
+        let floor = problem.spec().min_modulus;
+        for (modulus, coefficients) in [
+            (0, vec![]),
+            (1, vec![0]),
+            (floor - 1, vec![1]),
+            (MAX_MODULUS, vec![1]),
+            (u64::MAX, vec![1]),
+        ] {
+            let mut forged = prepared.certificate.clone();
+            forged.proofs[0] = PrimeProof { modulus, coefficients };
+            assert!(
+                matches!(
+                    engine.redeem(&problem, &forged),
+                    Err(CamelotError::MalformedProof { .. })
+                ),
+                "modulus {modulus}"
+            );
+        }
     }
 
     #[test]

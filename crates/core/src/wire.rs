@@ -22,6 +22,7 @@
 use crate::engine::Certificate;
 use crate::error::CamelotError;
 use crate::problem::PrimeProof;
+use camelot_ff::MAX_MODULUS;
 
 /// Magic header line.
 const HEADER: &str = "camelot-certificate v1";
@@ -61,8 +62,9 @@ impl Certificate {
     /// # Errors
     ///
     /// Returns [`CamelotError::MalformedProof`] for any structural
-    /// violation: wrong header, missing sections, non-numeric fields,
-    /// out-of-range coefficients, or degrees above the recorded bound.
+    /// violation: wrong header, missing sections, non-numeric fields, a
+    /// modulus outside `2..MAX_MODULUS`, out-of-range coefficients, or
+    /// degrees above the recorded bound.
     pub fn from_wire(text: &str) -> Result<Certificate, CamelotError> {
         let malformed = |reason: &str| CamelotError::MalformedProof { reason: reason.to_string() };
         let mut lines = text.lines();
@@ -95,6 +97,9 @@ impl Certificate {
                         .next()
                         .and_then(|s| s.parse::<u64>().ok())
                         .ok_or_else(|| malformed("proof line missing modulus"))?;
+                    if !(2..MAX_MODULUS).contains(&modulus) {
+                        return Err(malformed("modulus outside the supported field range"));
+                    }
                     let mut coefficients = Vec::new();
                     for tok in parts {
                         let c =
@@ -214,6 +219,22 @@ mod tests {
     fn out_of_range_coefficient_rejected() {
         let wire = sample().to_wire().replace("proof 101 1 2 3", "proof 101 1 2 200");
         assert!(matches!(Certificate::from_wire(&wire), Err(CamelotError::MalformedProof { .. })));
+    }
+
+    /// A modulus no `PrimeField` can carry never leaves the parser:
+    /// `0` and `1` (no field; `0` also underflows a bit count) and
+    /// anything from `MAX_MODULUS` up (outside the Barrett headroom).
+    #[test]
+    fn out_of_range_modulus_rejected() {
+        for modulus in [0, 1, MAX_MODULUS, u64::MAX] {
+            let wire = sample().to_wire().replace("proof 101 1 2 3", &format!("proof {modulus}"));
+            assert!(
+                matches!(Certificate::from_wire(&wire), Err(CamelotError::MalformedProof { .. })),
+                "modulus {modulus}"
+            );
+        }
+        let wire = sample().to_wire().replace("proof 101 1 2 3", "proof 2 1");
+        assert_eq!(Certificate::from_wire(&wire).unwrap().proofs[0].modulus, 2);
     }
 
     #[test]

@@ -316,7 +316,14 @@ pub fn partial_xgcd_structured(
     stop_degree: usize,
 ) -> (Poly, Poly, Poly) {
     assert!(!(a.is_zero() && b.is_zero()), "partial_xgcd of two zero polynomials");
-    let ctx = MulContext::new(field, a.coeffs().len() + b.coeffs().len() + 2);
+    // The longest product formed is an operand times a cofactor, and a
+    // cofactor's degree is bounded by the degree the sequence drops —
+    // not the product of the two operands, which is never formed (and
+    // whose plan chain, for `x^n − 1` against a degree-`< n` partner, is
+    // a power of two longer). Anything past the bound would still
+    // multiply correctly, through `Poly::mul`.
+    let longest = a.coeffs().len().max(b.coeffs().len());
+    let ctx = MulContext::new(field, longest + longest.saturating_sub(stop_degree) + 2);
     let mut m = Mat22::identity();
     let (mut r0, mut r1) = (a.clone(), b.clone());
     loop {
@@ -470,9 +477,30 @@ mod tests {
         }
     }
 
-    /// The Gao-shaped call: `a` is a vanishing polynomial, `b` an
-    /// interpolation of corrupted values, stop just past half — the exact
-    /// workload `RsCode::decode` hands over.
+    /// The decoder's operands on a roots-of-unity code: `a = x^n − 1`
+    /// and `b = Λ·g`, with `Λ` the locator of the absent positions (a
+    /// few erasures on a full orbit, the unused tail besides on a
+    /// partial one) and the stop degree raised by `deg Λ`.
+    #[test]
+    fn structured_matches_classical_on_orbit_and_locator_operands() {
+        for field in [ntt_field(), plain_field()] {
+            let mut rng = SplitMix64::new(46);
+            for (n, absent) in [(256usize, 0usize), (256, 5), (512, 197), (1024, 389)] {
+                let a = Poly::monomial(1, n).sub(&field, &Poly::constant(1));
+                let survivors = n - absent;
+                let locator = random_poly(&field, absent, &mut rng);
+                let b = locator.mul(&field, &random_poly(&field, survivors - 1, &mut rng));
+                let gao_stop = (survivors + survivors / 2 + 2) / 2 + absent;
+                for stop in [0usize, absent, n / 2, gao_stop, n] {
+                    assert_matches_classical(&field, &a, &b, stop);
+                }
+            }
+        }
+    }
+
+    /// The Gao-shaped call on general points: `a` is a vanishing
+    /// polynomial, `b` an interpolation of corrupted values, stop just
+    /// past half.
     #[test]
     fn structured_matches_classical_on_gao_shape() {
         let field = ntt_field();

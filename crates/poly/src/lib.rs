@@ -43,7 +43,6 @@ pub use interp::{
 };
 pub use multipoint::{
     cached_ntt_plan, div_rem_fast, eval_many_fast, interpolate_fast, vanishing_poly, PointTree,
-    TREE_CACHE_CROSSOVER,
 };
 pub use ntt::NttPlan;
 pub use par::{par_crossover, set_par_crossover};

@@ -440,7 +440,7 @@ fn synthetic_div_linear(field: &PrimeField, l: &Poly, xi: u64) -> Poly {
     let mut out = vec![0u64; d];
     let mut acc = 0u64;
     // lint:hot-begin(synthetic-division) — one fused mul-add per
-    // coefficient; the erasure-root divisions in decode run through here.
+    // coefficient; every leaf of a tree interpolation runs through here.
     for k in (0..d).rev() {
         acc = field.mul_add(cs[k + 1], acc, xi);
         out[k] = acc;
@@ -456,12 +456,6 @@ fn synthetic_div_linear(field: &PrimeField, l: &Poly, xi: u64) -> Poly {
 /// polynomial of the whole point set.
 struct SubproductTree {
     points: Vec<u64>,
-    /// Start index (into `points`) of each level-0 leaf chunk. Uniform
-    /// [`LEAF_SIZE`] chunks for a freshly built tree; a punctured tree
-    /// keeps its parent's chunk partition minus the erased points, so
-    /// chunk sizes vary (and may reach zero — such a leaf holds the
-    /// empty product, the constant 1).
-    leaf_starts: Vec<usize>,
     levels: Vec<Vec<Poly>>,
 }
 
@@ -469,7 +463,6 @@ impl SubproductTree {
     fn build(ctx: &MulContext, points: &[u64]) -> Self {
         debug_assert!(!points.is_empty(), "subproduct tree needs at least one point");
         let field = &ctx.field;
-        let leaf_starts: Vec<usize> = (0..points.len()).step_by(LEAF_SIZE).collect();
         let leaves: Vec<Poly> = points
             .chunks(LEAF_SIZE)
             .map(|chunk| {
@@ -516,7 +509,7 @@ impl SubproductTree {
             };
             levels.push(next);
         }
-        SubproductTree { points: points.to_vec(), leaf_starts, levels }
+        SubproductTree { points: points.to_vec(), levels }
     }
 
     /// The vanishing polynomial `Π_i (x - x_i)`.
@@ -528,35 +521,25 @@ impl SubproductTree {
         self.levels.len() - 1
     }
 
-    /// Point-index bounds `[start, end)` of leaf `idx`.
-    fn leaf_bounds(&self, idx: usize) -> (usize, usize) {
-        let start = self.leaf_starts[idx];
-        let end = self.leaf_starts.get(idx + 1).copied().unwrap_or(self.points.len());
-        (start, end)
+    /// Point-index bounds `[start, end)` of node `(level, idx)`: it spans
+    /// `2^level` leaves of [`LEAF_SIZE`] points, clipped to the point count.
+    fn node_bounds(&self, level: usize, idx: usize) -> (usize, usize) {
+        let span = LEAF_SIZE << level;
+        (idx * span, ((idx + 1) * span).min(self.points.len()))
     }
 
     /// The chunk of points owned by leaf `idx`.
     fn leaf_points(&self, idx: usize) -> &[u64] {
-        let (start, end) = self.leaf_bounds(idx);
+        let (start, end) = self.node_bounds(0, idx);
         &self.points[start..end]
     }
 
     /// Number of points below node `(level, idx)`.
     fn count_points(&self, level: usize, idx: usize) -> usize {
-        let nleaves = self.leaf_starts.len();
-        let lo = idx << level;
-        let hi = ((idx + 1) << level).min(nleaves);
-        let start = self.leaf_starts[lo];
-        let end = if hi == nleaves { self.points.len() } else { self.leaf_starts[hi] };
+        let (start, end) = self.node_bounds(level, idx);
         end - start
     }
 }
-
-/// Point count at or above which a consumer holding a point set for
-/// repeated use (e.g. a Reed–Solomon code) should build and keep a
-/// [`PointTree`]: the tree is being built for the vanishing polynomial
-/// anyway past this size, so caching it is free.
-pub const TREE_CACHE_CROSSOVER: usize = VANISH_CROSSOVER;
 
 /// A reusable subproduct tree over a fixed point set, with memoized
 /// per-node inverse series (the Newton-division scaffolding of every
@@ -640,127 +623,6 @@ impl PointTree {
     #[must_use]
     pub fn vanishing(&self) -> &Poly {
         self.tree.root()
-    }
-
-    /// The tree over this tree's points minus the erased indices,
-    /// reusing every node — polynomial *and* memoized inverse series —
-    /// whose span contains no erasure; only the spine above touched
-    /// leaves is remultiplied. Erasure decoding punctures the same full
-    /// tree every round, so this turns the per-decode rebuild into
-    /// `O(M(n))` work on the dirty spine (and a cache of punctured trees
-    /// turns repeats into a lookup).
-    ///
-    /// The result evaluates and interpolates bit-identically to a tree
-    /// freshly built over the surviving points: every node is the
-    /// product of the same linear factors in exact field arithmetic, so
-    /// association order cannot change any value. In particular
-    /// [`Self::vanishing`] of the result *is*
-    /// `vanishing_poly(field, surviving)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `erased` is not strictly increasing, indexes out of
-    /// range, or covers every point.
-    #[must_use]
-    pub fn punctured(&self, erased: &[usize]) -> PointTree {
-        assert!(
-            erased.windows(2).all(|w| w[0] < w[1]),
-            "erasure indices must be strictly increasing"
-        );
-        assert!(erased.last().is_none_or(|&i| i < self.len()), "erasure index out of range");
-        assert!(erased.len() < self.len(), "cannot erase every point");
-        let field = self.ctx.field();
-        let old = &self.tree;
-        let nleaves = old.leaf_starts.len();
-        let mut points = Vec::with_capacity(self.len() - erased.len());
-        let mut leaf_starts = Vec::with_capacity(nleaves);
-        let mut leaves = Vec::with_capacity(nleaves);
-        let mut dirty = Vec::with_capacity(nleaves);
-        let mut e = 0usize;
-        for idx in 0..nleaves {
-            let (lo, hi) = old.leaf_bounds(idx);
-            leaf_starts.push(points.len());
-            let erased_before = e;
-            for i in lo..hi {
-                if erased.get(e) == Some(&i) {
-                    e += 1;
-                } else {
-                    points.push(old.points[i]);
-                }
-            }
-            if e == erased_before {
-                dirty.push(false);
-                leaves.push(old.levels[0][idx].clone());
-            } else {
-                dirty.push(true);
-                let mut g = Poly::constant(1);
-                for &x in &points[leaf_starts[idx]..] {
-                    g = g.mul(field, &Poly::from_reduced(vec![field.neg(x), 1]));
-                }
-                leaves.push(g);
-            }
-        }
-        debug_assert_eq!(e, erased.len(), "every erasure index consumed");
-        // Rebuild upward, but only above dirty children; the punctured
-        // tree has the same leaf count and pairing as its parent, so
-        // clean nodes are position-for-position clones.
-        let mut levels = vec![leaves];
-        let mut dirt = vec![dirty];
-        while levels.last().expect("nonempty tree").len() > 1 {
-            let (next, next_dirty) = {
-                let prev = levels.last().expect("nonempty tree");
-                let prev_dirty = dirt.last().expect("nonempty tree");
-                let lvl = levels.len();
-                let n = prev.len().div_ceil(2);
-                let mut next = Vec::with_capacity(n);
-                let mut next_dirty = Vec::with_capacity(n);
-                for j in 0..n {
-                    let (li, ri) = (2 * j, 2 * j + 1);
-                    if ri >= prev.len() {
-                        next.push(prev[li].clone());
-                        next_dirty.push(prev_dirty[li]);
-                    } else if prev_dirty[li] || prev_dirty[ri] {
-                        next.push(self.ctx.mul(&prev[li], &prev[ri]));
-                        next_dirty.push(true);
-                    } else {
-                        next.push(old.levels[lvl][j].clone());
-                        next_dirty.push(false);
-                    }
-                }
-                (next, next_dirty)
-            };
-            levels.push(next);
-            dirt.push(next_dirty);
-        }
-        // A clean node's memoized inverse series carries over: it
-        // depends only on the node polynomial and its precision, and the
-        // old precision (the old sibling degree) can only shrink under
-        // puncturing, so a longer memo truncates to the new need.
-        let inv: Vec<Vec<OnceLock<Poly>>> = dirt
-            .iter()
-            .enumerate()
-            .map(|(lvl, flags)| {
-                flags
-                    .iter()
-                    .enumerate()
-                    .map(
-                        |(j, &is_dirty)| {
-                            if is_dirty {
-                                OnceLock::new()
-                            } else {
-                                self.inv[lvl][j].clone()
-                            }
-                        },
-                    )
-                    .collect()
-            })
-            .collect();
-        PointTree {
-            ctx: self.ctx.clone(),
-            tree: SubproductTree { points, leaf_starts, levels },
-            inv,
-            weights: OnceLock::new(),
-        }
     }
 
     /// Evaluates `poly` at every point — identical dispatch and output
@@ -1354,107 +1216,6 @@ mod tests {
         xs[77] = 5; // duplicate abscissa 5
         let tree = PointTree::new(&field, &xs);
         let _ = tree.interpolate_core(&vec![1u64; 100]);
-    }
-
-    /// A punctured tree must be indistinguishable from a tree freshly
-    /// built over the surviving points: same vanishing polynomial, same
-    /// evaluations, same interpolation — for erasure patterns that leave
-    /// chunks untouched, gut chunks entirely, and straddle chunk
-    /// boundaries, on NTT-friendly and unfriendly moduli.
-    #[test]
-    fn punctured_tree_matches_fresh_tree() {
-        for field in [ntt_field(), plain_field()] {
-            let mut rng = SplitMix64::new(33);
-            let n = 300; // ~10 leaves of LEAF_SIZE = 32
-            let xs = distinct_points(&field, n, &mut rng);
-            let tree = PointTree::new(&field, &xs);
-            let patterns: Vec<Vec<usize>> = vec![
-                vec![5],                     // one point, one dirty leaf
-                (64..96).collect(),          // exactly one whole chunk
-                vec![0, 31, 32, 63, 299],    // chunk boundaries + tail
-                (0..n).step_by(7).collect(), // spread over every leaf
-                (0..250).collect(),          // almost everything
-            ];
-            for erased in patterns {
-                let survivors: Vec<u64> = xs
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| erased.binary_search(i).is_err())
-                    .map(|(_, &x)| x)
-                    .collect();
-                let punct = tree.punctured(&erased);
-                assert_eq!(punct.len(), survivors.len());
-                assert_eq!(punct.points(), &survivors[..], "{} erased", erased.len());
-                assert_eq!(
-                    punct.vanishing(),
-                    &vanishing_poly(&field, &survivors),
-                    "{} erased, q = {}",
-                    erased.len(),
-                    field.modulus()
-                );
-                let poly = random_poly(&field, survivors.len().saturating_sub(1).max(1), &mut rng);
-                assert_eq!(
-                    punct.eval_core(&poly),
-                    eval_many(&field, &poly, &survivors),
-                    "{} erased",
-                    erased.len()
-                );
-                let ys: Vec<u64> = (0..survivors.len()).map(|_| field.sample(&mut rng)).collect();
-                let pts: Vec<(u64, u64)> =
-                    survivors.iter().copied().zip(ys.iter().copied()).collect();
-                // Twice: the second interpolation runs on the punctured
-                // tree's warm weight/inverse caches.
-                assert_eq!(punct.interpolate_core(&ys), interpolate(&field, &pts));
-                assert_eq!(punct.interpolate_core(&ys), interpolate(&field, &pts));
-            }
-        }
-    }
-
-    /// Puncturing composes: a punctured tree can itself be punctured
-    /// (variable-width chunks), and warming the parent's caches first
-    /// changes nothing (the memoized inverse series carry over).
-    #[test]
-    fn punctured_tree_composes_and_survives_warm_caches() {
-        let field = ntt_field();
-        let mut rng = SplitMix64::new(34);
-        let n = 200;
-        let xs = distinct_points(&field, n, &mut rng);
-        let tree = PointTree::new(&field, &xs);
-        // Warm the parent's inverse-series and weight memos.
-        let ys: Vec<u64> = (0..n).map(|_| field.sample(&mut rng)).collect();
-        let _ = tree.interpolate_core(&ys);
-        let first: Vec<usize> = (10..40).collect();
-        let once = tree.punctured(&first);
-        let second: Vec<usize> = (0..once.len()).step_by(11).collect();
-        let twice = once.punctured(&second);
-        let survivors: Vec<u64> = once
-            .points()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| second.binary_search(i).is_err())
-            .map(|(_, &x)| x)
-            .collect();
-        assert_eq!(twice.points(), &survivors[..]);
-        assert_eq!(twice.vanishing(), &vanishing_poly(&field, &survivors));
-        let sy: Vec<u64> = (0..survivors.len()).map(|_| field.sample(&mut rng)).collect();
-        let pts: Vec<(u64, u64)> = survivors.iter().copied().zip(sy.iter().copied()).collect();
-        assert_eq!(twice.interpolate_core(&sy), interpolate(&field, &pts));
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn punctured_tree_rejects_unsorted_erasures() {
-        let field = ntt_field();
-        let tree = PointTree::new(&field, &(0..100u64).collect::<Vec<_>>());
-        let _ = tree.punctured(&[5, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot erase every point")]
-    fn punctured_tree_rejects_total_erasure() {
-        let field = ntt_field();
-        let tree = PointTree::new(&field, &(0..10u64).collect::<Vec<_>>());
-        let _ = tree.punctured(&(0..10usize).collect::<Vec<_>>());
     }
 
     #[test]

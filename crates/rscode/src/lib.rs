@@ -17,6 +17,39 @@
 //!   correct whenever `#errors <= (e' - d - 1) / 2` over the `e'` symbols
 //!   actually received.
 //!
+//! ## One decode path: an erasure is an error whose locator is known
+//!
+//! Every code transforms over one fixed *domain* `D`: its own points, or
+//! — for a [`RsCode::roots_of_unity`] code — the whole `2^k` orbit of
+//! `ω`, of which the code uses the first `e` elements. `G0 = Π_{t∈D}
+//! (x − t)` is fixed per code (`x^{2^k} − 1` on an orbit). A decode never
+//! leaves `D`; what changes from word to word is the set `A ⊆ D` of
+//! *absent* positions — the erased symbols, plus on a partial orbit the
+//! unused tail `ω^e … ω^{2^k−1}`, which is a set of erasures that never
+//! arrive — and its locator `Λ = Π_{a∈A} (x − a)`:
+//!
+//! 1. Let `y` be the received word with zeros at `A`, and `G1` the
+//!    interpolant of the survivors' symbols. The interpolant over **all
+//!    of `D`** of `y_i·Λ(x_i)` is `h = Λ·G1` (both sides have degree
+//!    below `|D|` and agree on `D`), and `G0 = Λ·G0'` with `G0'` the
+//!    survivors' vanishing polynomial.
+//! 2. Run the partial extended Euclid on `(G0, h)` with the stop degree
+//!    raised by `|A|`. Dividing `Λ·a` by `Λ·b` gives the quotient of
+//!    `a / b` and `Λ` times its remainder, so every quotient and cofactor
+//!    is that of Gao's algorithm on the survivors' code `(G0', G1)`,
+//!    every remainder is `Λ` times it, and the loop stops on the same
+//!    step: it returns the same `v` and `g' = Λ·g`.
+//! 3. The message is `p = g' / (v·Λ)`, with the same quotient as `g / v`
+//!    and a remainder that vanishes exactly when that one does. Nothing
+//!    is ever divided by `Λ`, and the result — `Ok` or `Err`, inside the
+//!    decoding radius or beyond it — is that of decoding the survivors'
+//!    symbols on the code over the survivors' points.
+//!
+//! `Λ`'s values over `D` are one domain evaluation of the erased symbols'
+//! factor (one forward NTT on an orbit) times the tail factor's values,
+//! which a partial orbit computes once at construction. With nothing
+//! absent `Λ = 1` and the three steps are Gao's algorithm verbatim.
+//!
 //! ## Example
 //!
 //! ```
@@ -41,66 +74,57 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 use camelot_ff::PrimeField;
-use camelot_poly::{
-    cached_ntt_plan, div_rem_fast, eval_many_fast, interpolate_fast, vanishing_poly, PointTree,
-    Poly, TREE_CACHE_CROSSOVER,
-};
-use std::sync::{Arc, Mutex, OnceLock};
+use camelot_poly::{cached_ntt_plan, div_rem_fast, vanishing_poly, NttPlan, PointTree, Poly};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Punctured subproduct trees kept per code, most recently used first.
-/// Crash-fault rounds present the same erasure set decode after decode,
-/// so a handful of entries covers the working set; a churning set of
-/// erasure patterns just degrades to rebuild-per-decode (puncturing,
-/// not from scratch).
-const PUNCTURED_CACHE_CAP: usize = 4;
 
 /// A nonsystematic Reed–Solomon code: `e` distinct evaluation points in
 /// `Z_q`.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct RsCode {
     points: Vec<u64>,
-    /// `G_0(x) = Π_i (x - x_i)`, precomputed for decoding.
+    /// `G_0(x) = Π_{t∈D} (x - t)` over the whole domain, precomputed for
+    /// decoding.
     g0: Poly,
-    /// Set by [`RsCode::roots_of_unity`]: the points are the first `e`
-    /// powers of a primitive `2^k`-th root of unity, stored as
-    /// `(k, root)`, making encoding a single forward NTT.
-    ntt: Option<(u32, u64)>,
-    /// Cached subproduct tree over the full point set (with memoized
-    /// node inverse series and Lagrange weights), built once past the
-    /// crossover where the vanishing polynomial builds one anyway.
-    /// `encode` and `decode`'s interpolation/re-encode reuse it instead
-    /// of rebuilding an identical tree per call.
-    tree: Option<Arc<PointTree>>,
-    /// Full tree built on first *erasure* decode when `tree` is `None`
-    /// (a full-orbit roots-of-unity code encodes and clean-decodes on
-    /// NTTs alone, so it skips the eager build) — erasure subsets
-    /// puncture this instead of rebuilding from scratch.
-    erasure_tree: OnceLock<Arc<PointTree>>,
-    /// Keyed LRU of punctured (erasure-subset) trees; see
-    /// [`PUNCTURED_CACHE_CAP`].
-    punctured: Mutex<Vec<(Vec<usize>, Arc<PointTree>)>>,
+    domain: Domain,
 }
 
-impl Clone for RsCode {
-    fn clone(&self) -> Self {
-        RsCode {
-            points: self.points.clone(),
-            g0: self.g0.clone(),
-            ntt: self.ntt,
-            tree: self.tree.clone(),
-            erasure_tree: self.erasure_tree.clone(),
-            punctured: Mutex::new(
-                self.punctured.lock().map(|cache| cache.clone()).unwrap_or_default(),
-            ),
-        }
-    }
+/// The set `D ⊇ points` a code evaluates and interpolates over (see the
+/// crate docs).
+#[derive(Clone, Debug)]
+enum Domain {
+    /// The orbit `ω^0, …, ω^{2^k-1}` of a [`RsCode::roots_of_unity`]
+    /// code, whose points are its first `e` elements: evaluation and
+    /// interpolation are one transform of `plan`.
+    Orbit {
+        plan: Arc<NttPlan>,
+        /// `Π_{j>=e} (ω^i - ω^j)` per orbit index `i` — the values of
+        /// the locator of the tail no symbol is ever received for.
+        /// `None` when `e` fills the orbit.
+        tail: Option<Vec<u64>>,
+    },
+    /// The code's own points, in the subproduct tree over them (node
+    /// inverse series and Lagrange weights memoized): its root is `G0`,
+    /// and it evaluates and interpolates by descent past the crossover
+    /// lengths of `camelot-poly`, by Horner and Newton below them.
+    Points { tree: Arc<PointTree> },
+}
+
+/// The locator `Λ` of one decode's absent positions.
+struct Locator {
+    /// `Λ(t)` per domain element `t`: zero exactly at the absent ones.
+    values: Vec<u64>,
+    /// The erased symbols' factor `Π (x - x_i)` of `Λ` — all of it,
+    /// except on a partial orbit.
+    erased: Poly,
 }
 
 impl PartialEq for RsCode {
     fn eq(&self, other: &Self) -> bool {
-        // `g0` and the cached tree are derived from the points.
-        self.points == other.points && self.ntt == other.ntt
+        // `g0` and the domain are derived from the points and the kind
+        // of code.
+        self.points == other.points
+            && std::mem::discriminant(&self.domain) == std::mem::discriminant(&other.domain)
     }
 }
 
@@ -125,15 +149,16 @@ pub struct Decoded {
 /// `RunReport` aggregates these across deciding nodes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DecodeProfile {
-    /// Syndrome interpolation: building the erasure locator `G0`
-    /// (punctured-tree root on the erasure path) and interpolating the
-    /// received values into `G1`.
+    /// Syndrome interpolation: the locator of the absent positions, its
+    /// values over the domain, and one domain interpolation of the
+    /// received values scaled by them (with nothing absent, just the
+    /// interpolation).
     pub interpolate: Duration,
-    /// The partial extended Euclid on `(G0, G1)` — structured half-GCD
+    /// The partial extended Euclid on `(G0, Λ·G1)` — structured half-GCD
     /// past the crossover.
     pub xgcd: Duration,
-    /// Root finding: dividing out the message and re-encoding it to
-    /// identify the error positions.
+    /// Root finding: the product `v·Λ`, dividing out the message, and
+    /// re-encoding it to identify the error positions.
     pub reencode: Duration,
 }
 
@@ -221,28 +246,17 @@ impl RsCode {
             },
             "evaluation points must be distinct"
         );
-        let (g0, tree) = if points.len() >= TREE_CACHE_CROSSOVER {
-            let tree = Arc::new(PointTree::new(field, &points));
-            (tree.vanishing().clone(), Some(tree))
-        } else {
-            (vanishing_poly(field, &points), None)
-        };
-        RsCode {
-            points,
-            g0,
-            ntt: None,
-            tree,
-            erasure_tree: OnceLock::new(),
-            punctured: Mutex::new(Vec::new()),
-        }
+        let tree = Arc::new(PointTree::new(field, &points));
+        RsCode { points, g0: tree.vanishing().clone(), domain: Domain::Points { tree } }
     }
 
     /// Code over the first `e` powers `ω^0, …, ω^{e-1}` of a primitive
     /// `2^k`-th root of unity `ω`, with `2^k` the smallest power of two
     /// `>= e` — the accelerated point schedule of the engine's
     /// NTT-friendly prime mode. Encoding is a single forward transform
-    /// (`O(e log e)`), and when `e` fills the transform exactly, clean
-    /// decoding interpolates with a single inverse transform.
+    /// (`O(e log e)`) and every decode interpolates with a single
+    /// inverse one: the code's domain is the whole orbit, and when `e`
+    /// falls short of `2^k` the unused tail counts as erased.
     ///
     /// Returns `None` when the modulus has no root of the required order
     /// (`2^k` must divide `q - 1`).
@@ -255,36 +269,24 @@ impl RsCode {
         assert!(e > 0, "code length must be positive");
         let k = e.next_power_of_two().trailing_zeros();
         let plan = cached_ntt_plan(field, k)?;
-        let w = plan.root();
-        let mut points = Vec::with_capacity(e);
+        let n = plan.len();
+        // The ω^i are distinct (ω has order 2^k >= e).
+        let mut points = Vec::with_capacity(n);
         let mut x = 1u64;
-        for _ in 0..e {
+        for _ in 0..n {
             points.push(x);
-            x = field.mul(x, w);
+            x = field.mul(x, plan.root());
         }
-        // The ω^i are distinct (ω has order 2^k >= e), and the vanishing
-        // polynomial of the full orbit is x^{2^k} - 1. A partial orbit
-        // interpolates through the general tree path, so cache the tree
-        // for it; a full orbit runs on NTTs alone.
-        let (g0, tree) = if e == plan.len() {
-            let mut coeffs = vec![0u64; e + 1];
-            coeffs[0] = field.neg(1);
-            coeffs[e] = 1;
-            (Poly::from_reduced(coeffs), None)
-        } else if e >= TREE_CACHE_CROSSOVER {
-            let tree = Arc::new(PointTree::new(field, &points));
-            (tree.vanishing().clone(), Some(tree))
-        } else {
-            (vanishing_poly(field, &points), None)
-        };
-        Some(RsCode {
-            points,
-            g0,
-            ntt: Some((k, w)),
-            tree,
-            erasure_tree: OnceLock::new(),
-            punctured: Mutex::new(Vec::new()),
-        })
+        let tail = (e < n).then(|| {
+            let mut values = vanishing_poly(field, &points[e..]).into_coeffs();
+            values.resize(n, 0);
+            plan.forward(&mut values);
+            values
+        });
+        points.truncate(e);
+        // The whole orbit vanishes on x^{2^k} - 1, whatever `e` is.
+        let g0 = Poly::monomial(1, n).sub(field, &Poly::constant(1));
+        Some(RsCode { points, g0, domain: Domain::Orbit { plan, tail } })
     }
 
     /// Code length `e`.
@@ -314,6 +316,72 @@ impl RsCode {
         self.points.len().saturating_sub(degree_bound + 1) / 2
     }
 
+    /// `poly` (of degree below the domain size) at every domain element:
+    /// one forward NTT on an orbit, [`PointTree::eval_many`] otherwise.
+    fn evaluate_domain(&self, field: &PrimeField, poly: &Poly) -> Vec<u64> {
+        match &self.domain {
+            Domain::Orbit { plan, .. } => {
+                let mut values = poly.coeffs().to_vec();
+                values.resize(plan.len(), 0);
+                plan.forward(&mut values);
+                values
+            }
+            Domain::Points { tree } => {
+                debug_assert_eq!(tree.modulus(), field.modulus(), "code built over another field");
+                tree.eval_many(poly)
+            }
+        }
+    }
+
+    /// The polynomial of degree below the domain size taking `values`
+    /// (reduced, one per domain element): one inverse NTT on an orbit,
+    /// [`PointTree::interpolate`] otherwise.
+    fn interpolate_domain(&self, mut values: Vec<u64>) -> Poly {
+        match &self.domain {
+            Domain::Orbit { plan, .. } => {
+                plan.inverse(&mut values);
+                Poly::from_reduced(values)
+            }
+            Domain::Points { tree } => tree.interpolate(&values),
+        }
+    }
+
+    /// The locator of the absent positions — the erased symbols and, on
+    /// a partial orbit, the tail — or `None` when there are none
+    /// (`Λ = 1`).
+    fn locator(&self, field: &PrimeField, erased: &[usize]) -> Option<Locator> {
+        let tail = match &self.domain {
+            Domain::Orbit { tail, .. } => tail.as_ref(),
+            Domain::Points { .. } => None,
+        };
+        if erased.is_empty() {
+            return tail.map(|t| Locator { values: t.clone(), erased: Poly::constant(1) });
+        }
+        let roots: Vec<u64> = erased.iter().map(|&i| self.points[i]).collect();
+        let poly = vanishing_poly(field, &roots);
+        let mut values = self.evaluate_domain(field, &poly);
+        if let Some(t) = tail {
+            field.mul_slice(&mut values, t);
+        }
+        Some(Locator { values, erased: poly })
+    }
+
+    /// `v·Λ`. On an orbit the product has degree below `2^k` — `deg v` is
+    /// at most the degree the remainder sequence dropped from `G0` — so
+    /// it is the interpolant of its own values, one more pointwise
+    /// product with `Λ`'s; elsewhere `Λ` is the erased symbols' factor.
+    fn times_locator(&self, field: &PrimeField, v: Poly, locator: Option<&Locator>) -> Poly {
+        match (locator, &self.domain) {
+            (None, _) => v,
+            (Some(locator), Domain::Orbit { .. }) => {
+                let mut values = self.evaluate_domain(field, &v);
+                field.mul_slice(&mut values, &locator.values);
+                self.interpolate_domain(values)
+            }
+            (Some(locator), Domain::Points { .. }) => v.mul(field, &locator.erased),
+        }
+    }
+
     /// Encodes a message polynomial into the codeword
     /// `(P(x_1), ..., P(x_e))`.
     ///
@@ -333,22 +401,9 @@ impl RsCode {
             message.degree().is_none_or(|d| d < self.points.len()),
             "message degree must be below the code length"
         );
-        if let Some((k, _)) = self.ntt {
-            if let Some(plan) = cached_ntt_plan(field, k) {
-                let mut values = message.coeffs().to_vec();
-                values.resize(plan.len(), 0);
-                plan.forward(&mut values);
-                values.truncate(self.points.len());
-                return values;
-            }
-        }
-        if let Some(tree) = &self.tree {
-            if message.coeffs().len() <= self.points.len() {
-                debug_assert_eq!(tree.modulus(), field.modulus(), "code built over another field");
-                return tree.eval_many(message);
-            }
-        }
-        eval_many_fast(field, message, &self.points)
+        let mut values = self.evaluate_domain(field, message);
+        values.truncate(self.points.len());
+        values
     }
 
     /// Decodes a received word. `None` entries are erasures (symbols never
@@ -356,7 +411,7 @@ impl RsCode {
     ///
     /// Succeeds whenever the number of *errors* among the `e'` received
     /// symbols is at most `(e' - degree_bound - 1) / 2` (Gao's unique
-    /// decoding bound on the punctured code).
+    /// decoding bound on the code over the surviving points).
     ///
     /// # Errors
     ///
@@ -388,73 +443,32 @@ impl RsCode {
         degree_bound: usize,
     ) -> Result<(Decoded, DecodeProfile), DecodeError> {
         let mut profile = DecodeProfile::default();
-        if received.len() != self.points.len() {
-            return Err(DecodeError::LengthMismatch {
-                got: received.len(),
-                expected: self.points.len(),
-            });
+        let e = self.points.len();
+        if received.len() != e {
+            return Err(DecodeError::LengthMismatch { got: received.len(), expected: e });
         }
-        let mut xs = Vec::with_capacity(received.len());
-        let mut rs = Vec::with_capacity(received.len());
-        let mut erasure_positions = Vec::new();
-        for (i, sym) in received.iter().enumerate() {
-            match sym {
-                Some(v) => {
-                    xs.push(self.points[i]);
-                    rs.push(*v);
-                }
-                None => erasure_positions.push(i),
-            }
-        }
-        // One bulk Barrett pass over the surviving symbols instead of a
-        // reduction per symbol — bit-identical to `field.reduce` each.
-        field.reduce_slice(&mut rs);
-        let e_prime = xs.len();
+        // The received word with zeros at the erasures, reduced in one
+        // bulk Barrett pass — bit-identical to `field.reduce` per symbol.
+        let mut word: Vec<u64> = received.iter().map(|sym| sym.unwrap_or(0)).collect();
+        field.reduce_slice(&mut word);
+        let erasure_positions: Vec<usize> = (0..e).filter(|&i| received[i].is_none()).collect();
+        let e_prime = e - erasure_positions.len();
         if e_prime < degree_bound + 1 {
             return Err(DecodeError::TooFewSymbols { received: e_prime, needed: degree_bound + 1 });
         }
+        // h = Λ·G1: the interpolant over the whole domain of the received
+        // values scaled by Λ's (zero at every absent position).
         let interp_start = Instant::now();
-        // G0 over the received points and a tree to interpolate with:
-        // the precomputed full product when nothing was erased; the
-        // cached punctured tree — whose root *is* the erasure locator —
-        // otherwise. Only small codes (no tree kept) still rebuild the
-        // subset product from scratch.
-        let punctured = if erasure_positions.is_empty() {
-            None
-        } else {
-            self.punctured_tree(field, &erasure_positions)
-        };
-        let g0 = if erasure_positions.is_empty() {
-            self.g0.clone()
-        } else if let Some(ptree) = &punctured {
-            ptree.vanishing().clone()
-        } else {
-            vanishing_poly(field, &xs)
-        };
-        // G1 interpolates the received values: one inverse NTT when the
-        // code fills a transform and nothing was erased; otherwise the
-        // general interpolation (tree-based past the crossover, Newton
-        // below it) on the cached full or punctured tree.
-        let ntt_plan = match self.ntt {
-            Some((k, _)) if e_prime == 1usize << k => cached_ntt_plan(field, k),
-            _ => None,
-        };
-        let g1 = if let Some(plan) = ntt_plan {
-            let mut values = rs.clone();
-            plan.inverse(&mut values);
-            Poly::from_reduced(values)
-        } else if let Some(ptree) = &punctured {
-            ptree.interpolate(&rs)
-        } else if let (true, Some(tree)) = (erasure_positions.is_empty(), &self.tree) {
-            // Full word received: interpolate on the cached tree (warm
-            // Lagrange weights after the first decode).
-            tree.interpolate(&rs)
-        } else {
-            let pts: Vec<(u64, u64)> = xs.iter().copied().zip(rs.iter().copied()).collect();
-            interpolate_fast(field, &pts)
-        };
+        let n = self.g0.coeffs().len() - 1; // |D| = deg G0
+        let locator = self.locator(field, &erasure_positions);
+        let mut scaled = word.clone();
+        scaled.resize(n, 0);
+        if let Some(locator) = &locator {
+            field.mul_slice(&mut scaled, &locator.values);
+        }
+        let h = self.interpolate_domain(scaled);
         profile.interpolate = interp_start.elapsed();
-        if g1.is_zero() {
+        if h.is_zero() {
             // All received symbols are zero: the unique closest codeword is
             // the zero polynomial (the Euclid below would divide by v = 0).
             let decoded =
@@ -462,63 +476,28 @@ impl RsCode {
             return Ok((decoded, profile));
         }
         // Partial extended Euclid, stopping when deg g < (e' + d + 1)/2 —
-        // the structured half-GCD past the crossover operand length.
-        let stop = (e_prime + degree_bound + 2) / 2; // = ceil((e'+d+1)/2)
+        // |A| higher here, every remainder carrying the factor Λ — by the
+        // structured half-GCD past the crossover operand length.
+        let stop = (e_prime + degree_bound + 2) / 2 + (n - e_prime); // ceil((e'+d+1)/2) + |A|
         let xgcd_start = Instant::now();
-        let (_, v, g) = g0.partial_xgcd_fast(field, &g1, stop);
+        let (_, v, g) = self.g0.partial_xgcd_fast(field, &h, stop);
         profile.xgcd = xgcd_start.elapsed();
         if v.is_zero() {
             return Err(DecodeError::BeyondRadius);
         }
         let reencode_start = Instant::now();
-        let (p, r) = div_rem_fast(field, &g, &v);
+        let (p, r) = div_rem_fast(field, &g, &self.times_locator(field, v, locator.as_ref()));
         if !r.is_zero() || p.degree().is_some_and(|d| d > degree_bound) {
             return Err(DecodeError::BeyondRadius);
         }
         // Identify error locations by re-encoding the decoded message
         // (one NTT for a roots-of-unity code, multipoint evaluation
-        // otherwise).
+        // otherwise) and comparing with the reduced received symbols.
         let reencoded = self.encode(field, &p);
-        let mut error_positions = Vec::new();
-        // `rs` already holds the reduced survivors in received order, so
-        // the comparison needs no second reduction pass.
-        let mut reduced = rs.iter();
-        for (i, sym) in received.iter().enumerate() {
-            if sym.is_some() {
-                let v = reduced.next().expect("one reduced symbol per surviving position");
-                if reencoded[i] != *v {
-                    error_positions.push(i);
-                }
-            }
-        }
+        let error_positions =
+            (0..e).filter(|&i| received[i].is_some() && reencoded[i] != word[i]).collect();
         profile.reencode = reencode_start.elapsed();
         Ok((Decoded { poly: p, error_positions, erasure_positions }, profile))
-    }
-
-    /// The punctured subproduct tree for an erasure set: from the
-    /// per-code LRU when the same crash pattern recurs, else built by
-    /// puncturing the cached full tree (clean subtree nodes and their
-    /// memoized inverse series are reused, not rebuilt). `None` below
-    /// the tree-cache crossover, where the quadratic paths win anyway.
-    fn punctured_tree(&self, field: &PrimeField, erased: &[usize]) -> Option<Arc<PointTree>> {
-        let full: &Arc<PointTree> = if let Some(tree) = &self.tree {
-            tree
-        } else if self.points.len() >= TREE_CACHE_CROSSOVER {
-            self.erasure_tree.get_or_init(|| Arc::new(PointTree::new(field, &self.points)))
-        } else {
-            return None;
-        };
-        let mut cache = self.punctured.lock().expect("punctured-tree cache poisoned");
-        if let Some(pos) = cache.iter().position(|(key, _)| key == erased) {
-            let entry = cache.remove(pos);
-            let tree = Arc::clone(&entry.1);
-            cache.insert(0, entry);
-            return Some(tree);
-        }
-        let tree = Arc::new(full.punctured(erased));
-        cache.insert(0, (erased.to_vec(), Arc::clone(&tree)));
-        cache.truncate(PUNCTURED_CACHE_CAP);
-        Some(tree)
     }
 }
 
@@ -783,16 +762,16 @@ mod tests {
         }
     }
 
-    /// Past the tree-cache crossover the code keeps its subproduct
-    /// tree: repeated encodes and decodes (the `decode_at_all_nodes`
-    /// pattern — every deciding node decodes the same code) must return
-    /// identical results on warm caches, equal to a fresh code's.
+    /// A code on general points keeps its subproduct tree: repeated
+    /// encodes and decodes (the `decode_at_all_nodes` pattern — every
+    /// deciding node decodes the same code) must return identical
+    /// results on warm caches, equal to a fresh code's.
     #[test]
     fn cached_tree_is_stable_across_repeated_encode_decode() {
         let field = f();
         let mut rng = SplitMix64::new(12);
         let d = 40;
-        let e = 200; // >= TREE_CACHE_CROSSOVER: the tree is cached
+        let e = 200;
         let code = RsCode::consecutive(&field, e);
         let msg = random_message(&field, d, &mut rng);
         let clean = code.encode(&field, &msg);
@@ -812,16 +791,17 @@ mod tests {
         assert_eq!(first.erasure_positions, vec![100]);
     }
 
-    /// Erasure decodes past the tree-cache crossover run on punctured
-    /// trees: cold (first decode punctures the full tree), warm (the
-    /// LRU returns the same tree), and a fresh code must all produce
-    /// identical results — and the cloned code starts cold again.
+    /// Erasure decodes keep no state of their own: the first decode, a
+    /// repeat, a fresh code and a cloned
+    /// code must all produce identical results (the code's tree memoizes
+    /// inverse series and Lagrange weights across them), and a second
+    /// erasure pattern on the same code decodes independently.
     #[test]
-    fn punctured_tree_cache_warm_and_cold_decodes_agree() {
+    fn erasure_decode_repeat_fresh_and_cloned_codes_agree() {
         let field = f();
         let mut rng = SplitMix64::new(13);
         let d = 60;
-        let e = 400; // >= TREE_CACHE_CROSSOVER: erasure decodes puncture
+        let e = 400;
         let code = RsCode::consecutive(&field, e);
         let msg = random_message(&field, d, &mut rng);
         let clean = code.encode(&field, &msg);
@@ -833,17 +813,17 @@ mod tests {
         for pos in [7usize, 77, 200] {
             word[pos] = Some(field.add(clean[pos], 5));
         }
-        let cold = code.decode(&field, &word, d).unwrap();
-        let warm = code.decode(&field, &word, d).unwrap();
-        assert_eq!(cold, warm, "warm punctured cache changed the result");
-        assert_eq!(cold.poly, msg);
-        assert_eq!(cold.error_positions, vec![7, 77, 200]);
-        assert_eq!(cold.erasure_positions, erasures.to_vec());
+        let first = code.decode(&field, &word, d).unwrap();
+        let repeat = code.decode(&field, &word, d).unwrap();
+        assert_eq!(first, repeat, "repeating a decode changed the result");
+        assert_eq!(first.poly, msg);
+        assert_eq!(first.error_positions, vec![7, 77, 200]);
+        assert_eq!(first.erasure_positions, erasures.to_vec());
         let fresh = RsCode::consecutive(&field, e).decode(&field, &word, d).unwrap();
-        assert_eq!(cold, fresh, "cached-tree decode diverged from a fresh code");
+        assert_eq!(first, fresh, "used code diverged from a fresh one");
         let cloned = code.clone().decode(&field, &word, d).unwrap();
-        assert_eq!(cold, cloned, "cloned code (cold cache) diverged");
-        // A second erasure pattern must not collide with the cached one.
+        assert_eq!(first, cloned, "cloned code diverged");
+        // A second erasure pattern owes nothing to the first.
         let mut other: Vec<Option<u64>> = clean.iter().copied().map(Some).collect();
         for pos in [0usize, 1, 2] {
             other[pos] = None;
@@ -853,32 +833,117 @@ mod tests {
         assert_eq!(out.erasure_positions, vec![0, 1, 2]);
     }
 
-    /// A full-orbit roots-of-unity code keeps no eager tree; its first
-    /// erasure decode must lazily build one, puncture it, and still
-    /// agree with a fresh code on repeated (warm) decodes.
+    /// A roots-of-unity code keeps no tree at all: erasure decodes run
+    /// on transforms over the whole orbit, and first, repeat and fresh
+    /// code agree — for a full and for a partial orbit.
     #[test]
-    fn roots_of_unity_erasure_decode_uses_lazy_tree() {
+    fn roots_of_unity_erasure_decode_repeat_and_fresh_code_agree() {
         let (q, _) = camelot_ff::ntt_prime(1 << 20, 12);
         let field = PrimeField::new(q).unwrap();
         let mut rng = SplitMix64::new(14);
         let d = 100;
-        let e = 512; // full transform: no eager tree
-        let code = RsCode::roots_of_unity(&field, e).expect("NTT-friendly prime");
-        let msg = random_message(&field, d, &mut rng);
-        let clean = code.encode(&field, &msg);
-        let mut word: Vec<Option<u64>> = clean.iter().copied().map(Some).collect();
-        for pos in [5usize, 64, 300] {
-            word[pos] = None;
+        for e in [512usize, 400] {
+            let code = RsCode::roots_of_unity(&field, e).expect("NTT-friendly prime");
+            let msg = random_message(&field, d, &mut rng);
+            let clean = code.encode(&field, &msg);
+            let mut word: Vec<Option<u64>> = clean.iter().copied().map(Some).collect();
+            for pos in [5usize, 64, 300] {
+                word[pos] = None;
+            }
+            word[9] = Some(field.add(clean[9], 1));
+            let first = code.decode(&field, &word, d).unwrap();
+            let repeat = code.decode(&field, &word, d).unwrap();
+            assert_eq!(first, repeat, "e = {e}");
+            assert_eq!(first.poly, msg, "e = {e}");
+            assert_eq!(first.error_positions, vec![9]);
+            assert_eq!(first.erasure_positions, vec![5, 64, 300]);
+            let fresh =
+                RsCode::roots_of_unity(&field, e).unwrap().decode(&field, &word, d).unwrap();
+            assert_eq!(first, fresh, "e = {e}");
         }
-        word[9] = Some(field.add(clean[9], 1));
-        let cold = code.decode(&field, &word, d).unwrap();
-        let warm = code.decode(&field, &word, d).unwrap();
-        assert_eq!(cold, warm);
-        assert_eq!(cold.poly, msg);
-        assert_eq!(cold.error_positions, vec![9]);
-        assert_eq!(cold.erasure_positions, vec![5, 64, 300]);
-        let fresh = RsCode::roots_of_unity(&field, e).unwrap().decode(&field, &word, d).unwrap();
-        assert_eq!(cold, fresh);
+    }
+
+    /// The definition as oracle: decoding `word` on `code` must equal —
+    /// `Ok` and `Err` alike, positions mapped back — decoding the
+    /// survivors' symbols on the code over the survivors' points.
+    fn assert_decodes_like_the_survivors_code(
+        field: &PrimeField,
+        code: &RsCode,
+        word: &[Option<u64>],
+        d: usize,
+        what: &str,
+    ) {
+        let survivors: Vec<usize> = (0..word.len()).filter(|&i| word[i].is_some()).collect();
+        let erased: Vec<usize> = (0..word.len()).filter(|&i| word[i].is_none()).collect();
+        let oracle_code =
+            RsCode::with_points(field, survivors.iter().map(|&i| code.points()[i]).collect());
+        let oracle_word: Vec<Option<u64>> = survivors.iter().map(|&i| word[i]).collect();
+        let expected = oracle_code.decode(field, &oracle_word, d).map(|out| Decoded {
+            poly: out.poly,
+            error_positions: out.error_positions.iter().map(|&j| survivors[j]).collect(),
+            erasure_positions: erased,
+        });
+        assert_eq!(code.decode(field, word, d), expected, "{what}");
+    }
+
+    /// Every kind of code against the oracle above: consecutive points
+    /// on one tree leaf, on several, and one past the point count where
+    /// tree interpolation replaces Newton, a full orbit and
+    /// three partial ones; no erasure, one, a node's contiguous slice,
+    /// and as many as leave `d + 1` symbols; errors at the radius, one
+    /// past it, and far past it.
+    #[test]
+    fn decode_equals_decoding_the_survivors_on_their_own_code() {
+        let plain = f();
+        let (q, _) = camelot_ff::ntt_prime(1 << 20, 12);
+        let ntt = PrimeField::new(q).unwrap();
+        let roots = |e: usize| RsCode::roots_of_unity(&ntt, e).expect("NTT-friendly prime");
+        let codes = [
+            ("consecutive", plain, RsCode::consecutive(&plain, 30)),
+            ("consecutive", plain, RsCode::consecutive(&plain, 200)),
+            ("consecutive", ntt, RsCode::consecutive(&ntt, 2049)),
+            ("orbit", ntt, roots(256)),
+            ("orbit", ntt, roots(255)), // 2^k - 1
+            ("orbit", ntt, roots(129)), // 2^(k-1) + 1
+            ("orbit", ntt, roots(160)), // 5/8 of the orbit, the end-to-end benchmark's shape
+        ];
+        let mut rng = SplitMix64::new(16);
+        for (kind, field, code) in &codes {
+            let e = code.len();
+            let d = e / 2;
+            let msg = random_message(field, d, &mut rng);
+            let clean = code.encode(field, &msg);
+            let mut shuffled: Vec<usize> = (0..e).collect();
+            for i in (1..e).rev() {
+                shuffled.swap(i, (rng.next_u64() as usize) % (i + 1));
+            }
+            let erasure_sets = [
+                Vec::new(),
+                vec![shuffled[0]],
+                (e / 3..e / 3 + e / 16).collect(),
+                shuffled[..e - d - 1].to_vec(),
+            ];
+            for erased in &erasure_sets {
+                let survivors: Vec<usize> =
+                    shuffled.iter().copied().filter(|i| !erased.contains(i)).collect();
+                let radius = (survivors.len() - d - 1) / 2;
+                let far = (radius + survivors.len()) / 2 + 1;
+                for errors in [radius, radius + 1, far] {
+                    let mut word: Vec<Option<u64>> = clean.iter().copied().map(Some).collect();
+                    for &pos in erased {
+                        word[pos] = None;
+                    }
+                    for &pos in &survivors[..errors] {
+                        word[pos] = Some(field.add(clean[pos], 1 + rng.next_u64() % 1000));
+                    }
+                    let what = format!(
+                        "{kind} e = {e}: {} erased, {errors} errors (radius {radius})",
+                        erased.len()
+                    );
+                    assert_decodes_like_the_survivors_code(field, code, &word, d, &what);
+                }
+            }
+        }
     }
 
     /// `decode_profiled` returns exactly what `decode` returns, with a

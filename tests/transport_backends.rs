@@ -179,12 +179,12 @@ fn engine_outcomes_are_identical_across_backends() {
     }
 }
 
-/// A crash-fault plan pins the erasure set: every decider punctures the
-/// same positions, so the first decode builds the punctured point tree
-/// cold and the rest hit the keyed cache warm. The decoded proof must be
-/// bit-identical across deciders (the engine's disagreement check runs
-/// on every pair) and across all three transport backends, and the new
-/// decode/xgcd observability counters must attribute nonzero time.
+/// A crash-fault plan pins the erasure set: every decider sees the same
+/// positions erased and decodes them through the same locator, first
+/// decode and repeats alike. The decoded proof must be bit-identical
+/// across deciders (the engine's disagreement check runs on every pair)
+/// and across all three transport backends, and the decode/xgcd
+/// observability counters must attribute nonzero time.
 #[test]
 fn crash_fault_erasure_decoding_is_identical_across_backends() {
     let problem = WirePoly { coeffs: vec![987_654_321, 11, 3, 0, 2] };
@@ -192,7 +192,7 @@ fn crash_fault_erasure_decoding_is_identical_across_backends() {
     let budget = 5;
     let nodes = d + 1 + 2 * budget;
     // Crashes only: the erasure set is fixed and identical in every
-    // decider's view, so warm cache hits recur within each run.
+    // decider's view.
     let crashes: Vec<(usize, FaultKind)> =
         [2, 6, 9].iter().map(|&n| (n, FaultKind::Crash)).collect();
     let plan = FaultPlan::with_faults(nodes, &crashes);

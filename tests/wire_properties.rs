@@ -7,8 +7,8 @@ use camelot::cluster::{
     encode_reply, parse_reply, serve_worker, ChaosEffect, EvalProgram, FaultKind, FrameBody,
     NodeFrames, Task, TransportError,
 };
-use camelot::core::{Certificate, PrimeProof};
-use camelot::ff::{RngLike, SplitMix64};
+use camelot::core::{CamelotError, Certificate, PrimeProof};
+use camelot::ff::{RngLike, SplitMix64, MAX_MODULUS};
 use std::time::Duration;
 
 /// A pseudo-random structural mutation: truncate, splice a byte,
@@ -154,6 +154,22 @@ fn mutated_certificates_parse_to_errors_or_valid_certificates() {
             });
             assert_eq!(reparsed, cert, "trial {trial}");
         }
+    }
+}
+
+/// A `proof` line whose modulus no `PrimeField` can carry is a parse
+/// error: `proof 0` used to parse and then underflow `Engine::redeem`'s
+/// bit count, and `MAX_MODULUS` and up reached an unchecked field.
+#[test]
+fn certificate_moduli_outside_the_field_range_are_refused() {
+    let wire = sample_certificate().to_wire();
+    for modulus in [0, 1, MAX_MODULUS, u64::MAX] {
+        let forged = wire.replace("proof 1048589 3", &format!("proof {modulus}"));
+        assert_ne!(forged, wire);
+        assert!(
+            matches!(Certificate::from_wire(&forged), Err(CamelotError::MalformedProof { .. })),
+            "modulus {modulus}"
+        );
     }
 }
 
