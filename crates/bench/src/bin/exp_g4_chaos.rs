@@ -11,10 +11,16 @@
 //! radius the engine escalates the fault budget and retries.
 //!
 //! The sweep raises the per-node fault rate and reports, per backend:
-//! wall clock, the recovery counters (erasures seen, errors corrected,
-//! retries, degraded escalations, demotions), and whether the produced
-//! certificate is bit-identical to the in-process reference under the
-//! same plan.
+//! wall clock (also in I/O deadlines), the recovery counters (erasures
+//! seen, errors corrected, retries, degraded escalations, demotions),
+//! and whether the produced certificate is bit-identical to the
+//! in-process reference under the same plan.
+//!
+//! It also gates the pool's timing contract — a deadline is spent once:
+//! a `socket-pool` run that timed a node out, took several rounds and
+//! needed no retry must finish within two I/O deadlines, pool start and
+//! shutdown included. The memoryless `socket` row beside it pays one
+//! deadline a round.
 //!
 //! Flags: `--nodes K` (default 16), `--fault-tolerance F` (default
 //! `(K - d - 1) / 2`, one point per node), `--rates P1,P2,...` (percent,
@@ -24,7 +30,7 @@
 
 use camelot_bench::{fmt_duration, Table};
 use camelot_cluster::{
-    Backend, ChaosPlan, EvalProgram, SocketTransport, TransportTuning, WorkerMode,
+    Backend, ChaosPlan, EvalProgram, FailureCause, SocketTransport, TransportTuning, WorkerMode,
 };
 use camelot_core::{
     CamelotError, CamelotOutcome, CamelotProblem, Engine, EngineConfig, Evaluate, PrimeProof,
@@ -177,7 +183,7 @@ fn main() {
         .with_demotion(true);
     let backends = backend_names(&args.backend);
 
-    let mut headers = vec!["rate %", "afflicted", "backend", "time", "status"];
+    let mut headers = vec!["rate %", "afflicted", "backend", "time", "deadlines", "status"];
     headers.extend(["erasures", "errors", "retries", "degraded", "demoted", "identical"]);
     let mut table = Table::new(&headers);
 
@@ -192,6 +198,8 @@ fn main() {
             let start = Instant::now();
             let result = run_backend(name, &args, fault_tolerance, &chaos, &tuning, &problem);
             let elapsed = start.elapsed();
+            let deadlines =
+                format!("{:.2}", elapsed.as_secs_f64() / tuning.io_deadline.as_secs_f64());
             match result {
                 Ok(outcome) => {
                     assert_eq!(
@@ -199,6 +207,22 @@ fn main() {
                         u128::from(problem.coeffs[0]),
                         "{name} at {rate}%: chaos corrupted the recovered answer"
                     );
+                    let report = &outcome.report;
+                    let timed_out =
+                        report.demotions.iter().any(|d| d.cause == FailureCause::Timeout);
+                    if *name == "socket-pool"
+                        && timed_out
+                        && report.rounds >= 2
+                        && report.retries == 0
+                        && report.degraded == 0
+                    {
+                        assert!(
+                            elapsed < tuning.io_deadline * 2,
+                            "{name} at {rate}%: a deadline is spent once, but {} rounds took \
+                             {deadlines} deadlines",
+                            report.rounds
+                        );
+                    }
                     let identical = match &reference {
                         Some(want) => {
                             if outcome.certificate.to_wire() == want.certificate.to_wire() {
@@ -214,6 +238,7 @@ fn main() {
                         afflicted.to_string(),
                         (*name).to_string(),
                         fmt_duration(elapsed),
+                        deadlines,
                         "ok".to_string(),
                         outcome.report.erasures_seen.to_string(),
                         outcome.report.errors_corrected.to_string(),
@@ -229,6 +254,7 @@ fn main() {
                         afflicted.to_string(),
                         (*name).to_string(),
                         fmt_duration(elapsed),
+                        deadlines,
                         format!("failed: {err}"),
                         "-".to_string(),
                         "-".to_string(),

@@ -15,6 +15,43 @@
 //! [`WorkerPool::kill_worker`] chaos hook, whose entire purpose is
 //! simulating a crashed node.
 //!
+//! # A deadline is spent once
+//!
+//! The pool keeps one bit per node, *suspect*: "this lane ran out the
+//! previous round's deadline". It changes only the order and the
+//! patience of the reply drain in [`WorkerPool::run_round`]:
+//!
+//! 1. *When a node becomes a suspect.* Only where the drain demotes its
+//!    lane with [`FailureCause::Timeout`]. `Reset`, `Protocol` and
+//!    `RespawnExhausted` demotions cost the round no wait and set
+//!    nothing. A lane whose reply is collected and validated is trusted
+//!    again. A failed fail-fast round, which scraps every lane, clears
+//!    every bit, and a pool restarted for another cluster size starts
+//!    clean.
+//! 2. *What stays as it is.* Everything up to the flush of the last
+//!    task: down lanes get their one respawn attempt, suspects still
+//!    get their task (a recovered node must be able to rejoin), and the
+//!    round's one deadline starts when the last task is flushed.
+//! 3. *The drain.* Trusted lanes first, in node order, under the
+//!    round's deadline; then the suspects, in node order. Once a
+//!    trusted lane has delivered, a suspect is read with what has
+//!    arrived — no wait, no socket timer. If no trusted lane delivered
+//!    (every lane is a suspect, or every trusted lane failed) the
+//!    suspects are read under the round's deadline like anyone else:
+//!    there is nothing to measure them against, and a round must never
+//!    demote every node in zero time.
+//! 4. *Why it is safe.* A suspect's demotion is an erasure like any
+//!    other. A node that recovered but was still slower than every
+//!    trusted lane costs its share of the symbols for one more round
+//!    and is tried again in the next; it is read after every trusted
+//!    reply has been read and parsed, so it rejoins unless it is the
+//!    slowest by more than that. Too many erasures is a decode failure
+//!    and escalation as ever — never a different answer, and never a
+//!    wait past one deadline.
+//!
+//! So a node that stays silent costs one deadline in the round it goes
+//! silent, and every later round costs what its answering nodes take.
+//!
 //! [`SocketTransport::persistent`]: crate::transport::SocketTransport::persistent
 //! [`Task`]: crate::transport::Task
 
@@ -23,7 +60,7 @@ use crate::retry::{Deadline, TransportTuning};
 use crate::round::{NodeFrames, RoundSpec};
 use crate::transport::socket::{
     accept_with_deadline, arm, io_err, read_message, read_message_or_eof, reap_child,
-    serve_worker_loop, task_for_node, DeadlineStream, LaneReader, ReplyDrain, WorkerMode,
+    serve_worker_loop, task_for_node, DeadlineStream, LaneReader, Patience, ReplyDrain, WorkerMode,
 };
 use crate::transport::{
     control_frame, EvalProgram, TransportError, PING_HEADER, PONG_HEADER, SHUTDOWN_HEADER,
@@ -100,7 +137,7 @@ impl PoolLane {
     /// The second half of a health check: the pong for a ping already
     /// sent, read under `deadline`.
     fn pong(&mut self, deadline: Deadline) -> bool {
-        arm(&mut self.reader, deadline);
+        arm(&mut self.reader, Patience::Until(deadline));
         match read_message(&mut self.reader) {
             Ok(text) => text.lines().next() == Some(PONG_HEADER),
             Err(_) => false,
@@ -132,6 +169,9 @@ pub struct WorkerPool {
     /// One slot per node; `None` marks a lane that is down (killed or
     /// scrapped) and awaiting [`WorkerPool::ensure_ready`].
     lanes: Vec<Option<PoolLane>>,
+    /// One bit per node: its lane ran out the previous round's deadline
+    /// (see the module docs).
+    suspect: Vec<bool>,
     /// Workers of retired lanes that have been told to exit and not yet
     /// been reaped, each with the grace it has left before it is
     /// killed. Swept at every round boundary, so it holds no more than
@@ -162,6 +202,7 @@ impl WorkerPool {
             addr,
             mode,
             lanes: Vec::new(),
+            suspect: vec![false; nodes],
             retired: Vec::new(),
             respawns: 0,
             tuning,
@@ -191,6 +232,15 @@ impl WorkerPool {
     #[must_use]
     pub fn live_workers(&self) -> usize {
         self.lanes.iter().filter(|slot| slot.is_some()).count()
+    }
+
+    /// The nodes whose lanes ran out the previous round's deadline, in
+    /// node order: the next drain reads them last, without a wait of
+    /// their own.
+    #[must_use]
+    pub fn suspects(&self) -> Vec<usize> {
+        let marked = self.suspect.iter().enumerate();
+        marked.filter_map(|(node, &suspect)| suspect.then_some(node)).collect()
     }
 
     /// Spawns one worker and completes its handshake (the worker
@@ -292,11 +342,13 @@ impl WorkerPool {
 
     /// Runs one broadcast round over the persistent lanes: writes every
     /// node's task first (workers compute concurrently), then drains
-    /// and validates the replies in lane order under one deadline that
-    /// starts when the last task has been flushed — a round costs at
-    /// most one I/O deadline however many nodes hang, drop or trickle.
-    /// Chaos effects ride in the tasks; the afflicted workers sabotage
-    /// their own replies.
+    /// and validates the replies — trusted lanes in node order, then
+    /// last round's silent ones — under one deadline that starts when
+    /// the last task has been flushed. A round costs at most one I/O
+    /// deadline however many nodes hang, drop or trickle, and a node
+    /// that stays silent costs it once, not once a round (see the
+    /// module docs). Chaos effects ride in the tasks; the afflicted
+    /// workers sabotage their own replies.
     ///
     /// # Errors
     ///
@@ -365,12 +417,28 @@ impl WorkerPool {
         }
 
         let deadline = Deadline::after(self.tuning.io_deadline);
-        for node in 0..nodes {
+        // A stable partition: trusted lanes in node order, then suspects.
+        let mut order: Vec<usize> = (0..nodes).collect();
+        order.sort_by_key(|&node| self.suspect.get(node) == Some(&true));
+        let mut yardstick = false;
+        for node in order {
             // Every lane still in the round took its task above.
             let Some(lane) = self.lanes.get_mut(node).and_then(Option::as_mut) else { continue };
-            let delivered = match drain.collect(node, &mut lane.reader, deadline) {
-                Ok(delivered) => delivered,
+            let Some(suspect) = self.suspect.get_mut(node) else { continue };
+            // A suspect gets no wait of its own once a trusted lane has
+            // shown how long an answer takes this round.
+            let patience =
+                if *suspect && yardstick { Patience::Arrived } else { Patience::Until(deadline) };
+            let demoted = match drain.collect(node, &mut lane.reader, patience) {
+                Ok(demoted) => demoted,
                 Err(err) => return Err(self.fail_round(err)),
+            };
+            let delivered = demoted.is_none();
+            yardstick |= delivered && !*suspect;
+            *suspect = match demoted {
+                None => false,
+                Some(FailureCause::Timeout) => true,
+                Some(_) => *suspect,
             };
             // A Duplicate-chaos worker sent its reply twice; drain the
             // copy so the lane stays at a frame boundary for the next
@@ -408,12 +476,14 @@ impl WorkerPool {
     }
 
     /// A round failed mid-flight: scrap every lane (graceful retire) so
-    /// no stale buffered reply can desynchronise a later round, and
-    /// pass the failure through.
+    /// no stale buffered reply can desynchronise a later round — and
+    /// with the lanes, what was known about them — and pass the failure
+    /// through.
     fn fail_round(&mut self, err: TransportError) -> TransportError {
         for node in 0..self.lanes.len() {
             self.retire_lane(node);
         }
+        self.suspect.fill(false);
         err
     }
 
@@ -525,23 +595,108 @@ mod tests {
         pool
     }
 
-    /// One demoting round over `pool`: everyone but the impostor
-    /// delivers, the impostor is demoted with `Timeout`, and the round
-    /// costs one deadline, not one per misbehaviour.
-    fn round_demotes_the_impostor(pool: &mut WorkerPool, io_deadline: Duration) {
+    /// One round of a small polynomial over `pool`.
+    fn round(
+        pool: &mut WorkerPool,
+        chaos: Option<&ChaosPlan>,
+        demote: bool,
+    ) -> Result<(Vec<NodeFrames>, Vec<Demotion>), TransportError> {
         let field = PrimeField::new(1_000_003).unwrap();
         let points: Vec<u64> = (0..16).collect();
         let plan = FaultPlan::all_honest(NODES);
         let spec = RoundSpec { field: &field, points: &points, plan: &plan };
+        pool.run_round(&spec, &[EvalProgram::Poly(vec![3, 1, 4])], chaos, demote)
+    }
+
+    /// One demoting round over `pool` under `chaos`: its demotions and
+    /// how long it took. Every node hands in frames, its own or crash
+    /// frames.
+    fn timed_round(pool: &mut WorkerPool, chaos: Option<&ChaosPlan>) -> (Vec<Demotion>, Duration) {
         let started = Instant::now();
-        let (frames, demotions) =
-            pool.run_round(&spec, &[EvalProgram::Poly(vec![3, 1, 4])], None, true).unwrap();
+        let (frames, demotions) = round(pool, chaos, true).unwrap();
         let elapsed = started.elapsed();
-        assert_eq!(demotions, vec![Demotion { node: IMPOSTOR, cause: FailureCause::Timeout }]);
         assert_eq!(frames.len(), NODES);
+        (demotions, elapsed)
+    }
+
+    /// One demoting round over `pool`: everyone but the impostor
+    /// delivers, the impostor is demoted with `Timeout`, and the round
+    /// costs one deadline, not one per misbehaviour.
+    fn round_demotes_the_impostor(pool: &mut WorkerPool, io_deadline: Duration) {
+        let (demotions, elapsed) = timed_round(pool, None);
+        assert_eq!(demotions, vec![Demotion { node: IMPOSTOR, cause: FailureCause::Timeout }]);
         assert!(elapsed >= io_deadline, "the impostor gets its whole deadline ({elapsed:?})");
         assert!(elapsed < io_deadline * 3 / 2, "the round must cost one deadline ({elapsed:?})");
         assert_eq!(pool.live_workers(), NODES - 1);
+    }
+
+    /// A pool after one round in which lane `IMPOSTOR` took its task
+    /// and said nothing until the coordinator hung up on it: demoted
+    /// with `Timeout`, and a suspect.
+    fn pool_with_a_suspect(io_deadline: Duration) -> WorkerPool {
+        let silent = |mut stream: TcpStream| {
+            let _until_eof = std::io::copy(&mut stream, &mut std::io::sink());
+            Ok(())
+        };
+        let mut pool = pool_with_impostor(io_deadline, silent, WorkerHandle::Thread);
+        round_demotes_the_impostor(&mut pool, io_deadline);
+        assert_eq!(pool.suspects(), vec![IMPOSTOR]);
+        pool
+    }
+
+    /// A recovered node rejoins by answering no later than the others:
+    /// the suspect's slot is respawned with an honest worker, which has
+    /// its reply in by the time the slowest trusted lane (30 ms late)
+    /// has been read — delivered without a wait of its own, and trusted
+    /// again.
+    #[test]
+    fn a_recovered_suspect_rejoins_without_a_wait_of_its_own() {
+        let io_deadline = Duration::from_millis(300);
+        let mut pool = pool_with_a_suspect(io_deadline);
+        let slow = ChaosPlan::with_effects(NODES, &[(0, ChaosEffect::Delay { millis: 30 })]);
+        let (demotions, elapsed) = timed_round(&mut pool, Some(&slow.unwrap()));
+        assert_eq!(demotions, vec![]);
+        assert!(pool.suspects().is_empty(), "an answer makes a lane trusted again");
+        assert!(elapsed < io_deadline / 2, "nobody ran out the deadline ({elapsed:?})");
+        assert_eq!(pool.live_workers(), NODES);
+        pool.shutdown().unwrap();
+    }
+
+    /// No yardstick, no shortcut: when every lane is a suspect there is
+    /// no trusted reply to measure them against, so a silent lane still
+    /// gets its whole deadline and the punctual ones are delivered.
+    #[test]
+    fn suspects_with_no_trusted_lane_beside_them_keep_the_whole_deadline() {
+        let io_deadline = Duration::from_millis(300);
+        let mut pool = WorkerPool::start(WorkerMode::Threads, NODES, tuning(io_deadline)).unwrap();
+        let everyone: Vec<(usize, ChaosEffect)> =
+            (0..NODES).map(|node| (node, ChaosEffect::Hang)).collect();
+        let (demotions, elapsed) =
+            timed_round(&mut pool, Some(&ChaosPlan::with_effects(NODES, &everyone).unwrap()));
+        assert_eq!(demotions.len(), NODES);
+        assert!(elapsed < io_deadline * 3 / 2, "all of them share one deadline ({elapsed:?})");
+        assert_eq!(pool.suspects(), (0..NODES).collect::<Vec<_>>());
+
+        let one = ChaosPlan::with_effects(NODES, &[(IMPOSTOR, ChaosEffect::Hang)]).unwrap();
+        let (demotions, elapsed) = timed_round(&mut pool, Some(&one));
+        assert_eq!(demotions, vec![Demotion { node: IMPOSTOR, cause: FailureCause::Timeout }]);
+        assert!(elapsed >= io_deadline, "a round never demotes in zero time ({elapsed:?})");
+        assert!(elapsed < io_deadline * 3 / 2, "the round must cost one deadline ({elapsed:?})");
+        assert_eq!(pool.suspects(), vec![IMPOSTOR]);
+        pool.shutdown().unwrap();
+    }
+
+    /// A failed fail-fast round scraps every lane, and what was known
+    /// about them with it.
+    #[test]
+    fn a_failed_round_forgets_its_suspects() {
+        let mut pool = pool_with_a_suspect(Duration::from_millis(300));
+        // Without demotion the impostor's empty slot fails the round.
+        let failed = round(&mut pool, None, false);
+        assert!(matches!(failed, Err(TransportError::WorkerFailed { node: IMPOSTOR, .. })));
+        assert_eq!(pool.live_workers(), 0);
+        assert!(pool.suspects().is_empty());
+        pool.shutdown().unwrap();
     }
 
     /// A peer that trickles a *valid* reply one byte per half deadline

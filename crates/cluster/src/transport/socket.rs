@@ -172,6 +172,17 @@ impl SocketTransport {
         }
     }
 
+    /// The pool nodes that ran out the previous round's deadline and are
+    /// read last, without a wait of their own, until they answer again
+    /// (empty without a pool).
+    #[must_use]
+    pub fn pool_suspects(&self) -> Vec<usize> {
+        match self.pool_state().as_ref().map(|guard| guard.as_ref().map(WorkerPool::suspects)) {
+            Some(Some(nodes)) => nodes,
+            _ => Vec::new(),
+        }
+    }
+
     /// Chaos hook: forcibly takes down pool worker `node` (hard-kills a
     /// process worker, disconnects a thread worker), simulating a crash.
     /// The next round reports [`TransportError::WorkerFailed`] for that
@@ -203,12 +214,27 @@ pub(crate) fn io_err(what: &str, err: &std::io::Error) -> TransportError {
 #[derive(Debug)]
 pub(crate) struct DeadlineStream {
     stream: TcpStream,
-    deadline: Deadline,
+    patience: Patience,
+}
+
+/// How long a lane's reads may wait for bytes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Patience {
+    /// Until the deadline, and [`LATE_READ_GRACE`] past it.
+    Until(Deadline),
+    /// Not at all: the read takes what has already arrived, and no
+    /// socket timer is armed (a node that ran out the previous round's
+    /// deadline is not given another one).
+    Arrived,
 }
 
 /// How long a socket read may still wait once its deadline has passed:
 /// the `ε` in "a round costs at most one I/O deadline + ε", paid once
-/// per lane that is still silent by then.
+/// per lane that is still silent by then. It is a floor, not the cost:
+/// the kernel rounds a socket timeout up to its timer tick, and an
+/// expired 1 ms read blocks 6–11 ms measured on the build host. That
+/// is why [`Patience::Arrived`] reads without a timer instead of with
+/// this one.
 const LATE_READ_GRACE: Duration = Duration::from_millis(1);
 
 /// The buffered reader every coordinator-side lane reads through.
@@ -217,25 +243,33 @@ pub(crate) type LaneReader = BufReader<DeadlineStream>;
 impl DeadlineStream {
     /// Wraps `stream` with no deadline armed yet.
     pub(crate) fn reader(stream: TcpStream) -> LaneReader {
-        BufReader::new(DeadlineStream { stream, deadline: Deadline::unbounded() })
+        BufReader::new(DeadlineStream { stream, patience: Patience::Until(Deadline::unbounded()) })
     }
 }
 
 impl Read for DeadlineStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let Patience::Until(deadline) = self.patience else {
+            // Non-blocking mode is a flag on the socket, which the
+            // lane's write half shares: it never outlasts this one read.
+            self.stream.set_nonblocking(true)?;
+            let read = self.stream.read(buf);
+            self.stream.set_nonblocking(false)?;
+            return read;
+        };
         // Past the deadline a read still takes what has arrived — time
         // the coordinator spent on one lane must not demote the
         // punctual lanes behind it — and waits just long enough for a
         // writer stalled on a full socket buffer to be scheduled again.
-        let left = self.deadline.remaining().map(|left| left.max(LATE_READ_GRACE));
+        let left = deadline.remaining().map(|left| left.max(LATE_READ_GRACE));
         self.stream.set_read_timeout(left)?;
         self.stream.read(buf)
     }
 }
 
-/// Arms `reader` with the deadline its following reads share.
-pub(crate) fn arm(reader: &mut LaneReader, deadline: Deadline) {
-    reader.get_mut().deadline = deadline;
+/// Arms `reader` with the patience its following reads share.
+pub(crate) fn arm(reader: &mut LaneReader, patience: Patience) {
+    reader.get_mut().patience = patience;
 }
 
 /// Reads one v1 message (through its `end` line) from a buffered
@@ -305,7 +339,7 @@ fn perform_action(stream: &mut TcpStream, action: WorkerAction) -> Result<bool, 
             let watched = stream.try_clone().map_err(|e| io_err("clone stream", &e))?;
             let mut watch = DeadlineStream {
                 stream: watched,
-                deadline: Deadline::after(Duration::from_millis(sleep_ms)),
+                patience: Patience::Until(Deadline::after(Duration::from_millis(sleep_ms))),
             };
             while watch
                 .read(&mut [0u8; 1])
@@ -485,12 +519,12 @@ impl ReplyDrain {
     }
 
     /// Reads, parses and validates `node`'s reply, every socket read
-    /// bounded by what is left of the round's one `deadline`. Since all
-    /// workers compute concurrently, draining lane after lane under one
-    /// shared deadline costs a round at most one deadline however many
-    /// nodes are silent. `Ok(true)`: delivered. `Ok(false)`: the node
-    /// was demoted with its structured cause (the caller retires its
-    /// lane).
+    /// bounded by `patience` — normally what is left of the round's one
+    /// deadline. Since all workers compute concurrently, draining lane
+    /// after lane under one shared deadline costs a round at most one
+    /// deadline however many nodes are silent. `Ok(None)`: delivered.
+    /// `Ok(Some(cause))`: the node was demoted with that structured
+    /// cause (the caller retires its lane).
     ///
     /// # Errors
     ///
@@ -500,9 +534,9 @@ impl ReplyDrain {
         &mut self,
         node: usize,
         reader: &mut LaneReader,
-        deadline: Deadline,
-    ) -> Result<bool, TransportError> {
-        arm(reader, deadline);
+        patience: Patience,
+    ) -> Result<Option<FailureCause>, TransportError> {
+        arm(reader, patience);
         let read = match read_message_or_eof(reader) {
             Ok(Some(text)) => parse_reply(&text).and_then(|reply| {
                 validate_reply(&reply, node, self.nodes, self.e, self.width).map(|()| reply)
@@ -517,11 +551,12 @@ impl ReplyDrain {
         match read {
             Ok(reply) => {
                 self.frames.push(reply);
-                Ok(true)
+                Ok(None)
             }
             Err(err) if self.demote => {
-                self.demote_node(node, FailureCause::from_transport(&err));
-                Ok(false)
+                let cause = FailureCause::from_transport(&err);
+                self.demote_node(node, cause);
+                Ok(Some(cause))
             }
             Err(err) => {
                 Err(TransportError::WorkerFailed { node, reason: format!("reading reply: {err}") })
@@ -769,12 +804,12 @@ impl SocketTransport {
                 .map_err(|e| io_err("writing task", &e))?;
             readers.push(DeadlineStream::reader(stream));
         }
-        let deadline = Deadline::after(io_deadline);
+        let patience = Patience::Until(Deadline::after(io_deadline));
         let mut drain = ReplyDrain::new(nodes, e, programs.len(), self.demote());
         for (node, mut reader) in readers.into_iter().enumerate() {
             // Dropping the reader closes the connection, which is what
             // releases a worker still holding it (a simulated hang).
-            drain.collect(node, &mut reader, deadline)?;
+            drain.collect(node, &mut reader, patience)?;
         }
         Ok(drain.finish())
     }

@@ -142,13 +142,14 @@ fn hung_worker_is_demoted_within_the_deadline_and_the_round_still_decodes() {
     let outcome = service.prepare(&p).unwrap();
     let elapsed = started.elapsed();
     assert_eq!(outcome.output, poly_sum(&p.coefficients, p.sum_count));
-    // One deadline per round — the hang's — plus one of slack for the
-    // admission window, pool start and decoding; not the three per
-    // round that joining the hung worker on the critical path cost.
-    let budget = Duration::from_millis(300) * (outcome.report.rounds as u32 + 1);
+    // One deadline for the round in which the hang is found out — from
+    // then on node 1 is read last, with what has arrived — plus one of
+    // slack for the admission window, pool start and decoding; not one
+    // deadline for each of the rounds.
+    assert!(outcome.report.rounds >= 2, "one round would not tell once from once a round");
     assert!(
-        elapsed < budget,
-        "a hung worker must cost each of the {} rounds one deadline (took {elapsed:?})",
+        elapsed < Duration::from_millis(300) * 2,
+        "a hung worker must cost the {} rounds one deadline between them (took {elapsed:?})",
         outcome.report.rounds
     );
     assert!(

@@ -348,9 +348,10 @@ fn chaos_rounds_are_bit_identical_across_all_four_backends() {
 /// persistent pool: the silent nodes share the round's one deadline
 /// instead of queueing for one each, nobody waits for a hung worker to
 /// come back, and what the coordinator sees is still exactly what the
-/// in-process simulation of the same plan reports. Over several rounds
-/// every demoted lane is respawned once, and shutdown leaves nothing
-/// behind.
+/// in-process simulation of the same plan reports. The deadline is
+/// spent once: the hung nodes are suspects from then on, and the later
+/// rounds cost what the answering nodes take. Over several rounds every
+/// demoted lane is respawned once, and shutdown leaves nothing behind.
 #[test]
 fn silent_nodes_share_one_deadline_on_the_socket_pool() {
     let nodes = 10;
@@ -400,6 +401,17 @@ fn silent_nodes_share_one_deadline_on_the_socket_pool() {
             elapsed < tuning.io_deadline * 3 / 2,
             "round {round}: three hangs must cost one deadline, took {elapsed:?}"
         );
+        if round == 0 {
+            assert!(elapsed >= tuning.io_deadline, "a first hang gets its whole deadline");
+        } else {
+            assert!(
+                elapsed < tuning.io_deadline / 2,
+                "round {round}: known-silent nodes get no second deadline, took {elapsed:?}"
+            );
+        }
+        // The dropped frame (node 6) closes at once: a reset costs the
+        // round no wait and makes no suspect.
+        assert_eq!(pool.pool_suspects(), vec![1, 4, 8], "round {round}");
         assert_eq!(outcome.demotions, reference.demotions, "round {round}");
         assert_eq!(outcome.traffic, reference.traffic, "round {round}");
         assert!(outcome.broadcasts[0].same_word(&reference.broadcasts[0]), "round {round}");
