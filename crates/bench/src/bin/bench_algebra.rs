@@ -10,6 +10,14 @@
 //!   subproduct-tree dispatch), interpolation (Newton baseline vs tree),
 //!   full Gao decode with a per-phase breakdown, and the same word
 //!   decoded with five symbols erased;
+//! * the same consecutive-point code over the first prime `>= 2^20` —
+//!   the modulus the engine's default `Smallest` schedule actually picks,
+//!   with no two-adic structure, so Karatsuba products and quadratic
+//!   interpolation up to 4096 points: code construction, interpolation on
+//!   the progression (`interpolate`, and the cached tree's own dispatch)
+//!   and on the same points with two swapped (the general
+//!   divided-difference triangle), and the decode of a clean word and of
+//!   the faulted one, each with its phase breakdown;
 //! * roots-of-unity code filling its orbit (the engine's NTT-friendly
 //!   schedule when `e` is a power of two): encode (Horner baseline vs
 //!   single forward NTT), full Gao decode with the same breakdown, and
@@ -30,9 +38,9 @@
 //! Every per-length row records the thread budget the NTT/decode paths
 //! ran under (`CAMELOT_THREADS`, defaulting to the machine parallelism).
 //!
-//! Quadratic baselines (Horner, Newton, classical xgcd) are skipped
-//! above `2^14` — their columns read `-` / `null` there — so the large
-//! decode-centric rows stay affordable.
+//! Quadratic baselines (Horner, Newton, classical xgcd) and the whole
+//! smallest-prime block are skipped above `2^14` — their columns read
+//! `-` / `null` there — so the large decode-centric rows stay affordable.
 //!
 //! Writes `BENCH_algebra.json` (override with `--out`), the committed
 //! trajectory for the algebra hot path. Regenerate with:
@@ -49,12 +57,12 @@
 //! `--min-log 4 --max-log 7 --samples 1 --hgcd-crossover 0`.
 
 use camelot_bench::{fault_every_16th, fmt_duration, random_message, Table};
-use camelot_ff::{ntt_prime, thread_budget, PrimeField, RngLike, SplitMix64};
+use camelot_ff::{next_prime, ntt_prime, thread_budget, PrimeField, RngLike, SplitMix64};
 use camelot_linalg::{MatMulTensor, YatesPlan};
 use camelot_partition::Shape;
 use camelot_poly::{
     eval_many, interpolate, interpolate_fast, lagrange_basis_at, set_hgcd_crossover,
-    vanishing_poly, ConsecutiveBasis,
+    vanishing_poly, ConsecutiveBasis, PointTree,
 };
 use camelot_rscode::{DecodeProfile, RsCode};
 use std::time::{Duration, Instant};
@@ -437,6 +445,47 @@ fn evaluator_bench(field: &PrimeField, samples: usize, rng: &mut SplitMix64) -> 
     )
 }
 
+/// The consecutive-point code of length `e` over the first prime
+/// `>= 2^20` — what `EngineConfig::sequential`'s `Smallest` schedule
+/// builds, on a modulus with no two-adic structure: returns the
+/// `"consecutive_smallest"` JSON object. The three interpolation routes
+/// are checked against each other before they are timed.
+fn consecutive_smallest_bench(e: usize, samples: usize, rng: &mut SplitMix64) -> String {
+    let d = e / 2;
+    let q = next_prime(1 << 20);
+    let field = PrimeField::new(q).unwrap();
+    let t_build = best_of(samples, || RsCode::consecutive(&field, e));
+    let code = RsCode::consecutive(&field, e);
+    let clean = code.encode(&field, &random_message(&field, d, rng));
+
+    let mut pts: Vec<(u64, u64)> =
+        code.points().iter().copied().zip(clean.iter().copied()).collect();
+    let tree = PointTree::new(&field, code.points());
+    let newton = interpolate(&field, &pts);
+    assert_eq!(interpolate_fast(&field, &pts), newton, "interpolate_fast diverged");
+    assert_eq!(tree.interpolate(&clean), newton, "PointTree::interpolate diverged");
+    let t_progression = best_of(samples, || interpolate(&field, &pts));
+    let t_dispatch = best_of(samples, || tree.interpolate(&clean));
+    // Two points swapped: no longer a progression, same interpolant.
+    pts.swap(0, e - 1);
+    assert_eq!(interpolate(&field, &pts), newton, "general triangle diverged");
+    let t_general = best_of(samples, || interpolate(&field, &pts));
+
+    let clean_word: Vec<Option<u64>> = clean.iter().copied().map(Some).collect();
+    let prof_clean = decode_profile(samples, &field, &code, &clean_word, d);
+    let prof_faulted = decode_profile(samples, &field, &code, &fault_every_16th(&field, &clean), d);
+    format!(
+        "{{\"prime\": {q}, \"build_us\": {:.2}, \"interpolate_us\": {:.2}, \
+         \"interpolate_general_us\": {:.2}, \"interpolate_dispatch_us\": {:.2},\n      {},\n      {}}}",
+        us(t_build),
+        us(t_progression),
+        us(t_general),
+        us(t_dispatch),
+        j_profile("decode", prof_clean),
+        j_profile("faulted_decode", prof_faulted),
+    )
+}
+
 fn main() {
     let args = parse_args();
     if let Some(crossover) = args.hgcd_crossover {
@@ -484,6 +533,13 @@ fn main() {
         let word = fault_every_16th(&field, &clean);
         let prof = decode_profile(args.samples, &field, &code, &word, d);
         let prof_e = decode_profile(args.samples, &field, &code, &erase_five(&word), d);
+
+        // The same code on the modulus the default schedule picks.
+        let smallest = if naive_too {
+            consecutive_smallest_bench(e, args.samples, &mut rng)
+        } else {
+            "null".to_string()
+        };
 
         // Roots-of-unity points: transform-backed paths (the engine's
         // NTT-friendly schedule).
@@ -564,6 +620,7 @@ fn main() {
                 "\"encode_speedup\": {}, ",
                 "\"interpolate_newton_us\": {}, \"interpolate_tree_us\": {:.2}, ",
                 "\"interpolate_speedup\": {}, {}, \"erasure_decode_us\": {:.2}}},\n",
+                "     \"consecutive_smallest\": {},\n",
                 "     \"roots_of_unity\": {{",
                 "\"encode_horner_us\": {}, \"encode_ntt_us\": {:.2}, ",
                 "\"encode_speedup\": {}, {}, \"erasure_decode_us\": {:.2}}},\n",
@@ -585,6 +642,7 @@ fn main() {
             j_speedup(t_int_naive, t_int_tree),
             j_profile("decode", prof),
             us(prof_e.total()),
+            smallest,
             j_us(t_enc_r_naive),
             us(t_enc_ntt),
             j_speedup(t_enc_r_naive, t_enc_ntt),
@@ -606,7 +664,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"camelot-bench-algebra/v6\",\n",
+            "  \"schema\": \"camelot-bench-algebra/v7\",\n",
             "  \"description\": \"Field slice-kernel throughput (Melem/s, chunked vs per-element ",
             "scalar loops), the per-point building blocks of the catalogue evaluators (ns per ",
             "call, each beside what it replaced), plus the Reed-Solomon codeword pipeline: ",
@@ -614,11 +672,18 @@ fn main() {
             "baselines vs subproduct-tree, NTT, and half-GCD fast paths (message degree = len/2; ",
             "every *decode_us is the sum of the decode's three phases, listed or not; ",
             "erasure_decode_us decodes the block's word with five more symbols withheld; ",
+            "consecutive_smallest is the consecutive-point code over the first prime >= 2^20, ",
+            "the Smallest schedule's modulus (no NTT: Karatsuba products, quadratic ",
+            "interpolation below 4096 points): interpolate_us on the progression, ",
+            "interpolate_general_us on the same points with two swapped, ",
+            "interpolate_dispatch_us through the code's cached tree, decode of a clean word ",
+            "and faulted_decode of the every-16th-symbol word, null above 2^14; ",
             "partial_orbit is a roots-of-unity code on 5/8 of the 2^log2_len orbit at half the ",
             "orbit's degree, the shape of bench_e2e's poly_faulted_fulldecode, its erasures one ",
             "contiguous sixteenth of the code; quadratic baselines are null above ",
             "2^14; threads is the CAMELOT_THREADS budget the NTT/decode paths ran under)\",\n",
-            "  \"prime_schedule\": \"smallest q >= 2^20 with q = 1 mod 2^(log2_len+1)\",\n",
+            "  \"prime_schedule\": \"smallest q >= 2^20 with q = 1 mod 2^(log2_len+1); ",
+            "consecutive_smallest: smallest prime q >= 2^20\",\n",
             "  \"samples\": {},\n",
             "  \"threads\": {},\n",
             "  \"timer\": \"best-of-samples wall clock, release build\",\n",

@@ -7,18 +7,126 @@
 //! `O(R)` evaluation of all Lagrange basis polynomials
 //! `Λ_r(x_0)` over the consecutive points `1..=R` used by the clique and
 //! triangle evaluation algorithms (§5.3 and §3.3 of the paper).
+//!
+//! [`interpolate`] is one routine in two stages, each in place in the
+//! buffer the values arrive in:
+//!
+//! 1. *The Newton triangle* turns values into divided-difference
+//!    coefficients. When the abscissae are in arithmetic progression mod
+//!    `q` — the paper's schedule (1), `0, 1, …, e−1`, and every
+//!    [`interpolate_consecutive`] caller — every node difference of level
+//!    `k` is the same number `k·step`, so the triangle is the plain
+//!    forward-difference table (`n²/2` subtractions, no multiplication)
+//!    and `c_k = Δ^k y_0 / (k!·step^k)` takes one batch inversion of `n`
+//!    running products at the end. Any other point set pays a batch
+//!    inversion of the level's node differences and one multiplication
+//!    per cell.
+//! 2. *The expansion* `p ← p·(x − x_i) + c_i` from the last node down
+//!    overwrites the consumed coefficients `c_i …` with `p` itself
+//!    (`n²/2` multiply-adds by a per-node constant).
+//!
+//! The forward-difference table and the expansion allocate nothing (the
+//! general triangle still collects and batch-inverts one vector of node
+//! differences per level), and the result is the unique interpolant
+//! either way.
 
 use crate::dense::Poly;
 use camelot_ff::PrimeField;
+use std::cell::Cell;
+
+/// The panic message of both distinctness checks.
+const DISTINCT: &str = "interpolation points must be distinct (mod q)";
 
 /// Interpolates the unique polynomial of degree `< points.len()` through
-/// the given `(x, y)` pairs, via Newton's divided differences (`O(n²)`).
+/// the given `(x, y)` pairs: Newton's divided differences expanded to
+/// monomial coefficients, `O(n²)` — on abscissae in arithmetic
+/// progression mod `q` (any start, any nonzero step, wrap-around
+/// included) `n²/2` subtractions and `n²/2` multiply-adds with a single
+/// batch inversion; on any other point set `n²/2` further multiplications
+/// and a batch inversion per level (see the module docs).
 ///
 /// # Panics
 ///
 /// Panics if two points share an abscissa.
 #[must_use]
 pub fn interpolate(field: &PrimeField, points: &[(u64, u64)]) -> Poly {
+    let xs: Vec<u64> = points.iter().map(|&(x, _)| field.reduce(x)).collect();
+    let ys = points.iter().map(|&(_, y)| field.reduce(y)).collect();
+    interpolate_reduced(field, &xs, ys)
+}
+
+/// [`interpolate`] on already-reduced abscissae `xs` and values `coef`
+/// (one per abscissa), which become first the Newton coefficients and
+/// then the result.
+pub(crate) fn interpolate_reduced(field: &PrimeField, xs: &[u64], mut coef: Vec<u64>) -> Poly {
+    let n = xs.len();
+    assert_eq!(coef.len(), n, "one value per point");
+    // The x_i are x_0 + i·step exactly when consecutive differences agree;
+    // they are then distinct iff step != 0 and n <= q.
+    let step = match xs {
+        [x0, x1, ..] => field.sub(*x1, *x0),
+        _ => 1,
+    };
+    if xs.windows(2).all(|w| field.sub(w[1], w[0]) == step) {
+        assert!(step != 0 && u64::try_from(n).is_ok_and(|n| n <= field.modulus()), "{DISTINCT}");
+        // 1 / (k!·step^k) for every k, from one inversion.
+        let mut inv_den = Vec::with_capacity(n);
+        let (mut den, mut k_step) = (1u64, 0u64);
+        for _ in 0..n {
+            inv_den.push(den);
+            k_step = field.add(k_step, step);
+            den = field.mul(den, k_step);
+        }
+        field.inv_batch_blocked(&mut inv_den);
+        // lint:hot-begin(newton-table) — the forward-difference triangle:
+        // level k leaves Δ^k y_{i-k} in coef[i].
+        for level in 1..n {
+            for i in (level..n).rev() {
+                coef[i] = field.sub(coef[i], coef[i - 1]);
+            }
+        }
+        for (c, &inv) in coef.iter_mut().zip(&inv_den) {
+            *c = field.mul(*c, inv);
+        }
+        // lint:hot-end
+    } else {
+        // Divided differences proper. The node differences of each level
+        // are inverted together with Montgomery's trick — one extended
+        // Euclid per level instead of one per cell.
+        for level in 1..n {
+            let mut inv_dx: Vec<u64> =
+                (level..n).map(|i| field.sub(xs[i], xs[i - level])).collect();
+            assert!(inv_dx.iter().all(|&dx| dx != 0), "{DISTINCT}");
+            field.inv_batch_blocked(&mut inv_dx);
+            for i in (level..n).rev() {
+                coef[i] = field.mul(field.sub(coef[i], coef[i - 1]), inv_dx[i - level]);
+            }
+        }
+    }
+    // Expand Newton form to monomial coefficients by Horner on the nodes,
+    // p(x) = c_0 + (x - x_0)(c_1 + (x - x_1)(...)): before step i,
+    // coef[i+1..] holds p and coef[..=i] the coefficients still to come;
+    // p ← p·(x - x_i) + c_i is coef[j] ← coef[j] - x_i·coef[j+1] upwards
+    // from j = i, the top coefficient carried; -x_i is constant along a
+    // sweep, so the product is a Shoup multiplication.
+    // lint:hot-begin(newton-table)
+    for i in (0..n.saturating_sub(1)).rev() {
+        let neg_x = field.neg(xs[i]);
+        let neg_x_shoup = field.shoup_precompute(neg_x);
+        let p = Cell::from_mut(&mut coef[i..]).as_slice_of_cells();
+        for w in p.windows(2) {
+            w[0].set(field.add(w[0].get(), field.mul_shoup(w[1].get(), neg_x, neg_x_shoup)));
+        }
+    }
+    // lint:hot-end
+    Poly::from_reduced(coef)
+}
+
+/// The routine [`interpolate`] replaced — a fresh batch inversion per
+/// triangle level whatever the points, four temporary polynomials per
+/// expansion step — kept verbatim as the oracle the tests compare with.
+#[cfg(test)]
+fn interpolate_reference(field: &PrimeField, points: &[(u64, u64)]) -> Poly {
     if points.is_empty() {
         return Poly::zero();
     }
@@ -169,12 +277,19 @@ pub fn lagrange_basis_at(field: &PrimeField, r_count: usize, x0: u64) -> Vec<u64
 }
 
 /// Interpolates a polynomial from its values at the consecutive points
-/// `0, 1, ..., n-1` (thin wrapper over [`interpolate`], kept as named API
-/// because the Camelot recovery step uses it pervasively).
+/// `0, 1, ..., n-1` — the recovery step of every Camelot problem. The
+/// points are an arithmetic progression, so this is [`interpolate`] on
+/// its forward-difference table: no inversion and no multiplication
+/// inside the triangle, one batch inversion of `n` factorials after it.
+///
+/// # Panics
+///
+/// Panics if `n > q` (the points wrap around and repeat).
 #[must_use]
 pub fn interpolate_consecutive(field: &PrimeField, values: &[u64]) -> Poly {
-    let pts: Vec<(u64, u64)> = values.iter().enumerate().map(|(i, &y)| (i as u64, y)).collect();
-    interpolate(field, &pts)
+    let xs: Vec<u64> = (0..values.len() as u64).map(|x| field.reduce(x)).collect();
+    let ys = values.iter().map(|&y| field.reduce(y)).collect();
+    interpolate_reduced(field, &xs, ys)
 }
 
 #[cfg(test)]
@@ -220,6 +335,131 @@ mod tests {
     fn repeated_nodes_rejected() {
         let field = f();
         let _ = interpolate(&field, &[(1, 2), (1, 3)]);
+    }
+
+    /// `interpolate` against the routine it replaced, bit for bit.
+    fn assert_matches_reference(field: &PrimeField, xs: &[u64], rng: &mut SplitMix64, what: &str) {
+        let pts: Vec<(u64, u64)> = xs.iter().map(|&x| (x, rng.next_u64())).collect();
+        assert_eq!(interpolate(field, &pts), interpolate_reference(field, &pts), "{what}");
+    }
+
+    fn progression(field: &PrimeField, start: u64, step: u64, n: usize) -> Vec<u64> {
+        let (mut x, step) = (field.reduce(start), field.reduce(step));
+        (0..n)
+            .map(|_| {
+                let here = x;
+                x = field.add(x, step);
+                here
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matches_the_reference_on_random_point_sets() {
+        let field = f();
+        let mut rng = SplitMix64::new(21);
+        assert_eq!(interpolate(&field, &[]), interpolate_reference(&field, &[]));
+        for n in 1..=70usize {
+            let mut xs = std::collections::BTreeSet::new();
+            while xs.len() < n {
+                xs.insert(rng.next_u64() >> 1);
+            }
+            // Rotated so the abscissae are not even monotone; values
+            // above q exercise the reduction.
+            let mut xs: Vec<u64> = xs.into_iter().collect();
+            xs.rotate_left(n / 3);
+            assert_matches_reference(&field, &xs, &mut rng, &format!("{n} random points"));
+        }
+    }
+
+    #[test]
+    fn matches_the_reference_on_progressions() {
+        let mut rng = SplitMix64::new(22);
+        for q in [97u64, 1_048_583, 1_000_000_007] {
+            let field = PrimeField::new(q).unwrap();
+            for n in [1usize, 2, 3, 4, 17, 64, 70] {
+                for _ in 0..4 {
+                    let (start, step) = (rng.next_u64(), 1 + rng.next_u64() % (q - 1));
+                    let xs = progression(&field, start, step, n);
+                    assert_matches_reference(&field, &xs, &mut rng, &format!("q {q} n {n}"));
+                }
+                // Wrap-around through zero, and descending.
+                assert_matches_reference(
+                    &field,
+                    &progression(&field, q - 2, 1, n),
+                    &mut rng,
+                    &format!("q {q}: q-2, q-1, 0, 1, … ({n})"),
+                );
+                assert_matches_reference(
+                    &field,
+                    &progression(&field, 5, q - 1, n),
+                    &mut rng,
+                    &format!("q {q}: step q-1 ({n})"),
+                );
+            }
+        }
+        // The whole field: n = q is the longest progression there is.
+        let field = PrimeField::new(97).unwrap();
+        for (start, step) in [(0, 1), (40, 1), (3, 5), (96, 96)] {
+            let xs = progression(&field, start, step, 97);
+            assert_matches_reference(&field, &xs, &mut rng, &format!("all of Z_97 from {start}"));
+        }
+    }
+
+    #[test]
+    fn a_progression_with_two_points_swapped_takes_the_general_triangle_and_agrees() {
+        let mut rng = SplitMix64::new(23);
+        for q in [97u64, 1_048_583] {
+            let field = PrimeField::new(q).unwrap();
+            for n in [3usize, 4, 9, 64] {
+                let mut pts: Vec<(u64, u64)> = progression(&field, q - 2, 3, n)
+                    .into_iter()
+                    .map(|x| (x, rng.next_u64() % q))
+                    .collect();
+                let straight = interpolate(&field, &pts);
+                pts.swap(0, n - 1);
+                assert_eq!(interpolate(&field, &pts), straight, "q {q} n {n}: ends swapped");
+                assert_eq!(interpolate(&field, &pts), interpolate_reference(&field, &pts));
+                pts.swap(1, n / 2 + 1);
+                assert_eq!(interpolate(&field, &pts), straight, "q {q} n {n}: inner swap");
+            }
+        }
+    }
+
+    #[test]
+    fn matches_the_reference_on_the_engine_shapes() {
+        // Code lengths and primes of the `Smallest` schedule on the
+        // catalogue workload.
+        let mut rng = SplitMix64::new(24);
+        for (q, e) in [(1_048_583u64, 149usize), (1_048_589, 1031), (1_048_601, 1139)] {
+            let field = PrimeField::new(q).unwrap();
+            let values: Vec<u64> = (0..e).map(|_| rng.next_u64()).collect();
+            let pts: Vec<(u64, u64)> = (0..e as u64).zip(values.iter().copied()).collect();
+            let expect = interpolate_reference(&field, &pts);
+            assert_eq!(interpolate(&field, &pts), expect, "q {q} e {e}");
+            assert_eq!(interpolate_consecutive(&field, &values), expect, "q {q} e {e}: wrapper");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct")]
+    fn repeated_node_outside_a_progression_rejected() {
+        let field = f();
+        let _ = interpolate(&field, &[(1, 2), (5, 3), (2, 9), (5, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct")]
+    fn zero_step_progression_rejected() {
+        let field = f();
+        let _ = interpolate(&field, &[(7, 2), (7, 3), (7, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct")]
+    fn progression_longer_than_the_field_rejected() {
+        let field = PrimeField::new(97).unwrap();
+        let _ = interpolate_consecutive(&field, &[1; 98]);
     }
 
     #[test]

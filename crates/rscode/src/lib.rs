@@ -158,7 +158,9 @@ pub struct DecodeProfile {
     /// past the crossover.
     pub xgcd: Duration,
     /// Root finding: the product `v·Λ`, dividing out the message, and
-    /// re-encoding it to identify the error positions.
+    /// re-encoding it to identify the error positions (skipped when the
+    /// Euclid made no step: the message is then the survivors' own
+    /// interpolant and no position can disagree with it).
     pub reencode: Duration,
 }
 
@@ -486,6 +488,7 @@ impl RsCode {
             return Err(DecodeError::BeyondRadius);
         }
         let reencode_start = Instant::now();
+        let nothing_located = v.degree() == Some(0);
         let (p, r) = div_rem_fast(field, &g, &self.times_locator(field, v, locator.as_ref()));
         if !r.is_zero() || p.degree().is_some_and(|d| d > degree_bound) {
             return Err(DecodeError::BeyondRadius);
@@ -493,9 +496,22 @@ impl RsCode {
         // Identify error locations by re-encoding the decoded message
         // (one NTT for a roots-of-unity code, multipoint evaluation
         // otherwise) and comparing with the reduced received symbols.
-        let reencoded = self.encode(field, &p);
-        let error_positions =
-            (0..e).filter(|&i| received[i].is_some() && reencoded[i] != word[i]).collect();
+        let locate = || -> Vec<usize> {
+            let reencoded = self.encode(field, &p);
+            (0..e).filter(|&i| received[i].is_some() && reencoded[i] != word[i]).collect()
+        };
+        // Unless the Euclid made no step, which leaves nothing to find.
+        // Its first quotient G0 div h has degree >= 1 (deg G0 > deg h) and
+        // cofactor degrees only grow, so a constant v is the initial
+        // cofactor 1 beside g' = h. Then p = g'/(v·Λ) = h/Λ = G1, the
+        // survivors' own interpolant: it takes every received symbol by
+        // construction, and the checks above have bounded its degree.
+        let error_positions = if nothing_located {
+            debug_assert!(locate().is_empty(), "a constant cofactor located an error");
+            Vec::new()
+        } else {
+            locate()
+        };
         profile.reencode = reencode_start.elapsed();
         Ok((Decoded { poly: p, error_positions, erasure_positions }, profile))
     }
@@ -943,6 +959,132 @@ mod tests {
                     assert_decodes_like_the_survivors_code(field, code, &word, d, &what);
                 }
             }
+        }
+    }
+
+    /// The codes the shortcut tests run on — consecutive points, a full
+    /// orbit and a partial one — each with its field.
+    fn shortcut_codes() -> Vec<(&'static str, PrimeField, RsCode)> {
+        let plain = f();
+        let (q, _) = camelot_ff::ntt_prime(1 << 20, 12);
+        let ntt = PrimeField::new(q).unwrap();
+        vec![
+            ("consecutive", plain, RsCode::consecutive(&plain, 200)),
+            ("orbit", ntt, RsCode::roots_of_unity(&ntt, 256).unwrap()),
+            ("partial orbit", ntt, RsCode::roots_of_unity(&ntt, 160).unwrap()),
+        ]
+    }
+
+    /// No erasure, scattered ones, and one node's contiguous slice.
+    fn shortcut_erasures(e: usize) -> [Vec<usize>; 3] {
+        [Vec::new(), (3..e).step_by(17).collect(), (e / 3..e / 3 + e / 16).collect()]
+    }
+
+    /// The error positions a re-encode of `out.poly` reports, whatever
+    /// the decoder itself skipped.
+    fn reencoded_errors(
+        field: &PrimeField,
+        code: &RsCode,
+        word: &[Option<u64>],
+        out: &Decoded,
+    ) -> Vec<usize> {
+        let codeword = code.encode(field, &out.poly);
+        (0..word.len())
+            .filter(|&i| word[i].is_some_and(|y| field.reduce(y) != codeword[i]))
+            .collect()
+    }
+
+    /// A clean word never reaches the re-encode (the Euclid makes no
+    /// step), and its result is what a re-encode would have said.
+    #[test]
+    fn clean_words_locate_nothing_and_agree_with_a_reencode() {
+        let mut rng = SplitMix64::new(17);
+        for (kind, field, code) in &shortcut_codes() {
+            let e = code.len();
+            let d = e / 2;
+            let msg = random_message(field, d, &mut rng);
+            let clean = code.encode(field, &msg);
+            for erased in shortcut_erasures(e) {
+                let mut word: Vec<Option<u64>> = clean.iter().copied().map(Some).collect();
+                for &pos in &erased {
+                    word[pos] = None;
+                }
+                let what = format!("{kind} e = {e}: clean, {} erased", erased.len());
+                let out = code.decode(field, &word, d).unwrap();
+                assert_eq!(out.poly, msg, "{what}");
+                assert!(out.error_positions.is_empty(), "{what}");
+                assert!(reencoded_errors(field, code, &word, &out).is_empty(), "{what}");
+                assert_eq!(out.erasure_positions, erased, "{what}");
+                assert_decodes_like_the_survivors_code(field, code, &word, d, &what);
+            }
+        }
+    }
+
+    /// One wrong symbol makes the Euclid step (`deg v = 1`), so the
+    /// shortcut must not apply: the position is reported, alone.
+    #[test]
+    fn one_wrong_symbol_is_still_reported_at_its_position() {
+        let mut rng = SplitMix64::new(18);
+        for (kind, field, code) in &shortcut_codes() {
+            let e = code.len();
+            let d = e / 2;
+            let msg = random_message(field, d, &mut rng);
+            let clean = code.encode(field, &msg);
+            for erased in shortcut_erasures(e) {
+                let mut positions = vec![0, 1, e / 2, e - 1];
+                positions.extend((0..6).map(|_| (rng.next_u64() as usize) % e));
+                for pos in positions {
+                    if erased.contains(&pos) {
+                        continue;
+                    }
+                    let mut word: Vec<Option<u64>> = clean.iter().copied().map(Some).collect();
+                    for &gone in &erased {
+                        word[gone] = None;
+                    }
+                    word[pos] = Some(field.add(clean[pos], 1 + rng.next_u64() % 1000));
+                    let what = format!("{kind} e = {e}: {} erased, wrong at {pos}", erased.len());
+                    let out = code.decode(field, &word, d).unwrap();
+                    assert_eq!(out.poly, msg, "{what}");
+                    assert_eq!(out.error_positions, vec![pos], "{what}");
+                    assert_eq!(reencoded_errors(field, code, &word, &out), vec![pos], "{what}");
+                }
+            }
+        }
+    }
+
+    /// The shortcut's edge words keep their results: all zeros; exactly
+    /// `d + 1` survivors, clean and with a wrong symbol nothing is left
+    /// to contradict; and a clean codeword of a message one degree past
+    /// the bound, which the kept degree check must still refuse.
+    #[test]
+    fn shortcut_edge_words_keep_their_results() {
+        let mut rng = SplitMix64::new(19);
+        for (kind, field, code) in &shortcut_codes() {
+            let e = code.len();
+            let d = e / 2;
+            let zeros = code.decode(field, &vec![Some(0); e], d).unwrap();
+            assert!(zeros.poly.is_zero() && zeros.error_positions.is_empty(), "{kind}: zeros");
+
+            let msg = random_message(field, d, &mut rng);
+            let clean = code.encode(field, &msg);
+            let mut word: Vec<Option<u64>> = clean.iter().copied().map(Some).collect();
+            let erased: Vec<usize> = (0..e).filter(|i| i % 2 == 1).take(e - d - 1).collect();
+            for &pos in &erased {
+                word[pos] = None;
+            }
+            let out = code.decode(field, &word, d).unwrap();
+            assert_eq!((out.poly, out.error_positions), (msg, vec![]), "{kind}: d + 1 survivors");
+            // Radius 0: a wrong symbol moves the interpolant, unnoticed.
+            word[0] = Some(field.add(clean[0], 5));
+            let out = code.decode(field, &word, d).unwrap();
+            assert!(out.poly.degree().is_some_and(|deg| deg <= d), "{kind}");
+            assert!(out.error_positions.is_empty(), "{kind}: nothing left to contradict");
+            assert!(reencoded_errors(field, code, &word, &out).is_empty(), "{kind}");
+            assert_eq!(out.erasure_positions, erased, "{kind}");
+
+            let too_high = code.encode(field, &random_message(field, d + 1, &mut rng));
+            let word: Vec<Option<u64>> = too_high.into_iter().map(Some).collect();
+            assert_eq!(code.decode(field, &word, d), Err(DecodeError::BeyondRadius), "{kind}");
         }
     }
 
