@@ -1,9 +1,9 @@
 //! Experiment G1 — transport scaling (the broadcast layer of §1.4).
 //!
 //! Claim: the broadcast round is transport-independent. All backends —
-//! the in-process bus (sequential and threaded), per-node OS threads
-//! over mpsc frames, and loopback TCP workers (optionally spawned
-//! `camelot-node` processes, so the round really spans processes) —
+//! the in-process bus (sequential and threaded) and a pool of loopback
+//! TCP workers (optionally spawned `camelot-node` processes, so the
+//! round really spans processes) —
 //! produce bit-identical broadcasts; what varies is wall-clock overhead
 //! and where the bytes go, which the per-round traffic counters make
 //! measurable.
@@ -14,20 +14,21 @@
 //!   bit-identical against the in-process reference, with per-backend
 //!   wall-clock and the round's `symbols_broadcast` / `bytes_on_wire`;
 //! * `--engine-batch N` — `Engine::run_batch` over `N` triangle
-//!   problems on the channel backend, demonstrating the
+//!   problems on the threaded in-process bus (triangle problems are
+//!   closures, which sockets refuse), demonstrating the
 //!   one-broadcast-round-per-prime-per-batch property end to end.
 //!
 //! Flags: `--nodes K` (default 8), `--len E` (default 2048), `--width W`
-//! (default 2), `--backend all|inproc|inproc-par|channel|socket|socket-process`
+//! (default 2), `--backend all|inproc|inproc-par|socket|socket-process`
 //! (default all; `socket-process` needs the `camelot-node` binary next
 //! to this one — built by `cargo build --release`), `--engine-batch N`.
 
 use camelot_bench::{fmt_duration, Table};
 use camelot_cluster::{
-    sibling_worker_binary, ChannelTransport, EvalProgram, FaultKind, FaultPlan, InProcess,
-    ProgramEval, RoundOutcome, RoundSpec, SocketTransport, Transport,
+    sibling_worker_binary, EvalProgram, FaultKind, FaultPlan, InProcess, ProgramEval, RoundOutcome,
+    RoundSpec, SocketTransport, Transport, WorkerMode,
 };
-use camelot_core::{Backend, Engine, EngineConfig, RunReport};
+use camelot_core::{Engine, EngineConfig, RunReport};
 use camelot_ff::{PrimeField, SplitMix64};
 use camelot_graph::{count_triangles, gen};
 use camelot_triangles::TriangleCount;
@@ -81,17 +82,14 @@ fn backends(selected: &str, parallel_too: bool) -> Vec<(String, Box<dyn Transpor
     if (all && parallel_too) || selected == "inproc-par" {
         list.push(("inproc-par".into(), Box::new(InProcess::new(true))));
     }
-    if all || selected == "channel" {
-        list.push(("channel".into(), Box::new(ChannelTransport::new())));
-    }
     if all || selected == "socket" {
-        list.push(("socket".into(), Box::new(SocketTransport::loopback())));
+        list.push(("socket".into(), Box::new(SocketTransport::persistent(WorkerMode::Threads))));
     }
     if all || selected == "socket-process" {
         match sibling_worker_binary() {
             Some(bin) => list.push((
                 "socket-process".into(),
-                Box::new(SocketTransport::with_worker_binary(bin)),
+                Box::new(SocketTransport::persistent(WorkerMode::Process(bin))),
             )),
             None if selected == "socket-process" => {
                 panic!("camelot-node binary not found next to this executable; run `cargo build --release` first")
@@ -151,8 +149,7 @@ fn round_experiment(args: &Args) {
 fn engine_batch_experiment(args: &Args, batch: usize) {
     let graphs: Vec<_> = (0..batch).map(|i| gen::gnm(10 + i, 20 + 3 * i, 42 + i as u64)).collect();
     let problems: Vec<TriangleCount> = graphs.iter().map(TriangleCount::new).collect();
-    let config = EngineConfig::sequential(args.nodes.max(2), 8).with_backend(Backend::Channel);
-    let engine = Engine::new(config);
+    let engine = Engine::new(EngineConfig::parallel(args.nodes.max(2), 8));
 
     let start = Instant::now();
     let outcomes = engine.run_batch(&problems).expect("batched run");
@@ -184,7 +181,8 @@ fn engine_batch_experiment(args: &Args, batch: usize) {
         table.row(&row);
     }
     table.print(&format!(
-        "G1: Engine::run_batch of {batch} problems on the channel backend ({}, shared rounds)",
+        "G1: Engine::run_batch of {batch} problems on the threaded in-process bus ({}, shared \
+         rounds)",
         fmt_duration(elapsed)
     ));
     println!(

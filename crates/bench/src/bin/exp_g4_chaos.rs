@@ -17,27 +17,23 @@
 //! in-process reference under the same plan.
 //!
 //! It also gates the pool's timing contract — a deadline is spent once:
-//! a `socket-pool` run that timed a node out, took several rounds and
-//! needed no retry must finish within two I/O deadlines, pool start and
-//! shutdown included. The memoryless `socket` row beside it pays one
-//! deadline a round.
+//! a `socket` run that timed a node out, took several rounds and needed
+//! no retry must finish within two I/O deadlines, pool start and
+//! shutdown included.
 //!
 //! Flags: `--nodes K` (default 16), `--fault-tolerance F` (default
 //! `(K - d - 1) / 2`, one point per node), `--rates P1,P2,...` (percent,
 //! default `0,12,25,50`), `--seed S`, `--escalations N` (default 2),
-//! `--deadline-ms N` (default 300), `--backend
-//! all|inproc|channel|socket|socket-pool` (default all).
+//! `--deadline-ms N` (default 300), `--backend all|inproc|socket`
+//! (default all).
 
 use camelot_bench::{fmt_duration, Table};
-use camelot_cluster::{
-    Backend, ChaosPlan, EvalProgram, FailureCause, SocketTransport, TransportTuning, WorkerMode,
-};
+use camelot_cluster::{Backend, ChaosPlan, EvalProgram, FailureCause, TransportTuning, WorkerMode};
 use camelot_core::{
     CamelotError, CamelotOutcome, CamelotProblem, Engine, EngineConfig, Evaluate, PrimeProof,
     ProofSpec, RecoveryPolicy,
 };
 use camelot_ff::{crt_u, PrimeField, Residue};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 struct Args {
@@ -128,7 +124,7 @@ impl CamelotProblem for WirePoly {
 }
 
 fn backend_names(selected: &str) -> Vec<&'static str> {
-    let all = ["inproc", "channel", "socket", "socket-pool"];
+    let all = ["inproc", "socket"];
     if selected == "all" {
         return all.to_vec();
     }
@@ -149,26 +145,12 @@ fn run_backend(
         .with_tuning(tuning.clone())
         .with_chaos(chaos.clone())
         .with_recovery(RecoveryPolicy::escalating(args.escalations));
-    match name {
-        "inproc" => Engine::new(config.with_backend(Backend::InProcess)).run(problem),
-        "channel" => Engine::new(config.with_backend(Backend::Channel)).run(problem),
-        "socket" => {
-            Engine::new(config.with_backend(Backend::Socket(WorkerMode::Threads))).run(problem)
-        }
-        "socket-pool" => {
-            // The persistent pool carries its own tuning and chaos; the
-            // engine only supplies the recovery policy.
-            let pool = SocketTransport::persistent(WorkerMode::Threads)
-                .with_tuning(tuning.clone())
-                .with_chaos(Some(chaos.clone()));
-            let outcome = Engine::with_transport(config, Arc::new(pool.clone())).run(problem);
-            pool.shutdown_pool().map_err(|err| CamelotError::TransportFailed {
-                reason: format!("shutting down the pool: {err}"),
-            })?;
-            outcome
-        }
+    let backend = match name {
+        "inproc" => Backend::InProcess,
+        "socket" => Backend::Socket(WorkerMode::Threads),
         other => panic!("unknown backend {other}"),
-    }
+    };
+    Engine::new(config.with_backend(backend)).run(problem)
 }
 
 fn main() {
@@ -210,7 +192,7 @@ fn main() {
                     let report = &outcome.report;
                     let timed_out =
                         report.demotions.iter().any(|d| d.cause == FailureCause::Timeout);
-                    if *name == "socket-pool"
+                    if *name == "socket"
                         && timed_out
                         && report.rounds >= 2
                         && report.retries == 0

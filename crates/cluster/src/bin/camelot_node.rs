@@ -1,35 +1,31 @@
 //! `camelot-node` — an out-of-process compute node.
 //!
-//! One worker serves one round task: it connects to the coordinator,
-//! reads a `camelot-task v1` message, reconstructs the round from it
-//! alone (field, fault behaviour, evaluation programs, assigned
-//! points — the paper's "common input"), evaluates its slice, applies
-//! its fault sender-side, and replies with its `camelot-reply v1`
-//! frames. Spawned by `SocketTransport` in process mode:
+//! A worker connects to the coordinator and serves its lane: for every
+//! `camelot-task v1` message it reconstructs the round from the task
+//! alone (field, fault behaviour, evaluation programs, assigned points —
+//! the paper's "common input"), evaluates its slice, applies its fault
+//! sender-side, and replies with its `camelot-reply v1` frames. It
+//! answers `camelot-ping v1` health checks and exits cleanly on a
+//! `camelot-shutdown v1` frame or when the coordinator closes the
+//! connection at a message boundary. Spawned by `SocketTransport` in
+//! process mode:
 //!
 //! ```text
 //! camelot-node --connect 127.0.0.1:PORT
 //! ```
-//!
-//! With `--persist` the node keeps the connection and serves tasks
-//! until the coordinator sends a `camelot-shutdown v1` frame (or closes
-//! the connection at a message boundary) — the persistent-worker-pool
-//! mode used by `camelot-serve`.
 
-use camelot_cluster::{serve_worker, serve_worker_loop};
+use camelot_cluster::serve_worker_loop;
 use std::net::TcpStream;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut addr = None;
-    let mut persist = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--connect" => addr = args.next(),
-            "--persist" => persist = true,
             "--help" | "-h" => {
-                println!("usage: camelot-node --connect HOST:PORT [--persist]");
+                println!("usage: camelot-node --connect HOST:PORT");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -49,8 +45,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let served = if persist { serve_worker_loop(stream) } else { serve_worker(stream) };
-    match served {
+    match serve_worker_loop(stream) {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("camelot-node: {err}");

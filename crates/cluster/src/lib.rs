@@ -7,13 +7,12 @@
 //! pseudo-randomly, lie adversarially, or *equivocate* (send different
 //! values to different receivers, footnote 7 of the paper).
 //!
-//! Since PR 5 the broadcast medium is a [`Transport`] trait with three
+//! Since PR 5 the broadcast medium is a [`Transport`] trait with two
 //! backends — the historical zero-overhead in-process bus
-//! ([`InProcess`]), per-node OS threads exchanging only mpsc message
-//! frames ([`ChannelTransport`]), and loopback TCP workers speaking a
-//! line-oriented frame format ([`SocketTransport`], optionally as
-//! spawned `camelot-node` processes so a round really spans OS
-//! processes). Fault injection happens **sender-side**
+//! ([`InProcess`], sequential or threaded), and a pool of long-lived
+//! loopback TCP workers speaking a line-oriented frame format
+//! ([`SocketTransport`], optionally as spawned `camelot-node` processes
+//! so a round really spans OS processes). Fault injection happens **sender-side**
 //! ([`compute_node_frames`]): an equivocator genuinely unicasts a
 //! different frame to every receiver. All backends are bit-identical:
 //! same consensus word, same per-receiver views, same traffic
@@ -48,11 +47,10 @@ pub use round::{
     SingleEval,
 };
 pub use transport::{
-    control_frame, encode_reply, execute_task, frame_wire_cost, parse_reply, serve_worker,
-    serve_worker_loop, sibling_binary, sibling_worker_binary, Backend, ChannelTransport,
-    ClusterConfig, EvalProgram, InProcess, PreparedProgram, SocketTransport, Task, Transport,
-    TransportError, WorkerMode, WorkerPool, PING_HEADER, PONG_HEADER, REPLY_HEADER,
-    SHUTDOWN_HEADER, TASK_HEADER,
+    control_frame, encode_reply, execute_task, frame_wire_cost, parse_reply, serve_worker_loop,
+    sibling_binary, sibling_worker_binary, Backend, ClusterConfig, EvalProgram, InProcess,
+    PreparedProgram, SocketTransport, Task, Transport, TransportError, WorkerMode, WorkerPool,
+    PING_HEADER, PONG_HEADER, REPLY_HEADER, SHUTDOWN_HEADER, TASK_HEADER,
 };
 
 use camelot_ff::PrimeField;

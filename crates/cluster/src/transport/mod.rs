@@ -1,18 +1,15 @@
 //! Pluggable broadcast transports.
 //!
 //! A [`Transport`] moves one round's frames between the `K` nodes and
-//! hands back the assembled [`RoundOutcome`]. Three backends ship:
+//! hands back the assembled [`RoundOutcome`]. Two backends ship:
 //!
 //! * [`InProcess`](crate::InProcess) — the historical simulated bus:
 //!   node slices run in the coordinator (sequentially or on scoped
 //!   threads), zero serialization overhead, bit-identical to the seed;
-//! * [`ChannelTransport`](crate::ChannelTransport) — one OS thread per
-//!   node, communicating **only** via `std::sync::mpsc` message frames
-//!   (no shared truth vector);
-//! * [`SocketTransport`](crate::SocketTransport) — loopback TCP workers
-//!   speaking the line-oriented v1 frame format below, either as
-//!   in-process threads or as spawned `camelot-node` worker processes,
-//!   so a round really spans OS processes.
+//! * [`SocketTransport`](crate::SocketTransport) — a pool of long-lived
+//!   loopback TCP workers speaking the line-oriented v1 frame format
+//!   below, either as in-process threads or as spawned `camelot-node`
+//!   worker processes, so a round really spans OS processes.
 //!
 //! ## The v1 frame format
 //!
@@ -37,15 +34,13 @@
 //! truthful base, diagnostic) followed by one `frame <r>` line per
 //! receiver.
 
-mod channel;
 mod inproc;
 mod pool;
 mod socket;
 
-pub use channel::ChannelTransport;
 pub use inproc::InProcess;
 pub use pool::WorkerPool;
-pub use socket::{serve_worker, serve_worker_loop, SocketTransport, WorkerMode};
+pub use socket::{serve_worker_loop, SocketTransport, WorkerMode};
 
 use crate::chaos::{
     simulated_failure, worker_action, ChaosEffect, ChaosPlan, Demotion, WorkerAction,
@@ -195,9 +190,7 @@ pub enum Backend {
     /// The in-process simulated bus (default; zero overhead).
     #[default]
     InProcess,
-    /// One OS thread per node, mpsc frames only.
-    Channel,
-    /// Loopback TCP workers speaking the v1 frame format.
+    /// A pool of loopback TCP workers speaking the v1 frame format.
     Socket(WorkerMode),
 }
 
@@ -209,8 +202,7 @@ pub struct ClusterConfig {
     /// For the [`Backend::InProcess`] backend: run node slices on OS
     /// threads (the simulation is deterministic either way; sequential
     /// is the default and is exactly reproducible in timing-sensitive
-    /// tests). The channel and socket backends are inherently
-    /// concurrent.
+    /// tests). The socket backend is inherently concurrent.
     pub parallel: bool,
     /// Which broadcast backend rounds run on.
     pub backend: Backend,
@@ -272,7 +264,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Builds the configured transport.
+    /// Builds the configured transport. A socket transport starts its
+    /// worker pool on its first round, reuses it for every later one
+    /// and shuts it down when dropped.
     #[must_use]
     pub fn transport(&self) -> Box<dyn Transport> {
         let tuning = self.tuning.clone();
@@ -281,12 +275,9 @@ impl ClusterConfig {
             Backend::InProcess => {
                 Box::new(InProcess::new(self.parallel).with_tuning(tuning).with_chaos(chaos))
             }
-            Backend::Channel => {
-                Box::new(ChannelTransport::new().with_tuning(tuning).with_chaos(chaos))
-            }
-            Backend::Socket(mode) => {
-                Box::new(SocketTransport::new(mode.clone()).with_tuning(tuning).with_chaos(chaos))
-            }
+            Backend::Socket(mode) => Box::new(
+                SocketTransport::persistent(mode.clone()).with_tuning(tuning).with_chaos(chaos),
+            ),
         }
     }
 }
@@ -736,8 +727,8 @@ pub(crate) fn check_chaos(chaos: Option<&ChaosPlan>, nodes: usize) -> Result<(),
     }
 }
 
-/// The in-process simulation of sender-side chaos, shared by the
-/// [`InProcess`] and [`ChannelTransport`] backends: each afflicted
+/// The in-process simulation of sender-side chaos, run by the
+/// [`InProcess`] backend: each afflicted
 /// node's truthful frames are pushed through the same
 /// [`worker_action`] resolution the socket workers perform over real
 /// TCP, and the observable outcome is reproduced — delivery (via the

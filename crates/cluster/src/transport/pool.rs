@@ -1,8 +1,8 @@
 //! The persistent worker pool behind [`SocketTransport::persistent`]:
 //! long-lived loopback workers that outlive individual rounds.
 //!
-//! Each lane is one worker (thread or spawned `camelot-node --persist`
-//! process) holding one TCP connection for its whole life. Rounds write
+//! Each lane is one worker (thread or spawned `camelot-node` process)
+//! holding one TCP connection for its whole life. Rounds write
 //! a [`Task`] frame down every lane and read one reply back; between
 //! rounds the lanes idle inside [`serve_worker_loop`]. Health checks
 //! use `camelot-ping v1`/`camelot-pong v1`, and teardown is always an
@@ -256,7 +256,6 @@ impl WorkerPool {
                 Command::new(bin)
                     .arg("--connect")
                     .arg(addr.to_string())
-                    .arg("--persist")
                     .stdin(Stdio::null())
                     .spawn()
                     .map_err(|err| TransportError::WorkerFailed {

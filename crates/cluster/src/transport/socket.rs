@@ -2,19 +2,20 @@
 //! format, so a round genuinely crosses process (or just thread)
 //! boundaries with nothing shared but the wire.
 //!
-//! The coordinator binds an ephemeral loopback listener, starts `K`
-//! workers, hands each accepted connection one [`Task`], and reads back
-//! one reply per worker. Workers are either in-process threads (always
-//! available; still full TCP + text frames) or spawned `camelot-node`
-//! processes ([`WorkerMode::Process`]), in which case every node runs
-//! in its own OS process and reconstructs the round from the task
-//! message alone — the paper's "common input" made literal.
+//! The coordinator keeps a [`WorkerPool`] of `K` long-lived workers,
+//! one loopback connection each; every round writes one [`Task`] down
+//! every lane and reads back one reply per worker. Workers are either
+//! in-process threads (always available; still full TCP + text frames)
+//! or spawned `camelot-node` processes ([`WorkerMode::Process`]), in
+//! which case every node runs in its own OS process and reconstructs
+//! the round from the task message alone — the paper's "common input"
+//! made literal.
 //!
 //! Socket rounds require wire-expressible polynomials
 //! ([`RoundEval::programs`]); closures cannot cross a process boundary.
 
 use crate::chaos::{worker_action, ChaosEffect, ChaosPlan, Demotion, FailureCause, WorkerAction};
-use crate::retry::{env_io_deadline, Deadline, TransportTuning};
+use crate::retry::{Deadline, TransportTuning};
 use crate::round::{
     assemble_round, crash_frames, node_slice, FrameBody, NodeFrames, RoundEval, RoundOutcome,
     RoundSpec,
@@ -27,8 +28,8 @@ use crate::transport::{
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::process::{Child, ExitStatus};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// The historical hardcoded coordinator timeout, kept as the reference
@@ -50,29 +51,20 @@ pub enum WorkerMode {
 
 /// The loopback-socket backend.
 ///
-/// Per-round by default: `run` starts `K` fresh workers, drives the
-/// round, and tears everything down gracefully. In *persistent* mode
-/// ([`SocketTransport::persistent`]) the transport lazily starts a
-/// [`WorkerPool`] whose workers outlive rounds ([`serve_worker_loop`]),
-/// and every subsequent round reuses the same connections until an
-/// explicit [`SocketTransport::shutdown_pool`].
+/// The first round lazily starts a [`WorkerPool`] whose workers outlive
+/// rounds ([`serve_worker_loop`]), and every later round reuses the
+/// same connections until an explicit
+/// [`SocketTransport::shutdown_pool`] or the last clone is dropped.
 #[derive(Clone, Debug)]
 pub struct SocketTransport {
     mode: WorkerMode,
-    /// Shared persistent pool state (`None` entries mean "not started
-    /// yet"); absent entirely for the classic per-round transport.
-    pool: Option<Arc<Mutex<Option<WorkerPool>>>>,
+    /// Shared pool state (`None` means "not started yet").
+    pool: Arc<Mutex<Option<WorkerPool>>>,
     tuning: TransportTuning,
     chaos: Option<ChaosPlan>,
 }
 
 impl SocketTransport {
-    /// A per-round socket transport with the given worker mode.
-    #[must_use]
-    pub fn new(mode: WorkerMode) -> Self {
-        SocketTransport { mode, pool: None, tuning: TransportTuning::default(), chaos: None }
-    }
-
     /// Overrides the transport tuning (I/O deadline, retries, demotion).
     #[must_use]
     pub fn with_tuning(mut self, tuning: TransportTuning) -> Self {
@@ -96,80 +88,62 @@ impl SocketTransport {
         self.chaos.is_some() || self.tuning.demote_dead_nodes
     }
 
-    /// A per-round socket transport backed by in-process worker threads.
-    #[must_use]
-    pub fn loopback() -> Self {
-        SocketTransport::new(WorkerMode::Threads)
-    }
-
-    /// A per-round socket transport spawning `camelot-node` worker
-    /// processes.
-    #[must_use]
-    pub fn with_worker_binary(path: PathBuf) -> Self {
-        SocketTransport::new(WorkerMode::Process(path))
-    }
-
-    /// A persistent socket transport: the first round starts a
-    /// [`WorkerPool`] sized to the round's cluster, and later rounds
-    /// reuse its long-lived workers. Clones share the same pool.
+    /// A socket transport: the first round starts a [`WorkerPool`]
+    /// sized to the round's cluster, and later rounds reuse its
+    /// long-lived workers. Clones share the same pool.
     #[must_use]
     pub fn persistent(mode: WorkerMode) -> Self {
-        SocketTransport { pool: Some(Arc::new(Mutex::new(None))), ..SocketTransport::new(mode) }
+        SocketTransport {
+            mode,
+            pool: Arc::new(Mutex::new(None)),
+            tuning: TransportTuning::default(),
+            chaos: None,
+        }
     }
 
-    /// Locks the persistent pool state (`None` for per-round transports).
-    fn pool_state(&self) -> Option<std::sync::MutexGuard<'_, Option<WorkerPool>>> {
-        self.pool.as_ref().map(|cell| cell.lock().unwrap_or_else(PoisonError::into_inner))
+    /// Locks the pool state (`None` before the first round).
+    fn pool_state(&self) -> MutexGuard<'_, Option<WorkerPool>> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Gracefully shuts the persistent pool down: every worker receives
-    /// an explicit shutdown frame and is joined/reaped, the workers of
+    /// Gracefully shuts the pool down: every worker receives an
+    /// explicit shutdown frame and is joined/reaped, the workers of
     /// lanes retired earlier included; only a worker process that is
     /// still running one I/O deadline later is killed, so the call
-    /// always returns. A no-op for per-round transports or an unstarted
-    /// pool.
+    /// always returns. A no-op for an unstarted pool.
     ///
     /// # Errors
     ///
     /// The first teardown failure (a worker that exited uncleanly or
     /// had to be killed).
     pub fn shutdown_pool(&self) -> Result<(), TransportError> {
-        match self.pool_state().as_mut().and_then(|guard| guard.take()) {
+        match self.pool_state().take() {
             Some(mut pool) => pool.shutdown(),
             None => Ok(()),
         }
     }
 
-    /// Health-checks the persistent pool: pings every lane and respawns
-    /// dead workers. Returns how many lanes were respawned (0 when the
-    /// pool is healthy or not started).
+    /// Health-checks the pool: pings every lane and respawns dead
+    /// workers. Returns how many lanes were respawned (0 when the pool
+    /// is healthy or not started).
     ///
     /// # Errors
     ///
     /// A respawn failure (e.g. the worker binary disappeared).
     pub fn repair_pool(&self) -> Result<usize, TransportError> {
-        match self.pool_state().as_mut().map(|guard| guard.as_mut().map(WorkerPool::ensure_ready)) {
-            Some(Some(result)) => result,
-            _ => Ok(0),
-        }
+        self.pool_state().as_mut().map_or(Ok(0), WorkerPool::ensure_ready)
     }
 
     /// Lifetime count of pool worker respawns (0 without a pool).
     #[must_use]
     pub fn pool_respawns(&self) -> usize {
-        match self.pool_state().as_ref().map(|guard| guard.as_ref().map(WorkerPool::respawns)) {
-            Some(Some(n)) => n,
-            _ => 0,
-        }
+        self.pool_state().as_ref().map_or(0, WorkerPool::respawns)
     }
 
     /// Number of currently live pool workers (0 without a pool).
     #[must_use]
     pub fn pool_live_workers(&self) -> usize {
-        match self.pool_state().as_ref().map(|guard| guard.as_ref().map(WorkerPool::live_workers)) {
-            Some(Some(n)) => n,
-            _ => 0,
-        }
+        self.pool_state().as_ref().map_or(0, WorkerPool::live_workers)
     }
 
     /// The pool nodes that ran out the previous round's deadline and are
@@ -177,10 +151,7 @@ impl SocketTransport {
     /// (empty without a pool).
     #[must_use]
     pub fn pool_suspects(&self) -> Vec<usize> {
-        match self.pool_state().as_ref().map(|guard| guard.as_ref().map(WorkerPool::suspects)) {
-            Some(Some(nodes)) => nodes,
-            _ => Vec::new(),
-        }
+        self.pool_state().as_ref().map_or_else(Vec::new, WorkerPool::suspects)
     }
 
     /// Chaos hook: forcibly takes down pool worker `node` (hard-kills a
@@ -193,9 +164,9 @@ impl SocketTransport {
     /// [`TransportError::Protocol`] when no pool is running or the node
     /// is out of range.
     pub fn kill_pool_worker(&self, node: usize) -> Result<(), TransportError> {
-        match self.pool_state().as_mut().map(|guard| guard.as_mut()) {
-            Some(Some(pool)) => pool.kill_worker(node),
-            _ => Err(TransportError::Protocol {
+        match self.pool_state().as_mut() {
+            Some(pool) => pool.kill_worker(node),
+            None => Err(TransportError::Protocol {
                 reason: "no persistent worker pool is running".to_string(),
             }),
         }
@@ -316,9 +287,8 @@ pub(crate) fn read_message<R: BufRead>(reader: &mut R) -> Result<String, Transpo
 }
 
 /// Performs a resolved [`WorkerAction`] on the worker's stream: the
-/// sender-side sabotage over real TCP, shared by the one-shot and
-/// persistent worker loops. Returns `false` when the action ends with
-/// the connection closed (mute, drop/reset, truncation).
+/// sender-side sabotage over real TCP. Returns `false` when the action
+/// ends with the connection closed (mute, drop/reset, truncation).
 fn perform_action(stream: &mut TcpStream, action: WorkerAction) -> Result<bool, TransportError> {
     match action {
         WorkerAction::Deliver { text, copies, delay_ms } => {
@@ -358,31 +328,14 @@ fn perform_action(stream: &mut TcpStream, action: WorkerAction) -> Result<bool, 
     }
 }
 
-/// Serves one task on an accepted connection: read the task, execute
-/// it, reply — inflicting the task's chaos effect (if any) on the reply
-/// sender-side, exactly like the algebraic faults. The single-round
-/// worker side of the protocol — spawned per round by the per-round
-/// transport.
-///
-/// # Errors
-///
-/// I/O failures and malformed tasks.
-pub fn serve_worker(stream: TcpStream) -> Result<(), TransportError> {
-    stream.set_read_timeout(Some(env_io_deadline())).map_err(|e| io_err("set timeout", &e))?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| io_err("clone stream", &e))?);
-    let task = Task::from_wire(&read_message(&mut reader)?)?;
-    let frames = execute_task(&task);
-    let action = worker_action(task.chaos, task.deadline_ms, task.modulus, encode_reply(&frames));
-    let mut stream = stream;
-    perform_action(&mut stream, action).map(|_| ())
-}
-
 /// Serves tasks on one connection until the coordinator sends an
 /// explicit `camelot-shutdown v1` frame or closes the connection at a
-/// message boundary (both are clean exits). `camelot-ping v1` frames
-/// are answered with `camelot-pong v1` — the pool's health check. The
-/// entire persistent worker side of the protocol; `camelot-node
-/// --persist` is a thin wrapper around this.
+/// message boundary (both are clean exits). Each task is executed and
+/// answered with the task's chaos effect (if any) inflicted on the
+/// reply sender-side, exactly like the algebraic faults.
+/// `camelot-ping v1` frames are answered with `camelot-pong v1` — the
+/// pool's health check. The entire worker side of the protocol;
+/// `camelot-node` is a thin wrapper around this.
 ///
 /// # Errors
 ///
@@ -426,8 +379,7 @@ pub fn serve_worker_loop(stream: TcpStream) -> Result<(), TransportError> {
 }
 
 /// Builds node `node`'s work order for one round: its balanced slice of
-/// the evaluation points plus the round-wide parameters. Shared by the
-/// per-round transport and the persistent [`WorkerPool`].
+/// the evaluation points plus the round-wide parameters.
 pub(crate) fn task_for_node(
     spec: &RoundSpec<'_>,
     programs: &[EvalProgram],
@@ -480,10 +432,10 @@ pub(crate) fn validate_reply(
     Ok(())
 }
 
-/// One round's reply collection, shared by the per-round transport and
-/// the persistent [`WorkerPool`]: which nodes were demoted and why,
-/// and one set of frames per node — the worker's own, or crash frames
-/// for a demoted node, so the round completes via erasure decoding.
+/// One round's reply collection in [`WorkerPool::run_round`]: which
+/// nodes were demoted and why, and one set of frames per node — the
+/// worker's own, or crash frames for a demoted node, so the round
+/// completes via erasure decoding.
 pub(crate) struct ReplyDrain {
     nodes: usize,
     e: usize,
@@ -595,11 +547,9 @@ pub(crate) fn reap_child(child: &mut Child, grace: Deadline) -> std::io::Result<
 
 impl Transport for SocketTransport {
     fn name(&self) -> &'static str {
-        match (&self.mode, &self.pool) {
-            (WorkerMode::Threads, None) => "socket",
-            (WorkerMode::Process(_), None) => "socket-process",
-            (WorkerMode::Threads, Some(_)) => "socket-pool",
-            (WorkerMode::Process(_), Some(_)) => "socket-process-pool",
+        match self.mode {
+            WorkerMode::Threads => "socket",
+            WorkerMode::Process(_) => "socket-process",
         }
     }
 
@@ -610,115 +560,26 @@ impl Transport for SocketTransport {
     ) -> Result<RoundOutcome, TransportError> {
         let programs = eval.programs().ok_or(TransportError::NotWireExpressible)?;
         let nodes = spec.plan.nodes();
-        let e = spec.points.len();
         check_chaos(self.chaos.as_ref(), nodes)?;
 
-        // Persistent mode: lazily start (or resize) the shared pool and
-        // run the round over its long-lived workers.
-        if let Some(mut guard) = self.pool_state() {
-            let stale = match guard.as_ref() {
-                Some(pool) => pool.nodes() != nodes,
-                None => false,
-            };
-            if stale {
-                if let Some(mut old) = guard.take() {
-                    old.shutdown()?;
-                }
-            }
-            let pool = match guard.as_mut() {
-                Some(pool) => pool,
-                None => {
-                    guard.insert(WorkerPool::start(self.mode.clone(), nodes, self.tuning.clone())?)
-                }
-            };
-            let (frames, demotions) =
-                pool.run_round(spec, &programs, self.chaos.as_ref(), self.demote())?;
-            return Ok(assemble_round(spec, programs.len(), frames, demotions));
-        }
-
-        let listener =
-            TcpListener::bind("127.0.0.1:0").map_err(|e| io_err("binding listener", &e))?;
-        let addr = listener.local_addr().map_err(|e| io_err("local addr", &e))?;
-
-        // Start the workers; each connects back to the coordinator. A
-        // spawn failure is recorded (not returned early) so the graceful
-        // teardown below still runs for the workers already started.
-        let mut worker_threads = Vec::new();
-        let mut worker_processes: Vec<Child> = Vec::new();
-        let mut startup_err: Option<TransportError> = None;
-        match &self.mode {
-            WorkerMode::Threads => {
-                for _ in 0..nodes {
-                    worker_threads.push(std::thread::spawn(move || {
-                        let stream =
-                            TcpStream::connect(addr).map_err(|e| io_err("worker connect", &e))?;
-                        serve_worker(stream)
-                    }));
-                }
-            }
-            WorkerMode::Process(bin) => {
-                for node in 0..nodes {
-                    let child = Command::new(bin)
-                        .arg("--connect")
-                        .arg(addr.to_string())
-                        .stdin(Stdio::null())
-                        .spawn()
-                        .map_err(|err| TransportError::WorkerFailed {
-                            node,
-                            reason: format!("spawning {}: {err}", bin.display()),
-                        });
-                    match child {
-                        Ok(child) => worker_processes.push(child),
-                        Err(err) => {
-                            startup_err = Some(err);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-
-        let result = match startup_err {
-            Some(err) => Err(err),
-            None => self.drive_round(spec, &programs, nodes, e, &listener, &mut worker_processes),
+        // Lazily start (or resize) the shared pool and run the round
+        // over its long-lived workers.
+        let mut guard = self.pool_state();
+        let stale = match guard.as_ref() {
+            Some(pool) => pool.nodes() != nodes,
+            None => false,
         };
-
-        // Graceful teardown: close the listener first so any
-        // worker still blocked on an unserved or queued connection sees
-        // a reset and exits on its own, then join/reap everything. A
-        // round that survived by demoting nodes tolerates the demoted
-        // workers' collateral errors and exit statuses (an unread
-        // duplicate, a genuinely dead process) — the demotion already
-        // booked the failure.
-        let clean = matches!(&result, Ok((_, demotions)) if demotions.is_empty());
-        drop(listener);
-        for handle in worker_threads {
-            let worker = handle.join().map_err(|_| TransportError::Protocol {
-                reason: "worker thread panicked".to_string(),
-            })?;
-            if clean {
-                // With a complete round a worker cannot have failed
-                // (its reply would have been missing); when the round
-                // itself failed, that error wins below.
-                worker?;
+        if stale {
+            if let Some(mut old) = guard.take() {
+                old.shutdown()?;
             }
         }
-        let grace = Deadline::after(self.tuning.io_deadline);
-        for (node, mut child) in worker_processes.into_iter().enumerate() {
-            // One-shot workers exit on their own once their connection
-            // (or the listener) is gone; only one that is still there
-            // a whole deadline later is killed.
-            let status =
-                reap_child(&mut child, grace).map_err(|e| io_err("waiting for worker", &e))?;
-            if clean && !status.success() {
-                return Err(TransportError::WorkerFailed {
-                    node,
-                    reason: format!("exit status {status}"),
-                });
-            }
-        }
-
-        let (frames, demotions) = result?;
+        let pool = match guard.as_mut() {
+            Some(pool) => pool,
+            None => guard.insert(WorkerPool::start(self.mode.clone(), nodes, self.tuning.clone())?),
+        };
+        let (frames, demotions) =
+            pool.run_round(spec, &programs, self.chaos.as_ref(), self.demote())?;
         Ok(assemble_round(spec, programs.len(), frames, demotions))
     }
 }
@@ -748,8 +609,8 @@ pub(crate) fn accept_with_deadline(
             Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
                 // A worker that exited nonzero before connecting will
                 // never connect; report it instead of running out the
-                // clock. (A zero exit is fine — a fast worker may have
-                // already served an earlier accepted connection.)
+                // clock. (A worker exits zero only once it has served a
+                // connection.)
                 for (node, child) in children.iter_mut().enumerate() {
                     if let Ok(Some(status)) = child.try_wait() {
                         if !status.success() {
@@ -770,48 +631,6 @@ pub(crate) fn accept_with_deadline(
             }
             Err(err) => return Err(io_err("accepting worker", &err)),
         }
-    }
-}
-
-impl SocketTransport {
-    /// Accepts the `K` worker connections, hands out tasks, and
-    /// collects the replies. With demotion enabled (explicitly, or
-    /// implied by a chaos plan) a per-node read/parse/validate failure
-    /// books a [`Demotion`] with its structured [`FailureCause`] and
-    /// synthesizes crash frames, so the round completes via erasure
-    /// decoding instead of erroring.
-    fn drive_round(
-        &self,
-        spec: &RoundSpec<'_>,
-        programs: &[crate::transport::EvalProgram],
-        nodes: usize,
-        e: usize,
-        listener: &TcpListener,
-        children: &mut [Child],
-    ) -> Result<(Vec<NodeFrames>, Vec<Demotion>), TransportError> {
-        let io_deadline = self.tuning.io_deadline;
-        let deadline_ms = self.tuning.deadline_ms();
-        // Hand out all tasks first (workers compute concurrently), then
-        // drain the replies under one deadline.
-        let mut readers = Vec::with_capacity(nodes);
-        for node in 0..nodes {
-            let mut stream = accept_with_deadline(listener, children, io_deadline)?;
-            let chaos = self.chaos.as_ref().and_then(|plan| plan.effect(node));
-            let task = task_for_node(spec, programs, nodes, node, chaos, deadline_ms);
-            stream
-                .write_all(task.to_wire().as_bytes())
-                .and_then(|()| stream.flush())
-                .map_err(|e| io_err("writing task", &e))?;
-            readers.push(DeadlineStream::reader(stream));
-        }
-        let patience = Patience::Until(Deadline::after(io_deadline));
-        let mut drain = ReplyDrain::new(nodes, e, programs.len(), self.demote());
-        for (node, mut reader) in readers.into_iter().enumerate() {
-            // Dropping the reader closes the connection, which is what
-            // releases a worker still holding it (a simulated hang).
-            drain.collect(node, &mut reader, patience)?;
-        }
-        Ok(drain.finish())
     }
 }
 
@@ -844,7 +663,7 @@ mod tests {
             vec![EvalProgram::Poly(vec![3, 1, 4]), EvalProgram::Poly(vec![9, 0, 0, 2])],
         );
         let reference = ClusterConfig::sequential(7).transport().run(&spec, &eval).unwrap();
-        let socket = SocketTransport::loopback().run(&spec, &eval).unwrap();
+        let socket = SocketTransport::persistent(WorkerMode::Threads).run(&spec, &eval).unwrap();
         assert_eq!(socket.broadcasts.len(), 2);
         for (s, r) in socket.broadcasts.iter().zip(&reference.broadcasts) {
             assert!(s.same_word(r), "socket round diverged from the in-process bus");
@@ -862,8 +681,8 @@ mod tests {
         let points: Vec<u64> = (0..8).collect();
         let plan = FaultPlan::all_honest(2);
         let spec = RoundSpec { field: &field, points: &points, plan: &plan };
-        let err =
-            SocketTransport::loopback().run(&spec, &crate::round::SingleEval(|x| x)).unwrap_err();
+        let transport = SocketTransport::persistent(WorkerMode::Threads);
+        let err = transport.run(&spec, &crate::round::SingleEval(|x| x)).unwrap_err();
         assert_eq!(err, TransportError::NotWireExpressible);
     }
 
@@ -875,8 +694,8 @@ mod tests {
         let plan = FaultPlan::all_honest(2);
         let spec = RoundSpec { field: &field, points: &points, plan: &plan };
         let eval = ProgramEval::new(&field, vec![EvalProgram::Poly(vec![1])]);
-        let transport =
-            SocketTransport::with_worker_binary(PathBuf::from("/nonexistent/camelot-node"));
+        let binary = PathBuf::from("/nonexistent/camelot-node");
+        let transport = SocketTransport::persistent(WorkerMode::Process(binary));
         assert!(matches!(transport.run(&spec, &eval), Err(TransportError::WorkerFailed { .. })));
     }
 
@@ -894,7 +713,7 @@ mod tests {
         let eval = ProgramEval::new(&field, vec![EvalProgram::Poly(vec![3, 1, 4])]);
         let reference = ClusterConfig::sequential(5).transport().run(&spec, &eval).unwrap();
         let transport = SocketTransport::persistent(WorkerMode::Threads);
-        assert_eq!(transport.name(), "socket-pool");
+        assert_eq!(transport.name(), "socket");
         assert_eq!(transport.pool_live_workers(), 0, "pool starts lazily");
         for _ in 0..3 {
             let outcome = transport.run(&spec, &eval).unwrap();
@@ -945,7 +764,8 @@ mod tests {
         let spec = RoundSpec { field: &field, points: &points, plan: &plan };
         let eval = ProgramEval::new(&field, vec![EvalProgram::Poly(vec![1])]);
         // `false` spawns fine and exits 1 immediately, never connecting.
-        let transport = SocketTransport::with_worker_binary(PathBuf::from("/bin/false"));
+        let binary = PathBuf::from("/bin/false");
+        let transport = SocketTransport::persistent(WorkerMode::Process(binary));
         let start = std::time::Instant::now();
         let err = transport.run(&spec, &eval).unwrap_err();
         assert!(matches!(err, TransportError::WorkerFailed { .. }), "{err}");

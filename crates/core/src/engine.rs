@@ -168,9 +168,9 @@ impl EngineConfig {
     }
 
     /// Switches the broadcast backend rounds run on (the in-process
-    /// simulated bus by default; [`Backend::Channel`] for per-node OS
-    /// threads exchanging mpsc frames; [`Backend::Socket`] for loopback
-    /// TCP workers — the latter needs wire-expressible problems, see
+    /// simulated bus by default; [`Backend::Socket`] for a pool of
+    /// loopback TCP workers, started once per run and shared by its
+    /// rounds — it needs wire-expressible problems, see
     /// [`Evaluate::program`]).
     #[must_use]
     pub fn with_backend(mut self, backend: Backend) -> Self {

@@ -2,8 +2,8 @@
 //!
 //! The paper's protocol prepares a proof once so that many verifiers
 //! can check it cheaply. This crate turns that economy into a daemon:
-//! a persistent [`Service`] that keeps a warm worker pool (the
-//! `socket-pool` transport) across requests, **coalesces** concurrent
+//! a persistent [`Service`] that keeps a warm worker pool (one
+//! `socket` transport) across requests, **coalesces** concurrent
 //! prepare requests onto shared per-prime broadcast rounds via the
 //! engine's batched path, and **caches** prepared certificates in a
 //! content-addressed `camelot-store` so repeat queries are served with

@@ -4,7 +4,7 @@
 //! a batch must share one broadcast round per prime across its problems.
 
 use camelot::cluster::{FaultKind, FaultPlan};
-use camelot::core::{Backend, CamelotProblem, Engine, EngineConfig};
+use camelot::core::{CamelotProblem, Engine, EngineConfig};
 use camelot::graph::{count_triangles, gen};
 use camelot::triangles::TriangleCount;
 
@@ -95,24 +95,23 @@ fn batch_shares_one_broadcast_round_per_prime() {
     assert_eq!(solo.output, batched[0].output);
 }
 
-/// The engine over the channel backend (per-node OS threads, mpsc
-/// frames only) must be observationally identical to the in-process
-/// bus, faults included.
+/// The engine over the threaded bus (node slices on OS threads) must be
+/// observationally identical to the sequential in-process bus, faults
+/// and traffic accounting included.
 #[test]
-fn channel_backend_engine_matches_in_process() {
+fn parallel_bus_engine_matches_in_process() {
     let g = gen::gnm(11, 26, 17);
     let problem = TriangleCount::new(&g);
     let budget = problem.spec().degree_bound.max(16);
 
     let inproc = Engine::new(faulty_config(8, budget, false)).run(&problem).expect("inproc");
-    let channel_config = faulty_config(8, budget, false).with_backend(Backend::Channel);
-    let channel = Engine::new(channel_config).run(&problem).expect("channel");
+    let parallel = Engine::new(faulty_config(8, budget, true)).run(&problem).expect("parallel");
 
-    assert_eq!(inproc.output, channel.output);
-    assert_eq!(inproc.certificate, channel.certificate);
-    assert_eq!(inproc.report.total_evaluations, channel.report.total_evaluations);
-    assert_eq!(inproc.report.symbols_broadcast, channel.report.symbols_broadcast);
-    assert_eq!(inproc.report.bytes_on_wire, channel.report.bytes_on_wire);
+    assert_eq!(inproc.output, parallel.output);
+    assert_eq!(inproc.certificate, parallel.certificate);
+    assert_eq!(inproc.report.total_evaluations, parallel.report.total_evaluations);
+    assert_eq!(inproc.report.symbols_broadcast, parallel.report.symbols_broadcast);
+    assert_eq!(inproc.report.bytes_on_wire, parallel.report.bytes_on_wire);
 }
 
 /// Batched runs identify faulty nodes exactly like per-problem runs.

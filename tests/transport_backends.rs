@@ -4,8 +4,8 @@
 //! end to end on each of them.
 
 use camelot::cluster::{
-    ChannelTransport, ChaosEffect, ChaosPlan, EvalProgram, FailureCause, FaultKind, FaultPlan,
-    InProcess, ProgramEval, RoundSpec, SocketTransport, Transport, TransportTuning,
+    ChaosEffect, ChaosPlan, Demotion, EvalProgram, FailureCause, FaultKind, FaultPlan, InProcess,
+    ProgramEval, RoundSpec, SocketTransport, Transport, TransportError, TransportTuning,
 };
 use camelot::core::{
     Backend, CamelotError, CamelotProblem, Engine, EngineConfig, Evaluate, PrimeProof, ProofSpec,
@@ -33,8 +33,21 @@ fn all_backends() -> Vec<(&'static str, Box<dyn Transport>)> {
     vec![
         ("inproc", Box::new(InProcess::new(false))),
         ("inproc-par", Box::new(InProcess::new(true))),
-        ("channel", Box::new(ChannelTransport::new())),
-        ("socket", Box::new(SocketTransport::loopback())),
+        ("socket", Box::new(SocketTransport::persistent(WorkerMode::Threads))),
+    ]
+}
+
+/// The engine configurations every engine-level test holds to the
+/// sequential in-process reference: the threaded bus and the socket
+/// pool, each built from the config alone.
+fn engine_backends(nodes: usize, budget: usize) -> Vec<(&'static str, EngineConfig)> {
+    vec![
+        ("inproc-par", EngineConfig::parallel(nodes, budget)),
+        (
+            "socket",
+            EngineConfig::sequential(nodes, budget)
+                .with_backend(Backend::Socket(WorkerMode::Threads)),
+        ),
     ]
 }
 
@@ -86,13 +99,9 @@ fn closure_rounds_agree_where_supported() {
     let eval = camelot::cluster::SingleEval(|x: u64| field.mul(x, field.add(x, 3)));
 
     let reference = InProcess::new(false).run(&spec, &eval).unwrap();
-    for transport in
-        [Box::new(InProcess::new(true)) as Box<dyn Transport>, Box::new(ChannelTransport::new())]
-    {
-        let outcome = transport.run(&spec, &eval).unwrap();
-        assert!(outcome.broadcasts[0].same_word(&reference.broadcasts[0]));
-    }
-    assert!(SocketTransport::loopback().run(&spec, &eval).is_err());
+    let outcome = InProcess::new(true).run(&spec, &eval).unwrap();
+    assert!(outcome.broadcasts[0].same_word(&reference.broadcasts[0]));
+    assert!(SocketTransport::persistent(WorkerMode::Threads).run(&spec, &eval).is_err());
 }
 
 /// A wire-expressible problem: the proof polynomial is handed over as
@@ -151,15 +160,12 @@ fn engine_outcomes_are_identical_across_backends() {
     let budget = 6;
     let nodes = d + 1 + 2 * budget;
 
-    let outcome_for = |backend: Backend| {
-        let config = EngineConfig::sequential(nodes, budget)
-            .with_plan(full_matrix_plan(nodes))
-            .with_full_decoding()
-            .with_backend(backend);
+    let outcome_for = |config: EngineConfig| {
+        let config = config.with_plan(full_matrix_plan(nodes)).with_full_decoding();
         Engine::new(config).run(&problem).expect("run must tolerate the fault matrix")
     };
 
-    let reference = outcome_for(Backend::InProcess);
+    let reference = outcome_for(EngineConfig::sequential(nodes, budget));
     assert_eq!(reference.output, 123_456_789);
     assert_eq!(reference.certificate.identified_faulty_nodes, vec![3, 5, 7]);
     assert_eq!(reference.certificate.crashed_nodes, vec![1]);
@@ -167,15 +173,12 @@ fn engine_outcomes_are_identical_across_backends() {
     assert!(reference.report.symbols_broadcast > 0);
     assert!(reference.report.bytes_on_wire > 0);
 
-    for backend in [Backend::Channel, Backend::Socket(WorkerMode::Threads)] {
-        let outcome = outcome_for(backend.clone());
-        assert_eq!(outcome.output, reference.output, "{backend:?}");
-        assert_eq!(outcome.certificate, reference.certificate, "{backend:?}");
-        assert_eq!(
-            outcome.report.symbols_broadcast, reference.report.symbols_broadcast,
-            "{backend:?}"
-        );
-        assert_eq!(outcome.report.bytes_on_wire, reference.report.bytes_on_wire, "{backend:?}");
+    for (name, config) in engine_backends(nodes, budget) {
+        let outcome = outcome_for(config);
+        assert_eq!(outcome.output, reference.output, "{name}");
+        assert_eq!(outcome.certificate, reference.certificate, "{name}");
+        assert_eq!(outcome.report.symbols_broadcast, reference.report.symbols_broadcast, "{name}");
+        assert_eq!(outcome.report.bytes_on_wire, reference.report.bytes_on_wire, "{name}");
     }
 }
 
@@ -183,7 +186,7 @@ fn engine_outcomes_are_identical_across_backends() {
 /// positions erased and decodes them through the same locator, first
 /// decode and repeats alike. The decoded proof must be bit-identical
 /// across deciders (the engine's disagreement check runs on every pair)
-/// and across all three transport backends, and the decode/xgcd
+/// and across every transport backend, and the decode/xgcd
 /// observability counters must attribute nonzero time.
 #[test]
 fn crash_fault_erasure_decoding_is_identical_across_backends() {
@@ -197,15 +200,12 @@ fn crash_fault_erasure_decoding_is_identical_across_backends() {
         [2, 6, 9].iter().map(|&n| (n, FaultKind::Crash)).collect();
     let plan = FaultPlan::with_faults(nodes, &crashes);
 
-    let outcome_for = |backend: Backend| {
-        let config = EngineConfig::sequential(nodes, budget)
-            .with_plan(plan.clone())
-            .with_full_decoding()
-            .with_backend(backend);
+    let outcome_for = |config: EngineConfig| {
+        let config = config.with_plan(plan.clone()).with_full_decoding();
         Engine::new(config).run(&problem).expect("crash plan within budget must decode")
     };
 
-    let reference = outcome_for(Backend::InProcess);
+    let reference = outcome_for(EngineConfig::sequential(nodes, budget));
     assert_eq!(reference.output, 987_654_321);
     assert_eq!(reference.certificate.crashed_nodes, vec![2, 6, 9]);
     assert!(reference.certificate.identified_faulty_nodes.is_empty());
@@ -218,10 +218,10 @@ fn crash_fault_erasure_decoding_is_identical_across_backends() {
         "full decoding across deciders must accumulate decode time"
     );
 
-    for backend in [Backend::Channel, Backend::Socket(WorkerMode::Threads)] {
-        let outcome = outcome_for(backend.clone());
-        assert_eq!(outcome.output, reference.output, "{backend:?}");
-        assert_eq!(outcome.certificate, reference.certificate, "{backend:?}");
+    for (name, config) in engine_backends(nodes, budget) {
+        let outcome = outcome_for(config);
+        assert_eq!(outcome.output, reference.output, "{name}");
+        assert_eq!(outcome.certificate, reference.certificate, "{name}");
     }
 }
 
@@ -250,13 +250,12 @@ fn chaos_tuning() -> TransportTuning {
 }
 
 /// The tentpole acceptance criterion: a seeded chaos plan is injected
-/// *identically* by all four backends — the in-process simulation, the
-/// channel threads, one-shot loopback sockets, and the persistent
-/// socket pool all deliver bit-identical broadcasts, the same demotion
-/// list (same nodes, same structured causes), and the same traffic
-/// accounting.
+/// *identically* by every backend — the in-process simulation,
+/// sequential and threaded, and the socket pool over real loopback TCP
+/// all deliver bit-identical broadcasts, the same demotion list (same
+/// nodes, same structured causes), and the same traffic accounting.
 #[test]
-fn chaos_rounds_are_bit_identical_across_all_four_backends() {
+fn chaos_rounds_are_bit_identical_across_all_backends() {
     let nodes = 10;
     let field = PrimeField::new(1_048_583).unwrap();
     let points: Vec<u64> = (0..nodes as u64).collect();
@@ -283,21 +282,7 @@ fn chaos_rounds_are_bit_identical_across_all_four_backends() {
             ),
         ),
         (
-            "channel",
-            Box::new(
-                ChannelTransport::new().with_tuning(tuning.clone()).with_chaos(Some(chaos.clone())),
-            ),
-        ),
-        (
             "socket",
-            Box::new(
-                SocketTransport::loopback()
-                    .with_tuning(tuning.clone())
-                    .with_chaos(Some(chaos.clone())),
-            ),
-        ),
-        (
-            "socket-pool",
             Box::new(
                 SocketTransport::persistent(WorkerMode::Threads)
                     .with_tuning(tuning.clone())
@@ -435,7 +420,8 @@ fn silent_nodes_share_one_deadline_on_the_socket_pool() {
 /// decoded proofs and the recovered output are bit-identical to the
 /// chaos-free run, the garbled node is identified as faulty, demoted
 /// nodes land among the crashed, and the recovery counters account for
-/// the noise — identically on every backend, persistent pool included.
+/// the noise — identically on every backend, an engine-shared pool
+/// included.
 #[test]
 fn engine_absorbs_chaos_within_radius_identically_across_backends() {
     let problem = WirePoly { coeffs: vec![123_456_789, 7, 0, 5] };
@@ -454,17 +440,17 @@ fn engine_absorbs_chaos_within_radius_identically_across_backends() {
     .expect("nodes in range");
     // 2 errors + 3 erasures = 5 <= e - d - 1 = 12: inside the radius.
 
-    let config = |backend: Backend| {
-        EngineConfig::sequential(nodes, budget).with_backend(backend).with_tuning(chaos_tuning())
-    };
-    let clean = Engine::new(config(Backend::InProcess)).run(&problem).expect("chaos-free run");
+    let sequential = || EngineConfig::sequential(nodes, budget);
+    let clean = Engine::new(sequential().with_tuning(chaos_tuning()))
+        .run(&problem)
+        .expect("chaos-free run");
 
-    let chaotic = |backend: Backend| {
-        Engine::new(config(backend).with_chaos(chaos.clone()))
+    let chaotic = |config: EngineConfig| {
+        Engine::new(config.with_tuning(chaos_tuning()).with_chaos(chaos.clone()))
             .run(&problem)
             .expect("chaos within the radius must decode")
     };
-    let reference = chaotic(Backend::InProcess);
+    let reference = chaotic(sequential());
 
     // The certificate proves the same statement the chaos-free run
     // proved — same proofs, same output, same code parameters.
@@ -483,28 +469,26 @@ fn engine_absorbs_chaos_within_radius_identically_across_backends() {
         vec![5, 7, 9]
     );
 
-    for backend in [Backend::Channel, Backend::Socket(WorkerMode::Threads)] {
-        let outcome = chaotic(backend.clone());
-        assert_eq!(outcome.output, reference.output, "{backend:?}");
-        assert_eq!(outcome.certificate, reference.certificate, "{backend:?}");
-        assert_eq!(outcome.report.demotions, reference.report.demotions, "{backend:?}");
-        assert_eq!(outcome.report.erasures_seen, reference.report.erasures_seen, "{backend:?}");
-        assert_eq!(
-            outcome.report.errors_corrected, reference.report.errors_corrected,
-            "{backend:?}"
-        );
+    for (name, config) in engine_backends(nodes, budget) {
+        let outcome = chaotic(config);
+        assert_eq!(outcome.output, reference.output, "{name}");
+        assert_eq!(outcome.certificate, reference.certificate, "{name}");
+        assert_eq!(outcome.report.demotions, reference.report.demotions, "{name}");
+        assert_eq!(outcome.report.erasures_seen, reference.report.erasures_seen, "{name}");
+        assert_eq!(outcome.report.errors_corrected, reference.report.errors_corrected, "{name}");
     }
 
-    // The persistent pool (engine-shared transport) sees the same round.
+    // A pool shared through `Engine::with_transport` (how the daemon
+    // runs) sees the same rounds.
     let pool = SocketTransport::persistent(WorkerMode::Threads)
         .with_tuning(chaos_tuning())
         .with_chaos(Some(chaos));
     let engine =
         Engine::with_transport(EngineConfig::sequential(nodes, budget), Arc::new(pool.clone()));
     let outcome = engine.run(&problem).expect("pool absorbs chaos");
-    assert_eq!(outcome.output, reference.output, "socket-pool");
-    assert_eq!(outcome.certificate, reference.certificate, "socket-pool");
-    assert_eq!(outcome.report.demotions, reference.report.demotions, "socket-pool");
+    assert_eq!(outcome.output, reference.output, "shared socket");
+    assert_eq!(outcome.certificate, reference.certificate, "shared socket");
+    assert_eq!(outcome.report.demotions, reference.report.demotions, "shared socket");
     pool.shutdown_pool().expect("clean pool shutdown");
 }
 
@@ -524,9 +508,10 @@ fn socket_engine_rejects_closure_problems() {
 }
 
 /// A panicking evaluation closure must surface as a reported
-/// `WorkerFailed` refusal on the threaded backends, never abort the
-/// coordinator — the same guarantee the socket worker gives for hostile
-/// frames, kept panic-free end to end by camelot-lint's `panic-path` rule.
+/// `WorkerFailed` refusal naming the node on the threaded bus, never
+/// abort the coordinator — the same guarantee the socket worker gives
+/// for hostile frames, kept panic-free end to end by camelot-lint's
+/// `panic-path` rule.
 #[test]
 fn threaded_backends_report_a_panicked_node_as_worker_failure() {
     let field = PrimeField::new(1_048_583).expect("prime");
@@ -537,9 +522,49 @@ fn threaded_backends_report_a_panicked_node_as_worker_failure() {
         assert!(x != 13, "injected node failure");
         x
     });
-    let got = ChannelTransport::new().run(&spec, &eval);
-    match got {
-        Err(camelot::cluster::TransportError::WorkerFailed { .. }) => {}
-        other => panic!("channel: expected WorkerFailed, got {other:?}"),
+    // Point 13 lies in node 2's slice, 12..18.
+    match InProcess::new(true).run(&spec, &eval) {
+        Err(TransportError::WorkerFailed { node: 2, .. }) => {}
+        other => panic!("inproc-par: expected WorkerFailed for node 2, got {other:?}"),
     }
+}
+
+/// An engine over a config-built socket backend (no `with_transport`)
+/// runs every round of the run on one pool, so a hung node costs the
+/// run one deadline, not one a round: the certificate and demotions are
+/// the in-process ones, and the whole run — pool start and shutdown
+/// included — stays under two deadlines.
+#[test]
+fn a_config_built_socket_engine_spends_a_deadline_once() {
+    let problem = WirePoly { coeffs: vec![123_456_789, 7, 0, 5] };
+    let d = problem.spec().degree_bound;
+    let budget = 6;
+    let nodes = d + 1 + 2 * budget;
+    let chaos = ChaosPlan::with_effects(nodes, &[(7, ChaosEffect::Hang)]).expect("node in range");
+    let tuning = chaos_tuning();
+    let run = |backend: Backend| {
+        let config = EngineConfig::sequential(nodes, budget)
+            .with_backend(backend)
+            .with_tuning(tuning.clone())
+            .with_chaos(chaos.clone());
+        let started = Instant::now();
+        let outcome = Engine::new(config).run(&problem).expect("a hung node is an erasure");
+        (outcome, started.elapsed())
+    };
+
+    let (reference, _) = run(Backend::InProcess);
+    assert!(reference.report.rounds >= 2, "the contract is about later rounds");
+    assert_eq!(
+        reference.report.demotions,
+        vec![Demotion { node: 7, cause: FailureCause::Timeout }]
+    );
+    let (outcome, elapsed) = run(Backend::Socket(WorkerMode::Threads));
+    assert_eq!(outcome.certificate, reference.certificate);
+    assert_eq!(outcome.report.demotions, reference.report.demotions);
+    assert_eq!(outcome.report.rounds, reference.report.rounds);
+    assert!(
+        elapsed < tuning.io_deadline * 2,
+        "{} rounds with a hung node took {elapsed:?}: a deadline is spent once per run",
+        outcome.report.rounds
+    );
 }

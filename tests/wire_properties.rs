@@ -4,7 +4,7 @@
 //! well-formed message exactly.
 
 use camelot::cluster::{
-    encode_reply, parse_reply, serve_worker, ChaosEffect, EvalProgram, FaultKind, FrameBody,
+    encode_reply, parse_reply, serve_worker_loop, ChaosEffect, EvalProgram, FaultKind, FrameBody,
     NodeFrames, Task, TransportError,
 };
 use camelot::core::{CamelotError, Certificate, PrimeProof};
@@ -281,7 +281,8 @@ fn random_frames_roundtrip_exactly() {
 
 /// Drive a real worker over TCP with one payload and return its verdict.
 /// The worker runs on its own thread exactly as the socket backend spawns
-/// it; a panic in `serve_worker` would poison the join and fail the test.
+/// it; a panic in `serve_worker_loop` would poison the join and fail the
+/// test.
 fn serve_payload(payload: &[u8]) -> Result<(), TransportError> {
     use std::io::Write as _;
     use std::net::{TcpListener, TcpStream};
@@ -289,7 +290,7 @@ fn serve_payload(payload: &[u8]) -> Result<(), TransportError> {
     let addr = listener.local_addr().expect("local addr");
     let worker = std::thread::spawn(move || {
         let (stream, _) = listener.accept().expect("accept");
-        serve_worker(stream)
+        serve_worker_loop(stream)
     });
     let mut client = TcpStream::connect(addr).expect("connect");
     client.write_all(payload).expect("send payload");
@@ -304,7 +305,6 @@ fn worker_refuses_garbage_frames_instead_of_aborting() {
     // must come back as a reported refusal (a TransportError), with the
     // worker thread alive to return it.
     let cases: &[&[u8]] = &[
-        b"",
         b"\n\n\n",
         b"camelot-task v1\nend\n",
         b"camelot-task v2\nend\n",
@@ -321,6 +321,9 @@ fn worker_refuses_garbage_frames_instead_of_aborting() {
             "worker accepted hostile payload {payload:?}: {got:?}"
         );
     }
+    // An empty payload is not hostile: a coordinator hanging up at a
+    // message boundary is how a worker is told to exit.
+    assert_eq!(serve_payload(b""), Ok(()));
 }
 
 #[test]
