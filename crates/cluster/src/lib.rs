@@ -29,6 +29,7 @@
 
 mod chaos;
 mod fault;
+pub mod frame;
 mod retry;
 mod round;
 mod transport;

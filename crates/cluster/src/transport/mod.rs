@@ -13,9 +13,8 @@
 //!
 //! ## The v1 frame format
 //!
-//! Plain-text and line-oriented, extending the `camelot-certificate v1`
-//! conventions of the certificate wire format (ASCII, one
-//! space-separated record per line, explicit `end` marker):
+//! Task and reply messages are frames in the grammar of
+//! [`crate::frame`]; their records:
 //!
 //! ```text
 //! camelot-task v1          camelot-reply v1
@@ -29,10 +28,12 @@
 //! end
 //! ```
 //!
-//! `-` marks an erased symbol. A uniform sender replies with a single
-//! `frame all` line; an equivocator replies with `frame all` (its
-//! truthful base, diagnostic) followed by one `frame <r>` line per
-//! receiver.
+//! A task also carries `deadline <ms>` and `chaos <effect...>` when they
+//! differ from the quiet default. `program <p>` and `frame <r>` repeat;
+//! every other record is scalar. `-` marks an erased symbol. A uniform
+//! sender replies with a single `frame all` line; an equivocator replies
+//! with `frame all` (its truthful base, diagnostic) followed by one
+//! `frame <r>` line per receiver.
 
 mod inproc;
 mod pool;
@@ -46,6 +47,7 @@ use crate::chaos::{
     simulated_failure, worker_action, ChaosEffect, ChaosPlan, Demotion, WorkerAction,
 };
 use crate::fault::FaultKind;
+use crate::frame::{Frame, FrameError, FrameWriter, Record};
 use crate::retry::TransportTuning;
 use crate::round::{crash_frames, FrameBody, NodeFrames, RoundEval, RoundOutcome, RoundSpec};
 use camelot_ff::PrimeField;
@@ -322,11 +324,11 @@ pub const PING_HEADER: &str = "camelot-ping v1";
 /// Control frame: a live worker's answer to a ping.
 pub const PONG_HEADER: &str = "camelot-pong v1";
 
-/// The one-line body of a control frame (`<header>\nend\n`), shared by
-/// the shutdown/ping/pong messages of the persistent worker protocol.
+/// The record-less frame (`<header>\nend\n`) of the shutdown/ping/pong
+/// messages of the persistent worker protocol.
 #[must_use]
 pub fn control_frame(header: &str) -> String {
-    format!("{header}\nend\n")
+    FrameWriter::new(header).end()
 }
 
 /// One node's work order for a round, as shipped to a worker.
@@ -362,112 +364,75 @@ pub struct Task {
 /// 60 s socket timeout).
 pub(crate) const DEFAULT_TASK_DEADLINE_MS: u64 = 60_000;
 
-fn push_fault(out: &mut String, kind: FaultKind) {
-    match kind {
-        FaultKind::Honest => out.push_str("fault honest\n"),
-        FaultKind::Crash => out.push_str("fault crash\n"),
-        FaultKind::Corrupt { seed } => {
-            out.push_str(&format!("fault corrupt {seed}\n"));
-        }
-        FaultKind::Adversarial { offset } => {
-            out.push_str(&format!("fault adversarial {offset}\n"));
-        }
-        FaultKind::Equivocate { seed } => {
-            out.push_str(&format!("fault equivocate {seed}\n"));
-        }
-    }
+fn protocol_error(err: FrameError) -> TransportError {
+    TransportError::Protocol { reason: err.to_string() }
 }
 
-fn parse_fault(tokens: &[&str]) -> Result<FaultKind, TransportError> {
-    let arg = |what: &str| -> Result<u64, TransportError> {
-        tokens
-            .get(1)
-            .and_then(|s| s.parse::<u64>().ok())
-            .ok_or_else(|| protocol(&format!("fault {what} needs a numeric argument")))
+fn parse_fault(mut record: Record<'_>) -> Result<FaultKind, FrameError> {
+    let kind = match record.word()? {
+        "honest" => FaultKind::Honest,
+        "crash" => FaultKind::Crash,
+        "corrupt" => FaultKind::Corrupt { seed: record.number()? },
+        "adversarial" => FaultKind::Adversarial { offset: record.number()? },
+        "equivocate" => FaultKind::Equivocate { seed: record.number()? },
+        _ => return Err(record.bad()),
     };
-    match tokens.first() {
-        Some(&"honest") => Ok(FaultKind::Honest),
-        Some(&"crash") => Ok(FaultKind::Crash),
-        Some(&"corrupt") => Ok(FaultKind::Corrupt { seed: arg("corrupt")? }),
-        Some(&"adversarial") => Ok(FaultKind::Adversarial { offset: arg("adversarial")? }),
-        Some(&"equivocate") => Ok(FaultKind::Equivocate { seed: arg("equivocate")? }),
-        _ => Err(protocol("unknown fault kind")),
-    }
+    record.end()?;
+    Ok(kind)
 }
 
-fn protocol(reason: &str) -> TransportError {
-    TransportError::Protocol { reason: reason.to_string() }
-}
-
-fn push_chaos(out: &mut String, effect: ChaosEffect) {
-    match effect {
-        ChaosEffect::Delay { millis } => out.push_str(&format!("chaos delay {millis}\n")),
-        ChaosEffect::DropFrame => out.push_str("chaos drop\n"),
-        ChaosEffect::Truncate { seed } => out.push_str(&format!("chaos truncate {seed}\n")),
-        ChaosEffect::Garble { seed } => out.push_str(&format!("chaos garble {seed}\n")),
-        ChaosEffect::Duplicate => out.push_str("chaos duplicate\n"),
-        ChaosEffect::Reset => out.push_str("chaos reset\n"),
-        ChaosEffect::Hang => out.push_str("chaos hang\n"),
-    }
-}
-
-fn parse_chaos(tokens: &[&str]) -> Result<ChaosEffect, TransportError> {
-    let arg = |what: &str| -> Result<u64, TransportError> {
-        tokens
-            .get(1)
-            .and_then(|s| s.parse::<u64>().ok())
-            .ok_or_else(|| protocol(&format!("chaos {what} needs a numeric argument")))
+fn parse_chaos(mut record: Record<'_>) -> Result<ChaosEffect, FrameError> {
+    let effect = match record.word()? {
+        "delay" => ChaosEffect::Delay { millis: record.number()? },
+        "drop" => ChaosEffect::DropFrame,
+        "truncate" => ChaosEffect::Truncate { seed: record.number()? },
+        "garble" => ChaosEffect::Garble { seed: record.number()? },
+        "duplicate" => ChaosEffect::Duplicate,
+        "reset" => ChaosEffect::Reset,
+        "hang" => ChaosEffect::Hang,
+        _ => return Err(record.bad()),
     };
-    match tokens.first() {
-        Some(&"delay") => Ok(ChaosEffect::Delay { millis: arg("delay")? }),
-        Some(&"drop") => Ok(ChaosEffect::DropFrame),
-        Some(&"truncate") => Ok(ChaosEffect::Truncate { seed: arg("truncate")? }),
-        Some(&"garble") => Ok(ChaosEffect::Garble { seed: arg("garble")? }),
-        Some(&"duplicate") => Ok(ChaosEffect::Duplicate),
-        Some(&"reset") => Ok(ChaosEffect::Reset),
-        Some(&"hang") => Ok(ChaosEffect::Hang),
-        _ => Err(protocol("unknown chaos effect")),
-    }
+    record.end()?;
+    Ok(effect)
 }
 
 impl Task {
     /// Serializes to the v1 task format.
     #[must_use]
     pub fn to_wire(&self) -> String {
-        let mut out = String::new();
-        out.push_str(TASK_HEADER);
-        out.push('\n');
-        out.push_str(&format!("field {}\n", self.modulus));
-        out.push_str(&format!("cluster {}\n", self.nodes));
-        out.push_str(&format!("node {}\n", self.node));
-        out.push_str(&format!("width {}\n", self.programs.len()));
-        push_fault(&mut out, self.fault);
+        let mut w = FrameWriter::new(TASK_HEADER);
+        w.record("field", self.modulus)
+            .record("cluster", self.nodes)
+            .record("node", self.node)
+            .record("width", self.programs.len());
+        match self.fault {
+            FaultKind::Honest => w.record("fault", "honest"),
+            FaultKind::Crash => w.record("fault", "crash"),
+            FaultKind::Corrupt { seed } => w.record("fault corrupt", seed),
+            FaultKind::Adversarial { offset } => w.record("fault adversarial", offset),
+            FaultKind::Equivocate { seed } => w.record("fault equivocate", seed),
+        };
         // Neither line appears on a default quiet task, keeping the
         // historical wire byte-identical; each is emitted independently
         // so every Task value round-trips exactly.
         if self.deadline_ms != DEFAULT_TASK_DEADLINE_MS {
-            out.push_str(&format!("deadline {}\n", self.deadline_ms));
+            w.record("deadline", self.deadline_ms);
         }
-        if let Some(effect) = self.chaos {
-            push_chaos(&mut out, effect);
+        match self.chaos {
+            None => &mut w,
+            Some(ChaosEffect::Delay { millis }) => w.record("chaos delay", millis),
+            Some(ChaosEffect::DropFrame) => w.record("chaos", "drop"),
+            Some(ChaosEffect::Truncate { seed }) => w.record("chaos truncate", seed),
+            Some(ChaosEffect::Garble { seed }) => w.record("chaos garble", seed),
+            Some(ChaosEffect::Duplicate) => w.record("chaos", "duplicate"),
+            Some(ChaosEffect::Reset) => w.record("chaos", "reset"),
+            Some(ChaosEffect::Hang) => w.record("chaos", "hang"),
+        };
+        for (p, EvalProgram::Poly(coeffs)) in self.programs.iter().enumerate() {
+            w.numbers(format_args!("program {p} poly"), coeffs);
         }
-        for (p, program) in self.programs.iter().enumerate() {
-            match program {
-                EvalProgram::Poly(coeffs) => {
-                    out.push_str(&format!("program {p} poly"));
-                    for &c in coeffs {
-                        out.push_str(&format!(" {c}"));
-                    }
-                    out.push('\n');
-                }
-            }
-        }
-        out.push_str(&format!("points {}", self.lo));
-        for &x in &self.points {
-            out.push_str(&format!(" {x}"));
-        }
-        out.push_str("\nend\n");
-        out
+        w.numbers(format_args!("points {}", self.lo), &self.points);
+        w.end()
     }
 
     /// Parses the v1 task format.
@@ -477,92 +442,50 @@ impl Task {
     /// [`TransportError::Protocol`] for any structural violation (never
     /// panics on malformed input).
     pub fn from_wire(text: &str) -> Result<Task, TransportError> {
-        let mut lines = text.lines();
-        if lines.next() != Some(TASK_HEADER) {
-            return Err(protocol("missing task header"));
-        }
-        let mut modulus = None;
-        let mut nodes = None;
-        let mut node = None;
-        let mut width = None;
-        let mut fault = None;
-        let mut chaos = None;
-        let mut deadline_ms = DEFAULT_TASK_DEADLINE_MS;
-        let mut programs: Vec<(usize, EvalProgram)> = Vec::new();
-        let mut assigned: Option<(usize, Vec<u64>)> = None;
-        let mut ended = false;
-        for line in lines {
-            let tokens: Vec<&str> = line.split_ascii_whitespace().collect();
-            match tokens.first() {
-                Some(&"field") => modulus = Some(parse_u64(tokens.get(1), "field")?),
-                Some(&"cluster") => nodes = Some(parse_usize(tokens.get(1), "cluster")?),
-                Some(&"node") => node = Some(parse_usize(tokens.get(1), "node")?),
-                Some(&"width") => width = Some(parse_usize(tokens.get(1), "width")?),
-                Some(&"fault") => fault = Some(parse_fault(tokens.get(1..).unwrap_or(&[]))?),
-                Some(&"chaos") => chaos = Some(parse_chaos(tokens.get(1..).unwrap_or(&[]))?),
-                Some(&"deadline") => deadline_ms = parse_u64(tokens.get(1), "deadline")?,
-                Some(&"program") => {
-                    let p = parse_usize(tokens.get(1), "program index")?;
-                    match tokens.get(2) {
-                        Some(&"poly") => {
-                            let coeffs = tokens
-                                .get(3..)
-                                .unwrap_or(&[])
-                                .iter()
-                                .map(|t| {
-                                    t.parse::<u64>()
-                                        .map_err(|_| protocol("non-numeric program coefficient"))
-                                })
-                                .collect::<Result<Vec<u64>, _>>()?;
-                            programs.push((p, EvalProgram::Poly(coeffs)));
-                        }
-                        _ => return Err(protocol("unknown program kind")),
-                    }
+        Task::decode(text).map_err(protocol_error)
+    }
+
+    fn decode(text: &str) -> Result<Task, FrameError> {
+        let mut frame = Frame::parse(text, TASK_HEADER)?;
+        let modulus: u64 = frame.require("field")?;
+        let nodes: usize = frame.require("cluster")?;
+        let node: usize = frame.require("node")?;
+        let width: usize = frame.require("width")?;
+        let fault = parse_fault(frame.required("fault")?)?;
+        let chaos = frame.scalar("chaos")?.map(parse_chaos).transpose()?;
+        let deadline_ms = frame.number("deadline")?.unwrap_or(DEFAULT_TASK_DEADLINE_MS);
+        let mut programs = frame
+            .repeated("program")
+            .map(|mut record| {
+                let p: usize = record.number()?;
+                match record.word()? {
+                    "poly" => Ok((p, EvalProgram::Poly(record.numbers()?))),
+                    _ => Err(record.bad()),
                 }
-                Some(&"points") => {
-                    let lo = parse_usize(tokens.get(1), "points base index")?;
-                    let xs = tokens
-                        .get(2..)
-                        .unwrap_or(&[])
-                        .iter()
-                        .map(|t| t.parse::<u64>().map_err(|_| protocol("non-numeric point")))
-                        .collect::<Result<Vec<u64>, _>>()?;
-                    assigned = Some((lo, xs));
-                }
-                Some(&"end") => {
-                    ended = true;
-                    break;
-                }
-                Some(other) => return Err(protocol(&format!("unknown task section {other:?}"))),
-                None => {} // blank line tolerated
-            }
-        }
-        if !ended {
-            return Err(protocol("missing task end marker"));
-        }
-        let width = width.ok_or_else(|| protocol("missing width"))?;
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut points = frame.required("points")?;
+        let lo = points.number()?;
+        let points = points.numbers()?;
+        frame.finish()?;
         programs.sort_by_key(|&(p, _)| p);
-        if programs.len() != width
+        if width == 0
+            || programs.len() != width
             || programs.iter().enumerate().any(|(i, &(p, _))| p != i)
-            || width == 0
         {
-            return Err(protocol("program lines do not cover the round width"));
+            return Err(FrameError::Bad("program"));
         }
-        let (lo, points) = assigned.ok_or_else(|| protocol("missing points"))?;
-        let modulus = modulus.ok_or_else(|| protocol("missing field"))?;
         if modulus < 2 {
-            return Err(protocol("field modulus must be at least 2"));
+            return Err(FrameError::Bad("field"));
         }
-        let nodes = nodes.ok_or_else(|| protocol("missing cluster size"))?;
-        let node = node.ok_or_else(|| protocol("missing node id"))?;
         if nodes == 0 || node >= nodes {
-            return Err(protocol("node id outside the cluster"));
+            return Err(FrameError::Bad("node"));
         }
         Ok(Task {
             modulus,
             nodes,
             node,
-            fault: fault.ok_or_else(|| protocol("missing fault kind"))?,
+            fault,
             programs: programs.into_iter().map(|(_, prog)| prog).collect(),
             lo,
             points,
@@ -572,62 +495,25 @@ impl Task {
     }
 }
 
-fn parse_u64(tok: Option<&&str>, what: &str) -> Result<u64, TransportError> {
-    tok.and_then(|s| s.parse::<u64>().ok()).ok_or_else(|| protocol(&format!("bad {what} field")))
-}
-
-fn parse_usize(tok: Option<&&str>, what: &str) -> Result<usize, TransportError> {
-    tok.and_then(|s| s.parse::<usize>().ok()).ok_or_else(|| protocol(&format!("bad {what} field")))
-}
-
-fn push_symbols(out: &mut String, symbols: &[Option<u64>]) {
-    for sym in symbols {
-        match sym {
-            Some(v) => out.push_str(&format!(" {v}")),
-            None => out.push_str(" -"),
-        }
-    }
-    out.push('\n');
-}
-
-fn parse_symbols(tokens: &[&str]) -> Result<Vec<Option<u64>>, TransportError> {
-    tokens
-        .iter()
-        .map(|&t| {
-            if t == "-" {
-                Ok(None)
-            } else {
-                t.parse::<u64>().map(Some).map_err(|_| protocol("non-numeric symbol"))
-            }
-        })
-        .collect()
-}
-
 /// Serializes one node's reply (its [`NodeFrames`]) to the v1 format.
 #[must_use]
 pub fn encode_reply(frames: &NodeFrames) -> String {
-    let mut out = String::new();
-    out.push_str(REPLY_HEADER);
-    out.push('\n');
-    out.push_str(&format!("node {}\n", frames.node));
-    out.push_str(&format!("evals {}\n", frames.evaluations));
-    out.push_str(&format!("nanos {}\n", frames.elapsed.as_nanos()));
+    let mut w = FrameWriter::new(REPLY_HEADER);
+    w.record("node", frames.node)
+        .record("evals", frames.evaluations)
+        .record("nanos", frames.elapsed.as_nanos());
     match &frames.body {
         FrameBody::Uniform(symbols) => {
-            out.push_str("frame all");
-            push_symbols(&mut out, symbols);
+            w.symbols("frame all", symbols);
         }
         FrameBody::PerReceiver { base, per_receiver } => {
-            out.push_str("frame all");
-            push_symbols(&mut out, base);
+            w.symbols("frame all", base);
             for (r, frame) in per_receiver.iter().enumerate() {
-                out.push_str(&format!("frame {r}"));
-                push_symbols(&mut out, frame);
+                w.symbols(format_args!("frame {r}"), frame);
             }
         }
     }
-    out.push_str("end\n");
-    out
+    w.end()
 }
 
 /// Parses one node's reply from the v1 format.
@@ -637,67 +523,39 @@ pub fn encode_reply(frames: &NodeFrames) -> String {
 /// [`TransportError::Protocol`] for any structural violation (never
 /// panics on malformed input).
 pub fn parse_reply(text: &str) -> Result<NodeFrames, TransportError> {
-    let mut lines = text.lines();
-    if lines.next() != Some(REPLY_HEADER) {
-        return Err(protocol("missing reply header"));
-    }
-    let mut node = None;
-    let mut evaluations = None;
-    let mut nanos: Option<u64> = None;
-    let mut base: Option<Vec<Option<u64>>> = None;
-    let mut per_receiver: Vec<(usize, Vec<Option<u64>>)> = Vec::new();
-    let mut ended = false;
-    for line in lines {
-        let tokens: Vec<&str> = line.split_ascii_whitespace().collect();
-        match tokens.first() {
-            Some(&"node") => node = Some(parse_usize(tokens.get(1), "node")?),
-            Some(&"evals") => evaluations = Some(parse_usize(tokens.get(1), "evals")?),
-            Some(&"nanos") => nanos = Some(parse_u64(tokens.get(1), "nanos")?),
-            Some(&"frame") => match tokens.get(1) {
-                Some(&"all") => {
-                    if base.is_some() {
-                        return Err(protocol("duplicate frame all"));
-                    }
-                    base = Some(parse_symbols(tokens.get(2..).unwrap_or(&[]))?);
-                }
-                Some(_) => {
-                    let r = parse_usize(tokens.get(1), "frame receiver")?;
-                    per_receiver.push((r, parse_symbols(tokens.get(2..).unwrap_or(&[]))?));
-                }
-                None => return Err(protocol("frame line missing receiver")),
-            },
-            Some(&"end") => {
-                ended = true;
-                break;
-            }
-            Some(other) => return Err(protocol(&format!("unknown reply section {other:?}"))),
-            None => {}
+    decode_reply(text).map_err(protocol_error)
+}
+
+fn decode_reply(text: &str) -> Result<NodeFrames, FrameError> {
+    let mut frame = Frame::parse(text, REPLY_HEADER)?;
+    let node = frame.require("node")?;
+    let evaluations = frame.require("evals")?;
+    let nanos = frame.require("nanos")?;
+    let mut base = None;
+    let mut per_receiver = Vec::new();
+    for mut record in frame.repeated("frame") {
+        match record.word()? {
+            "all" if base.is_some() => return Err(FrameError::Repeated("frame all")),
+            "all" => base = Some(record.symbols()?),
+            r => per_receiver
+                .push((r.parse::<usize>().map_err(|_| record.bad())?, record.symbols()?)),
         }
     }
-    if !ended {
-        return Err(protocol("missing reply end marker"));
-    }
-    let base = base.ok_or_else(|| protocol("reply carries no frames"))?;
+    frame.finish()?;
+    let base = base.ok_or(FrameError::Missing("frame all"))?;
     let body = if per_receiver.is_empty() {
         FrameBody::Uniform(base)
     } else {
         per_receiver.sort_by_key(|&(r, _)| r);
-        if per_receiver.iter().enumerate().any(|(i, &(r, _))| r != i)
-            || per_receiver.iter().any(|(_, f)| f.len() != base.len())
-        {
-            return Err(protocol("per-receiver frames do not cover the cluster"));
+        if per_receiver.iter().enumerate().any(|(i, (r, f))| *r != i || f.len() != base.len()) {
+            return Err(FrameError::Bad("frame"));
         }
         FrameBody::PerReceiver {
             base,
             per_receiver: per_receiver.into_iter().map(|(_, f)| f).collect(),
         }
     };
-    Ok(NodeFrames {
-        node: node.ok_or_else(|| protocol("missing node id"))?,
-        evaluations: evaluations.ok_or_else(|| protocol("missing evals"))?,
-        elapsed: Duration::from_nanos(nanos.ok_or_else(|| protocol("missing nanos"))?),
-        body,
-    })
+    Ok(NodeFrames { node, evaluations, elapsed: Duration::from_nanos(nanos), body })
 }
 
 /// Executes a parsed [`Task`]: the worker side of a round, shared by
@@ -783,7 +641,9 @@ pub(crate) fn apply_simulated_chaos(
                                         .map(|()| reply)
                                 })
                             }
-                            _ => Err(protocol("delivering action expected")),
+                            _ => Err(TransportError::Protocol {
+                                reason: "delivering action expected".to_string(),
+                            }),
                         };
                         match delivered {
                             Ok(reply) => out.push(reply),
@@ -933,6 +793,40 @@ mod tests {
             "camelot-reply v1\nnode 0\nevals 1\nnanos 5\nframe all 1 2\nframe 0 9\nframe 1 8\nend\n",
         ] {
             assert!(Task::from_wire(text).is_err() || parse_reply(text).is_err(), "{text:?}");
+        }
+    }
+
+    /// The traffic model prices exactly the `frame` lines `encode_reply`
+    /// writes: `frame all` for a uniform sender, the `frame <r>` lines
+    /// (not the diagnostic base) for an equivocator.
+    #[test]
+    fn frame_wire_cost_is_the_bytes_of_the_written_frame_lines() {
+        let bodies = [
+            FrameBody::Uniform(vec![Some(5), None, Some(1_000_002), Some(0)]),
+            FrameBody::Uniform(vec![None; 4]),
+            FrameBody::Uniform(vec![]),
+            FrameBody::PerReceiver {
+                base: vec![Some(1), Some(2)],
+                per_receiver: (0..12u64).map(|r| vec![Some(r * 99_991), None]).collect(),
+            },
+        ];
+        for body in bodies {
+            let frames =
+                NodeFrames { node: 3, evaluations: 2, elapsed: Duration::from_nanos(7), body };
+            let equivocating = matches!(frames.body, FrameBody::PerReceiver { .. });
+            let wire = encode_reply(&frames);
+            let written: Vec<&str> = wire
+                .lines()
+                .filter(|line| line.starts_with("frame "))
+                .filter(|line| !(equivocating && line.split(' ').nth(1) == Some("all")))
+                .collect();
+            let bytes: usize = written.iter().map(|line| line.len() + 1).sum();
+            let symbols: usize = written.iter().map(|line| line.split(' ').count() - 2).sum();
+            assert_eq!(
+                frame_wire_cost(FaultKind::Honest, &frames.body),
+                (symbols, bytes as u64),
+                "{written:?}"
+            );
         }
     }
 

@@ -15,6 +15,7 @@
 //! ([`RoundEval::programs`]); closures cannot cross a process boundary.
 
 use crate::chaos::{worker_action, ChaosEffect, ChaosPlan, Demotion, FailureCause, WorkerAction};
+use crate::frame::read_frame;
 use crate::retry::{Deadline, TransportTuning};
 use crate::round::{
     assemble_round, crash_frames, node_slice, FrameBody, NodeFrames, RoundEval, RoundOutcome,
@@ -25,7 +26,7 @@ use crate::transport::{
     check_chaos, control_frame, encode_reply, execute_task, parse_reply, EvalProgram, Task,
     Transport, TransportError, PING_HEADER, PONG_HEADER, SHUTDOWN_HEADER,
 };
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, ExitStatus};
@@ -248,31 +249,18 @@ pub(crate) fn arm(reader: &mut LaneReader, patience: Patience) {
 pub(crate) fn read_message_or_eof<R: BufRead>(
     reader: &mut R,
 ) -> Result<Option<String>, TransportError> {
-    let mut text = String::new();
-    loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).map_err(|e| match e.kind() {
-            // A read timeout surfaces as WouldBlock (unix) or TimedOut
-            // (windows); classify it structurally so callers never have
-            // to sniff message strings.
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
-                TransportError::TimedOut { reason: format!("reading message: {e}") }
-            }
-            _ => io_err("reading message", &e),
-        })?;
-        if n == 0 {
-            if text.is_empty() {
-                return Ok(None);
-            }
-            return Err(TransportError::Protocol {
-                reason: "connection closed mid-message".to_string(),
-            });
+    read_frame(reader).map_err(|e| match e.kind() {
+        // A read timeout surfaces as WouldBlock (unix) or TimedOut
+        // (windows); classify it structurally so callers never have to
+        // sniff message strings.
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+            TransportError::TimedOut { reason: format!("reading message: {e}") }
         }
-        text.push_str(&line);
-        if line.trim_end() == "end" {
-            return Ok(Some(text));
-        }
-    }
+        // A message cut short is the sender's protocol violation, as
+        // the in-process chaos simulation classifies a truncation.
+        ErrorKind::UnexpectedEof => TransportError::Protocol { reason: e.to_string() },
+        _ => io_err("reading message", &e),
+    })
 }
 
 /// Reads one v1 message (through its `end` line) from a buffered

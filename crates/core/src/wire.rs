@@ -6,7 +6,8 @@
 //! archive, ship, and re-verify later with [`crate::spot_check`] —
 //! without trusting the cluster that produced it.
 //!
-//! Format (line-oriented, ASCII):
+//! A certificate is a frame in the grammar of
+//! [`camelot_cluster::frame`]; its records:
 //!
 //! ```text
 //! camelot-certificate v1
@@ -18,10 +19,14 @@
 //! proof <q'> ...
 //! end
 //! ```
+//!
+//! `proof` repeats, at least once; every other record appears exactly
+//! once.
 
 use crate::engine::Certificate;
 use crate::error::CamelotError;
 use crate::problem::PrimeProof;
+use camelot_cluster::frame::{Frame, FrameError, FrameWriter};
 use camelot_ff::MAX_MODULUS;
 
 /// Magic header line.
@@ -31,30 +36,15 @@ impl Certificate {
     /// Serializes to the v1 text wire format.
     #[must_use]
     pub fn to_wire(&self) -> String {
-        let mut out = String::new();
-        out.push_str(HEADER);
-        out.push('\n');
-        out.push_str(&format!("code-length {}\n", self.code_length));
-        out.push_str(&format!("degree-bound {}\n", self.degree_bound));
-        out.push_str("faulty");
-        for node in &self.identified_faulty_nodes {
-            out.push_str(&format!(" {node}"));
-        }
-        out.push('\n');
-        out.push_str("crashed");
-        for node in &self.crashed_nodes {
-            out.push_str(&format!(" {node}"));
-        }
-        out.push('\n');
+        let mut w = FrameWriter::new(HEADER);
+        w.record("code-length", self.code_length)
+            .record("degree-bound", self.degree_bound)
+            .numbers("faulty", &self.identified_faulty_nodes)
+            .numbers("crashed", &self.crashed_nodes);
         for proof in &self.proofs {
-            out.push_str(&format!("proof {}", proof.modulus));
-            for &c in &proof.coefficients {
-                out.push_str(&format!(" {c}"));
-            }
-            out.push('\n');
+            w.numbers(format_args!("proof {}", proof.modulus), &proof.coefficients);
         }
-        out.push_str("end\n");
-        out
+        w.end()
     }
 
     /// Parses the v1 text wire format.
@@ -66,99 +56,43 @@ impl Certificate {
     /// modulus outside `2..MAX_MODULUS`, out-of-range coefficients, or
     /// degrees above the recorded bound.
     pub fn from_wire(text: &str) -> Result<Certificate, CamelotError> {
-        let malformed = |reason: &str| CamelotError::MalformedProof { reason: reason.to_string() };
-        let mut lines = text.lines();
-        if lines.next() != Some(HEADER) {
-            return Err(malformed("missing certificate header"));
-        }
-        let mut code_length: Option<usize> = None;
-        let mut degree_bound: Option<usize> = None;
-        let mut faulty: Option<Vec<usize>> = None;
-        let mut crashed: Option<Vec<usize>> = None;
-        let mut proofs: Vec<PrimeProof> = Vec::new();
-        let mut ended = false;
-        for line in lines {
-            let mut parts = line.split_ascii_whitespace();
-            match parts.next() {
-                Some("code-length") => {
-                    code_length = Some(parse_usize(parts.next(), "code-length")?);
+        Certificate::decode(text)
+            .map_err(|err| CamelotError::MalformedProof { reason: err.to_string() })
+    }
+
+    fn decode(text: &str) -> Result<Certificate, FrameError> {
+        let mut frame = Frame::parse(text, HEADER)?;
+        let code_length = frame.require("code-length")?;
+        let degree_bound: usize = frame.require("degree-bound")?;
+        let identified_faulty_nodes = frame.required("faulty")?.numbers()?;
+        let crashed_nodes = frame.required("crashed")?.numbers()?;
+        let proofs = frame
+            .repeated("proof")
+            .map(|mut record| {
+                let modulus: u64 = record.number()?;
+                let bad = record.bad();
+                let coefficients: Vec<u64> = record.numbers()?;
+                if !(2..MAX_MODULUS).contains(&modulus)
+                    || coefficients.iter().any(|&c| c >= modulus)
+                    || coefficients.len().saturating_sub(1) > degree_bound
+                {
+                    return Err(bad);
                 }
-                Some("degree-bound") => {
-                    degree_bound = Some(parse_usize(parts.next(), "degree-bound")?);
-                }
-                Some("faulty") => {
-                    faulty = Some(parse_usize_list(parts)?);
-                }
-                Some("crashed") => {
-                    crashed = Some(parse_usize_list(parts)?);
-                }
-                Some("proof") => {
-                    let modulus = parts
-                        .next()
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .ok_or_else(|| malformed("proof line missing modulus"))?;
-                    if !(2..MAX_MODULUS).contains(&modulus) {
-                        return Err(malformed("modulus outside the supported field range"));
-                    }
-                    let mut coefficients = Vec::new();
-                    for tok in parts {
-                        let c =
-                            tok.parse::<u64>().map_err(|_| malformed("non-numeric coefficient"))?;
-                        if c >= modulus {
-                            return Err(malformed("coefficient out of field range"));
-                        }
-                        coefficients.push(c);
-                    }
-                    proofs.push(PrimeProof { modulus, coefficients });
-                }
-                Some("end") => {
-                    ended = true;
-                    break;
-                }
-                Some(other) => {
-                    return Err(CamelotError::MalformedProof {
-                        reason: format!("unknown section {other:?}"),
-                    });
-                }
-                None => {} // blank line tolerated
-            }
-        }
-        if !ended {
-            return Err(malformed("missing end marker"));
-        }
-        let code_length = code_length.ok_or_else(|| malformed("missing code-length"))?;
-        let degree_bound = degree_bound.ok_or_else(|| malformed("missing degree-bound"))?;
+                Ok(PrimeProof { modulus, coefficients })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        frame.finish()?;
         if proofs.is_empty() {
-            return Err(malformed("certificate carries no proofs"));
-        }
-        for proof in &proofs {
-            if proof.coefficients.len() > degree_bound + 1 {
-                return Err(malformed("proof degree exceeds the recorded bound"));
-            }
+            return Err(FrameError::Missing("proof"));
         }
         Ok(Certificate {
             proofs,
             code_length,
             degree_bound,
-            identified_faulty_nodes: faulty.ok_or_else(|| malformed("missing faulty section"))?,
-            crashed_nodes: crashed.ok_or_else(|| malformed("missing crashed section"))?,
+            identified_faulty_nodes,
+            crashed_nodes,
         })
     }
-}
-
-fn parse_usize(tok: Option<&str>, what: &str) -> Result<usize, CamelotError> {
-    tok.and_then(|s| s.parse::<usize>().ok())
-        .ok_or_else(|| CamelotError::MalformedProof { reason: format!("bad {what} field") })
-}
-
-fn parse_usize_list<'a>(parts: impl Iterator<Item = &'a str>) -> Result<Vec<usize>, CamelotError> {
-    parts
-        .map(|tok| {
-            tok.parse::<usize>().map_err(|_| CamelotError::MalformedProof {
-                reason: "non-numeric node id".to_string(),
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]

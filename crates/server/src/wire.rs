@@ -1,12 +1,10 @@
-//! The daemon's request/response frames — the `camelot-task v1` frame
-//! family extended with service verbs.
+//! The daemon's request/response frames, in the frame grammar of
+//! [`camelot_cluster::frame`].
 //!
-//! Same conventions as the task/reply/certificate formats: line
-//! oriented, space-separated records, a bare `end` terminator. One
-//! request frame travels client → daemon, one response frame travels
-//! back. A certificate rides inside a frame with every line prefixed
-//! `cert `, so the existing `camelot-certificate v1` format is embedded
-//! verbatim rather than re-encoded.
+//! One request frame travels client → daemon, one response frame travels
+//! back. A certificate rides inside a frame under `cert` lines, so the
+//! `camelot-certificate v1` format is embedded verbatim rather than
+//! re-encoded. `cert` repeats; every other record is scalar.
 //!
 //! ```text
 //! camelot-request v1          camelot-response v1
@@ -22,7 +20,12 @@
 //!                             cert …
 //!                             end
 //! ```
+//!
+//! A `verify` request carries the certificate's `cert` lines after the
+//! problem, a `crash-worker` request a `worker <node>` record, and a
+//! failure response an `error <text>` record of free text.
 
+use camelot_cluster::frame::{self, Frame, FrameError, FrameWriter, Record};
 use camelot_core::PrimeSchedule;
 use std::io::BufRead;
 
@@ -110,16 +113,6 @@ pub struct Response {
     pub certificate: Option<String>,
 }
 
-/// Pushes a certificate into a frame, one `cert `-prefixed line per
-/// original line.
-fn push_certificate(out: &mut String, certificate: &str) {
-    for line in certificate.lines() {
-        out.push_str("cert ");
-        out.push_str(line);
-        out.push('\n');
-    }
-}
-
 pub(crate) fn schedule_token(schedule: PrimeSchedule) -> &'static str {
     match schedule {
         PrimeSchedule::Smallest => "smallest",
@@ -127,29 +120,13 @@ pub(crate) fn schedule_token(schedule: PrimeSchedule) -> &'static str {
     }
 }
 
-fn parse_schedule(token: &str) -> Result<PrimeSchedule, String> {
-    match token {
-        "smallest" => Ok(PrimeSchedule::Smallest),
-        "ntt" => Ok(PrimeSchedule::NttFriendly),
-        other => Err(format!("unknown prime schedule {other:?}")),
-    }
-}
-
-fn parse_u64(token: Option<&str>, what: &str) -> Result<u64, String> {
-    token.ok_or_else(|| format!("missing {what}"))?.parse().map_err(|_| format!("bad {what}"))
-}
-
 impl PolyRequest {
-    fn push_wire(&self, out: &mut String) {
-        out.push_str(&format!("schedule {}\n", schedule_token(self.schedule)));
-        out.push_str("poly");
-        for &c in &self.coefficients {
-            out.push_str(&format!(" {c}"));
-        }
-        out.push('\n');
-        out.push_str(&format!("sum-count {}\n", self.sum_count));
-        out.push_str(&format!("value-bits {}\n", self.value_bits));
-        out.push_str(&format!("min-modulus {}\n", self.min_modulus));
+    fn write(&self, w: &mut FrameWriter) {
+        w.record("schedule", schedule_token(self.schedule))
+            .numbers("poly", &self.coefficients)
+            .record("sum-count", self.sum_count)
+            .record("value-bits", self.value_bits)
+            .record("min-modulus", self.min_modulus);
     }
 }
 
@@ -157,27 +134,24 @@ impl Request {
     /// Serializes to the v1 text wire format.
     #[must_use]
     pub fn to_wire(&self) -> String {
-        let mut out = String::new();
-        out.push_str(REQUEST_HEADER);
-        out.push('\n');
+        let mut w = FrameWriter::new(REQUEST_HEADER);
         match self {
-            Request::Prepare(poly) => {
-                out.push_str("kind prepare\n");
-                poly.push_wire(&mut out);
-            }
+            Request::Prepare(poly) => poly.write(w.record("kind", "prepare")),
             Request::Verify { poly, certificate } => {
-                out.push_str("kind verify\n");
-                poly.push_wire(&mut out);
-                push_certificate(&mut out, certificate);
+                poly.write(w.record("kind", "verify"));
+                w.embed("cert", certificate);
             }
-            Request::Status => out.push_str("kind status\n"),
+            Request::Status => {
+                w.record("kind", "status");
+            }
             Request::CrashWorker { node } => {
-                out.push_str(&format!("kind crash-worker\nworker {node}\n"));
+                w.record("kind", "crash-worker").record("worker", node);
             }
-            Request::Shutdown => out.push_str("kind shutdown\n"),
+            Request::Shutdown => {
+                w.record("kind", "shutdown");
+            }
         }
-        out.push_str("end\n");
-        out
+        w.end()
     }
 
     /// Parses a request frame.
@@ -186,76 +160,43 @@ impl Request {
     ///
     /// A description of the structural violation.
     pub fn from_wire(text: &str) -> Result<Request, String> {
-        let mut lines = text.lines();
-        if lines.next() != Some(REQUEST_HEADER) {
-            return Err("missing request header".to_string());
-        }
-        let mut kind = None;
-        let mut coefficients = Vec::new();
-        let mut saw_poly = false;
-        let mut sum_count = 1u64;
-        let mut value_bits = None;
-        let mut min_modulus = 1u64 << 20;
-        let mut schedule = PrimeSchedule::Smallest;
-        let mut worker = None;
-        let mut certificate = String::new();
-        for line in lines {
-            if line == "end" {
-                break;
-            }
-            if let Some(cert_line) = line.strip_prefix("cert ") {
-                certificate.push_str(cert_line);
-                certificate.push('\n');
-                continue;
-            }
-            let mut tokens = line.split_whitespace();
-            match tokens.next() {
-                Some("kind") => kind = tokens.next().map(str::to_string),
-                Some("schedule") => {
-                    schedule = parse_schedule(tokens.next().unwrap_or_default())?;
-                }
-                Some("poly") => {
-                    saw_poly = true;
-                    coefficients = tokens
-                        .map(|t| t.parse::<u64>().map_err(|_| "bad poly coefficient".to_string()))
-                        .collect::<Result<Vec<u64>, String>>()?;
-                }
-                Some("sum-count") => sum_count = parse_u64(tokens.next(), "sum-count")?,
-                Some("value-bits") => value_bits = Some(parse_u64(tokens.next(), "value-bits")?),
-                Some("min-modulus") => min_modulus = parse_u64(tokens.next(), "min-modulus")?,
-                Some("worker") => {
-                    let raw = parse_u64(tokens.next(), "worker index")?;
-                    worker = Some(usize::try_from(raw).map_err(|_| "bad worker index")?);
-                }
-                Some(other) => return Err(format!("unknown request record {other:?}")),
-                None => {}
-            }
-        }
-        let poly = |certificate_needed: bool| -> Result<PolyRequest, String> {
-            if !saw_poly {
-                return Err("missing poly record".to_string());
-            }
-            if certificate_needed && certificate.is_empty() {
-                return Err("missing embedded certificate".to_string());
-            }
+        Request::decode(text).map_err(|err| err.to_string())
+    }
+
+    fn decode(text: &str) -> Result<Request, FrameError> {
+        let mut frame = Frame::parse(text, REQUEST_HEADER)?;
+        let kind = frame.required("kind")?.only()?;
+        let schedule = match frame.scalar("schedule")?.map(Record::only).transpose()? {
+            None | Some("smallest") => PrimeSchedule::Smallest,
+            Some("ntt") => PrimeSchedule::NttFriendly,
+            Some(_) => return Err(FrameError::Bad("schedule")),
+        };
+        let coefficients = frame.scalar("poly")?.map(Record::numbers).transpose()?;
+        let sum_count = frame.number("sum-count")?.unwrap_or(1);
+        let value_bits = frame.number("value-bits")?;
+        let min_modulus = frame.number("min-modulus")?.unwrap_or(1 << 20);
+        let worker = frame.number("worker")?;
+        let certificate = frame.embedded("cert");
+        frame.finish()?;
+        let poly = coefficients.ok_or(FrameError::Missing("poly")).and_then(|coefficients| {
             Ok(PolyRequest {
-                coefficients: coefficients.clone(),
+                coefficients,
                 sum_count,
-                value_bits: value_bits.ok_or("missing value-bits")?,
+                value_bits: value_bits.ok_or(FrameError::Missing("value-bits"))?,
                 min_modulus,
                 schedule,
             })
-        };
-        match kind.as_deref() {
-            Some("prepare") => Ok(Request::Prepare(poly(false)?)),
-            Some("verify") => Ok(Request::Verify { poly: poly(true)?, certificate }),
-            Some("status") => Ok(Request::Status),
-            Some("crash-worker") => {
-                Ok(Request::CrashWorker { node: worker.ok_or("missing worker index")? })
+        });
+        match kind {
+            "prepare" => Ok(Request::Prepare(poly?)),
+            "verify" if certificate.is_empty() => Err(FrameError::Missing("cert")),
+            "verify" => Ok(Request::Verify { poly: poly?, certificate }),
+            "status" => Ok(Request::Status),
+            "crash-worker" => {
+                Ok(Request::CrashWorker { node: worker.ok_or(FrameError::Missing("worker"))? })
             }
-            Some("shutdown") => Ok(Request::Shutdown),
-            Some(other) => Err(format!("unknown request kind {other:?}")),
-            None => Err("missing request kind".to_string()),
+            "shutdown" => Ok(Request::Shutdown),
+            _ => Err(FrameError::Bad("kind")),
         }
     }
 }
@@ -271,32 +212,29 @@ impl Response {
     /// Serializes to the v1 text wire format.
     #[must_use]
     pub fn to_wire(&self) -> String {
-        let mut out = String::new();
-        out.push_str(RESPONSE_HEADER);
-        out.push('\n');
-        out.push_str(if self.ok { "status ok\n" } else { "status error\n" });
+        let mut w = FrameWriter::new(RESPONSE_HEADER);
+        w.record("status", if self.ok { "ok" } else { "error" });
         if let Some(error) = &self.error {
-            out.push_str(&format!("error {}\n", error.replace('\n', "; ")));
+            w.record("error", error.replace('\n', "; "));
         }
         if let Some(output) = self.output {
-            out.push_str(&format!("output {output}\n"));
+            w.record("output", output);
         }
-        out.push_str(&format!("rounds {}\n", self.rounds));
-        out.push_str(&format!("coalesced {}\n", self.coalesced));
-        out.push_str(&format!("cache-hit {}\n", usize::from(self.cache_hit)));
-        out.push_str(&format!("symbols {}\n", self.symbols));
-        out.push_str(&format!("bytes {}\n", self.bytes));
-        out.push_str(&format!("workers {}\n", self.workers));
-        out.push_str(&format!("respawns {}\n", self.respawns));
-        out.push_str(&format!("worker-failures {}\n", self.worker_failures));
-        out.push_str(&format!("requests {}\n", self.requests));
-        out.push_str(&format!("store-hits {}\n", self.store_hits));
-        out.push_str(&format!("store-misses {}\n", self.store_misses));
+        w.record("rounds", self.rounds)
+            .record("coalesced", self.coalesced)
+            .record("cache-hit", usize::from(self.cache_hit))
+            .record("symbols", self.symbols)
+            .record("bytes", self.bytes)
+            .record("workers", self.workers)
+            .record("respawns", self.respawns)
+            .record("worker-failures", self.worker_failures)
+            .record("requests", self.requests)
+            .record("store-hits", self.store_hits)
+            .record("store-misses", self.store_misses);
         if let Some(certificate) = &self.certificate {
-            push_certificate(&mut out, certificate);
+            w.embed("cert", certificate);
         }
-        out.push_str("end\n");
-        out
+        w.end()
     }
 
     /// Parses a response frame.
@@ -305,63 +243,36 @@ impl Response {
     ///
     /// A description of the structural violation.
     pub fn from_wire(text: &str) -> Result<Response, String> {
-        let mut lines = text.lines();
-        if lines.next() != Some(RESPONSE_HEADER) {
-            return Err("missing response header".to_string());
-        }
-        let mut response = Response::default();
-        let mut certificate = String::new();
-        for line in lines {
-            if line == "end" {
-                break;
-            }
-            if let Some(cert_line) = line.strip_prefix("cert ") {
-                certificate.push_str(cert_line);
-                certificate.push('\n');
-                continue;
-            }
-            if let Some(error) = line.strip_prefix("error ") {
-                response.error = Some(error.to_string());
-                continue;
-            }
-            let mut tokens = line.split_whitespace();
-            let (record, value) = (tokens.next(), tokens.next());
-            match record {
-                Some("status") => response.ok = value == Some("ok"),
-                Some("output") => {
-                    response.output = Some(
-                        value
-                            .ok_or("missing output value")?
-                            .parse::<u128>()
-                            .map_err(|_| "bad output value")?,
-                    );
-                }
-                Some("rounds") => response.rounds = parse_count(value, "rounds")?,
-                Some("coalesced") => response.coalesced = parse_count(value, "coalesced")?,
-                Some("cache-hit") => response.cache_hit = parse_count(value, "cache-hit")? != 0,
-                Some("symbols") => response.symbols = parse_count(value, "symbols")?,
-                Some("bytes") => response.bytes = parse_u64(value, "bytes")?,
-                Some("workers") => response.workers = parse_count(value, "workers")?,
-                Some("respawns") => response.respawns = parse_count(value, "respawns")?,
-                Some("worker-failures") => {
-                    response.worker_failures = parse_count(value, "worker-failures")?;
-                }
-                Some("requests") => response.requests = parse_count(value, "requests")?,
-                Some("store-hits") => response.store_hits = parse_count(value, "store-hits")?,
-                Some("store-misses") => response.store_misses = parse_count(value, "store-misses")?,
-                Some(other) => return Err(format!("unknown response record {other:?}")),
-                None => {}
-            }
-        }
-        if !certificate.is_empty() {
-            response.certificate = Some(certificate);
-        }
+        Response::decode(text).map_err(|err| err.to_string())
+    }
+
+    fn decode(text: &str) -> Result<Response, FrameError> {
+        let mut frame = Frame::parse(text, RESPONSE_HEADER)?;
+        let ok = match frame.required("status")?.only()? {
+            "ok" => true,
+            "error" => false,
+            _ => return Err(FrameError::Bad("status")),
+        };
+        let response = Response {
+            ok,
+            error: frame.scalar("error")?.map(|record| record.text().to_string()),
+            output: frame.number("output")?,
+            rounds: frame.number("rounds")?.unwrap_or_default(),
+            coalesced: frame.number("coalesced")?.unwrap_or_default(),
+            cache_hit: frame.number::<usize>("cache-hit")?.is_some_and(|hit| hit != 0),
+            symbols: frame.number("symbols")?.unwrap_or_default(),
+            bytes: frame.number("bytes")?.unwrap_or_default(),
+            workers: frame.number("workers")?.unwrap_or_default(),
+            respawns: frame.number("respawns")?.unwrap_or_default(),
+            worker_failures: frame.number("worker-failures")?.unwrap_or_default(),
+            requests: frame.number("requests")?.unwrap_or_default(),
+            store_hits: frame.number("store-hits")?.unwrap_or_default(),
+            store_misses: frame.number("store-misses")?.unwrap_or_default(),
+            certificate: Some(frame.embedded("cert")).filter(|text| !text.is_empty()),
+        };
+        frame.finish()?;
         Ok(response)
     }
-}
-
-fn parse_count(token: Option<&str>, what: &str) -> Result<usize, String> {
-    usize::try_from(parse_u64(token, what)?).map_err(|_| format!("{what} out of range"))
 }
 
 /// Reads one frame (through its `end` line) from a buffered stream;
@@ -371,21 +282,7 @@ fn parse_count(token: Option<&str>, what: &str) -> Result<usize, String> {
 ///
 /// I/O failures and mid-frame disconnects.
 pub fn read_frame<R: BufRead>(reader: &mut R) -> Result<Option<String>, String> {
-    let mut text = String::new();
-    loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).map_err(|e| format!("reading frame: {e}"))?;
-        if n == 0 {
-            if text.is_empty() {
-                return Ok(None);
-            }
-            return Err("connection closed mid-frame".to_string());
-        }
-        text.push_str(&line);
-        if line.trim_end() == "end" {
-            return Ok(Some(text));
-        }
-    }
+    frame::read_frame(reader).map_err(|err| format!("reading frame: {err}"))
 }
 
 #[cfg(test)]
@@ -447,5 +344,32 @@ mod tests {
             .is_err());
         assert!(Request::from_wire("camelot-request v1\nkind warp\nend\n").is_err());
         assert!(Response::from_wire("camelot-response v1\nrounds x\nend\n").is_err());
+    }
+
+    /// A frame cut before its `end` is refused, never read as the value
+    /// its first lines happen to spell: an answer with no end marker, or
+    /// a response carrying the first half of its certificate.
+    #[test]
+    fn truncated_frames_are_refused() {
+        assert!(Response::from_wire("camelot-response v1\nstatus ok\noutput 18813").is_err());
+        let response = Response {
+            ok: true,
+            output: Some(18813),
+            certificate: Some(
+                "camelot-certificate v1\ncode-length 9\ndegree-bound 0\nfaulty\ncrashed\n\
+                 proof 101 3\nend\n"
+                    .to_string(),
+            ),
+            ..Response::default()
+        };
+        let wire = response.to_wire();
+        let half = wire.find("cert crashed").unwrap();
+        assert!(Response::from_wire(&wire[..half]).is_err());
+        let request = Request::Verify { poly: poly(), certificate: response.certificate.unwrap() };
+        let wire = request.to_wire();
+        assert!(Request::from_wire(&wire[..wire.find("cert proof").unwrap()]).is_err());
+        assert!(
+            Request::from_wire("camelot-request v1\nkind prepare\npoly 1\nvalue-bits 8").is_err()
+        );
     }
 }

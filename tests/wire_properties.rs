@@ -1,14 +1,16 @@
-//! Property tests for the text formats: the certificate wire format and
-//! the transport frame format must parse arbitrary and adversarially
-//! mutated input to *errors* — never panic — and must round-trip every
-//! well-formed message exactly.
+//! Property tests for the text formats: the certificate, task, reply,
+//! request and response frames must parse arbitrary and adversarially
+//! mutated input to *errors* — never panic — must round-trip every
+//! well-formed message exactly, and must apply one grammar alike.
 
 use camelot::cluster::{
     encode_reply, parse_reply, serve_worker_loop, ChaosEffect, EvalProgram, FaultKind, FrameBody,
     NodeFrames, Task, TransportError,
 };
+use camelot::core::PrimeSchedule;
 use camelot::core::{CamelotError, Certificate, PrimeProof};
 use camelot::ff::{RngLike, SplitMix64, MAX_MODULUS};
+use camelot::server::{PolyRequest, Request, Response};
 use std::time::Duration;
 
 /// A pseudo-random structural mutation: truncate, splice a byte,
@@ -183,11 +185,15 @@ fn random_garbage_never_panics_any_parser() {
         let _ = Certificate::from_wire(&soup);
         let _ = Task::from_wire(&soup);
         let _ = parse_reply(&soup);
+        let _ = Request::from_wire(&soup);
+        let _ = Response::from_wire(&soup);
         // Headered soup exercises the section parsers, not just the
         // header check.
         let _ = Certificate::from_wire(&format!("camelot-certificate v1\n{soup}"));
         let _ = Task::from_wire(&format!("camelot-task v1\n{soup}"));
         let _ = parse_reply(&format!("camelot-reply v1\n{soup}"));
+        let _ = Request::from_wire(&format!("camelot-request v1\n{soup}"));
+        let _ = Response::from_wire(&format!("camelot-response v1\n{soup}"));
     }
 }
 
@@ -344,6 +350,216 @@ fn worker_survives_mutated_tasks_as_refusal_or_answer() {
                 let got = serve_payload(mutated.as_bytes());
                 assert!(got.is_err(), "parser refused but worker accepted: {mutated:?}");
             }
+        }
+    }
+}
+
+fn sample_poly() -> PolyRequest {
+    PolyRequest {
+        coefficients: vec![3, 1, 4, 1_000_000_007],
+        sum_count: 16,
+        value_bits: 60,
+        min_modulus: 1 << 20,
+        schedule: PrimeSchedule::NttFriendly,
+    }
+}
+
+fn sample_requests() -> Vec<Request> {
+    vec![
+        Request::Prepare(sample_poly()),
+        Request::Verify { poly: sample_poly(), certificate: sample_certificate().to_wire() },
+        Request::Status,
+        Request::CrashWorker { node: 3 },
+        Request::Shutdown,
+    ]
+}
+
+fn sample_responses() -> Vec<Response> {
+    vec![
+        Response {
+            ok: true,
+            output: Some(18813),
+            rounds: 4,
+            coalesced: 2,
+            symbols: 90,
+            bytes: 1234,
+            certificate: Some(sample_certificate().to_wire()),
+            ..Response::default()
+        },
+        Response::failure("prepare failed: beyond radius"),
+        Response {
+            ok: true,
+            workers: 4,
+            respawns: 1,
+            requests: 10,
+            store_hits: 6,
+            store_misses: 4,
+            ..Response::default()
+        },
+    ]
+}
+
+/// One of the five formats: its name, how it parses, and how a parsed
+/// value encodes again.
+struct Format {
+    name: &'static str,
+    /// Parses, then re-encodes: the error as text, or the encoding.
+    reencode: fn(&str) -> Result<String, String>,
+    /// Well-formed frames of this format.
+    samples: Vec<String>,
+}
+
+fn formats() -> Vec<Format> {
+    vec![
+        Format {
+            name: "certificate",
+            reencode: |text| {
+                Certificate::from_wire(text).map(|c| c.to_wire()).map_err(|e| e.to_string())
+            },
+            samples: vec![sample_certificate().to_wire()],
+        },
+        Format {
+            name: "task",
+            reencode: |text| Task::from_wire(text).map(|t| t.to_wire()).map_err(|e| e.to_string()),
+            samples: vec![sample_task().to_wire()],
+        },
+        Format {
+            name: "reply",
+            reencode: |text| parse_reply(text).map(|r| encode_reply(&r)).map_err(|e| e.to_string()),
+            samples: sample_replies().iter().map(encode_reply).collect(),
+        },
+        Format {
+            name: "request",
+            reencode: |text| Request::from_wire(text).map(|r| r.to_wire()),
+            samples: sample_requests().iter().map(Request::to_wire).collect(),
+        },
+        Format {
+            name: "response",
+            reencode: |text| Response::from_wire(text).map(|r| r.to_wire()),
+            samples: sample_responses().iter().map(Response::to_wire).collect(),
+        },
+    ]
+}
+
+/// `text` parses to an error, or to a value whose encoding is a fixed
+/// point: it parses again and re-encodes to the same text.
+fn assert_error_or_stable(format: &Format, text: &str, what: &str) -> bool {
+    match (format.reencode)(text) {
+        Err(_) => false,
+        Ok(wire) => {
+            assert_eq!(
+                (format.reencode)(&wire).as_ref(),
+                Ok(&wire),
+                "{} {what}: accepted {text:?} but its encoding is not stable",
+                format.name
+            );
+            true
+        }
+    }
+}
+
+/// Every prefix of every frame: a cut anywhere before the last byte of
+/// the `end` line is refused — no format reads a value out of a frame
+/// that never finished — and the rest are stable.
+#[test]
+fn every_truncation_of_every_frame_is_refused() {
+    for format in formats() {
+        for wire in &format.samples {
+            assert!(assert_error_or_stable(&format, wire, "intact"), "{wire:?}");
+            for cut in 0..wire.len() {
+                let accepted = assert_error_or_stable(&format, &wire[..cut], "truncated");
+                assert_eq!(accepted, cut == wire.len() - 1, "{} cut at {cut}", format.name);
+            }
+        }
+    }
+}
+
+/// 500 seeded single-byte overwrites of each frame, drawn from the bytes
+/// that matter to the grammar: every outcome is an error or a stable
+/// value, never a panic.
+#[test]
+fn single_byte_mutations_parse_to_errors_or_stable_values() {
+    const BYTES: &[u8] = b" \n\t\x0b-0123456789aekz+";
+    let mut rng = SplitMix64::new(0xB17E);
+    for format in formats() {
+        for wire in &format.samples {
+            for _ in 0..500 {
+                let mut bytes = wire.clone().into_bytes();
+                let pos = (rng.next_u64() as usize) % bytes.len();
+                bytes[pos] = BYTES[(rng.next_u64() as usize) % BYTES.len()];
+                let mutated = String::from_utf8(bytes).unwrap();
+                assert_error_or_stable(&format, &mutated, "mutated");
+            }
+        }
+    }
+}
+
+/// The grammar is one rule set, whatever the format: a scalar record
+/// twice is an error while repeatable records repeat, text after `end`
+/// is an error while blank lines are not, and whitespace the tokenizer
+/// does not split on is an error in any record.
+#[test]
+fn strictness_is_uniform_across_the_five_formats() {
+    const REPEATABLE: &[&str] = &["proof", "program", "frame", "cert"];
+    for format in formats() {
+        for wire in &format.samples {
+            let parse = |text: &str| (format.reencode)(text).map(drop);
+            let lines: Vec<&str> = wire.lines().collect();
+            let records = &lines[1..lines.len() - 1];
+            for (i, line) in records.iter().enumerate() {
+                let key = line.split(' ').next().unwrap();
+                let is_base = line.starts_with("frame all");
+                let doubled: String = lines
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(j, l)| if j == i + 1 { vec![*l, *l] } else { vec![*l] })
+                    .map(|l| format!("{l}\n"))
+                    .collect();
+                let got = parse(&doubled);
+                if REPEATABLE.contains(&key) && !is_base {
+                    assert!(
+                        !got.as_ref().is_err_and(|e| e.contains("repeated")),
+                        "{}: repeatable {line:?} refused as repeated: {got:?}",
+                        format.name
+                    );
+                } else {
+                    assert!(
+                        got.as_ref().is_err_and(|e| e.contains("repeated")),
+                        "{}: scalar {line:?} twice: {got:?}",
+                        format.name
+                    );
+                }
+                for space in ['\u{a0}', '\u{2003}', '\u{0b}'] {
+                    if let Some(at) = line.find(' ') {
+                        let stray = wire.replacen(
+                            &format!("\n{line}\n"),
+                            &format!("\n{}{space}{}\n", &line[..at], &line[at + 1..]),
+                            1,
+                        );
+                        assert_ne!(&stray, wire);
+                        assert!(
+                            parse(&stray).is_err_and(|e| e.contains("whitespace")),
+                            "{}: {space:?} in {line:?}",
+                            format.name
+                        );
+                    }
+                }
+            }
+            assert_eq!(parse(&format!("{wire}\n \n")), Ok(()), "{}", format.name);
+            assert_eq!(parse(&wire.replacen('\n', "\n\n", 2)), Ok(()), "{}", format.name);
+            for trailer in ["junk\n", "end\n", "x"] {
+                assert!(
+                    parse(&format!("{wire}{trailer}")).is_err_and(|e| e.contains("after")),
+                    "{}: {trailer:?} after end",
+                    format.name
+                );
+            }
+            let unterminated = &wire[..wire.len() - "end\n".len()];
+            assert!(
+                parse(unterminated).is_err_and(|e| e.contains("end")),
+                "{}: no end",
+                format.name
+            );
         }
     }
 }
