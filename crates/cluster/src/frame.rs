@@ -151,9 +151,7 @@ impl<'a> Frame<'a> {
         }
         let mut records = Vec::new();
         for line in lines.by_ref() {
-            if line.bytes().any(|b| b == 0x0b || !b.is_ascii())
-                && line.chars().any(|c| c.is_whitespace() && !c.is_ascii_whitespace())
-            {
+            if line.contains(|c: char| c.is_whitespace() && !c.is_ascii_whitespace()) {
                 return Err(FrameError::StrayWhitespace);
             }
             if is_end(line) {

@@ -29,11 +29,12 @@
 //! ```
 //!
 //! A task also carries `deadline <ms>` and `chaos <effect...>` when they
-//! differ from the quiet default. `program <p>` and `frame <r>` repeat;
-//! every other record is scalar. `-` marks an erased symbol. A uniform
-//! sender replies with a single `frame all` line; an equivocator replies
-//! with `frame all` (its truthful base, diagnostic) followed by one
-//! `frame <r>` line per receiver.
+//! differ from the quiet default. `program <p>` and `frame <r>` repeat,
+//! numbered from 0 in frame order; every other record is scalar. `-`
+//! marks an erased symbol. A uniform sender replies with a single
+//! `frame all` line; an equivocator replies with `frame all` (its
+//! truthful base, diagnostic) followed by one `frame <r>` line per
+//! receiver.
 
 mod inproc;
 mod pool;
@@ -44,7 +45,7 @@ pub use pool::WorkerPool;
 pub use socket::{serve_worker_loop, SocketTransport, WorkerMode};
 
 use crate::chaos::{
-    simulated_failure, worker_action, ChaosEffect, ChaosPlan, Demotion, WorkerAction,
+    simulated_failure, worker_action, ChaosEffect, ChaosPlan, Demotion, FailureCause, WorkerAction,
 };
 use crate::fault::FaultKind;
 use crate::frame::{Frame, FrameError, FrameWriter, Record};
@@ -454,25 +455,21 @@ impl Task {
         let fault = parse_fault(frame.required("fault")?)?;
         let chaos = frame.scalar("chaos")?.map(parse_chaos).transpose()?;
         let deadline_ms = frame.number("deadline")?.unwrap_or(DEFAULT_TASK_DEADLINE_MS);
-        let mut programs = frame
+        let programs = frame
             .repeated("program")
-            .map(|mut record| {
-                let p: usize = record.number()?;
-                match record.word()? {
-                    "poly" => Ok((p, EvalProgram::Poly(record.numbers()?))),
-                    _ => Err(record.bad()),
+            .zip(0..)
+            .map(|(mut record, i)| {
+                if record.number::<usize>()? != i || record.word()? != "poly" {
+                    return Err(record.bad());
                 }
+                Ok(EvalProgram::Poly(record.numbers()?))
             })
             .collect::<Result<Vec<_>, _>>()?;
         let mut points = frame.required("points")?;
         let lo = points.number()?;
         let points = points.numbers()?;
         frame.finish()?;
-        programs.sort_by_key(|&(p, _)| p);
-        if width == 0
-            || programs.len() != width
-            || programs.iter().enumerate().any(|(i, &(p, _))| p != i)
-        {
+        if width == 0 || programs.len() != width {
             return Err(FrameError::Bad("program"));
         }
         if modulus < 2 {
@@ -481,17 +478,7 @@ impl Task {
         if nodes == 0 || node >= nodes {
             return Err(FrameError::Bad("node"));
         }
-        Ok(Task {
-            modulus,
-            nodes,
-            node,
-            fault,
-            programs: programs.into_iter().map(|(_, prog)| prog).collect(),
-            lo,
-            points,
-            chaos,
-            deadline_ms,
-        })
+        Ok(Task { modulus, nodes, node, fault, programs, lo, points, chaos, deadline_ms })
     }
 }
 
@@ -502,16 +489,13 @@ pub fn encode_reply(frames: &NodeFrames) -> String {
     w.record("node", frames.node)
         .record("evals", frames.evaluations)
         .record("nanos", frames.elapsed.as_nanos());
-    match &frames.body {
-        FrameBody::Uniform(symbols) => {
-            w.symbols("frame all", symbols);
-        }
-        FrameBody::PerReceiver { base, per_receiver } => {
-            w.symbols("frame all", base);
-            for (r, frame) in per_receiver.iter().enumerate() {
-                w.symbols(format_args!("frame {r}"), frame);
-            }
-        }
+    let (base, per_receiver) = match &frames.body {
+        FrameBody::Uniform(symbols) => (symbols, [].as_slice()),
+        FrameBody::PerReceiver { base, per_receiver } => (base, per_receiver.as_slice()),
+    };
+    w.symbols("frame all", base);
+    for (r, frame) in per_receiver.iter().enumerate() {
+        w.symbols(format_args!("frame {r}"), frame);
     }
     w.end()
 }
@@ -537,23 +521,18 @@ fn decode_reply(text: &str) -> Result<NodeFrames, FrameError> {
         match record.word()? {
             "all" if base.is_some() => return Err(FrameError::Repeated("frame all")),
             "all" => base = Some(record.symbols()?),
-            r => per_receiver
-                .push((r.parse::<usize>().map_err(|_| record.bad())?, record.symbols()?)),
+            r if r.parse() == Ok(per_receiver.len()) => per_receiver.push(record.symbols()?),
+            _ => return Err(record.bad()),
         }
     }
     frame.finish()?;
     let base = base.ok_or(FrameError::Missing("frame all"))?;
     let body = if per_receiver.is_empty() {
         FrameBody::Uniform(base)
+    } else if per_receiver.iter().all(|f| f.len() == base.len()) {
+        FrameBody::PerReceiver { base, per_receiver }
     } else {
-        per_receiver.sort_by_key(|&(r, _)| r);
-        if per_receiver.iter().enumerate().any(|(i, (r, f))| *r != i || f.len() != base.len()) {
-            return Err(FrameError::Bad("frame"));
-        }
-        FrameBody::PerReceiver {
-            base,
-            per_receiver: per_receiver.into_iter().map(|(_, f)| f).collect(),
-        }
+        return Err(FrameError::Bad("frame"));
     };
     Ok(NodeFrames { node, evaluations, elapsed: Duration::from_nanos(nanos), body })
 }
@@ -625,31 +604,21 @@ pub(crate) fn apply_simulated_chaos(
             ChaosEffect::Delay { millis } if millis <= deadline_ms => out.push(frame),
             ChaosEffect::Duplicate => out.push(frame),
             _ => {
-                let action = worker_action(
-                    Some(effect),
-                    deadline_ms,
-                    spec.field.modulus(),
-                    encode_reply(&frame),
-                );
-                match simulated_failure(&action) {
-                    Some(cause) => demote(node, cause, &mut out),
-                    None => {
-                        let delivered = match &action {
-                            WorkerAction::Deliver { text, .. } => {
-                                parse_reply(text).and_then(|reply| {
-                                    socket::validate_reply(&reply, node, nodes, num_points, width)
-                                        .map(|()| reply)
-                                })
-                            }
-                            _ => Err(TransportError::Protocol {
-                                reason: "delivering action expected".to_string(),
-                            }),
-                        };
-                        match delivered {
-                            Ok(reply) => out.push(reply),
-                            Err(_) => demote(node, crate::chaos::FailureCause::Protocol, &mut out),
-                        }
-                    }
+                let text = encode_reply(&frame);
+                let action = worker_action(Some(effect), deadline_ms, spec.field.modulus(), text);
+                let delivered = match (simulated_failure(&action), &action) {
+                    (Some(cause), _) => Err(cause),
+                    (None, WorkerAction::Deliver { text, .. }) => parse_reply(text)
+                        .and_then(|reply| {
+                            socket::validate_reply(&reply, node, nodes, num_points, width)
+                                .map(|()| reply)
+                        })
+                        .map_err(|_| FailureCause::Protocol),
+                    (None, _) => Err(FailureCause::Protocol),
+                };
+                match delivered {
+                    Ok(reply) => out.push(reply),
+                    Err(cause) => demote(node, cause, &mut out),
                 }
             }
         }
@@ -664,39 +633,19 @@ pub(crate) fn apply_simulated_chaos(
 /// medium (their explicit erasure frame is simulation bookkeeping).
 #[must_use]
 pub fn frame_wire_cost(kind: FaultKind, body: &FrameBody) -> (usize, u64) {
-    fn line_bytes(prefix: usize, symbols: &[Option<u64>]) -> u64 {
-        let mut bytes = prefix as u64 + 1; // prefix + newline
-        for sym in symbols {
-            bytes += 1 // separating space
-                + match sym {
-                    Some(v) => decimal_digits(*v),
-                    None => 1,
-                };
-        }
-        bytes
-    }
+    let digits = |v: u64| v.checked_ilog10().map_or(1, |d| u64::from(d) + 1);
+    // The key, then a space and a number or `-` per symbol, then a newline.
+    let line = |key: usize, symbols: &[Option<u64>]| {
+        key as u64 + 1 + symbols.iter().map(|s| 1 + s.map_or(1, digits)).sum::<u64>()
+    };
     match (kind, body) {
         (FaultKind::Crash, _) => (0, 0),
-        (_, FrameBody::Uniform(symbols)) => (symbols.len(), line_bytes("frame all".len(), symbols)),
+        (_, FrameBody::Uniform(symbols)) => (symbols.len(), line("frame all".len(), symbols)),
         (_, FrameBody::PerReceiver { per_receiver, .. }) => {
-            let symbols: usize = per_receiver.iter().map(Vec::len).sum();
-            let bytes = per_receiver
-                .iter()
-                .enumerate()
-                .map(|(r, frame)| {
-                    line_bytes("frame ".len() + decimal_digits(r as u64) as usize, frame)
-                })
-                .sum();
-            (symbols, bytes)
+            per_receiver.iter().zip(0..).fold((0, 0), |(count, bytes), (frame, r)| {
+                (count + frame.len(), bytes + line("frame ".len() + digits(r) as usize, frame))
+            })
         }
-    }
-}
-
-fn decimal_digits(v: u64) -> u64 {
-    if v == 0 {
-        1
-    } else {
-        v.ilog10() as u64 + 1
     }
 }
 
@@ -794,6 +743,16 @@ mod tests {
         ] {
             assert!(Task::from_wire(text).is_err() || parse_reply(text).is_err(), "{text:?}");
         }
+        // `program <p>` and `frame <r>` lines come in index order.
+        assert!(Task::from_wire(
+            "camelot-task v1\nfield 97\ncluster 2\nnode 0\nwidth 2\nfault honest\n\
+             program 1 poly 1\nprogram 0 poly 2\npoints 0 1\nend\n"
+        )
+        .is_err());
+        assert!(parse_reply(
+            "camelot-reply v1\nnode 0\nevals 1\nnanos 5\nframe all 1\nframe 1 2\nframe 0 3\nend\n"
+        )
+        .is_err());
     }
 
     /// The traffic model prices exactly the `frame` lines `encode_reply`

@@ -266,12 +266,9 @@ pub(crate) fn read_message_or_eof<R: BufRead>(
 /// Reads one v1 message (through its `end` line) from a buffered
 /// stream; EOF anywhere is an error.
 pub(crate) fn read_message<R: BufRead>(reader: &mut R) -> Result<String, TransportError> {
-    match read_message_or_eof(reader)? {
-        Some(text) => Ok(text),
-        None => Err(TransportError::Protocol {
-            reason: "connection closed before the message".to_string(),
-        }),
-    }
+    read_message_or_eof(reader)?.ok_or_else(|| TransportError::Protocol {
+        reason: "connection closed before the message".to_string(),
+    })
 }
 
 /// Performs a resolved [`WorkerAction`] on the worker's stream: the
@@ -477,17 +474,15 @@ impl ReplyDrain {
         patience: Patience,
     ) -> Result<Option<FailureCause>, TransportError> {
         arm(reader, patience);
-        let read = match read_message_or_eof(reader) {
-            Ok(Some(text)) => parse_reply(&text).and_then(|reply| {
-                validate_reply(&reply, node, self.nodes, self.e, self.width).map(|()| reply)
-            }),
+        let read = read_message_or_eof(reader).and_then(|text| {
             // Clean close before any reply: the worker dropped its
             // frame or reset the connection.
-            Ok(None) => {
-                Err(TransportError::Io { reason: format!("worker {node} closed before replying") })
-            }
-            Err(err) => Err(err),
-        };
+            let text = text.ok_or_else(|| TransportError::Io {
+                reason: format!("worker {node} closed before replying"),
+            })?;
+            let reply = parse_reply(&text)?;
+            validate_reply(&reply, node, self.nodes, self.e, self.width).map(|()| reply)
+        });
         match read {
             Ok(reply) => {
                 self.frames.push(reply);

@@ -23,7 +23,8 @@
 //!
 //! A `verify` request carries the certificate's `cert` lines after the
 //! problem, a `crash-worker` request a `worker <node>` record, and a
-//! failure response an `error <text>` record of free text.
+//! failure response an `error <text>` record of free text. A request
+//! carries only the records its `kind` uses.
 
 use camelot_cluster::frame::{self, Frame, FrameError, FrameWriter, Record};
 use camelot_core::PrimeSchedule;
@@ -128,6 +129,21 @@ impl PolyRequest {
             .record("value-bits", self.value_bits)
             .record("min-modulus", self.min_modulus);
     }
+
+    fn read(frame: &mut Frame<'_>) -> Result<PolyRequest, FrameError> {
+        let schedule = match frame.scalar("schedule")?.map(Record::only).transpose()? {
+            None | Some("smallest") => PrimeSchedule::Smallest,
+            Some("ntt") => PrimeSchedule::NttFriendly,
+            Some(_) => return Err(FrameError::Bad("schedule")),
+        };
+        Ok(PolyRequest {
+            coefficients: frame.required("poly")?.numbers()?,
+            sum_count: frame.number("sum-count")?.unwrap_or(1),
+            value_bits: frame.require("value-bits")?,
+            min_modulus: frame.number("min-modulus")?.unwrap_or(1 << 20),
+            schedule,
+        })
+    }
 }
 
 impl Request {
@@ -165,39 +181,23 @@ impl Request {
 
     fn decode(text: &str) -> Result<Request, FrameError> {
         let mut frame = Frame::parse(text, REQUEST_HEADER)?;
-        let kind = frame.required("kind")?.only()?;
-        let schedule = match frame.scalar("schedule")?.map(Record::only).transpose()? {
-            None | Some("smallest") => PrimeSchedule::Smallest,
-            Some("ntt") => PrimeSchedule::NttFriendly,
-            Some(_) => return Err(FrameError::Bad("schedule")),
-        };
-        let coefficients = frame.scalar("poly")?.map(Record::numbers).transpose()?;
-        let sum_count = frame.number("sum-count")?.unwrap_or(1);
-        let value_bits = frame.number("value-bits")?;
-        let min_modulus = frame.number("min-modulus")?.unwrap_or(1 << 20);
-        let worker = frame.number("worker")?;
-        let certificate = frame.embedded("cert");
-        frame.finish()?;
-        let poly = coefficients.ok_or(FrameError::Missing("poly")).and_then(|coefficients| {
-            Ok(PolyRequest {
-                coefficients,
-                sum_count,
-                value_bits: value_bits.ok_or(FrameError::Missing("value-bits"))?,
-                min_modulus,
-                schedule,
-            })
-        });
-        match kind {
-            "prepare" => Ok(Request::Prepare(poly?)),
-            "verify" if certificate.is_empty() => Err(FrameError::Missing("cert")),
-            "verify" => Ok(Request::Verify { poly: poly?, certificate }),
-            "status" => Ok(Request::Status),
-            "crash-worker" => {
-                Ok(Request::CrashWorker { node: worker.ok_or(FrameError::Missing("worker"))? })
+        let request = match frame.required("kind")?.only()? {
+            "prepare" => Request::Prepare(PolyRequest::read(&mut frame)?),
+            "verify" => {
+                let poly = PolyRequest::read(&mut frame)?;
+                let certificate = frame.embedded("cert");
+                if certificate.is_empty() {
+                    return Err(FrameError::Missing("cert"));
+                }
+                Request::Verify { poly, certificate }
             }
-            "shutdown" => Ok(Request::Shutdown),
-            _ => Err(FrameError::Bad("kind")),
-        }
+            "status" => Request::Status,
+            "crash-worker" => Request::CrashWorker { node: frame.require("worker")? },
+            "shutdown" => Request::Shutdown,
+            _ => return Err(FrameError::Bad("kind")),
+        };
+        frame.finish()?;
+        Ok(request)
     }
 }
 
@@ -343,6 +343,7 @@ mod tests {
         assert!(Request::from_wire("camelot-request v1\nkind verify\npoly 1\nvalue-bits 8\nend\n")
             .is_err());
         assert!(Request::from_wire("camelot-request v1\nkind warp\nend\n").is_err());
+        assert!(Request::from_wire("camelot-request v1\nkind status\nworker 1\nend\n").is_err());
         assert!(Response::from_wire("camelot-response v1\nrounds x\nend\n").is_err());
     }
 
