@@ -10,14 +10,15 @@
 //!   subproduct-tree dispatch), interpolation (Newton baseline vs tree),
 //!   full Gao decode with a per-phase breakdown, and the same word
 //!   decoded with five symbols erased;
-//! * the same consecutive-point code over the first prime `>= 2^20` —
-//!   the modulus the engine's default `Smallest` schedule actually picks,
-//!   with no two-adic structure, so Karatsuba products and quadratic
-//!   interpolation up to 4096 points: code construction, interpolation on
-//!   the progression (`interpolate`, and the cached tree's own dispatch)
-//!   and on the same points with two swapped (the general
-//!   divided-difference triangle), and the decode of a clean word and of
-//!   the faulted one, each with its phase breakdown;
+//! * the same consecutive-point code over the first prime above the
+//!   engine's [`prime_floor`] — the modulus the default `Smallest`
+//!   schedule actually picks, with no two-adic structure, so Karatsuba
+//!   products and quadratic interpolation up to 4096 points: code
+//!   construction, interpolation on the progression (`interpolate`, and
+//!   the cached tree's own dispatch) and on the same points with two
+//!   swapped (the general divided-difference triangle), and the decode
+//!   of a clean word and of the faulted one, each with its phase
+//!   breakdown;
 //! * roots-of-unity code filling its orbit (the engine's NTT-friendly
 //!   schedule when `e` is a power of two): encode (Horner baseline vs
 //!   single forward NTT), full Gao decode with the same breakdown, and
@@ -35,8 +36,11 @@
 //!   against a whole truncated bivariate product, and split vs serial
 //!   Horner.
 //!
-//! Every per-length row records the thread budget the NTT/decode paths
-//! ran under (`CAMELOT_THREADS`, defaulting to the machine parallelism).
+//! Every modulus here starts its walk at [`prime_floor`], the floor both
+//! engine schedules share, so the rows time the word-sized primes the
+//! engine runs on. Every per-length row records the thread budget the
+//! NTT/decode paths ran under (`CAMELOT_THREADS`, defaulting to the
+//! machine parallelism).
 //!
 //! Quadratic baselines (Horner, Newton, classical xgcd) and the whole
 //! smallest-prime block are skipped above `2^14` — their columns read
@@ -57,6 +61,7 @@
 //! `--min-log 4 --max-log 7 --samples 1 --hgcd-crossover 0`.
 
 use camelot_bench::{fault_every_16th, fmt_duration, random_message, Table};
+use camelot_core::{prime_floor, ProofSpec};
 use camelot_ff::{next_prime, ntt_prime, thread_budget, PrimeField, RngLike, SplitMix64};
 use camelot_linalg::{MatMulTensor, YatesPlan};
 use camelot_partition::Shape;
@@ -114,6 +119,12 @@ fn parse_args() -> Args {
     assert!(args.max_log < 30, "--max-log is unreasonably large");
     assert!(args.samples > 0, "--samples must be positive");
     args
+}
+
+/// The engine's prime floor for a length-`e` code at degree `e / 2`:
+/// where both prime schedules start their walk.
+fn engine_floor(e: usize) -> u64 {
+    prime_floor(&ProofSpec::new(e / 2, 0, 0), e)
 }
 
 /// Minimum wall time over `samples` runs (after one warm-up).
@@ -445,14 +456,14 @@ fn evaluator_bench(field: &PrimeField, samples: usize, rng: &mut SplitMix64) -> 
     )
 }
 
-/// The consecutive-point code of length `e` over the first prime
-/// `>= 2^20` — what `EngineConfig::sequential`'s `Smallest` schedule
-/// builds, on a modulus with no two-adic structure: returns the
+/// The consecutive-point code of length `e` over the first prime above
+/// [`engine_floor`] — what `EngineConfig::sequential`'s `Smallest`
+/// schedule builds, on a modulus with no two-adic structure: returns the
 /// `"consecutive_smallest"` JSON object. The three interpolation routes
 /// are checked against each other before they are timed.
 fn consecutive_smallest_bench(e: usize, samples: usize, rng: &mut SplitMix64) -> String {
     let d = e / 2;
-    let q = next_prime(1 << 20);
+    let q = next_prime(engine_floor(e));
     let field = PrimeField::new(q).unwrap();
     let t_build = best_of(samples, || RsCode::consecutive(&field, e));
     let code = RsCode::consecutive(&field, e);
@@ -492,7 +503,8 @@ fn main() {
         set_hgcd_crossover(crossover);
     }
     let threads = thread_budget().max(1);
-    let kernel_field = PrimeField::new(ntt_prime(1 << 20, KERNEL_LOG + 1).0).unwrap();
+    let kernel_field =
+        PrimeField::new(ntt_prime(engine_floor(1 << KERNEL_LOG), KERNEL_LOG + 1).0).unwrap();
     let kernels = kernel_bench(&kernel_field, args.samples, &mut SplitMix64::new(0xCA_FE_F0_0D));
     let evaluators =
         evaluator_bench(&kernel_field, args.samples, &mut SplitMix64::new(0xE7_A1_0A_7E));
@@ -510,7 +522,7 @@ fn main() {
         let naive_too = log <= NAIVE_MAX_LOG;
         // One NTT-friendly prime per length, admitting transforms of
         // length 2^(log+1) (products of two codeword-degree operands).
-        let (q, _) = ntt_prime(1 << 20, log + 1);
+        let (q, _) = ntt_prime(engine_floor(e), log + 1);
         let field = PrimeField::new(q).unwrap();
         let mut rng = SplitMix64::new(0xBE_AC * u64::from(log));
         let msg = random_message(&field, d, &mut rng);
@@ -664,7 +676,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"camelot-bench-algebra/v7\",\n",
+            "  \"schema\": \"camelot-bench-algebra/v8\",\n",
             "  \"description\": \"Field slice-kernel throughput (Melem/s, chunked vs per-element ",
             "scalar loops), the per-point building blocks of the catalogue evaluators (ns per ",
             "call, each beside what it replaced), plus the Reed-Solomon codeword pipeline: ",
@@ -672,7 +684,7 @@ fn main() {
             "baselines vs subproduct-tree, NTT, and half-GCD fast paths (message degree = len/2; ",
             "every *decode_us is the sum of the decode's three phases, listed or not; ",
             "erasure_decode_us decodes the block's word with five more symbols withheld; ",
-            "consecutive_smallest is the consecutive-point code over the first prime >= 2^20, ",
+            "consecutive_smallest is the consecutive-point code over the first prime >= 2^61, ",
             "the Smallest schedule's modulus (no NTT: Karatsuba products, quadratic ",
             "interpolation below 4096 points): interpolate_us on the progression, ",
             "interpolate_general_us on the same points with two swapped, ",
@@ -682,8 +694,8 @@ fn main() {
             "orbit's degree, the shape of bench_e2e's poly_faulted_fulldecode, its erasures one ",
             "contiguous sixteenth of the code; quadratic baselines are null above ",
             "2^14; threads is the CAMELOT_THREADS budget the NTT/decode paths ran under)\",\n",
-            "  \"prime_schedule\": \"smallest q >= 2^20 with q = 1 mod 2^(log2_len+1); ",
-            "consecutive_smallest: smallest prime q >= 2^20\",\n",
+            "  \"prime_schedule\": \"smallest q >= 2^61 (the engine's prime_floor) with ",
+            "q = 1 mod 2^(log2_len+1); consecutive_smallest: smallest prime q >= 2^61\",\n",
             "  \"samples\": {},\n",
             "  \"threads\": {},\n",
             "  \"timer\": \"best-of-samples wall clock, release build\",\n",

@@ -19,7 +19,9 @@ use camelot_cluster::{
     Backend, Broadcast, ChaosPlan, ClusterConfig, Demotion, EvalProgram, FaultPlan, RoundEval,
     RoundSpec, Transport, TransportTuning,
 };
-use camelot_ff::{ntt_prime, primes_above, worker_count, PrimeField, SplitMix64, MAX_MODULUS};
+use camelot_ff::{
+    is_prime_u64, ntt_prime, primes_above, worker_count, PrimeField, SplitMix64, MAX_MODULUS,
+};
 use camelot_rscode::RsCode;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -361,19 +363,33 @@ pub fn code_length(spec: &ProofSpec, fault_tolerance: usize) -> usize {
     spec.degree_bound + 1 + 2 * fault_tolerance
 }
 
+/// The smallest modulus either prime schedule may pick, and the smallest
+/// a certificate may carry: `max(min_modulus, e + 1, 2^61)`.
+///
+/// The field layer costs the same for every `q < MAX_MODULUS = 2^62`, so
+/// the walk starts at the top of that range: each prime then covers 61
+/// bits of the answer, a prepare pays its per-prime round, evaluation
+/// pass, decode and spot checks once per 61 bits, and a wrong proof
+/// survives a spot check with probability at most `d/2^61`. The prover
+/// ([`choose_primes`], [`choose_primes_ntt`]) and the verifier
+/// ([`Engine::redeem`]) both read the floor here, so they cannot drift.
+#[must_use]
+pub fn prime_floor(spec: &ProofSpec, code_len: usize) -> u64 {
+    spec.min_modulus.max(code_len as u64 + 1).max(1 << 61)
+}
+
 /// Shared admissibility/coverage rules of both prime schedules: walk
-/// `next` upward from `max(min_modulus, e + 1, 2^20)` until the product
-/// of the selected primes exceeds `2^(value_bits + 1)` (one guard bit
-/// for symmetric signed lifts).
+/// `next` upward from [`prime_floor`] until the product of the selected
+/// primes exceeds `2^(value_bits + 1)` (one guard bit for symmetric
+/// signed lifts).
 fn accumulate_primes(
     spec: &ProofSpec,
     code_len: usize,
     mut next: impl FnMut(u64) -> u64,
 ) -> Vec<u64> {
-    let floor = spec.min_modulus.max(code_len as u64 + 1).max(1 << 20);
     let mut primes = Vec::new();
     let mut bits_covered = 0u64;
-    let mut cursor = floor;
+    let mut cursor = prime_floor(spec, code_len);
     while bits_covered <= spec.value_bits + 1 {
         let p = next(cursor);
         bits_covered += 63 - u64::from(p.leading_zeros());
@@ -384,7 +400,7 @@ fn accumulate_primes(
 }
 
 /// Deterministically selects prime moduli for a spec: all primes are at
-/// least `max(min_modulus, e + 1)` and their product exceeds
+/// least [`prime_floor`] and their product exceeds
 /// `2^(value_bits + 1)` (one guard bit for symmetric signed lifts).
 #[must_use]
 pub fn choose_primes(spec: &ProofSpec, code_len: usize) -> Vec<u64> {
@@ -582,7 +598,8 @@ impl Engine {
     ///
     /// * [`CamelotError::MalformedProof`] when the certificate does not
     ///   structurally fit the problem's spec (wrong degree bound, no or
-    ///   duplicate moduli, insufficient CRT coverage);
+    ///   duplicate moduli, a modulus below [`prime_floor`], at or above
+    ///   `MAX_MODULUS` or not prime, insufficient CRT coverage);
     /// * [`CamelotError::VerificationFailed`] if a spot check rejects;
     /// * recovery errors from the problem itself.
     pub fn redeem<P: CamelotProblem>(
@@ -615,10 +632,17 @@ impl Engine {
         // A certificate need not have come through `from_wire`: check the
         // range here too, before a modulus reaches the bit count below
         // (which underflows on 0) or a `PrimeField` (Barrett headroom).
-        let admissible = spec.min_modulus.max(2)..MAX_MODULUS;
+        // The d/q soundness bound presumes a field, so a composite
+        // modulus is rejected as well, however well it spot-checks.
+        let admissible = prime_floor(&spec, certificate.code_length)..MAX_MODULUS;
         if let Some(&q) = moduli.iter().find(|q| !admissible.contains(q)) {
             return Err(CamelotError::MalformedProof {
                 reason: format!("modulus {q} outside {admissible:?}"),
+            });
+        }
+        if let Some(&q) = moduli.iter().find(|&&q| !is_prime_u64(q)) {
+            return Err(CamelotError::MalformedProof {
+                reason: format!("modulus {q} is not prime"),
             });
         }
         let bits: u64 =
@@ -997,8 +1021,8 @@ mod tests {
         assert!(outcome.certificate.identified_faulty_nodes.is_empty());
         assert!(outcome.certificate.crashed_nodes.is_empty());
         assert_eq!(outcome.certificate.code_length, 3 + 1 + 6);
-        // 96-bit value needs multiple ~20+-bit primes; at least 2.
-        assert!(outcome.report.primes.len() >= 2);
+        // A 96-bit value needs two 61-bit primes.
+        assert_eq!(outcome.report.primes.len(), 2);
     }
 
     #[test]
@@ -1140,15 +1164,17 @@ mod tests {
         assert!(matches!(engine.redeem(&problem, &thin), Err(CamelotError::MalformedProof { .. })));
     }
 
-    /// A modulus outside `min_modulus..MAX_MODULUS` is a structural
+    /// A modulus outside `prime_floor..MAX_MODULUS` is a structural
     /// rejection, in debug and release alike: `0` used to underflow the
-    /// bit count, `MAX_MODULUS` and up used to reach an unchecked field.
+    /// bit count, `MAX_MODULUS` and up used to reach an unchecked field,
+    /// and `floor - 1 = 2^61 - 1` is a prime the prover would never pick.
     #[test]
     fn redeem_rejects_moduli_outside_the_field_range() {
         let problem = Cube { c: 99 };
         let engine = Engine::sequential(4, 2);
         let prepared = engine.run(&problem).unwrap();
-        let floor = problem.spec().min_modulus;
+        let floor = prime_floor(&problem.spec(), prepared.certificate.code_length);
+        assert!(is_prime_u64(floor - 1));
         for (modulus, coefficients) in [
             (0, vec![]),
             (1, vec![0]),
@@ -1166,6 +1192,31 @@ mod tests {
                 "modulus {modulus}"
             );
         }
+    }
+
+    /// The composite-modulus hole. Over `Z/2^61`, the proof
+    /// `P mod 2^61 + 2^60·(x² + x)` agrees with `P = (99 + x)³` at every
+    /// point, because `x² + x` is even, so no number of spot checks
+    /// catches it; and `2^61` is in range and at the floor. Only the
+    /// primality check turns it away.
+    #[test]
+    fn redeem_rejects_a_composite_modulus_that_passes_every_spot_check() {
+        let problem = Cube { c: 99 };
+        let engine = Engine::sequential(4, 2);
+        let prepared = engine.run(&problem).unwrap();
+        let mut coefficients = vec![99u64.pow(3), 3 * 99 * 99, 3 * 99, 1];
+        coefficients[1] += 1 << 60;
+        coefficients[2] += 1 << 60;
+        let composite = PrimeProof { modulus: 1 << 61, coefficients };
+        let verdict = crate::verify::spot_check(&problem, &composite, 64, 7).unwrap();
+        assert!(verdict.accepted, "the forgery survives every spot check");
+
+        let mut forged = prepared.certificate.clone();
+        forged.proofs[0] = composite;
+        assert!(matches!(
+            engine.redeem(&problem, &forged),
+            Err(CamelotError::MalformedProof { .. })
+        ));
     }
 
     #[test]
@@ -1215,11 +1266,41 @@ mod tests {
     #[test]
     fn choose_primes_respects_floor_and_bits() {
         let spec = ProofSpec::new(10, 1 << 30, 200);
+        assert_eq!(prime_floor(&spec, 100), 1 << 61);
         let primes = choose_primes(&spec, 100);
-        assert!(primes.iter().all(|&q| q > 1 << 30));
+        assert!(primes.iter().all(|&q| (1 << 61..MAX_MODULUS).contains(&q)));
         let bits: u64 = primes.iter().map(|q| 63 - u64::from(q.leading_zeros())).sum();
         assert!(bits > 201);
         // Deterministic.
         assert_eq!(primes, choose_primes(&spec, 100));
+        // A spec floor above 2^61 wins.
+        let high = ProofSpec::new(10, (1 << 61) + (1 << 40), 200);
+        assert!(choose_primes(&high, 100).iter().all(|&q| q >= high.min_modulus));
+    }
+
+    /// Both schedules pick exactly as many primes as `primes_needed`
+    /// says 61-bit primes need for `value_bits + 2` bits (the walk's
+    /// `61·n > value_bits + 1`), all in `[floor, 2^62)`, and every NTT
+    /// prime is `1 mod 2^k`.
+    #[test]
+    fn prime_count_is_what_61_bit_primes_need() {
+        let e = 100;
+        let ntt_step = 1u64 << ntt_log_len(e);
+        for value_bits in [0, 1, 59, 60, 61, 120, 121, 200] {
+            let spec = ProofSpec::new(10, 1 << 20, value_bits);
+            let floor = prime_floor(&spec, e);
+            let needed = camelot_ff::primes_needed(value_bits + 2, 61);
+            for (schedule, primes, step) in [
+                ("smallest", choose_primes(&spec, e), 1),
+                ("ntt", choose_primes_ntt(&spec, e), ntt_step),
+            ] {
+                assert_eq!(primes.len(), needed, "{schedule}, {value_bits} bits");
+                for q in primes {
+                    assert!((floor..MAX_MODULUS).contains(&q), "{schedule}: {q}");
+                    assert!(is_prime_u64(q), "{schedule}: {q}");
+                    assert_eq!((q - 1) % step, 0, "{schedule}: {q} is not 1 mod {step}");
+                }
+            }
+        }
     }
 }

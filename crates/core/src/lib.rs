@@ -28,8 +28,8 @@ mod verify;
 mod wire;
 
 pub use engine::{
-    choose_primes, choose_primes_ntt, code_length, ntt_log_len, CamelotOutcome, Certificate,
-    Engine, EngineConfig, PrimeSchedule, RecoveryPolicy, RunReport,
+    choose_primes, choose_primes_ntt, code_length, ntt_log_len, prime_floor, CamelotOutcome,
+    Certificate, Engine, EngineConfig, PrimeSchedule, RecoveryPolicy, RunReport,
 };
 pub use error::CamelotError;
 pub use merlin::{arthur_verify, merlin_prove};

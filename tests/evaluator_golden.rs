@@ -1,26 +1,31 @@
 //! Evaluator regression tests: every catalogue evaluator keeps producing
 //! the same bits, is a polynomial of the promised degree at every kind of
-//! point, and is safe to call from several threads.
+//! point and at both ends of the modulus range, is safe to call from
+//! several threads, and the engine recovers the answer its sequential
+//! oracle computes.
 //!
-//! The golden digests below were recorded by running this file's
-//! `certificates_match_recorded_digests` body on the parent commit
-//! (de19c2e, before the evaluators were restructured to hoist their
-//! x-independent work): a 64-bit FNV-1a of `Certificate::to_wire()` from
-//! `Engine::sequential(4, 2)`, one small fixed instance per proof
-//! polynomial in the workspace. Evaluation results are field elements, so
-//! any correct re-association of the arithmetic reproduces them exactly.
-//! Everything here goes through the public problem API only, so the file
-//! compiles and passes unchanged on the parent commit.
+//! The golden digests below are a 64-bit FNV-1a of
+//! `Certificate::to_wire()` from `Engine::sequential(4, 2)`, one small
+//! fixed instance per proof polynomial in the workspace, recorded with
+//! the prime walk starting at `2^61`. Beside each digest is the recovered
+//! answer, recorded on the commit before the floor moved (27d9e89, first
+//! primes above `2^20`): the certificates changed, the answers did not.
+//! Evaluation results are field elements, so any correct re-association
+//! of the arithmetic reproduces the digests exactly. Everything here goes
+//! through the public problem API only.
 
 use camelot::algebraic::{
     BoolMatrix, CnfFormula, Convolution3Sum, CountCnfSat, HamiltonianCycles, HammingDistribution,
     OrthogonalVectors, Permanent, SetCovers,
 };
 use camelot::cliques::KCliqueCount;
-use camelot::core::{choose_primes, CamelotProblem, Engine};
+use camelot::core::{choose_primes, merlin_prove, CamelotProblem, Engine};
 use camelot::csp::{Csp2, CspWeightValue};
-use camelot::ff::{PrimeField, RngLike, SplitMix64};
-use camelot::graph::{gen, MultiGraph};
+use camelot::ff::{is_prime_u64, IBig, PrimeField, RngLike, SplitMix64, UBig, MAX_MODULUS};
+use camelot::graph::{
+    chromatic::chromatic_value_brute, count_hamiltonian_cycles, count_k_cliques, count_triangles,
+    gen, tutte::potts_value_mod, Graph, MultiGraph,
+};
 use camelot::partition::{ChromaticValue, PottsValue, SetPartitions};
 use camelot::poly::interpolate;
 use camelot::server::{PolyRequest, ServicePoly};
@@ -35,29 +40,72 @@ fn fnv64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// An answer as decimal text, so answers of different types (a count, a
+/// big integer, a histogram) compare with their oracles and print in
+/// one table.
+trait Shown {
+    fn shown(&self) -> String;
+}
+
+macro_rules! shown_by_display {
+    ($($t:ty),*) => {$(
+        impl Shown for $t {
+            fn shown(&self) -> String {
+                self.to_string()
+            }
+        }
+    )*};
+}
+shown_by_display!(u64, u128, UBig, IBig);
+
+impl<T: std::fmt::Debug> Shown for Vec<T> {
+    fn shown(&self) -> String {
+        format!("{self:?}")
+    }
+}
+
+fn triangles_graph() -> Graph {
+    gen::gnm(12, 26, 3)
+}
+
 fn triangles() -> TriangleCount {
-    TriangleCount::new(&gen::gnm(12, 26, 3))
+    TriangleCount::new(&triangles_graph())
+}
+
+fn cliques_graph() -> Graph {
+    gen::planted_clique(7, 5, 6, 11)
 }
 
 fn cliques() -> KCliqueCount {
-    KCliqueCount::new(gen::planted_clique(7, 5, 6, 11), 6)
+    KCliqueCount::new(cliques_graph(), 6)
+}
+
+fn chromatic_graph() -> Graph {
+    gen::gnm(8, 13, 5)
 }
 
 fn chromatic() -> ChromaticValue {
-    ChromaticValue::new(gen::gnm(8, 13, 5), 3)
+    ChromaticValue::new(chromatic_graph(), 3)
 }
 
 fn permanent() -> Permanent {
     Permanent::random(6, 3, 17)
 }
 
+fn csp_instance() -> Csp2 {
+    Csp2::random(6, 2, 5, 50, 23)
+}
+
 fn csp() -> CspWeightValue {
-    CspWeightValue::new(Csp2::random(6, 2, 5, 50, 23), 2)
+    CspWeightValue::new(csp_instance(), 2)
+}
+
+fn potts_graph() -> MultiGraph {
+    MultiGraph::from_edges(6, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 3), (3, 4), (4, 5)])
 }
 
 fn potts() -> PottsValue {
-    let graph = MultiGraph::from_edges(6, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 3), (3, 4), (4, 5)]);
-    PottsValue::new(graph, 3, 2)
+    PottsValue::new(potts_graph(), 3, 2)
 }
 
 fn set_partitions() -> SetPartitions {
@@ -76,12 +124,20 @@ fn conv3sum() -> Convolution3Sum {
     Convolution3Sum::random(8, 3, 9)
 }
 
+fn cnf_formula() -> CnfFormula {
+    CnfFormula::random_ksat(7, 9, 3, 13)
+}
+
 fn cnf() -> CountCnfSat {
-    CountCnfSat::new(CnfFormula::random_ksat(7, 9, 3, 13))
+    CountCnfSat::new(cnf_formula())
+}
+
+fn hamilton_graph() -> Graph {
+    gen::gnm(7, 15, 21)
 }
 
 fn hamilton() -> HamiltonianCycles {
-    HamiltonianCycles::new(gen::gnm(7, 15, 21))
+    HamiltonianCycles::new(hamilton_graph())
 }
 
 fn set_covers() -> SetCovers {
@@ -101,48 +157,72 @@ fn explicit_poly() -> ServicePoly {
     })
 }
 
-fn certificate_digest<P: CamelotProblem>(problem: &P) -> u64 {
+/// The largest prime below `MAX_MODULUS = 2^62`: the top of the range the
+/// field layer admits, where an unreduced sum has the least headroom.
+fn top_prime() -> u64 {
+    (2..MAX_MODULUS).rev().find(|&q| is_prime_u64(q)).expect("a prime below 2^62")
+}
+
+/// The moduli every evaluator is audited at: the first one the engine
+/// picks for the problem, and the top of the range.
+fn audit_moduli<P: CamelotProblem>(problem: &P) -> [u64; 2] {
+    let spec = problem.spec();
+    [choose_primes(&spec, spec.degree_bound + 1)[0], top_prime()]
+}
+
+/// One fault-free run: the certificate's digest and the recovered answer.
+fn digest_and_answer<P: CamelotProblem>(problem: &P) -> (u64, String)
+where
+    P::Output: Shown,
+{
     let outcome = Engine::sequential(4, 2).run(problem).expect("a fault-free run succeeds");
-    fnv64(outcome.certificate.to_wire().as_bytes())
+    (fnv64(outcome.certificate.to_wire().as_bytes()), outcome.output.shown())
 }
 
 #[test]
 fn certificates_match_recorded_digests() {
     let actual = [
-        ("triangles", certificate_digest(&triangles())),
-        ("cliques", certificate_digest(&cliques())),
-        ("chromatic", certificate_digest(&chromatic())),
-        ("permanent", certificate_digest(&permanent())),
-        ("csp", certificate_digest(&csp())),
-        ("potts", certificate_digest(&potts())),
-        ("set_partitions", certificate_digest(&set_partitions())),
-        ("orthogonal_vectors", certificate_digest(&orthogonal_vectors())),
-        ("hamming", certificate_digest(&hamming())),
-        ("conv3sum", certificate_digest(&conv3sum())),
-        ("cnf", certificate_digest(&cnf())),
-        ("hamilton", certificate_digest(&hamilton())),
-        ("set_covers", certificate_digest(&set_covers())),
-        ("explicit_poly", certificate_digest(&explicit_poly())),
+        ("triangles", digest_and_answer(&triangles())),
+        ("cliques", digest_and_answer(&cliques())),
+        ("chromatic", digest_and_answer(&chromatic())),
+        ("permanent", digest_and_answer(&permanent())),
+        ("csp", digest_and_answer(&csp())),
+        ("potts", digest_and_answer(&potts())),
+        ("set_partitions", digest_and_answer(&set_partitions())),
+        ("orthogonal_vectors", digest_and_answer(&orthogonal_vectors())),
+        ("hamming", digest_and_answer(&hamming())),
+        ("conv3sum", digest_and_answer(&conv3sum())),
+        ("cnf", digest_and_answer(&cnf())),
+        ("hamilton", digest_and_answer(&hamilton())),
+        ("set_covers", digest_and_answer(&set_covers())),
+        ("explicit_poly", digest_and_answer(&explicit_poly())),
     ];
-    let recorded: [(&str, u64); 14] = [
-        ("triangles", 0xb0c4_a0af_76a9_aa82),
-        ("cliques", 0x175f_1270_8bf7_770b),
-        ("chromatic", 0x68e6_4e1b_6631_35f0),
-        ("permanent", 0xad78_07f1_9b4a_a0c8),
-        ("csp", 0x88ab_ff3b_95d4_472c),
-        ("potts", 0xe056_83a8_d622_8629),
-        ("set_partitions", 0xd766_b915_9025_e731),
-        ("orthogonal_vectors", 0x704d_5bbb_d9e9_7077),
-        ("hamming", 0x7dcd_3ac6_7367_6bab),
-        ("conv3sum", 0xd522_c83a_0418_b627),
-        ("cnf", 0x129b_620f_2218_c93f),
-        ("hamilton", 0x5563_75c4_6244_1052),
-        ("set_covers", 0x5527_9f90_5a0f_b73f),
-        ("explicit_poly", 0x1e72_f5a9_c603_4e5a),
+    let recorded: [(&str, u64, &str); 14] = [
+        ("triangles", 0x3071_e0c2_7cd4_3485, "13"),
+        ("cliques", 0x8a8b_8085_9b0b_6c7d, "2"),
+        ("chromatic", 0xa4ae_4962_5793_0f87, "24"),
+        ("permanent", 0x7349_2f5e_704c_4420, "-707"),
+        ("csp", 0x8344_e33b_b251_909e, "792"),
+        ("potts", 0x1eff_ef97_20a5_1106, "61875"),
+        ("set_partitions", 0x11b1_1c35_164c_5729, "90"),
+        ("orthogonal_vectors", 0x63a2_b4c5_1d04_48b0, "[5, 5, 5, 6, 9, 3, 5, 9, 5]"),
+        (
+            "hamming",
+            0x462e_0490_ef3d_b6b4,
+            "[[1, 3, 1, 0], [1, 2, 2, 0], [1, 3, 1, 0], [0, 3, 2, 0], [2, 1, 1, 1]]",
+        ),
+        ("conv3sum", 0x201e_3651_4040_96d2, "[1, 1, 0, 0]"),
+        ("cnf", 0x54ab_428d_7e02_5e46, "41"),
+        ("hamilton", 0x80a1_b036_4048_391b, "22"),
+        ("set_covers", 0xb6d9_3fcc_7bc0_5767, "102"),
+        ("explicit_poly", 0x6f39_6f7a_e8c6_7cca, "307327293097594"),
     ];
+    let row = |name: &str, digest: u64, answer: &str| {
+        format!("(\"{name}\", {digest:#018x}, \"{answer}\"),")
+    };
     assert_eq!(
-        actual.map(|(name, digest)| format!("(\"{name}\", {digest:#018x}),")),
-        recorded.map(|(name, digest)| format!("(\"{name}\", {digest:#018x}),")),
+        actual.map(|(name, (digest, answer))| row(name, digest, &answer)),
+        recorded.map(|(name, digest, answer)| row(name, digest, answer)),
     );
 }
 
@@ -150,26 +230,30 @@ fn certificates_match_recorded_digests() {
 /// values determine — at 0, inside the interpolation-node range
 /// `1..=nodes` (where prepared Lagrange bases take their indicator
 /// shortcut), just past it, at `q − 1`, at unreduced `x ≥ q`, and at 32
-/// random points.
+/// random points — over the engine's first modulus and the top one.
 fn agrees_with_own_interpolant<P: CamelotProblem>(name: &str, problem: &P, nodes: u64) {
     let spec = problem.spec();
-    let q = choose_primes(&spec, spec.degree_bound + 1)[0];
-    let field = PrimeField::new(q).expect("the engine's modulus is prime");
-    let eval = problem.evaluator(&field);
-    // Sample away from the node range so the interpolant is built from
-    // the general branch and then checked against the shortcut.
-    let base = nodes + 7;
-    assert!(base + spec.degree_bound as u64 + 1 < q, "{name}: modulus too small for the samples");
-    let samples: Vec<(u64, u64)> =
-        (0..=spec.degree_bound as u64).map(|i| (base + i, eval.eval(base + i))).collect();
-    let poly = interpolate(&field, &samples);
-    assert!(poly.degree().unwrap_or(0) <= spec.degree_bound, "{name}: degree bound violated");
+    for q in audit_moduli(problem) {
+        let field = PrimeField::new(q).expect("an audit modulus is prime");
+        let eval = problem.evaluator(&field);
+        // Sample away from the node range so the interpolant is built
+        // from the general branch and then checked against the shortcut.
+        let base = nodes + 7;
+        assert!(
+            base + spec.degree_bound as u64 + 1 < q,
+            "{name}: modulus too small for the samples"
+        );
+        let samples: Vec<(u64, u64)> =
+            (0..=spec.degree_bound as u64).map(|i| (base + i, eval.eval(base + i))).collect();
+        let poly = interpolate(&field, &samples);
+        assert!(poly.degree().unwrap_or(0) <= spec.degree_bound, "{name}: degree bound violated");
 
-    let mut points = vec![0, 1, 2, nodes / 2 + 1, nodes, nodes + 1, q - 1, q, q + 3, u64::MAX];
-    let mut rng = SplitMix64::new(0xE7A1 ^ nodes);
-    points.extend((0..32).map(|_| rng.next_u64() % q));
-    for x in points {
-        assert_eq!(eval.eval(x), poly.eval(&field, x), "{name}: x = {x} (q = {q})");
+        let mut points = vec![0, 1, 2, nodes / 2 + 1, nodes, nodes + 1, q - 1, q, q + 3, u64::MAX];
+        let mut rng = SplitMix64::new(0xE7A1 ^ nodes);
+        points.extend((0..32).map(|_| rng.next_u64() % q));
+        for x in points {
+            assert_eq!(eval.eval(x), poly.eval(&field, x), "{name}: x = {x} (q = {q})");
+        }
     }
 }
 
@@ -195,29 +279,30 @@ fn evaluators_agree_with_their_own_interpolants() {
 
 /// `Evaluate` is `Sync` and the parallel backends share one evaluator
 /// between node threads: four threads released together must each see
-/// what a single thread sees.
+/// what a single thread sees, over the engine's first modulus and the
+/// top one.
 fn concurrent_calls_match_sequential<P: CamelotProblem + Sync>(name: &str, problem: &P) {
-    let spec = problem.spec();
-    let q = choose_primes(&spec, spec.degree_bound + 1)[0];
-    let field = PrimeField::new(q).expect("the engine's modulus is prime");
-    let eval = problem.evaluator(&field);
-    let points: Vec<u64> =
-        (0..24).map(|i| if i % 3 == 0 { i / 3 + 1 } else { q - 1 - i }).collect();
-    let expect: Vec<u64> = points.iter().map(|&x| eval.eval(x)).collect();
-    let barrier = std::sync::Barrier::new(4);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                scope.spawn(|| {
-                    barrier.wait();
-                    points.iter().map(|&x| eval.eval(x)).collect::<Vec<u64>>()
+    for q in audit_moduli(problem) {
+        let field = PrimeField::new(q).expect("an audit modulus is prime");
+        let eval = problem.evaluator(&field);
+        let points: Vec<u64> =
+            (0..24).map(|i| if i % 3 == 0 { i / 3 + 1 } else { q - 1 - i }).collect();
+        let expect: Vec<u64> = points.iter().map(|&x| eval.eval(x)).collect();
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        points.iter().map(|&x| eval.eval(x)).collect::<Vec<u64>>()
+                    })
                 })
-            })
-            .collect();
-        for handle in handles {
-            assert_eq!(handle.join().expect("evaluation does not panic"), expect, "{name}");
-        }
-    });
+                .collect();
+            for handle in handles {
+                assert_eq!(handle.join().expect("evaluation does not panic"), expect, "{name}");
+            }
+        });
+    }
 }
 
 #[test]
@@ -230,5 +315,55 @@ fn evaluators_are_safe_to_share_between_threads() {
     concurrent_calls_match_sequential("potts", &potts());
     concurrent_calls_match_sequential("set_partitions", &set_partitions());
     concurrent_calls_match_sequential("orthogonal_vectors", &orthogonal_vectors());
+    concurrent_calls_match_sequential("hamming", &hamming());
+    concurrent_calls_match_sequential("conv3sum", &conv3sum());
+    concurrent_calls_match_sequential("cnf", &cnf());
+    concurrent_calls_match_sequential("hamilton", &hamilton());
+    concurrent_calls_match_sequential("set_covers", &set_covers());
     concurrent_calls_match_sequential("explicit_poly", &explicit_poly());
+}
+
+/// `Engine::run` over word-sized primes, Merlin's sequential proof and
+/// the family's own sequential oracle give one answer.
+fn answers_agree<P: CamelotProblem>(name: &str, problem: &P, oracle: String)
+where
+    P::Output: Shown,
+{
+    let run = Engine::sequential(4, 2).run(problem).expect("a fault-free run succeeds");
+    let merlin = merlin_prove(problem).expect("Merlin proves");
+    let merlin = problem.recover(&merlin).expect("Merlin's proof recovers");
+    assert_eq!(run.output.shown(), oracle, "{name}: engine vs oracle");
+    assert_eq!(merlin.shown(), oracle, "{name}: Merlin vs oracle");
+}
+
+#[test]
+fn answers_match_sequential_oracles_and_merlin() {
+    // X(w0 = 2) = Σ_k (assignments satisfying k constraints) · 2^k.
+    let csp_value: u128 = csp_instance()
+        .reference_histogram()
+        .iter()
+        .rev()
+        .fold(0, |acc, &n| 2 * acc + u128::from(n));
+    // Z(3, 2) is far below the modulus, so the brute-force residue is
+    // the value itself.
+    let potts_field = PrimeField::new(top_prime()).expect("prime");
+    let poly = explicit_poly();
+    let poly_sum: u128 = poly.0.coefficients.iter().map(|&c| u128::from(c)).sum::<u128>()
+        + u128::from(poly.0.coefficients[0]);
+
+    answers_agree("triangles", &triangles(), count_triangles(&triangles_graph()).shown());
+    answers_agree("cliques", &cliques(), count_k_cliques(&cliques_graph(), 6).shown());
+    answers_agree("chromatic", &chromatic(), chromatic_value_brute(&chromatic_graph(), 3).shown());
+    answers_agree("permanent", &permanent(), permanent().reference_permanent().shown());
+    answers_agree("csp", &csp(), csp_value.shown());
+    answers_agree("potts", &potts(), potts_value_mod(&potts_graph(), 3, 2, &potts_field).shown());
+    answers_agree("set_partitions", &set_partitions(), set_partitions().reference_count().shown());
+    let ov = orthogonal_vectors();
+    answers_agree("orthogonal_vectors", &ov, ov.reference_counts().shown());
+    answers_agree("hamming", &hamming(), hamming().reference_distribution().shown());
+    answers_agree("conv3sum", &conv3sum(), conv3sum().reference_counts().shown());
+    answers_agree("cnf", &cnf(), cnf_formula().count_solutions_brute().shown());
+    answers_agree("hamilton", &hamilton(), count_hamiltonian_cycles(&hamilton_graph()).shown());
+    answers_agree("set_covers", &set_covers(), set_covers().reference_count().shown());
+    answers_agree("explicit_poly", &poly, poly_sum.shown());
 }
