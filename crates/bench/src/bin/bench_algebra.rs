@@ -60,14 +60,14 @@
 //! with the structured path forced on:
 //! `--min-log 4 --max-log 7 --samples 1 --hgcd-crossover 0`.
 
-use camelot_bench::{fault_every_16th, fmt_duration, random_message, Table};
+use camelot_bench::{fmt_duration, Table};
 use camelot_core::{prime_floor, ProofSpec};
 use camelot_ff::{next_prime, ntt_prime, thread_budget, PrimeField, RngLike, SplitMix64};
 use camelot_linalg::{MatMulTensor, YatesPlan};
 use camelot_partition::Shape;
 use camelot_poly::{
     eval_many, interpolate, interpolate_fast, lagrange_basis_at, set_hgcd_crossover,
-    vanishing_poly, ConsecutiveBasis, PointTree,
+    vanishing_poly, ConsecutiveBasis, PointTree, Poly,
 };
 use camelot_rscode::{DecodeProfile, RsCode};
 use std::time::{Duration, Instant};
@@ -173,6 +173,25 @@ fn j_speedup(naive: Option<Duration>, fast: Duration) -> String {
 /// Table cell: speedup or `-` when the baseline was skipped.
 fn t_speedup(naive: Option<Duration>, fast: Duration) -> String {
     naive.map_or("-".to_string(), |n| format!("{:.1}", speedup(n, fast)))
+}
+
+/// A deterministic random message polynomial of degree exactly `d`
+/// (monic): the workload shape of every Reed–Solomon row.
+fn random_message(field: &PrimeField, d: usize, rng: &mut SplitMix64) -> Poly {
+    Poly::from_reduced(
+        (0..=d).map(|i| if i == d { 1 } else { rng.next_u64() % field.modulus() }).collect(),
+    )
+}
+
+/// A received word with an error planted on every 16th symbol (within
+/// the unique-decoding radius for message degree `len/2`): the fault
+/// pattern of every decode row.
+fn fault_every_16th(field: &PrimeField, clean: &[u64]) -> Vec<Option<u64>> {
+    let mut word: Vec<Option<u64>> = clean.iter().copied().map(Some).collect();
+    for k in 0..clean.len() / 16 {
+        word[k * 16] = Some(field.add(clean[k * 16], 1 + k as u64));
+    }
+    word
 }
 
 /// `word` with five spread-out symbols withheld, fixed per length.

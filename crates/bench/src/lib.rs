@@ -2,17 +2,13 @@
 //!
 //! Shared plumbing for the experiment binaries (`exp_e1_cliques` …
 //! `exp_f3_tradeoff`) that regenerate the paper's per-theorem claims, and
-//! for the benches. See `README.md` at the repository root for the
+//! for `bench_algebra`. See `README.md` at the repository root for the
 //! experiment index.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod criterion;
-
-use camelot_ff::{PrimeField, RngLike, SplitMix64};
-use camelot_poly::Poly;
 use std::time::{Duration, Instant};
 
 /// Times a closure.
@@ -20,29 +16,6 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed())
-}
-
-/// A deterministic random message polynomial of degree exactly `d`
-/// (monic), the shared workload shape of the Reed–Solomon benches — one
-/// definition so the criterion bench and the committed
-/// `BENCH_algebra.json` trajectory measure the same thing.
-#[must_use]
-pub fn random_message(field: &PrimeField, d: usize, rng: &mut SplitMix64) -> Poly {
-    Poly::from_reduced(
-        (0..=d).map(|i| if i == d { 1 } else { rng.next_u64() % field.modulus() }).collect(),
-    )
-}
-
-/// A received word with an error planted on every 16th symbol (within
-/// the unique-decoding radius for message degree `len/2`): the shared
-/// fault pattern of the Reed–Solomon decode benches.
-#[must_use]
-pub fn fault_every_16th(field: &PrimeField, clean: &[u64]) -> Vec<Option<u64>> {
-    let mut word: Vec<Option<u64>> = clean.iter().copied().map(Some).collect();
-    for k in 0..clean.len() / 16 {
-        word[k * 16] = Some(field.add(clean[k * 16], 1 + k as u64));
-    }
-    word
 }
 
 /// A plain-text results table matching the paper-reproduction reports.

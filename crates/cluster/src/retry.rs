@@ -2,15 +2,15 @@
 //!
 //! The paper's fault model (§1.1, footnote 7) is about *what* a node
 //! sends; this module is about *when*. A real congested-clique round
-//! has to bound every socket operation (a hung worker must not stall
-//! the round), budget its retries (a flaky spawn deserves another
-//! attempt, with backoff), and make both knobs configurable instead of
-//! hardcoding the historical 60 s `SOCKET_TIMEOUT`. Everything here is
-//! deterministic: backoff jitter is seeded ([`SplitMix64`]), and the
-//! chaos layer ([`crate::ChaosPlan`]) decides delivery-versus-demotion
-//! by comparing *configured* numbers (delay vs. deadline), never wall
-//! clock — which is what keeps chaos runs bit-reproducible across
-//! backends.
+//! has to bound every wait on a socket (a hung worker must not stall
+//! the round), budget a client's retries (a failed request deserves
+//! another attempt, with backoff), and make both knobs configurable
+//! instead of hardcoding the historical 60 s `SOCKET_TIMEOUT`.
+//! Everything here is deterministic: backoff jitter is seeded
+//! ([`SplitMix64`]), and the chaos layer ([`crate::ChaosPlan`]) decides
+//! delivery-versus-demotion by comparing *configured* numbers (delay
+//! vs. deadline), never wall clock — which is what keeps chaos runs
+//! bit-reproducible across backends.
 
 use camelot_ff::{RngLike, SplitMix64};
 use std::time::{Duration, Instant};
@@ -147,17 +147,16 @@ impl Deadline {
     }
 }
 
-/// Timeout/retry/demotion knobs threaded through every socket-flavoured
+/// Deadline and demotion knobs threaded through every socket-flavoured
 /// transport (and consulted by the in-process chaos simulation for its
 /// delay-versus-deadline decisions).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransportTuning {
-    /// Per-operation I/O deadline: the longest any single socket
-    /// read/accept may block before the peer is declared dead. Defaults
-    /// to [`SOCKET_TIMEOUT_ENV`] or 60 s.
+    /// The I/O deadline: the one deadline a round's replies share, and
+    /// the longest a worker handshake or a health check may take before
+    /// the peer is declared dead. Defaults to [`SOCKET_TIMEOUT_ENV`] or
+    /// 60 s.
     pub io_deadline: Duration,
-    /// Retry budget for worker spawn/connect handshakes.
-    pub retry: RetryPolicy,
     /// When true, a dead/slow/misbehaving remote is *demoted* to
     /// [`FaultKind::Crash`](crate::FaultKind::Crash) with a structured
     /// [`FailureCause`](crate::FailureCause) — the round completes via
@@ -170,11 +169,7 @@ pub struct TransportTuning {
 
 impl Default for TransportTuning {
     fn default() -> Self {
-        TransportTuning {
-            io_deadline: env_io_deadline(),
-            retry: RetryPolicy::none(),
-            demote_dead_nodes: false,
-        }
+        TransportTuning { io_deadline: env_io_deadline(), demote_dead_nodes: false }
     }
 }
 
@@ -183,13 +178,6 @@ impl TransportTuning {
     #[must_use]
     pub fn with_io_deadline(mut self, deadline: Duration) -> Self {
         self.io_deadline = deadline;
-        self
-    }
-
-    /// Overrides the handshake retry budget.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -278,10 +266,8 @@ mod tests {
     fn tuning_builders_compose() {
         let tuning = TransportTuning::default()
             .with_io_deadline(Duration::from_millis(300))
-            .with_retry(RetryPolicy::with_attempts(3))
             .with_demotion(true);
         assert_eq!(tuning.deadline_ms(), 300);
-        assert_eq!(tuning.retry.attempts, 3);
         assert!(tuning.demote_dead_nodes);
     }
 }

@@ -36,6 +36,7 @@
 //! truthful base, diagnostic) followed by one `frame <r>` line per
 //! receiver.
 
+mod drain;
 mod inproc;
 mod pool;
 mod socket;
@@ -209,7 +210,7 @@ pub struct ClusterConfig {
     pub parallel: bool,
     /// Which broadcast backend rounds run on.
     pub backend: Backend,
-    /// Timeout/retry/demotion knobs for the socket-flavoured backends
+    /// Deadline and demotion knobs for the socket-flavoured backends
     /// (the in-process chaos simulation consults `io_deadline` for its
     /// delay-versus-deadline decisions).
     pub tuning: TransportTuning,
@@ -253,7 +254,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Overrides the transport tuning (deadlines, retries, demotion).
+    /// Overrides the transport tuning (deadlines, demotion).
     #[must_use]
     pub fn with_tuning(mut self, tuning: TransportTuning) -> Self {
         self.tuning = tuning;
@@ -571,10 +572,10 @@ pub(crate) fn check_chaos(chaos: Option<&ChaosPlan>, nodes: usize) -> Result<(),
 /// TCP, and the observable outcome is reproduced — delivery (via the
 /// real encode/parse/validate path when bytes were touched), or
 /// demotion to a synthesized crash frame with the same
-/// [`FailureCause`](crate::FailureCause) the socket coordinator's
-/// timeout/EOF/parse machinery reports. Within-deadline delays deliver
-/// without sleeping (the delay is real wall time only on sockets;
-/// round *outcomes* are bit-identical either way).
+/// [`FailureCause`](crate::FailureCause) the worker pool's reply drain
+/// books for a silent, closed or malformed lane. Within-deadline delays
+/// deliver without sleeping (the delay is real wall time only on
+/// sockets; round *outcomes* are bit-identical either way).
 pub(crate) fn apply_simulated_chaos(
     spec: &RoundSpec<'_>,
     width: usize,
@@ -610,7 +611,7 @@ pub(crate) fn apply_simulated_chaos(
                     (Some(cause), _) => Err(cause),
                     (None, WorkerAction::Deliver { text, .. }) => parse_reply(text)
                         .and_then(|reply| {
-                            socket::validate_reply(&reply, node, nodes, num_points, width)
+                            drain::validate_reply(&reply, node, nodes, num_points, width)
                                 .map(|()| reply)
                         })
                         .map_err(|_| FailureCause::Protocol),

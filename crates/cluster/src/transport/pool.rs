@@ -2,55 +2,31 @@
 //! long-lived loopback workers that outlive individual rounds.
 //!
 //! Each lane is one worker (thread or spawned `camelot-node` process)
-//! holding one TCP connection for its whole life. Rounds write
-//! a [`Task`] frame down every lane and read one reply back; between
-//! rounds the lanes idle inside [`serve_worker_loop`]. Health checks
-//! use `camelot-ping v1`/`camelot-pong v1`, and teardown is always an
-//! explicit `camelot-shutdown v1` frame plus a closed connection. A
-//! retired lane's worker is reaped *off the round's critical path*:
-//! its handle waits on a pool-owned list that is swept without blocking
-//! at round boundaries and drained in [`WorkerPool::shutdown`]; a
-//! worker process that has ignored both signals for a whole I/O
+//! holding one TCP connection for its whole life, plus a reader thread
+//! on the coordinator's side that sends every message read off that
+//! connection, numbered, down the pool's one channel. A round writes a
+//! [`Task`] frame down every lane, then waits on the channel alone —
+//! one `recv_timeout` at a time, bounded by the round's one deadline —
+//! while the [`Drain`] state machine decides which replies count, who is
+//! demoted and why, and when the round is over. No socket carries a read
+//! timer. Health checks (`camelot-ping v1`/`camelot-pong v1`) are
+//! answered through the same channel; teardown is always an explicit
+//! `camelot-shutdown v1` frame plus the connection shut down both ways,
+//! which also ends the lane's reader.
+//!
+//! A message is matched to the request it answers by its lane's
+//! generation and its number on the lane, never by when it arrives:
+//! what a retired lane's reader still delivers, and a duplicating
+//! worker's spare copy, are counted out, so one round's reply is never
+//! taken for the next round's.
+//!
+//! A retired lane's worker and reader are reaped *off the round's
+//! critical path*: they wait on a pool-owned list that is swept without
+//! blocking at round boundaries and drained in [`WorkerPool::shutdown`];
+//! a worker process that has ignored both signals for a whole I/O
 //! deadline by then is killed. The only other hard kill is the
 //! [`WorkerPool::kill_worker`] chaos hook, whose entire purpose is
 //! simulating a crashed node.
-//!
-//! # A deadline is spent once
-//!
-//! The pool keeps one bit per node, *suspect*: "this lane ran out the
-//! previous round's deadline". It changes only the order and the
-//! patience of the reply drain in [`WorkerPool::run_round`]:
-//!
-//! 1. *When a node becomes a suspect.* Only where the drain demotes its
-//!    lane with [`FailureCause::Timeout`]. `Reset`, `Protocol` and
-//!    `RespawnExhausted` demotions cost the round no wait and set
-//!    nothing. A lane whose reply is collected and validated is trusted
-//!    again. A failed fail-fast round, which scraps every lane, clears
-//!    every bit, and a pool restarted for another cluster size starts
-//!    clean.
-//! 2. *What stays as it is.* Everything up to the flush of the last
-//!    task: down lanes get their one respawn attempt, suspects still
-//!    get their task (a recovered node must be able to rejoin), and the
-//!    round's one deadline starts when the last task is flushed.
-//! 3. *The drain.* Trusted lanes first, in node order, under the
-//!    round's deadline; then the suspects, in node order. Once a
-//!    trusted lane has delivered, a suspect is read with what has
-//!    arrived — no wait, no socket timer. If no trusted lane delivered
-//!    (every lane is a suspect, or every trusted lane failed) the
-//!    suspects are read under the round's deadline like anyone else:
-//!    there is nothing to measure them against, and a round must never
-//!    demote every node in zero time.
-//! 4. *Why it is safe.* A suspect's demotion is an erasure like any
-//!    other. A node that recovered but was still slower than every
-//!    trusted lane costs its share of the symbols for one more round
-//!    and is tried again in the next; it is read after every trusted
-//!    reply has been read and parsed, so it rejoins unless it is the
-//!    slowest by more than that. Too many erasures is a decode failure
-//!    and escalation as ever — never a different answer, and never a
-//!    wait past one deadline.
-//!
-//! So a node that stays silent costs one deadline in the round it goes
-//! silent, and every later round costs what its answering nodes take.
 //!
 //! [`SocketTransport::persistent`]: crate::transport::SocketTransport::persistent
 //! [`Task`]: crate::transport::Task
@@ -58,17 +34,20 @@
 use crate::chaos::{ChaosEffect, ChaosPlan, Demotion, FailureCause};
 use crate::retry::{Deadline, TransportTuning};
 use crate::round::{NodeFrames, RoundSpec};
+use crate::transport::drain::{Drain, Read, Wait};
 use crate::transport::socket::{
-    accept_with_deadline, arm, io_err, read_message, read_message_or_eof, reap_child,
-    serve_worker_loop, task_for_node, DeadlineStream, LaneReader, Patience, ReplyDrain, WorkerMode,
+    accept_with_deadline, io_err, read_message_or_eof, reap_child, serve_worker_loop,
+    task_for_node, WorkerMode, LANE_BUFFER,
 };
 use crate::transport::{
     control_frame, EvalProgram, TransportError, PING_HEADER, PONG_HEADER, SHUTDOWN_HEADER,
 };
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// What it takes to reap a worker, per mode.
 #[derive(Debug)]
@@ -119,12 +98,50 @@ impl WorkerHandle {
     }
 }
 
-/// One long-lived worker: its task/reply connection plus the handle
-/// needed to reap it.
+/// One message off lane `node`'s connection number `generation`: the
+/// `seq`-th read there, or how the connection ended.
+#[derive(Debug)]
+struct Arrival {
+    node: usize,
+    generation: u64,
+    seq: u64,
+    read: Read,
+}
+
+/// The reader thread of lane `node`: reads `stream` for the life of the
+/// connection and sends every message down `inbox`, the connection's
+/// end last. Returns at that end, or once the pool is gone.
+fn read_lane(stream: TcpStream, node: usize, generation: u64, inbox: &Sender<Arrival>) {
+    let mut reader = BufReader::with_capacity(LANE_BUFFER, stream);
+    for seq in 0.. {
+        let read = read_message_or_eof(&mut reader).and_then(|text| {
+            // Clean close at a message boundary: the worker dropped its
+            // frame, reset the connection, or exited.
+            text.ok_or_else(|| TransportError::Io {
+                reason: format!("worker {node} closed before replying"),
+            })
+        });
+        let ended = read.is_err();
+        if inbox.send(Arrival { node, generation, seq, read }).is_err() || ended {
+            return;
+        }
+    }
+}
+
+/// One long-lived worker: its task/reply connection, its reader thread
+/// and the handle needed to reap the worker.
 #[derive(Debug)]
 struct PoolLane {
     stream: TcpStream,
-    reader: LaneReader,
+    /// Tells this lane's messages from those of earlier lanes in its slot.
+    generation: u64,
+    /// Messages numbered below this one were taken or are spare copies.
+    next_seq: u64,
+    /// How many messages answer the request in flight (two from a
+    /// duplicating worker, the second a spare copy); zero when nothing
+    /// is awaited.
+    owed: u64,
+    reader: JoinHandle<()>,
     worker: WorkerHandle,
 }
 
@@ -134,24 +151,15 @@ impl PoolLane {
         self.stream.write_all(frame.as_bytes()).and_then(|()| self.stream.flush())
     }
 
-    /// The second half of a health check: the pong for a ping already
-    /// sent, read under `deadline`.
-    fn pong(&mut self, deadline: Deadline) -> bool {
-        arm(&mut self.reader, Patience::Until(deadline));
-        match read_message(&mut self.reader) {
-            Ok(text) => text.lines().next() == Some(PONG_HEADER),
-            Err(_) => false,
-        }
-    }
-
-    /// Tells the worker to exit — shutdown frame, then the closed
-    /// connection — and hands back what is needed to reap it, without
-    /// waiting for it. There is no error channel here by design: a
-    /// worker that cannot take the frame is already gone or will see
-    /// EOF, an equally valid shutdown signal.
-    fn retire(mut self) -> WorkerHandle {
+    /// Tells the worker to exit — shutdown frame, then the connection
+    /// shut down both ways, which also ends the reader — and hands back
+    /// what is needed to reap both, without waiting. There is no error
+    /// channel here by design: a worker that cannot take the frame is
+    /// already gone or will see EOF, an equally valid shutdown signal.
+    fn retire(mut self) -> (WorkerHandle, JoinHandle<()>) {
         let _delivered = self.send(&control_frame(SHUTDOWN_HEADER));
-        self.worker
+        let _closed = self.stream.shutdown(Shutdown::Both);
+        (self.worker, self.reader)
     }
 }
 
@@ -170,15 +178,21 @@ pub struct WorkerPool {
     /// scrapped) and awaiting [`WorkerPool::ensure_ready`].
     lanes: Vec<Option<PoolLane>>,
     /// One bit per node: its lane ran out the previous round's deadline
-    /// (see the module docs).
+    /// (see the [`Drain`] docs).
     suspect: Vec<bool>,
-    /// Workers of retired lanes that have been told to exit and not yet
-    /// been reaped, each with the grace it has left before it is
-    /// killed. Swept at every round boundary, so it holds no more than
-    /// the workers retired within the last I/O deadline.
-    retired: Vec<(WorkerHandle, Deadline)>,
+    /// Workers and readers of retired lanes not yet reaped, each with
+    /// the grace a worker has left before it is killed. Swept at every
+    /// round boundary, so it holds no more than the lanes retired within
+    /// the last I/O deadline.
+    retired: Vec<(WorkerHandle, JoinHandle<()>, Deadline)>,
     respawns: usize,
     tuning: TransportTuning,
+    /// Every lane's reader sends down a clone of `outbox`; rounds and
+    /// health checks wait on `inbox`.
+    outbox: Sender<Arrival>,
+    inbox: Receiver<Arrival>,
+    /// Lanes connected so far: the next lane's generation.
+    connected: u64,
 }
 
 impl WorkerPool {
@@ -197,6 +211,7 @@ impl WorkerPool {
         let listener =
             TcpListener::bind("127.0.0.1:0").map_err(|e| io_err("binding listener", &e))?;
         let addr = listener.local_addr().map_err(|e| io_err("local addr", &e))?;
+        let (outbox, inbox) = mpsc::channel();
         let mut pool = WorkerPool {
             listener,
             addr,
@@ -206,6 +221,9 @@ impl WorkerPool {
             retired: Vec::new(),
             respawns: 0,
             tuning,
+            outbox,
+            inbox,
+            connected: 0,
         };
         for node in 0..nodes {
             // On failure the partial pool is dropped, and Drop shuts
@@ -235,8 +253,8 @@ impl WorkerPool {
     }
 
     /// The nodes whose lanes ran out the previous round's deadline, in
-    /// node order: the next drain reads them last, without a wait of
-    /// their own.
+    /// node order: the next drain waits for them only as long as for
+    /// the trusted lanes.
     #[must_use]
     pub fn suspects(&self) -> Vec<usize> {
         let marked = self.suspect.iter().enumerate();
@@ -245,7 +263,7 @@ impl WorkerPool {
 
     /// Spawns one worker and completes its handshake (the worker
     /// connects back to the pool listener).
-    fn spawn_lane(&self, node: usize) -> Result<PoolLane, TransportError> {
+    fn spawn_lane(&mut self, node: usize) -> Result<PoolLane, TransportError> {
         let addr = self.addr;
         let mut worker = match &self.mode {
             WorkerMode::Threads => WorkerHandle::Thread(std::thread::spawn(move || {
@@ -264,18 +282,11 @@ impl WorkerPool {
                     })?,
             ),
         };
-        let children: &mut [Child] = match &mut worker {
-            WorkerHandle::Process(child) => std::slice::from_mut(child),
-            WorkerHandle::Thread(_) => &mut [],
+        let child = match &mut worker {
+            WorkerHandle::Process(child) => Some(child),
+            WorkerHandle::Thread(_) => None,
         };
-        let accepted = accept_with_deadline(&self.listener, children, self.tuning.io_deadline)
-            .map_err(|err| match err {
-                // accept_with_deadline indexes into its slice of one.
-                TransportError::WorkerFailed { reason, .. } => {
-                    TransportError::WorkerFailed { node, reason }
-                }
-                other => other,
-            });
+        let accepted = accept_with_deadline(&self.listener, node, child, self.tuning.io_deadline);
         let stream = match accepted {
             Ok(stream) => stream,
             Err(err) => {
@@ -290,9 +301,23 @@ impl WorkerPool {
                 return Err(err);
             }
         };
-        let reader =
-            DeadlineStream::reader(stream.try_clone().map_err(|e| io_err("clone stream", &e))?);
-        Ok(PoolLane { stream, reader, worker })
+        self.connect(node, stream, worker)
+    }
+
+    /// Makes `stream` lane `node`'s connection to `worker` and starts
+    /// the lane's reader thread.
+    fn connect(
+        &mut self,
+        node: usize,
+        stream: TcpStream,
+        worker: WorkerHandle,
+    ) -> Result<PoolLane, TransportError> {
+        let read_half = stream.try_clone().map_err(|e| io_err("clone stream", &e))?;
+        let generation = self.connected;
+        self.connected += 1;
+        let inbox = self.outbox.clone();
+        let reader = std::thread::spawn(move || read_lane(read_half, node, generation, &inbox));
+        Ok(PoolLane { stream, generation, next_seq: 0, owed: 0, reader, worker })
     }
 
     /// Respawns lane `node` into its (empty) slot.
@@ -303,6 +328,51 @@ impl WorkerPool {
             self.respawns += 1;
         }
         Ok(())
+    }
+
+    /// Writes `frame` down lane `node` and awaits `owed` messages in
+    /// answer.
+    fn request(&mut self, node: usize, frame: &str, owed: u64) -> Result<(), TransportError> {
+        let Some(lane) = self.lanes.get_mut(node).and_then(Option::as_mut) else {
+            let reason = "lane is down (awaiting respawn)".to_string();
+            return Err(TransportError::WorkerFailed { node, reason });
+        };
+        lane.send(frame).map_err(|err| TransportError::WorkerFailed {
+            node,
+            reason: format!("writing to the worker: {err}"),
+        })?;
+        lane.owed = owed;
+        Ok(())
+    }
+
+    /// The next message that answers a request in flight, with its
+    /// node: one that has already arrived ([`Wait::Arrived`]), or the
+    /// next to arrive before `deadline` ([`Wait::Deadline`]). What a
+    /// retired lane's reader delivers belongs to no lane, and a message
+    /// numbered below its lane's next is the spare copy of a duplicating
+    /// worker: both are discarded. The end of a connection answers the
+    /// request in flight whatever its number, and retires a lane that
+    /// had none.
+    fn next_reply(&mut self, wait: Wait, deadline: Deadline) -> Option<(usize, Read)> {
+        loop {
+            let Arrival { node, generation, seq, read } = match wait {
+                Wait::Arrived => self.inbox.try_recv().ok()?,
+                Wait::Deadline => {
+                    let left = deadline.remaining().unwrap_or(Duration::MAX);
+                    self.inbox.recv_timeout(left).ok()?
+                }
+            };
+            let slot = self.lanes.get_mut(node).and_then(Option::as_mut);
+            let Some(lane) = slot.filter(|lane| lane.generation == generation) else { continue };
+            if lane.owed > 0 && (seq >= lane.next_seq || read.is_err()) {
+                lane.next_seq = seq + lane.owed;
+                lane.owed = 0;
+                return Some((node, read));
+            }
+            if read.is_err() {
+                self.retire_lane(node);
+            }
+        }
     }
 
     /// Health-checks every lane and respawns the dead ones. Returns how
@@ -318,36 +388,36 @@ impl WorkerPool {
         self.reap_finished();
         let ping = control_frame(PING_HEADER);
         for node in 0..self.lanes.len() {
-            let lane = self.lanes.get_mut(node).and_then(Option::as_mut);
-            if lane.is_some_and(|lane| lane.send(&ping).is_err()) {
+            if self.request(node, &ping, 1).is_err() {
                 self.retire_lane(node);
             }
         }
         let deadline = Deadline::after(self.tuning.io_deadline);
-        let mut dead = Vec::new();
-        for node in 0..self.lanes.len() {
-            let alive =
-                self.lanes.get_mut(node).and_then(Option::as_mut).is_some_and(|l| l.pong(deadline));
-            if !alive {
+        while self.lanes.iter().flatten().any(|lane| lane.owed > 0) {
+            let Some((node, read)) = self.next_reply(Wait::Deadline, deadline) else { break };
+            if !read.is_ok_and(|text| text.lines().next() == Some(PONG_HEADER)) {
                 self.retire_lane(node);
-                dead.push(node);
             }
         }
-        for node in dead.iter().copied() {
-            self.respawn_lane(node)?;
+        let before = self.respawns;
+        for node in 0..self.lanes.len() {
+            // Down, or no pong by the deadline.
+            if self.lanes.get(node).and_then(Option::as_ref).is_none_or(|lane| lane.owed > 0) {
+                self.retire_lane(node);
+                self.respawn_lane(node)?;
+            }
         }
-        Ok(dead.len())
+        Ok(self.respawns - before)
     }
 
     /// Runs one broadcast round over the persistent lanes: writes every
-    /// node's task first (workers compute concurrently), then drains
-    /// and validates the replies — trusted lanes in node order, then
-    /// last round's silent ones — under one deadline that starts when
-    /// the last task has been flushed. A round costs at most one I/O
-    /// deadline however many nodes hang, drop or trickle, and a node
-    /// that stays silent costs it once, not once a round (see the
-    /// module docs). Chaos effects ride in the tasks; the afflicted
-    /// workers sabotage their own replies.
+    /// node's task first (workers compute concurrently), then takes the
+    /// replies as they arrive under one deadline that starts when the
+    /// last task has been flushed, by the rules of the reply drain
+    /// (`transport/drain.rs`). A round costs at most one I/O deadline
+    /// however many nodes hang, drop or trickle, and a node that stays
+    /// silent costs it once, not once a round. Chaos effects ride in the
+    /// tasks; the afflicted workers sabotage their own replies.
     ///
     /// # Errors
     ///
@@ -355,17 +425,16 @@ impl WorkerPool {
     /// a down lane or a worker I/O/protocol failure surfaces as
     /// [`TransportError::WorkerFailed`] naming the node, and any
     /// failure scraps *all* lanes — survivors may hold undelivered
-    /// tasks or unread replies, so their streams are no longer at a
-    /// frame boundary — until the next [`WorkerPool::ensure_ready`]
-    /// brings the pool back byte-aligned.
+    /// tasks or untaken replies — until the next
+    /// [`WorkerPool::ensure_ready`] brings the pool back.
     ///
     /// With demotion enabled, per-node failures retire *only* the
-    /// failed lane (every survivor is still at a frame boundary) and
-    /// book a [`Demotion`] with the structured cause; down lanes get
-    /// one respawn attempt at round start, and a lane that cannot come
-    /// back is demoted with [`FailureCause::RespawnExhausted`]. The
-    /// round then completes via erasure decoding. Retiring never waits
-    /// for the worker: it is reaped at a later round boundary.
+    /// failed lane and book a [`Demotion`] with the structured cause;
+    /// down lanes get one respawn attempt at round start, and a lane
+    /// that cannot come back is demoted with
+    /// [`FailureCause::RespawnExhausted`]. The round then completes via
+    /// erasure decoding. Retiring never waits for the worker: it is
+    /// reaped at a later round boundary.
     pub fn run_round(
         &mut self,
         spec: &RoundSpec<'_>,
@@ -375,7 +444,7 @@ impl WorkerPool {
     ) -> Result<(Vec<NodeFrames>, Vec<Demotion>), TransportError> {
         let nodes = self.lanes.len();
         let deadline_ms = self.tuning.deadline_ms();
-        let mut drain = ReplyDrain::new(nodes, spec.points.len(), programs.len(), demote);
+        let mut drain = Drain::new(spec.points.len(), programs.len(), demote, self.suspect.clone());
         self.reap_finished();
 
         // With demotion enabled, give every down lane one respawn
@@ -390,23 +459,13 @@ impl WorkerPool {
             }
         }
 
+        // A lane that could not come back keeps its cause: its task fails
+        // to go out, and a drain keeps a node's first cause.
         for node in 0..nodes {
-            if drain.is_demoted(node) {
-                continue;
-            }
             let effect = chaos.and_then(|plan| plan.effect(node));
             let wire = task_for_node(spec, programs, nodes, node, effect, deadline_ms).to_wire();
-            let delivered = match self.lanes.get_mut(node).and_then(Option::as_mut) {
-                None => Err(TransportError::WorkerFailed {
-                    node,
-                    reason: "lane is down (awaiting respawn)".to_string(),
-                }),
-                Some(lane) => lane.send(&wire).map_err(|err| TransportError::WorkerFailed {
-                    node,
-                    reason: format!("writing task: {err}"),
-                }),
-            };
-            if let Err(err) = delivered {
+            let owed = if effect == Some(ChaosEffect::Duplicate) { 2 } else { 1 };
+            if let Err(err) = self.request(node, &wire, owed) {
                 if !demote {
                     return Err(self.fail_round(err));
                 }
@@ -416,68 +475,45 @@ impl WorkerPool {
         }
 
         let deadline = Deadline::after(self.tuning.io_deadline);
-        // A stable partition: trusted lanes in node order, then suspects.
-        let mut order: Vec<usize> = (0..nodes).collect();
-        order.sort_by_key(|&node| self.suspect.get(node) == Some(&true));
-        let mut yardstick = false;
-        for node in order {
-            // Every lane still in the round took its task above.
-            let Some(lane) = self.lanes.get_mut(node).and_then(Option::as_mut) else { continue };
-            let Some(suspect) = self.suspect.get_mut(node) else { continue };
-            // A suspect gets no wait of its own once a trusted lane has
-            // shown how long an answer takes this round.
-            let patience =
-                if *suspect && yardstick { Patience::Arrived } else { Patience::Until(deadline) };
-            let demoted = match drain.collect(node, &mut lane.reader, patience) {
-                Ok(demoted) => demoted,
-                Err(err) => return Err(self.fail_round(err)),
-            };
-            let delivered = demoted.is_none();
-            yardstick |= delivered && !*suspect;
-            *suspect = match demoted {
-                None => false,
-                Some(FailureCause::Timeout) => true,
-                Some(_) => *suspect,
-            };
-            // A Duplicate-chaos worker sent its reply twice; drain the
-            // copy so the lane stays at a frame boundary for the next
-            // round. (The copy was written back-to-back with the
-            // original, so a failed drain means the lane is broken.)
-            let duplicated =
-                chaos.and_then(|plan| plan.effect(node)) == Some(ChaosEffect::Duplicate);
-            let usable =
-                delivered && (!duplicated || read_message_or_eof(&mut lane.reader).is_ok());
-            if !usable {
-                self.retire_lane(node);
-            }
+        let drained = match drain.drive(|wait| self.next_reply(wait, deadline)) {
+            Ok(drained) => drained,
+            Err(err) => return Err(self.fail_round(err)),
+        };
+        for demotion in &drained.demotions {
+            self.retire_lane(demotion.node);
         }
-        Ok(drain.finish())
+        self.suspect = drained.suspect;
+        Ok((drained.frames, drained.demotions))
     }
 
     /// Retires exactly one lane, leaving its slot empty for a later
-    /// respawn; its worker joins the retired list to be reaped off the
-    /// critical path. Survivor lanes are untouched — they are still at
-    /// a frame boundary.
+    /// respawn; its worker and reader join the retired list to be reaped
+    /// off the critical path. Survivor lanes are untouched.
     fn retire_lane(&mut self, node: usize) {
         if let Some(lane) = self.lanes.get_mut(node).and_then(Option::take) {
-            self.retired.push((lane.retire(), Deadline::after(self.tuning.io_deadline)));
+            let (worker, reader) = lane.retire();
+            self.retired.push((worker, reader, Deadline::after(self.tuning.io_deadline)));
         }
     }
 
-    /// Reaps the retired workers that have exited and kills the worker
-    /// processes that have outlived their grace; never waits.
+    /// Reaps the retired workers that have exited, with their readers
+    /// (which ended with the connection, before the worker did), and
+    /// kills the worker processes that have outlived their grace; never
+    /// waits for a worker.
     fn reap_finished(&mut self) {
-        let retired = std::mem::take(&mut self.retired);
-        self.retired = retired
-            .into_iter()
-            .filter_map(|(worker, grace)| Some((worker.reap_if_finished(grace)?, grace)))
-            .collect();
+        for (worker, reader, grace) in std::mem::take(&mut self.retired) {
+            match worker.reap_if_finished(grace) {
+                Some(worker) => self.retired.push((worker, reader, grace)),
+                None => {
+                    let _joined = reader.join();
+                }
+            }
+        }
     }
 
     /// A round failed mid-flight: scrap every lane (graceful retire) so
-    /// no stale buffered reply can desynchronise a later round — and
-    /// with the lanes, what was known about them — and pass the failure
-    /// through.
+    /// no stale reply can be taken by a later round — and with the
+    /// lanes, what was known about them — and pass the failure through.
     fn fail_round(&mut self, err: TransportError) -> TransportError {
         for node in 0..self.lanes.len() {
             self.retire_lane(node);
@@ -488,34 +524,24 @@ impl WorkerPool {
 
     /// Chaos hook: forcibly takes down worker `node` — a hard kill for
     /// a process worker, a disconnect for a thread worker (which then
-    /// exits on EOF). The slot stays empty, so the next round reports
-    /// [`TransportError::WorkerFailed`] until
+    /// exits on EOF) — and retires its lane. The slot stays empty, so the
+    /// next round reports [`TransportError::WorkerFailed`] until
     /// [`WorkerPool::ensure_ready`] respawns the lane.
     ///
     /// # Errors
     ///
-    /// [`TransportError::Protocol`] for an out-of-range node, I/O
-    /// failures from the kill/reap.
+    /// [`TransportError::Protocol`] for an out-of-range node, an I/O
+    /// failure from the kill.
     pub fn kill_worker(&mut self, node: usize) -> Result<(), TransportError> {
         let Some(slot) = self.lanes.get_mut(node) else {
             return Err(TransportError::Protocol { reason: format!("pool has no worker {node}") });
         };
-        let Some(PoolLane { stream, reader, worker }) = slot.take() else {
-            return Ok(()); // already down
-        };
-        match worker {
-            WorkerHandle::Process(mut child) => {
-                // The one intentional hard kill: this hook simulates a
-                // crashed node, so graceful shutdown is off the table.
-                child.kill().map_err(|e| io_err("killing worker", &e))?;
-                child.wait().map_err(|e| io_err("reaping worker", &e))?;
-            }
-            WorkerHandle::Thread(thread) => {
-                // A thread worker unblocks promptly: its connection is gone.
-                drop((stream, reader));
-                let _joined = thread.join();
-            }
+        if let Some(WorkerHandle::Process(child)) = slot.as_mut().map(|lane| &mut lane.worker) {
+            // The one intentional hard kill: this hook simulates a
+            // crashed node, so graceful shutdown is off the table.
+            child.kill().map_err(|e| io_err("killing worker", &e))?;
         }
+        self.retire_lane(node);
         Ok(())
     }
 
@@ -533,7 +559,7 @@ impl WorkerPool {
     /// workers are still reaped. Retired workers' exits are not
     /// reported: their failures were booked when they were retired.
     pub fn shutdown(&mut self) -> Result<(), TransportError> {
-        let live: Vec<(usize, WorkerHandle)> = self
+        let live: Vec<(usize, (WorkerHandle, JoinHandle<()>))> = self
             .lanes
             .iter_mut()
             .enumerate()
@@ -541,12 +567,14 @@ impl WorkerPool {
             .collect();
         let grace = Deadline::after(self.tuning.io_deadline);
         let mut first_err = None;
-        for (node, worker) in live {
+        for (node, (worker, reader)) in live {
+            let _joined = reader.join();
             if let Err(reason) = worker.reap(grace) {
                 first_err.get_or_insert(TransportError::WorkerFailed { node, reason });
             }
         }
-        for (worker, grace) in self.retired.drain(..) {
+        for (worker, reader, grace) in self.retired.drain(..) {
+            let _joined = reader.join();
             let _booked_at_retirement = worker.reap(grace);
         }
         first_err.map_or(Ok(()), Err)
@@ -567,7 +595,7 @@ mod tests {
     use crate::transport::{encode_reply, execute_task, Task};
     use crate::{FaultPlan, RoundSpec};
     use camelot_ff::PrimeField;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     const NODES: usize = 4;
     const IMPOSTOR: usize = 2;
@@ -588,9 +616,9 @@ mod tests {
         pool.retire_lane(IMPOSTOR);
         let addr = pool.addr;
         let peer = std::thread::spawn(move || peer(TcpStream::connect(addr).unwrap()));
-        let stream = accept_with_deadline(&pool.listener, &mut [], io_deadline).unwrap();
-        let reader = DeadlineStream::reader(stream.try_clone().unwrap());
-        pool.lanes[IMPOSTOR] = Some(PoolLane { stream, reader, worker: worker(peer) });
+        let stream = accept_with_deadline(&pool.listener, IMPOSTOR, None, io_deadline).unwrap();
+        let lane = pool.connect(IMPOSTOR, stream, worker(peer)).unwrap();
+        pool.lanes[IMPOSTOR] = Some(lane);
         pool
     }
 
@@ -619,14 +647,14 @@ mod tests {
     }
 
     /// One demoting round over `pool`: everyone but the impostor
-    /// delivers, the impostor is demoted with `Timeout`, and the round
-    /// costs one deadline, not one per misbehaviour.
-    fn round_demotes_the_impostor(pool: &mut WorkerPool, io_deadline: Duration) {
+    /// delivers and the impostor is demoted with `Timeout`. Returns how
+    /// long the round took; when it ends is asserted on virtual time by
+    /// the drain's tests.
+    fn round_demotes_the_impostor(pool: &mut WorkerPool) -> Duration {
         let (demotions, elapsed) = timed_round(pool, None);
         assert_eq!(demotions, vec![Demotion { node: IMPOSTOR, cause: FailureCause::Timeout }]);
-        assert!(elapsed >= io_deadline, "the impostor gets its whole deadline ({elapsed:?})");
-        assert!(elapsed < io_deadline * 3 / 2, "the round must cost one deadline ({elapsed:?})");
         assert_eq!(pool.live_workers(), NODES - 1);
+        elapsed
     }
 
     /// A pool after one round in which lane `IMPOSTOR` took its task
@@ -638,49 +666,44 @@ mod tests {
             Ok(())
         };
         let mut pool = pool_with_impostor(io_deadline, silent, WorkerHandle::Thread);
-        round_demotes_the_impostor(&mut pool, io_deadline);
+        round_demotes_the_impostor(&mut pool);
         assert_eq!(pool.suspects(), vec![IMPOSTOR]);
         pool
     }
 
-    /// A recovered node rejoins by answering no later than the others:
-    /// the suspect's slot is respawned with an honest worker, which has
-    /// its reply in by the time the slowest trusted lane (30 ms late)
-    /// has been read — delivered without a wait of its own, and trusted
+    /// A recovered node rejoins: the suspect's slot is respawned with an
+    /// honest worker, which has its reply in by the time the slowest
+    /// trusted lane (30 ms late) has answered — delivered, and trusted
     /// again.
     #[test]
     fn a_recovered_suspect_rejoins_without_a_wait_of_its_own() {
-        let io_deadline = Duration::from_millis(300);
-        let mut pool = pool_with_a_suspect(io_deadline);
+        let mut pool = pool_with_a_suspect(Duration::from_millis(300));
         let slow = ChaosPlan::with_effects(NODES, &[(0, ChaosEffect::Delay { millis: 30 })]);
-        let (demotions, elapsed) = timed_round(&mut pool, Some(&slow.unwrap()));
+        let (demotions, _) = timed_round(&mut pool, Some(&slow.unwrap()));
         assert_eq!(demotions, vec![]);
         assert!(pool.suspects().is_empty(), "an answer makes a lane trusted again");
-        assert!(elapsed < io_deadline / 2, "nobody ran out the deadline ({elapsed:?})");
         assert_eq!(pool.live_workers(), NODES);
         pool.shutdown().unwrap();
     }
 
     /// No yardstick, no shortcut: when every lane is a suspect there is
-    /// no trusted reply to measure them against, so a silent lane still
-    /// gets its whole deadline and the punctual ones are delivered.
+    /// no trusted reply to measure them against, so a silent lane is
+    /// demoted for running out the deadline and the punctual ones are
+    /// delivered.
     #[test]
     fn suspects_with_no_trusted_lane_beside_them_keep_the_whole_deadline() {
         let io_deadline = Duration::from_millis(300);
         let mut pool = WorkerPool::start(WorkerMode::Threads, NODES, tuning(io_deadline)).unwrap();
         let everyone: Vec<(usize, ChaosEffect)> =
             (0..NODES).map(|node| (node, ChaosEffect::Hang)).collect();
-        let (demotions, elapsed) =
+        let (demotions, _) =
             timed_round(&mut pool, Some(&ChaosPlan::with_effects(NODES, &everyone).unwrap()));
         assert_eq!(demotions.len(), NODES);
-        assert!(elapsed < io_deadline * 3 / 2, "all of them share one deadline ({elapsed:?})");
         assert_eq!(pool.suspects(), (0..NODES).collect::<Vec<_>>());
 
         let one = ChaosPlan::with_effects(NODES, &[(IMPOSTOR, ChaosEffect::Hang)]).unwrap();
-        let (demotions, elapsed) = timed_round(&mut pool, Some(&one));
+        let (demotions, _) = timed_round(&mut pool, Some(&one));
         assert_eq!(demotions, vec![Demotion { node: IMPOSTOR, cause: FailureCause::Timeout }]);
-        assert!(elapsed >= io_deadline, "a round never demotes in zero time ({elapsed:?})");
-        assert!(elapsed < io_deadline * 3 / 2, "the round must cost one deadline ({elapsed:?})");
         assert_eq!(pool.suspects(), vec![IMPOSTOR]);
         pool.shutdown().unwrap();
     }
@@ -698,16 +721,17 @@ mod tests {
         pool.shutdown().unwrap();
     }
 
-    /// A peer that trickles a *valid* reply one byte per half deadline
-    /// never lets a single read time out; only the round's absolute
-    /// deadline catches it.
+    /// The wall-clock smoke of "a trickler cannot stretch a round": a
+    /// peer that trickles a *valid* reply one byte per half deadline is
+    /// demoted when the round's one deadline passes, and the round ends
+    /// then.
     #[test]
     fn a_trickling_worker_is_demoted_within_one_deadline() {
         let io_deadline = Duration::from_millis(300);
         let trickle = move |mut stream: TcpStream| {
             let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-            let task = Task::from_wire(&read_message(&mut reader)?)?;
-            for byte in encode_reply(&execute_task(&task)).bytes() {
+            let task = read_message_or_eof(&mut reader)?.unwrap_or_default();
+            for byte in encode_reply(&execute_task(&Task::from_wire(&task)?)).bytes() {
                 std::thread::sleep(io_deadline / 2);
                 if stream.write_all(&[byte]).is_err() {
                     break; // the coordinator gave up on us
@@ -716,9 +740,46 @@ mod tests {
             Ok(())
         };
         let mut pool = pool_with_impostor(io_deadline, trickle, WorkerHandle::Thread);
-        round_demotes_the_impostor(&mut pool, io_deadline);
+        let elapsed = round_demotes_the_impostor(&mut pool);
+        assert!(elapsed >= io_deadline, "the impostor gets its whole deadline ({elapsed:?})");
+        assert!(elapsed < io_deadline * 3 / 2, "the round must cost one deadline ({elapsed:?})");
         pool.shutdown().unwrap();
         assert!(pool.retired.is_empty(), "shutdown reaps every retired worker");
+    }
+
+    /// A message is matched to its request by its lane's generation and
+    /// its number, never by when it arrives: a duplicating worker's spare
+    /// copy and a retired lane's late reply are counted out even when
+    /// they reach the channel after the round that caused them.
+    #[test]
+    fn a_reply_is_matched_to_its_request_by_generation_and_number() {
+        let io_deadline = Duration::from_secs(60);
+        let mut pool = WorkerPool::start(WorkerMode::Threads, NODES, tuning(io_deadline)).unwrap();
+        let deadline = Deadline::after(io_deadline);
+        let generation = pool.lanes[1].as_ref().unwrap().generation;
+        let arrive = |pool: &WorkerPool, generation, seq, read: Read| {
+            pool.outbox.send(Arrival { node: 1, generation, seq, read }).unwrap();
+        };
+        let text = |text: &str| -> Read { Ok(text.to_string()) };
+
+        // A duplicating worker owes its reply twice.
+        pool.lanes[1].as_mut().unwrap().owed = 2;
+        arrive(&pool, generation, 0, text("reply"));
+        assert_eq!(pool.next_reply(Wait::Arrived, deadline), Some((1, text("reply"))));
+        // The next request: the spare copy and a reply from a connection
+        // the slot no longer holds arrive before the answer.
+        pool.lanes[1].as_mut().unwrap().owed = 1;
+        arrive(&pool, generation, 1, text("spare copy"));
+        arrive(&pool, generation + 100, 7, text("late"));
+        arrive(&pool, generation, 2, text("next reply"));
+        assert_eq!(pool.next_reply(Wait::Arrived, deadline), Some((1, text("next reply"))));
+        // Nothing awaited: a message is dropped, and the connection's end
+        // retires the lane.
+        arrive(&pool, generation, 3, text("unsolicited"));
+        arrive(&pool, generation, 4, Err(TransportError::Io { reason: "closed".to_string() }));
+        assert_eq!(pool.next_reply(Wait::Arrived, deadline), None);
+        assert_eq!(pool.live_workers(), NODES - 1);
+        pool.shutdown().unwrap();
     }
 
     /// A pool after one round in which lane `IMPOSTOR` was a worker
@@ -739,7 +800,7 @@ mod tests {
             peer = Some(handle);
             WorkerHandle::Process(stuck)
         });
-        round_demotes_the_impostor(&mut pool, io_deadline);
+        round_demotes_the_impostor(&mut pool);
         assert_eq!(pool.retired.len(), 1, "retired, not yet reaped: the round did not wait");
         let release_peer = move || {
             drop(hold);

@@ -4,27 +4,31 @@
 //!
 //! The coordinator keeps a [`WorkerPool`] of `K` long-lived workers,
 //! one loopback connection each; every round writes one [`Task`] down
-//! every lane and reads back one reply per worker. Workers are either
+//! every lane and takes back one reply per worker. Workers are either
 //! in-process threads (always available; still full TCP + text frames)
 //! or spawned `camelot-node` processes ([`WorkerMode::Process`]), in
 //! which case every node runs in its own OS process and reconstructs
 //! the round from the task message alone — the paper's "common input"
 //! made literal.
 //!
+//! This module holds the worker side of the protocol
+//! ([`serve_worker_loop`], which inflicts a task's chaos effect on its
+//! own reply), the message reader both sides share, and the process
+//! plumbing: accepting a worker's connection under a deadline and
+//! reaping a worker that was told to exit. How a round's replies are
+//! waited for and judged is the pool's and its drain's business.
+//!
 //! Socket rounds require wire-expressible polynomials
 //! ([`RoundEval::programs`]); closures cannot cross a process boundary.
 
-use crate::chaos::{worker_action, ChaosEffect, ChaosPlan, Demotion, FailureCause, WorkerAction};
+use crate::chaos::{worker_action, ChaosEffect, ChaosPlan, WorkerAction};
 use crate::frame::read_frame;
 use crate::retry::{Deadline, TransportTuning};
-use crate::round::{
-    assemble_round, crash_frames, node_slice, FrameBody, NodeFrames, RoundEval, RoundOutcome,
-    RoundSpec,
-};
+use crate::round::{assemble_round, node_slice, RoundEval, RoundOutcome, RoundSpec};
 use crate::transport::pool::WorkerPool;
 use crate::transport::{
-    check_chaos, control_frame, encode_reply, execute_task, parse_reply, EvalProgram, Task,
-    Transport, TransportError, PING_HEADER, PONG_HEADER, SHUTDOWN_HEADER,
+    check_chaos, control_frame, encode_reply, execute_task, EvalProgram, Task, Transport,
+    TransportError, PING_HEADER, PONG_HEADER, SHUTDOWN_HEADER,
 };
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -32,13 +36,6 @@ use std::path::PathBuf;
 use std::process::{Child, ExitStatus};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-/// The historical hardcoded coordinator timeout, kept as the reference
-/// point for fast-failure assertions. Runtime configuration goes
-/// through [`TransportTuning`] (or the `CAMELOT_SOCKET_TIMEOUT_MS`
-/// environment variable).
-#[cfg(test)]
-pub(crate) const SOCKET_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// How socket workers are started.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,7 +63,7 @@ pub struct SocketTransport {
 }
 
 impl SocketTransport {
-    /// Overrides the transport tuning (I/O deadline, retries, demotion).
+    /// Overrides the transport tuning (I/O deadline, demotion).
     #[must_use]
     pub fn with_tuning(mut self, tuning: TransportTuning) -> Self {
         self.tuning = tuning;
@@ -148,8 +145,8 @@ impl SocketTransport {
     }
 
     /// The pool nodes that ran out the previous round's deadline and are
-    /// read last, without a wait of their own, until they answer again
-    /// (empty without a pool).
+    /// waited for only as long as the trusted lanes, until they answer
+    /// again (empty without a pool).
     #[must_use]
     pub fn pool_suspects(&self) -> Vec<usize> {
         self.pool_state().as_ref().map_or_else(Vec::new, WorkerPool::suspects)
@@ -174,74 +171,14 @@ impl SocketTransport {
     }
 }
 
+/// Capacity of the buffered reader at either end of a lane. A frame is
+/// read a line at a time into a `String` of its own, so the buffer only
+/// batches reads; a small one keeps a lane's two readers (the worker's
+/// and the coordinator's reader thread) from holding 8 KiB each.
+pub(crate) const LANE_BUFFER: usize = 1024;
+
 pub(crate) fn io_err(what: &str, err: &std::io::Error) -> TransportError {
     TransportError::Io { reason: format!("{what}: {err}") }
-}
-
-/// The read half of a worker connection under an absolute deadline:
-/// every socket read is re-armed with the time *left*, so a message is
-/// bounded as a whole — a peer trickling one byte per almost-timeout
-/// runs out of budget like a silent one — and lanes drained one after
-/// another share one budget instead of getting a fresh one each.
-#[derive(Debug)]
-pub(crate) struct DeadlineStream {
-    stream: TcpStream,
-    patience: Patience,
-}
-
-/// How long a lane's reads may wait for bytes.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Patience {
-    /// Until the deadline, and [`LATE_READ_GRACE`] past it.
-    Until(Deadline),
-    /// Not at all: the read takes what has already arrived, and no
-    /// socket timer is armed (a node that ran out the previous round's
-    /// deadline is not given another one).
-    Arrived,
-}
-
-/// How long a socket read may still wait once its deadline has passed:
-/// the `ε` in "a round costs at most one I/O deadline + ε", paid once
-/// per lane that is still silent by then. It is a floor, not the cost:
-/// the kernel rounds a socket timeout up to its timer tick, and an
-/// expired 1 ms read blocks 6–11 ms measured on the build host. That
-/// is why [`Patience::Arrived`] reads without a timer instead of with
-/// this one.
-const LATE_READ_GRACE: Duration = Duration::from_millis(1);
-
-/// The buffered reader every coordinator-side lane reads through.
-pub(crate) type LaneReader = BufReader<DeadlineStream>;
-
-impl DeadlineStream {
-    /// Wraps `stream` with no deadline armed yet.
-    pub(crate) fn reader(stream: TcpStream) -> LaneReader {
-        BufReader::new(DeadlineStream { stream, patience: Patience::Until(Deadline::unbounded()) })
-    }
-}
-
-impl Read for DeadlineStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let Patience::Until(deadline) = self.patience else {
-            // Non-blocking mode is a flag on the socket, which the
-            // lane's write half shares: it never outlasts this one read.
-            self.stream.set_nonblocking(true)?;
-            let read = self.stream.read(buf);
-            self.stream.set_nonblocking(false)?;
-            return read;
-        };
-        // Past the deadline a read still takes what has arrived — time
-        // the coordinator spent on one lane must not demote the
-        // punctual lanes behind it — and waits just long enough for a
-        // writer stalled on a full socket buffer to be scheduled again.
-        let left = deadline.remaining().map(|left| left.max(LATE_READ_GRACE));
-        self.stream.set_read_timeout(left)?;
-        self.stream.read(buf)
-    }
-}
-
-/// Arms `reader` with the patience its following reads share.
-pub(crate) fn arm(reader: &mut LaneReader, patience: Patience) {
-    reader.get_mut().patience = patience;
 }
 
 /// Reads one v1 message (through its `end` line) from a buffered
@@ -250,24 +187,10 @@ pub(crate) fn read_message_or_eof<R: BufRead>(
     reader: &mut R,
 ) -> Result<Option<String>, TransportError> {
     read_frame(reader).map_err(|e| match e.kind() {
-        // A read timeout surfaces as WouldBlock (unix) or TimedOut
-        // (windows); classify it structurally so callers never have to
-        // sniff message strings.
-        ErrorKind::WouldBlock | ErrorKind::TimedOut => {
-            TransportError::TimedOut { reason: format!("reading message: {e}") }
-        }
         // A message cut short is the sender's protocol violation, as
         // the in-process chaos simulation classifies a truncation.
         ErrorKind::UnexpectedEof => TransportError::Protocol { reason: e.to_string() },
         _ => io_err("reading message", &e),
-    })
-}
-
-/// Reads one v1 message (through its `end` line) from a buffered
-/// stream; EOF anywhere is an error.
-pub(crate) fn read_message<R: BufRead>(reader: &mut R) -> Result<String, TransportError> {
-    read_message_or_eof(reader)?.ok_or_else(|| TransportError::Protocol {
-        reason: "connection closed before the message".to_string(),
     })
 }
 
@@ -288,18 +211,13 @@ fn perform_action(stream: &mut TcpStream, action: WorkerAction) -> Result<bool, 
         }
         WorkerAction::Mute { sleep_ms } => {
             // Hold the connection open silently — the hang, as the
-            // coordinator's real read deadline observes it — until the
-            // coordinator gives up on this connection (its shutdown
-            // frame or EOF wakes the read), at most `sleep_ms`.
-            let watched = stream.try_clone().map_err(|e| io_err("clone stream", &e))?;
-            let mut watch = DeadlineStream {
-                stream: watched,
-                patience: Patience::Until(Deadline::after(Duration::from_millis(sleep_ms))),
-            };
-            while watch
-                .read(&mut [0u8; 1])
-                .is_err_and(|e| e.kind() == std::io::ErrorKind::Interrupted)
-            {}
+            // coordinator's deadline observes it — until the coordinator
+            // gives up on this connection (its shutdown frame or EOF
+            // wakes the read), at most `sleep_ms`. The worker exits
+            // right after, so the timer outlives nothing.
+            let timeout = Some(Duration::from_millis(sleep_ms));
+            stream.set_read_timeout(timeout).map_err(|e| io_err("set timeout", &e))?;
+            while stream.read(&mut [0u8; 1]).is_err_and(|e| e.kind() == ErrorKind::Interrupted) {}
             Ok(false)
         }
         WorkerAction::Close => Ok(false),
@@ -326,10 +244,8 @@ fn perform_action(stream: &mut TcpStream, action: WorkerAction) -> Result<bool, 
 ///
 /// I/O failures, malformed tasks, and mid-message disconnects.
 pub fn serve_worker_loop(stream: TcpStream) -> Result<(), TransportError> {
-    // Persistent workers idle between rounds for arbitrarily long; only
-    // the coordinator decides when they exit (shutdown frame or EOF).
-    stream.set_read_timeout(None).map_err(|e| io_err("set timeout", &e))?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| io_err("clone stream", &e))?);
+    let read_half = stream.try_clone().map_err(|e| io_err("clone stream", &e))?;
+    let mut reader = BufReader::with_capacity(LANE_BUFFER, read_half);
     let mut stream = stream;
     loop {
         let Some(text) = read_message_or_eof(&mut reader)? else {
@@ -384,124 +300,6 @@ pub(crate) fn task_for_node(
         points: spec.points.get(lo..hi).unwrap_or(&[]).to_vec(),
         chaos,
         deadline_ms,
-    }
-}
-
-/// Validates one worker's (untrusted) reply against its task shape
-/// before it reaches the shared assembly, which treats frames as
-/// well-formed: right node id, exactly the assigned slice across all
-/// polynomials, full receiver coverage.
-pub(crate) fn validate_reply(
-    reply: &NodeFrames,
-    node: usize,
-    nodes: usize,
-    e: usize,
-    width: usize,
-) -> Result<(), TransportError> {
-    let (lo, hi) = node_slice(e, nodes, node);
-    let expected = (hi - lo) * width;
-    let (body_len, receivers) = match &reply.body {
-        FrameBody::Uniform(symbols) => (symbols.len(), nodes),
-        FrameBody::PerReceiver { base, per_receiver } => (base.len(), per_receiver.len()),
-    };
-    if reply.node != node || reply.evaluations != expected || body_len != expected {
-        return Err(TransportError::Protocol {
-            reason: format!("reply from worker {node} does not match its task"),
-        });
-    }
-    if receivers != nodes {
-        return Err(TransportError::Protocol {
-            reason: format!("reply from worker {node} does not cover the cluster"),
-        });
-    }
-    Ok(())
-}
-
-/// One round's reply collection in [`WorkerPool::run_round`]: which
-/// nodes were demoted and why, and one set of frames per node — the
-/// worker's own, or crash frames for a demoted node, so the round
-/// completes via erasure decoding.
-pub(crate) struct ReplyDrain {
-    nodes: usize,
-    e: usize,
-    width: usize,
-    demote: bool,
-    frames: Vec<NodeFrames>,
-    demotions: Vec<Demotion>,
-}
-
-impl ReplyDrain {
-    /// A drain for a round of `nodes` nodes over `e` points and `width`
-    /// polynomials; `demote` selects demotion over failing fast.
-    pub(crate) fn new(nodes: usize, e: usize, width: usize, demote: bool) -> Self {
-        ReplyDrain {
-            nodes,
-            e,
-            width,
-            demote,
-            frames: Vec::with_capacity(nodes),
-            demotions: Vec::new(),
-        }
-    }
-
-    /// Books `node` as crashed this round.
-    pub(crate) fn demote_node(&mut self, node: usize, cause: FailureCause) {
-        self.demotions.push(Demotion { node, cause });
-        self.frames.push(crash_frames(self.e, self.nodes, node, self.width));
-    }
-
-    /// Whether `node` has already been demoted this round.
-    pub(crate) fn is_demoted(&self, node: usize) -> bool {
-        self.demotions.iter().any(|demotion| demotion.node == node)
-    }
-
-    /// Reads, parses and validates `node`'s reply, every socket read
-    /// bounded by `patience` — normally what is left of the round's one
-    /// deadline. Since all workers compute concurrently, draining lane
-    /// after lane under one shared deadline costs a round at most one
-    /// deadline however many nodes are silent. `Ok(None)`: delivered.
-    /// `Ok(Some(cause))`: the node was demoted with that structured
-    /// cause (the caller retires its lane).
-    ///
-    /// # Errors
-    ///
-    /// Without demotion, the failure as [`TransportError::WorkerFailed`]
-    /// naming the node.
-    pub(crate) fn collect(
-        &mut self,
-        node: usize,
-        reader: &mut LaneReader,
-        patience: Patience,
-    ) -> Result<Option<FailureCause>, TransportError> {
-        arm(reader, patience);
-        let read = read_message_or_eof(reader).and_then(|text| {
-            // Clean close before any reply: the worker dropped its
-            // frame or reset the connection.
-            let text = text.ok_or_else(|| TransportError::Io {
-                reason: format!("worker {node} closed before replying"),
-            })?;
-            let reply = parse_reply(&text)?;
-            validate_reply(&reply, node, self.nodes, self.e, self.width).map(|()| reply)
-        });
-        match read {
-            Ok(reply) => {
-                self.frames.push(reply);
-                Ok(None)
-            }
-            Err(err) if self.demote => {
-                let cause = FailureCause::from_transport(&err);
-                self.demote_node(node, cause);
-                Ok(Some(cause))
-            }
-            Err(err) => {
-                Err(TransportError::WorkerFailed { node, reason: format!("reading reply: {err}") })
-            }
-        }
-    }
-
-    /// The round's frames (one per node) and demotions.
-    pub(crate) fn finish(self) -> (Vec<NodeFrames>, Vec<Demotion>) {
-        (self.frames, self.demotions)
     }
 }
 
@@ -567,18 +365,19 @@ impl Transport for SocketTransport {
     }
 }
 
-/// Accepts one worker connection with a deadline — `accept` itself must
-/// not hang when a worker dies before connecting (a spawned binary that
-/// exits at startup, a thread whose connect failed). Polls in
-/// non-blocking mode and fails fast when a worker process has already
-/// exited with a failure status.
+/// Accepts worker `node`'s connection with a deadline — `accept` itself
+/// must not hang when a worker dies before connecting (a spawned binary
+/// that exits at startup, a thread whose connect failed). Polls in
+/// non-blocking mode and fails fast when the worker's process, if it
+/// has one, has already exited with a failure status.
 pub(crate) fn accept_with_deadline(
     listener: &TcpListener,
-    children: &mut [Child],
+    node: usize,
+    mut child: Option<&mut Child>,
     io_deadline: Duration,
 ) -> Result<TcpStream, TransportError> {
     listener.set_nonblocking(true).map_err(|e| io_err("set nonblocking", &e))?;
-    let deadline = std::time::Instant::now() + io_deadline;
+    let deadline = Deadline::after(io_deadline);
     // Exponential poll backoff: tight while a worker is expected any
     // microsecond (the common loopback case), relaxed toward a 16 ms
     // cap while genuinely waiting — replaces the old fixed 2 ms sleep.
@@ -589,22 +388,17 @@ pub(crate) fn accept_with_deadline(
                 stream.set_nonblocking(false).map_err(|e| io_err("set blocking", &e))?;
                 return Ok(stream);
             }
-            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(err) if err.kind() == ErrorKind::WouldBlock => {
                 // A worker that exited nonzero before connecting will
                 // never connect; report it instead of running out the
                 // clock. (A worker exits zero only once it has served a
                 // connection.)
-                for (node, child) in children.iter_mut().enumerate() {
-                    if let Ok(Some(status)) = child.try_wait() {
-                        if !status.success() {
-                            return Err(TransportError::WorkerFailed {
-                                node,
-                                reason: format!("exit status {status} before connecting"),
-                            });
-                        }
-                    }
+                let exited = child.as_mut().and_then(|child| child.try_wait().ok().flatten());
+                if let Some(status) = exited.filter(|status| !status.success()) {
+                    let reason = format!("exit status {status} before connecting");
+                    return Err(TransportError::WorkerFailed { node, reason });
                 }
-                if std::time::Instant::now() >= deadline {
+                if deadline.expired() {
                     return Err(TransportError::TimedOut {
                         reason: "timed out waiting for a worker to connect".to_string(),
                     });
@@ -624,6 +418,10 @@ mod tests {
     use crate::transport::EvalProgram;
     use crate::{ClusterConfig, FaultKind, FaultPlan};
     use camelot_ff::PrimeField;
+
+    /// The historical hardcoded coordinator timeout, the reference point
+    /// for fast-failure assertions.
+    const SOCKET_TIMEOUT: Duration = Duration::from_secs(60);
 
     /// A socket round over loopback TCP must be bit-identical to the
     /// in-process bus on a mixed fault plan, multi-polynomial included.

@@ -188,8 +188,8 @@ impl EngineConfig {
         self
     }
 
-    /// Overrides the transport tuning (I/O deadlines, retry/backoff,
-    /// dead-node demotion).
+    /// Overrides the transport tuning (I/O deadline, dead-node
+    /// demotion).
     #[must_use]
     pub fn with_tuning(mut self, tuning: TransportTuning) -> Self {
         self.cluster = self.cluster.with_tuning(tuning);

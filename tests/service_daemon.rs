@@ -138,20 +138,12 @@ fn hung_worker_is_demoted_within_the_deadline_and_the_round_still_decodes() {
     };
     let service = Arc::new(Service::new(config).unwrap());
     let p = poly(vec![4, 0, 9]);
-    let started = Instant::now();
     let outcome = service.prepare(&p).unwrap();
-    let elapsed = started.elapsed();
     assert_eq!(outcome.output, poly_sum(&p.coefficients, p.sum_count));
-    // One deadline for the round in which the hang is found out — from
-    // then on node 1 is read last, with what has arrived — plus one of
-    // slack for the admission window, pool start and decoding; not one
-    // deadline for each of the rounds.
-    assert!(outcome.report.rounds >= 2, "one round would not tell once from once a round");
-    assert!(
-        elapsed < Duration::from_millis(300) * 2,
-        "a hung worker must cost the {} rounds one deadline between them (took {elapsed:?})",
-        outcome.report.rounds
-    );
+    // What the rounds cost is asserted on virtual time by the pool's
+    // drain tests, and on the wall clock once, by
+    // `tests/transport_backends.rs`.
+    assert!(outcome.report.rounds >= 2, "the hang is met in more than one round");
     assert!(
         outcome.report.demotions.iter().any(|d| d.node == 1 && d.cause == FailureCause::Timeout),
         "the hang must surface as a structured timeout demotion, got {:?}",

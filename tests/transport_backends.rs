@@ -330,12 +330,12 @@ fn chaos_rounds_are_bit_identical_across_all_backends() {
 }
 
 /// Three hung nodes, a dropped frame and a punctual straggler on the
-/// persistent pool: the silent nodes share the round's one deadline
-/// instead of queueing for one each, nobody waits for a hung worker to
-/// come back, and what the coordinator sees is still exactly what the
-/// in-process simulation of the same plan reports. The deadline is
-/// spent once: the hung nodes are suspects from then on, and the later
-/// rounds cost what the answering nodes take. Over several rounds every
+/// persistent pool: the wall-clock smoke of "one deadline per round" —
+/// the silent nodes share the round's one deadline instead of queueing
+/// for one each — and what the coordinator sees is still exactly what
+/// the in-process simulation of the same plan reports. The hung nodes
+/// are suspects from then on (when each round ends is asserted on
+/// virtual time by the pool's drain tests). Over several rounds every
 /// demoted lane is respawned once, and shutdown leaves nothing behind.
 #[test]
 fn silent_nodes_share_one_deadline_on_the_socket_pool() {
@@ -386,14 +386,6 @@ fn silent_nodes_share_one_deadline_on_the_socket_pool() {
             elapsed < tuning.io_deadline * 3 / 2,
             "round {round}: three hangs must cost one deadline, took {elapsed:?}"
         );
-        if round == 0 {
-            assert!(elapsed >= tuning.io_deadline, "a first hang gets its whole deadline");
-        } else {
-            assert!(
-                elapsed < tuning.io_deadline / 2,
-                "round {round}: known-silent nodes get no second deadline, took {elapsed:?}"
-            );
-        }
         // The dropped frame (node 6) closes at once: a reset costs the
         // round no wait and makes no suspect.
         assert_eq!(pool.pool_suspects(), vec![1, 4, 8], "round {round}");
@@ -533,7 +525,8 @@ fn threaded_backends_report_a_panicked_node_as_worker_failure() {
 /// runs every round of the run on one pool, so a hung node costs the
 /// run one deadline, not one a round: the certificate and demotions are
 /// the in-process ones, and the whole run — pool start and shutdown
-/// included — stays under two deadlines.
+/// included — stays under two deadlines. The wall-clock smoke of "a
+/// deadline is spent once".
 #[test]
 fn a_config_built_socket_engine_spends_a_deadline_once() {
     let problem = WirePoly { coeffs: vec![123_456_789, 7, 0, 5] };
