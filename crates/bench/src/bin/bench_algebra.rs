@@ -38,7 +38,10 @@
 //!
 //! Every modulus here starts its walk at [`prime_floor`], the floor both
 //! engine schedules share, so the rows time the word-sized primes the
-//! engine runs on. Every per-length row records the thread budget the
+//! engine runs on. Every decode is checked before it is timed: it must
+//! return the planted message and exactly the planted error positions,
+//! so the smoke runs check the answers of every decode path at those
+//! primes. Every per-length row records the thread budget the
 //! NTT/decode paths ran under (`CAMELOT_THREADS`, defaulting to the
 //! machine parallelism).
 //!
@@ -203,19 +206,27 @@ fn erase_five(word: &[Option<u64>]) -> Vec<Option<u64>> {
     erased
 }
 
-/// Best per-phase profile of decoding `word`. A decode leaves nothing
-/// behind in the code, so a fresh clone and the reused code cost the
-/// same; this checks that they also agree and times only the latter.
+/// Best per-phase profile of decoding `word`, made from the codeword
+/// `clean` of `msg`. The decode must return `msg` and, as its error
+/// positions, exactly the received symbols that differ from `clean`. A
+/// decode leaves nothing behind in the code, so a fresh clone and the
+/// reused code cost the same; this checks that they also agree and
+/// times only the latter.
 fn decode_profile(
     samples: usize,
     field: &PrimeField,
     code: &RsCode,
+    (msg, clean): (&Poly, &[u64]),
     word: &[Option<u64>],
     d: usize,
 ) -> DecodeProfile {
     let fresh = code.clone().decode(field, word, d);
     assert_eq!(fresh, code.decode(field, word, d), "reused code diverged from a fresh clone");
-    assert!(fresh.is_ok(), "bench word must decode: {fresh:?}");
+    let decoded = fresh.unwrap_or_else(|err| panic!("bench word must decode: {err}"));
+    assert_eq!(&decoded.poly, msg, "decode missed the planted message");
+    let planted: Vec<usize> =
+        (0..word.len()).filter(|&i| word[i].is_some_and(|y| y != clean[i])).collect();
+    assert_eq!(decoded.error_positions, planted, "decode missed the planted errors");
     best_profile(samples, || code.decode_profiled(field, word, d).expect("checked above").1)
 }
 
@@ -486,7 +497,8 @@ fn consecutive_smallest_bench(e: usize, samples: usize, rng: &mut SplitMix64) ->
     let field = PrimeField::new(q).unwrap();
     let t_build = best_of(samples, || RsCode::consecutive(&field, e));
     let code = RsCode::consecutive(&field, e);
-    let clean = code.encode(&field, &random_message(&field, d, rng));
+    let msg = random_message(&field, d, rng);
+    let clean = code.encode(&field, &msg);
 
     let mut pts: Vec<(u64, u64)> =
         code.points().iter().copied().zip(clean.iter().copied()).collect();
@@ -502,8 +514,10 @@ fn consecutive_smallest_bench(e: usize, samples: usize, rng: &mut SplitMix64) ->
     let t_general = best_of(samples, || interpolate(&field, &pts));
 
     let clean_word: Vec<Option<u64>> = clean.iter().copied().map(Some).collect();
-    let prof_clean = decode_profile(samples, &field, &code, &clean_word, d);
-    let prof_faulted = decode_profile(samples, &field, &code, &fault_every_16th(&field, &clean), d);
+    let planted = (&msg, clean.as_slice());
+    let prof_clean = decode_profile(samples, &field, &code, planted, &clean_word, d);
+    let faulted = fault_every_16th(&field, &clean);
+    let prof_faulted = decode_profile(samples, &field, &code, planted, &faulted, d);
     format!(
         "{{\"prime\": {q}, \"build_us\": {:.2}, \"interpolate_us\": {:.2}, \
          \"interpolate_general_us\": {:.2}, \"interpolate_dispatch_us\": {:.2},\n      {},\n      {}}}",
@@ -562,8 +576,9 @@ fn main() {
         });
         let t_int_tree = best_of(args.samples, || interpolate_fast(&field, &pts));
         let word = fault_every_16th(&field, &clean);
-        let prof = decode_profile(args.samples, &field, &code, &word, d);
-        let prof_e = decode_profile(args.samples, &field, &code, &erase_five(&word), d);
+        let planted = (&msg, clean.as_slice());
+        let prof = decode_profile(args.samples, &field, &code, planted, &word, d);
+        let prof_e = decode_profile(args.samples, &field, &code, planted, &erase_five(&word), d);
 
         // The same code on the modulus the default schedule picks.
         let smallest = if naive_too {
@@ -582,8 +597,10 @@ fn main() {
         });
         let t_enc_ntt = best_of(args.samples, || roots.encode(&field, &msg));
         let word_r = fault_every_16th(&field, &clean_r);
-        let prof_r = decode_profile(args.samples, &field, &roots, &word_r, d);
-        let prof_r_e = decode_profile(args.samples, &field, &roots, &erase_five(&word_r), d);
+        let planted_r = (&msg, clean_r.as_slice());
+        let prof_r = decode_profile(args.samples, &field, &roots, planted_r, &word_r, d);
+        let word_r_e = erase_five(&word_r);
+        let prof_r_e = decode_profile(args.samples, &field, &roots, planted_r, &word_r_e, d);
 
         // Partial orbit, the shape behind `poly_faulted_fulldecode`
         // (e = 2549 of 4096, degree 2048, sixteen nodes): 5/8 of the
@@ -592,12 +609,14 @@ fn main() {
         let e_p = 5 * e / 8;
         let partial = RsCode::roots_of_unity(&field, e_p).expect("prime admits the orbit");
         let msg_p = random_message(&field, e / 2, &mut rng);
-        let word_p = fault_every_16th(&field, &partial.encode(&field, &msg_p));
-        let prof_p = decode_profile(args.samples, &field, &partial, &word_p, e / 2);
+        let clean_p = partial.encode(&field, &msg_p);
+        let word_p = fault_every_16th(&field, &clean_p);
+        let planted_p = (&msg_p, clean_p.as_slice());
+        let prof_p = decode_profile(args.samples, &field, &partial, planted_p, &word_p, e / 2);
         let crashed = e_p / 2..e_p / 2 + (e_p / 16).max(1);
         let mut word_p_e = word_p.clone();
         word_p_e[crashed.clone()].fill(None);
-        let prof_p_e = decode_profile(args.samples, &field, &partial, &word_p_e, e / 2);
+        let prof_p_e = decode_profile(args.samples, &field, &partial, planted_p, &word_p_e, e / 2);
 
         // The partial-xgcd step in isolation, on the exact triple the
         // Gao decoder feeds it: g0 vanishing on the points, g1 the

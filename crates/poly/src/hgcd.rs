@@ -201,8 +201,15 @@ fn reconstruct_verified(
         low1.coeffs().len(),
     ];
     let out = (0..4).map(|e| lens[e] + lens[4 + (e & 1)]).max().unwrap_or(1).saturating_sub(1);
-    let (ra, rb) = match ctx.shared_plan(&lens, out) {
-        Some(k) => {
+    // When only `low0` or the entries it multiplies fall short — at the
+    // top level on an orbit, `low0` of `x^n − 1` is the constant `−1` —
+    // its two products go classical and the two long ones share `low1`'s
+    // transform: 3 forwards + 2 inverses instead of two full products'
+    // 4 + 2.
+    let long = [lens[1], lens[3], lens[5]];
+    let long_out = (lens[1].max(lens[3]) + lens[5]).saturating_sub(1);
+    let (ra, rb) = match (ctx.shared_plan(&lens, out), ctx.shared_plan(&long, long_out)) {
+        (Some(k), _) => {
             let v0 = ctx.spectrum(&low0, k);
             let v1 = ctx.spectrum(&low1, k);
             let row = |i: usize| {
@@ -212,7 +219,16 @@ fn reconstruct_verified(
             };
             (row(0), row(1))
         }
-        None => (
+        (None, Some(k)) => {
+            let v1 = ctx.spectrum(&low1, k);
+            let row = |i: usize| {
+                let m1 = ctx.spectrum(&rm.m[i][1], k);
+                let long = ctx.spectral_mul_add(&m1, &v1, None, long_out);
+                ctx.mul(&rm.m[i][0], &low0).add(f, &long)
+            };
+            (row(0), row(1))
+        }
+        (None, None) => (
             ctx.mul(&rm.m[0][0], &low0).add(f, &ctx.mul(&rm.m[0][1], &low1)),
             ctx.mul(&rm.m[1][0], &low0).add(f, &ctx.mul(&rm.m[1][1], &low1)),
         ),

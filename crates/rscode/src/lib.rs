@@ -40,15 +40,25 @@
 //!    every remainder is `Λ` times it, and the loop stops on the same
 //!    step: it returns the same `v` and `g' = Λ·g`.
 //! 3. The message is `p = g' / (v·Λ)`, with the same quotient as `g / v`
-//!    and a remainder that vanishes exactly when that one does. Nothing
-//!    is ever divided by `Λ`, and the result — `Ok` or `Err`, inside the
-//!    decoding radius or beyond it — is that of decoding the survivors'
-//!    symbols on the code over the survivors' points.
+//!    and a remainder that vanishes exactly when that one does, so the
+//!    result — `Ok` or `Err`, inside the decoding radius or beyond it —
+//!    is that of decoding the survivors' symbols on the code over the
+//!    survivors' points. On an orbit the division is pointwise on a
+//!    coset `c·⟨ω⟩` that shares no element with the orbit, so `Λ` has no
+//!    root on it and, inside the radius, neither has `v`. One scaled
+//!    forward NTT each of `g'`, `v` and the erased symbols' factor of
+//!    `Λ`, a batch inversion and one inverse NTT give the `P*` of degree
+//!    below `2^k` with `P*·v·Λ ≡ g'` modulo `x^{2^k} − c^{2^k}`, and
+//!    `v·Λ` divides `g'` exactly when `deg P* ≤ deg g' − deg(v·Λ)`, with
+//!    quotient `P*`. A zero among the divisor's coset values — a `v` with
+//!    a root off the orbit, which only a word beyond the radius has — and
+//!    every code on points divide by Newton instead.
 //!
 //! `Λ`'s values over `D` are one domain evaluation of the erased symbols'
 //! factor (one forward NTT on an orbit) times the tail factor's values,
-//! which a partial orbit computes once at construction. With nothing
-//! absent `Λ = 1` and the three steps are Gao's algorithm verbatim.
+//! which a partial orbit computes once at construction, on the orbit and
+//! on the coset. With nothing absent `Λ = 1` and the three steps are
+//! Gao's algorithm verbatim.
 //!
 //! ## Example
 //!
@@ -102,12 +112,70 @@ enum Domain {
         /// the locator of the tail no symbol is ever received for.
         /// `None` when `e` fills the orbit.
         tail: Option<Vec<u64>>,
+        /// Where the final division runs.
+        coset: Coset,
     },
     /// The code's own points, in the subproduct tree over them (node
     /// inverse series and Lagrange weights memoized): its root is `G0`,
     /// and it evaluates and interpolates by descent past the crossover
     /// lengths of `camelot-poly`, by Horner and Newton below them.
     Points { tree: Arc<PointTree> },
+}
+
+/// The coset `c·⟨ω⟩` of an orbit, for `c` the first of `2, 3, …` with
+/// `c^{2^k} ≠ 1`: it shares no element with the orbit, so no root of the
+/// tail's or the erased symbols' locator lies on it.
+#[derive(Clone, Debug)]
+struct Coset {
+    /// `c^i` for `i < 2^k`: coefficient `i` scaled by it, a forward NTT
+    /// evaluates at `c·ω^j`.
+    powers: Vec<u64>,
+    /// `c^{-i}`, undoing that scaling after an inverse NTT.
+    inv_powers: Vec<u64>,
+    /// The tail locator's values on the coset, `None` when `e` fills the
+    /// orbit.
+    tail: Option<Vec<u64>>,
+}
+
+impl Coset {
+    /// The coset of `plan`'s orbit, with the values on it of the tail's
+    /// locator when there is one.
+    fn new(field: &PrimeField, plan: &NttPlan, tail: Option<&Poly>) -> Self {
+        let n = plan.len();
+        // When 2^k = q - 1 the orbit is the whole group and no such `c`
+        // exists; `c = 1` then makes the coset the orbit itself, where
+        // every divisor with a root on it takes the Newton fallback.
+        let c = if n as u64 == field.modulus() - 1 {
+            1
+        } else {
+            (2..).find(|&c| field.pow(c, n as u64) != 1).expect("2^k < q - 1")
+        };
+        let powers_of = |base: u64| {
+            std::iter::successors(Some(1), |&x| Some(field.mul(x, base))).take(n).collect()
+        };
+        let mut coset =
+            Coset { powers: powers_of(c), inv_powers: powers_of(field.inv(c)), tail: None };
+        coset.tail = tail.map(|locator| coset.evaluate(field, plan, locator));
+        coset
+    }
+
+    /// `poly` (of degree below `2^k`) at `c·ω^j` for every `j`.
+    fn evaluate(&self, field: &PrimeField, plan: &NttPlan, poly: &Poly) -> Vec<u64> {
+        let mut values = poly.coeffs().to_vec();
+        let len = values.len();
+        field.mul_slice(&mut values, &self.powers[..len]);
+        values.resize(plan.len(), 0);
+        plan.forward(&mut values);
+        values
+    }
+
+    /// The polynomial of degree below `2^k` taking `values` at the
+    /// `c·ω^j`.
+    fn interpolate(&self, field: &PrimeField, plan: &NttPlan, mut values: Vec<u64>) -> Poly {
+        plan.inverse(&mut values);
+        field.mul_slice(&mut values, &self.inv_powers);
+        Poly::from_reduced(values)
+    }
 }
 
 /// The locator `Λ` of one decode's absent positions.
@@ -157,9 +225,10 @@ pub struct DecodeProfile {
     /// The partial extended Euclid on `(G0, Λ·G1)` — structured half-GCD
     /// past the crossover.
     pub xgcd: Duration,
-    /// Root finding: the product `v·Λ`, dividing out the message, and
-    /// re-encoding it to identify the error positions (skipped when the
-    /// Euclid made no step: the message is then the survivors' own
+    /// Root finding: dividing the message out of `g'` by `v·Λ` —
+    /// pointwise on the coset for an orbit code, by Newton on points —
+    /// and re-encoding it to identify the error positions (skipped when
+    /// the Euclid made no step: the message is then the survivors' own
     /// interpolant and no position can disagree with it).
     pub reencode: Duration,
 }
@@ -279,8 +348,10 @@ impl RsCode {
             points.push(x);
             x = field.mul(x, plan.root());
         }
-        let tail = (e < n).then(|| {
-            let mut values = vanishing_poly(field, &points[e..]).into_coeffs();
+        let tail_locator = (e < n).then(|| vanishing_poly(field, &points[e..]));
+        let coset = Coset::new(field, &plan, tail_locator.as_ref());
+        let tail = tail_locator.map(|locator| {
+            let mut values = locator.into_coeffs();
             values.resize(n, 0);
             plan.forward(&mut values);
             values
@@ -288,7 +359,7 @@ impl RsCode {
         points.truncate(e);
         // The whole orbit vanishes on x^{2^k} - 1, whatever `e` is.
         let g0 = Poly::monomial(1, n).sub(field, &Poly::constant(1));
-        Some(RsCode { points, g0, domain: Domain::Orbit { plan, tail } })
+        Some(RsCode { points, g0, domain: Domain::Orbit { plan, tail, coset } })
     }
 
     /// Code length `e`.
@@ -382,6 +453,68 @@ impl RsCode {
             }
             (Some(locator), Domain::Points { .. }) => v.mul(field, &locator.erased),
         }
+    }
+
+    /// `g / (v·Λ)` when `v·Λ` divides `g`, `None` when it does not — the
+    /// quotient and the zero-remainder test of
+    /// `div_rem_fast(g, v·Λ)`: pointwise on an orbit's coset when that
+    /// decides, by Newton otherwise.
+    fn divide(
+        &self,
+        field: &PrimeField,
+        g: &Poly,
+        v: Poly,
+        locator: Option<&Locator>,
+    ) -> Option<Poly> {
+        self.divide_on_coset(field, g, &v, locator).unwrap_or_else(|| {
+            let (p, r) = div_rem_fast(field, g, &self.times_locator(field, v, locator));
+            r.is_zero().then_some(p)
+        })
+    }
+
+    /// [`RsCode::divide`] on an orbit code, for `deg g < 2^k` and
+    /// `v ≠ 0`, or `None` when the coset cannot decide: on a code on
+    /// points, or when `v` has a root on the coset.
+    ///
+    /// `D = v·Λ` has degree `deg v + |A|`. Let `P*` be the polynomial of
+    /// degree below `2^k` taking `g/D` at every coset element `c·ω^j`
+    /// (none is a root of `D`). Then `P*·D ≡ g` modulo `x^{2^k} − c^{2^k}`,
+    /// the coset's vanishing polynomial, so `D | g` exactly when
+    /// `deg P* ≤ deg g − deg D`, and `P*` is then the quotient. Every
+    /// root of `Λ` is on the orbit, and so is every root of a `v` that
+    /// locates errors within the radius, so only a word beyond it can
+    /// put a zero among `D`'s coset values.
+    fn divide_on_coset(
+        &self,
+        field: &PrimeField,
+        g: &Poly,
+        v: &Poly,
+        locator: Option<&Locator>,
+    ) -> Option<Option<Poly>> {
+        let Domain::Orbit { plan, coset, .. } = &self.domain else { return None };
+        let erased = locator.map(|l| &l.erased).filter(|erased| erased.degree() > Some(0));
+        let absent = plan.len() - self.points.len() + erased.and_then(Poly::degree).unwrap_or(0);
+        let divisor_degree = v.degree().expect("a nonzero cofactor") + absent;
+        let Some(dg) = g.degree() else { return Some(Some(Poly::zero())) };
+        if divisor_degree > dg {
+            return Some(None);
+        }
+        // Every factor has degree at most deg g < 2^k.
+        let mut divisor = coset.evaluate(field, plan, v);
+        if let Some(erased) = erased {
+            field.mul_slice(&mut divisor, &coset.evaluate(field, plan, erased));
+        }
+        if let Some(tail) = &coset.tail {
+            field.mul_slice(&mut divisor, tail);
+        }
+        if divisor.contains(&0) {
+            return None;
+        }
+        field.inv_batch_blocked(&mut divisor);
+        let mut values = coset.evaluate(field, plan, g);
+        field.mul_slice(&mut values, &divisor);
+        let p = coset.interpolate(field, plan, values);
+        Some(p.degree().is_some_and(|dp| dp <= dg - divisor_degree).then_some(p))
     }
 
     /// Encodes a message polynomial into the codeword
@@ -489,10 +622,10 @@ impl RsCode {
         }
         let reencode_start = Instant::now();
         let nothing_located = v.degree() == Some(0);
-        let (p, r) = div_rem_fast(field, &g, &self.times_locator(field, v, locator.as_ref()));
-        if !r.is_zero() || p.degree().is_some_and(|d| d > degree_bound) {
-            return Err(DecodeError::BeyondRadius);
-        }
+        let p = self
+            .divide(field, &g, v, locator.as_ref())
+            .filter(|p| p.degree().is_none_or(|d| d <= degree_bound))
+            .ok_or(DecodeError::BeyondRadius)?;
         // Identify error locations by re-encoding the decoded message
         // (one NTT for a roots-of-unity code, multipoint evaluation
         // otherwise) and comparing with the reduced received symbols.
@@ -902,17 +1035,28 @@ mod tests {
         assert_eq!(code.decode(field, word, d), expected, "{what}");
     }
 
+    /// The engine's modulus range: the first prime `≡ 1 mod 2^12` above
+    /// `2^61`.
+    fn word_field() -> PrimeField {
+        PrimeField::new(camelot_ff::ntt_prime(1 << 61, 12).0).unwrap()
+    }
+
     /// Every kind of code against the oracle above: consecutive points
     /// on one tree leaf, on several, and one past the point count where
     /// tree interpolation replaces Newton, a full orbit and
-    /// three partial ones; no erasure, one, a node's contiguous slice,
-    /// and as many as leave `d + 1` symbols; errors at the radius, one
-    /// past it, and far past it.
+    /// four partial ones, one of them over a word-sized prime, and a full
+    /// and a partial orbit filling the group of `Z_257`; no erasure, one,
+    /// a node's contiguous slice, and as many as leave `d + 1` symbols;
+    /// errors at the radius, one past it, and far past it. The oracle's
+    /// code is on points, so it divides by Newton: the orbits' coset
+    /// division is held to it on both sides of the radius.
     #[test]
     fn decode_equals_decoding_the_survivors_on_their_own_code() {
         let plain = f();
         let (q, _) = camelot_ff::ntt_prime(1 << 20, 12);
         let ntt = PrimeField::new(q).unwrap();
+        let word = word_field();
+        let fermat = PrimeField::new(257).unwrap();
         let roots = |e: usize| RsCode::roots_of_unity(&ntt, e).expect("NTT-friendly prime");
         let codes = [
             ("consecutive", plain, RsCode::consecutive(&plain, 30)),
@@ -922,6 +1066,10 @@ mod tests {
             ("orbit", ntt, roots(255)), // 2^k - 1
             ("orbit", ntt, roots(129)), // 2^(k-1) + 1
             ("orbit", ntt, roots(160)), // 5/8 of the orbit, the end-to-end benchmark's shape
+            ("word-prime orbit", word, RsCode::roots_of_unity(&word, 160).unwrap()),
+            // 2^8 = q - 1: no coset off the orbit.
+            ("Fermat orbit", fermat, RsCode::roots_of_unity(&fermat, 256).unwrap()),
+            ("Fermat orbit", fermat, RsCode::roots_of_unity(&fermat, 160).unwrap()),
         ];
         let mut rng = SplitMix64::new(16);
         for (kind, field, code) in &codes {
@@ -950,13 +1098,70 @@ mod tests {
                         word[pos] = None;
                     }
                     for &pos in &survivors[..errors] {
-                        word[pos] = Some(field.add(clean[pos], 1 + rng.next_u64() % 1000));
+                        let shift = 1 + rng.next_u64() % 1000.min(field.modulus() - 1);
+                        word[pos] = Some(field.add(clean[pos], shift));
                     }
                     let what = format!(
                         "{kind} e = {e}: {} erased, {errors} errors (radius {radius})",
                         erased.len()
                     );
                     assert_decodes_like_the_survivors_code(field, code, &word, d, &what);
+                }
+            }
+        }
+    }
+
+    /// `RsCode::divide` on an orbit against Newton's division by
+    /// `v·Λ`: the same quotient exactly when the remainder is zero, for
+    /// exact multiples, non-multiples, `g = 0`, `deg(v·Λ) > deg g`, and
+    /// a `v` with a root planted on the coset, which the coset cannot
+    /// decide and hands to Newton — on a full and a partial orbit, with
+    /// and without erasures, at a small and at a word-sized prime.
+    #[test]
+    fn coset_division_matches_newton_division() {
+        let (q, _) = camelot_ff::ntt_prime(1 << 20, 12);
+        for field in [PrimeField::new(q).unwrap(), word_field()] {
+            let mut rng = SplitMix64::new(20);
+            for e in [256usize, 160] {
+                let code = RsCode::roots_of_unity(&field, e).unwrap();
+                let Domain::Orbit { plan, coset, .. } = &code.domain else { unreachable!() };
+                let n = plan.len();
+                for erased in [Vec::new(), (3..e).step_by(17).collect::<Vec<usize>>()] {
+                    let locator = code.locator(&field, &erased);
+                    let locator = locator.as_ref();
+                    let divisor = |v: &Poly| code.times_locator(&field, v.clone(), locator);
+                    let check = |g: &Poly, v: &Poly, what: &str| {
+                        let (p, r) = div_rem_fast(&field, g, &divisor(v));
+                        let expected = r.is_zero().then_some(p);
+                        let q = field.modulus();
+                        let what = format!("q = {q}, e = {e}, {} erased: {what}", erased.len());
+                        assert_eq!(code.divide(&field, g, v.clone(), locator), expected, "{what}");
+                        expected
+                    };
+                    let coset_decides =
+                        |g: &Poly, v: &Poly| code.divide_on_coset(&field, g, v, locator).is_some();
+                    let v = random_message(&field, 12, &mut rng);
+                    let room = n - 1 - divisor(&v).degree().unwrap();
+                    let p = random_message(&field, room, &mut rng);
+                    let g = p.mul(&field, &divisor(&v));
+                    assert_eq!(check(&g, &v, "exact multiple"), Some(p));
+                    assert!(coset_decides(&g, &v));
+                    let off = g.add(&field, &Poly::constant(1));
+                    assert_eq!(check(&off, &v, "non-multiple"), None);
+                    assert_eq!(check(&Poly::zero(), &v, "g = 0"), Some(Poly::zero()));
+                    let low = random_message(&field, divisor(&v).degree().unwrap() - 1, &mut rng);
+                    assert_eq!(check(&low, &v, "deg D > deg g"), None);
+                    // A root at c·ω^j: v vanishes on the coset.
+                    let j = rng.next_u64() % n as u64;
+                    let root = field.mul(coset.powers[1], field.pow(plan.root(), j));
+                    let planted = v.mul(&field, &Poly::from_reduced(vec![field.neg(root), 1]));
+                    let g =
+                        random_message(&field, room - 1, &mut rng).mul(&field, &divisor(&planted));
+                    assert!(!coset_decides(&g, &planted), "planted root not seen");
+                    assert!(check(&g, &planted, "planted root, exact").is_some());
+                    let off = g.add(&field, &Poly::constant(1));
+                    assert!(!coset_decides(&off, &planted));
+                    assert_eq!(check(&off, &planted, "planted root, non-multiple"), None);
                 }
             }
         }
