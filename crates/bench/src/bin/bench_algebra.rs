@@ -33,8 +33,10 @@
 //!   end-to-end benchmark's shapes (ns per call): prepared vs one-shot
 //!   Lagrange basis, the compiled Strassen Yates plan against a Barrett
 //!   `mul_add` per accumulation, the target-coefficient dot product
-//!   against a whole truncated bivariate product, and split vs serial
-//!   Horner.
+//!   against a whole truncated bivariate product, split vs serial
+//!   Horner, and one node's 160-point slice of a 4096-point orbit at
+//!   degree 2048 by Horner per point vs one forward transform
+//!   (`PreparedProgram::eval_slice`).
 //!
 //! Every modulus here starts its walk at [`prime_floor`], the floor both
 //! engine schedules share, so the rows time the word-sized primes the
@@ -64,13 +66,14 @@
 //! `--min-log 4 --max-log 7 --samples 1 --hgcd-crossover 0`.
 
 use camelot_bench::{fmt_duration, Table};
+use camelot_cluster::{node_slice, PreparedProgram};
 use camelot_core::{prime_floor, ProofSpec};
 use camelot_ff::{next_prime, ntt_prime, thread_budget, PrimeField, RngLike, SplitMix64};
 use camelot_linalg::{MatMulTensor, YatesPlan};
 use camelot_partition::Shape;
 use camelot_poly::{
-    eval_many, interpolate, interpolate_fast, lagrange_basis_at, set_hgcd_crossover,
-    vanishing_poly, ConsecutiveBasis, PointTree, Poly,
+    cached_ntt_plan, eval_many, interpolate, interpolate_fast, lagrange_basis_at,
+    set_hgcd_crossover, vanishing_poly, ConsecutiveBasis, PointTree, Poly,
 };
 use camelot_rscode::{DecodeProfile, RsCode};
 use std::time::{Duration, Instant};
@@ -78,6 +81,10 @@ use std::time::{Duration, Instant};
 /// `log2` of the element count the kernel microbenchmarks run on: large
 /// enough to leave L1 yet small enough that a sample is sub-millisecond.
 const KERNEL_LOG: u32 = 16;
+
+/// `log2` of the orbit of the orbit-slice evaluator row: the 4096 points
+/// `poly_faulted_fulldecode`'s code of length 2549 lies on.
+const ORBIT_LOG: u32 = 12;
 
 /// Largest `log2(len)` at which the quadratic baselines (Horner encode,
 /// Newton interpolation, classical partial xgcd) still run; above this
@@ -456,6 +463,29 @@ fn evaluator_bench(field: &PrimeField, samples: usize, rng: &mut SplitMix64) -> 
     let split =
         ns_per_call(samples, |rep| field.horner(&coeffs, rep as u64 + 2)) / coeffs.len() as f64;
     row("horner, per coefficient", serial, split);
+
+    // One node's slice of `poly_faulted_fulldecode`'s code (node 3 of
+    // sixteen, e = 2549 on the 4096 orbit) at degree 2048: Horner per
+    // point vs one forward transform of the orbit.
+    let orbit_field = PrimeField::new(ntt_prime(1 << 61, ORBIT_LOG).0).unwrap();
+    let root = cached_ntt_plan(&orbit_field, ORBIT_LOG).expect("prime admits the orbit").root();
+    let (lo, hi) = node_slice(2549, 16, 3);
+    let slice: Vec<u64> = std::iter::successors(Some(orbit_field.pow(root, lo as u64)), |&x| {
+        Some(orbit_field.mul(x, root))
+    })
+    .take(hi - lo)
+    .collect();
+    let program =
+        PreparedProgram::poly(&orbit_field, random_message(&orbit_field, 2048, rng).coeffs());
+    let per_point = |points: &[u64]| points.iter().map(|&x| program.eval(x)).collect::<Vec<_>>();
+    assert_eq!(program.eval_slice(&slice), per_point(&slice), "orbit transform diverged");
+    let orbit_horner = best_of(samples, || per_point(&slice));
+    let orbit_transform = best_of(samples, || program.eval_slice(&slice));
+    row(
+        &format!("orbit slice: horner -> transform ({} of {})", slice.len(), 1 << ORBIT_LOG),
+        orbit_horner.as_secs_f64() * 1e9,
+        orbit_transform.as_secs_f64() * 1e9,
+    );
     table.print("evaluator building blocks (ns per call; reference = what the block replaced)");
 
     format!(
@@ -468,7 +498,10 @@ fn evaluator_bench(field: &PrimeField, samples: usize, rng: &mut SplitMix64) -> 
             "    \"bipoly_7x7\": {{\"full_product_ns\": {:.1}, ",
             "\"target_coefficient_ns\": {:.1}}},\n",
             "    \"horner\": {{\"coefficients\": {}, \"serial_ns_per_coefficient\": {:.3}, ",
-            "\"split_ns_per_coefficient\": {:.3}}}}}"
+            "\"split_ns_per_coefficient\": {:.3}}},\n",
+            "    \"orbit_slice\": {{\"prime\": {}, \"degree\": 2048, \"orbit\": {}, \"lo\": {}, ",
+            "\"points\": {}, \"horner_us\": {:.2}, \"transform_us\": {:.2}, ",
+            "\"speedup\": {:.2}}}}}"
         ),
         q,
         EVALUATOR_REPS,
@@ -483,6 +516,13 @@ fn evaluator_bench(field: &PrimeField, samples: usize, rng: &mut SplitMix64) -> 
         coeffs.len(),
         serial,
         split,
+        orbit_field.modulus(),
+        1 << ORBIT_LOG,
+        lo,
+        slice.len(),
+        us(orbit_horner),
+        us(orbit_transform),
+        speedup(orbit_horner, orbit_transform),
     )
 }
 
@@ -714,10 +754,12 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"camelot-bench-algebra/v8\",\n",
+            "  \"schema\": \"camelot-bench-algebra/v9\",\n",
             "  \"description\": \"Field slice-kernel throughput (Melem/s, chunked vs per-element ",
             "scalar loops), the per-point building blocks of the catalogue evaluators (ns per ",
-            "call, each beside what it replaced), plus the Reed-Solomon codeword pipeline: ",
+            "call, each beside what it replaced; orbit_slice is one node's slice of the 4096 ",
+            "orbit at degree 2048, Horner per point vs one forward transform, in us), plus the ",
+            "Reed-Solomon codeword pipeline: ",
             "Horner/Newton/classical-xgcd ",
             "baselines vs subproduct-tree, NTT, and half-GCD fast paths (message degree = len/2; ",
             "every *decode_us is the sum of the decode's three phases, listed or not; ",

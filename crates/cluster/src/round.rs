@@ -28,6 +28,12 @@ pub trait RoundEval: Sync {
     /// `P_poly(x) mod q`.
     fn eval(&self, poly: usize, x: u64) -> u64;
 
+    /// `P_poly` at each of `points`, in order: one node's slice. The
+    /// default evaluates point by point.
+    fn eval_points(&self, poly: usize, points: &[u64]) -> Vec<u64> {
+        points.iter().map(|&x| self.eval(poly, x)).collect()
+    }
+
     /// Wire-expressible programs for process-spanning transports, when
     /// the polynomials can be described on the wire (one per polynomial,
     /// in round order). `None` — the default — restricts the round to
@@ -80,6 +86,10 @@ impl RoundEval for ProgramEval {
 
     fn eval(&self, poly: usize, x: u64) -> u64 {
         self.prepared[poly].eval(x)
+    }
+
+    fn eval_points(&self, poly: usize, points: &[u64]) -> Vec<u64> {
+        self.prepared[poly].eval_slice(points)
     }
 
     fn programs(&self) -> Option<Vec<EvalProgram>> {
@@ -163,10 +173,12 @@ pub fn assign_points(num_points: usize, nodes: usize) -> Vec<usize> {
 }
 
 /// What one node does in a round: evaluate its slice (`points[lo..hi]`
-/// of the global point list, `lo` being the global index of the first),
-/// then transform the truthful symbols through its fault behaviour into
-/// the frames it broadcasts. Pure given its inputs — every backend and
-/// the out-of-process worker produce identical frames.
+/// of the global point list, `lo` being the global index of the first)
+/// with one [`RoundEval::eval_points`] call per polynomial — a
+/// [`ProgramEval`] runs its programs there, by transform on an orbit
+/// slice — then transform the truthful symbols through its fault
+/// behaviour into the frames it broadcasts. Pure given its inputs —
+/// every backend and the out-of-process worker produce identical frames.
 #[must_use]
 pub fn compute_node_frames(
     field: &PrimeField,
@@ -179,10 +191,12 @@ pub fn compute_node_frames(
 ) -> NodeFrames {
     let width = eval.width();
     let start = Instant::now();
-    let mut truth = Vec::with_capacity(points.len() * width);
-    for &x in points {
-        for poly in 0..width {
-            truth.push(eval.eval(poly, x));
+    let mut truth = vec![0; points.len() * width];
+    for poly in 0..width {
+        let values = eval.eval_points(poly, points);
+        debug_assert_eq!(values.len(), points.len(), "one value per point");
+        for (slot, value) in truth.iter_mut().skip(poly).step_by(width).zip(values) {
+            *slot = value;
         }
     }
     let elapsed = start.elapsed();

@@ -4,7 +4,11 @@
 //! threads; frames are plain in-memory values, so the backend adds zero
 //! serialization overhead and is bit-identical to the seed simulation
 //! (deterministic either way — threading only changes wall-clock).
-//! Configured chaos is *simulated*: the truthful frames are pushed
+//! A round with wire programs runs the programs, exactly as a socket
+//! worker does in [`execute_task`](crate::execute_task), so a node
+//! evaluates a program the same way on every backend — by one transform
+//! on a roots-of-unity slice. A round without them evaluates its
+//! closures point by point. Configured chaos is *simulated*: the truthful frames are pushed
 //! through the same sender-side [`worker_action`](crate::worker_action)
 //! resolution the socket workers perform, so outcomes (delivery,
 //! garbled symbols, demotions) are bit-identical to the real-TCP
@@ -13,7 +17,8 @@
 use crate::chaos::ChaosPlan;
 use crate::retry::TransportTuning;
 use crate::round::{
-    assemble_round, compute_node_frames, node_slice, NodeFrames, RoundEval, RoundOutcome, RoundSpec,
+    assemble_round, compute_node_frames, node_slice, NodeFrames, ProgramEval, RoundEval,
+    RoundOutcome, RoundSpec,
 };
 use crate::transport::{apply_simulated_chaos, check_chaos, Transport, TransportError};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,6 +71,14 @@ impl Transport for InProcess {
         let nodes = spec.plan.nodes();
         let e = spec.points.len();
         check_chaos(self.chaos.as_ref(), nodes)?;
+        let programs = eval
+            .programs()
+            .filter(|programs| !programs.is_empty())
+            .map(|programs| ProgramEval::new(spec.field, programs));
+        let eval: &dyn RoundEval = match &programs {
+            Some(programs) => programs,
+            None => eval,
+        };
         let frames: Vec<NodeFrames> = if self.parallel {
             // Contiguous node groups, one scoped thread per group, capped
             // by the process-wide budget (`CAMELOT_THREADS`) instead of

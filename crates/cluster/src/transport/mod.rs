@@ -53,8 +53,10 @@ use crate::frame::{Frame, FrameError, FrameWriter, Record};
 use crate::retry::TransportTuning;
 use crate::round::{crash_frames, FrameBody, NodeFrames, RoundEval, RoundOutcome, RoundSpec};
 use camelot_ff::PrimeField;
+use camelot_poly::{cached_ntt_plan, NttPlan};
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A broadcast backend: runs one round and returns the assembled
@@ -157,8 +159,15 @@ impl EvalProgram {
     }
 }
 
+/// Weight of one transform step against one Horner step in
+/// [`PreparedProgram::eval_slice`]: a run of `m` orbit points takes the
+/// length-`n = 2^k` transform when Horner's `m·(d+1)` steps exceed
+/// `ORBIT_NTT_WEIGHT·n·k` plus the `2·(d+1)` of the scaling and the fold.
+/// Fitted on `bench_algebra`'s orbit-slice row at `n = 4096`.
+const ORBIT_NTT_WEIGHT: usize = 1;
+
 /// An [`EvalProgram`] bound to one field with its constants reduced:
-/// what a node evaluates point after point.
+/// what a node evaluates on its slice of the points.
 #[derive(Clone, Debug)]
 pub struct PreparedProgram {
     field: PrimeField,
@@ -179,6 +188,98 @@ impl PreparedProgram {
     #[must_use]
     pub fn eval(&self, x0: u64) -> u64 {
         self.field.horner(&self.coeffs, x0)
+    }
+
+    /// `P` at each of `points`, in order: one node's slice. When the
+    /// slice is a run `a, a·ω, …, a·ω^{m−1}` with `ω` the root of the
+    /// cached NTT plan of its order `n = 2^k` — a node's slice of a
+    /// roots-of-unity code — and the run is long enough to pay for it,
+    /// `P(a·ω^j)` is output `j` of one forward transform of
+    /// `Q(x) = P(a·x)` folded modulo `x^n − 1` (exact: `ω^n = 1`).
+    /// Anywhere else it is Horner per point. The values are the same
+    /// either way.
+    #[must_use]
+    pub fn eval_slice(&self, points: &[u64]) -> Vec<u64> {
+        match self.orbit_run(points) {
+            Some((a, plan)) => self.eval_on_orbit(a, &plan, points.len()),
+            None => points.iter().map(|&x| self.eval(x)).collect(),
+        }
+    }
+
+    /// The start `a` and the plan of the ratio `ω` when `points` is a run
+    /// `a·ω^j` the transform evaluates for less than Horner does. The
+    /// size checks come first, so a slice that cannot pay costs a few
+    /// comparisons, and any other costs an inversion and at most 62
+    /// squarings before the walk along the run.
+    fn orbit_run(&self, points: &[u64]) -> Option<(u64, Arc<NttPlan>)> {
+        let field = &self.field;
+        let q = field.modulus();
+        let m = points.len();
+        // The orbit holds the whole run: no transform is shorter than m.
+        if m < 2 || !self.transform_pays(m, m.next_power_of_two()) {
+            return None;
+        }
+        let (&a, &b) = (points.first()?, points.get(1)?);
+        if a == 0 || a >= q || b >= q {
+            return None;
+        }
+        let ratio = field.mul(b, field.inv(a));
+        // Its order, when that is a power of two: square until 1, at
+        // most as often as 2 divides q − 1.
+        let mut k = 0;
+        let mut power = ratio;
+        while power != 1 {
+            if k == (q - 1).trailing_zeros() {
+                return None;
+            }
+            power = field.mul(power, power);
+            k += 1;
+        }
+        // A run longer than its orbit repeats points.
+        let n = 1usize << k;
+        if m > n || !self.transform_pays(m, n) {
+            return None;
+        }
+        // Another root of the same order would need a discrete log to
+        // place the run on the transform's outputs.
+        let plan = cached_ntt_plan(field, k).filter(|plan| plan.root() == ratio)?;
+        let mut x = a;
+        for &point in points.iter().skip(1) {
+            x = field.mul(x, ratio);
+            if point != x {
+                return None;
+            }
+        }
+        Some((a, plan))
+    }
+
+    /// Whether one forward transform of length `n` costs less than Horner
+    /// on `m` points, and allocates no more than a few words per word of
+    /// the slice and the program.
+    fn transform_pays(&self, m: usize, n: usize) -> bool {
+        let len = self.coeffs.len();
+        let transform = (n.trailing_zeros() as usize).saturating_mul(n);
+        n <= 4 * (m + len)
+            && m.saturating_mul(len) > ORBIT_NTT_WEIGHT.saturating_mul(transform) + 2 * len
+    }
+
+    /// `P(a·ω^j)` for `j < m`, `ω` the plan's root: coefficient `i`
+    /// scaled by `a^i` and added into slot `i mod n`, then one forward
+    /// transform.
+    fn eval_on_orbit(&self, a: u64, plan: &NttPlan, m: usize) -> Vec<u64> {
+        let field = &self.field;
+        let a_shoup = field.shoup_precompute(a);
+        let mut values = vec![0; plan.len()];
+        let mut power = 1;
+        for chunk in self.coeffs.chunks(plan.len()) {
+            for (value, &c) in values.iter_mut().zip(chunk) {
+                *value = field.mul_add(*value, c, power);
+                power = field.mul_shoup(power, a, a_shoup);
+            }
+        }
+        plan.forward(&mut values);
+        values.truncate(m);
+        values
     }
 
     /// The program with reduced constants, as shipped to workers.
@@ -473,7 +574,10 @@ impl Task {
         if width == 0 || programs.len() != width {
             return Err(FrameError::Bad("program"));
         }
-        if modulus < 2 {
+        // Only a modulus the field layer carries: the worker builds its
+        // field unchecked, and a composite one would reach the primality
+        // assert behind the orbit transforms.
+        if PrimeField::new(modulus).is_err() {
             return Err(FrameError::Bad("field"));
         }
         if nodes == 0 || node >= nodes {
@@ -653,6 +757,7 @@ pub fn frame_wire_cost(kind: FaultKind, body: &FrameBody) -> (usize, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camelot_ff::{ntt_prime, RngLike, SplitMix64};
 
     #[test]
     fn task_roundtrips() {
@@ -738,11 +843,18 @@ mod tests {
             "camelot-task v1\nfield 97\ncluster 2\nnode 5\nwidth 1\nfault honest\nprogram 0 poly 1\npoints 0 1\nend\n",
             "camelot-task v1\nfield 97\ncluster 2\nnode 0\nwidth 2\nfault honest\nprogram 0 poly 1\npoints 0 1\nend\n",
             "camelot-task v1\nfield 97\ncluster 2\nnode 0\nwidth 1\nfault corrupt\nprogram 0 poly 1\npoints 0 1\nend\n",
+            "camelot-task v1\nfield 4611686018427387904\ncluster 2\nnode 0\nwidth 1\nfault honest\nprogram 0 poly 1\npoints 0 1\nend\n",
+            "camelot-task v1\nfield 1000001\ncluster 2\nnode 0\nwidth 1\nfault honest\nprogram 0 poly 1\npoints 0 1\nend\n",
             "camelot-reply v1\nend\n",
             "camelot-reply v1\nnode 0\nevals 1\nnanos 5\nframe all 1\nframe 1 2\nend\n",
             "camelot-reply v1\nnode 0\nevals 1\nnanos 5\nframe all 1 2\nframe 0 9\nframe 1 8\nend\n",
         ] {
-            assert!(Task::from_wire(text).is_err() || parse_reply(text).is_err(), "{text:?}");
+            let refused = if text.starts_with(TASK_HEADER) {
+                Task::from_wire(text).is_err()
+            } else {
+                parse_reply(text).is_err()
+            };
+            assert!(refused, "{text:?}");
         }
         // `program <p>` and `frame <r>` lines come in index order.
         assert!(Task::from_wire(
@@ -817,5 +929,98 @@ mod tests {
         assert_eq!(program.eval(&field, 0), 3);
         assert_eq!(program.eval(&field, 5), 28);
         assert_eq!(program.eval(&field, 97 + 5), 28);
+    }
+
+    /// The two moduli the orbit tests run over: the small NTT test prime
+    /// and a word-sized one like the engine's, both with `2^12 | q − 1`.
+    fn orbit_fields() -> [PrimeField; 2] {
+        [1 << 20, 1 << 61].map(|floor| PrimeField::new(ntt_prime(floor, 12).0).unwrap())
+    }
+
+    /// `a, a·r, …, a·r^{m−1}`.
+    fn geometric(field: &PrimeField, a: u64, r: u64, m: usize) -> Vec<u64> {
+        std::iter::successors(Some(a), |&x| Some(field.mul(x, r))).take(m).collect()
+    }
+
+    /// `ω^lo, …, ω^{lo+m−1}` for `ω` the cached plan's root of order
+    /// `2^k`: a node's slice of a roots-of-unity code.
+    fn orbit_slice(field: &PrimeField, k: u32, lo: usize, m: usize) -> Vec<u64> {
+        let root = cached_ntt_plan(field, k).unwrap().root();
+        geometric(field, field.pow(root, lo as u64), root, m)
+    }
+
+    /// A program of the given degree with unreduced coefficients.
+    fn random_program(field: &PrimeField, degree: usize, rng: &mut SplitMix64) -> PreparedProgram {
+        let coeffs: Vec<u64> = (0..=degree).map(|_| rng.next_u64()).collect();
+        PreparedProgram::poly(field, &coeffs)
+    }
+
+    fn horner(program: &PreparedProgram, points: &[u64]) -> Vec<u64> {
+        points.iter().map(|&x| program.eval(x)).collect()
+    }
+
+    /// `eval_slice` is per-point Horner on full- and partial-orbit slices
+    /// of one to `n` points, at degrees below, at and above the orbit
+    /// length (the last two fold coefficients), and takes the transform
+    /// exactly where its cost model says so.
+    #[test]
+    fn eval_slice_matches_horner_on_orbit_slices() {
+        for field in orbit_fields() {
+            let mut rng = SplitMix64::new(field.modulus());
+            let (mut transforms, mut horners) = (0, 0);
+            for k in [6u32, 9] {
+                let n = 1usize << k;
+                for degree in [n / 2, n, 2 * n + 3] {
+                    let program = random_program(&field, degree, &mut rng);
+                    for (lo, m) in [(0, n), (n / 2, n / 2), (n / 3, n / 4), (5, 2), (n - 1, 1)] {
+                        let points = orbit_slice(&field, k, lo, m);
+                        let transform = m >= 2 && program.transform_pays(m, n);
+                        let what = format!(
+                            "q {}, n {n}, degree {degree}, slice {lo}+{m}",
+                            field.modulus()
+                        );
+                        assert_eq!(program.orbit_run(&points).is_some(), transform, "{what}");
+                        assert_eq!(
+                            program.eval_slice(&points),
+                            horner(&program, &points),
+                            "{what}"
+                        );
+                        *if transform { &mut transforms } else { &mut horners } += 1;
+                    }
+                }
+            }
+            assert!(transforms >= 12 && horners >= 12, "{transforms} transforms, {horners} Horner");
+        }
+    }
+
+    /// Slices that are no run along the plan's orbit, or repeat points,
+    /// take Horner and still get its values.
+    #[test]
+    fn eval_slice_takes_horner_off_the_plan_orbit() {
+        for field in orbit_fields() {
+            let mut rng = SplitMix64::new(field.modulus() ^ 1);
+            let (k, n) = (8, 256usize);
+            let program = random_program(&field, 2 * n, &mut rng);
+            let root = cached_ntt_plan(&field, k).unwrap().root();
+            let a = field.pow(root, 3);
+            let mut off_run = orbit_slice(&field, k, 0, 64);
+            off_run[40] = field.add(off_run[40], 1);
+            let mut unreduced = orbit_slice(&field, k, 0, 64);
+            unreduced[0] += field.modulus();
+            let cases = [
+                ("r = 1", geometric(&field, a, 1, 16)),
+                ("r of order 4 < m", geometric(&field, a, field.pow(root, n as u64 / 4), 16)),
+                ("a = 0", vec![0; 16]),
+                ("r = ω³", geometric(&field, a, field.pow(root, 3), 64)),
+                ("consecutive", (1..=64).collect()),
+                ("longer than the orbit", orbit_slice(&field, k, 7, 2 * n)),
+                ("off the run", off_run),
+                ("unreduced", unreduced),
+            ];
+            for (name, points) in cases {
+                assert!(program.orbit_run(&points).is_none(), "{name}");
+                assert_eq!(program.eval_slice(&points), horner(&program, &points), "{name}");
+            }
+        }
     }
 }

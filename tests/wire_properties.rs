@@ -9,7 +9,7 @@ use camelot::cluster::{
 };
 use camelot::core::PrimeSchedule;
 use camelot::core::{CamelotError, Certificate, PrimeProof};
-use camelot::ff::{RngLike, SplitMix64, MAX_MODULUS};
+use camelot::ff::{next_prime, RngLike, SplitMix64, MAX_MODULUS};
 use camelot::server::{PolyRequest, Request, Response};
 use std::time::Duration;
 
@@ -243,7 +243,7 @@ fn random_frames_roundtrip_exactly() {
             _ => None,
         };
         let task = Task {
-            modulus: 2 + rng.next_u64() % (1 << 40),
+            modulus: next_prime(2 + rng.next_u64() % (1 << 40)),
             nodes,
             node: (rng.next_u64() as usize) % nodes,
             fault,
