@@ -61,7 +61,8 @@ impl<F: Fn(u64) -> u64 + Sync> RoundEval for SingleEval<F> {
 pub struct ProgramEval {
     /// As given: what [`RoundEval::programs`] ships, byte for byte.
     programs: Vec<EvalProgram>,
-    /// The same programs with their constants reduced once, for `eval`.
+    /// The same programs with their constants reduced once, for `eval`
+    /// and `eval_points`.
     prepared: Vec<PreparedProgram>,
 }
 

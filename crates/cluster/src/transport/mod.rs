@@ -163,7 +163,9 @@ impl EvalProgram {
 /// [`PreparedProgram::eval_slice`]: a run of `m` orbit points takes the
 /// length-`n = 2^k` transform when Horner's `m·(d+1)` steps exceed
 /// `ORBIT_NTT_WEIGHT·n·k` plus the `2·(d+1)` of the scaling and the fold.
-/// Fitted on `bench_algebra`'s orbit-slice row at `n = 4096`.
+/// The measured break-even weight is 1.1–1.5 at `n = 2^8 … 2^14`; at 1
+/// the transform is taken a little early, where the two paths are within
+/// a third of each other.
 const ORBIT_NTT_WEIGHT: usize = 1;
 
 /// An [`EvalProgram`] bound to one field with its constants reduced:

@@ -67,7 +67,10 @@ pub trait Evaluate: Sync {
     /// reconstructs the evaluation from the task message alone. The
     /// default `None` restricts rounds to in-process backends — most
     /// proof polynomials are exactly what the cluster is computing, so
-    /// no coordinator could serialize them upfront.
+    /// no coordinator could serialize them upfront. A round whose
+    /// polynomials all have programs evaluates the programs on every
+    /// backend, the in-process one included, so a program must describe
+    /// exactly the polynomial `eval` computes.
     fn program(&self) -> Option<camelot_cluster::EvalProgram> {
         None
     }
