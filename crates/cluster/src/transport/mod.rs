@@ -211,8 +211,8 @@ impl PreparedProgram {
     /// The start `a` and the plan of the ratio `ω` when `points` is a run
     /// `a·ω^j` the transform evaluates for less than Horner does. The
     /// size checks come first, so a slice that cannot pay costs a few
-    /// comparisons, and any other costs an inversion and at most 62
-    /// squarings before the walk along the run.
+    /// comparisons, and one whose ratio has no power-of-two order (every
+    /// consecutive slice) twice as many squarings as 2 divides `q − 1`.
     fn orbit_run(&self, points: &[u64]) -> Option<(u64, Arc<NttPlan>)> {
         let field = &self.field;
         let q = field.modulus();
@@ -225,13 +225,23 @@ impl PreparedProgram {
         if a == 0 || a >= q || b >= q {
             return None;
         }
+        // `b/a` has a power-of-two order exactly when `a` and `b` agree
+        // after `s` squarings, `2^s` the largest power of two dividing
+        // `q − 1`; only then is the inversion worth paying.
+        let s = (q - 1).trailing_zeros();
+        let (mut x, mut y) = (a, b);
+        for _ in 0..s {
+            (x, y) = (field.mul(x, x), field.mul(y, y));
+        }
+        if x != y {
+            return None;
+        }
         let ratio = field.mul(b, field.inv(a));
-        // Its order, when that is a power of two: square until 1, at
-        // most as often as 2 divides q − 1.
+        // Its order `2^k`: square until 1, at most `s` times.
         let mut k = 0;
         let mut power = ratio;
         while power != 1 {
-            if k == (q - 1).trailing_zeros() {
+            if k == s {
                 return None;
             }
             power = field.mul(power, power);
