@@ -7,9 +7,9 @@
 //! slow workers, dropped or truncated frames, garbled bytes, duplicate
 //! delivery, connection resets, and hangs. Both plans are seeded and
 //! deterministic, and both are injected identically by every backend —
-//! the socket backends sabotage real TCP replies worker-side, the
-//! in-process backends simulate the observable outcome — so a chaos run
-//! is bit-reproducible cross-backend.
+//! the socket workers sabotage their real TCP replies, the in-process
+//! bus hands the same sabotaged bytes to the pool's reply drain on a
+//! virtual clock — so a chaos run is bit-reproducible cross-backend.
 //!
 //! Determinism hinges on two rules:
 //!
@@ -257,9 +257,10 @@ impl ChaosPlan {
 /// What a chaos-afflicted worker actually does with its encoded reply —
 /// the *sender-side* resolution of a [`ChaosEffect`], shared verbatim
 /// by the socket workers (which perform it over real TCP) and the
-/// in-process simulation (which maps it to the observable outcome).
+/// in-process bus (which hands what the lane reader would read of it to
+/// the pool's reply drain, at the instant it would arrive).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WorkerAction {
+pub(crate) enum WorkerAction {
     /// Sleep `delay_ms`, then send `copies` copies of `text`.
     Deliver {
         /// The reply bytes to put on the wire.
@@ -292,7 +293,7 @@ pub enum WorkerAction {
 /// delivery-versus-demotion decision compares `millis` against
 /// `deadline_ms` — configured numbers, so every backend agrees.
 #[must_use]
-pub fn worker_action(
+pub(crate) fn worker_action(
     effect: Option<ChaosEffect>,
     deadline_ms: u64,
     modulus: u64,
@@ -327,26 +328,12 @@ pub fn worker_action(
     }
 }
 
-/// The outcome a coordinator observes for an action that never delivers
-/// a parseable reply (`None` for delivering actions) — the in-process
-/// simulation's demotion rule, matching what the socket coordinator's
-/// real timeout/EOF/parse machinery reports for the same action.
-#[must_use]
-pub fn simulated_failure(action: &WorkerAction) -> Option<FailureCause> {
-    match action {
-        WorkerAction::Deliver { .. } => None,
-        WorkerAction::Mute { .. } => Some(FailureCause::Timeout),
-        WorkerAction::Close => Some(FailureCause::Reset),
-        WorkerAction::Partial { .. } => Some(FailureCause::Protocol),
-    }
-}
-
 /// A strict prefix of `wire` cut at a seeded offset, guaranteed to end
 /// strictly before the final `end` line: the receiver always observes a
 /// nonempty message cut mid-frame (a protocol violation), never a clean
 /// boundary EOF and never a complete message.
 #[must_use]
-pub fn truncate_reply(wire: &str, seed: u64) -> String {
+pub(crate) fn truncate_reply(wire: &str, seed: u64) -> String {
     // Keep at least 1 byte (an empty send would look like a clean
     // boundary close, i.e. a Reset) and drop at least the trailing
     // "end\n" (4 bytes) so the message can never be complete.
@@ -433,11 +420,11 @@ mod tests {
         assert_eq!(under, WorkerAction::Deliver { text: reply.clone(), copies: 1, delay_ms: 10 });
         let over = worker_action(Some(ChaosEffect::Delay { millis: 500 }), 300, 97, reply.clone());
         assert_eq!(over, WorkerAction::Mute { sleep_ms: 500 });
-        let hang = worker_action(Some(ChaosEffect::Hang), 300, 97, reply);
+        let hang = worker_action(Some(ChaosEffect::Hang), 300, 97, reply.clone());
         assert_eq!(hang, WorkerAction::Mute { sleep_ms: 300 + HANG_GRACE_MS });
-        assert_eq!(simulated_failure(&under), None);
-        assert_eq!(simulated_failure(&over), Some(FailureCause::Timeout));
-        assert_eq!(simulated_failure(&hang), Some(FailureCause::Timeout));
+        assert_eq!(under.arrival(0), Some((10, 0, Ok(reply))));
+        assert_eq!(over.arrival(0), None, "heard from only after the deadline");
+        assert_eq!(hang.arrival(0), None);
     }
 
     #[test]

@@ -16,12 +16,14 @@
 //! ([`compute_node_frames`]): an equivocator genuinely unicasts a
 //! different frame to every receiver. All backends are bit-identical:
 //! same consensus word, same per-receiver views, same traffic
-//! accounting ([`RoundTraffic`]).
+//! accounting ([`RoundTraffic`]). Under a [`ChaosPlan`] both backends
+//! decide which replies a round takes and which nodes it demotes with
+//! the pool's one reply drain, the in-process bus on a virtual clock.
 //!
 //! The framework claims being exercised are about per-node *work*, code
 //! distance, and decoding — all transport-independent, which is why the
-//! in-process simulation preserves the paper's behaviour exactly and
-//! the other backends must (and do) reproduce it bit for bit.
+//! in-process bus preserves the paper's behaviour exactly and the other
+//! backends must (and do) reproduce it bit for bit.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -34,10 +36,7 @@ mod retry;
 mod round;
 mod transport;
 
-pub use chaos::{
-    garble_reply, simulated_failure, truncate_reply, worker_action, ChaosEffect, ChaosPlan,
-    Demotion, FailureCause, WorkerAction,
-};
+pub use chaos::{garble_reply, ChaosEffect, ChaosPlan, Demotion, FailureCause};
 pub use fault::{
     adversarial_symbol, corrupt_symbol, equivocated_symbol, fault_lane, FaultKind, FaultPlan,
 };

@@ -148,8 +148,8 @@ impl Deadline {
 }
 
 /// Deadline and demotion knobs threaded through every socket-flavoured
-/// transport (and consulted by the in-process chaos simulation for its
-/// delay-versus-deadline decisions).
+/// transport (and through the in-process bus, whose chaos rounds run
+/// the pool's reply drain against the deadline on a virtual clock).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransportTuning {
     /// The I/O deadline: the one deadline a round's replies share, and

@@ -2,12 +2,13 @@
 //! the round takes, which nodes it demotes and why, which nodes the
 //! next round suspects, and when the round is over.
 //!
-//! It does no I/O and reads no clock: the pool's
-//! [`WorkerPool::run_round`] hands it each message a lane's reader
-//! delivers and says when the round's deadline has passed, and the tests
-//! do the same on a virtual clock. It parses and validates every reply
-//! itself, so failures are classified as the in-process chaos
-//! simulation classifies them.
+//! It does no I/O and reads no clock, and both backends drive it: the
+//! pool's [`WorkerPool::run_round`] hands it each message a lane's reader
+//! delivers and says when the round's deadline has passed, and the
+//! in-process bus with a chaos plan hands it the same messages at their
+//! scripted instants on a virtual clock ([`drive_virtual`], which the
+//! tests drive too). It parses and validates every reply itself, so one
+//! implementation classifies failures for every backend.
 //!
 //! # A deadline is spent once
 //!
@@ -224,11 +225,41 @@ impl Drain {
     }
 }
 
+/// Drives `drain` against scripted arrivals `(virtual ms, node, message)`,
+/// as the pool drives it against its reader threads: a wait for what has
+/// arrived takes a message due by now, a wait for the deadline moves the
+/// clock to the next message due by `deadline_ms` or to `deadline_ms`.
+/// Same-instant arrivals are handed over in script order. Returns the
+/// instant the round ended, with the drained round.
+pub(crate) fn drive_virtual(
+    drain: Drain,
+    deadline_ms: u64,
+    mut script: Vec<(u64, usize, Read)>,
+) -> (u64, Result<Drained, TransportError>) {
+    script.sort_by_key(|&(at, ..)| at);
+    let mut script = script.into_iter().peekable();
+    let mut now = 0;
+    let out = drain.drive(|wait| {
+        let due = if wait == Wait::Arrived { now } else { deadline_ms };
+        match script.peek() {
+            Some(&(at, ..)) if at <= due => {
+                now = now.max(at);
+                script.next().map(|(_, node, read)| (node, read))
+            }
+            _ => {
+                now = due;
+                None
+            }
+        }
+    });
+    (now, out)
+}
+
 /// Validates one worker's (untrusted) reply against its task shape
 /// before it reaches the shared assembly, which treats frames as
 /// well-formed: right node id, exactly the assigned slice across all
 /// polynomials, full receiver coverage.
-pub(crate) fn validate_reply(
+fn validate_reply(
     reply: &NodeFrames,
     node: usize,
     nodes: usize,
@@ -283,34 +314,14 @@ mod tests {
     }
 
     /// Drains one round of one point per node against scripted arrivals
-    /// `(virtual ms, node, message)`, as the pool drains it
-    /// against its reader threads: a wait for what has arrived takes a
-    /// message due by now, a wait for the deadline moves the clock to the
-    /// next message due by `D` or to `D`. Same-instant arrivals are handed
-    /// over in script order. Returns the instant the round ended.
+    /// `(virtual ms, node, message)` with the deadline at `D`. Returns the
+    /// instant the round ended.
     fn simulate(
         suspect: &[bool],
         demote: bool,
-        mut script: Vec<(u64, usize, Read)>,
+        script: Vec<(u64, usize, Read)>,
     ) -> (u64, Result<Drained, TransportError>) {
-        script.sort_by_key(|&(at, ..)| at);
-        let mut script = VecDeque::from(script);
-        let mut now = 0;
-        let drain = Drain::new(suspect.len(), 1, demote, suspect.to_vec());
-        let out = drain.drive(|wait| {
-            let due = if wait == Wait::Arrived { now } else { D };
-            match script.front() {
-                Some(&(at, ..)) if at <= due => {
-                    now = now.max(at);
-                    script.pop_front().map(|(_, node, read)| (node, read))
-                }
-                _ => {
-                    now = due;
-                    None
-                }
-            }
-        });
-        (now, out)
+        drive_virtual(Drain::new(suspect.len(), 1, demote, suspect.to_vec()), D, script)
     }
 
     /// When the probe lane's message arrives.
@@ -551,7 +562,7 @@ mod tests {
     }
 
     /// A reply from the wrong node, of the wrong size, or malformed is a
-    /// `Protocol` demotion, as the in-process simulation books it.
+    /// `Protocol` demotion, on every backend.
     #[test]
     fn a_reply_that_does_not_fit_its_task_is_a_protocol_demotion() {
         let script = vec![(1, 0, reply(1)), (1, 1, Ok("camelot-reply v1\nend\n".to_string()))];

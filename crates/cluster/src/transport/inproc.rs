@@ -1,4 +1,4 @@
-//! The in-process simulated bus — the historical default backend.
+//! The in-process bus — the historical default backend.
 //!
 //! Node slices run inside the coordinator, sequentially or on scoped OS
 //! threads; frames are plain in-memory values, so the backend adds zero
@@ -8,19 +8,22 @@
 //! worker does in [`execute_task`](crate::execute_task), so a node
 //! evaluates a program the same way on every backend — by one transform
 //! on a roots-of-unity slice. A round without them evaluates its
-//! closures point by point. Configured chaos is *simulated*: the truthful frames are pushed
-//! through the same sender-side [`worker_action`](crate::worker_action)
-//! resolution the socket workers perform, so outcomes (delivery,
-//! garbled symbols, demotions) are bit-identical to the real-TCP
-//! backends without sleeping on real clocks.
+//! closures point by point.
+//!
+//! With a chaos plan each reply is encoded and sabotaged as a socket
+//! worker sabotages it, and the pool's own reply drain takes what the
+//! lane reader would hand over, at the instant it would, on a virtual
+//! clock: one implementation decides for every backend which replies a
+//! round takes and whom it demotes, and no round sleeps.
 
-use crate::chaos::ChaosPlan;
+use crate::chaos::{worker_action, ChaosPlan};
 use crate::retry::TransportTuning;
 use crate::round::{
     assemble_round, compute_node_frames, node_slice, NodeFrames, ProgramEval, RoundEval,
     RoundOutcome, RoundSpec,
 };
-use crate::transport::{apply_simulated_chaos, check_chaos, Transport, TransportError};
+use crate::transport::drain::{drive_virtual, Drain};
+use crate::transport::{check_chaos, encode_reply, Transport, TransportError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The in-process backend.
@@ -38,15 +41,15 @@ impl InProcess {
         InProcess { parallel, tuning: TransportTuning::default(), chaos: None }
     }
 
-    /// Overrides the transport tuning (the simulation consults the I/O
-    /// deadline for chaos delay-versus-demotion decisions).
+    /// Overrides the transport tuning (a chaos round's drain runs out
+    /// the I/O deadline on its virtual clock).
     #[must_use]
     pub fn with_tuning(mut self, tuning: TransportTuning) -> Self {
         self.tuning = tuning;
         self
     }
 
-    /// Installs a chaos plan to simulate.
+    /// Installs a chaos plan, run through the pool's reply drain.
     #[must_use]
     pub fn with_chaos(mut self, chaos: Option<ChaosPlan>) -> Self {
         self.chaos = chaos;
@@ -149,12 +152,25 @@ impl Transport for InProcess {
                 })
                 .collect()
         };
-        let (frames, demotions) = match &self.chaos {
-            Some(chaos) => {
-                apply_simulated_chaos(spec, eval.width(), self.tuning.deadline_ms(), chaos, frames)
-            }
-            None => (frames, Vec::new()),
+        let width = eval.width();
+        // Without a plan no reply can fail, and none pays for the codec.
+        let Some(chaos) = &self.chaos else {
+            return Ok(assemble_round(spec, width, frames, Vec::new()));
         };
-        Ok(assemble_round(spec, eval.width(), frames, demotions))
+        // Every lane starts trusted: a static plan's silent node is
+        // demoted for `Timeout` whether at the yardstick or the deadline.
+        let deadline_ms = self.tuning.deadline_ms();
+        let script = frames
+            .iter()
+            .enumerate()
+            .filter_map(|(node, frames)| {
+                let reply = encode_reply(frames);
+                worker_action(chaos.effect(node), deadline_ms, spec.field.modulus(), reply)
+                    .arrival(node)
+            })
+            .collect();
+        let drain = Drain::new(e, width, true, vec![false; nodes]);
+        let drained = drive_virtual(drain, deadline_ms, script).1?;
+        Ok(assemble_round(spec, width, drained.frames, drained.demotions))
     }
 }

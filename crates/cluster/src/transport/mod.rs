@@ -3,9 +3,11 @@
 //! A [`Transport`] moves one round's frames between the `K` nodes and
 //! hands back the assembled [`RoundOutcome`]. Two backends ship:
 //!
-//! * [`InProcess`](crate::InProcess) — the historical simulated bus:
+//! * [`InProcess`](crate::InProcess) — the historical in-process bus:
 //!   node slices run in the coordinator (sequentially or on scoped
 //!   threads), zero serialization overhead, bit-identical to the seed;
+//!   a chaos plan runs through the pool's reply drain on a virtual
+//!   clock;
 //! * [`SocketTransport`](crate::SocketTransport) — a pool of long-lived
 //!   loopback TCP workers speaking the line-oriented v1 frame format
 //!   below, either as in-process threads or as spawned `camelot-node`
@@ -45,13 +47,11 @@ pub use inproc::InProcess;
 pub use pool::WorkerPool;
 pub use socket::{serve_worker_loop, SocketTransport, WorkerMode};
 
-use crate::chaos::{
-    simulated_failure, worker_action, ChaosEffect, ChaosPlan, Demotion, FailureCause, WorkerAction,
-};
+use crate::chaos::{ChaosEffect, ChaosPlan};
 use crate::fault::FaultKind;
 use crate::frame::{Frame, FrameError, FrameWriter, Record};
 use crate::retry::TransportTuning;
-use crate::round::{crash_frames, FrameBody, NodeFrames, RoundEval, RoundOutcome, RoundSpec};
+use crate::round::{FrameBody, NodeFrames, RoundEval, RoundOutcome, RoundSpec};
 use camelot_ff::PrimeField;
 use camelot_poly::{cached_ntt_plan, NttPlan};
 use std::fmt;
@@ -324,8 +324,8 @@ pub struct ClusterConfig {
     /// Which broadcast backend rounds run on.
     pub backend: Backend,
     /// Deadline and demotion knobs for the socket-flavoured backends
-    /// (the in-process chaos simulation consults `io_deadline` for its
-    /// delay-versus-deadline decisions).
+    /// (the in-process bus runs a chaos round's drain against
+    /// `io_deadline` on a virtual clock).
     pub tuning: TransportTuning,
     /// Optional transport-level fault injection, applied identically by
     /// every backend.
@@ -580,9 +580,13 @@ impl Task {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let mut points = frame.required("points")?;
-        let lo = points.number()?;
+        let lo: usize = points.number()?;
         let points = points.numbers()?;
         frame.finish()?;
+        // A point's global index `lo + k` must exist.
+        if lo.checked_add(points.len()).is_none() {
+            return Err(FrameError::Bad("points"));
+        }
         if width == 0 || programs.len() != width {
             return Err(FrameError::Bad("program"));
         }
@@ -679,68 +683,6 @@ pub(crate) fn check_chaos(chaos: Option<&ChaosPlan>, nodes: usize) -> Result<(),
         }),
         _ => Ok(()),
     }
-}
-
-/// The in-process simulation of sender-side chaos, run by the
-/// [`InProcess`] backend: each afflicted
-/// node's truthful frames are pushed through the same
-/// [`worker_action`] resolution the socket workers perform over real
-/// TCP, and the observable outcome is reproduced — delivery (via the
-/// real encode/parse/validate path when bytes were touched), or
-/// demotion to a synthesized crash frame with the same
-/// [`FailureCause`](crate::FailureCause) the worker pool's reply drain
-/// books for a silent, closed or malformed lane. Within-deadline delays
-/// deliver without sleeping (the delay is real wall time only on
-/// sockets; round *outcomes* are bit-identical either way).
-pub(crate) fn apply_simulated_chaos(
-    spec: &RoundSpec<'_>,
-    width: usize,
-    deadline_ms: u64,
-    chaos: &ChaosPlan,
-    frames: Vec<NodeFrames>,
-) -> (Vec<NodeFrames>, Vec<Demotion>) {
-    let nodes = spec.plan.nodes();
-    let num_points = spec.points.len();
-    let mut out = Vec::with_capacity(frames.len());
-    let mut demotions = Vec::new();
-    let mut demote = |node: usize, cause, out: &mut Vec<NodeFrames>| {
-        demotions.push(Demotion { node, cause });
-        out.push(crash_frames(num_points, nodes, node, width));
-    };
-    for frame in frames {
-        let node = frame.node;
-        let Some(effect) = chaos.effect(node) else {
-            out.push(frame);
-            continue;
-        };
-        match effect {
-            // Effects that deliver the truthful bytes unchanged skip
-            // the encode/parse round-trip (lossless per the round-trip
-            // tests): a within-deadline delay, and a duplicate whose
-            // first copy wins.
-            ChaosEffect::Delay { millis } if millis <= deadline_ms => out.push(frame),
-            ChaosEffect::Duplicate => out.push(frame),
-            _ => {
-                let text = encode_reply(&frame);
-                let action = worker_action(Some(effect), deadline_ms, spec.field.modulus(), text);
-                let delivered = match (simulated_failure(&action), &action) {
-                    (Some(cause), _) => Err(cause),
-                    (None, WorkerAction::Deliver { text, .. }) => parse_reply(text)
-                        .and_then(|reply| {
-                            drain::validate_reply(&reply, node, nodes, num_points, width)
-                                .map(|()| reply)
-                        })
-                        .map_err(|_| FailureCause::Protocol),
-                    (None, _) => Err(FailureCause::Protocol),
-                };
-                match delivered {
-                    Ok(reply) => out.push(reply),
-                    Err(cause) => demote(node, cause, &mut out),
-                }
-            }
-        }
-    }
-    (out, demotions)
 }
 
 /// The (symbols broadcast, frame bytes) cost of one node's frames in
@@ -857,6 +799,7 @@ mod tests {
             "camelot-task v1\nfield 97\ncluster 2\nnode 0\nwidth 1\nfault corrupt\nprogram 0 poly 1\npoints 0 1\nend\n",
             "camelot-task v1\nfield 4611686018427387904\ncluster 2\nnode 0\nwidth 1\nfault honest\nprogram 0 poly 1\npoints 0 1\nend\n",
             "camelot-task v1\nfield 1000001\ncluster 2\nnode 0\nwidth 1\nfault honest\nprogram 0 poly 1\npoints 0 1\nend\n",
+            "camelot-task v1\nfield 97\ncluster 2\nnode 0\nwidth 1\nfault corrupt 1\nprogram 0 poly 1\npoints 18446744073709551615 1 2\nend\n",
             "camelot-reply v1\nend\n",
             "camelot-reply v1\nnode 0\nevals 1\nnanos 5\nframe all 1\nframe 1 2\nend\n",
             "camelot-reply v1\nnode 0\nevals 1\nnanos 5\nframe all 1 2\nframe 0 9\nframe 1 8\nend\n",

@@ -36,8 +36,8 @@ use crate::retry::{Deadline, TransportTuning};
 use crate::round::{NodeFrames, RoundSpec};
 use crate::transport::drain::{Drain, Read, Wait};
 use crate::transport::socket::{
-    accept_with_deadline, io_err, read_message_or_eof, reap_child, serve_worker_loop,
-    task_for_node, WorkerMode, LANE_BUFFER,
+    accept_with_deadline, io_err, read_reply, reap_child, serve_worker_loop, task_for_node,
+    WorkerMode, LANE_BUFFER,
 };
 use crate::transport::{
     control_frame, EvalProgram, TransportError, PING_HEADER, PONG_HEADER, SHUTDOWN_HEADER,
@@ -114,13 +114,7 @@ struct Arrival {
 fn read_lane(stream: TcpStream, node: usize, generation: u64, inbox: &Sender<Arrival>) {
     let mut reader = BufReader::with_capacity(LANE_BUFFER, stream);
     for seq in 0.. {
-        let read = read_message_or_eof(&mut reader).and_then(|text| {
-            // Clean close at a message boundary: the worker dropped its
-            // frame, reset the connection, or exited.
-            text.ok_or_else(|| TransportError::Io {
-                reason: format!("worker {node} closed before replying"),
-            })
-        });
+        let read = read_reply(&mut reader, node);
         let ended = read.is_err();
         if inbox.send(Arrival { node, generation, seq, read }).is_err() || ended {
             return;
@@ -592,6 +586,7 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::socket::read_message_or_eof;
     use crate::transport::{encode_reply, execute_task, Task};
     use crate::{FaultPlan, RoundSpec};
     use camelot_ff::PrimeField;

@@ -25,12 +25,13 @@ use crate::chaos::{worker_action, ChaosEffect, ChaosPlan, WorkerAction};
 use crate::frame::read_frame;
 use crate::retry::{Deadline, TransportTuning};
 use crate::round::{assemble_round, node_slice, RoundEval, RoundOutcome, RoundSpec};
+use crate::transport::drain::Read;
 use crate::transport::pool::WorkerPool;
 use crate::transport::{
     check_chaos, control_frame, encode_reply, execute_task, EvalProgram, Task, Transport,
     TransportError, PING_HEADER, PONG_HEADER, SHUTDOWN_HEADER,
 };
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read as _, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, ExitStatus};
@@ -187,10 +188,18 @@ pub(crate) fn read_message_or_eof<R: BufRead>(
     reader: &mut R,
 ) -> Result<Option<String>, TransportError> {
     read_frame(reader).map_err(|e| match e.kind() {
-        // A message cut short is the sender's protocol violation, as
-        // the in-process chaos simulation classifies a truncation.
+        // A message cut short is the sender's protocol violation.
         ErrorKind::UnexpectedEof => TransportError::Protocol { reason: e.to_string() },
         _ => io_err("reading message", &e),
+    })
+}
+
+/// Reads lane `node`'s next message as the coordinator's reader does. A
+/// clean close at a message boundary is an I/O failure: the worker
+/// dropped its frame, reset the connection, or exited.
+pub(crate) fn read_reply<R: BufRead>(reader: &mut R, node: usize) -> Read {
+    read_message_or_eof(reader)?.ok_or_else(|| TransportError::Io {
+        reason: format!("worker {node} closed before replying"),
     })
 }
 
@@ -228,6 +237,24 @@ fn perform_action(stream: &mut TcpStream, action: WorkerAction) -> Result<bool, 
                 .map_err(|e| io_err("writing partial reply", &e))?;
             Ok(false)
         }
+    }
+}
+
+impl WorkerAction {
+    /// What node `node`'s lane reader hands the drain when the worker
+    /// performs this action, and when, in milliseconds after the task
+    /// went out: the bytes the worker puts on the wire, read as the
+    /// reader reads them. A delivery arrives after its delay (a spare
+    /// copy is never taken), a close or a cut at once, and a mute worker
+    /// never.
+    pub(crate) fn arrival(self, node: usize) -> Option<(u64, usize, Read)> {
+        let (at, bytes) = match self {
+            WorkerAction::Deliver { text, delay_ms, .. } => (delay_ms, text),
+            WorkerAction::Mute { .. } => return None,
+            WorkerAction::Close => (0, String::new()),
+            WorkerAction::Partial { text } => (0, text),
+        };
+        Some((at, node, read_reply(&mut bytes.as_bytes(), node)))
     }
 }
 
