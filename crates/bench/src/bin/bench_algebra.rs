@@ -3,9 +3,7 @@
 //!
 //! * field slice kernels in isolation (Melem/s): per-element scalar
 //!   loops vs the chunked slice kernels of `camelot-ff` (Barrett
-//!   `mul_slice`, Shoup `mul_shoup_slice`, blocked batch inversion),
-//!   plus a scoped-thread split of the Shoup kernel under the process
-//!   thread budget;
+//!   `mul_slice`, blocked batch inversion);
 //! * consecutive-point Reed–Solomon code: encode (Horner baseline vs
 //!   subproduct-tree dispatch), interpolation (Newton baseline vs tree),
 //!   full Gao decode with a per-phase breakdown, and the same word
@@ -43,9 +41,8 @@
 //! engine runs on. Every decode is checked before it is timed: it must
 //! return the planted message and exactly the planted error positions,
 //! so the smoke runs check the answers of every decode path at those
-//! primes. Every per-length row records the thread budget the
-//! NTT/decode paths ran under (`CAMELOT_THREADS`, defaulting to the
-//! machine parallelism).
+//! primes. Every row runs on one thread: the algebra never splits an
+//! operation across threads, so `CAMELOT_THREADS` changes nothing here.
 //!
 //! Quadratic baselines (Horner, Newton, classical xgcd) and the whole
 //! smallest-prime block are skipped above `2^14` — their columns read
@@ -68,7 +65,7 @@
 use camelot_bench::{fmt_duration, Table};
 use camelot_cluster::{node_slice, PreparedProgram};
 use camelot_core::{prime_floor, ProofSpec};
-use camelot_ff::{next_prime, ntt_prime, thread_budget, PrimeField, RngLike, SplitMix64};
+use camelot_ff::{next_prime, ntt_prime, PrimeField, RngLike, SplitMix64};
 use camelot_linalg::{MatMulTensor, YatesPlan};
 use camelot_partition::Shape;
 use camelot_poly::{
@@ -266,13 +263,12 @@ fn kernel_bench(field: &PrimeField, samples: usize, rng: &mut SplitMix64) -> Str
     // Nonzero inputs so batch inversion never hits the zero short-circuit.
     let mut acc: Vec<u64> = (0..len).map(|_| 1 + rng.next_u64() % (q - 1)).collect();
     let b: Vec<u64> = (0..len).map(|_| 1 + rng.next_u64() % (q - 1)).collect();
-    let bs: Vec<u64> = b.iter().map(|&c| field.shoup_precompute(c)).collect();
 
     // The textbook per-element reduction — `(a as u128 * b as u128) % q`
-    // via hardware 128-bit division — is the baseline the Barrett/Shoup
+    // via hardware 128-bit division — is the baseline the Barrett
     // kernels were built to displace (camelot-lint bans `%` from hot
-    // regions); the scalar columns below are the already-branchless
-    // `PrimeField::mul` / `mul_shoup` loops.
+    // regions); the scalar column below is the already-branchless
+    // `PrimeField::mul` loop.
     let t_mul_mod = best_of(samples, || {
         for (a, &c) in acc.iter_mut().zip(&b) {
             *a = ((u128::from(*a) * u128::from(c)) % u128::from(q)) as u64;
@@ -284,30 +280,6 @@ fn kernel_bench(field: &PrimeField, samples: usize, rng: &mut SplitMix64) -> Str
         }
     });
     let t_mul_slice = best_of(samples, || field.mul_slice(&mut acc, &b));
-    let t_shoup_scalar = best_of(samples, || {
-        for ((a, &c), &cs) in acc.iter_mut().zip(&b).zip(&bs) {
-            *a = field.mul_shoup(*a, c, cs);
-        }
-    });
-    let t_shoup_slice = best_of(samples, || field.mul_shoup_slice(&mut acc, &b, &bs));
-    // The Shoup kernel split across scoped threads under the process
-    // budget — the same decomposition the NTT butterfly passes use.
-    let workers = thread_budget().max(1);
-    let chunk = len.div_ceil(workers);
-    let t_shoup_threaded = best_of(samples, || {
-        if workers < 2 {
-            // A budget of one means no split anywhere in the stack —
-            // measure the kernel itself rather than spawn overhead.
-            field.mul_shoup_slice(&mut acc, &b, &bs);
-        } else {
-            std::thread::scope(|s| {
-                for ((a, c), cs) in acc.chunks_mut(chunk).zip(b.chunks(chunk)).zip(bs.chunks(chunk))
-                {
-                    s.spawn(move || field.mul_shoup_slice(a, c, cs));
-                }
-            });
-        }
-    });
     let t_inv_batch = best_of(samples, || field.inv_batch(&mut acc));
     let t_inv_blocked = best_of(samples, || field.inv_batch_blocked(&mut acc));
 
@@ -322,46 +294,26 @@ fn kernel_bench(field: &PrimeField, samples: usize, rng: &mut SplitMix64) -> Str
     };
     row(&mut table, "mod loop -> mul_slice", t_mul_mod, t_mul_slice);
     row(&mut table, "scalar mul -> mul_slice", t_mul_scalar, t_mul_slice);
-    row(&mut table, "mod loop -> mul_shoup_slice", t_mul_mod, t_shoup_slice);
-    row(&mut table, "scalar shoup -> mul_shoup_slice", t_shoup_scalar, t_shoup_slice);
-    row(
-        &mut table,
-        &format!("mul_shoup_slice x{workers} threads"),
-        t_shoup_scalar,
-        t_shoup_threaded,
-    );
     row(&mut table, "inv_batch -> blocked", t_inv_batch, t_inv_blocked);
     table.print("field slice kernels (vs textbook `%` loop and per-element scalar loops)");
 
     format!(
         concat!(
-            "  \"kernels\": {{\"elements\": {}, \"threads\": {},\n",
+            "  \"kernels\": {{\"elements\": {},\n",
             "    \"baseline_note\": \"mod_loop is the textbook (a*b) % q u128-division loop; ",
-            "scalar columns are per-element loops of the branchless Barrett/Shoup field ops\",\n",
+            "scalar columns are per-element loops of the branchless Barrett field ops\",\n",
             "    \"mul\": {{\"mod_loop_melem_s\": {:.2}, \"scalar_melem_s\": {:.2}, ",
             "\"slice_melem_s\": {:.2}, ",
             "\"slice_speedup_vs_mod_loop\": {:.2}, \"slice_speedup_vs_scalar_mul\": {:.2}}},\n",
-            "    \"mul_shoup\": {{\"scalar_melem_s\": {:.2}, \"slice_melem_s\": {:.2}, ",
-            "\"threaded_melem_s\": {:.2}, ",
-            "\"slice_speedup_vs_mod_loop\": {:.2}, ",
-            "\"slice_speedup_vs_scalar_mul_shoup\": {:.2}, ",
-            "\"slice_speedup_vs_scalar_barrett_mul\": {:.2}}},\n",
             "    \"inv\": {{\"batch_melem_s\": {:.2}, \"batch_blocked_melem_s\": {:.2}, ",
             "\"blocked_speedup\": {:.2}}}}}"
         ),
         len,
-        workers,
         melem_s(len, t_mul_mod),
         melem_s(len, t_mul_scalar),
         melem_s(len, t_mul_slice),
         speedup(t_mul_mod, t_mul_slice),
         speedup(t_mul_scalar, t_mul_slice),
-        melem_s(len, t_shoup_scalar),
-        melem_s(len, t_shoup_slice),
-        melem_s(len, t_shoup_threaded),
-        speedup(t_mul_mod, t_shoup_slice),
-        speedup(t_shoup_scalar, t_shoup_slice),
-        speedup(t_mul_scalar, t_shoup_slice),
         melem_s(len, t_inv_batch),
         melem_s(len, t_inv_blocked),
         speedup(t_inv_batch, t_inv_blocked),
@@ -575,7 +527,6 @@ fn main() {
     if let Some(crossover) = args.hgcd_crossover {
         set_hgcd_crossover(crossover);
     }
-    let threads = thread_budget().max(1);
     let kernel_field =
         PrimeField::new(ntt_prime(engine_floor(1 << KERNEL_LOG), KERNEL_LOG + 1).0).unwrap();
     let kernels = kernel_bench(&kernel_field, args.samples, &mut SplitMix64::new(0xCA_FE_F0_0D));
@@ -585,8 +536,8 @@ fn main() {
     // `+era` is the column to its left decoded again with symbols
     // erased; `5/8` is the partial-orbit code.
     let mut table = Table::new(&[
-        "len", "prime", "thr", "enc tree", "x", "enc NTT", "x", "int tree", "x", "dec tree",
-        "+era", "dec NTT", "~int", "~xgcd", "~reenc", "+era", "dec 5/8", "+era", "xgcd x",
+        "len", "prime", "enc tree", "x", "enc NTT", "x", "int tree", "x", "dec tree", "+era",
+        "dec NTT", "~int", "~xgcd", "~reenc", "+era", "dec 5/8", "+era", "xgcd x",
     ]);
 
     for log in args.min_log..=args.max_log {
@@ -683,7 +634,6 @@ fn main() {
         table.row(&[
             e.to_string(),
             q.to_string(),
-            threads.to_string(),
             fmt_duration(t_enc_tree),
             t_speedup(t_enc_naive, t_enc_tree),
             fmt_duration(t_enc_ntt),
@@ -703,8 +653,7 @@ fn main() {
         ]);
         rows.push(format!(
             concat!(
-                "    {{\"log2_len\": {}, \"len\": {}, \"prime\": {}, \"degree\": {}, ",
-                "\"threads\": {},\n",
+                "    {{\"log2_len\": {}, \"len\": {}, \"prime\": {}, \"degree\": {},\n",
                 "     \"consecutive\": {{",
                 "\"encode_horner_us\": {}, \"encode_tree_us\": {:.2}, ",
                 "\"encode_speedup\": {}, ",
@@ -723,7 +672,6 @@ fn main() {
             e,
             q,
             d,
-            threads,
             j_us(t_enc_naive),
             us(t_enc_tree),
             j_speedup(t_enc_naive, t_enc_tree),
@@ -754,7 +702,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"camelot-bench-algebra/v9\",\n",
+            "  \"schema\": \"camelot-bench-algebra/v10\",\n",
             "  \"description\": \"Field slice-kernel throughput (Melem/s, chunked vs per-element ",
             "scalar loops), the per-point building blocks of the catalogue evaluators (ns per ",
             "call, each beside what it replaced; orbit_slice is one node's slice of the 4096 ",
@@ -773,11 +721,10 @@ fn main() {
             "partial_orbit is a roots-of-unity code on 5/8 of the 2^log2_len orbit at half the ",
             "orbit's degree, the shape of bench_e2e's poly_faulted_fulldecode, its erasures one ",
             "contiguous sixteenth of the code; quadratic baselines are null above ",
-            "2^14; threads is the CAMELOT_THREADS budget the NTT/decode paths ran under)\",\n",
+            "2^14; every row runs on one thread)\",\n",
             "  \"prime_schedule\": \"smallest q >= 2^61 (the engine's prime_floor) with ",
             "q = 1 mod 2^(log2_len+1); consecutive_smallest: smallest prime q >= 2^61\",\n",
             "  \"samples\": {},\n",
-            "  \"threads\": {},\n",
             "  \"timer\": \"best-of-samples wall clock, release build\",\n",
             "{},\n",
             "{},\n",
@@ -785,7 +732,6 @@ fn main() {
             "}}\n"
         ),
         args.samples,
-        threads,
         kernels,
         evaluators,
         rows.join(",\n")

@@ -28,7 +28,7 @@ use camelot_cluster::{
     sibling_worker_binary, EvalProgram, FaultKind, FaultPlan, InProcess, ProgramEval, RoundOutcome,
     RoundSpec, SocketTransport, Transport, WorkerMode,
 };
-use camelot_core::{Engine, EngineConfig, RunReport};
+use camelot_core::{Engine, EngineConfig};
 use camelot_ff::{PrimeField, SplitMix64};
 use camelot_graph::{count_triangles, gen};
 use camelot_triangles::TriangleCount;
@@ -155,12 +155,21 @@ fn engine_batch_experiment(args: &Args, batch: usize) {
     let outcomes = engine.run_batch(&problems).expect("batched run");
     let elapsed = start.elapsed();
 
-    // One reporting path for every experiment: the traffic columns come
-    // from RunReport itself.
-    let mut headers = vec!["problem", "triangles"];
-    headers.extend(RunReport::traffic_headers());
-    headers.extend(["decode", "xgcd"]);
-    let mut table = Table::new(&headers);
+    let mut table = Table::new(&[
+        "problem",
+        "triangles",
+        "rounds",
+        "coalesced",
+        "cache hits",
+        "symbols",
+        "bytes on wire",
+        "erasures",
+        "errors",
+        "retries",
+        "degraded",
+        "decode",
+        "xgcd",
+    ]);
     for (i, (outcome, graph)) in outcomes.iter().zip(&graphs).enumerate() {
         assert_eq!(outcome.output, count_triangles(graph), "batched output diverged");
         assert_eq!(
@@ -172,13 +181,22 @@ fn engine_batch_experiment(args: &Args, batch: usize) {
             outcome.report.coalesced_requests, batch,
             "every batch member must report the shared admission size"
         );
-        let mut row = vec![i.to_string(), outcome.output.to_string()];
-        row.extend(outcome.report.traffic_cells());
-        row.extend([
-            fmt_duration(outcome.report.decode_time),
-            fmt_duration(outcome.report.xgcd_time),
+        let report = &outcome.report;
+        table.row(&[
+            i.to_string(),
+            outcome.output.to_string(),
+            report.rounds.to_string(),
+            report.coalesced_requests.to_string(),
+            report.cache_hits.to_string(),
+            report.symbols_broadcast.to_string(),
+            report.bytes_on_wire.to_string(),
+            report.erasures_seen.to_string(),
+            report.errors_corrected.to_string(),
+            report.retries.to_string(),
+            report.degraded.to_string(),
+            fmt_duration(report.decode_time),
+            fmt_duration(report.xgcd_time),
         ]);
-        table.row(&row);
     }
     table.print(&format!(
         "G1: Engine::run_batch of {batch} problems on the threaded in-process bus ({}, shared \

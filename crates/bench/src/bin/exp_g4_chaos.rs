@@ -28,12 +28,12 @@
 //! (default all).
 
 use camelot_bench::{fmt_duration, Table};
-use camelot_cluster::{Backend, ChaosPlan, EvalProgram, FailureCause, TransportTuning, WorkerMode};
+use camelot_cluster::{Backend, ChaosPlan, FailureCause, TransportTuning, WorkerMode};
 use camelot_core::{
-    CamelotError, CamelotOutcome, CamelotProblem, Engine, EngineConfig, Evaluate, PrimeProof,
-    ProofSpec, RecoveryPolicy,
+    CamelotError, CamelotOutcome, CamelotProblem, Engine, EngineConfig, PrimeSchedule,
+    RecoveryPolicy,
 };
-use camelot_ff::{crt_u, PrimeField, Residue};
+use camelot_server::{PolyRequest, ServicePoly};
 use std::time::{Duration, Instant};
 
 struct Args {
@@ -80,47 +80,17 @@ fn parse_args() -> Args {
     args
 }
 
-/// A wire-expressible problem (explicit polynomial coefficients), so
-/// the round runs identically on socket workers; the recovered answer
-/// is `P(0)` over the integers.
-struct WirePoly {
-    coeffs: Vec<u64>,
-}
-
-struct WirePolyEval {
-    field: PrimeField,
-    coeffs: Vec<u64>,
-}
-
-impl Evaluate for WirePolyEval {
-    fn eval(&self, x0: u64) -> u64 {
-        EvalProgram::Poly(self.coeffs.clone()).eval(&self.field, x0)
-    }
-
-    fn program(&self) -> Option<EvalProgram> {
-        Some(EvalProgram::Poly(self.coeffs.clone()))
-    }
-}
-
-impl CamelotProblem for WirePoly {
-    type Output = u128;
-
-    fn spec(&self) -> ProofSpec {
-        ProofSpec::new(self.coeffs.len() - 1, 1 << 20, 64)
-    }
-
-    fn evaluator<'a>(&'a self, field: &PrimeField) -> Box<dyn Evaluate + 'a> {
-        let coeffs = self.coeffs.iter().map(|&c| field.reduce(c)).collect();
-        Box::new(WirePolyEval { field: *field, coeffs })
-    }
-
-    fn recover(&self, proofs: &[PrimeProof]) -> Result<u128, CamelotError> {
-        let residues: Vec<Residue> =
-            proofs.iter().map(|p| Residue { modulus: p.modulus, value: p.eval(0) }).collect();
-        crt_u(&residues)
-            .to_u128()
-            .ok_or_else(|| CamelotError::RecoveryFailed { reason: "value exceeded u128".into() })
-    }
+/// A wire-expressible problem: the proof polynomial `P` as explicit
+/// coefficients, so socket workers rebuild it from the task message
+/// alone; the answer is `P(0)` over the integers.
+fn wire_poly(coefficients: Vec<u64>) -> ServicePoly {
+    ServicePoly(PolyRequest {
+        coefficients,
+        sum_count: 1,
+        value_bits: 64,
+        min_modulus: 1 << 20,
+        schedule: PrimeSchedule::Smallest,
+    })
 }
 
 fn backend_names(selected: &str) -> Vec<&'static str> {
@@ -139,7 +109,7 @@ fn run_backend(
     fault_tolerance: usize,
     chaos: &ChaosPlan,
     tuning: &TransportTuning,
-    problem: &WirePoly,
+    problem: &ServicePoly,
 ) -> Result<CamelotOutcome<u128>, CamelotError> {
     let config = EngineConfig::sequential(args.nodes, fault_tolerance)
         .with_tuning(tuning.clone())
@@ -155,7 +125,7 @@ fn run_backend(
 
 fn main() {
     let args = parse_args();
-    let problem = WirePoly { coeffs: vec![271_828_182, 8, 4, 5] };
+    let problem = wire_poly(vec![271_828_182, 8, 4, 5]);
     let degree = problem.spec().degree_bound;
     // One point per node by default: e = d + 1 + 2f = nodes.
     let fault_tolerance =
@@ -186,7 +156,7 @@ fn main() {
                 Ok(outcome) => {
                     assert_eq!(
                         outcome.output,
-                        u128::from(problem.coeffs[0]),
+                        u128::from(problem.0.coefficients[0]),
                         "{name} at {rate}%: chaos corrupted the recovered answer"
                     );
                     let report = &outcome.report;

@@ -40,7 +40,7 @@ pub use chaos::{garble_reply, ChaosEffect, ChaosPlan, Demotion, FailureCause};
 pub use fault::{
     adversarial_symbol, corrupt_symbol, equivocated_symbol, fault_lane, FaultKind, FaultPlan,
 };
-pub use retry::{env_io_deadline, Deadline, RetryPolicy, TransportTuning, SOCKET_TIMEOUT_ENV};
+pub use retry::{env_io_deadline, Deadline, TransportTuning, SOCKET_TIMEOUT_ENV};
 pub use round::{
     assemble_round, assign_points, compute_node_frames, node_slice, Broadcast, FrameBody,
     NodeFrames, NodeStats, ProgramEval, RoundEval, RoundOutcome, RoundSpec, RoundTraffic,

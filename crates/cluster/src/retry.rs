@@ -1,18 +1,14 @@
-//! Deadlines, retry budgets, and transport tuning.
+//! Deadlines and transport tuning.
 //!
 //! The paper's fault model (§1.1, footnote 7) is about *what* a node
 //! sends; this module is about *when*. A real congested-clique round
 //! has to bound every wait on a socket (a hung worker must not stall
-//! the round), budget a client's retries (a failed request deserves
-//! another attempt, with backoff), and make both knobs configurable
-//! instead of hardcoding the historical 60 s `SOCKET_TIMEOUT`.
-//! Everything here is deterministic: backoff jitter is seeded
-//! ([`SplitMix64`]), and the chaos layer ([`crate::ChaosPlan`]) decides
-//! delivery-versus-demotion by comparing *configured* numbers (delay
-//! vs. deadline), never wall clock — which is what keeps chaos runs
-//! bit-reproducible across backends.
+//! the round), and that bound is configurable instead of hardcoding the
+//! historical 60 s `SOCKET_TIMEOUT`. The chaos layer
+//! ([`crate::ChaosPlan`]) decides delivery-versus-demotion by comparing
+//! *configured* numbers (delay vs. deadline), never wall clock — which
+//! is what keeps chaos runs bit-reproducible across backends.
 
-use camelot_ff::{RngLike, SplitMix64};
 use std::time::{Duration, Instant};
 
 /// Environment variable overriding the default socket/pool I/O deadline
@@ -24,96 +20,11 @@ pub const SOCKET_TIMEOUT_ENV: &str = "CAMELOT_SOCKET_TIMEOUT_MS";
 /// milliseconds; this only bounds pathological hangs).
 const DEFAULT_IO_DEADLINE: Duration = Duration::from_secs(60);
 
-/// Default seed for backoff jitter (arbitrary fixed constant so default
-/// policies are reproducible).
-const DEFAULT_JITTER_SEED: u64 = 0x00BA_C0FF_5EED;
-
-/// A retry budget with exponential backoff and seeded jitter.
-///
-/// `attempts` counts *total* tries: `1` means "no retries". The sleep
-/// before retry `r` (0-indexed) is `min(max, base · 2^r)` plus a seeded
-/// jitter of at most half of `base` — deterministic for a given
-/// `jitter_seed`, so two runs of the same configuration back off
-/// identically.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempt budget (minimum 1; 1 = no retries).
-    pub attempts: u32,
-    /// First backoff step.
-    pub base: Duration,
-    /// Backoff ceiling.
-    pub max: Duration,
-    /// Seed for the deterministic jitter stream.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
-    }
-}
-
-impl RetryPolicy {
-    /// No retries: a single attempt.
-    #[must_use]
-    pub fn none() -> Self {
-        RetryPolicy {
-            attempts: 1,
-            base: Duration::from_millis(10),
-            max: Duration::from_secs(1),
-            jitter_seed: DEFAULT_JITTER_SEED,
-        }
-    }
-
-    /// A budget of `attempts` total tries with the default backoff
-    /// shape (10 ms base, 1 s ceiling).
-    #[must_use]
-    pub fn with_attempts(attempts: u32) -> Self {
-        RetryPolicy { attempts: attempts.max(1), ..RetryPolicy::none() }
-    }
-
-    /// Overrides the backoff shape.
-    #[must_use]
-    pub fn with_backoff(mut self, base: Duration, max: Duration) -> Self {
-        self.base = base;
-        self.max = max;
-        self
-    }
-
-    /// Overrides the jitter seed.
-    #[must_use]
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-
-    /// How many retries remain after the first attempt.
-    #[must_use]
-    pub fn retries(&self) -> u32 {
-        self.attempts.saturating_sub(1)
-    }
-
-    /// The sleep before retry `retry` (0-indexed): capped exponential
-    /// backoff plus deterministic jitter.
-    #[must_use]
-    pub fn backoff(&self, retry: u32) -> Duration {
-        let factor = 1u32.checked_shl(retry.min(20)).unwrap_or(u32::MAX);
-        let stepped = self.base.saturating_mul(factor).min(self.max);
-        let half_base_ms = u64::try_from(self.base.as_millis() / 2).unwrap_or(u64::MAX);
-        let jitter_ms = if half_base_ms == 0 {
-            0
-        } else {
-            let mut rng = SplitMix64::new(self.jitter_seed ^ u64::from(retry));
-            rng.next_u64() % (half_base_ms + 1)
-        };
-        stepped.saturating_add(Duration::from_millis(jitter_ms))
-    }
-}
-
 /// A wall-clock deadline: "this operation must finish by `end`".
 ///
-/// Used where real time genuinely governs (client request budgets, the
-/// accept loop); round-level chaos decisions never consult it — they
+/// Used where real time genuinely governs (a round's reply wait, a
+/// worker handshake, the grace before a stuck worker is killed);
+/// round-level chaos decisions never consult it — they
 /// compare configured numbers so all backends agree bit for bit.
 #[derive(Clone, Copy, Debug)]
 pub struct Deadline {
@@ -214,32 +125,6 @@ fn parse_io_deadline(var: Option<&str>) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_is_deterministic_and_capped() {
-        let policy = RetryPolicy::with_attempts(5)
-            .with_backoff(Duration::from_millis(10), Duration::from_millis(80));
-        assert_eq!(policy.retries(), 4);
-        let a: Vec<Duration> = (0..6).map(|r| policy.backoff(r)).collect();
-        let b: Vec<Duration> = (0..6).map(|r| policy.backoff(r)).collect();
-        assert_eq!(a, b, "jitter must be seeded, not random");
-        for (r, d) in a.iter().enumerate() {
-            let step = Duration::from_millis(10 << r.min(3));
-            assert!(*d >= step.min(Duration::from_millis(80)), "retry {r}: {d:?}");
-            assert!(*d <= Duration::from_millis(80 + 5), "retry {r}: {d:?} over cap+jitter");
-        }
-        let other = policy.clone().with_jitter_seed(99);
-        assert!((0..6).any(|r| other.backoff(r) != policy.backoff(r)) || policy.base.is_zero());
-    }
-
-    #[test]
-    fn huge_retry_indices_do_not_overflow() {
-        let policy = RetryPolicy::with_attempts(2)
-            .with_backoff(Duration::from_secs(3600), Duration::from_secs(7200));
-        let d = policy.backoff(u32::MAX);
-        assert!(d >= Duration::from_secs(7200), "cap reached: {d:?}");
-        assert!(d <= Duration::from_secs(7200 + 1800), "cap plus half-base jitter: {d:?}");
-    }
 
     #[test]
     fn deadline_expires_and_unbounded_never_does() {

@@ -19,11 +19,10 @@ use camelot_cluster::{
     Backend, Broadcast, ChaosPlan, ClusterConfig, Demotion, EvalProgram, FaultPlan, RoundEval,
     RoundSpec, Transport, TransportTuning,
 };
-use camelot_ff::{
-    is_prime_u64, ntt_prime, primes_above, worker_count, PrimeField, SplitMix64, MAX_MODULUS,
-};
+use camelot_ff::{is_prime_u64, worker_count, PrimeField, SplitMix64, MAX_MODULUS};
 use camelot_rscode::RsCode;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -206,12 +205,13 @@ impl EngineConfig {
 
     /// The prime moduli this configuration derives for a spec and code
     /// length.
+    ///
+    /// # Panics
+    ///
+    /// As [`choose_primes`].
     #[must_use]
     pub fn primes_for(&self, spec: &ProofSpec, code_len: usize) -> Vec<u64> {
-        match self.prime_schedule {
-            PrimeSchedule::Smallest => choose_primes(spec, code_len),
-            PrimeSchedule::NttFriendly => choose_primes_ntt(spec, code_len),
-        }
+        accumulate_primes(spec, code_len, self.prime_schedule).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -308,44 +308,6 @@ pub struct RunReport {
     pub demotions: Vec<Demotion>,
 }
 
-impl RunReport {
-    /// Column headers matching [`RunReport::traffic_cells`] — the shared
-    /// rounds/coalescing/traffic reporting path used by every experiment
-    /// table.
-    #[must_use]
-    pub fn traffic_headers() -> [&'static str; 9] {
-        [
-            "rounds",
-            "coalesced",
-            "cache hits",
-            "symbols",
-            "bytes on wire",
-            "erasures",
-            "errors",
-            "retries",
-            "degraded",
-        ]
-    }
-
-    /// The round/coalescing/cache/traffic/recovery counters of this
-    /// report, formatted for one table row (same order as
-    /// [`RunReport::traffic_headers`]).
-    #[must_use]
-    pub fn traffic_cells(&self) -> [String; 9] {
-        [
-            self.rounds.to_string(),
-            self.coalesced_requests.to_string(),
-            self.cache_hits.to_string(),
-            self.symbols_broadcast.to_string(),
-            self.bytes_on_wire.to_string(),
-            self.erasures_seen.to_string(),
-            self.errors_corrected.to_string(),
-            self.retries.to_string(),
-            self.degraded.to_string(),
-        ]
-    }
-}
-
 /// Result of a successful run.
 #[derive(Clone, Debug)]
 pub struct CamelotOutcome<T> {
@@ -375,36 +337,74 @@ pub fn code_length(spec: &ProofSpec, fault_tolerance: usize) -> usize {
 /// ([`Engine::redeem`]) both read the floor here, so they cannot drift.
 #[must_use]
 pub fn prime_floor(spec: &ProofSpec, code_len: usize) -> u64 {
-    spec.min_modulus.max(code_len as u64 + 1).max(1 << 61)
+    spec.min_modulus.max((code_len as u64).saturating_add(1)).max(1 << 61)
 }
 
-/// Shared admissibility/coverage rules of both prime schedules: walk
-/// `next` upward from [`prime_floor`] until the product of the selected
-/// primes exceeds `2^(value_bits + 1)` (one guard bit for symmetric
-/// signed lifts).
-fn accumulate_primes(
+/// What the prover's walk and the verifier both enforce: every modulus
+/// lies in `prime_floor..MAX_MODULUS` (the field layer's headroom), and
+/// the primes' bit counts sum to at least the returned target,
+/// `value_bits + 2` (their product exceeds `2^(value_bits + 1)`: one
+/// guard bit for symmetric signed lifts). A spec whose range is empty
+/// or whose target overflows a `u64` admits no walk.
+fn prime_walk(spec: &ProofSpec, code_len: usize) -> Result<(Range<u64>, u64), String> {
+    let floor = prime_floor(spec, code_len);
+    if floor >= MAX_MODULUS {
+        return Err(format!("modulus floor {floor} is not below MAX_MODULUS = {MAX_MODULUS}"));
+    }
+    let target = spec.value_bits.checked_add(2).ok_or_else(|| {
+        format!("{} value bits overflow the prime coverage count", spec.value_bits)
+    })?;
+    Ok((floor..MAX_MODULUS, target))
+}
+
+/// Both prime schedules: walk upward through [`prime_walk`]'s range,
+/// taking the first prime `q ≡ 1 (mod 2^k)` at or above the cursor
+/// (`k = 0` for [`PrimeSchedule::Smallest`], [`ntt_log_len`] for
+/// [`PrimeSchedule::NttFriendly`]), until the coverage target is met.
+pub(crate) fn accumulate_primes(
     spec: &ProofSpec,
     code_len: usize,
-    mut next: impl FnMut(u64) -> u64,
-) -> Vec<u64> {
+    schedule: PrimeSchedule,
+) -> Result<Vec<u64>, CamelotError> {
+    let bad = |reason| CamelotError::BadConfiguration { reason };
+    let (range, target) = prime_walk(spec, code_len).map_err(bad)?;
+    let step = match schedule {
+        PrimeSchedule::Smallest => 1,
+        PrimeSchedule::NttFriendly => 1u64 << ntt_log_len(code_len),
+    };
     let mut primes = Vec::new();
     let mut bits_covered = 0u64;
-    let mut cursor = prime_floor(spec, code_len);
-    while bits_covered <= spec.value_bits + 1 {
-        let p = next(cursor);
+    let mut cursor = range.start;
+    while bits_covered < target {
+        // The first `m·step + 1 >= cursor`; `cursor < 2^62` and
+        // `step <= 2^63` keep it inside a u64. The search stops at
+        // `MAX_MODULUS`, where `ntt_prime` and `next_prime` would panic.
+        let first = cursor.saturating_sub(1).div_ceil(step).max(1) * step + 1;
+        let Some(p) = (first..range.end).step_by(step as usize).find(|&q| is_prime_u64(q)) else {
+            return Err(bad(format!(
+                "no prime q = 1 mod {step} in {cursor}..{} for {target} bits of coverage",
+                range.end
+            )));
+        };
         bits_covered += 63 - u64::from(p.leading_zeros());
         cursor = p + 1;
         primes.push(p);
     }
-    primes
+    Ok(primes)
 }
 
 /// Deterministically selects prime moduli for a spec: all primes are at
 /// least [`prime_floor`] and their product exceeds
 /// `2^(value_bits + 1)` (one guard bit for symmetric signed lifts).
+///
+/// # Panics
+///
+/// Panics when the spec admits no prime walk (its floor is at or above
+/// `MAX_MODULUS`, or `value_bits + 2` overflows); the engine reports
+/// such a spec as [`CamelotError::BadConfiguration`] instead.
 #[must_use]
 pub fn choose_primes(spec: &ProofSpec, code_len: usize) -> Vec<u64> {
-    accumulate_primes(spec, code_len, |cursor| primes_above(cursor, 1)[0])
+    accumulate_primes(spec, code_len, PrimeSchedule::Smallest).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Transform-length exponent for an NTT-friendly schedule: `2^k` at
@@ -419,10 +419,13 @@ pub fn ntt_log_len(code_len: usize) -> u32 {
 /// same floor and coverage rules as [`choose_primes`], but every prime
 /// satisfies `q ≡ 1 (mod 2^k)` for `k = `[`ntt_log_len`]`(code_len)`, so
 /// the codeword pipeline multiplies polynomials through the NTT.
+///
+/// # Panics
+///
+/// As [`choose_primes`].
 #[must_use]
 pub fn choose_primes_ntt(spec: &ProofSpec, code_len: usize) -> Vec<u64> {
-    let k = ntt_log_len(code_len);
-    accumulate_primes(spec, code_len, |cursor| ntt_prime(cursor, k).0)
+    accumulate_primes(spec, code_len, PrimeSchedule::NttFriendly).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The Camelot engine.
@@ -561,7 +564,7 @@ impl Engine {
         loop {
             let f = self.config.fault_tolerance + escalations as usize * policy.escalation_step;
             let e = code_length(joint, f);
-            let primes = self.config.primes_for(joint, e);
+            let primes = accumulate_primes(joint, e, self.config.prime_schedule)?;
             match self.run_rounds(problems, specs, &primes, e) {
                 Ok(mut outcomes) => {
                     for outcome in &mut outcomes {
@@ -634,7 +637,8 @@ impl Engine {
         // (which underflows on 0) or a `PrimeField` (Barrett headroom).
         // The d/q soundness bound presumes a field, so a composite
         // modulus is rejected as well, however well it spot-checks.
-        let admissible = prime_floor(&spec, certificate.code_length)..MAX_MODULUS;
+        let (admissible, target) = prime_walk(&spec, certificate.code_length)
+            .map_err(|reason| CamelotError::MalformedProof { reason })?;
         if let Some(&q) = moduli.iter().find(|q| !admissible.contains(q)) {
             return Err(CamelotError::MalformedProof {
                 reason: format!("modulus {q} outside {admissible:?}"),
@@ -647,12 +651,9 @@ impl Engine {
         }
         let bits: u64 =
             certificate.proofs.iter().map(|p| 63 - u64::from(p.modulus.leading_zeros())).sum();
-        if bits <= spec.value_bits + 1 {
+        if bits < target {
             return Err(CamelotError::MalformedProof {
-                reason: format!(
-                    "certificate moduli cover {bits} bits, spec needs more than {}",
-                    spec.value_bits + 1
-                ),
+                reason: format!("certificate moduli cover {bits} bits, spec needs {target}"),
             });
         }
 
@@ -1077,12 +1078,15 @@ mod tests {
     }
 
     #[test]
-    fn recovery_counters_flow_into_traffic_cells() {
+    fn recovery_counters_flow_into_the_report() {
         let problem = Cube { c: 3 };
         let outcome = Engine::sequential(4, 1).run(&problem).unwrap();
-        let cells = outcome.report.traffic_cells();
-        assert_eq!(RunReport::traffic_headers().len(), cells.len());
-        assert_eq!(&cells[5..], ["0", "0", "0", "0"], "clean run: all recovery counters zero");
+        let report = &outcome.report;
+        assert_eq!(
+            (report.erasures_seen, report.errors_corrected, report.retries, report.degraded),
+            (0, 0, 0, 0),
+            "clean run: all recovery counters zero"
+        );
     }
 
     #[test]
@@ -1190,6 +1194,86 @@ mod tests {
                     Err(CamelotError::MalformedProof { .. })
                 ),
                 "modulus {modulus}"
+            );
+        }
+    }
+
+    /// [`Cube`] posed under another spec.
+    struct Posed(ProofSpec);
+
+    impl CamelotProblem for Posed {
+        type Output = u128;
+
+        fn spec(&self) -> ProofSpec {
+            self.0
+        }
+
+        fn evaluator<'a>(&'a self, field: &PrimeField) -> Box<dyn Evaluate + 'a> {
+            Cube { c: 99 }.evaluator(field)
+        }
+
+        fn recover(&self, proofs: &[PrimeProof]) -> Result<u128, CamelotError> {
+            Cube { c: 99 }.recover(proofs)
+        }
+    }
+
+    /// Specs no prime walk can serve: a coverage target that wraps
+    /// (`u64::MAX` bits used to walk one prime and return a wrong
+    /// answer, `u64::MAX - 1` to walk without end), a floor at or above
+    /// `MAX_MODULUS` (`2^62` used to prepare over moduli `redeem`
+    /// refuses, `u64::MAX` to panic in the prime search), and a floor
+    /// with no prime left below `MAX_MODULUS`.
+    fn inadmissible_specs() -> [ProofSpec; 5] {
+        [
+            ProofSpec::new(3, 1 << 20, u64::MAX),
+            ProofSpec::new(3, 1 << 20, u64::MAX - 1),
+            ProofSpec::new(3, MAX_MODULUS, 96),
+            ProofSpec::new(3, u64::MAX, 96),
+            ProofSpec::new(3, MAX_MODULUS - 1, 96),
+        ]
+    }
+
+    #[test]
+    fn inadmissible_specs_are_bad_configurations() {
+        for spec in inadmissible_specs() {
+            let problem = Posed(spec);
+            for config in
+                [EngineConfig::sequential(4, 1), EngineConfig::sequential(4, 1).with_ntt_primes()]
+            {
+                let schedule = config.prime_schedule;
+                assert!(
+                    matches!(
+                        Engine::new(config).run(&problem),
+                        Err(CamelotError::BadConfiguration { .. })
+                    ),
+                    "{spec:?} under {schedule:?}"
+                );
+            }
+            assert!(
+                matches!(crate::merlin_prove(&problem), Err(CamelotError::BadConfiguration { .. })),
+                "merlin, {spec:?}"
+            );
+            assert!(
+                matches!(
+                    crate::arthur_verify(&problem, &[], 1, 0),
+                    Err(CamelotError::BadConfiguration { .. })
+                ),
+                "arthur, {spec:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn redeem_rejects_specs_no_prime_walk_serves() {
+        let engine = Engine::sequential(4, 2);
+        let prepared = engine.run(&Cube { c: 99 }).unwrap();
+        for spec in inadmissible_specs() {
+            assert!(
+                matches!(
+                    engine.redeem(&Posed(spec), &prepared.certificate),
+                    Err(CamelotError::MalformedProof { .. })
+                ),
+                "{spec:?}"
             );
         }
     }

@@ -41,14 +41,13 @@ pub use verify::{soundness_error, spot_check, VerifyReport};
 // users can pick a broadcast backend — or hand [`Engine::with_transport`]
 // a shared persistent one — without naming `camelot-cluster`.
 pub use camelot_cluster::{
-    Backend, ChaosEffect, ChaosPlan, Deadline, Demotion, EvalProgram, FailureCause, RetryPolicy,
+    Backend, ChaosEffect, ChaosPlan, Deadline, Demotion, EvalProgram, FailureCause,
     SocketTransport, Transport, TransportTuning, WorkerMode,
 };
 
 // The unified thread-count helper (one process-wide budget honoring
 // `CAMELOT_THREADS`): every layer that splits work across OS threads —
-// the parallel in-process transport, the engine's batched lane decodes,
-// the threaded NTT/tree passes in `camelot-poly` — derives its worker
-// count from this single source, re-exported here as the engine-facing
-// configuration surface.
+// the parallel in-process transport's node groups and the engine's
+// batched lane decodes — derives its worker count from this single
+// source, re-exported here as the engine-facing configuration surface.
 pub use camelot_ff::{set_thread_budget, thread_budget, worker_count};

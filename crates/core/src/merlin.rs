@@ -7,7 +7,7 @@
 //! verifies with the same randomized spot check each Knight would run,
 //! at the cost of one evaluation of `P` per trial.
 
-use crate::engine::{choose_primes, code_length};
+use crate::engine::{accumulate_primes, code_length, PrimeSchedule};
 use crate::error::CamelotError;
 use crate::problem::{CamelotProblem, PrimeProof};
 use crate::verify::spot_check;
@@ -19,11 +19,12 @@ use camelot_poly::interpolate_consecutive;
 ///
 /// # Errors
 ///
-/// Returns [`CamelotError::BadConfiguration`] if the spec demands more
-/// interpolation points than a modulus admits.
+/// Returns [`CamelotError::BadConfiguration`] if the spec admits no
+/// prime walk or demands more interpolation points than a modulus
+/// admits.
 pub fn merlin_prove<P: CamelotProblem>(problem: &P) -> Result<Vec<PrimeProof>, CamelotError> {
     let spec = problem.spec();
-    let primes = choose_primes(&spec, code_length(&spec, 0));
+    let primes = accumulate_primes(&spec, code_length(&spec, 0), PrimeSchedule::Smallest)?;
     let mut proofs = Vec::with_capacity(primes.len());
     for &q in &primes {
         if spec.degree_bound as u64 + 1 > q {
@@ -48,6 +49,7 @@ pub fn merlin_prove<P: CamelotProblem>(problem: &P) -> Result<Vec<PrimeProof>, C
 ///
 /// # Errors
 ///
+/// * [`CamelotError::BadConfiguration`] if the spec admits no prime walk;
 /// * [`CamelotError::MalformedProof`] if the proof set does not match the
 ///   spec's deterministic prime schedule;
 /// * [`CamelotError::VerificationFailed`] if any spot check rejects.
@@ -58,7 +60,7 @@ pub fn arthur_verify<P: CamelotProblem>(
     seed: u64,
 ) -> Result<(), CamelotError> {
     let spec = problem.spec();
-    let expected_primes = choose_primes(&spec, code_length(&spec, 0));
+    let expected_primes = accumulate_primes(&spec, code_length(&spec, 0), PrimeSchedule::Smallest)?;
     let got: Vec<u64> = proofs.iter().map(|p| p.modulus).collect();
     if got != expected_primes {
         return Err(CamelotError::MalformedProof {

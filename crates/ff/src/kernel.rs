@@ -14,9 +14,9 @@
 //!
 //! Two families live here:
 //!
-//! * **Fully-reduced kernels** (`add_slice`, `sub_slice`, `mul_slice`,
-//!   `mul_shoup_slice`, `mul_const_shoup_slice`, `mul_add_slice`,
-//!   `reduce_slice`, `inv_batch_blocked`) — drop-in slice versions of the
+//! * **Fully-reduced kernels** (`add_slice`, `mul_slice`,
+//!   `mul_const_shoup_slice`, `mul_add_slice`, `reduce_slice`,
+//!   `inv_batch_blocked`) — drop-in slice versions of the
 //!   scalar ops, bit-identical element-for-element — and the two
 //!   reductions over a slice the evaluators are built on: `dot` (one
 //!   Barrett reduction per eight products) and `horner` (four
@@ -98,29 +98,6 @@ impl PrimeField {
         }
     }
 
-    /// `acc[i] ← acc[i] - rhs[i] mod q` lane-wise. Inputs must be
-    /// reduced; bit-identical to a loop of [`PrimeField::sub`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the slices have equal length.
-    pub fn sub_slice(&self, acc: &mut [u64], rhs: &[u64]) {
-        assert_eq!(acc.len(), rhs.len(), "slice kernel length mismatch");
-        let q = self.q;
-        let mut a_it = acc.chunks_exact_mut(LANES);
-        let mut b_it = rhs.chunks_exact(LANES);
-        for (xa, xb) in (&mut a_it).zip(&mut b_it) {
-            for i in 0..LANES {
-                let d = xa[i].wrapping_sub(xb[i]);
-                xa[i] = d.min(d.wrapping_add(q));
-            }
-        }
-        for (x, &y) in a_it.into_remainder().iter_mut().zip(b_it.remainder()) {
-            let d = x.wrapping_sub(y);
-            *x = d.min(d.wrapping_add(q));
-        }
-    }
-
     /// `acc[i] ← acc[i] · rhs[i] mod q` lane-wise through Barrett
     /// reduction. Bit-identical to a loop of [`PrimeField::mul`] on
     /// reduced inputs; also accepts lazy (`< 4q`) operands — any pair
@@ -172,40 +149,12 @@ impl PrimeField {
         }
     }
 
-    /// `acc[i] ← acc[i] · c[i] mod q` lane-wise, where `c_shoup[i]` is
-    /// the Shoup companion of `c[i]` — the vector-constant form used for
-    /// twiddle vectors. Bit-identical to a loop of
-    /// [`PrimeField::mul_shoup`] on reduced `acc`; lazy (`< 4q`) inputs
-    /// reduce fully into `[0, q)` as well (the Shoup product lands in
-    /// `[0, 2q)` for any `u64` input, so one correction always suffices).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the slices have equal length.
-    pub fn mul_shoup_slice(&self, acc: &mut [u64], c: &[u64], c_shoup: &[u64]) {
-        assert_eq!(acc.len(), c.len(), "slice kernel length mismatch");
-        assert_eq!(acc.len(), c_shoup.len(), "slice kernel length mismatch");
-        let q = self.q;
-        let mut a_it = acc.chunks_exact_mut(LANES);
-        let mut c_it = c.chunks_exact(LANES);
-        let mut s_it = c_shoup.chunks_exact(LANES);
-        for ((xs, cs), ss) in (&mut a_it).zip(&mut c_it).zip(&mut s_it) {
-            for i in 0..LANES {
-                let r = shoup_lane_lazy(q, xs[i], cs[i], ss[i]);
-                xs[i] = r.min(r.wrapping_sub(q));
-            }
-        }
-        let tail = a_it.into_remainder();
-        for ((x, &cv), &sv) in tail.iter_mut().zip(c_it.remainder()).zip(s_it.remainder()) {
-            let r = shoup_lane_lazy(q, *x, cv, sv);
-            *x = r.min(r.wrapping_sub(q));
-        }
-    }
-
     /// `values[i] ← values[i] · c mod q` for one fixed constant `c` with
-    /// Shoup companion `c_shoup` — the inverse-NTT scaling pass and
-    /// scalar-broadcast form of [`PrimeField::mul_shoup_slice`]. Accepts
-    /// lazy inputs and fully reduces (see `mul_shoup_slice`).
+    /// Shoup companion `c_shoup` — the inverse-NTT scaling pass.
+    /// Bit-identical to a loop of [`PrimeField::mul_shoup`] on reduced
+    /// inputs; lazy (`< 4q`) inputs reduce fully into `[0, q)` as well
+    /// (the Shoup product lands in `[0, 2q)` for any `u64` input, so one
+    /// correction always suffices).
     pub fn mul_const_shoup_slice(&self, values: &mut [u64], c: u64, c_shoup: u64) {
         let q = self.q;
         let mut it = values.chunks_exact_mut(LANES);
@@ -497,9 +446,6 @@ mod tests {
                 let mut s = a.clone();
                 f.add_slice(&mut s, &b);
                 assert_eq!(s, a.iter().zip(&b).map(|(&x, &y)| f.add(x, y)).collect::<Vec<_>>());
-                let mut d = a.clone();
-                f.sub_slice(&mut d, &b);
-                assert_eq!(d, a.iter().zip(&b).map(|(&x, &y)| f.sub(x, y)).collect::<Vec<_>>());
                 let mut p = a.clone();
                 f.mul_slice(&mut p, &b);
                 assert_eq!(p, a.iter().zip(&b).map(|(&x, &y)| f.mul(x, y)).collect::<Vec<_>>());
@@ -553,26 +499,12 @@ mod tests {
             let mut rng = SplitMix64::new(f.modulus() ^ 2);
             for n in SHAPES {
                 let a = randoms(&f, n, &mut rng);
-                let c = randoms(&f, n, &mut rng);
-                let cs: Vec<u64> = c.iter().map(|&x| f.shoup_precompute(x)).collect();
+                let k = f.sample(&mut rng);
+                let ks = f.shoup_precompute(k);
                 let mut out = a.clone();
-                f.mul_shoup_slice(&mut out, &c, &cs);
-                let expect: Vec<u64> = a
-                    .iter()
-                    .zip(&c)
-                    .zip(&cs)
-                    .map(|((&x, &cv), &sv)| f.mul_shoup(x, cv, sv))
-                    .collect();
+                f.mul_const_shoup_slice(&mut out, k, ks);
+                let expect: Vec<u64> = a.iter().map(|&x| f.mul_shoup(x, k, ks)).collect();
                 assert_eq!(out, expect, "n = {n}, q = {}", f.modulus());
-                // Scalar-broadcast form against the same oracle.
-                if n > 0 {
-                    let k = c[0];
-                    let ks = cs[0];
-                    let mut out = a.clone();
-                    f.mul_const_shoup_slice(&mut out, k, ks);
-                    let expect: Vec<u64> = a.iter().map(|&x| f.mul_shoup(x, k, ks)).collect();
-                    assert_eq!(out, expect, "const form, n = {n}");
-                }
             }
         }
     }

@@ -1,13 +1,16 @@
-//! Process-wide thread budget for the data-parallel kernels.
+//! Process-wide thread budget.
 //!
-//! Every layer that splits work across OS threads — the threaded NTT and
-//! subproduct-tree passes in `camelot-poly`, the in-process parallel
-//! transport in `camelot-cluster`, the engine's batched decodes — derives
-//! its worker count from the single budget held here, so one environment
-//! variable governs the whole stack. The cell follows the crossover-cell
-//! idiom of `camelot-poly::hgcd`: initialized once from `CAMELOT_THREADS`
-//! (falling back to [`std::thread::available_parallelism`]) and
-//! overridable at runtime for benchmark fitting and tests.
+//! Work splits across OS threads only at the paper's level: the
+//! in-process parallel transport in `camelot-cluster` runs its nodes in
+//! groups, and the engine decodes the lanes of a batch side by side.
+//! Each node's evaluation and each decode is one sequential computation
+//! (the algebra in `camelot-poly` never spawns a thread). Both splits
+//! derive their worker count from the single budget held here, so one
+//! environment variable governs the whole stack. The cell follows the
+//! crossover-cell idiom of `camelot-poly::hgcd`: initialized once from
+//! `CAMELOT_THREADS` (falling back to
+//! [`std::thread::available_parallelism`]) and overridable at runtime
+//! for benchmarks and tests.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -24,8 +27,8 @@ fn budget_cell() -> &'static AtomicUsize {
     })
 }
 
-/// The process-wide thread budget: the maximum number of OS threads any
-/// single data-parallel pass may occupy. Initialized from the
+/// The process-wide thread budget: the maximum number of OS threads one
+/// node-group split or batch-lane split may occupy. Initialized from the
 /// `CAMELOT_THREADS` environment variable when set (and positive),
 /// otherwise from [`std::thread::available_parallelism`]; never zero.
 #[must_use]

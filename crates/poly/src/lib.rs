@@ -12,6 +12,11 @@
 //! the modulus is NTT-friendly; the naive routines are retained as
 //! oracles.
 //!
+//! Every routine runs on the calling thread. The paper's parallelism is
+//! its `K` nodes, each evaluating and decoding sequentially, so threads
+//! split work only at that level: the in-process transport's node
+//! groups and the engine's batch lanes (`camelot_ff::thread_budget`).
+//!
 //! ## Example
 //!
 //! ```
@@ -34,7 +39,6 @@ mod hgcd;
 mod interp;
 mod multipoint;
 mod ntt;
-mod par;
 
 pub use dense::Poly;
 pub use hgcd::{hgcd_crossover, partial_xgcd_fast, partial_xgcd_structured, set_hgcd_crossover};
@@ -45,4 +49,3 @@ pub use multipoint::{
     cached_ntt_plan, div_rem_fast, eval_many_fast, interpolate_fast, vanishing_poly, PointTree,
 };
 pub use ntt::NttPlan;
-pub use par::{par_crossover, set_par_crossover};

@@ -20,7 +20,6 @@
 use crate::dense::Poly;
 use crate::interp::{eval_many, interpolate, interpolate_reduced};
 use crate::ntt::NttPlan;
-use crate::par::{join2, plan_workers};
 use camelot_ff::PrimeField;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -481,40 +480,14 @@ impl SubproductTree {
                 g
             })
             .collect();
-        let workers = plan_workers(points.len());
         let mut levels = vec![leaves];
         while levels.last().expect("nonempty tree").len() > 1 {
-            let prev = levels.last().expect("nonempty tree");
-            let pairs: Vec<&[Poly]> = prev.chunks(2).collect();
-            let product = |pair: &[Poly]| {
-                if let [l, r] = pair {
-                    ctx.mul(l, r)
-                } else {
-                    pair[0].clone()
-                }
-            };
-            // Pair products within a level are independent; split them
-            // into contiguous groups across scoped threads, one group
-            // per worker, and re-concatenate in order — the level is
-            // position-for-position what the sequential build produces.
-            let next: Vec<Poly> = if workers >= 2 && pairs.len() >= 2 * workers {
-                let group = pairs.len().div_ceil(workers);
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = pairs
-                        .chunks(group)
-                        .map(|g| s.spawn(move || g.iter().map(|p| product(p)).collect::<Vec<_>>()))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| match h.join() {
-                            Ok(v) => v,
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        })
-                        .collect()
-                })
-            } else {
-                pairs.iter().map(|p| product(p)).collect()
-            };
+            let next: Vec<Poly> = levels
+                .last()
+                .expect("nonempty tree")
+                .chunks(2)
+                .map(|pair| if let [l, r] = pair { ctx.mul(l, r) } else { pair[0].clone() })
+                .collect();
             levels.push(next);
         }
         SubproductTree { points: points.to_vec(), levels }
@@ -680,7 +653,9 @@ impl PointTree {
         } else {
             poly.clone()
         };
-        self.eval_down_collect(&rem, self.tree.top_level(), 0, plan_workers(n))
+        let mut out = Vec::with_capacity(n);
+        self.eval_down(&rem, self.tree.top_level(), 0, &mut out);
+        out
     }
 
     /// Tree interpolation without crossover dispatch.
@@ -689,7 +664,7 @@ impl PointTree {
         let weights = self.lagrange_weights();
         let c: Vec<u64> =
             values.iter().zip(weights).map(|(&y, &w)| field.mul(field.reduce(y), w)).collect();
-        self.combine_up_par(&c, self.tree.top_level(), 0, plan_workers(self.len()))
+        self.combine_up(&c, self.tree.top_level(), 0)
     }
 
     /// `1 / M'(x_i)` per point, computed once per tree.
@@ -703,12 +678,8 @@ impl PointTree {
             // M' has degree n - 1 < n, so it is already reduced modulo
             // the root and descends directly.
             let m_prime = self.tree.root().derivative(field);
-            let mut weights = self.eval_down_collect(
-                &m_prime,
-                self.tree.top_level(),
-                0,
-                plan_workers(self.len()),
-            );
+            let mut weights = Vec::with_capacity(self.len());
+            self.eval_down(&m_prime, self.tree.top_level(), 0, &mut weights);
             assert!(
                 weights.iter().all(|&w| w != 0),
                 "interpolation points must be distinct (mod q)"
@@ -792,36 +763,6 @@ impl PointTree {
         self.eval_down(&rr, child, ri, out);
     }
 
-    /// [`Self::eval_down`] with budget-halving scoped-thread splitting:
-    /// the two child descents run on separate threads while the budget
-    /// and the points below the node stay above the parallel gates. The
-    /// left results are concatenated before the right, so output order —
-    /// and every value, the arithmetic being identical — matches the
-    /// sequential descent exactly.
-    fn eval_down_collect(&self, rem: &Poly, level: usize, idx: usize, budget: usize) -> Vec<u64> {
-        let count = self.tree.count_points(level, idx);
-        if level == 0 || budget < 2 || count < crate::par::par_crossover().max(2) {
-            let mut out = Vec::with_capacity(count);
-            self.eval_down(rem, level, idx, &mut out);
-            return out;
-        }
-        let child = level - 1;
-        let (li, ri) = (2 * idx, 2 * idx + 1);
-        if ri >= self.tree.levels[child].len() {
-            return self.eval_down_collect(rem, child, li, budget);
-        }
-        let (_, rl) = self.div_rem_node(rem, child, li);
-        let (_, rr) = self.div_rem_node(rem, child, ri);
-        let (lb, rb) = (budget - budget / 2, budget / 2);
-        let (mut left, right) = join2(
-            true,
-            || self.eval_down_collect(&rl, child, li, lb),
-            || self.eval_down_collect(&rr, child, ri, rb),
-        );
-        left.extend_from_slice(&right);
-        left
-    }
-
     /// The linear combination `Σ_i c_i · Π_{j≠i} (x - x_j)` over the
     /// points below node `(level, idx)`, where `c` covers exactly those
     /// points — the combination step of fast Lagrange interpolation.
@@ -844,30 +785,6 @@ impl PointTree {
         let (cl, cr) = c.split_at(self.tree.count_points(child, li));
         let left = self.combine_up(cl, child, li);
         let right = self.combine_up(cr, child, ri);
-        self.ctx.mul2_add(&left, &self.tree.levels[child][ri], &right, &self.tree.levels[child][li])
-    }
-
-    /// [`Self::combine_up`] with budget-halving scoped-thread splitting,
-    /// mirroring [`Self::eval_down_collect`]; the cross product at each
-    /// joined node runs through the transform-shared
-    /// [`MulContext::mul2_add`], exactly as the sequential combine does.
-    fn combine_up_par(&self, c: &[u64], level: usize, idx: usize, budget: usize) -> Poly {
-        let count = self.tree.count_points(level, idx);
-        if level == 0 || budget < 2 || count < crate::par::par_crossover().max(2) {
-            return self.combine_up(c, level, idx);
-        }
-        let child = level - 1;
-        let (li, ri) = (2 * idx, 2 * idx + 1);
-        if ri >= self.tree.levels[child].len() {
-            return self.combine_up_par(c, child, li, budget);
-        }
-        let (cl, cr) = c.split_at(self.tree.count_points(child, li));
-        let (lb, rb) = (budget - budget / 2, budget / 2);
-        let (left, right) = join2(
-            true,
-            || self.combine_up_par(cl, child, li, lb),
-            || self.combine_up_par(cr, child, ri, rb),
-        );
         self.ctx.mul2_add(&left, &self.tree.levels[child][ri], &right, &self.tree.levels[child][li])
     }
 }
@@ -1301,41 +1218,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Forced-parallel tree build, evaluation, and interpolation must be
-    /// bit-identical to the sequential paths (`CAMELOT_PAR_CROSSOVER=0`
-    /// regression: every split gate opens, with a thread budget larger
-    /// than the machine's).
-    #[test]
-    fn forced_parallel_tree_matches_sequential() {
-        use camelot_ff::{set_thread_budget, thread_budget};
-        let field = ntt_field();
-        let mut rng = SplitMix64::new(37);
-        let n = 400;
-        let xs = distinct_points(&field, n, &mut rng);
-        let poly = random_poly(&field, n - 1, &mut rng);
-        let ys: Vec<u64> = (0..n).map(|_| field.sample(&mut rng)).collect();
-
-        let _guard = crate::par::test_knob_guard();
-        let saved_budget = thread_budget();
-        let saved_crossover = crate::par_crossover();
-        set_thread_budget(1);
-        crate::set_par_crossover(usize::MAX);
-        let tree_seq = PointTree::new(&field, &xs);
-        let ev_seq = tree_seq.eval_core(&poly);
-        let ip_seq = tree_seq.interpolate_core(&ys);
-
-        set_thread_budget(4);
-        crate::set_par_crossover(0);
-        let tree_par = PointTree::new(&field, &xs);
-        assert_eq!(tree_par.vanishing(), tree_seq.vanishing(), "parallel build diverged");
-        assert_eq!(tree_par.eval_core(&poly), ev_seq, "parallel eval diverged");
-        assert_eq!(tree_par.interpolate_core(&ys), ip_seq, "parallel interpolate diverged");
-        // The warm-cache repeat must agree too.
-        assert_eq!(tree_par.interpolate_core(&ys), ip_seq, "warm parallel interpolate diverged");
-
-        set_thread_budget(saved_budget);
-        crate::set_par_crossover(saved_crossover);
     }
 }

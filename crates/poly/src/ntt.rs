@@ -18,14 +18,9 @@
 //! rounds, with one conditional correction per butterfly instead of
 //! three), and [`NttPlan::multiply`] skips all bit-reversal permutations
 //! by pairing a decimation-in-frequency forward with a
-//! decimation-in-time inverse. Rounds above the
-//! [`crate::par_crossover`] work size split across scoped threads from
-//! the [`camelot_ff::thread_budget`] pool; the decomposition assigns
-//! each position to exactly one thread, so outputs are bit-identical to
-//! the sequential schedule.
+//! decimation-in-time inverse.
 
 use crate::dense::Poly;
-use crate::par::plan_workers;
 use camelot_ff::{primitive_root, PrimeField};
 
 /// One butterfly round's twiddles `w^0, …, w^{span-1}` with their Shoup
@@ -211,99 +206,19 @@ impl NttPlan {
         }
     }
 
-    /// Cooley–Tukey rounds (spans `1, 2, …`) over bit-reversed input,
-    /// splitting across scoped threads above the parallel crossover.
-    /// Values ride lazily in `[0, 4q)`; callers reduce or scale after.
-    fn ct_rounds(&self, values: &mut [u64], tables: &[TwiddleTable]) {
-        let n = values.len();
-        let t = split_factor(plan_workers(n), n);
-        if t < 2 {
-            self.ct_rounds_seq(values, tables);
-            return;
-        }
-        // Phase 1: rounds whose blocks fit inside one macro-chunk are
-        // independent per chunk — each of the `t` threads runs the first
-        // `log2(n/t)` rounds on its own contiguous `n/t` slice.
-        let chunk = n / t;
-        let local_rounds = chunk.trailing_zeros() as usize;
-        std::thread::scope(|s| {
-            for part in values.chunks_exact_mut(chunk) {
-                s.spawn(move || self.ct_rounds_seq(part, &tables[..local_rounds]));
-            }
-        });
-        // Phase 2: the remaining log2(t) rounds have spans >= chunk, so
-        // each block's lo/hi halves (and the twiddle table) are cut into
-        // `n/(2t)`-wide sub-ranges, one scoped task per sub-range. Every
-        // position is written by exactly one task, so the result is
-        // bit-identical to the sequential schedule.
-        let part_len = (n / (2 * t)).max(1);
-        for table in &tables[local_rounds..] {
-            let span = table.w.len();
-            std::thread::scope(|s| {
-                for block in values.chunks_exact_mut(2 * span) {
-                    let (lo, hi) = block.split_at_mut(span);
-                    let subs = lo.chunks_mut(part_len).zip(hi.chunks_mut(part_len));
-                    for (k, (lo_sub, hi_sub)) in subs.enumerate() {
-                        let off = k * part_len;
-                        let w = &table.w[off..off + lo_sub.len()];
-                        let ws = &table.shoup[off..off + lo_sub.len()];
-                        s.spawn(move || self.field.butterfly_ct_lazy_slice(lo_sub, hi_sub, w, ws));
-                    }
-                }
-            });
-        }
-    }
-
-    /// Gentleman–Sande rounds (spans `n/2, …, 1`, i.e. the same twiddle
-    /// tables iterated in reverse) from natural-order input, splitting
-    /// across scoped threads above the parallel crossover. Values ride
-    /// lazily in `[0, 2q)`; output is in bit-reversed order.
-    fn gs_rounds(&self, values: &mut [u64], tables: &[TwiddleTable]) {
-        let n = values.len();
-        let t = split_factor(plan_workers(n), n);
-        if t < 2 {
-            self.gs_rounds_seq(values, tables);
-            return;
-        }
-        // Mirror image of `ct_rounds`: the wide-span rounds come first
-        // (in-block sub-range splitting), then each macro-chunk finishes
-        // its local rounds on its own thread.
-        let chunk = n / t;
-        let local_rounds = chunk.trailing_zeros() as usize;
-        let part_len = (n / (2 * t)).max(1);
-        for table in tables[local_rounds..].iter().rev() {
-            let span = table.w.len();
-            std::thread::scope(|s| {
-                for block in values.chunks_exact_mut(2 * span) {
-                    let (lo, hi) = block.split_at_mut(span);
-                    let subs = lo.chunks_mut(part_len).zip(hi.chunks_mut(part_len));
-                    for (k, (lo_sub, hi_sub)) in subs.enumerate() {
-                        let off = k * part_len;
-                        let w = &table.w[off..off + lo_sub.len()];
-                        let ws = &table.shoup[off..off + lo_sub.len()];
-                        s.spawn(move || self.field.butterfly_gs_lazy_slice(lo_sub, hi_sub, w, ws));
-                    }
-                }
-            });
-        }
-        std::thread::scope(|s| {
-            for part in values.chunks_exact_mut(chunk) {
-                s.spawn(move || self.gs_rounds_seq(part, &tables[..local_rounds]));
-            }
-        });
-    }
-
-    // lint:hot-begin(ntt-butterfly) — the sequential butterfly rounds
-    // dominate every fast-path product; the inner loops run through the
+    // lint:hot-begin(ntt-butterfly) — the butterfly rounds dominate
+    // every fast-path product; the inner loops run through the
     // lazy-reduction slice kernels of `camelot-ff` (one conditional
     // correction per butterfly, bounds-check-free fixed-width blocks).
     // No `%`, no clones, no allocation; camelot-lint enforces this
     // region.
 
-    /// Sequential Cooley–Tukey rounds: spans `1, 2, …` reading
-    /// `tables[r]` for span `2^r`. `values.len()` must be a power of two
-    /// at least `2^tables.len()` (blocks of `2·span` tile the slice).
-    fn ct_rounds_seq(&self, values: &mut [u64], tables: &[TwiddleTable]) {
+    /// Cooley–Tukey rounds over bit-reversed input: spans `1, 2, …`
+    /// reading `tables[r]` for span `2^r`. `values.len()` must be a power
+    /// of two at least `2^tables.len()` (blocks of `2·span` tile the
+    /// slice). Values ride lazily in `[0, 4q)`; callers reduce or scale
+    /// after.
+    fn ct_rounds(&self, values: &mut [u64], tables: &[TwiddleTable]) {
         let f = &self.field;
         for table in tables {
             let span = table.w.len();
@@ -314,9 +229,10 @@ impl NttPlan {
         }
     }
 
-    /// Sequential Gentleman–Sande rounds: the same tables iterated in
-    /// reverse span order (`tables.last()` first).
-    fn gs_rounds_seq(&self, values: &mut [u64], tables: &[TwiddleTable]) {
+    /// Gentleman–Sande rounds from natural-order input: the same tables
+    /// iterated in reverse span order (`tables.last()` first). Values
+    /// ride lazily in `[0, 2q)`; output is in bit-reversed order.
+    fn gs_rounds(&self, values: &mut [u64], tables: &[TwiddleTable]) {
         let f = &self.field;
         for table in tables.iter().rev() {
             let span = table.w.len();
@@ -361,23 +277,10 @@ impl NttPlan {
     }
 }
 
-/// Largest power of two `t` with `t <= workers` and `2t <= n`: the number
-/// of scoped threads a length-`n` transform can occupy (each needs at
-/// least one butterfly per phase-2 sub-range). Returns 1 (sequential)
-/// when splitting cannot help.
-fn split_factor(workers: usize, n: usize) -> usize {
-    if workers < 2 || n < 4 {
-        return 1;
-    }
-    let cap = workers.min(n / 2);
-    1usize << (usize::BITS - 1 - cap.leading_zeros())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::set_par_crossover;
-    use camelot_ff::{ntt_prime, set_thread_budget, thread_budget, SplitMix64};
+    use camelot_ff::{ntt_prime, SplitMix64};
 
     fn plan(k: u32) -> (PrimeField, NttPlan) {
         let (q, _) = ntt_prime(1 << 20, k);
@@ -502,67 +405,6 @@ mod tests {
             // And the permutation-free inverse round-trips the pair.
             plan.inverse_from_rev(&mut lazy);
             assert_eq!(lazy, original, "length 2^{k} roundtrip");
-        }
-    }
-
-    #[test]
-    fn threaded_rounds_match_sequential() {
-        // Force the parallel decomposition on small inputs and pin the
-        // outputs bit-identical to the sequential schedule.
-        let (field, plan) = plan(8);
-        let mut rng = SplitMix64::new(13);
-        let original: Vec<u64> = (0..256).map(|_| field.sample(&mut rng)).collect();
-
-        let _guard = crate::par::test_knob_guard();
-        let saved_budget = thread_budget();
-        let saved_crossover = crate::par_crossover();
-        set_thread_budget(1);
-        set_par_crossover(usize::MAX);
-        let mut seq_fwd = original.clone();
-        plan.forward(&mut seq_fwd);
-        let mut seq_rev = original.clone();
-        plan.forward_lazy_rev(&mut seq_rev);
-
-        set_thread_budget(4);
-        set_par_crossover(0);
-        let mut par_fwd = original.clone();
-        plan.forward(&mut par_fwd);
-        assert_eq!(par_fwd, seq_fwd, "threaded CT rounds diverged");
-        let mut par_rev = original.clone();
-        plan.forward_lazy_rev(&mut par_rev);
-        assert_eq!(par_rev, seq_rev, "threaded GS rounds diverged");
-        plan.inverse(&mut par_fwd);
-        assert_eq!(par_fwd, original, "threaded inverse diverged");
-
-        // Thread counts beyond the butterfly count must clamp cleanly.
-        set_thread_budget(64);
-        let mut tiny = vec![1u64, 2, 3, 4];
-        let small = NttPlan::new(&field, 2).unwrap();
-        let mut tiny_seq = tiny.clone();
-        small.forward(&mut tiny);
-        set_thread_budget(1);
-        small.forward(&mut tiny_seq);
-        assert_eq!(tiny, tiny_seq);
-
-        set_thread_budget(saved_budget);
-        set_par_crossover(saved_crossover);
-    }
-
-    #[test]
-    fn split_factor_is_a_safe_power_of_two() {
-        assert_eq!(split_factor(1, 1024), 1);
-        assert_eq!(split_factor(4, 2), 1);
-        assert_eq!(split_factor(3, 1024), 2);
-        assert_eq!(split_factor(4, 1024), 4);
-        assert_eq!(split_factor(usize::MAX, 8), 4);
-        for workers in 1..=9 {
-            for logn in 0..=6u32 {
-                let n = 1usize << logn;
-                let t = split_factor(workers, n);
-                assert!(t.is_power_of_two());
-                assert!(t <= workers.max(1));
-                assert!(t == 1 || 2 * t <= n);
-            }
         }
     }
 }

@@ -21,5 +21,5 @@
 mod service;
 mod wire;
 
-pub use service::{request, request_with, run_daemon, Service, ServiceConfig, ServicePoly};
+pub use service::{request, run_daemon, Service, ServiceConfig, ServicePoly};
 pub use wire::{read_frame, PolyRequest, Request, Response, REQUEST_HEADER, RESPONSE_HEADER};

@@ -21,9 +21,8 @@
 use crate::wire::{read_frame, schedule_token, PolyRequest, Request, Response};
 use camelot_cluster::{EvalProgram, PreparedProgram, SocketTransport};
 use camelot_core::{
-    CamelotError, CamelotOutcome, CamelotProblem, Certificate, ChaosPlan, Deadline, Engine,
-    EngineConfig, Evaluate, PrimeProof, PrimeSchedule, ProofSpec, RecoveryPolicy, RetryPolicy,
-    TransportTuning, WorkerMode,
+    CamelotError, CamelotOutcome, CamelotProblem, Certificate, ChaosPlan, Engine, EngineConfig,
+    Evaluate, PrimeProof, PrimeSchedule, ProofSpec, RecoveryPolicy, TransportTuning, WorkerMode,
 };
 use camelot_ff::{crt_u, PrimeField, Residue};
 use camelot_store::{cert_key, CertKey, CertStore};
@@ -243,9 +242,12 @@ impl Service {
     /// # Errors
     ///
     /// Engine failures ([`CamelotError`]); a worker failure is retried
-    /// once after respawning the pool, then surfaced.
+    /// once after respawning the pool, then surfaced. A request whose
+    /// answer cannot fit a `u128` is refused before it reaches the store
+    /// or the admission queue.
     pub fn prepare(&self, poly: &PolyRequest) -> Result<CamelotOutcome<u128>, CamelotError> {
         self.requests.fetch_add(1, Ordering::SeqCst);
+        check_answer_bits(poly)?;
         let problem = ServicePoly(poly.clone());
         let key = self.cache_key(poly);
         let cached = lock(&self.store).get(&key);
@@ -319,13 +321,15 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Malformed certificates and failed spot checks.
+    /// Malformed certificates, failed spot checks, and requests whose
+    /// answer cannot fit a `u128`.
     pub fn verify(
         &self,
         poly: &PolyRequest,
         certificate_text: &str,
     ) -> Result<CamelotOutcome<u128>, CamelotError> {
         self.requests.fetch_add(1, Ordering::SeqCst);
+        check_answer_bits(poly)?;
         let certificate = Certificate::from_wire(certificate_text)?;
         self.engine.redeem(&ServicePoly(poly.clone()), &certificate)
     }
@@ -365,6 +369,16 @@ impl Service {
     pub fn shutdown(&self) -> Result<(), String> {
         self.transport.shutdown_pool().map_err(|e| e.to_string())
     }
+}
+
+/// Refuses a request that asks for more than the `u128` answer holds.
+fn check_answer_bits(poly: &PolyRequest) -> Result<(), CamelotError> {
+    if poly.value_bits > u64::from(u128::BITS) {
+        return Err(CamelotError::BadConfiguration {
+            reason: format!("value-bits {} exceeds the 128-bit answer", poly.value_bits),
+        });
+    }
+    Ok(())
 }
 
 /// Builds the response for a prepare/verify outcome.
@@ -513,52 +527,14 @@ pub fn run_daemon(listener: &TcpListener, service: &Arc<Service>) -> Result<(), 
 }
 
 /// Client helper: one request frame to `addr`, one response frame back,
-/// with the default 120 s idle timeout and no retries. See
-/// [`request_with`] for configurable deadlines and retry/backoff.
+/// with the default 120 s idle timeout and no retries.
 ///
 /// # Errors
 ///
 /// Connection trouble, malformed frames, a daemon that hung up early.
 pub fn request(addr: &str, request: &Request) -> Result<Response, String> {
-    request_with(addr, request, CLIENT_TIMEOUT, &RetryPolicy::none())
-}
-
-/// Client helper with an explicit per-attempt idle timeout and a
-/// retry/backoff policy: failed attempts (connection refused, daemon
-/// hang-up, idle timeout) are retried with the policy's seeded backoff
-/// until the attempt budget or the overall deadline (`timeout` from the
-/// first attempt) runs out.
-///
-/// # Errors
-///
-/// The last attempt's failure: connection trouble, malformed frames, a
-/// daemon that hung up early.
-pub fn request_with(
-    addr: &str,
-    request: &Request,
-    timeout: Duration,
-    retry: &RetryPolicy,
-) -> Result<Response, String> {
-    let deadline = Deadline::after(timeout);
-    let mut attempt = 0u32;
-    loop {
-        match try_request(addr, request, timeout) {
-            Ok(response) => return Ok(response),
-            Err(err) if attempt < retry.retries() && !deadline.expired() => {
-                thread::sleep(retry.backoff(attempt));
-                attempt += 1;
-                // The error has nowhere to go until the budget runs out.
-                let _retried = err;
-            }
-            Err(err) => return Err(err),
-        }
-    }
-}
-
-/// One request/response attempt against `addr`.
-fn try_request(addr: &str, request: &Request, timeout: Duration) -> Result<Response, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    stream.set_read_timeout(Some(timeout)).map_err(|e| e.to_string())?;
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).map_err(|e| e.to_string())?;
     let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
     writer
         .write_all(request.to_wire().as_bytes())

@@ -2,8 +2,10 @@
 //! shared broadcast rounds, zero-round cache hits with bit-identical
 //! certificates, worker-failure recovery, and the TCP daemon loop.
 
-use camelot::core::{ChaosEffect, ChaosPlan, FailureCause, WorkerMode};
-use camelot::server::{request, run_daemon, PolyRequest, Request, Service, ServiceConfig};
+use camelot::core::{CamelotError, ChaosEffect, ChaosPlan, Engine, FailureCause, WorkerMode};
+use camelot::server::{
+    request, run_daemon, PolyRequest, Request, Service, ServiceConfig, ServicePoly,
+};
 use std::net::TcpListener;
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -208,6 +210,36 @@ fn daemon_serves_prepare_verify_status_and_shuts_down() {
     let bye = request(&addr, &Request::Shutdown).unwrap();
     assert!(bye.ok);
     daemon.join().unwrap().unwrap();
+}
+
+#[test]
+fn answers_wider_than_u128_are_refused_before_any_round() {
+    let (addr, daemon) = daemon(service(5));
+    let wide = PolyRequest { value_bits: 129, ..poly(vec![1, 2, 3]) };
+    let refused = request(&addr, &Request::Prepare(wide)).unwrap();
+    assert!(!refused.ok);
+    assert!(refused.error.unwrap().contains("value-bits 129"));
+    assert_eq!((refused.rounds, refused.certificate), (0, None));
+    let status = request(&addr, &Request::Status).unwrap();
+    assert_eq!(
+        (status.store_hits, status.store_misses, status.workers),
+        (0, 0, 0),
+        "no store lookup and no pool start"
+    );
+    shut_down_within_a_second(&addr, daemon);
+
+    // Past the service, the engine itself refuses a coverage target that
+    // wraps, instead of walking one prime and answering mod that prime.
+    let wrapped = ServicePoly(PolyRequest {
+        coefficients: vec![(1 << 63) + 5, 1],
+        sum_count: 1,
+        value_bits: u64::MAX,
+        ..poly(vec![])
+    });
+    assert!(matches!(
+        Engine::sequential(4, 1).run(&wrapped),
+        Err(CamelotError::BadConfiguration { .. })
+    ));
 }
 
 /// Starts a daemon on an ephemeral port over `service`.

@@ -8,10 +8,10 @@ use camelot::cluster::{
     ProgramEval, RoundSpec, SocketTransport, Transport, TransportError, TransportTuning,
 };
 use camelot::core::{
-    Backend, CamelotError, CamelotProblem, Engine, EngineConfig, Evaluate, PrimeProof, ProofSpec,
-    WorkerMode,
+    Backend, CamelotError, CamelotProblem, Engine, EngineConfig, PrimeSchedule, WorkerMode,
 };
-use camelot::ff::{crt_u, PrimeField, Residue};
+use camelot::ff::PrimeField;
+use camelot::server::{PolyRequest, ServicePoly};
 use camelot::triangles::TriangleCount;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -104,48 +104,17 @@ fn closure_rounds_agree_where_supported() {
     assert!(SocketTransport::persistent(WorkerMode::Threads).run(&spec, &eval).is_err());
 }
 
-/// A wire-expressible problem: the proof polynomial is handed over as
-/// explicit coefficients, so socket workers can reconstruct it from the
-/// task message alone. The recovered answer is `P(0)` over the
-/// integers.
-struct WirePoly {
-    coeffs: Vec<u64>,
-}
-
-struct WirePolyEval {
-    field: PrimeField,
-    coeffs: Vec<u64>,
-}
-
-impl Evaluate for WirePolyEval {
-    fn eval(&self, x0: u64) -> u64 {
-        EvalProgram::Poly(self.coeffs.clone()).eval(&self.field, x0)
-    }
-
-    fn program(&self) -> Option<EvalProgram> {
-        Some(EvalProgram::Poly(self.coeffs.clone()))
-    }
-}
-
-impl CamelotProblem for WirePoly {
-    type Output = u128;
-
-    fn spec(&self) -> ProofSpec {
-        ProofSpec::new(self.coeffs.len() - 1, 1 << 20, 64)
-    }
-
-    fn evaluator<'a>(&'a self, field: &PrimeField) -> Box<dyn Evaluate + 'a> {
-        let coeffs = self.coeffs.iter().map(|&c| field.reduce(c)).collect();
-        Box::new(WirePolyEval { field: *field, coeffs })
-    }
-
-    fn recover(&self, proofs: &[PrimeProof]) -> Result<u128, CamelotError> {
-        let residues: Vec<Residue> =
-            proofs.iter().map(|p| Residue { modulus: p.modulus, value: p.eval(0) }).collect();
-        crt_u(&residues)
-            .to_u128()
-            .ok_or_else(|| CamelotError::RecoveryFailed { reason: "value exceeded u128".into() })
-    }
+/// A wire-expressible problem: the proof polynomial `P` as explicit
+/// coefficients, so socket workers rebuild it from the task message
+/// alone; the answer is `P(0)` over the integers.
+fn wire_poly(coefficients: Vec<u64>) -> ServicePoly {
+    ServicePoly(PolyRequest {
+        coefficients,
+        sum_count: 1,
+        value_bits: 64,
+        min_modulus: 1 << 20,
+        schedule: PrimeSchedule::Smallest,
+    })
 }
 
 /// The engine pipeline — prepare, decode at all nodes, spot-check,
@@ -153,7 +122,7 @@ impl CamelotProblem for WirePoly {
 /// including real loopback sockets, under the full fault matrix.
 #[test]
 fn engine_outcomes_are_identical_across_backends() {
-    let problem = WirePoly { coeffs: vec![123_456_789, 7, 0, 5] };
+    let problem = wire_poly(vec![123_456_789, 7, 0, 5]);
     // One point per node: 4 faulty nodes = 2 errors + 1 erasure + 1
     // equivocated error per view, well within f = 6.
     let d = problem.spec().degree_bound;
@@ -190,7 +159,7 @@ fn engine_outcomes_are_identical_across_backends() {
 /// observability counters must attribute nonzero time.
 #[test]
 fn crash_fault_erasure_decoding_is_identical_across_backends() {
-    let problem = WirePoly { coeffs: vec![987_654_321, 11, 3, 0, 2] };
+    let problem = wire_poly(vec![987_654_321, 11, 3, 0, 2]);
     let d = problem.spec().degree_bound;
     let budget = 5;
     let nodes = d + 1 + 2 * budget;
@@ -416,7 +385,7 @@ fn silent_nodes_share_one_deadline_on_the_socket_pool() {
 /// included.
 #[test]
 fn engine_absorbs_chaos_within_radius_identically_across_backends() {
-    let problem = WirePoly { coeffs: vec![123_456_789, 7, 0, 5] };
+    let problem = wire_poly(vec![123_456_789, 7, 0, 5]);
     let d = problem.spec().degree_bound;
     let budget = 6;
     let nodes = d + 1 + 2 * budget; // 16 nodes, one point each
@@ -529,7 +498,7 @@ fn threaded_backends_report_a_panicked_node_as_worker_failure() {
 /// deadline is spent once".
 #[test]
 fn a_config_built_socket_engine_spends_a_deadline_once() {
-    let problem = WirePoly { coeffs: vec![123_456_789, 7, 0, 5] };
+    let problem = wire_poly(vec![123_456_789, 7, 0, 5]);
     let d = problem.spec().degree_bound;
     let budget = 6;
     let nodes = d + 1 + 2 * budget;
