@@ -602,7 +602,8 @@ impl Engine {
     /// * [`CamelotError::MalformedProof`] when the certificate does not
     ///   structurally fit the problem's spec (wrong degree bound, no or
     ///   duplicate moduli, a modulus below [`prime_floor`], at or above
-    ///   `MAX_MODULUS` or not prime, insufficient CRT coverage);
+    ///   `MAX_MODULUS` or not prime, insufficient CRT coverage, a
+    ///   coefficient not reduced mod its modulus);
     /// * [`CamelotError::VerificationFailed`] if a spot check rejects;
     /// * recovery errors from the problem itself.
     pub fn redeem<P: CamelotProblem>(
@@ -1301,6 +1302,31 @@ mod tests {
             engine.redeem(&problem, &forged),
             Err(CamelotError::MalformedProof { .. })
         ));
+    }
+
+    /// A certificate built in memory, not parsed by `from_wire`, whose
+    /// coefficient `c + q` is congruent to `c`: every spot check would
+    /// agree with it, but Horner takes field elements, so it is refused
+    /// as malformed before any evaluation — without a panic in debug.
+    #[test]
+    fn redeem_rejects_unreduced_coefficients() {
+        let problem = Cube { c: 99 };
+        let engine = Engine::sequential(4, 2);
+        let prepared = engine.run(&problem).unwrap();
+        // Lift by `q`, and by as many `q` as fit below `2^64`.
+        for (k, lift) in [(0, 1), (3, 1), (0, u64::MAX)] {
+            let mut forged = prepared.certificate.clone();
+            let proof = &mut forged.proofs[0];
+            let (q, c) = (proof.modulus, proof.coefficients[k]);
+            proof.coefficients[k] = c + lift.min((u64::MAX - c) / q) * q;
+            assert!(
+                matches!(
+                    engine.redeem(&problem, &forged),
+                    Err(CamelotError::MalformedProof { .. })
+                ),
+                "coefficient {k} lifted by up to {lift}·q"
+            );
+        }
     }
 
     #[test]

@@ -51,7 +51,9 @@ pub fn merlin_prove<P: CamelotProblem>(problem: &P) -> Result<Vec<PrimeProof>, C
 ///
 /// * [`CamelotError::BadConfiguration`] if the spec admits no prime walk;
 /// * [`CamelotError::MalformedProof`] if the proof set does not match the
-///   spec's deterministic prime schedule;
+///   spec's deterministic prime schedule, or a proof fails
+///   [`spot_check`]'s structural checks (degree, modulus, a coefficient
+///   not reduced mod its modulus);
 /// * [`CamelotError::VerificationFailed`] if any spot check rejects.
 pub fn arthur_verify<P: CamelotProblem>(
     problem: &P,

@@ -89,33 +89,38 @@ pub struct PrimeProof {
     /// The prime modulus `q`.
     pub modulus: u64,
     /// Little-endian coefficients `p_0, …, p_d` of `P(x) mod q` (trailing
-    /// zeros may be trimmed).
+    /// zeros may be trimmed). Every coefficient is reduced, `p_k < q`:
+    /// a decode produces reduced coefficients, [`Certificate::from_wire`]
+    /// and [`crate::spot_check`] refuse any other, and [`PrimeProof::eval`]
+    /// is only defined on them.
+    ///
+    /// [`Certificate::from_wire`]: crate::Certificate::from_wire
     pub coefficients: Vec<u64>,
 }
 
 impl PrimeProof {
-    /// Evaluates the proof polynomial at `x` by Horner's rule — the
-    /// right-hand side of the verification identity (2) in the paper.
+    /// Evaluates the proof polynomial at `x` (which may be unreduced) by
+    /// Horner's rule — the right-hand side of the verification identity
+    /// (2) in the paper — through the four-chain
+    /// [`PrimeField::horner`] kernel.
     #[must_use]
     pub fn eval(&self, x: u64) -> u64 {
-        let field = PrimeField::new_unchecked(self.modulus);
-        let x = field.reduce(x);
-        let mut acc = 0u64;
-        for &c in self.coefficients.iter().rev() {
-            acc = field.mul_add(c, acc, x);
-        }
-        acc
+        PrimeField::new_unchecked(self.modulus).horner(&self.coefficients, x)
     }
 
     /// `Σ_{x=start}^{start+count-1} P(x) (mod q)` — the recovery map used
     /// by every "sum the evaluations" design (Theorems 1, 3, 8, 9, 12:
-    /// the answer is `Σ_{x ∈ [R]} P(x)` or `Σ_{x < 2^{n/2}} P(x)`).
+    /// the answer is `Σ_{x ∈ [R]} P(x)` or `Σ_{x < 2^{n/2}} P(x)`). The
+    /// points are consecutive in `Z_q`: `x` starts at `start mod q` and
+    /// steps by one modulo `q`.
     #[must_use]
     pub fn sum_eval_consecutive(&self, start: u64, count: u64) -> u64 {
         let field = PrimeField::new_unchecked(self.modulus);
+        let mut x = field.reduce(start);
         let mut acc = 0u64;
-        for i in 0..count {
-            acc = field.add(acc, self.eval(start.wrapping_add(i)));
+        for _ in 0..count {
+            acc = field.add(acc, field.horner(&self.coefficients, x));
+            x = field.add(x, 1);
         }
         acc
     }
@@ -184,6 +189,57 @@ mod tests {
     fn empty_proof_is_zero() {
         let p = PrimeProof { modulus: 101, coefficients: vec![] };
         assert_eq!(p.eval(55), 0);
+    }
+
+    /// The serial Horner chain the kernel replaced: one Barrett
+    /// `mul_add` per coefficient.
+    fn serial_eval(p: &PrimeProof, x: u64) -> u64 {
+        let field = PrimeField::new_unchecked(p.modulus);
+        let x = field.reduce(x);
+        p.coefficients.iter().rev().fold(0, |acc, &c| field.mul_add(c, acc, x))
+    }
+
+    /// The first prime above `2^61`, an NTT prime there, and the largest
+    /// prime below `MAX_MODULUS` — the last leaves the lazy adds the
+    /// least headroom.
+    fn moduli() -> [u64; 3] {
+        let mut top = camelot_ff::MAX_MODULUS - 1;
+        while !camelot_ff::is_prime_u64(top) {
+            top -= 2;
+        }
+        [camelot_ff::next_prime(1 << 61), camelot_ff::ntt_prime(1 << 61, 12).0, top]
+    }
+
+    fn random_proof(modulus: u64, len: usize, seed: u64) -> PrimeProof {
+        let field = PrimeField::new_unchecked(modulus);
+        let mut rng = camelot_ff::SplitMix64::new(seed);
+        PrimeProof { modulus, coefficients: (0..len).map(|_| field.sample(&mut rng)).collect() }
+    }
+
+    /// Every ragged top block of the four chains (0–9 coefficients), the
+    /// catalogue's proof sizes, points at and around the field's ends,
+    /// and runs of consecutive points that cross `q` or `2^64`, against
+    /// points reduced in `u128`.
+    #[test]
+    fn eval_and_sums_match_the_serial_chain() {
+        for q in moduli() {
+            let field = PrimeField::new_unchecked(q);
+            for len in (0..=9).chain([757, 1027, 2049]) {
+                let p = random_proof(q, len, q ^ len as u64);
+                for x in [0, 1, q - 1, q, q + 1, u64::MAX - 2, u64::MAX] {
+                    assert_eq!(p.eval(x), serial_eval(&p, x), "q = {q}, len = {len}, x = {x}");
+                    let expect = (0..5).fold(0, |acc, i| {
+                        let point = ((u128::from(x) + i) % u128::from(q)) as u64;
+                        field.add(acc, serial_eval(&p, point))
+                    });
+                    assert_eq!(
+                        p.sum_eval_consecutive(x, 5),
+                        expect,
+                        "q = {q}, len = {len}, x = {x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

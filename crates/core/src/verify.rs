@@ -6,6 +6,15 @@
 //! Horner on the coefficients. A wrong proof survives one trial with
 //! probability at most `d/q` (fundamental theorem of algebra), and the
 //! verifier drives this down by independent repetition.
+//!
+//! The Horner side is [`PrimeProof::eval`], which runs the four-chain
+//! [`PrimeField::horner`] kernel: four Shoup chains in `x⁴`, bound by
+//! the multiplier rather than by the latency of one `mul_add` chain. The
+//! kernel takes the coefficients as field elements, so [`spot_check`]
+//! refuses a proof with a coefficient `≥ q` as malformed before any trial
+//! — `c + q` is congruent to `c`, but it is not what a decode produces or
+//! what the wire accepts. The recovery sums of the "sum the evaluations"
+//! designs ([`PrimeProof::sum_eval_consecutive`]) run the same kernel.
 
 use crate::error::CamelotError;
 use crate::problem::{CamelotProblem, PrimeProof};
@@ -25,8 +34,11 @@ pub struct VerifyReport {
 /// # Errors
 ///
 /// Returns [`CamelotError::MalformedProof`] if the proof's degree exceeds
-/// the spec bound or its modulus is below the spec minimum — those are
-/// structural failures no amount of randomness should excuse.
+/// the spec bound, its modulus is below the spec minimum, or a
+/// coefficient is not reduced (`p_k ≥ q`) — those are structural failures
+/// no amount of randomness should excuse. A proof need not have come
+/// through [`crate::Certificate::from_wire`], and Horner on the
+/// coefficients presumes them reduced.
 pub fn spot_check<P: CamelotProblem>(
     problem: &P,
     proof: &PrimeProof,
@@ -46,6 +58,11 @@ pub fn spot_check<P: CamelotProblem>(
     if proof.modulus < spec.min_modulus {
         return Err(CamelotError::MalformedProof {
             reason: format!("modulus {} below spec minimum {}", proof.modulus, spec.min_modulus),
+        });
+    }
+    if let Some(&c) = proof.coefficients.iter().find(|&&c| c >= proof.modulus) {
+        return Err(CamelotError::MalformedProof {
+            reason: format!("coefficient {c} not reduced mod {}", proof.modulus),
         });
     }
     let field = PrimeField::new_unchecked(proof.modulus);
@@ -122,6 +139,16 @@ mod tests {
             spot_check(&Affine, &small_modulus, 1, 0),
             Err(CamelotError::MalformedProof { .. })
         ));
+        // `7 + q` is congruent to `7`, so every trial would agree, but it
+        // is not a field element: refused before any evaluation.
+        let q = 1_048_583;
+        for unreduced in [vec![7 + q, 5], vec![7, 5 + q], vec![7, u64::MAX]] {
+            let proof = PrimeProof { modulus: q, coefficients: unreduced };
+            assert!(matches!(
+                spot_check(&Affine, &proof, 16, 1),
+                Err(CamelotError::MalformedProof { .. })
+            ));
+        }
     }
 
     #[test]
