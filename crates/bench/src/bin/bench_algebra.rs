@@ -56,11 +56,8 @@
 //! ```
 //!
 //! Flags: `--min-log N` (default 8), `--max-log N` (default 16),
-//! `--samples N` (default 3, the timer keeps the minimum), `--out PATH`,
-//! `--hgcd-crossover N` (override the half-GCD dispatch crossover; `0`
-//! forces the structured path everywhere). CI smoke-runs tiny sizes
-//! with the structured path forced on:
-//! `--min-log 4 --max-log 7 --samples 1 --hgcd-crossover 0`.
+//! `--samples N` (default 3, the timer keeps the minimum), `--out PATH`.
+//! CI smoke-runs tiny sizes: `--min-log 4 --max-log 6 --samples 1`.
 
 use camelot_bench::{fmt_duration, Table};
 use camelot_cluster::{node_slice, PreparedProgram};
@@ -69,8 +66,8 @@ use camelot_ff::{next_prime, ntt_prime, PrimeField, RngLike, SplitMix64};
 use camelot_linalg::{MatMulTensor, YatesPlan};
 use camelot_partition::Shape;
 use camelot_poly::{
-    cached_ntt_plan, eval_many, interpolate, interpolate_fast, lagrange_basis_at,
-    set_hgcd_crossover, vanishing_poly, ConsecutiveBasis, PointTree, Poly,
+    cached_ntt_plan, eval_many, interpolate, interpolate_fast, lagrange_basis_at, vanishing_poly,
+    ConsecutiveBasis, PointTree, Poly,
 };
 use camelot_rscode::{DecodeProfile, RsCode};
 use std::time::{Duration, Instant};
@@ -93,17 +90,11 @@ struct Args {
     max_log: u32,
     samples: usize,
     out: String,
-    hgcd_crossover: Option<usize>,
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        min_log: 8,
-        max_log: 16,
-        samples: 3,
-        out: "BENCH_algebra.json".to_string(),
-        hgcd_crossover: None,
-    };
+    let mut args =
+        Args { min_log: 8, max_log: 16, samples: 3, out: "BENCH_algebra.json".to_string() };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = || it.next().unwrap_or_else(|| panic!("missing value for {flag}"));
@@ -112,14 +103,7 @@ fn parse_args() -> Args {
             "--max-log" => args.max_log = value().parse().expect("--max-log takes an integer"),
             "--samples" => args.samples = value().parse().expect("--samples takes an integer"),
             "--out" => args.out = value(),
-            "--hgcd-crossover" => {
-                args.hgcd_crossover =
-                    Some(value().parse().expect("--hgcd-crossover takes an integer"))
-            }
-            other => panic!(
-                "unknown flag {other} \
-                 (expected --min-log/--max-log/--samples/--out/--hgcd-crossover)"
-            ),
+            other => panic!("unknown flag {other} (expected --min-log/--max-log/--samples/--out)"),
         }
     }
     assert!(args.min_log <= args.max_log, "--min-log must not exceed --max-log");
@@ -524,9 +508,6 @@ fn consecutive_smallest_bench(e: usize, samples: usize, rng: &mut SplitMix64) ->
 
 fn main() {
     let args = parse_args();
-    if let Some(crossover) = args.hgcd_crossover {
-        set_hgcd_crossover(crossover);
-    }
     let kernel_field =
         PrimeField::new(ntt_prime(engine_floor(1 << KERNEL_LOG), KERNEL_LOG + 1).0).unwrap();
     let kernels = kernel_bench(&kernel_field, args.samples, &mut SplitMix64::new(0xCA_FE_F0_0D));

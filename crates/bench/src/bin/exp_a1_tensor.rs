@@ -31,7 +31,7 @@ fn main() {
         {
             let (circ, t_circ) = time(|| count_cliques_circuit(&g, 6, &tensor));
             let problem = KCliqueCount::with_tensor(g.clone(), 6, tensor.clone());
-            let (outcome, t_cam) = time(|| Engine::auto(8, 2).run(&problem).unwrap());
+            let (outcome, t_cam) = time(|| Engine::sequential(8, 2).run(&problem).unwrap());
             table.row(&[
                 name.to_string(),
                 format!("{:.3}", tensor.omega()),

@@ -16,7 +16,7 @@ fn main() {
         let b = BoolMatrix::random(n, t_dim, 40, 2);
         let problem = OrthogonalVectors::new(a, b);
         let spec = problem.spec();
-        let (outcome, t) = time(|| Engine::auto(8, 3).run(&problem).unwrap());
+        let (outcome, t) = time(|| Engine::sequential(8, 3).run(&problem).unwrap());
         assert_eq!(outcome.output, problem.reference_counts());
         table.row(&[
             "OV (c=1)".into(),
@@ -32,7 +32,7 @@ fn main() {
         let b = BoolMatrix::random(n, t_dim, 50, 4);
         let problem = HammingDistribution::new(a, b);
         let spec = problem.spec();
-        let (outcome, t) = time(|| Engine::auto(8, 3).run(&problem).unwrap());
+        let (outcome, t) = time(|| Engine::sequential(8, 3).run(&problem).unwrap());
         assert_eq!(outcome.output, problem.reference_distribution());
         table.row(&[
             "Hamming (c=2)".into(),
@@ -46,7 +46,7 @@ fn main() {
     for n in [8usize, 12, 16] {
         let problem = Convolution3Sum::random(n, 4, 5);
         let spec = problem.spec();
-        let (outcome, t) = time(|| Engine::auto(8, 3).run(&problem).unwrap());
+        let (outcome, t) = time(|| Engine::sequential(8, 3).run(&problem).unwrap());
         assert_eq!(outcome.output, problem.reference_counts());
         table.row(&[
             "Conv3SUM (c=2)".into(),

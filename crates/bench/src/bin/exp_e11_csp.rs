@@ -6,7 +6,7 @@ use camelot_core::{CamelotProblem, Engine};
 use camelot_csp::{enumerate_by_satisfied, Csp2, CspWeightValue};
 
 fn main() {
-    let engine = Engine::auto(6, 3);
+    let engine = Engine::sequential(6, 3);
     let mut table = Table::new(&[
         "n",
         "sigma",

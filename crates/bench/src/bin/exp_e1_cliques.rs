@@ -38,7 +38,7 @@ fn main() {
         assert_eq!(circ.to_u64(), Some(brute));
         let problem = KCliqueCount::new(g, 6);
         let nodes = 16usize;
-        let mut config = EngineConfig::auto(nodes, 4);
+        let mut config = EngineConfig::sequential(nodes, 4);
         if ntt {
             config = config.with_ntt_primes();
         }

@@ -26,7 +26,7 @@ fn main() {
         let expect = count_triangles(&g);
         let problem = TriangleCount::new(&g);
         let spec = problem.spec();
-        let (outcome, t) = time(|| Engine::auto(8, 4).run(&problem).unwrap());
+        let (outcome, t) = time(|| Engine::sequential(8, 4).run(&problem).unwrap());
         assert_eq!(outcome.output, expect);
         table.row(&[
             m.to_string(),

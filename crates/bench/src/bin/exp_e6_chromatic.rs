@@ -25,7 +25,7 @@ fn main() {
         let g = gen::gnm(n, 2 * n, n as u64);
         let problem = ChromaticValue::new(g.clone(), 3);
         let spec = problem.spec();
-        let (outcome, t_cam) = time(|| Engine::auto(8, 3).run(&problem).unwrap());
+        let (outcome, t_cam) = time(|| Engine::sequential(8, 3).run(&problem).unwrap());
         let (seq, t_seq) = time(|| chromatic_value_mod(&g, 3, &field));
         let agree = outcome.output.rem_u64(field.modulus()) == seq;
         table.row(&[

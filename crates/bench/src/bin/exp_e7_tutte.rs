@@ -10,7 +10,7 @@ use camelot_graph::{gen, tutte::tutte_coefficients, MultiGraph};
 use camelot_partition::{eval_tutte, tutte_polynomial, PottsValue};
 
 fn main() {
-    let engine = Engine::auto(4, 2);
+    let engine = Engine::sequential(4, 2);
     let mut table = Table::new(&[
         "graph",
         "n",

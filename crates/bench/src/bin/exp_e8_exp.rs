@@ -16,7 +16,7 @@ fn main() {
         let expect = formula.count_solutions_brute();
         let problem = CountCnfSat::new(formula);
         let spec = problem.spec();
-        let (outcome, t) = time(|| Engine::auto(8, 3).run(&problem).unwrap());
+        let (outcome, t) = time(|| Engine::sequential(8, 3).run(&problem).unwrap());
         let verified = outcome.output.to_u64() == Some(expect);
         all_verified &= verified;
         table.row(&[
@@ -33,7 +33,7 @@ fn main() {
         let p = Permanent::random(n, 3, n as u64);
         let expect = p.reference_permanent();
         let spec = p.spec();
-        let (outcome, t) = time(|| Engine::auto(8, 3).run(&p).unwrap());
+        let (outcome, t) = time(|| Engine::sequential(8, 3).run(&p).unwrap());
         let verified = outcome.output == expect;
         all_verified &= verified;
         table.row(&[
@@ -51,7 +51,7 @@ fn main() {
         let expect = count_hamiltonian_cycles(&g);
         let problem = HamiltonianCycles::new(g);
         let spec = problem.spec();
-        let (outcome, t) = time(|| Engine::auto(8, 3).run(&problem).unwrap());
+        let (outcome, t) = time(|| Engine::sequential(8, 3).run(&problem).unwrap());
         let verified = outcome.output.to_u64() == Some(expect);
         all_verified &= verified;
         table.row(&[

@@ -15,7 +15,7 @@ fn main() {
         let family: Vec<u64> = (0..n).map(|_| 1 + rng.next_u64() % ((1 << n) - 1)).collect();
         let problem = SetCovers::new(n, family.clone(), 3);
         let spec = problem.spec();
-        let (outcome, t) = time(|| Engine::auto(6, 3).run(&problem).unwrap());
+        let (outcome, t) = time(|| Engine::sequential(6, 3).run(&problem).unwrap());
         assert_eq!(outcome.output.to_u128(), Some(problem.reference_count()));
         table.row(&[
             "set covers (Thm 9)".into(),
@@ -32,7 +32,7 @@ fn main() {
         let family: Vec<u64> = (1..1u64 << n).collect();
         let problem = SetPartitions::new(n, family.clone(), 3);
         let spec = problem.spec();
-        let (outcome, t) = time(|| Engine::auto(6, 3).run(&problem).unwrap());
+        let (outcome, t) = time(|| Engine::sequential(6, 3).run(&problem).unwrap());
         table.row(&[
             "set partitions (Thm 10)".into(),
             n.to_string(),

@@ -31,7 +31,7 @@ fn main() {
     for corrupt in 0..=6usize {
         let plan = FaultPlan::random_corrupt(nodes, corrupt, 7 + corrupt as u64);
         let expected: Vec<usize> = plan.faulty_nodes();
-        let config = EngineConfig::auto(nodes, budget).with_plan(plan).with_full_decoding();
+        let config = EngineConfig::sequential(nodes, budget).with_plan(plan).with_full_decoding();
         let result = Engine::new(config).run(&problem);
         let (decoded, identified) = match &result {
             Ok(out) => (

@@ -17,7 +17,7 @@ fn main() {
         Table::new(&["K nodes", "total evals T", "per-node E", "E*K", "verify evals", "balanced"]);
     let mut t_ref = 0usize;
     for k in [1usize, 2, 4, 8, 16, 32] {
-        let outcome = Engine::auto(k, 4).run(&problem).unwrap();
+        let outcome = Engine::sequential(k, 4).run(&problem).unwrap();
         let total = outcome.report.total_evaluations;
         let per_node = outcome.report.max_node_evaluations;
         if k == 1 {

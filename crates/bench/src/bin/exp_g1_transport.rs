@@ -1,11 +1,11 @@
 //! Experiment G1 — transport scaling (the broadcast layer of §1.4).
 //!
 //! Claim: the broadcast round is transport-independent. All backends —
-//! the in-process bus (sequential and threaded) and a pool of loopback
-//! TCP workers (optionally spawned `camelot-node` processes, so the
-//! round really spans processes) —
-//! produce bit-identical broadcasts; what varies is wall-clock overhead
-//! and where the bytes go, which the per-round traffic counters make
+//! the in-process bus (its node slices split across `CAMELOT_THREADS`)
+//! and a pool of loopback TCP workers (optionally spawned `camelot-node`
+//! processes, so the round really spans processes) — produce
+//! bit-identical broadcasts; what varies is wall-clock overhead and
+//! where the bytes go, which the per-round traffic counters make
 //! measurable.
 //!
 //! Modes:
@@ -14,12 +14,12 @@
 //!   bit-identical against the in-process reference, with per-backend
 //!   wall-clock and the round's `symbols_broadcast` / `bytes_on_wire`;
 //! * `--engine-batch N` — `Engine::run_batch` over `N` triangle
-//!   problems on the threaded in-process bus (triangle problems are
+//!   problems on the in-process bus (triangle problems are
 //!   closures, which sockets refuse), demonstrating the
 //!   one-broadcast-round-per-prime-per-batch property end to end.
 //!
 //! Flags: `--nodes K` (default 8), `--len E` (default 2048), `--width W`
-//! (default 2), `--backend all|inproc|inproc-par|socket|socket-process`
+//! (default 2), `--backend all|inproc|socket|socket-process`
 //! (default all; `socket-process` needs the `camelot-node` binary next
 //! to this one — built by `cargo build --release`), `--engine-batch N`.
 
@@ -73,14 +73,11 @@ fn mixed_plan(nodes: usize) -> FaultPlan {
     FaultPlan::with_faults(nodes, &faults)
 }
 
-fn backends(selected: &str, parallel_too: bool) -> Vec<(String, Box<dyn Transport>)> {
+fn backends(selected: &str) -> Vec<(String, Box<dyn Transport>)> {
     let mut list: Vec<(String, Box<dyn Transport>)> = Vec::new();
     let all = selected == "all";
     if all || selected == "inproc" {
-        list.push(("inproc".into(), Box::new(InProcess::new(false))));
-    }
-    if (all && parallel_too) || selected == "inproc-par" {
-        list.push(("inproc-par".into(), Box::new(InProcess::new(true))));
+        list.push(("inproc".into(), Box::new(InProcess::new())));
     }
     if all || selected == "socket" {
         list.push(("socket".into(), Box::new(SocketTransport::persistent(WorkerMode::Threads))));
@@ -116,9 +113,9 @@ fn round_experiment(args: &Args) {
     let plan = mixed_plan(args.nodes);
     let spec = RoundSpec { field: &field, points: &points, plan: &plan };
 
-    let reference = InProcess::new(false).run(&spec, &eval).expect("in-process round");
+    let reference = InProcess::new().run(&spec, &eval).expect("in-process round");
     let mut table = Table::new(&["backend", "round time", "identical", "symbols", "bytes on wire"]);
-    for (name, transport) in backends(&args.backend, true) {
+    for (name, transport) in backends(&args.backend) {
         let start = Instant::now();
         let outcome: RoundOutcome = match transport.run(&spec, &eval) {
             Ok(outcome) => outcome,
@@ -149,7 +146,7 @@ fn round_experiment(args: &Args) {
 fn engine_batch_experiment(args: &Args, batch: usize) {
     let graphs: Vec<_> = (0..batch).map(|i| gen::gnm(10 + i, 20 + 3 * i, 42 + i as u64)).collect();
     let problems: Vec<TriangleCount> = graphs.iter().map(TriangleCount::new).collect();
-    let engine = Engine::new(EngineConfig::parallel(args.nodes.max(2), 8));
+    let engine = Engine::new(EngineConfig::sequential(args.nodes.max(2), 8));
 
     let start = Instant::now();
     let outcomes = engine.run_batch(&problems).expect("batched run");
@@ -199,7 +196,7 @@ fn engine_batch_experiment(args: &Args, batch: usize) {
         ]);
     }
     table.print(&format!(
-        "G1: Engine::run_batch of {batch} problems on the threaded in-process bus ({}, shared \
+        "G1: Engine::run_batch of {batch} problems on the in-process bus ({}, shared \
          rounds)",
         fmt_duration(elapsed)
     ));

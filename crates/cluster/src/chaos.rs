@@ -241,12 +241,6 @@ impl ChaosPlan {
         self.effects.get(node).copied().flatten()
     }
 
-    /// True when no node has an effect.
-    #[must_use]
-    pub fn is_quiet(&self) -> bool {
-        self.effects.iter().all(Option::is_none)
-    }
-
     /// Indices of all afflicted nodes.
     #[must_use]
     pub fn affected_nodes(&self) -> Vec<usize> {
@@ -395,7 +389,7 @@ mod tests {
         let c = ChaosPlan::random(64, 30, 8);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert!(ChaosPlan::random(64, 0, 7).is_quiet());
+        assert!(ChaosPlan::random(64, 0, 7).affected_nodes().is_empty());
         assert_eq!(ChaosPlan::random(64, 100, 7).affected_nodes().len(), 64);
         // 30% of 64 nodes: loosely bounded, exactly reproducible.
         let hit = a.affected_nodes().len();
@@ -410,7 +404,6 @@ mod tests {
         assert_eq!(plan.effect(0), None);
         assert_eq!(plan.effect(99), None);
         assert_eq!(plan.affected_nodes(), vec![1]);
-        assert!(!plan.is_quiet());
     }
 
     #[test]

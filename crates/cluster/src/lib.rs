@@ -9,7 +9,8 @@
 //!
 //! Since PR 5 the broadcast medium is a [`Transport`] trait with two
 //! backends — the historical zero-overhead in-process bus
-//! ([`InProcess`], sequential or threaded), and a pool of long-lived
+//! ([`InProcess`], its node slices split across the `CAMELOT_THREADS`
+//! budget), and a pool of long-lived
 //! loopback TCP workers speaking a line-oriented frame format
 //! ([`SocketTransport`], optionally as spawned `camelot-node` processes
 //! so a round really spans OS processes). Fault injection happens **sender-side**
@@ -52,39 +53,3 @@ pub use transport::{
     PreparedProgram, SocketTransport, Task, Transport, TransportError, WorkerMode, WorkerPool,
     PING_HEADER, PONG_HEADER, REPLY_HEADER, SHUTDOWN_HEADER, TASK_HEADER,
 };
-
-use camelot_ff::PrimeField;
-
-/// Runs one proof-preparation round on the configured backend: every
-/// node evaluates its slice of `points` with `eval`, transforms the
-/// symbols through its fault behaviour sender-side, and the broadcast
-/// word is assembled from the frames.
-///
-/// `eval` receives the evaluation point (an element of `Z_q`) and must
-/// return `P(x) mod q` — the same function is reused by the verifier for
-/// spot checks, exactly as in §1.3(3) of the paper.
-///
-/// # Panics
-///
-/// Panics if `plan.nodes() != config.nodes`, or if the configured
-/// backend cannot run closures (the socket backend needs
-/// wire-expressible programs — use [`Transport::run`] with a
-/// [`ProgramEval`] for those rounds).
-pub fn run_round<F>(
-    config: &ClusterConfig,
-    field: &PrimeField,
-    points: &[u64],
-    plan: &FaultPlan,
-    eval: F,
-) -> Broadcast
-where
-    F: Fn(u64) -> u64 + Sync,
-{
-    assert_eq!(plan.nodes(), config.nodes, "fault plan sized for a different cluster");
-    let spec = RoundSpec { field, points, plan };
-    let outcome = config
-        .transport()
-        .run(&spec, &SingleEval(eval))
-        .expect("closure round failed on the configured backend");
-    outcome.broadcasts.into_iter().next().expect("width-1 round yields one broadcast")
-}

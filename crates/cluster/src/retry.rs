@@ -28,7 +28,7 @@ const DEFAULT_IO_DEADLINE: Duration = Duration::from_secs(60);
 /// compare configured numbers so all backends agree bit for bit.
 #[derive(Clone, Copy, Debug)]
 pub struct Deadline {
-    /// `None` = unbounded (also the overflow fallback).
+    /// `None` = unbounded (a budget past the clock's range).
     end: Option<Instant>,
 }
 
@@ -37,12 +37,6 @@ impl Deadline {
     #[must_use]
     pub fn after(budget: Duration) -> Self {
         Deadline { end: Instant::now().checked_add(budget) }
-    }
-
-    /// No deadline.
-    #[must_use]
-    pub fn unbounded() -> Self {
-        Deadline { end: None }
     }
 
     /// Time left (`None` when unbounded, `Some(ZERO)` when expired).
@@ -133,7 +127,7 @@ mod tests {
         assert_eq!(d.remaining(), Some(Duration::ZERO));
         let far = Deadline::after(Duration::from_secs(3600));
         assert!(!far.expired());
-        let open = Deadline::unbounded();
+        let open = Deadline::after(Duration::MAX);
         assert!(!open.expired());
         assert_eq!(open.remaining(), None);
     }

@@ -316,12 +316,6 @@ impl Broadcast {
         word
     }
 
-    /// Points owned by a given node.
-    #[must_use]
-    pub fn points_of(&self, node: usize) -> Vec<usize> {
-        self.assignment.iter().enumerate().filter_map(|(i, &o)| (o == node).then_some(i)).collect()
-    }
-
     /// The fault plan used for the round.
     #[must_use]
     pub fn plan(&self) -> &FaultPlan {
@@ -449,11 +443,28 @@ pub fn assemble_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_round;
-    use crate::transport::ClusterConfig;
+    use crate::transport::{InProcess, Transport};
 
     fn field() -> PrimeField {
         PrimeField::new(1_000_003).unwrap()
+    }
+
+    /// A width-1 closure round on the in-process bus.
+    fn run_round(
+        f: &PrimeField,
+        points: &[u64],
+        plan: &FaultPlan,
+        eval: impl Fn(u64) -> u64 + Sync,
+    ) -> Broadcast {
+        let spec = RoundSpec { field: f, points, plan };
+        let mut outcome = InProcess::new().run(&spec, &SingleEval(eval)).unwrap();
+        outcome.broadcasts.remove(0)
+    }
+
+    /// The indices of node `node`'s slice of an `e`-point round.
+    fn owned(e: usize, nodes: usize, node: usize) -> std::ops::Range<usize> {
+        let (lo, hi) = node_slice(e, nodes, node);
+        lo..hi
     }
 
     #[test]
@@ -477,7 +488,7 @@ mod tests {
         let f = field();
         let points: Vec<u64> = (0..20).collect();
         let plan = FaultPlan::all_honest(4);
-        let b = run_round(&ClusterConfig::sequential(4), &f, &points, &plan, |x| f.mul(x, x));
+        let b = run_round(&f, &points, &plan, |x| f.mul(x, x));
         for (i, s) in b.symbols.iter().enumerate() {
             assert_eq!(*s, Some(f.mul(i as u64, i as u64)));
         }
@@ -485,15 +496,28 @@ mod tests {
         assert_eq!(b.max_node_evaluations(), 5);
     }
 
+    /// The bus, at whatever thread budget the process runs, equals each
+    /// node's frames computed in node order on this thread.
     #[test]
     fn parallel_matches_sequential() {
         let f = field();
         let points: Vec<u64> = (0..33).collect();
-        let plan = FaultPlan::all_honest(5);
-        let seq = run_round(&ClusterConfig::sequential(5), &f, &points, &plan, |x| f.pow(x, 3));
-        let par = run_round(&ClusterConfig::parallel(5), &f, &points, &plan, |x| f.pow(x, 3));
-        assert_eq!(seq.symbols, par.symbols);
-        assert_eq!(seq.assignment, par.assignment);
+        let plan = FaultPlan::with_faults(
+            5,
+            &[(1, FaultKind::Corrupt { seed: 3 }), (3, FaultKind::Equivocate { seed: 4 })],
+        );
+        let spec = RoundSpec { field: &f, points: &points, plan: &plan };
+        let eval = SingleEval(|x| f.pow(x, 3));
+        let frames = (0..5)
+            .map(|node| {
+                let (lo, hi) = node_slice(points.len(), 5, node);
+                compute_node_frames(&f, plan.kind(node), 5, node, lo, &points[lo..hi], &eval)
+            })
+            .collect();
+        let want = assemble_round(&spec, 1, frames, Vec::new());
+        let got = InProcess::new().run(&spec, &eval).unwrap();
+        assert!(got.broadcasts[0].same_word(&want.broadcasts[0]));
+        assert_eq!(got.traffic, want.traffic);
     }
 
     #[test]
@@ -501,7 +525,7 @@ mod tests {
         let f = field();
         let points: Vec<u64> = (0..12).collect();
         let plan = FaultPlan::with_faults(3, &[(1, FaultKind::Crash)]);
-        let b = run_round(&ClusterConfig::sequential(3), &f, &points, &plan, |x| x);
+        let b = run_round(&f, &points, &plan, |x| x);
         for (i, s) in b.symbols.iter().enumerate() {
             if b.assignment[i] == 1 {
                 assert_eq!(*s, None);
@@ -509,7 +533,7 @@ mod tests {
                 assert_eq!(*s, Some(i as u64));
             }
         }
-        assert_eq!(b.points_of(1), vec![4, 5, 6, 7]);
+        assert_eq!(owned(12, 3, 1), 4..8);
     }
 
     #[test]
@@ -517,12 +541,12 @@ mod tests {
         let f = field();
         let points: Vec<u64> = (0..9).collect();
         let plan = FaultPlan::with_faults(3, &[(2, FaultKind::Corrupt { seed: 7 })]);
-        let b = run_round(&ClusterConfig::sequential(3), &f, &points, &plan, |x| x);
-        for idx in b.points_of(2) {
+        let b = run_round(&f, &points, &plan, |x| x);
+        for idx in owned(9, 3, 2) {
             assert_ne!(b.symbols[idx], Some(idx as u64), "symbol {idx} must be wrong");
             assert!(b.symbols[idx].is_some());
         }
-        for idx in b.points_of(0).into_iter().chain(b.points_of(1)) {
+        for idx in owned(9, 3, 0).chain(owned(9, 3, 1)) {
             assert_eq!(b.symbols[idx], Some(idx as u64));
         }
     }
@@ -533,8 +557,8 @@ mod tests {
         let points: Vec<u64> = (0..6).collect();
         for offset in [0u64, 1, 999_999, u64::MAX] {
             let plan = FaultPlan::with_faults(2, &[(0, FaultKind::Adversarial { offset })]);
-            let b = run_round(&ClusterConfig::sequential(2), &f, &points, &plan, |x| x);
-            for idx in b.points_of(0) {
+            let b = run_round(&f, &points, &plan, |x| x);
+            for idx in owned(6, 2, 0) {
                 assert_ne!(b.symbols[idx], Some(idx as u64), "offset {offset}");
             }
         }
@@ -545,14 +569,14 @@ mod tests {
         let f = field();
         let points: Vec<u64> = (0..10).collect();
         let plan = FaultPlan::with_faults(5, &[(2, FaultKind::Equivocate { seed: 3 })]);
-        let b = run_round(&ClusterConfig::sequential(5), &f, &points, &plan, |x| x);
+        let b = run_round(&f, &points, &plan, |x| x);
         let v0 = b.view_for(0);
         let v1 = b.view_for(1);
-        let owned = b.points_of(2);
-        assert!(owned.iter().any(|&i| v0[i] != v1[i]), "receivers must disagree");
+        let equivocated = owned(10, 5, 2);
+        assert!(equivocated.clone().any(|i| v0[i] != v1[i]), "receivers must disagree");
         // Non-equivocated symbols agree everywhere.
         for i in 0..10 {
-            if !owned.contains(&i) {
+            if !equivocated.contains(&i) {
                 assert_eq!(v0[i], v1[i]);
                 assert_eq!(v0[i], Some(i as u64));
             } else {
@@ -566,7 +590,7 @@ mod tests {
         let f = field();
         let points: Vec<u64> = (0..10).collect();
         let plan = FaultPlan::all_honest(3);
-        let b = run_round(&ClusterConfig::sequential(3), &f, &points, &plan, |x| x);
+        let b = run_round(&f, &points, &plan, |x| x);
         let evals: Vec<usize> = b.stats.iter().map(|s| s.evaluations).collect();
         assert_eq!(evals, vec![3, 3, 4]);
     }
@@ -600,11 +624,10 @@ mod tests {
                 }
             }
         }
-        let transport = ClusterConfig::sequential(6).transport();
-        let round = transport.run(&spec, &Two(f)).unwrap();
+        let round = InProcess::new().run(&spec, &Two(f)).unwrap();
         assert_eq!(round.broadcasts.len(), 2);
 
-        let solo0 = run_round(&ClusterConfig::sequential(6), &f, &points, &plan, |x| f.mul(x, x));
+        let solo0 = run_round(&f, &points, &plan, |x| f.mul(x, x));
         let b0 = &round.broadcasts[0];
         assert!(b0.same_word(&solo0), "polynomial 0 must reproduce the width-1 round");
         for r in 0..6 {
@@ -642,8 +665,7 @@ mod tests {
             ],
         );
         let spec = RoundSpec { field: &f, points: &points, plan: &plan };
-        let transport = ClusterConfig::sequential(4).transport();
-        let round = transport.run(&spec, &SingleEval(|x| x)).unwrap();
+        let round = InProcess::new().run(&spec, &SingleEval(|x| x)).unwrap();
         // honest 3 + crash 0 + corrupt 3 + equivocate 3·4 = 18.
         assert_eq!(round.traffic.symbols_broadcast, 18);
         assert!(round.traffic.bytes_on_wire > 0);

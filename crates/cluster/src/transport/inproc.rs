@@ -1,9 +1,12 @@
 //! The in-process bus — the historical default backend.
 //!
-//! Node slices run inside the coordinator, sequentially or on scoped OS
-//! threads; frames are plain in-memory values, so the backend adds zero
-//! serialization overhead and is bit-identical to the seed simulation
-//! (deterministic either way — threading only changes wall-clock).
+//! Node slices run inside the coordinator, split into contiguous groups
+//! across the process-wide thread budget ([`camelot_ff::split_map`],
+//! `CAMELOT_THREADS`; one group runs inline); frames are plain in-memory
+//! values, so the backend adds zero serialization overhead and is
+//! bit-identical to the seed simulation at every budget — threading only
+//! changes wall-clock. A node whose evaluation panics fails the round as
+//! [`TransportError::WorkerFailed`], as a dead socket worker does.
 //! A round with wire programs runs the programs, exactly as a socket
 //! worker does in [`execute_task`](crate::execute_task), so a node
 //! evaluates a program the same way on every backend — by one transform
@@ -24,21 +27,22 @@ use crate::round::{
 };
 use crate::transport::drain::{drive_virtual, Drain};
 use crate::transport::{check_chaos, encode_reply, Transport, TransportError};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use camelot_ff::split_map;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The in-process backend.
 #[derive(Clone, Debug, Default)]
 pub struct InProcess {
-    parallel: bool,
     tuning: TransportTuning,
     chaos: Option<ChaosPlan>,
 }
 
 impl InProcess {
-    /// An in-process bus; `parallel` runs node slices on scoped threads.
+    /// An in-process bus whose node slices split across the thread
+    /// budget (`CAMELOT_THREADS`).
     #[must_use]
-    pub fn new(parallel: bool) -> Self {
-        InProcess { parallel, tuning: TransportTuning::default(), chaos: None }
+    pub fn new() -> Self {
+        InProcess::default()
     }
 
     /// Overrides the transport tuning (a chaos round's drain runs out
@@ -59,11 +63,7 @@ impl InProcess {
 
 impl Transport for InProcess {
     fn name(&self) -> &'static str {
-        if self.parallel {
-            "inproc-parallel"
-        } else {
-            "inproc"
-        }
+        "inproc"
     }
 
     fn run(
@@ -82,76 +82,21 @@ impl Transport for InProcess {
             Some(programs) => programs,
             None => eval,
         };
-        let frames: Vec<NodeFrames> = if self.parallel {
-            // Contiguous node groups, one scoped thread per group, capped
-            // by the process-wide budget (`CAMELOT_THREADS`) instead of
-            // one thread per node; concatenating group results in order
-            // reproduces the sequential frame order exactly.
-            let workers = camelot_ff::worker_count(nodes);
-            let group = nodes.div_ceil(workers.max(1)).max(1);
-            let node_ids: Vec<usize> = (0..nodes).collect();
-            // Each group records the node it is currently computing, so a
-            // panic still attributes to the exact node that failed.
-            let progress: Vec<AtomicUsize> = node_ids
-                .chunks(group)
-                .map(|g| AtomicUsize::new(g.first().copied().unwrap_or(0)))
-                .collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = node_ids
-                    .chunks(group)
-                    .zip(&progress)
-                    .map(|(g, marker)| {
-                        scope.spawn(move || {
-                            g.iter()
-                                .map(|&node| {
-                                    marker.store(node, Ordering::Relaxed);
-                                    let (lo, hi) = node_slice(e, nodes, node);
-                                    compute_node_frames(
-                                        spec.field,
-                                        spec.plan.kind(node),
-                                        nodes,
-                                        node,
-                                        lo,
-                                        &spec.points[lo..hi],
-                                        eval,
-                                    )
-                                })
-                                .collect::<Vec<NodeFrames>>()
-                        })
-                    })
-                    .collect();
-                // A panicked node surfaces as a transport error instead of
-                // aborting the coordinator.
-                let mut all = Vec::with_capacity(nodes);
-                for (h, marker) in handles.into_iter().zip(&progress) {
-                    match h.join() {
-                        Ok(group_frames) => all.extend(group_frames),
-                        Err(_) => {
-                            return Err(TransportError::WorkerFailed {
-                                node: marker.load(Ordering::Relaxed),
-                                reason: "node thread panicked".to_string(),
-                            })
-                        }
-                    }
-                }
-                Ok(all)
-            })?
-        } else {
-            (0..nodes)
-                .map(|node| {
-                    let (lo, hi) = node_slice(e, nodes, node);
-                    compute_node_frames(
-                        spec.field,
-                        spec.plan.kind(node),
-                        nodes,
-                        node,
-                        lo,
-                        &spec.points[lo..hi],
-                        eval,
-                    )
-                })
-                .collect()
-        };
+        // Node slices split across the thread budget (`CAMELOT_THREADS`);
+        // a panicking node is a failed worker, not a dead coordinator.
+        let frames = split_map((0..nodes).collect(), |node| {
+            let (lo, hi) = node_slice(e, nodes, node);
+            catch_unwind(AssertUnwindSafe(|| {
+                let points = &spec.points[lo..hi];
+                compute_node_frames(spec.field, spec.plan.kind(node), nodes, node, lo, points, eval)
+            }))
+            .map_err(|_| TransportError::WorkerFailed {
+                node,
+                reason: "node evaluation panicked".to_string(),
+            })
+        })
+        .into_iter()
+        .collect::<Result<Vec<NodeFrames>, _>>()?;
         let width = eval.width();
         // Without a plan no reply can fail, and none pays for the codec.
         let Some(chaos) = &self.chaos else {

@@ -4,8 +4,9 @@
 //! hands back the assembled [`RoundOutcome`]. Two backends ship:
 //!
 //! * [`InProcess`](crate::InProcess) — the historical in-process bus:
-//!   node slices run in the coordinator (sequentially or on scoped
-//!   threads), zero serialization overhead, bit-identical to the seed;
+//!   node slices run in the coordinator (split across the
+//!   `CAMELOT_THREADS` budget), zero serialization overhead,
+//!   bit-identical to the seed;
 //!   a chaos plan runs through the pool's reply drain on a virtual
 //!   clock;
 //! * [`SocketTransport`](crate::SocketTransport) — a pool of long-lived
@@ -316,11 +317,6 @@ pub enum Backend {
 pub struct ClusterConfig {
     /// Number of compute nodes `K`.
     pub nodes: usize,
-    /// For the [`Backend::InProcess`] backend: run node slices on OS
-    /// threads (the simulation is deterministic either way; sequential
-    /// is the default and is exactly reproducible in timing-sensitive
-    /// tests). The socket backend is inherently concurrent.
-    pub parallel: bool,
     /// Which broadcast backend rounds run on.
     pub backend: Backend,
     /// Deadline and demotion knobs for the socket-flavoured backends
@@ -333,7 +329,8 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Sequential in-process simulation with `K` nodes.
+    /// In-process simulation with `K` nodes, whose node slices split
+    /// across the thread budget (`CAMELOT_THREADS`).
     ///
     /// # Panics
     ///
@@ -343,21 +340,10 @@ impl ClusterConfig {
         assert!(nodes > 0, "a cluster needs at least one node");
         ClusterConfig {
             nodes,
-            parallel: false,
             backend: Backend::InProcess,
             tuning: TransportTuning::default(),
             chaos: None,
         }
-    }
-
-    /// Threaded in-process simulation with `K` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0`.
-    #[must_use]
-    pub fn parallel(nodes: usize) -> Self {
-        ClusterConfig { parallel: true, ..ClusterConfig::sequential(nodes) }
     }
 
     /// Switches the broadcast backend.
@@ -389,9 +375,7 @@ impl ClusterConfig {
         let tuning = self.tuning.clone();
         let chaos = self.chaos.clone();
         match &self.backend {
-            Backend::InProcess => {
-                Box::new(InProcess::new(self.parallel).with_tuning(tuning).with_chaos(chaos))
-            }
+            Backend::InProcess => Box::new(InProcess::new().with_tuning(tuning).with_chaos(chaos)),
             Backend::Socket(mode) => Box::new(
                 SocketTransport::persistent(mode.clone()).with_tuning(tuning).with_chaos(chaos),
             ),

@@ -19,7 +19,7 @@ use camelot_cluster::{
     Backend, Broadcast, ChaosPlan, ClusterConfig, Demotion, EvalProgram, FaultPlan, RoundEval,
     RoundSpec, Transport, TransportTuning,
 };
-use camelot_ff::{is_prime_u64, worker_count, PrimeField, SplitMix64, MAX_MODULUS};
+use camelot_ff::{is_prime_u64, split_map, PrimeField, MAX_MODULUS};
 use camelot_rscode::RsCode;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -84,7 +84,7 @@ impl RecoveryPolicy {
 /// Engine configuration for one run.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// The simulated cluster (node count, threading).
+    /// The simulated cluster (node count, backend).
     pub cluster: ClusterConfig,
     /// Prime-modulus schedule (default: smallest admissible primes).
     pub prime_schedule: PrimeSchedule,
@@ -107,7 +107,9 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// A quiet sequential cluster of `nodes` nodes with fault budget `f`.
+    /// A quiet in-process cluster of `nodes` nodes with fault budget `f`,
+    /// its node slices split across the thread budget
+    /// (`CAMELOT_THREADS`).
     #[must_use]
     pub fn sequential(nodes: usize, fault_tolerance: usize) -> Self {
         EngineConfig {
@@ -119,29 +121,6 @@ impl EngineConfig {
             verification_trials: 2,
             seed: 0x00CA_110C_A11E,
             recovery: RecoveryPolicy::none(),
-        }
-    }
-
-    /// A threaded cluster of `nodes` nodes with fault budget `f`. The
-    /// simulation is deterministic either way; this runs node slices on
-    /// OS threads for wall-clock speed.
-    #[must_use]
-    pub fn parallel(nodes: usize, fault_tolerance: usize) -> Self {
-        EngineConfig {
-            cluster: ClusterConfig::parallel(nodes),
-            ..Self::sequential(nodes, fault_tolerance)
-        }
-    }
-
-    /// Threaded cluster in release builds, sequential in debug builds
-    /// (where the per-node timing numbers in test assertions must be
-    /// exactly reproducible). The default for the experiment binaries.
-    #[must_use]
-    pub fn auto(nodes: usize, fault_tolerance: usize) -> Self {
-        if cfg!(debug_assertions) {
-            Self::sequential(nodes, fault_tolerance)
-        } else {
-            Self::parallel(nodes, fault_tolerance)
         }
     }
 
@@ -467,25 +446,11 @@ impl Engine {
         Engine { config, transport: Some(transport) }
     }
 
-    /// Convenience: sequential engine with `nodes` nodes and fault budget
-    /// `f`.
+    /// Convenience: the [`EngineConfig::sequential`] engine with `nodes`
+    /// nodes and fault budget `f`.
     #[must_use]
     pub fn sequential(nodes: usize, fault_tolerance: usize) -> Self {
         Engine::new(EngineConfig::sequential(nodes, fault_tolerance))
-    }
-
-    /// Convenience: threaded engine with `nodes` nodes and fault budget
-    /// `f`.
-    #[must_use]
-    pub fn parallel(nodes: usize, fault_tolerance: usize) -> Self {
-        Engine::new(EngineConfig::parallel(nodes, fault_tolerance))
-    }
-
-    /// Convenience: [`EngineConfig::auto`] engine — threaded in release
-    /// builds, sequential in debug builds.
-    #[must_use]
-    pub fn auto(nodes: usize, fault_tolerance: usize) -> Self {
-        Engine::new(EngineConfig::auto(nodes, fault_tolerance))
     }
 
     /// Runs the full prepare → correct → check → recover pipeline.
@@ -807,13 +772,11 @@ impl Engine {
                 }
             }
             // Per-problem lane decodes are independent (each touches only
-            // its own accumulator); split the batch into contiguous
-            // groups across scoped threads, capped by the unified
-            // `CAMELOT_THREADS` budget. Results are consumed in batch
-            // order, so the surfaced error (if any) is the one the
-            // sequential loop would have hit first.
-            let workers = worker_count(round.broadcasts.len());
-            let lane = |i: usize, broadcast, acc: &mut ProblemAcc| {
+            // its own accumulator): they split across the thread budget.
+            // Results come back in batch order, so the surfaced error (if
+            // any) is the one a sequential loop would have hit first.
+            let lanes: Vec<_> = round.broadcasts.iter().zip(accs.iter_mut()).enumerate().collect();
+            let proofs = split_map(lanes, |(i, (broadcast, acc))| {
                 self.decode_and_check(
                     &code,
                     &field,
@@ -823,44 +786,7 @@ impl Engine {
                     evaluators[i].as_ref(),
                     acc,
                 )
-            };
-            let proofs: Vec<Result<PrimeProof, CamelotError>> = if workers >= 2 {
-                let group = round.broadcasts.len().div_ceil(workers);
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = round
-                        .broadcasts
-                        .chunks(group)
-                        .zip(accs.chunks_mut(group))
-                        .enumerate()
-                        .map(|(g, (lanes, lane_accs))| {
-                            let lane = &lane;
-                            s.spawn(move || {
-                                lanes
-                                    .iter()
-                                    .zip(lane_accs.iter_mut())
-                                    .enumerate()
-                                    .map(|(off, (b, acc))| lane(g * group + off, b, acc))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| match h.join() {
-                            Ok(group_proofs) => group_proofs,
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        })
-                        .collect()
-                })
-            } else {
-                round
-                    .broadcasts
-                    .iter()
-                    .zip(accs.iter_mut())
-                    .enumerate()
-                    .map(|(i, (b, acc))| lane(i, b, acc))
-                    .collect()
-            };
+            });
             for (acc, proof) in accs.iter_mut().zip(proofs) {
                 acc.proofs.push(proof?);
             }
@@ -935,15 +861,17 @@ impl Engine {
         }
         let proof = agreed.expect("at least one decider ran");
 
-        // Spot-check verification (§1.3 step 3): random x0, compare
-        // a fresh evaluation of P against Horner on the coefficients.
-        let mut rng = SplitMix64::new(self.config.seed ^ q);
-        for _ in 0..self.config.verification_trials {
-            let x0 = field.sample(&mut rng);
-            acc.report.verification_evaluations += 1;
-            if evaluator.eval(x0) != proof.eval(x0) {
-                return Err(CamelotError::VerificationFailed { modulus: q });
-            }
+        // Spot-check verification (§1.3 step 3).
+        let verdict = crate::verify::run_trials(
+            field,
+            evaluator,
+            &proof,
+            self.config.verification_trials,
+            self.config.seed,
+        );
+        acc.report.verification_evaluations += verdict.trials_run;
+        if !verdict.accepted {
+            return Err(CamelotError::VerificationFailed { modulus: q });
         }
         Ok(proof)
     }

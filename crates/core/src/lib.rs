@@ -45,9 +45,8 @@ pub use camelot_cluster::{
     SocketTransport, Transport, TransportTuning, WorkerMode,
 };
 
-// The unified thread-count helper (one process-wide budget honoring
-// `CAMELOT_THREADS`): every layer that splits work across OS threads —
-// the parallel in-process transport's node groups and the engine's
-// batched lane decodes — derives its worker count from this single
-// source, re-exported here as the engine-facing configuration surface.
+// The one thread budget (`CAMELOT_THREADS`): both splits across OS
+// threads — the in-process bus's node groups and the engine's batched
+// lane decodes — go through `camelot_ff::split_map`, which reads it;
+// re-exported here as the engine-facing configuration surface.
 pub use camelot_ff::{set_thread_budget, thread_budget, worker_count};

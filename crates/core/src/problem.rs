@@ -8,6 +8,7 @@
 //! decoded proof coefficients back to the combinatorial answer.
 
 use crate::error::CamelotError;
+use camelot_cluster::{EvalProgram, PreparedProgram};
 use camelot_ff::PrimeField;
 
 /// Static parameters of a proof polynomial, derivable by every node from
@@ -62,7 +63,7 @@ pub trait Evaluate: Sync {
     fn eval(&self, x0: u64) -> u64;
 
     /// A wire-expressible description of this oracle, when one exists
-    /// ([`camelot_cluster::EvalProgram`]): what a process-spanning
+    /// ([`EvalProgram`]): what a process-spanning
     /// broadcast backend ships to its `camelot-node` workers so each
     /// reconstructs the evaluation from the task message alone. The
     /// default `None` restricts rounds to in-process backends — most
@@ -71,7 +72,7 @@ pub trait Evaluate: Sync {
     /// polynomials all have programs evaluates the programs on every
     /// backend, the in-process one included, so a program must describe
     /// exactly the polynomial `eval` computes.
-    fn program(&self) -> Option<camelot_cluster::EvalProgram> {
+    fn program(&self) -> Option<EvalProgram> {
         None
     }
 }
@@ -79,6 +80,18 @@ pub trait Evaluate: Sync {
 impl<F: Fn(u64) -> u64 + Sync> Evaluate for F {
     fn eval(&self, x0: u64) -> u64 {
         self(x0)
+    }
+}
+
+/// An explicit polynomial with its coefficients reduced once: Horner on
+/// the coefficients, shippable to workers as its own program.
+impl Evaluate for PreparedProgram {
+    fn eval(&self, x0: u64) -> u64 {
+        PreparedProgram::eval(self, x0)
+    }
+
+    fn program(&self) -> Option<EvalProgram> {
+        Some(PreparedProgram::program(self))
     }
 }
 

@@ -17,7 +17,7 @@
 //! designs ([`PrimeProof::sum_eval_consecutive`]) run the same kernel.
 
 use crate::error::CamelotError;
-use crate::problem::{CamelotProblem, PrimeProof};
+use crate::problem::{CamelotProblem, Evaluate, PrimeProof};
 use camelot_ff::{PrimeField, SplitMix64};
 
 /// Outcome of a spot-check session.
@@ -66,15 +66,28 @@ pub fn spot_check<P: CamelotProblem>(
         });
     }
     let field = PrimeField::new_unchecked(proof.modulus);
-    let evaluator = problem.evaluator(&field);
+    Ok(run_trials(&field, problem.evaluator(&field).as_ref(), proof, trials, seed))
+}
+
+/// The spot-check trials themselves, for a proof already known to be
+/// well-formed: up to `trials` points `x0` drawn from
+/// `SplitMix64::new(seed ^ q)`, each comparing `evaluator` against Horner
+/// on the coefficients, stopping at the first rejection.
+pub(crate) fn run_trials(
+    field: &PrimeField,
+    evaluator: &dyn Evaluate,
+    proof: &PrimeProof,
+    trials: usize,
+    seed: u64,
+) -> VerifyReport {
     let mut rng = SplitMix64::new(seed ^ proof.modulus);
     for trial in 0..trials {
         let x0 = field.sample(&mut rng);
         if evaluator.eval(x0) != proof.eval(x0) {
-            return Ok(VerifyReport { trials_run: trial + 1, accepted: false });
+            return VerifyReport { trials_run: trial + 1, accepted: false };
         }
     }
-    Ok(VerifyReport { trials_run: trials, accepted: true })
+    VerifyReport { trials_run: trials, accepted: true }
 }
 
 /// Upper bound on the probability that a *wrong* proof survives `trials`

@@ -44,5 +44,5 @@ pub use fp::{
 };
 pub use kernel::LANES;
 pub use prime::{is_prime_u64, next_prime, ntt_prime, primes_above, primitive_root};
-pub use threads::{set_thread_budget, thread_budget, worker_count};
+pub use threads::{set_thread_budget, split_map, thread_budget, worker_count};
 pub use ubig::{IBig, UBig};

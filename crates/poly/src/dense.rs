@@ -293,10 +293,8 @@ impl Poly {
     }
 
     /// Drop-in fast version of [`Poly::partial_xgcd`]: identical
-    /// contract and bit-identical output, running the structured
-    /// half-GCD of [`crate::partial_xgcd_fast`] past the
-    /// [`crate::hgcd_crossover`] operand length and the classical loop
-    /// below it.
+    /// contract and bit-identical output, by the structured half-GCD of
+    /// [`crate::partial_xgcd_fast`] at every operand size.
     ///
     /// # Panics
     ///

@@ -26,45 +26,11 @@
 use crate::dense::Poly;
 use crate::multipoint::{div_rem_ctx, MulContext};
 use camelot_ff::PrimeField;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-/// Default operand length (coefficients, max of the two inputs) at which
-/// [`partial_xgcd_fast`] leaves the classical remainder loop for the
-/// structured path. Fitted on the committed `BENCH_algebra.json`
-/// trajectory: on the Gao decode shape the structured path wins at every
-/// measured size — the final-division shortcut alone beats the classical
-/// loop even below the transform threshold — so only toy inputs, where
-/// the two are within noise, stay on the classical loop.
-const HGCD_DEFAULT_CROSSOVER: usize = 32;
 
 /// Degree gap (current head degree minus the target) below which
 /// [`reduce`] steps classically instead of recursing: a handful of
 /// short-quotient divisions is cheaper than matrix bookkeeping.
 const HGCD_BASE_GAP: usize = 16;
-
-fn crossover_cell() -> &'static AtomicUsize {
-    static CELL: OnceLock<AtomicUsize> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let from_env = std::env::var("CAMELOT_HGCD_CROSSOVER").ok().and_then(|v| v.parse().ok());
-        AtomicUsize::new(from_env.unwrap_or(HGCD_DEFAULT_CROSSOVER))
-    })
-}
-
-/// Operand length at which [`partial_xgcd_fast`] switches from the
-/// classical remainder loop to the structured half-GCD path.
-/// Initialized from the `CAMELOT_HGCD_CROSSOVER` environment variable
-/// when set (`0` forces the structured path for every input).
-#[must_use]
-pub fn hgcd_crossover() -> usize {
-    crossover_cell().load(Ordering::Relaxed)
-}
-
-/// Overrides the half-GCD crossover process-wide (benchmark crossover
-/// fitting and the CI forced-path smoke run).
-pub fn set_hgcd_crossover(len: usize) {
-    crossover_cell().store(len, Ordering::Relaxed)
-}
 
 /// A 2×2 matrix of cofactor polynomials acting on a remainder pair:
 /// `(r0'; r1') = M · (r0; r1)`. Row 0 holds the Bézout cofactors of the
@@ -297,35 +263,15 @@ fn reduce(ctx: &MulContext, r0: &Poly, r1: &Poly, target: usize) -> (Mat22, Poly
 
 /// Drop-in fast version of [`Poly::partial_xgcd`]: identical
 /// `(u, v, r)` contract and stop-degree semantics, bit-identical output,
-/// dispatching to the structured half-GCD path once either operand
-/// reaches [`hgcd_crossover`] coefficients and to the classical loop
-/// below it.
+/// by the structured half-GCD path at every operand size (on the Gao
+/// decode shape it beats the classical loop at every measured size; the
+/// classical loop stays as the reference the tests hold it to).
 ///
 /// # Panics
 ///
 /// Panics if both inputs are zero.
 #[must_use]
 pub fn partial_xgcd_fast(
-    field: &PrimeField,
-    a: &Poly,
-    b: &Poly,
-    stop_degree: usize,
-) -> (Poly, Poly, Poly) {
-    if a.coeffs().len().max(b.coeffs().len()) < hgcd_crossover() {
-        return a.partial_xgcd(field, b, stop_degree);
-    }
-    partial_xgcd_structured(field, a, b, stop_degree)
-}
-
-/// The structured half-GCD path with no crossover dispatch — what
-/// [`partial_xgcd_fast`] runs past the crossover, callable directly at
-/// any size (property tests, crossover fitting).
-///
-/// # Panics
-///
-/// Panics if both inputs are zero.
-#[must_use]
-pub fn partial_xgcd_structured(
     field: &PrimeField,
     a: &Poly,
     b: &Poly,
@@ -396,7 +342,7 @@ mod tests {
 
     fn assert_matches_classical(field: &PrimeField, a: &Poly, b: &Poly, stop: usize) {
         let classical = a.partial_xgcd(field, b, stop);
-        let structured = partial_xgcd_structured(field, a, b, stop);
+        let structured = partial_xgcd_fast(field, a, b, stop);
         assert_eq!(
             structured,
             classical,
@@ -407,7 +353,7 @@ mod tests {
         );
     }
 
-    /// Randomized pairs across degrees straddling the dispatch crossover,
+    /// Randomized pairs from toy to transform-sized degrees,
     /// with every stop-degree regime (0 = full gcd, middle, above both
     /// degrees), against the classical loop — for an NTT-friendly prime
     /// and one with no two-adic structure.
@@ -415,9 +361,15 @@ mod tests {
     fn structured_matches_classical_on_random_pairs() {
         for field in [ntt_field(), plain_field()] {
             let mut rng = SplitMix64::new(41);
-            for (da, db) in
-                [(20usize, 11usize), (64, 63), (200, 100), (257, 255), (400, 399), (900, 500)]
-            {
+            for (da, db) in [
+                (20usize, 11usize),
+                (30, 23),
+                (64, 63),
+                (200, 100),
+                (257, 255),
+                (400, 399),
+                (900, 500),
+            ] {
                 let a = random_poly(&field, da, &mut rng);
                 let b = random_poly(&field, db, &mut rng);
                 for stop in [0usize, 1, db / 2, db, da / 2 + db / 2, da, da + 5] {
@@ -471,26 +423,7 @@ mod tests {
     #[should_panic(expected = "two zero polynomials")]
     fn structured_rejects_two_zeros() {
         let field = ntt_field();
-        let _ = partial_xgcd_structured(&field, &Poly::zero(), &Poly::zero(), 3);
-    }
-
-    /// The dispatching entry point must agree with the classical loop on
-    /// both sides of the crossover (below: it *is* the classical loop;
-    /// above: the structured path).
-    #[test]
-    fn fast_dispatch_matches_classical_across_crossover() {
-        let field = ntt_field();
-        let mut rng = SplitMix64::new(44);
-        for deg in [30usize, HGCD_DEFAULT_CROSSOVER, 2 * HGCD_DEFAULT_CROSSOVER] {
-            let a = random_poly(&field, deg, &mut rng);
-            let b = random_poly(&field, deg - 7, &mut rng);
-            let stop = deg / 2;
-            assert_eq!(
-                partial_xgcd_fast(&field, &a, &b, stop),
-                a.partial_xgcd(&field, &b, stop),
-                "deg = {deg}"
-            );
-        }
+        let _ = partial_xgcd_fast(&field, &Poly::zero(), &Poly::zero(), 3);
     }
 
     /// The decoder's operands on a roots-of-unity code: `a = x^n − 1`

@@ -6,7 +6,7 @@
 //! Newton interpolation, and the `O(R)` consecutive-node Lagrange basis
 //! evaluation of §5.3 that the clique/triangle evaluation algorithms use.
 //!
-//! Past measured crossover sizes, [`eval_many_fast`] and
+//! Past measured crossover sizes, [`PointTree::eval_many`] and
 //! [`interpolate_fast`] switch to subproduct-tree algorithms
 //! (`O(M(n) log n)`) whose products run through cached [`NttPlan`]s when
 //! the modulus is NTT-friendly; the naive routines are retained as
@@ -15,7 +15,7 @@
 //! Every routine runs on the calling thread. The paper's parallelism is
 //! its `K` nodes, each evaluating and decoding sequentially, so threads
 //! split work only at that level: the in-process transport's node
-//! groups and the engine's batch lanes (`camelot_ff::thread_budget`).
+//! groups and the engine's batch lanes (`camelot_ff::split_map`).
 //!
 //! ## Example
 //!
@@ -41,11 +41,9 @@ mod multipoint;
 mod ntt;
 
 pub use dense::Poly;
-pub use hgcd::{hgcd_crossover, partial_xgcd_fast, partial_xgcd_structured, set_hgcd_crossover};
+pub use hgcd::partial_xgcd_fast;
 pub use interp::{
     eval_many, interpolate, interpolate_consecutive, lagrange_basis_at, ConsecutiveBasis,
 };
-pub use multipoint::{
-    cached_ntt_plan, div_rem_fast, eval_many_fast, interpolate_fast, vanishing_poly, PointTree,
-};
+pub use multipoint::{cached_ntt_plan, div_rem_fast, interpolate_fast, vanishing_poly, PointTree};
 pub use ntt::NttPlan;

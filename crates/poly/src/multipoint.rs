@@ -1,7 +1,7 @@
 //! Subproduct-tree multipoint evaluation and fast interpolation.
 //!
 //! The remaining pieces of the `M(d) = d log d log log d` fast-arithmetic
-//! toolbox of §2.2 of the paper: [`eval_many_fast`] evaluates a degree-`d`
+//! toolbox of §2.2 of the paper: [`PointTree::eval_many`] evaluates a degree-`d`
 //! polynomial at `n` points in `O(M(n) log n)` instead of Horner's
 //! `O(d·n)`, and [`interpolate_fast`] inverts that map in the same bound
 //! instead of Newton's `O(n²)`. Both walk a *subproduct tree* over the
@@ -14,8 +14,9 @@
 //! sequence would pay at the root.
 //!
 //! The quadratic routines ([`crate::eval_many`], [`crate::interpolate`])
-//! are the oracles; the `*_fast` entry points dispatch to them below a
-//! crossover size, so callers can use the fast names unconditionally.
+//! are the oracles; [`PointTree`] and [`interpolate_fast`] dispatch to
+//! them below a crossover size, so callers can use the fast paths
+//! unconditionally.
 
 use crate::dense::Poly;
 use crate::interp::{eval_many, interpolate, interpolate_reduced};
@@ -529,9 +530,9 @@ impl SubproductTree {
 /// encodes, re-encodes, and interpolates per decode, at every deciding
 /// node — pay the tree construction once instead of per call.
 ///
-/// All entry points apply exactly the crossover dispatch of
-/// [`eval_many_fast`] / [`interpolate_fast`] and return bit-identical
-/// results; the cache only removes rebuilding.
+/// Its entry points dispatch at measured crossovers — [`eval_many`] and
+/// [`interpolate_fast`]'s below them — and return bit-identical results
+/// to those oracles; the cache only removes rebuilding.
 pub struct PointTree {
     ctx: MulContext,
     tree: SubproductTree,
@@ -606,9 +607,9 @@ impl PointTree {
         self.tree.root()
     }
 
-    /// Evaluates `poly` at every point — identical dispatch and output
-    /// to [`eval_many_fast`], reusing the cached tree when the tree
-    /// path engages.
+    /// Evaluates `poly` at every point — output identical to
+    /// [`eval_many`], reusing the cached tree when the tree path
+    /// engages.
     #[must_use]
     pub fn eval_many(&self, poly: &Poly) -> Vec<u64> {
         let n = self.len();
@@ -800,14 +801,6 @@ fn tree_pays_off(ctx: &MulContext, n: usize, ntt_crossover: usize) -> bool {
     }
 }
 
-/// Subproduct-tree evaluation with no crossover dispatch (testable
-/// directly at any size); builds a transient [`PointTree`].
-fn eval_many_tree(ctx: &MulContext, poly: &Poly, xs: &[u64]) -> Vec<u64> {
-    let field = &ctx.field;
-    let reduced: Vec<u64> = xs.iter().map(|&x| field.reduce(x)).collect();
-    PointTree::with_ctx(ctx.clone(), reduced).eval_core(poly)
-}
-
 /// Subproduct-tree interpolation with no crossover dispatch (testable
 /// directly at any size); builds a transient [`PointTree`].
 fn interpolate_tree(ctx: &MulContext, points: &[(u64, u64)]) -> Poly {
@@ -815,25 +808,6 @@ fn interpolate_tree(ctx: &MulContext, points: &[(u64, u64)]) -> Poly {
     let xs: Vec<u64> = points.iter().map(|&(x, _)| field.reduce(x)).collect();
     let ys: Vec<u64> = points.iter().map(|&(_, y)| y).collect();
     PointTree::with_ctx(ctx.clone(), xs).interpolate_core(&ys)
-}
-
-/// Evaluates `poly` at each point in `O(M(n) log n)` via a subproduct
-/// tree, falling back to Horner-per-point ([`eval_many`]) below the
-/// crossover size (where quadratic work wins on constants).
-///
-/// Always returns exactly what [`eval_many`] returns.
-#[must_use]
-pub fn eval_many_fast(field: &PrimeField, poly: &Poly, xs: &[u64]) -> Vec<u64> {
-    let n = xs.len();
-    let lg = ceil_log2(n.max(2)) as usize;
-    if n < EVAL_MIN_POINTS || poly.coeffs().len() < EVAL_DEGREE_FACTOR * lg * lg {
-        return eval_many(field, poly, xs);
-    }
-    let ctx = MulContext::new(field, n.max(poly.coeffs().len()) + 1);
-    if !tree_pays_off(&ctx, n, EVAL_MIN_POINTS) {
-        return eval_many(field, poly, xs);
-    }
-    eval_many_tree(&ctx, poly, xs)
 }
 
 /// Interpolates the unique polynomial of degree `< points.len()` through
@@ -880,6 +854,14 @@ pub fn vanishing_poly(field: &PrimeField, points: &[u64]) -> Poly {
 mod tests {
     use super::*;
     use camelot_ff::{ntt_prime, RngLike, SplitMix64};
+
+    /// Subproduct-tree evaluation with no crossover dispatch (testable
+    /// directly at any size); builds a transient [`PointTree`].
+    fn eval_many_tree(ctx: &MulContext, poly: &Poly, xs: &[u64]) -> Vec<u64> {
+        let field = &ctx.field;
+        let reduced: Vec<u64> = xs.iter().map(|&x| field.reduce(x)).collect();
+        PointTree::with_ctx(ctx.clone(), reduced).eval_core(poly)
+    }
 
     fn ntt_field() -> PrimeField {
         // 2^14-smooth prime: full NTT coverage for every size used here.
@@ -1018,23 +1000,6 @@ mod tests {
         }
     }
 
-    /// The public entry point must agree with the oracle on both sides of
-    /// the crossover (naive below, tree above).
-    #[test]
-    fn eval_many_fast_matches_naive_across_crossover() {
-        let field = ntt_field();
-        let mut rng = SplitMix64::new(28);
-        for (deg, npts) in [(300usize, 400usize), (2100, 2150)] {
-            let poly = random_poly(&field, deg, &mut rng);
-            let xs: Vec<u64> = (0..npts as u64).collect();
-            assert_eq!(
-                eval_many_fast(&field, &poly, &xs),
-                eval_many(&field, &poly, &xs),
-                "deg {deg}, {npts} points"
-            );
-        }
-    }
-
     #[test]
     fn interpolate_tree_matches_naive() {
         for (field, ns) in [(ntt_field(), vec![70usize, 129, 300]), (plain_field(), vec![600])] {
@@ -1126,7 +1091,7 @@ mod tests {
             let xs: Vec<u64> = (0..n as u64).collect();
             let tree = PointTree::new(&field, &xs);
             let poly = random_poly(&field, deg, &mut rng);
-            assert_eq!(tree.eval_many(&poly), eval_many_fast(&field, &poly, &xs), "eval n={n}");
+            assert_eq!(tree.eval_many(&poly), eval_many(&field, &poly, &xs), "eval n={n}");
             let ys: Vec<u64> = (0..n).map(|_| field.sample(&mut rng)).collect();
             let pts: Vec<(u64, u64)> = xs.iter().copied().zip(ys.iter().copied()).collect();
             assert_eq!(tree.interpolate(&ys), interpolate_fast(&field, &pts), "interp n={n}");

@@ -524,7 +524,7 @@ impl RsCode {
     /// the zero-padded coefficients (`O(e log e)`). Otherwise it routes
     /// through subproduct-tree multipoint evaluation past a crossover
     /// length and Horner per point below it — see
-    /// [`camelot_poly::eval_many_fast`]. The output is bit-identical
+    /// [`PointTree::eval_many`]. The output is bit-identical
     /// across all paths.
     ///
     /// # Panics

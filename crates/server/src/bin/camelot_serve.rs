@@ -10,7 +10,7 @@
 //! ```text
 //! camelot-serve [--listen HOST:PORT] [--nodes K] [--fault-tolerance F]
 //!               [--workers threads|process] [--batch-window-ms N]
-//!               [--store-capacity N] [--store-dir DIR] [--ntt]
+//!               [--store-capacity N] [--store-dir DIR]
 //!               [--io-deadline-ms N] [--client-timeout-ms N]
 //!               [--demote-dead-workers] [--escalations N]
 //! ```
@@ -19,10 +19,11 @@
 //! the 60 s default); `--demote-dead-workers` turns a dead or hung
 //! worker into an erasure the round decodes through instead of a failed
 //! round; `--escalations` lets the engine raise the fault budget when a
-//! round decodes outside the configured radius.
+//! round decodes outside the configured radius. Each request names its
+//! own prime schedule, and its certificate is prepared under it.
 
 use camelot_cluster::sibling_worker_binary;
-use camelot_core::{PrimeSchedule, RecoveryPolicy, WorkerMode};
+use camelot_core::{RecoveryPolicy, WorkerMode};
 use camelot_server::{run_daemon, Service, ServiceConfig};
 use std::io::Write;
 use std::net::TcpListener;
@@ -32,7 +33,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: camelot-serve [--listen HOST:PORT] [--nodes K] \
 [--fault-tolerance F] [--workers threads|process] [--batch-window-ms N] \
-[--store-capacity N] [--store-dir DIR] [--ntt] [--io-deadline-ms N] \
+[--store-capacity N] [--store-dir DIR] [--io-deadline-ms N] \
 [--client-timeout-ms N] [--demote-dead-workers] [--escalations N]";
 
 fn parse_args() -> Result<(String, ServiceConfig), String> {
@@ -74,7 +75,6 @@ fn parse_args() -> Result<(String, ServiceConfig), String> {
                     value("a count")?.parse().map_err(|_| "bad --store-capacity".to_string())?;
             }
             "--store-dir" => config.store_dir = Some(value("DIR")?.into()),
-            "--ntt" => config.schedule = PrimeSchedule::NttFriendly,
             "--io-deadline-ms" => {
                 let ms: u64 = value("milliseconds")?.parse().map_err(|_| "bad --io-deadline-ms")?;
                 config.io_deadline = Some(Duration::from_millis(ms.max(1)));

@@ -19,10 +19,11 @@
 //!   health-checked and respawned, and the batch retries once.
 
 use crate::wire::{read_frame, schedule_token, PolyRequest, Request, Response};
-use camelot_cluster::{EvalProgram, PreparedProgram, SocketTransport};
+use camelot_cluster::{PreparedProgram, SocketTransport};
 use camelot_core::{
     CamelotError, CamelotOutcome, CamelotProblem, Certificate, ChaosPlan, Engine, EngineConfig,
-    Evaluate, PrimeProof, PrimeSchedule, ProofSpec, RecoveryPolicy, TransportTuning, WorkerMode,
+    Evaluate, PrimeProof, PrimeSchedule, ProofSpec, RecoveryPolicy, Transport, TransportTuning,
+    WorkerMode,
 };
 use camelot_ff::{crt_u, PrimeField, Residue};
 use camelot_store::{cert_key, CertKey, CertStore};
@@ -56,8 +57,6 @@ pub struct ServiceConfig {
     pub store_capacity: usize,
     /// Optional directory mirror for the certificate store.
     pub store_dir: Option<PathBuf>,
-    /// Prime schedule certificates are prepared under.
-    pub schedule: PrimeSchedule,
     /// Spot-check trials per prime proof.
     pub verification_trials: usize,
     /// Verification randomness seed.
@@ -89,7 +88,6 @@ impl Default for ServiceConfig {
             batch_window: Duration::from_millis(40),
             store_capacity: 64,
             store_dir: None,
-            schedule: PrimeSchedule::Smallest,
             verification_trials: 2,
             seed: 0x00CA_110C_A11E,
             io_deadline: None,
@@ -109,21 +107,6 @@ impl Default for ServiceConfig {
 #[derive(Clone, Debug)]
 pub struct ServicePoly(pub PolyRequest);
 
-/// Per-prime oracle for [`ServicePoly`]: Horner on the coefficients,
-/// reduced once at construction, shippable to workers as an
-/// [`EvalProgram`].
-struct PolyEval(PreparedProgram);
-
-impl Evaluate for PolyEval {
-    fn eval(&self, x0: u64) -> u64 {
-        self.0.eval(x0)
-    }
-
-    fn program(&self) -> Option<EvalProgram> {
-        Some(self.0.program())
-    }
-}
-
 impl CamelotProblem for ServicePoly {
     type Output = u128;
 
@@ -136,7 +119,7 @@ impl CamelotProblem for ServicePoly {
     }
 
     fn evaluator<'a>(&'a self, field: &PrimeField) -> Box<dyn Evaluate + 'a> {
-        Box::new(PolyEval(PreparedProgram::poly(field, &self.0.coefficients)))
+        Box::new(PreparedProgram::poly(field, &self.0.coefficients))
     }
 
     fn recover(&self, proofs: &[PrimeProof]) -> Result<u128, CamelotError> {
@@ -158,10 +141,13 @@ struct Pending {
 /// threads behind an [`Arc`]; all interior state is synchronized.
 pub struct Service {
     config: ServiceConfig,
-    /// The persistent transport; clones (one lives inside the engine)
+    /// The persistent transport; clones (one lives inside each engine)
     /// share the same worker pool.
     transport: SocketTransport,
-    engine: Engine,
+    /// One engine per prime schedule, all on the one transport: a
+    /// request's own schedule picks the engine that prepares it.
+    smallest: Engine,
+    ntt: Engine,
     store: Mutex<CertStore>,
     /// The admission queue; the request that makes it non-empty is the
     /// leader of the next batch.
@@ -191,11 +177,14 @@ impl Service {
             .with_tuning(tuning)
             .with_chaos(config.chaos.clone());
         let mut engine_config = EngineConfig::sequential(config.nodes, config.fault_tolerance);
-        engine_config.prime_schedule = config.schedule;
         engine_config.verification_trials = config.verification_trials;
         engine_config.seed = config.seed;
         engine_config.recovery = config.recovery;
-        let engine = Engine::with_transport(engine_config, Arc::new(transport.clone()));
+        let shared: Arc<dyn Transport + Send + Sync> = Arc::new(transport.clone());
+        let engine = |prime_schedule| {
+            let config = EngineConfig { prime_schedule, ..engine_config.clone() };
+            Engine::with_transport(config, Arc::clone(&shared))
+        };
         let store = match &config.store_dir {
             Some(dir) => CertStore::with_dir(config.store_capacity, dir.clone())
                 .map_err(|e| e.to_string())?,
@@ -204,12 +193,21 @@ impl Service {
         Ok(Service {
             config,
             transport,
-            engine,
+            smallest: engine(PrimeSchedule::Smallest),
+            ntt: engine(PrimeSchedule::NttFriendly),
             store: Mutex::new(store),
             queue: Mutex::new(Vec::new()),
             requests: AtomicUsize::new(0),
             worker_failures: AtomicUsize::new(0),
         })
+    }
+
+    /// The engine preparing under `schedule`.
+    fn engine(&self, schedule: PrimeSchedule) -> &Engine {
+        match schedule {
+            PrimeSchedule::Smallest => &self.smallest,
+            PrimeSchedule::NttFriendly => &self.ntt,
+        }
     }
 
     /// The content address of a request: problem family, canonical
@@ -252,7 +250,7 @@ impl Service {
         let key = self.cache_key(poly);
         let cached = lock(&self.store).get(&key);
         if let Some(certificate) = cached {
-            if let Ok(outcome) = self.engine.redeem(&problem, &certificate) {
+            if let Ok(outcome) = self.engine(poly.schedule).redeem(&problem, &certificate) {
                 return Ok(outcome);
             }
             // A cached certificate that no longer spot-checks is
@@ -286,19 +284,29 @@ impl Service {
         }
     }
 
-    /// Runs one admitted batch and distributes the results.
-    fn run_batch_for(&self, batch: Vec<Pending>) {
-        if batch.is_empty() {
-            return;
+    /// Runs one admitted batch and distributes the results: one shared
+    /// batch of rounds per prime schedule present, each under the
+    /// schedule its requests asked for.
+    fn run_batch_for(&self, mut batch: Vec<Pending>) {
+        while let Some(first) = batch.first() {
+            let schedule = first.problem.0.schedule;
+            let (same, rest) =
+                batch.into_iter().partition(|pending| pending.problem.0.schedule == schedule);
+            self.run_schedule_batch(self.engine(schedule), same);
+            batch = rest;
         }
+    }
+
+    /// Runs the requests of one prime schedule on `engine`.
+    fn run_schedule_batch(&self, engine: &Engine, batch: Vec<Pending>) {
         let problems: Vec<ServicePoly> = batch.iter().map(|p| p.problem.clone()).collect();
-        let mut result = self.engine.run_batch(&problems);
+        let mut result = engine.run_batch(&problems);
         if matches!(&result, Err(CamelotError::TransportFailed { .. })) {
             // A dead worker is just Crash with a cause: record it,
             // respawn via the pool health check, retry the batch once.
             self.worker_failures.fetch_add(1, Ordering::SeqCst);
             if self.transport.repair_pool().is_ok() {
-                result = self.engine.run_batch(&problems);
+                result = engine.run_batch(&problems);
             }
         }
         match result {
@@ -331,7 +339,7 @@ impl Service {
         self.requests.fetch_add(1, Ordering::SeqCst);
         check_answer_bits(poly)?;
         let certificate = Certificate::from_wire(certificate_text)?;
-        self.engine.redeem(&ServicePoly(poly.clone()), &certificate)
+        self.engine(poly.schedule).redeem(&ServicePoly(poly.clone()), &certificate)
     }
 
     /// Chaos hook: forcibly takes down pool worker `node`.

@@ -1,6 +1,8 @@
 //! Cross-crate integration: the full prepare → corrupt → decode → verify
 //! → recover pipeline for each theorem family, under fault injection.
 
+mod common;
+
 use camelot::algebraic::{BoolMatrix, CnfFormula, CountCnfSat, OrthogonalVectors, Permanent};
 use camelot::cliques::KCliqueCount;
 use camelot::cluster::{FaultKind, FaultPlan};
@@ -8,6 +10,8 @@ use camelot::core::{CamelotError, CamelotProblem, Engine, EngineConfig};
 use camelot::graph::{count_k_cliques, count_triangles, gen};
 use camelot::partition::{ChromaticValue, SetPartitions};
 use camelot::triangles::TriangleCount;
+use common::NodeLoop;
+use std::sync::Arc;
 
 /// Generic byzantine round-trip driver: runs with a crash and a corrupt
 /// node at generous redundancy and checks the verdicts.
@@ -116,14 +120,16 @@ fn overwhelming_faults_are_detected_not_miscomputed() {
     }
 }
 
+/// The in-process bus, whatever the thread budget, proves what the
+/// node-by-node reference proves.
 #[test]
 fn parallel_cluster_agrees_with_sequential() {
     let g = gen::gnm(10, 25, 9);
     let problem = TriangleCount::new(&g);
-    let seq = Engine::sequential(4, 2).run(&problem).unwrap();
-    let mut config = camelot::core::EngineConfig::sequential(4, 2);
-    config.cluster = camelot::cluster::ClusterConfig::parallel(4);
+    let config = EngineConfig::sequential(4, 2);
+    let seq = Engine::with_transport(config.clone(), Arc::new(NodeLoop)).run(&problem).unwrap();
     let par = Engine::new(config).run(&problem).unwrap();
+    assert_eq!(seq.output, count_triangles(&g));
     assert_eq!(seq.output, par.output);
     assert_eq!(seq.certificate, par.certificate);
 }

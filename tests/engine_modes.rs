@@ -1,37 +1,43 @@
-//! Engine-level execution-mode regressions: the threaded cluster must be
-//! observationally identical to the sequential one under fault injection,
+//! Engine-level execution-mode regressions: the in-process bus, its node
+//! slices split across the thread budget, must be observationally
+//! identical to the node-by-node reference under fault injection,
 //! batched runs must recover exactly what per-problem runs recover, and
 //! a batch must share one broadcast round per prime across its problems.
+
+mod common;
 
 use camelot::cluster::{FaultKind, FaultPlan};
 use camelot::core::{CamelotProblem, Engine, EngineConfig};
 use camelot::graph::{count_triangles, gen};
 use camelot::triangles::TriangleCount;
+use common::NodeLoop;
+use std::sync::Arc;
 
-fn faulty_config(nodes: usize, budget: usize, parallel: bool) -> EngineConfig {
+fn faulty_config(nodes: usize, budget: usize) -> EngineConfig {
     let plan = FaultPlan::with_faults(
         nodes,
         &[(1, FaultKind::Corrupt { seed: 42 }), (4, FaultKind::Crash)],
     );
-    let base = if parallel {
-        EngineConfig::parallel(nodes, budget)
-    } else {
-        EngineConfig::sequential(nodes, budget)
-    };
-    base.with_plan(plan).with_full_decoding()
+    EngineConfig::sequential(nodes, budget).with_plan(plan).with_full_decoding()
 }
 
-/// Full `Engine::run` (not just `run_round`) must agree between the
-/// sequential and threaded cluster backends: same recovered output, same
-/// certificate, and the byzantine + crashed nodes identified identically.
+/// The same engine over the node-by-node reference transport.
+fn reference_engine(config: EngineConfig) -> Engine {
+    Engine::with_transport(config, Arc::new(NodeLoop))
+}
+
+/// Full `Engine::run` (not just one round) must agree between the
+/// in-process bus at any thread budget and the node-by-node reference:
+/// same recovered output, same certificate, and the byzantine + crashed
+/// nodes identified identically.
 #[test]
 fn parallel_engine_matches_sequential_under_faults() {
     let g = gen::gnm(12, 30, 11);
     let problem = TriangleCount::new(&g);
     let budget = problem.spec().degree_bound.max(16);
 
-    let seq = Engine::new(faulty_config(8, budget, false)).run(&problem).expect("sequential");
-    let par = Engine::new(faulty_config(8, budget, true)).run(&problem).expect("parallel");
+    let seq = reference_engine(faulty_config(8, budget)).run(&problem).expect("reference");
+    let par = Engine::new(faulty_config(8, budget)).run(&problem).expect("in-process");
 
     assert_eq!(seq.output, count_triangles(&g));
     assert_eq!(seq.output, par.output);
@@ -95,17 +101,17 @@ fn batch_shares_one_broadcast_round_per_prime() {
     assert_eq!(solo.output, batched[0].output);
 }
 
-/// The engine over the threaded bus (node slices on OS threads) must be
-/// observationally identical to the sequential in-process bus, faults
-/// and traffic accounting included.
+/// The engine over the in-process bus (node slices split across the
+/// thread budget) must be observationally identical to the node-by-node
+/// reference, faults and traffic accounting included.
 #[test]
 fn parallel_bus_engine_matches_in_process() {
     let g = gen::gnm(11, 26, 17);
     let problem = TriangleCount::new(&g);
     let budget = problem.spec().degree_bound.max(16);
 
-    let inproc = Engine::new(faulty_config(8, budget, false)).run(&problem).expect("inproc");
-    let parallel = Engine::new(faulty_config(8, budget, true)).run(&problem).expect("parallel");
+    let inproc = reference_engine(faulty_config(8, budget)).run(&problem).expect("reference");
+    let parallel = Engine::new(faulty_config(8, budget)).run(&problem).expect("in-process");
 
     assert_eq!(inproc.output, parallel.output);
     assert_eq!(inproc.certificate, parallel.certificate);
@@ -120,7 +126,7 @@ fn batch_identifies_faults_like_individual_runs() {
     let problems: Vec<TriangleCount> =
         [gen::gnm(9, 16, 7), gen::gnm(11, 24, 9)].iter().map(TriangleCount::new).collect();
     let budget = problems.iter().map(|p| p.spec().degree_bound).max().unwrap().max(16);
-    let engine = Engine::new(faulty_config(8, budget, false));
+    let engine = Engine::new(faulty_config(8, budget));
 
     let batched = engine.run_batch(&problems).expect("batch run");
     for (problem, outcome) in problems.iter().zip(&batched) {

@@ -1,7 +1,10 @@
 //! Orbit-slice evaluation across backends: on a roots-of-unity code a
 //! node evaluates an explicit polynomial on its slice with one forward
 //! transform, on every backend, and every symbol, view, certificate and
-//! worker frame equals what per-point Horner gives.
+//! worker frame equals what per-point Horner gives on the node-by-node
+//! reference.
+
+mod common;
 
 use camelot::cluster::{
     compute_node_frames, execute_task, node_slice, EvalProgram, FaultKind, FaultPlan, InProcess,
@@ -13,6 +16,8 @@ use camelot::core::{
 };
 use camelot::ff::{crt_u, ntt_prime, PrimeField, Residue, RngLike, SplitMix64};
 use camelot::rscode::RsCode;
+use common::{node_loop_round, NodeLoop};
+use std::sync::Arc;
 
 const NODES: usize = 16;
 const DEGREE: usize = 512;
@@ -53,8 +58,9 @@ impl RoundEval for PerPoint {
 
 /// A width-2 round on the code's points — degree 512, and degree 1500,
 /// whose coefficients fold onto the 1024-point orbit — is the same on
-/// the sequential and the threaded bus and the socket pool, and equal to
-/// per-point evaluation; each worker's frames equal a per-point node's.
+/// the in-process bus and the socket pool, and equal to per-point
+/// evaluation node by node; each worker's frames equal a per-point
+/// node's.
 #[test]
 fn orbit_rounds_equal_per_point_rounds_on_every_backend() {
     let e = code_length(&ProofSpec::new(DEGREE, 0, 0), BUDGET);
@@ -68,10 +74,9 @@ fn orbit_rounds_equal_per_point_rounds_on_every_backend() {
     let per_point = PerPoint(programs.iter().map(|p| p.prepare(&field)).collect());
     let eval = ProgramEval::new(&field, programs.clone());
 
-    let reference = InProcess::new(false).run(&spec, &per_point).expect("per-point round");
+    let reference = node_loop_round(&spec, &per_point);
     let backends: Vec<(&str, Box<dyn Transport>)> = vec![
-        ("inproc", Box::new(InProcess::new(false))),
-        ("inproc-par", Box::new(InProcess::new(true))),
+        ("inproc", Box::new(InProcess::new())),
         ("socket", Box::new(SocketTransport::persistent(WorkerMode::Threads))),
     ];
     for (name, transport) in backends {
@@ -150,30 +155,29 @@ impl CamelotProblem for OrbitPoly {
 }
 
 /// The engine on the `NttFriendly` schedule with full decoding gives one
-/// certificate on the sequential and the threaded bus and the socket
-/// pool, and it is the certificate of per-point evaluation.
+/// certificate on the in-process bus and the socket pool, and it is the
+/// certificate of per-point evaluation node by node.
 #[test]
 fn orbit_certificates_are_identical_across_backends() {
     let mut coeffs = random_coeffs(DEGREE, &mut SplitMix64::new(0xCE27));
     coeffs[0] = 123_456_789;
     let config = || EngineConfig::sequential(NODES, BUDGET).with_ntt_primes();
-    let run = |config: EngineConfig, wire: bool| {
-        let config = config.with_plan(plan()).with_full_decoding();
+    let faulty = |config: EngineConfig| config.with_plan(plan()).with_full_decoding();
+    let run = |engine: Engine, wire: bool| {
         let problem = OrbitPoly { coeffs: coeffs.clone(), wire };
-        Engine::new(config).run(&problem).expect("the faults are within the budget")
+        engine.run(&problem).expect("the faults are within the budget")
     };
 
-    let reference = run(config(), false);
+    let reference = run(Engine::with_transport(faulty(config()), Arc::new(NodeLoop)), false);
     assert_eq!(reference.output, 123_456_789);
     assert_eq!(reference.certificate.identified_faulty_nodes, vec![3, 12]);
     assert_eq!(reference.certificate.crashed_nodes, vec![9]);
     let configs = [
         ("inproc", config()),
-        ("inproc-par", EngineConfig::parallel(NODES, BUDGET).with_ntt_primes()),
         ("socket", config().with_backend(Backend::Socket(WorkerMode::Threads))),
     ];
     for (name, config) in configs {
-        let outcome = run(config, true);
+        let outcome = run(Engine::new(faulty(config)), true);
         assert_eq!(outcome.certificate, reference.certificate, "{name}");
         assert_eq!(outcome.report.symbols_broadcast, reference.report.symbols_broadcast, "{name}");
     }

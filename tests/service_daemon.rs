@@ -2,7 +2,10 @@
 //! shared broadcast rounds, zero-round cache hits with bit-identical
 //! certificates, worker-failure recovery, and the TCP daemon loop.
 
-use camelot::core::{CamelotError, ChaosEffect, ChaosPlan, Engine, FailureCause, WorkerMode};
+use camelot::core::{
+    choose_primes, choose_primes_ntt, ntt_log_len, CamelotError, CamelotOutcome, CamelotProblem,
+    ChaosEffect, ChaosPlan, Engine, FailureCause, PrimeSchedule, WorkerMode,
+};
 use camelot::server::{
     request, run_daemon, PolyRequest, Request, Service, ServiceConfig, ServicePoly,
 };
@@ -17,7 +20,7 @@ fn poly(coefficients: Vec<u64>) -> PolyRequest {
         sum_count: 16,
         value_bits: 60,
         min_modulus: 1 << 20,
-        schedule: camelot::core::PrimeSchedule::Smallest,
+        schedule: PrimeSchedule::Smallest,
     }
 }
 
@@ -82,6 +85,52 @@ fn concurrent_requests_share_one_batch_of_rounds() {
         shared_rounds < solo,
         "coalesced rounds ({shared_rounds}) must undercut solo total ({solo})"
     );
+    service.shutdown().unwrap();
+}
+
+/// The moduli of `outcome`'s certificate, checked against the prime walk
+/// of the schedule `p` asked for.
+fn assert_prepared_under_its_schedule(p: &PolyRequest, outcome: &CamelotOutcome<u128>) {
+    assert_eq!(outcome.output, poly_sum(&p.coefficients, p.sum_count));
+    let e = outcome.certificate.code_length;
+    let moduli: Vec<u64> = outcome.certificate.proofs.iter().map(|proof| proof.modulus).collect();
+    let spec = ServicePoly(p.clone()).spec();
+    match p.schedule {
+        PrimeSchedule::Smallest => assert_eq!(moduli, choose_primes(&spec, e)),
+        PrimeSchedule::NttFriendly => {
+            let step = 1u64 << ntt_log_len(e);
+            assert!(moduli.iter().all(|q| q % step == 1), "{moduli:?} not 1 mod {step}");
+            assert_eq!(moduli, choose_primes_ntt(&spec, e));
+        }
+    }
+}
+
+/// A request's prime schedule is the one its certificate is prepared
+/// under, on a daemon with default settings: alone, and in one
+/// admission window beside a request asking for the other schedule.
+#[test]
+fn each_request_is_prepared_under_its_own_prime_schedule() {
+    let service = service(400);
+    let ntt =
+        |coefficients| PolyRequest { schedule: PrimeSchedule::NttFriendly, ..poly(coefficients) };
+    let solo = ntt(vec![2, 7, 1, 8]);
+    assert_prepared_under_its_schedule(&solo, &service.prepare(&solo).unwrap());
+
+    let barrier = Arc::new(Barrier::new(2));
+    let polys = [ntt(vec![3, 1, 4]), poly(vec![1, 5, 9, 2])];
+    let handles: Vec<_> = polys
+        .iter()
+        .map(|p| {
+            let (service, barrier, p) = (Arc::clone(&service), Arc::clone(&barrier), p.clone());
+            thread::spawn(move || {
+                barrier.wait();
+                service.prepare(&p).unwrap()
+            })
+        })
+        .collect();
+    for (p, handle) in polys.iter().zip(handles) {
+        assert_prepared_under_its_schedule(p, &handle.join().unwrap());
+    }
     service.shutdown().unwrap();
 }
 

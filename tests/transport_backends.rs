@@ -1,18 +1,23 @@
 //! Cross-backend transport regressions: every broadcast backend must
 //! produce bit-identical rounds on the full fault matrix — honest,
 //! crash, corrupt, adversarial, equivocate — and the engine must run
-//! end to end on each of them.
+//! end to end on each of them. The in-process bus is held to the
+//! node-by-node reference, which reads no thread budget.
+
+mod common;
 
 use camelot::cluster::{
     ChaosEffect, ChaosPlan, Demotion, EvalProgram, FailureCause, FaultKind, FaultPlan, InProcess,
     ProgramEval, RoundSpec, SocketTransport, Transport, TransportError, TransportTuning,
 };
 use camelot::core::{
-    Backend, CamelotError, CamelotProblem, Engine, EngineConfig, PrimeSchedule, WorkerMode,
+    Backend, CamelotError, CamelotOutcome, CamelotProblem, Engine, EngineConfig, PrimeSchedule,
+    WorkerMode,
 };
 use camelot::ff::PrimeField;
 use camelot::server::{PolyRequest, ServicePoly};
 use camelot::triangles::TriangleCount;
+use common::{node_loop_round, NodeLoop};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,18 +36,17 @@ fn full_matrix_plan(nodes: usize) -> FaultPlan {
 
 fn all_backends() -> Vec<(&'static str, Box<dyn Transport>)> {
     vec![
-        ("inproc", Box::new(InProcess::new(false))),
-        ("inproc-par", Box::new(InProcess::new(true))),
+        ("inproc", Box::new(InProcess::new())),
         ("socket", Box::new(SocketTransport::persistent(WorkerMode::Threads))),
     ]
 }
 
-/// The engine configurations every engine-level test holds to the
-/// sequential in-process reference: the threaded bus and the socket
-/// pool, each built from the config alone.
+/// The engine configurations every engine-level test holds to its
+/// reference: the in-process bus and the socket pool, each built from
+/// the config alone.
 fn engine_backends(nodes: usize, budget: usize) -> Vec<(&'static str, EngineConfig)> {
     vec![
-        ("inproc-par", EngineConfig::parallel(nodes, budget)),
+        ("inproc", EngineConfig::sequential(nodes, budget)),
         (
             "socket",
             EngineConfig::sequential(nodes, budget)
@@ -66,7 +70,7 @@ fn all_backends_produce_bit_identical_broadcasts() {
         vec![EvalProgram::Poly(vec![5, 0, 3, 1]), EvalProgram::Poly(vec![1_000_000, 999])],
     );
 
-    let reference = InProcess::new(false).run(&spec, &eval).expect("reference round");
+    let reference = node_loop_round(&spec, &eval);
     for (name, transport) in all_backends() {
         let outcome = transport.run(&spec, &eval).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(outcome.broadcasts.len(), 2, "{name}");
@@ -88,8 +92,8 @@ fn all_backends_produce_bit_identical_broadcasts() {
     }
 }
 
-/// Closure rounds (no wire program) must agree across the in-process
-/// backends; the socket backend must refuse them rather than guess.
+/// Closure rounds (no wire program) on the in-process bus must agree with
+/// the reference; the socket backend must refuse them rather than guess.
 #[test]
 fn closure_rounds_agree_where_supported() {
     let field = PrimeField::new(1_000_003).unwrap();
@@ -98,8 +102,8 @@ fn closure_rounds_agree_where_supported() {
     let spec = RoundSpec { field: &field, points: &points, plan: &plan };
     let eval = camelot::cluster::SingleEval(|x: u64| field.mul(x, field.add(x, 3)));
 
-    let reference = InProcess::new(false).run(&spec, &eval).unwrap();
-    let outcome = InProcess::new(true).run(&spec, &eval).unwrap();
+    let reference = node_loop_round(&spec, &eval);
+    let outcome = InProcess::new().run(&spec, &eval).unwrap();
     assert!(outcome.broadcasts[0].same_word(&reference.broadcasts[0]));
     assert!(SocketTransport::persistent(WorkerMode::Threads).run(&spec, &eval).is_err());
 }
@@ -129,12 +133,13 @@ fn engine_outcomes_are_identical_across_backends() {
     let budget = 6;
     let nodes = d + 1 + 2 * budget;
 
-    let outcome_for = |config: EngineConfig| {
-        let config = config.with_plan(full_matrix_plan(nodes)).with_full_decoding();
-        Engine::new(config).run(&problem).expect("run must tolerate the fault matrix")
-    };
+    let faulty =
+        |config: EngineConfig| config.with_plan(full_matrix_plan(nodes)).with_full_decoding();
+    let outcome_on =
+        |engine: Engine| engine.run(&problem).expect("run must tolerate the fault matrix");
 
-    let reference = outcome_for(EngineConfig::sequential(nodes, budget));
+    let config = faulty(EngineConfig::sequential(nodes, budget));
+    let reference = outcome_on(Engine::with_transport(config, Arc::new(NodeLoop)));
     assert_eq!(reference.output, 123_456_789);
     assert_eq!(reference.certificate.identified_faulty_nodes, vec![3, 5, 7]);
     assert_eq!(reference.certificate.crashed_nodes, vec![1]);
@@ -143,7 +148,7 @@ fn engine_outcomes_are_identical_across_backends() {
     assert!(reference.report.bytes_on_wire > 0);
 
     for (name, config) in engine_backends(nodes, budget) {
-        let outcome = outcome_for(config);
+        let outcome = outcome_on(Engine::new(faulty(config)));
         assert_eq!(outcome.output, reference.output, "{name}");
         assert_eq!(outcome.certificate, reference.certificate, "{name}");
         assert_eq!(outcome.report.symbols_broadcast, reference.report.symbols_broadcast, "{name}");
@@ -169,12 +174,12 @@ fn crash_fault_erasure_decoding_is_identical_across_backends() {
         [2, 6, 9].iter().map(|&n| (n, FaultKind::Crash)).collect();
     let plan = FaultPlan::with_faults(nodes, &crashes);
 
-    let outcome_for = |config: EngineConfig| {
-        let config = config.with_plan(plan.clone()).with_full_decoding();
-        Engine::new(config).run(&problem).expect("crash plan within budget must decode")
-    };
+    let faulty = |config: EngineConfig| config.with_plan(plan.clone()).with_full_decoding();
+    let outcome_on =
+        |engine: Engine| engine.run(&problem).expect("crash plan within budget must decode");
 
-    let reference = outcome_for(EngineConfig::sequential(nodes, budget));
+    let config = faulty(EngineConfig::sequential(nodes, budget));
+    let reference = outcome_on(Engine::with_transport(config, Arc::new(NodeLoop)));
     assert_eq!(reference.output, 987_654_321);
     assert_eq!(reference.certificate.crashed_nodes, vec![2, 6, 9]);
     assert!(reference.certificate.identified_faulty_nodes.is_empty());
@@ -188,7 +193,7 @@ fn crash_fault_erasure_decoding_is_identical_across_backends() {
     );
 
     for (name, config) in engine_backends(nodes, budget) {
-        let outcome = outcome_for(config);
+        let outcome = outcome_on(Engine::new(faulty(config)));
         assert_eq!(outcome.output, reference.output, "{name}");
         assert_eq!(outcome.certificate, reference.certificate, "{name}");
     }
@@ -218,11 +223,11 @@ fn chaos_tuning() -> TransportTuning {
     TransportTuning::default().with_io_deadline(Duration::from_millis(300))
 }
 
-/// The tentpole acceptance criterion: a seeded chaos plan is injected
-/// *identically* by every backend — the in-process simulation,
-/// sequential and threaded, and the socket pool over real loopback TCP
-/// all deliver bit-identical broadcasts, the same demotion list (same
-/// nodes, same structured causes), and the same traffic accounting.
+/// A seeded chaos plan is injected *identically* by every backend: the
+/// in-process simulation demotes exactly the expected nodes for their
+/// structured causes, and the socket pool over real loopback TCP
+/// delivers bit-identical broadcasts, the same demotion list and the
+/// same traffic accounting.
 #[test]
 fn chaos_rounds_are_bit_identical_across_all_backends() {
     let nodes = 10;
@@ -237,30 +242,7 @@ fn chaos_rounds_are_bit_identical_across_all_backends() {
     let chaos = full_chaos_plan(nodes);
     let tuning = chaos_tuning();
 
-    let backends: Vec<(&str, Box<dyn Transport>)> = vec![
-        (
-            "inproc",
-            Box::new(
-                InProcess::new(false).with_tuning(tuning.clone()).with_chaos(Some(chaos.clone())),
-            ),
-        ),
-        (
-            "inproc-par",
-            Box::new(
-                InProcess::new(true).with_tuning(tuning.clone()).with_chaos(Some(chaos.clone())),
-            ),
-        ),
-        (
-            "socket",
-            Box::new(
-                SocketTransport::persistent(WorkerMode::Threads)
-                    .with_tuning(tuning.clone())
-                    .with_chaos(Some(chaos.clone())),
-            ),
-        ),
-    ];
-
-    let reference = InProcess::new(false)
+    let reference = InProcess::new()
         .with_tuning(tuning.clone())
         .with_chaos(Some(chaos.clone()))
         .run(&spec, &eval)
@@ -280,20 +262,21 @@ fn chaos_rounds_are_bit_identical_across_all_backends() {
         ]
     );
 
-    for (name, transport) in backends {
-        let outcome = transport.run(&spec, &eval).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(outcome.demotions, reference.demotions, "{name}: demotion list diverged");
-        assert_eq!(outcome.traffic, reference.traffic, "{name}: traffic accounting diverged");
-        for (poly, (got, want)) in outcome.broadcasts.iter().zip(&reference.broadcasts).enumerate()
-        {
-            assert!(got.same_word(want), "{name}: polynomial {poly} word diverged");
-            for receiver in 0..nodes {
-                assert_eq!(
-                    got.view_for(receiver),
-                    want.view_for(receiver),
-                    "{name}: polynomial {poly}, receiver {receiver}"
-                );
-            }
+    let outcome = SocketTransport::persistent(WorkerMode::Threads)
+        .with_tuning(tuning)
+        .with_chaos(Some(chaos))
+        .run(&spec, &eval)
+        .expect("socket chaos round");
+    assert_eq!(outcome.demotions, reference.demotions, "demotion list diverged");
+    assert_eq!(outcome.traffic, reference.traffic, "traffic accounting diverged");
+    for (poly, (got, want)) in outcome.broadcasts.iter().zip(&reference.broadcasts).enumerate() {
+        assert!(got.same_word(want), "polynomial {poly} word diverged");
+        for receiver in 0..nodes {
+            assert_eq!(
+                got.view_for(receiver),
+                want.view_for(receiver),
+                "polynomial {poly}, receiver {receiver}"
+            );
         }
     }
 }
@@ -326,7 +309,7 @@ fn silent_nodes_share_one_deadline_on_the_socket_pool() {
     )
     .expect("all nodes in range");
     let tuning = TransportTuning::default().with_io_deadline(Duration::from_millis(400));
-    let reference = InProcess::new(false)
+    let reference = InProcess::new()
         .with_tuning(tuning.clone())
         .with_chaos(Some(chaos.clone()))
         .run(&spec, &eval)
@@ -402,41 +385,33 @@ fn engine_absorbs_chaos_within_radius_identically_across_backends() {
     // 2 errors + 3 erasures = 5 <= e - d - 1 = 12: inside the radius.
 
     let sequential = || EngineConfig::sequential(nodes, budget);
-    let clean = Engine::new(sequential().with_tuning(chaos_tuning()))
+    let clean = Engine::with_transport(sequential(), Arc::new(NodeLoop))
         .run(&problem)
         .expect("chaos-free run");
-
-    let chaotic = |config: EngineConfig| {
-        Engine::new(config.with_tuning(chaos_tuning()).with_chaos(chaos.clone()))
-            .run(&problem)
-            .expect("chaos within the radius must decode")
+    let expected_demotions = vec![
+        Demotion { node: 5, cause: FailureCause::Protocol },
+        Demotion { node: 7, cause: FailureCause::Timeout },
+        Demotion { node: 9, cause: FailureCause::Reset },
+    ];
+    let check = |name: &str, outcome: &CamelotOutcome<u128>| {
+        // The certificate proves the same statement the chaos-free run
+        // proved — same proofs, same output, same code parameters.
+        assert_eq!(outcome.output, clean.output, "{name}");
+        assert_eq!(outcome.certificate.proofs, clean.certificate.proofs, "{name}");
+        assert_eq!(outcome.certificate.code_length, clean.certificate.code_length, "{name}");
+        assert_eq!(outcome.certificate.degree_bound, clean.certificate.degree_bound, "{name}");
+        // The noise is identified, not tolerated silently.
+        assert_eq!(outcome.certificate.identified_faulty_nodes, vec![3], "{name}");
+        assert_eq!(outcome.certificate.crashed_nodes, vec![5, 7, 9], "{name}");
+        let primes = outcome.report.primes.len();
+        assert_eq!(outcome.report.erasures_seen, 3 * primes, "{name}");
+        assert_eq!(outcome.report.errors_corrected, primes, "{name}");
+        assert_eq!(outcome.report.demotions, expected_demotions, "{name}");
     };
-    let reference = chaotic(sequential());
-
-    // The certificate proves the same statement the chaos-free run
-    // proved — same proofs, same output, same code parameters.
-    assert_eq!(reference.output, clean.output);
-    assert_eq!(reference.certificate.proofs, clean.certificate.proofs);
-    assert_eq!(reference.certificate.code_length, clean.certificate.code_length);
-    assert_eq!(reference.certificate.degree_bound, clean.certificate.degree_bound);
-    // The noise is identified, not tolerated silently.
-    assert_eq!(reference.certificate.identified_faulty_nodes, vec![3]);
-    assert_eq!(reference.certificate.crashed_nodes, vec![5, 7, 9]);
-    let primes = reference.report.primes.len();
-    assert_eq!(reference.report.erasures_seen, 3 * primes);
-    assert_eq!(reference.report.errors_corrected, primes);
-    assert_eq!(
-        reference.report.demotions.iter().map(|demotion| demotion.node).collect::<Vec<_>>(),
-        vec![5, 7, 9]
-    );
 
     for (name, config) in engine_backends(nodes, budget) {
-        let outcome = chaotic(config);
-        assert_eq!(outcome.output, reference.output, "{name}");
-        assert_eq!(outcome.certificate, reference.certificate, "{name}");
-        assert_eq!(outcome.report.demotions, reference.report.demotions, "{name}");
-        assert_eq!(outcome.report.erasures_seen, reference.report.erasures_seen, "{name}");
-        assert_eq!(outcome.report.errors_corrected, reference.report.errors_corrected, "{name}");
+        let config = config.with_tuning(chaos_tuning()).with_chaos(chaos.clone());
+        check(name, &Engine::new(config).run(&problem).expect("chaos within the radius decodes"));
     }
 
     // A pool shared through `Engine::with_transport` (how the daemon
@@ -446,10 +421,7 @@ fn engine_absorbs_chaos_within_radius_identically_across_backends() {
         .with_chaos(Some(chaos));
     let engine =
         Engine::with_transport(EngineConfig::sequential(nodes, budget), Arc::new(pool.clone()));
-    let outcome = engine.run(&problem).expect("pool absorbs chaos");
-    assert_eq!(outcome.output, reference.output, "shared socket");
-    assert_eq!(outcome.certificate, reference.certificate, "shared socket");
-    assert_eq!(outcome.report.demotions, reference.report.demotions, "shared socket");
+    check("shared socket", &engine.run(&problem).expect("pool absorbs chaos"));
     pool.shutdown_pool().expect("clean pool shutdown");
 }
 
@@ -469,10 +441,10 @@ fn socket_engine_rejects_closure_problems() {
 }
 
 /// A panicking evaluation closure must surface as a reported
-/// `WorkerFailed` refusal naming the node on the threaded bus, never
-/// abort the coordinator — the same guarantee the socket worker gives
-/// for hostile frames, kept panic-free end to end by camelot-lint's
-/// `panic-path` rule.
+/// `WorkerFailed` refusal naming the node on the in-process bus, at any
+/// thread budget (one worker included), never abort the coordinator —
+/// the same guarantee the socket worker gives for hostile frames, kept
+/// panic-free end to end by camelot-lint's `panic-path` rule.
 #[test]
 fn threaded_backends_report_a_panicked_node_as_worker_failure() {
     let field = PrimeField::new(1_048_583).expect("prime");
@@ -484,9 +456,9 @@ fn threaded_backends_report_a_panicked_node_as_worker_failure() {
         x
     });
     // Point 13 lies in node 2's slice, 12..18.
-    match InProcess::new(true).run(&spec, &eval) {
+    match InProcess::new().run(&spec, &eval) {
         Err(TransportError::WorkerFailed { node: 2, .. }) => {}
-        other => panic!("inproc-par: expected WorkerFailed for node 2, got {other:?}"),
+        other => panic!("inproc: expected WorkerFailed for node 2, got {other:?}"),
     }
 }
 
