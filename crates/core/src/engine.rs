@@ -257,9 +257,12 @@ pub struct RunReport {
     pub bytes_on_wire: u64,
     /// Wall-clock time spent inside `RsCode::decode` across all deciding
     /// nodes and primes — attributes round time to decode vs transport.
+    /// A decider whose view the code certified against an earlier
+    /// decider's codeword counts here too, with its `O(e)` comparison.
     pub decode_time: Duration,
     /// Portion of `decode_time` spent in the partial-xgcd phase of the
-    /// Gao decoder (the half-GCD-accelerated step).
+    /// Gao decoder (the half-GCD-accelerated step): only the decodes
+    /// that ran Gao's algorithm, not the certified ones.
     pub xgcd_time: Duration,
     /// Runs served from a prepared certificate instead of fresh rounds:
     /// 1 for an [`Engine::redeem`] outcome (a `camelot-store` cache
@@ -824,8 +827,10 @@ impl Engine {
         acc: &mut ProblemAcc,
     ) -> Result<PrimeProof, CamelotError> {
         let q = field.modulus();
-        // Every deciding node (honest minus transport-demoted) runs the
-        // Gao decoder on its own view.
+        // Every deciding node (honest minus transport-demoted) decodes
+        // its own view: Gao's algorithm once, and a view within the
+        // radius of a codeword the code already accepted is certified
+        // against it.
         let deciders: &[usize] =
             if self.config.decode_at_all_nodes { deciding } else { &deciding[..1] };
         let mut agreed: Option<PrimeProof> = None;

@@ -60,6 +60,40 @@
 //! on the coset. With nothing absent `Λ = 1` and the three steps are
 //! Gao's algorithm verbatim.
 //!
+//! ## Decode once, certify the rest
+//!
+//! Every honest node decodes its own view of a round (footnote 7 of the
+//! paper), and honest views differ only where a byzantine node sent
+//! different symbols to different receivers. Unique decoding makes a
+//! second view cheap to settle. Let `p` have degree `<= d` with codeword
+//! `c`, and let a view have `E` erasures and differ from `c` at `t'` of
+//! its `e' = e − E` received positions. If `2t' + E <= e − d − 1`, the
+//! view is within the survivors' radius `(e' − d − 1) / 2` of `c`; no
+//! other codeword of degree `<= d` is that near, so Gao's algorithm
+//! returns exactly `p`, its error positions are the `t'` mismatches and
+//! its erasures are the view's own.
+//!
+//! So a code keeps the last decode it accepted: the modulus, the degree
+//! bound, the codeword and the message. After its length and
+//! [`DecodeError::TooFewSymbols`] checks, a decode under the same
+//! modulus and degree bound counts the received positions that disagree
+//! with that codeword, and stops counting once they pass the radius.
+//! Within it, the decode returns the stored message with those
+//! positions, in `O(e)`; otherwise it runs Gao's algorithm, which stores
+//! its result. Either way the result is bit-identical to a fresh code's,
+//! `Ok` or `Err`. The entry is filled only where the codeword costs
+//! nothing more: from the re-encode that locates errors, and from a
+//! decode that located nothing and saw no erasure, whose received word
+//! is its codeword. The lanes of a batch share a code and may evict each
+//! other's entry, which only sends a view back to Gao. A clone starts
+//! empty.
+//!
+//! Real Knights could do the same: one node broadcasts its decoded proof,
+//! `d + 1` coefficients; every other node re-encodes it and counts the
+//! mismatches against its own view. An honest node accepts only what
+//! Gao's algorithm would have returned on that view, and a byzantine
+//! candidate only sends the others back to it.
+//!
 //! ## Example
 //!
 //! ```
@@ -85,18 +119,46 @@
 
 use camelot_ff::PrimeField;
 use camelot_poly::{cached_ntt_plan, div_rem_fast, vanishing_poly, NttPlan, PointTree, Poly};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A nonsystematic Reed–Solomon code: `e` distinct evaluation points in
 /// `Z_q`.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RsCode {
     points: Vec<u64>,
     /// `G_0(x) = Π_{t∈D} (x - t)` over the whole domain, precomputed for
     /// decoding.
     g0: Poly,
     domain: Domain,
+    /// The last decode this code accepted whose codeword it had at hand,
+    /// which later views are certified against (see the crate docs). A
+    /// lock, because the lanes of a batch decode on one code from
+    /// several threads; each takes the entry out and compares unlocked.
+    accepted: Mutex<Option<Arc<Accepted>>>,
+}
+
+/// One accepted decode: the message, its codeword and the key a later
+/// decode must match to be certified against them.
+#[derive(Debug)]
+struct Accepted {
+    modulus: u64,
+    degree_bound: usize,
+    /// The message's codeword, reduced, one symbol per point.
+    codeword: Vec<u64>,
+    message: Poly,
+}
+
+impl Clone for RsCode {
+    /// A clone is the same code, with no accepted decode of its own.
+    fn clone(&self) -> Self {
+        RsCode {
+            points: self.points.clone(),
+            g0: self.g0.clone(),
+            domain: self.domain.clone(),
+            accepted: Mutex::default(),
+        }
+    }
 }
 
 /// The set `D ⊇ points` a code evaluates and interpolates over (see the
@@ -190,7 +252,7 @@ struct Locator {
 impl PartialEq for RsCode {
     fn eq(&self, other: &Self) -> bool {
         // `g0` and the domain are derived from the points and the kind
-        // of code.
+        // of code; the accepted decode changes no result.
         self.points == other.points
             && std::mem::discriminant(&self.domain) == std::mem::discriminant(&other.domain)
     }
@@ -217,19 +279,23 @@ pub struct Decoded {
 /// `RunReport` aggregates these across deciding nodes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DecodeProfile {
-    /// Syndrome interpolation: the locator of the absent positions, its
-    /// values over the domain, and one domain interpolation of the
-    /// received values scaled by them (with nothing absent, just the
-    /// interpolation).
+    /// Syndrome interpolation (zero for a certified decode): the
+    /// locator of the absent positions, its values over the domain, and
+    /// one domain interpolation of the received values scaled by them
+    /// (with nothing absent, just the interpolation).
     pub interpolate: Duration,
     /// The partial extended Euclid on `(G0, Λ·G1)` — structured half-GCD
-    /// past the crossover.
+    /// past the crossover (zero for a certified decode).
     pub xgcd: Duration,
     /// Root finding: dividing the message out of `g'` by `v·Λ` —
     /// pointwise on the coset for an orbit code, by Newton on points —
     /// and re-encoding it to identify the error positions (skipped when
     /// the Euclid made no step: the message is then the survivors' own
-    /// interpolant and no position can disagree with it).
+    /// interpolant and no position can disagree with it). Also the
+    /// comparison with the code's accepted codeword that opens every
+    /// decode, and all of a decode that comparison certifies: the error
+    /// positions are then located without Gao's algorithm, and the
+    /// other two phases read zero.
     pub reencode: Duration,
 }
 
@@ -318,7 +384,12 @@ impl RsCode {
             "evaluation points must be distinct"
         );
         let tree = Arc::new(PointTree::new(field, &points));
-        RsCode { points, g0: tree.vanishing().clone(), domain: Domain::Points { tree } }
+        RsCode {
+            points,
+            g0: tree.vanishing().clone(),
+            domain: Domain::Points { tree },
+            accepted: Mutex::default(),
+        }
     }
 
     /// Code over the first `e` powers `ω^0, …, ω^{e-1}` of a primitive
@@ -359,7 +430,12 @@ impl RsCode {
         points.truncate(e);
         // The whole orbit vanishes on x^{2^k} - 1, whatever `e` is.
         let g0 = Poly::monomial(1, n).sub(field, &Poly::constant(1));
-        Some(RsCode { points, g0, domain: Domain::Orbit { plan, tail, coset } })
+        Some(RsCode {
+            points,
+            g0,
+            domain: Domain::Orbit { plan, tail, coset },
+            accepted: Mutex::default(),
+        })
     }
 
     /// Code length `e`.
@@ -591,6 +667,14 @@ impl RsCode {
         if e_prime < degree_bound + 1 {
             return Err(DecodeError::TooFewSymbols { received: e_prime, needed: degree_bound + 1 });
         }
+        // Within the survivors' radius of the accepted codeword, Gao
+        // would return its message.
+        let certify_start = Instant::now();
+        let certified = self.certify(field, received, &word, e_prime, degree_bound);
+        profile.reencode = certify_start.elapsed();
+        if let Some((poly, error_positions)) = certified {
+            return Ok((Decoded { poly, error_positions, erasure_positions }, profile));
+        }
         // h = Λ·G1: the interpolant over the whole domain of the received
         // values scaled by Λ's (zero at every absent position).
         let interp_start = Instant::now();
@@ -626,28 +710,86 @@ impl RsCode {
             .divide(field, &g, v, locator.as_ref())
             .filter(|p| p.degree().is_none_or(|d| d <= degree_bound))
             .ok_or(DecodeError::BeyondRadius)?;
-        // Identify error locations by re-encoding the decoded message
-        // (one NTT for a roots-of-unity code, multipoint evaluation
-        // otherwise) and comparing with the reduced received symbols.
-        let locate = || -> Vec<usize> {
-            let reencoded = self.encode(field, &p);
-            (0..e).filter(|&i| received[i].is_some() && reencoded[i] != word[i]).collect()
-        };
         // Unless the Euclid made no step, which leaves nothing to find.
         // Its first quotient G0 div h has degree >= 1 (deg G0 > deg h) and
         // cofactor degrees only grow, so a constant v is the initial
         // cofactor 1 beside g' = h. Then p = g'/(v·Λ) = h/Λ = G1, the
         // survivors' own interpolant: it takes every received symbol by
         // construction, and the checks above have bounded its degree.
+        // With no erasure the received word is then its whole codeword.
         let error_positions = if nothing_located {
-            debug_assert!(locate().is_empty(), "a constant cofactor located an error");
+            debug_assert!(
+                mismatches(received, &word, &self.encode(field, &p), 0).is_some(),
+                "a constant cofactor located an error"
+            );
+            if erasure_positions.is_empty() {
+                self.accept(field, degree_bound, word, &p);
+            }
             Vec::new()
         } else {
-            locate()
+            // Identify error locations by re-encoding the decoded message
+            // (one NTT for a roots-of-unity code, multipoint evaluation
+            // otherwise) and comparing with the reduced received symbols.
+            let codeword = self.encode(field, &p);
+            let located =
+                mismatches(received, &word, &codeword, e).expect("a word has e positions");
+            self.accept(field, degree_bound, codeword, &p);
+            located
         };
-        profile.reencode = reencode_start.elapsed();
+        profile.reencode += reencode_start.elapsed();
         Ok((Decoded { poly: p, error_positions, erasure_positions }, profile))
     }
+
+    /// The accepted decode's message and the received positions that
+    /// disagree with its codeword, when the key matches and the view is
+    /// within the survivors' radius `(e' - d - 1) / 2` of it: the one
+    /// codeword of degree `<= degree_bound` so near, which Gao's
+    /// algorithm returns. `None` sends the decode to Gao.
+    fn certify(
+        &self,
+        field: &PrimeField,
+        received: &[Option<u64>],
+        word: &[u64],
+        e_prime: usize,
+        degree_bound: usize,
+    ) -> Option<(Poly, Vec<usize>)> {
+        let accepted = self.accepted.lock().expect("accepted-decode lock poisoned").clone()?;
+        if accepted.modulus != field.modulus() || accepted.degree_bound != degree_bound {
+            return None;
+        }
+        let radius = (e_prime - degree_bound - 1) / 2;
+        let errors = mismatches(received, word, &accepted.codeword, radius)?;
+        Some((accepted.message.clone(), errors))
+    }
+
+    /// Makes `message`, with its `codeword`, the decode later views are
+    /// certified against.
+    fn accept(&self, field: &PrimeField, degree_bound: usize, codeword: Vec<u64>, message: &Poly) {
+        let accepted =
+            Accepted { modulus: field.modulus(), degree_bound, codeword, message: message.clone() };
+        *self.accepted.lock().expect("accepted-decode lock poisoned") = Some(Arc::new(accepted));
+    }
+}
+
+/// The received positions whose reduced symbol in `word` differs from
+/// `codeword`, in order, or `None` as soon as there are more than
+/// `limit`.
+fn mismatches(
+    received: &[Option<u64>],
+    word: &[u64],
+    codeword: &[u64],
+    limit: usize,
+) -> Option<Vec<usize>> {
+    let mut positions = Vec::new();
+    for (i, ((sym, y), c)) in received.iter().zip(word).zip(codeword).enumerate() {
+        if sym.is_some() && y != c {
+            if positions.len() == limit {
+                return None;
+            }
+            positions.push(i);
+        }
+    }
+    Some(positions)
 }
 
 #[cfg(test)]
@@ -911,10 +1053,11 @@ mod tests {
         }
     }
 
-    /// A code on general points keeps its subproduct tree: repeated
-    /// encodes and decodes (the `decode_at_all_nodes` pattern — every
-    /// deciding node decodes the same code) must return identical
-    /// results on warm caches, equal to a fresh code's.
+    /// A code on general points keeps its subproduct tree and its last
+    /// accepted decode: repeated encodes and decodes (the
+    /// `decode_at_all_nodes` pattern — every deciding node decodes the
+    /// same code, and the repeat is certified against the first) must
+    /// return identical results on warm caches, equal to a fresh code's.
     #[test]
     fn cached_tree_is_stable_across_repeated_encode_decode() {
         let field = f();
@@ -940,11 +1083,12 @@ mod tests {
         assert_eq!(first.erasure_positions, vec![100]);
     }
 
-    /// Erasure decodes keep no state of their own: the first decode, a
-    /// repeat, a fresh code and a cloned
-    /// code must all produce identical results (the code's tree memoizes
-    /// inverse series and Lagrange weights across them), and a second
-    /// erasure pattern on the same code decodes independently.
+    /// Whatever state a code keeps changes no result: the first decode,
+    /// a repeat certified against it, a fresh code and a cloned code
+    /// must all produce identical results (the code's tree memoizes
+    /// inverse series and Lagrange weights across them, and a clone
+    /// starts with no accepted decode), and a second erasure pattern on
+    /// the same code decodes to the same message.
     #[test]
     fn erasure_decode_repeat_fresh_and_cloned_codes_agree() {
         let field = f();
@@ -983,8 +1127,8 @@ mod tests {
     }
 
     /// A roots-of-unity code keeps no tree at all: erasure decodes run
-    /// on transforms over the whole orbit, and first, repeat and fresh
-    /// code agree — for a full and for a partial orbit.
+    /// on transforms over the whole orbit, and first, certified repeat
+    /// and fresh code agree — for a full and for a partial orbit.
     #[test]
     fn roots_of_unity_erasure_decode_repeat_and_fresh_code_agree() {
         let (q, _) = camelot_ff::ntt_prime(1 << 20, 12);
@@ -1290,6 +1434,129 @@ mod tests {
             let too_high = code.encode(field, &random_message(field, d + 1, &mut rng));
             let word: Vec<Option<u64>> = too_high.into_iter().map(Some).collect();
             assert_eq!(code.decode(field, &word, d), Err(DecodeError::BeyondRadius), "{kind}");
+        }
+    }
+
+    /// The same code built anew, with nothing accepted yet.
+    fn fresh_code(field: &PrimeField, code: &RsCode) -> RsCode {
+        match &code.domain {
+            Domain::Orbit { .. } => RsCode::roots_of_unity(field, code.len()).unwrap(),
+            Domain::Points { .. } => RsCode::with_points(field, code.points().to_vec()),
+        }
+    }
+
+    /// Words of `msg`'s codeword `clean` at every distance that matters
+    /// to a certificate, under each erasure set: clean, half the
+    /// survivors' radius, at it, one past it and far past it.
+    fn words_around(
+        field: &PrimeField,
+        clean: &[u64],
+        d: usize,
+        rng: &mut SplitMix64,
+    ) -> Vec<Vec<Option<u64>>> {
+        let e = clean.len();
+        let mut words = Vec::new();
+        for erased in shortcut_erasures(e) {
+            let survivors: Vec<usize> = (0..e).filter(|i| !erased.contains(i)).collect();
+            let radius = (survivors.len() - d - 1) / 2;
+            let far = (radius + survivors.len()) / 2 + 1;
+            for errors in [0, radius / 2, radius, radius + 1, far] {
+                let mut word: Vec<Option<u64>> = clean.iter().copied().map(Some).collect();
+                for &pos in &erased {
+                    word[pos] = None;
+                }
+                for _ in 0..errors {
+                    // Distinct survivors, in no particular order.
+                    let pick = loop {
+                        let pos = survivors[(rng.next_u64() as usize) % survivors.len()];
+                        if word[pos] == Some(clean[pos]) {
+                            break pos;
+                        }
+                    };
+                    word[pick] = Some(field.add(clean[pick], 1 + rng.next_u64() % 1000));
+                }
+                words.push(word);
+            }
+        }
+        words
+    }
+
+    /// Any sequence of decodes on one code equals decoding each word on
+    /// a fresh code — `Ok` or `Err`, message, error and erasure
+    /// positions — whatever the code accepted before: words of two
+    /// messages at every distance from their codewords, with erasures,
+    /// the zero word, a changed degree bound, each word twice in a
+    /// shuffled order (so a view meets a memo of its own codeword, of
+    /// the other message's, or of what Gao made of a word past the
+    /// radius), and two
+    /// lanes decoding on the shared code in lockstep on two threads,
+    /// each evicting the other's memo. Consecutive points, a full orbit
+    /// and a partial one.
+    #[test]
+    fn decode_sequences_on_one_code_equal_fresh_decodes() {
+        let mut rng = SplitMix64::new(21);
+        for (kind, field, code) in &shortcut_codes() {
+            let e = code.len();
+            let d = e / 2;
+            let fresh = |word: &[Option<u64>], bound: usize| {
+                fresh_code(field, code).decode(field, word, bound)
+            };
+            let messages = [random_message(field, d, &mut rng), random_message(field, d, &mut rng)];
+            let lanes: Vec<Vec<Vec<Option<u64>>>> = messages
+                .iter()
+                .map(|msg| words_around(field, &code.encode(field, msg), d, &mut rng))
+                .collect();
+            let mut slate: Vec<(Vec<Option<u64>>, usize)> =
+                lanes.iter().flatten().map(|word| (word.clone(), d)).collect();
+            slate.push((vec![Some(0); e], d));
+            slate.push((lanes[0][1].clone(), d - 1));
+            slate.push((lanes[0][1].clone(), d + 1));
+            slate.extend(slate.clone());
+            for i in (1..slate.len()).rev() {
+                slate.swap(i, (rng.next_u64() as usize) % (i + 1));
+            }
+            let mut certified = 0;
+            for (step, (word, bound)) in slate.iter().enumerate() {
+                let what = format!("{kind} e = {e}, step {step}, degree bound {bound}");
+                let out = code.decode_profiled(field, word, *bound);
+                if let Ok((_, profile)) = &out {
+                    if profile.interpolate.is_zero() && profile.xgcd.is_zero() {
+                        certified += 1;
+                    }
+                }
+                assert_eq!(out.map(|(out, _)| out), fresh(word, *bound), "{what}");
+            }
+            assert!(certified > 0, "{kind}: no decode was certified");
+            // The other message's word within the radius of its own
+            // codeword, right after this one's: Gao, not the memo.
+            for (mine, theirs) in [(&lanes[0][2], &lanes[1][2]), (&lanes[1][2], &lanes[0][2])] {
+                assert_eq!(code.decode(field, mine, d), fresh(mine, d), "{kind}: memo");
+                assert_eq!(code.decode(field, theirs, d), fresh(theirs, d), "{kind}: other");
+            }
+            // Two lanes in lockstep on one shared code; a lane asserts
+            // nothing itself, so a wrong result cannot strand the other
+            // at the barrier.
+            let barrier = std::sync::Barrier::new(lanes.len());
+            let results: Vec<Vec<_>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = lanes
+                    .iter()
+                    .map(|lane| {
+                        let barrier = &barrier;
+                        scope.spawn(move || {
+                            let mut results = Vec::new();
+                            for word in lane {
+                                barrier.wait();
+                                results.push((code.decode(field, word, d), fresh(word, d)));
+                            }
+                            results
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("lane panicked")).collect()
+            });
+            for (lane, (got, expected)) in results.iter().flatten().enumerate() {
+                assert_eq!(got, expected, "{kind}: lane decode {lane}");
+            }
         }
     }
 

@@ -120,19 +120,39 @@ fn parallel_bus_engine_matches_in_process() {
     assert_eq!(inproc.report.bytes_on_wire, parallel.report.bytes_on_wire);
 }
 
-/// Batched runs identify faulty nodes exactly like per-problem runs.
+/// Batched runs identify faulty nodes exactly like per-problem runs:
+/// three lanes of one spec (so one code length and one prime set), a
+/// corrupt, a crashed and an equivocating node, every honest node
+/// decoding. The lanes decode on one shared code per prime, split across
+/// the thread budget, and each lane's whole certificate must equal its
+/// solo run's.
 #[test]
 fn batch_identifies_faults_like_individual_runs() {
     let problems: Vec<TriangleCount> =
-        [gen::gnm(9, 16, 7), gen::gnm(11, 24, 9)].iter().map(TriangleCount::new).collect();
-    let budget = problems.iter().map(|p| p.spec().degree_bound).max().unwrap().max(16);
-    let engine = Engine::new(faulty_config(8, budget));
+        [gen::gnm(11, 16, 7), gen::gnm(11, 24, 9), gen::gnm(11, 20, 3)]
+            .iter()
+            .map(TriangleCount::new)
+            .collect();
+    assert!(problems.iter().all(|p| p.spec() == problems[0].spec()), "one code length");
+    let budget = problems[0].spec().degree_bound.max(16);
+    let plan = FaultPlan::with_faults(
+        8,
+        &[
+            (1, FaultKind::Corrupt { seed: 42 }),
+            (4, FaultKind::Crash),
+            (6, FaultKind::Equivocate { seed: 7 }),
+        ],
+    );
+    let config = EngineConfig::sequential(8, budget).with_plan(plan).with_full_decoding();
+    let engine = Engine::new(config);
 
     let batched = engine.run_batch(&problems).expect("batch run");
+    assert_eq!(batched.len(), problems.len());
     for (problem, outcome) in problems.iter().zip(&batched) {
         let solo = engine.run(problem).expect("solo run");
         assert_eq!(outcome.output, solo.output);
-        assert_eq!(outcome.certificate.identified_faulty_nodes, vec![1]);
+        assert_eq!(outcome.certificate, solo.certificate);
+        assert_eq!(outcome.certificate.identified_faulty_nodes, vec![1, 6]);
         assert_eq!(outcome.certificate.crashed_nodes, vec![4]);
     }
 }
