@@ -14,10 +14,6 @@
 //! | [`HamiltonianCycles`] | 8(3) | `O*(2^{n/2})` |
 //! | [`SetCovers`] | 9 | `O*(2^{n/2})` |
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
-
 mod cnf;
 mod conv3sum;
 mod hamilton;

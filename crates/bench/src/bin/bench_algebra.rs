@@ -273,7 +273,7 @@ fn kernel_bench(field: &PrimeField, samples: usize, rng: &mut SplitMix64) -> Str
 
     // The textbook per-element reduction — `(a as u128 * b as u128) % q`
     // via hardware 128-bit division — is the baseline the Barrett
-    // kernels were built to displace (camelot-lint bans `%` from hot
+    // kernels were built to displace (`tests/hot_regions.rs` bans `%` from hot
     // regions); the scalar column below is the already-branchless
     // `PrimeField::mul` loop.
     let t_mul_mod = best_of(samples, || {

@@ -5,10 +5,6 @@
 //! for `bench_algebra`. See `README.md` at the repository root for the
 //! experiment index.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
-
 use std::time::{Duration, Instant};
 
 /// Times a closure.

@@ -9,10 +9,6 @@
 //! `k/6`-subsets ([`KCliqueCount`], Theorems 1–2), plus the sequential
 //! baselines for the benchmarks.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
-
 mod form62;
 mod kclique;
 

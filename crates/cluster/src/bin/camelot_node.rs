@@ -14,6 +14,21 @@
 //! camelot-node --connect 127.0.0.1:PORT
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+#![deny(clippy::let_underscore_must_use)]
+
 use camelot_cluster::serve_worker_loop;
 use std::net::TcpStream;
 use std::process::ExitCode;

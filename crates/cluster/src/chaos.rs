@@ -31,6 +31,20 @@
 //! a crash with a structured [`FailureCause`] and the round completes
 //! via erasure decoding.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::transport::TransportError;
 use camelot_ff::{RngLike, SplitMix64};
 use std::fmt;

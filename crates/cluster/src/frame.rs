@@ -21,6 +21,20 @@
 //! - A frame embeds another verbatim, one `<key> <line>` record per
 //!   line, so the embedded `end` is `cert end` and ends nothing.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use std::fmt::{self, Display, Write as _};
 use std::io::{self, BufRead};
 use std::str::{FromStr, SplitAsciiWhitespace};

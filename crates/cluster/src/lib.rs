@@ -26,9 +26,7 @@
 //! in-process bus preserves the paper's behaviour exactly and the other
 //! backends must (and do) reproduce it bit for bit.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
+#![deny(clippy::let_underscore_must_use)]
 
 mod chaos;
 mod fault;

@@ -9,6 +9,20 @@
 //! *configured* numbers (delay vs. deadline), never wall clock — which
 //! is what keeps chaos runs bit-reproducible across backends.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use std::time::{Duration, Instant};
 
 /// Environment variable overriding the default socket/pool I/O deadline

@@ -87,6 +87,11 @@ impl Transport for InProcess {
         let frames = split_map((0..nodes).collect(), |node| {
             let (lo, hi) = node_slice(e, nodes, node);
             catch_unwind(AssertUnwindSafe(|| {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "same node_slice bounds argument as socket.rs: the coordinator \
+                              partitions its own point vector, lo..hi is in bounds by construction"
+                )]
                 let points = &spec.points[lo..hi];
                 compute_node_frames(spec.field, spec.plan.kind(node), nodes, node, lo, points, eval)
             }))

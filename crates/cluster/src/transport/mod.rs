@@ -39,6 +39,21 @@
 //! truthful base, diagnostic) followed by one `frame <r>` line per
 //! receiver.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros,
+        clippy::disallowed_methods
+    )
+)]
+
 mod drain;
 mod inproc;
 mod pool;
@@ -336,6 +351,12 @@ impl ClusterConfig {
     ///
     /// Panics if `nodes == 0`.
     #[must_use]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "ClusterConfig constructors are coordinator-side configuration API, not a frame \
+                  path; the documented panic guards local programmer misuse and no untrusted \
+                  input can reach it"
+    )]
     pub fn sequential(nodes: usize) -> Self {
         assert!(nodes > 0, "a cluster needs at least one node");
         ClusterConfig {

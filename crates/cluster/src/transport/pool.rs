@@ -609,6 +609,13 @@ mod tests {
     ) -> WorkerPool {
         let mut pool = WorkerPool::start(WorkerMode::Threads, NODES, tuning(io_deadline)).unwrap();
         pool.retire_lane(IMPOSTOR);
+        // The displaced thread worker ends with its connection. Reap it
+        // here, however slow the host, so the retired list holds only
+        // what the test itself retires.
+        for (worker, reader, grace) in pool.retired.drain(..) {
+            reader.join().unwrap();
+            worker.reap(grace).unwrap();
+        }
         let addr = pool.addr;
         let peer = std::thread::spawn(move || peer(TcpStream::connect(addr).unwrap()));
         let stream = accept_with_deadline(&pool.listener, IMPOSTOR, None, io_deadline).unwrap();

@@ -210,6 +210,13 @@ fn perform_action(stream: &mut TcpStream, action: WorkerAction) -> Result<bool, 
     match action {
         WorkerAction::Deliver { text, copies, delay_ms } => {
             if delay_ms > 0 {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the simulated slow worker of ChaosEffect::Delay: the sleep is the \
+                              injected fault itself, worker-side, bounded by the configured \
+                              deadline (a longer delay resolves to Mute, which waits on its \
+                              connection)"
+                )]
                 std::thread::sleep(Duration::from_millis(delay_ms));
             }
             for _ in 0..copies {
@@ -348,6 +355,13 @@ pub(crate) fn reap_child(child: &mut Child, grace: Deadline) -> std::io::Result<
             child.kill()?;
             return child.wait();
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "std has no wait timeout, so the bounded grace before a stuck worker process \
+                      is killed polls try_wait; it runs only in pool shutdown/Drop and in the \
+                      retired-lane sweep, which calls it once the grace has run out so it kills \
+                      without sleeping; never between a task and its reply"
+        )]
         std::thread::sleep(pause);
         pause = (pause * 2).min(POLL_CAP);
     }
@@ -430,6 +444,13 @@ pub(crate) fn accept_with_deadline(
                         reason: "timed out waiting for a worker to connect".to_string(),
                     });
                 }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "std has no accept timeout, so a worker handshake polls a \
+                              non-blocking listener with exponential backoff against its \
+                              deadline; it runs at pool start and lane respawn, once per worker, \
+                              not per reply"
+                )]
                 std::thread::sleep(poll);
                 poll = (poll * 2).min(POLL_CAP);
             }

@@ -16,9 +16,7 @@
 //! * every Camelot algorithm is, as is, a Merlin–Arthur protocol
 //!   ([`merlin_prove`] / [`arthur_verify`]).
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
+#![deny(clippy::let_underscore_must_use)]
 
 mod engine;
 mod error;

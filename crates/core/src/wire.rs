@@ -23,6 +23,20 @@
 //! `proof` repeats, at least once; every other record appears exactly
 //! once.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+
 use crate::engine::Certificate;
 use crate::error::CamelotError;
 use crate::problem::PrimeProof;

@@ -118,7 +118,7 @@ impl PrimeField {
     // lint:hot-begin(barrett-shoup) — the scalar reduction kernels every
     // NTT butterfly, Horner loop, and tree pass bottoms out in. No `%`
     // (PR 3 replaced the `u128 %` reduction), no clones, no allocation;
-    // camelot-lint enforces this region.
+    // `tests/hot_regions.rs` enforces this region.
 
     /// Barrett reduction of an arbitrary `u128` into `[0, q)`.
     ///

@@ -51,7 +51,7 @@ const INV_BLOCK_MIN: usize = 4 * LANES;
 
 // lint:hot-begin(slice-kernels) — the data-parallel lanes every NTT
 // butterfly, tree level pass, and batch inversion routes through. No `%`,
-// no clones, no allocation; camelot-lint enforces this region.
+// no clones, no allocation; `tests/hot_regions.rs` enforces this region.
 
 /// Branchless Barrett reduction of an arbitrary `u128` into `[0, q)`:
 /// the quotient estimate undershoots by at most 2, so two conditional

@@ -26,10 +26,6 @@
 //! assert_eq!(crt_u(&residues).to_u128(), Some(x));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
-
 mod crt;
 mod fp;
 mod kernel;

@@ -143,13 +143,6 @@ pub fn chromatic_value_brute(g: &Graph, t: u64) -> u64 {
     count
 }
 
-/// All values `χ_G(1), ..., χ_G(n+1) mod q` — enough to reconstruct the
-/// degree-`n` chromatic polynomial by interpolation.
-#[must_use]
-pub fn chromatic_values_mod(g: &Graph, field: &PrimeField) -> Vec<u64> {
-    (1..=g.vertex_count() as u64 + 1).map(|t| chromatic_value_mod(g, t, field)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,13 +220,5 @@ mod tests {
         for t in 1..=5u64 {
             assert_eq!(chromatic_value_mod(&g, t, &field), t.pow(4) % field.modulus());
         }
-    }
-
-    #[test]
-    fn values_vector_has_length_n_plus_one() {
-        let field = f();
-        let vals = chromatic_values_mod(&gen::cycle(5), &field);
-        assert_eq!(vals.len(), 6);
-        assert_eq!(vals[0], 0); // χ(1) = 0 for any graph with an edge
     }
 }

@@ -152,19 +152,6 @@ impl Graph {
         true
     }
 
-    /// Union of neighborhoods of the vertices in `mask`.
-    #[must_use]
-    pub fn neighborhood_of_set(&self, mask: u64) -> u64 {
-        let mut out = 0u64;
-        let mut rest = mask;
-        while rest != 0 {
-            let u = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            out |= self.adj[u];
-        }
-        out
-    }
-
     /// Number of edges inside the vertex set `mask`.
     #[must_use]
     pub fn edges_within(&self, mask: u64) -> usize {
@@ -212,17 +199,6 @@ impl Graph {
             frontier = next;
         }
         seen == self.full_mask()
-    }
-
-    /// The adjacency matrix as row-major 0/1 values.
-    #[must_use]
-    pub fn adjacency_matrix(&self) -> Vec<u64> {
-        let mut m = vec![0u64; self.n * self.n];
-        for &(u, v) in &self.edges {
-            m[u * self.n + v] = 1;
-            m[v * self.n + u] = 1;
-        }
-        m
     }
 }
 
@@ -412,13 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn neighborhood_of_set() {
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (3, 4)]);
-        assert_eq!(g.neighborhood_of_set(0b00001), 0b00010);
-        assert_eq!(g.neighborhood_of_set(0b00011), 0b00101 | 0b00010);
-    }
-
-    #[test]
     fn multigraph_allows_loops_and_parallels() {
         let mg = MultiGraph::from_edges(3, [(0, 0), (0, 1), (0, 1), (1, 2)]);
         assert_eq!(mg.edge_count(), 4);
@@ -438,12 +407,5 @@ mod tests {
         assert_eq!(d.component_count(), 2);
         assert_eq!(d.find(2), d.find(1));
         assert_ne!(d.find(4), d.find(0));
-    }
-
-    #[test]
-    fn adjacency_matrix_is_symmetric() {
-        let g = Graph::from_edges(3, [(0, 2), (1, 2)]);
-        let m = g.adjacency_matrix();
-        assert_eq!(m, vec![0, 0, 1, 0, 0, 1, 1, 1, 0]);
     }
 }

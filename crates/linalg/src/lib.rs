@@ -14,10 +14,6 @@
 //!   (§3.2), and the polynomial extension (§3.3) that turns the split
 //!   into a Camelot proof polynomial.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
-
 mod matrix;
 mod tensor;
 mod yates;

@@ -14,10 +14,6 @@
 //!   the Potts partition function and the tripartite decomposition with
 //!   fast matrix multiplication (Theorem 7, §10).
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
-
 mod bipoly;
 mod chromatic;
 mod ipoly;

@@ -30,10 +30,6 @@
 //! # Ok::<(), camelot_ff::FieldError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
-
 mod dense;
 mod hgcd;
 mod interp;

@@ -210,8 +210,8 @@ impl NttPlan {
     // every fast-path product; the inner loops run through the
     // lazy-reduction slice kernels of `camelot-ff` (one conditional
     // correction per butterfly, bounds-check-free fixed-width blocks).
-    // No `%`, no clones, no allocation; camelot-lint enforces this
-    // region.
+    // No `%`, no clones, no allocation; `tests/hot_regions.rs` enforces
+    // this region.
 
     /// Cooley–Tukey rounds over bit-reversed input: spans `1, 2, …`
     /// reading `tables[r]` for span `2^r`. `values.len()` must be a power

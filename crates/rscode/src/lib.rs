@@ -113,10 +113,6 @@
 //! # Ok::<(), camelot_ff::FieldError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
-
 use camelot_ff::PrimeField;
 use camelot_poly::{cached_ntt_plan, div_rem_fast, vanishing_poly, NttPlan, PointTree, Poly};
 use std::sync::{Arc, Mutex};

@@ -22,6 +22,21 @@
 //! round decodes outside the configured radius. Each request names its
 //! own prime schedule, and its certificate is prepared under it.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+#![deny(clippy::let_underscore_must_use)]
+
 use camelot_cluster::sibling_worker_binary;
 use camelot_core::{RecoveryPolicy, WorkerMode};
 use camelot_server::{run_daemon, Service, ServiceConfig};

@@ -11,12 +11,23 @@
 //!
 //! The `camelot-serve` binary wraps [`run_daemon`] around a TCP
 //! listener speaking the `camelot-request v1`/`camelot-response v1`
-//! frames defined in [`wire`]; [`request`] is the matching one-call
-//! client.
+//! frames ([`Request`], [`Response`]); [`request`] is the matching
+//! one-call client.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+#![deny(clippy::let_underscore_must_use)]
 
 mod service;
 mod wire;

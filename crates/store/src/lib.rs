@@ -19,9 +19,20 @@
 //! corrupted cache entry can cause a miss or a rejection, never a wrong
 //! answer.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros
+    )
+)]
+#![deny(clippy::let_underscore_must_use)]
 
 use camelot_core::Certificate;
 use std::collections::HashMap;

@@ -27,10 +27,6 @@
 //! # Ok::<(), camelot::core::CamelotError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
-
 pub use camelot_algebraic as algebraic;
 pub use camelot_cliques as cliques;
 pub use camelot_cluster as cluster;

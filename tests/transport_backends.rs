@@ -444,7 +444,7 @@ fn socket_engine_rejects_closure_problems() {
 /// `WorkerFailed` refusal naming the node on the in-process bus, at any
 /// thread budget (one worker included), never abort the coordinator —
 /// the same guarantee the socket worker gives for hostile frames, kept
-/// panic-free end to end by camelot-lint's `panic-path` rule.
+/// panic-free end to end by the clippy denies on its modules.
 #[test]
 fn threaded_backends_report_a_panicked_node_as_worker_failure() {
     let field = PrimeField::new(1_048_583).expect("prime");
