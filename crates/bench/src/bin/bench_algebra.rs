@@ -10,9 +10,10 @@
 //!   the same word against the codeword that decode accepted, and the
 //!   same word decoded with five symbols erased;
 //! * the same consecutive-point code over the first prime above the
-//!   engine's [`prime_floor`] — the modulus the default `Smallest`
-//!   schedule actually picks, with no two-adic structure, so Karatsuba
-//!   products and quadratic interpolation up to 4096 points: code
+//!   engine's [`prime_floor`] — the modulus the `Smallest` schedule
+//!   picked before both schedules walked NTT-friendly primes, with no
+//!   two-adic structure, so Karatsuba products and quadratic
+//!   interpolation up to 4096 points: code
 //!   construction, interpolation on the progression (`interpolate`, and
 //!   the cached tree's own dispatch) and on the same points with two
 //!   swapped (the general divided-difference triangle), and the decode
@@ -35,7 +36,11 @@
 //!   against a whole truncated bivariate product, split vs serial
 //!   Horner, and one node's 160-point slice of a 4096-point orbit at
 //!   degree 2048 by Horner per point vs one forward transform
-//!   (`PreparedProgram::eval_slice`).
+//!   (`PreparedProgram::eval_slice`);
+//! * the recovery sum over consecutive points (`consecutive_sum`):
+//!   Horner per point against Faulhaber's formula in one transform, on
+//!   a run not summed before, on the same run again, and on the first
+//!   run over a modulus, at degrees `2^min_log .. 2^14`.
 //!
 //! Every modulus here starts its walk at [`prime_floor`], the floor both
 //! engine schedules share, so the rows time the word-sized primes the
@@ -45,9 +50,10 @@
 //! primes. Every row runs on one thread: the algebra never splits an
 //! operation across threads, so `CAMELOT_THREADS` changes nothing here.
 //!
-//! Quadratic baselines (Horner, Newton, classical xgcd) and the whole
-//! smallest-prime block are skipped above `2^14` — their columns read
-//! `-` / `null` there — so the large decode-centric rows stay affordable.
+//! Quadratic baselines (Horner, Newton, classical xgcd), the whole
+//! smallest-prime block and the recovery-sum rows are skipped above
+//! `2^14` — their columns read `-` / `null` there, or the rows are
+//! absent — so the large decode-centric rows stay affordable.
 //!
 //! Writes `BENCH_algebra.json` (override with `--out`), the committed
 //! trajectory for the algebra hot path. Regenerate with:
@@ -62,13 +68,13 @@
 
 use camelot_bench::{fmt_duration, Table};
 use camelot_cluster::{node_slice, PreparedProgram};
-use camelot_core::{prime_floor, ProofSpec};
+use camelot_core::{choose_primes, ntt_log_len, prime_floor, ProofSpec};
 use camelot_ff::{next_prime, ntt_prime, PrimeField, RngLike, SplitMix64};
 use camelot_linalg::{MatMulTensor, YatesPlan};
 use camelot_partition::Shape;
 use camelot_poly::{
-    cached_ntt_plan, eval_many, interpolate, interpolate_fast, lagrange_basis_at, vanishing_poly,
-    ConsecutiveBasis, PointTree, Poly,
+    cached_ntt_plan, eval_many, interpolate, interpolate_fast, lagrange_basis_at, sum_consecutive,
+    sum_transform_len, vanishing_poly, ConsecutiveBasis, PointTree, Poly,
 };
 use camelot_rscode::{DecodeProfile, RsCode};
 use std::time::{Duration, Instant};
@@ -486,8 +492,9 @@ fn evaluator_bench(field: &PrimeField, samples: usize, rng: &mut SplitMix64) -> 
 }
 
 /// The consecutive-point code of length `e` over the first prime above
-/// [`engine_floor`] — what `EngineConfig::sequential`'s `Smallest`
-/// schedule builds, on a modulus with no two-adic structure: returns the
+/// [`engine_floor`] — what the `Smallest` schedule built before both
+/// schedules walked NTT-friendly primes, on a modulus with no two-adic
+/// structure: returns the
 /// `"consecutive_smallest"` JSON object. The three interpolation routes
 /// are checked against each other before they are timed.
 fn consecutive_smallest_bench(e: usize, samples: usize, rng: &mut SplitMix64) -> String {
@@ -529,6 +536,77 @@ fn consecutive_smallest_bench(e: usize, samples: usize, rng: &mut SplitMix64) ->
     )
 }
 
+/// Recovery sums over consecutive points at degree `d` (`d + 1`
+/// coefficients) over the prime the engine's walk picks for a length
+/// `d + 1` code: one Horner pass per point against Faulhaber's formula
+/// ([`sum_consecutive`]), at `count = d/3` (the shape of the cliques
+/// recovery, 343 points at degree 1026) and `count = 4d`. `cold_us` is
+/// the first sum over the modulus, which fills the Bernoulli cache (the
+/// modulus's NTT plans are built beforehand, as the engine's code would
+/// have); `transform_us` is a sum over a run not summed before (one
+/// forward and one inverse transform of length `transform_len`,
+/// [`sum_transform_len`]); `repeat_us` the same run summed again (a dot
+/// product with its cached power sums). `breakeven_count` is the point
+/// count at which Horner costs `transform_us`: the dispatch in
+/// `PrimeProof::sum_eval_consecutive` reads its crossover off
+/// `breakeven_count · (d + 1) / transform_len`. Every sum is checked
+/// against Horner before anything is timed. Returns one
+/// `"consecutive_sum"` row.
+fn consecutive_sum_bench(log: u32, samples: usize, rng: &mut SplitMix64) -> String {
+    let d = 1usize << log;
+    let q = choose_primes(&ProofSpec::new(d, 0, 0), d + 1)[0];
+    let field = PrimeField::new(q).unwrap();
+    let coeffs = random_message(&field, d, rng).into_coeffs();
+    let start = rng.next_u64();
+    let horner = |start: u64, count: u64| {
+        let mut x = field.reduce(start);
+        let mut acc = 0;
+        for _ in 0..count {
+            acc = field.add(acc, field.horner(&coeffs, x));
+            x = field.add(x, 1);
+        }
+        acc
+    };
+    let _ = cached_ntt_plan(&field, ntt_log_len(d + 1));
+    let cold_start = Instant::now();
+    let cold = sum_consecutive(&field, &coeffs, start, 1);
+    let t_cold = cold_start.elapsed();
+    assert_eq!(cold, Some(horner(start, 1)), "cold Faulhaber sum diverged from Horner");
+    let shapes: Vec<String> = [d / 3, 4 * d]
+        .iter()
+        .map(|&count| {
+            let count = count as u64;
+            for run in [start, start, start ^ 1] {
+                let sum = sum_consecutive(&field, &coeffs, run, count);
+                assert_eq!(sum, Some(horner(run, count)), "Faulhaber sum diverged from Horner");
+            }
+            let t_horner = best_of(samples, || horner(start, count));
+            let mut fresh = start;
+            let t_fast = best_of(samples, || {
+                fresh = fresh.wrapping_add(2);
+                sum_consecutive(&field, &coeffs, fresh, count)
+            });
+            let t_repeat = best_of(samples, || sum_consecutive(&field, &coeffs, start, count));
+            let breakeven = us(t_fast) / (us(t_horner) / count as f64);
+            format!(
+                "{{\"count\": {count}, \"horner_us\": {:.2}, \"transform_us\": {:.2}, \
+                 \"repeat_us\": {:.2}, \"speedup\": {:.2}, \"breakeven_count\": {breakeven:.1}}}",
+                us(t_horner),
+                us(t_fast),
+                us(t_repeat),
+                speedup(t_horner, t_fast),
+            )
+        })
+        .collect();
+    format!(
+        "    {{\"degree\": {d}, \"prime\": {q}, \"transform_len\": {}, \"cold_us\": {:.2}, \
+         \"shapes\": [\n      {}]}}",
+        sum_transform_len(d + 1),
+        us(t_cold),
+        shapes.join(",\n      ")
+    )
+}
+
 fn main() {
     let args = parse_args();
     let kernel_field =
@@ -536,6 +614,10 @@ fn main() {
     let kernels = kernel_bench(&kernel_field, args.samples, &mut SplitMix64::new(0xCA_FE_F0_0D));
     let evaluators =
         evaluator_bench(&kernel_field, args.samples, &mut SplitMix64::new(0xE7_A1_0A_7E));
+    let mut sum_rng = SplitMix64::new(0x5E_F0_01);
+    let sums: Vec<String> = (args.min_log..=args.max_log.min(NAIVE_MAX_LOG))
+        .map(|log| consecutive_sum_bench(log, args.samples, &mut sum_rng))
+        .collect();
     let mut rows = Vec::new();
     // `+era` is the column to its left decoded again with symbols
     // erased; `5/8` is the partial-orbit code.
@@ -707,7 +789,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"camelot-bench-algebra/v11\",\n",
+            "  \"schema\": \"camelot-bench-algebra/v12\",\n",
             "  \"description\": \"Field slice-kernel throughput (Melem/s, chunked vs per-element ",
             "scalar loops), the per-point building blocks of the catalogue evaluators (ns per ",
             "call, each beside what it replaced; orbit_slice is one node's slice of the 4096 ",
@@ -721,7 +803,8 @@ fn main() {
             "word again on the code that has just decoded it; ",
             "erasure_decode_us decodes the block's word with five more symbols withheld; ",
             "consecutive_smallest is the consecutive-point code over the first prime >= 2^61, ",
-            "the Smallest schedule's modulus (no NTT: Karatsuba products, quadratic ",
+            "the Smallest schedule's modulus before both schedules walked NTT-friendly primes ",
+            "(no NTT: Karatsuba products, quadratic ",
             "interpolation below 4096 points): interpolate_us on the progression, ",
             "interpolate_general_us on the same points with two swapped, ",
             "interpolate_dispatch_us through the code's cached tree, decode of a clean word ",
@@ -729,19 +812,28 @@ fn main() {
             "partial_orbit is a roots-of-unity code on 5/8 of the 2^log2_len orbit at half the ",
             "orbit's degree, the shape of bench_e2e's poly_faulted_fulldecode, its erasures one ",
             "contiguous sixteenth of the code; quadratic baselines are null above ",
-            "2^14; every row runs on one thread)\",\n",
+            "2^14; every row runs on one thread; consecutive_sum: the recovery sum ",
+            "of P(x) over x = start .. start + count - 1 at degree d over the engine's first prime for a ",
+            "length-(d+1) code, Horner per point (horner_us) against Faulhaber's formula: ",
+            "transform_us on a run not summed before (one forward and one inverse transform of ",
+            "transform_len points), repeat_us on the same run again (a dot product with its ",
+            "cached power sums), cold_us the first sum over the modulus (fills the Bernoulli ",
+            "cache); breakeven_count = transform_us over Horner's cost per point)\",\n",
             "  \"prime_schedule\": \"smallest q >= 2^61 (the engine's prime_floor) with ",
-            "q = 1 mod 2^(log2_len+1); consecutive_smallest: smallest prime q >= 2^61\",\n",
+            "q = 1 mod 2^(log2_len+1); consecutive_smallest: smallest prime q >= 2^61; ",
+            "consecutive_sum: the engine's walk, q = 1 mod 2^ntt_log_len(d+1)\",\n",
             "  \"samples\": {},\n",
             "  \"timer\": \"best-of-samples wall clock, release build\",\n",
             "{},\n",
             "{},\n",
+            "  \"consecutive_sum\": [\n{}\n  ],\n",
             "  \"results\": [\n{}\n  ]\n",
             "}}\n"
         ),
         args.samples,
         kernels,
         evaluators,
+        sums.join(",\n"),
         rows.join(",\n")
     );
     std::fs::write(&args.out, &json)

@@ -26,19 +26,22 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How the engine derives its deterministic prime moduli from a proof
-/// spec. Every node derives the same schedule from the common input
-/// (§1.3 of the paper), whichever variant is configured.
+/// Which evaluation points the engine's Reed–Solomon codes use. Both
+/// schedules take the same primes, the first `q ≡ 1 (mod 2^k)` above
+/// the floor with `2^k` at least twice the code length
+/// ([`choose_primes`]), so every codeword-sized product, and the
+/// Faulhaber recovery sums of [`crate::PrimeProof::sum_eval_consecutive`],
+/// can run through the number-theoretic transform. Every node derives
+/// the same primes and points from the common input (§1.3 of the
+/// paper), whichever variant is configured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PrimeSchedule {
-    /// The smallest admissible primes above the spec floor
-    /// ([`choose_primes`]) — the paper's schedule.
+    /// Consecutive points `0, 1, …, e − 1` — the paper's schedule.
     #[default]
     Smallest,
-    /// Primes `q ≡ 1 (mod 2^k)` with `2^k` at least twice the code
-    /// length ([`choose_primes_ntt`]), so every codeword-sized
-    /// polynomial product in Reed–Solomon encoding and Gao decoding can
-    /// run through the number-theoretic transform.
+    /// The first `e` powers of a root of unity of order `2^k`
+    /// ([`choose_primes_ntt`] names the same primes), so encoding is one
+    /// forward transform and decoding interpolates on the orbit.
     NttFriendly,
 }
 
@@ -86,7 +89,8 @@ impl RecoveryPolicy {
 pub struct EngineConfig {
     /// The simulated cluster (node count, backend).
     pub cluster: ClusterConfig,
-    /// Prime-modulus schedule (default: smallest admissible primes).
+    /// Evaluation-point schedule (default: consecutive points; both
+    /// schedules walk the same primes).
     pub prime_schedule: PrimeSchedule,
     /// Fault budget `f`: the code length is `e = d + 1 + 2f`, so up to
     /// `f` corrupted symbols (or any mix of errors and twice as many
@@ -138,7 +142,7 @@ impl EngineConfig {
         self
     }
 
-    /// Switches the prime schedule to NTT-friendly moduli
+    /// Switches the codes to roots-of-unity points
     /// ([`PrimeSchedule::NttFriendly`]), accelerating the codeword
     /// pipeline for large code lengths.
     #[must_use]
@@ -183,14 +187,14 @@ impl EngineConfig {
     }
 
     /// The prime moduli this configuration derives for a spec and code
-    /// length.
+    /// length: [`choose_primes`], whichever schedule is configured.
     ///
     /// # Panics
     ///
     /// As [`choose_primes`].
     #[must_use]
     pub fn primes_for(&self, spec: &ProofSpec, code_len: usize) -> Vec<u64> {
-        accumulate_primes(spec, code_len, self.prime_schedule).unwrap_or_else(|e| panic!("{e}"))
+        choose_primes(spec, code_len)
     }
 }
 
@@ -339,21 +343,17 @@ fn prime_walk(spec: &ProofSpec, code_len: usize) -> Result<(Range<u64>, u64), St
     Ok((floor..MAX_MODULUS, target))
 }
 
-/// Both prime schedules: walk upward through [`prime_walk`]'s range,
-/// taking the first prime `q ≡ 1 (mod 2^k)` at or above the cursor
-/// (`k = 0` for [`PrimeSchedule::Smallest`], [`ntt_log_len`] for
-/// [`PrimeSchedule::NttFriendly`]), until the coverage target is met.
+/// The prime walk of both schedules: upward through [`prime_walk`]'s
+/// range, taking the first prime `q ≡ 1 (mod 2^k)` at or above the
+/// cursor, `k = `[`ntt_log_len`]`(code_len)`, until the coverage target
+/// is met.
 pub(crate) fn accumulate_primes(
     spec: &ProofSpec,
     code_len: usize,
-    schedule: PrimeSchedule,
 ) -> Result<Vec<u64>, CamelotError> {
     let bad = |reason| CamelotError::BadConfiguration { reason };
     let (range, target) = prime_walk(spec, code_len).map_err(bad)?;
-    let step = match schedule {
-        PrimeSchedule::Smallest => 1,
-        PrimeSchedule::NttFriendly => 1u64 << ntt_log_len(code_len),
-    };
+    let step = 1u64 << ntt_log_len(code_len);
     let mut primes = Vec::new();
     let mut bits_covered = 0u64;
     let mut cursor = range.start;
@@ -376,8 +376,11 @@ pub(crate) fn accumulate_primes(
 }
 
 /// Deterministically selects prime moduli for a spec: all primes are at
-/// least [`prime_floor`] and their product exceeds
-/// `2^(value_bits + 1)` (one guard bit for symmetric signed lifts).
+/// least [`prime_floor`], their product exceeds `2^(value_bits + 1)`
+/// (one guard bit for symmetric signed lifts), and every prime is
+/// `q ≡ 1 (mod 2^k)` for `k = `[`ntt_log_len`]`(code_len)`, so codeword
+/// products and recovery sums run through the number-theoretic
+/// transform whichever points the codes use.
 ///
 /// # Panics
 ///
@@ -386,28 +389,26 @@ pub(crate) fn accumulate_primes(
 /// such a spec as [`CamelotError::BadConfiguration`] instead.
 #[must_use]
 pub fn choose_primes(spec: &ProofSpec, code_len: usize) -> Vec<u64> {
-    accumulate_primes(spec, code_len, PrimeSchedule::Smallest).unwrap_or_else(|e| panic!("{e}"))
+    accumulate_primes(spec, code_len).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Transform-length exponent for an NTT-friendly schedule: `2^k` at
-/// least twice the code length, covering products of two
-/// codeword-degree polynomials in the Gao decoder.
+/// Transform-length exponent of the prime walk: `2^k` at least twice
+/// the code length, covering products of two codeword-degree
+/// polynomials in the Gao decoder.
 #[must_use]
 pub fn ntt_log_len(code_len: usize) -> u32 {
     (2 * code_len.max(1)).next_power_of_two().trailing_zeros()
 }
 
-/// Deterministically selects NTT-friendly prime moduli for a spec: the
-/// same floor and coverage rules as [`choose_primes`], but every prime
-/// satisfies `q ≡ 1 (mod 2^k)` for `k = `[`ntt_log_len`]`(code_len)`, so
-/// the codeword pipeline multiplies polynomials through the NTT.
+/// The primes of [`PrimeSchedule::NttFriendly`]: the same walk as
+/// [`choose_primes`], which both schedules share.
 ///
 /// # Panics
 ///
 /// As [`choose_primes`].
 #[must_use]
 pub fn choose_primes_ntt(spec: &ProofSpec, code_len: usize) -> Vec<u64> {
-    accumulate_primes(spec, code_len, PrimeSchedule::NttFriendly).unwrap_or_else(|e| panic!("{e}"))
+    choose_primes(spec, code_len)
 }
 
 /// The Camelot engine.
@@ -532,7 +533,7 @@ impl Engine {
         loop {
             let f = self.config.fault_tolerance + escalations as usize * policy.escalation_step;
             let e = code_length(joint, f);
-            let primes = accumulate_primes(joint, e, self.config.prime_schedule)?;
+            let primes = accumulate_primes(joint, e)?;
             match self.run_rounds(problems, specs, &primes, e) {
                 Ok(mut outcomes) => {
                     for outcome in &mut outcomes {
@@ -1272,20 +1273,23 @@ mod tests {
         }
     }
 
+    /// Both schedules, not only the NTT one, recover on primes
+    /// `1 mod 2^ntt_log_len(e)`.
     #[test]
     fn ntt_schedule_recovers_answer_with_friendly_primes() {
         let problem = Cube { c: 777 };
-        let config = EngineConfig::sequential(4, 3).with_ntt_primes();
-        let outcome = Engine::new(config).run(&problem).unwrap();
-        assert_eq!(outcome.output, 777u128.pow(3));
-        let k = ntt_log_len(outcome.report.code_length);
-        for &q in &outcome.report.primes {
-            assert_eq!((q - 1) % (1u64 << k), 0, "prime {q} is not 1 mod 2^{k}");
+        let base = EngineConfig::sequential(4, 3);
+        for config in [base.clone(), base.with_ntt_primes()] {
+            let outcome = Engine::new(config).run(&problem).unwrap();
+            assert_eq!(outcome.output, 777u128.pow(3));
+            let k = ntt_log_len(outcome.report.code_length);
+            for &q in &outcome.report.primes {
+                assert_eq!((q - 1) % (1u64 << k), 0, "prime {q} is not 1 mod 2^{k}");
+            }
+            let bits: u64 =
+                outcome.report.primes.iter().map(|q| 63 - u64::from(q.leading_zeros())).sum();
+            assert!(bits > 97);
         }
-        // Enough CRT coverage, exactly like the default schedule.
-        let bits: u64 =
-            outcome.report.primes.iter().map(|q| 63 - u64::from(q.leading_zeros())).sum();
-        assert!(bits > 97);
     }
 
     #[test]
@@ -1323,20 +1327,22 @@ mod tests {
 
     /// Both schedules pick exactly as many primes as `primes_needed`
     /// says 61-bit primes need for `value_bits + 2` bits (the walk's
-    /// `61·n > value_bits + 1`), all in `[floor, 2^62)`, and every NTT
-    /// prime is `1 mod 2^k`.
+    /// `61·n > value_bits + 1`), all in `[floor, 2^62)`, and both walk
+    /// `1 mod 2^ntt_log_len(e)`.
     #[test]
     fn prime_count_is_what_61_bit_primes_need() {
         let e = 100;
-        let ntt_step = 1u64 << ntt_log_len(e);
+        let step = 1u64 << ntt_log_len(e);
         for value_bits in [0, 1, 59, 60, 61, 120, 121, 200] {
             let spec = ProofSpec::new(10, 1 << 20, value_bits);
             let floor = prime_floor(&spec, e);
             let needed = camelot_ff::primes_needed(value_bits + 2, 61);
-            for (schedule, primes, step) in [
-                ("smallest", choose_primes(&spec, e), 1),
-                ("ntt", choose_primes_ntt(&spec, e), ntt_step),
+            for (schedule, config) in [
+                ("smallest", EngineConfig::sequential(4, 1)),
+                ("ntt", EngineConfig::sequential(4, 1).with_ntt_primes()),
             ] {
+                let primes = config.primes_for(&spec, e);
+                assert_eq!(primes, choose_primes(&spec, e), "{schedule}");
                 assert_eq!(primes.len(), needed, "{schedule}, {value_bits} bits");
                 for q in primes {
                     assert!((floor..MAX_MODULUS).contains(&q), "{schedule}: {q}");

@@ -7,7 +7,7 @@
 //! verifies with the same randomized spot check each Knight would run,
 //! at the cost of one evaluation of `P` per trial.
 
-use crate::engine::{accumulate_primes, code_length, PrimeSchedule};
+use crate::engine::{accumulate_primes, code_length};
 use crate::error::CamelotError;
 use crate::problem::{CamelotProblem, PrimeProof};
 use crate::verify::spot_check;
@@ -24,7 +24,7 @@ use camelot_poly::interpolate_consecutive;
 /// admits.
 pub fn merlin_prove<P: CamelotProblem>(problem: &P) -> Result<Vec<PrimeProof>, CamelotError> {
     let spec = problem.spec();
-    let primes = accumulate_primes(&spec, code_length(&spec, 0), PrimeSchedule::Smallest)?;
+    let primes = accumulate_primes(&spec, code_length(&spec, 0))?;
     let mut proofs = Vec::with_capacity(primes.len());
     for &q in &primes {
         if spec.degree_bound as u64 + 1 > q {
@@ -62,7 +62,7 @@ pub fn arthur_verify<P: CamelotProblem>(
     seed: u64,
 ) -> Result<(), CamelotError> {
     let spec = problem.spec();
-    let expected_primes = accumulate_primes(&spec, code_length(&spec, 0), PrimeSchedule::Smallest)?;
+    let expected_primes = accumulate_primes(&spec, code_length(&spec, 0))?;
     let got: Vec<u64> = proofs.iter().map(|p| p.modulus).collect();
     if got != expected_primes {
         return Err(CamelotError::MalformedProof {

@@ -95,6 +95,18 @@ impl Evaluate for PreparedProgram {
     }
 }
 
+/// [`PrimeProof::sum_eval_consecutive`] takes the transform path when
+/// Horner's `count · len` steps exceed this many per transform point
+/// ([`camelot_poly::sum_transform_len`], about `2·len`): what a first
+/// sum over a run costs. The `consecutive_sum` rows of
+/// `BENCH_algebra.json` put the breakeven, `breakeven_count · (d + 1) /
+/// transform_len`, at 18–32 steps (median 26) for degrees `2^8` to
+/// `2^14`; inside `catalogue_inproc`'s recovery, where node evaluation
+/// has evicted the tables and twiddles, it was 24–28 (triangles,
+/// permanent and cliques at 145, 757 and 1027 coefficients; 2-core
+/// x86-64 VM).
+const SUM_STEPS_PER_TRANSFORM_POINT: u128 = 28;
+
 /// A decoded proof for one prime modulus: the message the Reed–Solomon
 /// codeword carried.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -126,8 +138,39 @@ impl PrimeProof {
     /// the answer is `Σ_{x ∈ [R]} P(x)` or `Σ_{x < 2^{n/2}} P(x)`). The
     /// points are consecutive in `Z_q`: `x` starts at `start mod q` and
     /// steps by one modulo `q`.
+    ///
+    /// Past a crossover — Horner's `count · len` steps against 28 per
+    /// point of the transform a first sum over the run costs, 55–110
+    /// points by the proof length — the sum is
+    /// [`camelot_poly::sum_consecutive`]: the dot product of the
+    /// coefficients with the run's power sums, computed by Faulhaber's
+    /// formula in one forward and one inverse transform the first time
+    /// the run comes up over the modulus, and cached. Every prime of the
+    /// engine's walk has the transform that takes; a modulus without one
+    /// of the length needed (certificates from before the walk kept only
+    /// NTT-friendly primes), or one not above `len + 1`, does not, and
+    /// there, as below the crossover, the sum is one
+    /// [`PrimeField::horner`] pass per point. Both return the same field
+    /// element.
     #[must_use]
     pub fn sum_eval_consecutive(&self, start: u64, count: u64) -> u64 {
+        self.sum_by_transform(start, count).unwrap_or_else(|| self.sum_by_horner(start, count))
+    }
+
+    /// The transform path of [`PrimeProof::sum_eval_consecutive`], or
+    /// `None` where the dispatch runs Horner.
+    fn sum_by_transform(&self, start: u64, count: u64) -> Option<u64> {
+        let len = self.coefficients.len();
+        let transform = camelot_poly::sum_transform_len(len) as u128;
+        if u128::from(count) * len as u128 <= SUM_STEPS_PER_TRANSFORM_POINT * transform {
+            return None;
+        }
+        let field = PrimeField::new_unchecked(self.modulus);
+        camelot_poly::sum_consecutive(&field, &self.coefficients, start, count)
+    }
+
+    /// The Horner path: one four-chain pass per point.
+    fn sum_by_horner(&self, start: u64, count: u64) -> u64 {
         let field = PrimeField::new_unchecked(self.modulus);
         let mut x = field.reduce(start);
         let mut acc = 0u64;
@@ -250,6 +293,132 @@ mod tests {
                         expect,
                         "q = {q}, len = {len}, x = {x}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The first prime `q ≥ 2^61` with `q − 1` divisible by `2^k` and
+    /// by no higher power of two: transforms up to length `2^k`, none
+    /// longer.
+    fn prime_of_order(k: u32) -> u64 {
+        (0u64..)
+            .map(|m| (((1u64 << 61) >> k) + 2 * m + 1) << k | 1)
+            .find(|&q| camelot_ff::is_prime_u64(q))
+            .expect("a prime of every order below 2^61")
+    }
+
+    /// A proof of `len` coefficients mod `q` and its value at any point.
+    /// Over the small primes and up to 9 coefficients it is random and
+    /// valued by the serial chain. Past that it is `c·(x − r)^(len−1)`
+    /// plus a random 9-coefficient tail: dense, but valued in
+    /// `O(log len)`, so runs of `4·len` points stay cheap to sum in an
+    /// unoptimised build.
+    fn sum_case(q: u64, len: usize) -> (PrimeProof, Box<dyn Fn(u64) -> u64>) {
+        if len <= 9 || q < 1 << 61 {
+            let p = random_proof(q, len, q ^ len as u64);
+            return (p.clone(), Box::new(move |x| serial_eval(&p, x)));
+        }
+        let field = PrimeField::new_unchecked(q);
+        let tail = random_proof(q, 9, q ^ len as u64);
+        let mut rng = camelot_ff::SplitMix64::new(q.rotate_left(7) ^ len as u64);
+        let (c, r) = (field.sample(&mut rng).max(1), field.sample(&mut rng));
+        let e = len as u64 - 1;
+        // c·C(e, k)·(−r)^(e−k), from the top coefficient down.
+        let mut inverses: Vec<u64> = (1..=e).collect();
+        field.inv_batch(&mut inverses);
+        let mut binom = vec![1u64; len];
+        for k in 0..e as usize {
+            binom[k + 1] = field.mul(field.mul(binom[k], e - k as u64), inverses[k]);
+        }
+        let neg_r = field.neg(r);
+        let mut coefficients = vec![0u64; len];
+        let mut power = c;
+        for k in (0..len).rev() {
+            coefficients[k] = field.mul(power, binom[k]);
+            power = field.mul(power, neg_r);
+        }
+        for (k, &t) in tail.coefficients.iter().enumerate() {
+            coefficients[k] = field.add(coefficients[k], t);
+        }
+        let value = move |x: u64| {
+            let top = field.mul(c, field.pow(field.sub(field.reduce(x), r), e));
+            field.add(top, serial_eval(&tail, x))
+        };
+        (PrimeProof { modulus: q, coefficients }, Box::new(value))
+    }
+
+    /// The Faulhaber transform path and the Horner loop return the same
+    /// field element at every proof length, count and start: on primes
+    /// whose transforms serve the length, where the dispatch must take
+    /// the transform once the count is past the crossover; on primes
+    /// whose transforms are too short and on the first prime above
+    /// `2^61`, which has none; and on primes at most the proof length,
+    /// where the factorials are not invertible. The reference sums the
+    /// proof's values along runs of consecutive points that cross `q` and
+    /// `2^64`, and at every start the proof's Horner value is checked
+    /// against them. Where the dispatch runs Horner at 1027 coefficients
+    /// or more, only counts up to 5 are summed (an unoptimised build
+    /// would take minutes over the rest).
+    #[test]
+    fn transform_sums_match_horner_sums() {
+        let ntt = (11..=14).map(|k| (prime_of_order(k), k));
+        let big = ntt.chain([(camelot_ff::next_prime(1 << 61), 0)]);
+        let lens = (0..=9usize).chain([257, 1027, 2049, 4097]);
+        let cases = big.flat_map(|(q, order)| lens.clone().map(move |len| (q, order, len))).chain(
+            [97u64, 101].into_iter().flat_map(|q| {
+                let q1 = q as usize - 1;
+                (q1..q1 + 3).map(move |len| (q, 0, len))
+            }),
+        );
+        for (q, order, len) in cases {
+            let field = PrimeField::new_unchecked(q);
+            let (p, value) = sum_case(q, len);
+            // The transform length each listed size needs: 2^11 up to
+            // 1027 coefficients (five of them wrap and are repaired),
+            // 2^12 at 2049, 2^13 at 4097.
+            let needed = match len {
+                0..=1027 => 11,
+                2049 => 12,
+                _ => 13,
+            };
+            let served = order >= needed && q > len as u64 + 1;
+            let n = len as u64;
+            let all_counts = [0, 1, 5, n / 3, n, 4 * n];
+            let counts = if served || len < 1027 { &all_counts[..] } else { &all_counts[..3] };
+            let max = counts.iter().copied().max().unwrap_or(0);
+            // Values along two runs; every start below is one of their
+            // first three points.
+            let runs: Vec<(u64, Vec<u64>)> = [q - 1, u64::MAX - 2]
+                .iter()
+                .map(|&base| {
+                    let run = (0..max + 2)
+                        .map(|i| value(((u128::from(base) + u128::from(i)) % u128::from(q)) as u64))
+                        .collect();
+                    (base % q, run)
+                })
+                .collect();
+            for start in [0, 1, q - 1, q, q + 1, u64::MAX - 2, u64::MAX] {
+                let (base, run) = runs
+                    .iter()
+                    .find(|(base, _)| (start % q + q - base) % q <= 2)
+                    .expect("start lies on a run");
+                let offset = ((start % q + q - base) % q) as usize;
+                assert_eq!(p.eval(start), run[offset], "q = {q}, len = {len}, x = {start}");
+                for &count in counts {
+                    let expect = run[offset..offset + count as usize]
+                        .iter()
+                        .fold(0, |s, &v| field.add(s, v));
+                    let at = format!("q = {q}, len = {len}, start = {start}, count = {count}");
+                    assert_eq!(p.sum_eval_consecutive(start, count), expect, "{at}");
+                    let transform = p.sum_by_transform(start, count);
+                    assert!(transform.is_none_or(|t| t == expect), "{at}");
+                    if served && len >= 257 && count >= n {
+                        assert!(transform.is_some(), "transform path not taken: {at}");
+                    }
+                    if !served {
+                        assert!(transform.is_none(), "transform path without a plan: {at}");
+                    }
                 }
             }
         }

@@ -14,7 +14,10 @@
 //! refuses a proof with a coefficient `≥ q` as malformed before any trial
 //! — `c + q` is congruent to `c`, but it is not what a decode produces or
 //! what the wire accepts. The recovery sums of the "sum the evaluations"
-//! designs ([`PrimeProof::sum_eval_consecutive`]) run the same kernel.
+//! designs ([`PrimeProof::sum_eval_consecutive`]) run it only below their
+//! crossover or on a modulus without a long enough transform; past it
+//! they are one dot product with the run's power sums, computed by
+//! Faulhaber's formula in one transform and cached.
 
 use crate::error::CamelotError;
 use crate::problem::{CamelotProblem, Evaluate, PrimeProof};

@@ -31,12 +31,14 @@
 //! ```
 
 mod dense;
+mod faulhaber;
 mod hgcd;
 mod interp;
 mod multipoint;
 mod ntt;
 
 pub use dense::Poly;
+pub use faulhaber::{sum_consecutive, sum_transform_len};
 pub use hgcd::partial_xgcd_fast;
 pub use interp::{
     eval_many, interpolate, interpolate_consecutive, lagrange_basis_at, ConsecutiveBasis,

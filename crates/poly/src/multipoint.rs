@@ -363,7 +363,7 @@ fn cyclic_remainder(ctx: &MulContext, a: &Poly, q: &Poly, b: &Poly, db: usize) -
 /// `x^k` is unique.
 ///
 /// `f.coeff(0)` must be invertible (nonzero).
-fn inv_series(ctx: &MulContext, f: &Poly, n: usize) -> Poly {
+pub(crate) fn inv_series(ctx: &MulContext, f: &Poly, n: usize) -> Poly {
     let field = &ctx.field;
     let mut g = Poly::constant(field.inv(f.coeff(0)));
     let mut k = 1usize;

@@ -11,6 +11,10 @@
 //! A plan precomputes the full per-round twiddle tables (with their Shoup
 //! companions) at construction, so the butterfly loops run with two word
 //! multiplications per twiddle application and no chained root powering.
+//! Round `r` of every length's plan uses the powers of the same
+//! `2^(r+1)`-th root, so [`NttPlan::halved`] shares its parent's tables
+//! instead of rebuilding them: a chain of plans down from length `2^k`
+//! holds one set of tables, the size of the top plan's.
 //!
 //! The butterfly rounds themselves run through the lazy-reduction slice
 //! kernels of `camelot-ff` (Harvey-style: values ride in `[0, 4q)`
@@ -22,6 +26,7 @@
 
 use crate::dense::Poly;
 use camelot_ff::{primitive_root, PrimeField};
+use std::sync::Arc;
 
 /// One butterfly round's twiddles `w^0, …, w^{span-1}` with their Shoup
 /// companions for [`PrimeField::mul_shoup`].
@@ -56,9 +61,10 @@ pub struct NttPlan {
     /// `(2^k)^{-1} mod q` with its Shoup companion.
     len_inv: u64,
     len_inv_shoup: u64,
-    /// Per-round twiddle tables, round `r` having span `2^r`.
-    fwd: Vec<TwiddleTable>,
-    inv: Vec<TwiddleTable>,
+    /// Per-round twiddle tables, round `r` having span `2^r`, shared
+    /// with the plans [`NttPlan::halved`] derives.
+    fwd: Vec<Arc<TwiddleTable>>,
+    inv: Vec<Arc<TwiddleTable>>,
 }
 
 impl NttPlan {
@@ -99,7 +105,7 @@ impl NttPlan {
                 .map(|r| {
                     let span = 1usize << r;
                     let w_span = field.pow(base, len >> (r + 1));
-                    TwiddleTable::new(field, w_span, span)
+                    Arc::new(TwiddleTable::new(field, w_span, span))
                 })
                 .collect()
         };
@@ -115,11 +121,22 @@ impl NttPlan {
     }
 
     /// The plan for transforms of half this length (squares the root), or
-    /// `None` for a length-1 plan.
+    /// `None` for a length-1 plan. Its rounds are this plan's rounds but
+    /// the last, so it shares their tables.
     #[must_use]
     pub fn halved(&self) -> Option<NttPlan> {
         let log = self.log_len.checked_sub(1)?;
-        Some(Self::from_root(&self.field, log, self.field.mul(self.root, self.root)))
+        let field = &self.field;
+        let len_inv = field.inv(field.reduce(1 << log));
+        Some(NttPlan {
+            field: *field,
+            log_len: log,
+            root: field.mul(self.root, self.root),
+            len_inv,
+            len_inv_shoup: field.shoup_precompute(len_inv),
+            fwd: self.fwd[..log as usize].to_vec(),
+            inv: self.inv[..log as usize].to_vec(),
+        })
     }
 
     /// Transform length `2^log_len`.
@@ -218,7 +235,7 @@ impl NttPlan {
     /// of two at least `2^tables.len()` (blocks of `2·span` tile the
     /// slice). Values ride lazily in `[0, 4q)`; callers reduce or scale
     /// after.
-    fn ct_rounds(&self, values: &mut [u64], tables: &[TwiddleTable]) {
+    fn ct_rounds(&self, values: &mut [u64], tables: &[Arc<TwiddleTable>]) {
         let f = &self.field;
         for table in tables {
             let span = table.w.len();
@@ -232,7 +249,7 @@ impl NttPlan {
     /// Gentleman–Sande rounds from natural-order input: the same tables
     /// iterated in reverse span order (`tables.last()` first). Values
     /// ride lazily in `[0, 2q)`; output is in bit-reversed order.
-    fn gs_rounds(&self, values: &mut [u64], tables: &[TwiddleTable]) {
+    fn gs_rounds(&self, values: &mut [u64], tables: &[Arc<TwiddleTable>]) {
         let f = &self.field;
         for table in tables.iter().rev() {
             let span = table.w.len();

@@ -7,9 +7,11 @@
 //! The golden digests below are a 64-bit FNV-1a of
 //! `Certificate::to_wire()` from `Engine::sequential(4, 2)`, one small
 //! fixed instance per proof polynomial in the workspace, recorded with
-//! the prime walk starting at `2^61`. Beside each digest is the recovered
-//! answer, recorded on the commit before the floor moved (27d9e89, first
-//! primes above `2^20`): the certificates changed, the answers did not.
+//! the prime walk starting at `2^61` and taking only primes
+//! `q ≡ 1 (mod 2^k)`, `2^k` at least twice the code length, for both
+//! point schedules. Beside each digest is the recovered answer, recorded
+//! on the commit before the floor moved (27d9e89, first primes above
+//! `2^20`): the certificates changed with each walk, the answers did not.
 //! Evaluation results are field elements, so any correct re-association
 //! of the arithmetic reproduces the digests exactly. Everything here goes
 //! through the public problem API only.
@@ -19,7 +21,7 @@ use camelot::algebraic::{
     OrthogonalVectors, Permanent, SetCovers,
 };
 use camelot::cliques::KCliqueCount;
-use camelot::core::{choose_primes, merlin_prove, CamelotProblem, Engine};
+use camelot::core::{choose_primes, merlin_prove, CamelotProblem, Certificate, Engine, PrimeProof};
 use camelot::csp::{Csp2, CspWeightValue};
 use camelot::ff::{is_prime_u64, IBig, PrimeField, RngLike, SplitMix64, UBig, MAX_MODULUS};
 use camelot::graph::{
@@ -27,7 +29,7 @@ use camelot::graph::{
     gen, tutte::potts_value_mod, Graph, MultiGraph,
 };
 use camelot::partition::{ChromaticValue, PottsValue, SetPartitions};
-use camelot::poly::interpolate;
+use camelot::poly::{interpolate, sum_consecutive};
 use camelot::server::{PolyRequest, ServicePoly};
 use camelot::triangles::TriangleCount;
 
@@ -198,24 +200,24 @@ fn certificates_match_recorded_digests() {
         ("explicit_poly", digest_and_answer(&explicit_poly())),
     ];
     let recorded: [(&str, u64, &str); 14] = [
-        ("triangles", 0x3071_e0c2_7cd4_3485, "13"),
-        ("cliques", 0x8a8b_8085_9b0b_6c7d, "2"),
-        ("chromatic", 0xa4ae_4962_5793_0f87, "24"),
-        ("permanent", 0x7349_2f5e_704c_4420, "-707"),
-        ("csp", 0x8344_e33b_b251_909e, "792"),
-        ("potts", 0x1eff_ef97_20a5_1106, "61875"),
-        ("set_partitions", 0x11b1_1c35_164c_5729, "90"),
-        ("orthogonal_vectors", 0x63a2_b4c5_1d04_48b0, "[5, 5, 5, 6, 9, 3, 5, 9, 5]"),
+        ("triangles", 0x89f0_0d61_0e56_b2b6, "13"),
+        ("cliques", 0x28a7_cb0a_0b26_9f34, "2"),
+        ("chromatic", 0x27dd_825e_4e1c_3581, "24"),
+        ("permanent", 0xf773_4efd_33e4_211f, "-707"),
+        ("csp", 0x90bb_e5d2_a3f5_76a8, "792"),
+        ("potts", 0x0138_dd5b_88ed_bdbd, "61875"),
+        ("set_partitions", 0xdbf6_fe64_c02a_dac0, "90"),
+        ("orthogonal_vectors", 0x5913_3bb2_f793_66e8, "[5, 5, 5, 6, 9, 3, 5, 9, 5]"),
         (
             "hamming",
-            0x462e_0490_ef3d_b6b4,
+            0x08b5_717a_27ad_714a,
             "[[1, 3, 1, 0], [1, 2, 2, 0], [1, 3, 1, 0], [0, 3, 2, 0], [2, 1, 1, 1]]",
         ),
-        ("conv3sum", 0x201e_3651_4040_96d2, "[1, 1, 0, 0]"),
-        ("cnf", 0x54ab_428d_7e02_5e46, "41"),
-        ("hamilton", 0x80a1_b036_4048_391b, "22"),
-        ("set_covers", 0xb6d9_3fcc_7bc0_5767, "102"),
-        ("explicit_poly", 0x6f39_6f7a_e8c6_7cca, "307327293097594"),
+        ("conv3sum", 0xd0c6_666b_5eb5_5966, "[1, 1, 0, 0]"),
+        ("cnf", 0x4db5_cbd3_8eab_79f3, "41"),
+        ("hamilton", 0x1b18_e51f_b37a_687e, "22"),
+        ("set_covers", 0xa865_56b3_57ab_8f24, "102"),
+        ("explicit_poly", 0x1626_fe53_bbaa_0a12, "307327293097594"),
     ];
     let row = |name: &str, digest: u64, answer: &str| {
         format!("(\"{name}\", {digest:#018x}, \"{answer}\"),")
@@ -366,4 +368,46 @@ fn answers_match_sequential_oracles_and_merlin() {
     answers_agree("hamilton", &hamilton(), count_hamiltonian_cycles(&hamilton_graph()).shown());
     answers_agree("set_covers", &set_covers(), set_covers().reference_count().shown());
     answers_agree("explicit_poly", &poly, poly_sum.shown());
+}
+
+/// A certificate on the primes the walk took before it kept only
+/// `q ≡ 1 (mod 2^k)` — consecutive primes from `2^61`, as store files
+/// written then hold — still redeems, with the right answer: those
+/// moduli have no transform of the length the recovery sum needs, so it
+/// runs Horner. The proofs are the cliques evaluator interpolated at
+/// `d + 1` points mod each prime, which is what a decode produced.
+#[test]
+fn certificates_on_the_earlier_prime_walk_still_redeem() {
+    let problem = cliques();
+    let spec = problem.spec();
+    let d = spec.degree_bound;
+    let mut moduli = vec![camelot::ff::next_prime(1 << 61)];
+    while 61 * (moduli.len() as u64) < spec.value_bits + 2 {
+        moduli.push(camelot::ff::next_prime(moduli[moduli.len() - 1] + 1));
+    }
+    let proofs: Vec<PrimeProof> = moduli
+        .iter()
+        .map(|&q| {
+            let field = PrimeField::new(q).expect("prime");
+            let evaluator = problem.evaluator(&field);
+            let points: Vec<(u64, u64)> = (0..=d as u64).map(|x| (x, evaluator.eval(x))).collect();
+            let coefficients = interpolate(&field, &points).coeffs().to_vec();
+            // The recovery sum (from 1, over the form's rank, well past
+            // the transform crossover) cannot take the transform here.
+            let rank = problem.rank() as u64;
+            assert_eq!(sum_consecutive(&field, &coefficients, 1, rank), None, "mod {q}");
+            PrimeProof { modulus: q, coefficients }
+        })
+        .collect();
+    assert_ne!(moduli, choose_primes(&spec, d + 1), "the walk has moved on");
+    let certificate = Certificate {
+        proofs,
+        code_length: d + 1,
+        degree_bound: d,
+        identified_faulty_nodes: Vec::new(),
+        crashed_nodes: Vec::new(),
+    };
+    let outcome = Engine::sequential(4, 2).redeem(&problem, &certificate).expect("redeems");
+    assert_eq!(outcome.output.shown(), count_k_cliques(&cliques_graph(), 6).shown());
+    assert_eq!(outcome.output.shown(), "2");
 }
