@@ -4,31 +4,18 @@
 //! * field slice kernels in isolation (Melem/s): per-element scalar
 //!   loops vs the chunked slice kernels of `camelot-ff` (Barrett
 //!   `mul_slice`, blocked batch inversion);
-//! * consecutive-point Reed–Solomon code: encode (Horner baseline vs
-//!   subproduct-tree dispatch), interpolation (Newton baseline vs tree),
-//!   full Gao decode with a per-phase breakdown and the certification of
-//!   the same word against the codeword that decode accepted, and the
-//!   same word decoded with five symbols erased;
-//! * the same consecutive-point code over the first prime above the
-//!   engine's [`prime_floor`] — the modulus the `Smallest` schedule
-//!   picked before both schedules walked NTT-friendly primes, with no
-//!   two-adic structure, so Karatsuba products and quadratic
-//!   interpolation up to 4096 points: code
-//!   construction, interpolation on the progression (`interpolate`, and
-//!   the cached tree's own dispatch) and on the same points with two
-//!   swapped (the general divided-difference triangle), and the decode
-//!   of a clean word and of the faulted one, each with its phase
-//!   breakdown;
-//! * roots-of-unity code filling its orbit (the engine's NTT-friendly
-//!   schedule when `e` is a power of two): encode (Horner baseline vs
-//!   single forward NTT), full Gao decode with the same breakdown, and
-//!   the erasure decode;
+//! * roots-of-unity code filling its orbit (the engine's code when `e`
+//!   is a power of two): encode (Horner baseline vs single forward NTT),
+//!   full Gao decode with a per-phase breakdown and the certification
+//!   of the same word against the codeword that decode accepted, and
+//!   the same word decoded with five symbols erased;
 //! * roots-of-unity code on a partial orbit, in the shape `bench_e2e`'s
 //!   `poly_faulted_fulldecode` runs (`e = 5·2^k/8`, degree `2^k/2`, one
 //!   node in sixteen corrupt, one crashed): errors-only and erasure
 //!   decode, each with its phase breakdown;
 //! * the partial-xgcd step in isolation, classical vs half-GCD, on the
-//!   exact `(g0, g1, stop)` triple the Gao decoder feeds it;
+//!   exact `(g0, g1, stop)` triple the Gao decoder feeds it on the full
+//!   orbit code;
 //! * the per-point building blocks of the catalogue evaluators at the
 //!   end-to-end benchmark's shapes (ns per call): prepared vs one-shot
 //!   Lagrange basis, the compiled Strassen Yates plan against a Barrett
@@ -50,10 +37,10 @@
 //! primes. Every row runs on one thread: the algebra never splits an
 //! operation across threads, so `CAMELOT_THREADS` changes nothing here.
 //!
-//! Quadratic baselines (Horner, Newton, classical xgcd), the whole
-//! smallest-prime block and the recovery-sum rows are skipped above
-//! `2^14` — their columns read `-` / `null` there, or the rows are
-//! absent — so the large decode-centric rows stay affordable.
+//! Quadratic baselines (Horner, classical xgcd) and the recovery-sum
+//! rows are skipped above `2^14` — their columns read `-` / `null`
+//! there, or the rows are absent — so the large decode-centric rows stay
+//! affordable.
 //!
 //! Writes `BENCH_algebra.json` (override with `--out`), the committed
 //! trajectory for the algebra hot path. Regenerate with:
@@ -69,12 +56,12 @@
 use camelot_bench::{fmt_duration, Table};
 use camelot_cluster::{node_slice, PreparedProgram};
 use camelot_core::{choose_primes, ntt_log_len, prime_floor, ProofSpec};
-use camelot_ff::{next_prime, ntt_prime, PrimeField, RngLike, SplitMix64};
+use camelot_ff::{ntt_prime, PrimeField, RngLike, SplitMix64};
 use camelot_linalg::{MatMulTensor, YatesPlan};
 use camelot_partition::Shape;
 use camelot_poly::{
-    cached_ntt_plan, eval_many, interpolate, interpolate_fast, lagrange_basis_at, sum_consecutive,
-    sum_transform_len, vanishing_poly, ConsecutiveBasis, PointTree, Poly,
+    cached_ntt_plan, eval_many, lagrange_basis_at, sum_consecutive, sum_transform_len,
+    ConsecutiveBasis, Poly,
 };
 use camelot_rscode::{DecodeProfile, RsCode};
 use std::time::{Duration, Instant};
@@ -88,8 +75,8 @@ const KERNEL_LOG: u32 = 16;
 const ORBIT_LOG: u32 = 12;
 
 /// Largest `log2(len)` at which the quadratic baselines (Horner encode,
-/// Newton interpolation, classical partial xgcd) still run; above this
-/// only the quasi-linear paths are measured.
+/// classical partial xgcd) still run; above this only the quasi-linear
+/// paths are measured.
 const NAIVE_MAX_LOG: u32 = 14;
 
 struct Args {
@@ -210,7 +197,7 @@ fn erase_five(word: &[Option<u64>]) -> Vec<Option<u64>> {
 /// radius of that codeword in `O(e)`, so decoding one word again and
 /// again on one code would time the comparison. Every timed decode
 /// therefore runs on a clone of the code, which shares its transform
-/// plan or point tree but starts with nothing accepted, so it runs
+/// plan but starts with nothing accepted, so it runs
 /// Gao's algorithm. The certification is timed apart, on purpose, as `word`
 /// again on the code that has just decoded it.
 fn decode_profile(
@@ -491,51 +478,6 @@ fn evaluator_bench(field: &PrimeField, samples: usize, rng: &mut SplitMix64) -> 
     )
 }
 
-/// The consecutive-point code of length `e` over the first prime above
-/// [`engine_floor`] — what the `Smallest` schedule built before both
-/// schedules walked NTT-friendly primes, on a modulus with no two-adic
-/// structure: returns the
-/// `"consecutive_smallest"` JSON object. The three interpolation routes
-/// are checked against each other before they are timed.
-fn consecutive_smallest_bench(e: usize, samples: usize, rng: &mut SplitMix64) -> String {
-    let d = e / 2;
-    let q = next_prime(engine_floor(e));
-    let field = PrimeField::new(q).unwrap();
-    let t_build = best_of(samples, || RsCode::consecutive(&field, e));
-    let code = RsCode::consecutive(&field, e);
-    let msg = random_message(&field, d, rng);
-    let clean = code.encode(&field, &msg);
-
-    let mut pts: Vec<(u64, u64)> =
-        code.points().iter().copied().zip(clean.iter().copied()).collect();
-    let tree = PointTree::new(&field, code.points());
-    let newton = interpolate(&field, &pts);
-    assert_eq!(interpolate_fast(&field, &pts), newton, "interpolate_fast diverged");
-    assert_eq!(tree.interpolate(&clean), newton, "PointTree::interpolate diverged");
-    let t_progression = best_of(samples, || interpolate(&field, &pts));
-    let t_dispatch = best_of(samples, || tree.interpolate(&clean));
-    // Two points swapped: no longer a progression, same interpolant.
-    pts.swap(0, e - 1);
-    assert_eq!(interpolate(&field, &pts), newton, "general triangle diverged");
-    let t_general = best_of(samples, || interpolate(&field, &pts));
-
-    let clean_word: Vec<Option<u64>> = clean.iter().copied().map(Some).collect();
-    let planted = (&msg, clean.as_slice());
-    let prof_clean = decode_profile(samples, &field, &code, planted, &clean_word, d);
-    let faulted = fault_every_16th(&field, &clean);
-    let prof_faulted = decode_profile(samples, &field, &code, planted, &faulted, d);
-    format!(
-        "{{\"prime\": {q}, \"build_us\": {:.2}, \"interpolate_us\": {:.2}, \
-         \"interpolate_general_us\": {:.2}, \"interpolate_dispatch_us\": {:.2},\n      {},\n      {}}}",
-        us(t_build),
-        us(t_progression),
-        us(t_general),
-        us(t_dispatch),
-        j_profile("decode", prof_clean),
-        j_profile("faulted_decode", prof_faulted),
-    )
-}
-
 /// Recovery sums over consecutive points at degree `d` (`d + 1`
 /// coefficients) over the prime the engine's walk picks for a length
 /// `d + 1` code: one Horner pass per point against Faulhaber's formula
@@ -622,8 +564,8 @@ fn main() {
     // `+era` is the column to its left decoded again with symbols
     // erased; `5/8` is the partial-orbit code.
     let mut table = Table::new(&[
-        "len", "prime", "enc tree", "x", "enc NTT", "x", "int tree", "x", "dec tree", "+era",
-        "dec NTT", "~int", "~xgcd", "~reenc", "~cert", "+era", "dec 5/8", "+era", "xgcd x",
+        "len", "prime", "enc NTT", "x", "dec NTT", "~int", "~xgcd", "~reenc", "~cert", "+era",
+        "dec 5/8", "+era", "xgcd x",
     ]);
 
     for log in args.min_log..=args.max_log {
@@ -637,35 +579,8 @@ fn main() {
         let mut rng = SplitMix64::new(0xBE_AC * u64::from(log));
         let msg = random_message(&field, d, &mut rng);
 
-        // Consecutive points: subproduct-tree paths.
-        let code = RsCode::consecutive(&field, e);
-        let clean = code.encode(&field, &msg);
-        let t_enc_naive = naive_too.then(|| {
-            assert_eq!(clean, eval_many(&field, &msg, code.points()), "tree encode disagrees");
-            best_of(args.samples, || eval_many(&field, &msg, code.points()))
-        });
-        let t_enc_tree = best_of(args.samples, || code.encode(&field, &msg));
-        let pts: Vec<(u64, u64)> =
-            code.points().iter().copied().zip(clean.iter().copied()).collect();
-        let t_int_naive = naive_too.then(|| {
-            assert_eq!(interpolate_fast(&field, &pts), interpolate(&field, &pts));
-            best_of(args.samples, || interpolate(&field, &pts))
-        });
-        let t_int_tree = best_of(args.samples, || interpolate_fast(&field, &pts));
-        let word = fault_every_16th(&field, &clean);
-        let planted = (&msg, clean.as_slice());
-        let prof = decode_profile(args.samples, &field, &code, planted, &word, d);
-        let prof_e = decode_profile(args.samples, &field, &code, planted, &erase_five(&word), d).0;
-
-        // The same code on the modulus the default schedule picks.
-        let smallest = if naive_too {
-            consecutive_smallest_bench(e, args.samples, &mut rng)
-        } else {
-            "null".to_string()
-        };
-
-        // Roots-of-unity points: transform-backed paths (the engine's
-        // NTT-friendly schedule).
+        // Roots-of-unity points filling the orbit: transform-backed
+        // paths.
         let roots = RsCode::roots_of_unity(&field, e).expect("prime admits a length-e orbit");
         let clean_r = roots.encode(&field, &msg);
         let t_enc_r_naive = naive_too.then(|| {
@@ -696,16 +611,14 @@ fn main() {
         let prof_p_e = decode_profile(args.samples, &field, &partial, planted_p, &word_p_e, e / 2);
 
         // The partial-xgcd step in isolation, on the exact triple the
-        // Gao decoder feeds it: g0 vanishing on the points, g1 the
-        // interpolation of the (faulted) received word.
-        let g0 = vanishing_poly(&field, code.points());
-        let word_vals: Vec<(u64, u64)> = code
-            .points()
-            .iter()
-            .zip(&word)
-            .map(|(&x, sym)| (x, sym.expect("fault_every_16th keeps all symbols")))
-            .collect();
-        let g1 = interpolate_fast(&field, &word_vals);
+        // Gao decoder feeds it on the full orbit: g0 = x^e - 1 vanishing
+        // on the orbit, g1 the inverse transform of the (faulted)
+        // received word.
+        let g0 = Poly::monomial(1, e).sub(&field, &Poly::constant(1));
+        let mut word_vals: Vec<u64> =
+            word_r.iter().map(|sym| sym.expect("fault_every_16th keeps all symbols")).collect();
+        cached_ntt_plan(&field, log).expect("prime admits the orbit").inverse(&mut word_vals);
+        let g1 = Poly::from_reduced(word_vals);
         let stop = (e + d + 2) / 2;
         let t_xgcd_fast = best_of(args.samples, || g0.partial_xgcd_fast(&field, &g1, stop));
         let t_xgcd_classical = naive_too.then(|| {
@@ -720,14 +633,8 @@ fn main() {
         table.row(&[
             e.to_string(),
             q.to_string(),
-            fmt_duration(t_enc_tree),
-            t_speedup(t_enc_naive, t_enc_tree),
             fmt_duration(t_enc_ntt),
             t_speedup(t_enc_r_naive, t_enc_ntt),
-            fmt_duration(t_int_tree),
-            t_speedup(t_int_naive, t_int_tree),
-            fmt_duration(prof.0.total()),
-            fmt_duration(prof_e.total()),
             fmt_duration(prof_r.0.total()),
             fmt_duration(prof_r.0.interpolate),
             fmt_duration(prof_r.0.xgcd),
@@ -741,12 +648,6 @@ fn main() {
         rows.push(format!(
             concat!(
                 "    {{\"log2_len\": {}, \"len\": {}, \"prime\": {}, \"degree\": {},\n",
-                "     \"consecutive\": {{",
-                "\"encode_horner_us\": {}, \"encode_tree_us\": {:.2}, ",
-                "\"encode_speedup\": {}, ",
-                "\"interpolate_newton_us\": {}, \"interpolate_tree_us\": {:.2}, ",
-                "\"interpolate_speedup\": {}, {}, \"erasure_decode_us\": {:.2}}},\n",
-                "     \"consecutive_smallest\": {},\n",
                 "     \"roots_of_unity\": {{",
                 "\"encode_horner_us\": {}, \"encode_ntt_us\": {:.2}, ",
                 "\"encode_speedup\": {}, {}, \"erasure_decode_us\": {:.2}}},\n",
@@ -759,15 +660,6 @@ fn main() {
             e,
             q,
             d,
-            j_us(t_enc_naive),
-            us(t_enc_tree),
-            j_speedup(t_enc_naive, t_enc_tree),
-            j_us(t_int_naive),
-            us(t_int_tree),
-            j_speedup(t_int_naive, t_int_tree),
-            j_profile("decode", prof),
-            us(prof_e.total()),
-            smallest,
             j_us(t_enc_r_naive),
             us(t_enc_ntt),
             j_speedup(t_enc_r_naive, t_enc_ntt),
@@ -789,29 +681,23 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"camelot-bench-algebra/v12\",\n",
+            "  \"schema\": \"camelot-bench-algebra/v13\",\n",
             "  \"description\": \"Field slice-kernel throughput (Melem/s, chunked vs per-element ",
             "scalar loops), the per-point building blocks of the catalogue evaluators (ns per ",
             "call, each beside what it replaced; orbit_slice is one node's slice of the 4096 ",
             "orbit at degree 2048, Horner per point vs one forward transform, in us), plus the ",
-            "Reed-Solomon codeword pipeline: ",
-            "Horner/Newton/classical-xgcd ",
-            "baselines vs subproduct-tree, NTT, and half-GCD fast paths (message degree = len/2; ",
+            "Reed-Solomon codeword pipeline on roots-of-unity codes, the engine's codes: ",
+            "Horner/classical-xgcd ",
+            "baselines vs NTT and half-GCD fast paths (message degree = len/2; ",
             "every *decode_us is the sum of the decode's three phases, listed or not, of Gao's ",
             "algorithm on a clone of the code, which starts with no accepted codeword to ",
             "certify against; *decode_certify_us times that certification on purpose: the same ",
             "word again on the code that has just decoded it; ",
             "erasure_decode_us decodes the block's word with five more symbols withheld; ",
-            "consecutive_smallest is the consecutive-point code over the first prime >= 2^61, ",
-            "the Smallest schedule's modulus before both schedules walked NTT-friendly primes ",
-            "(no NTT: Karatsuba products, quadratic ",
-            "interpolation below 4096 points): interpolate_us on the progression, ",
-            "interpolate_general_us on the same points with two swapped, ",
-            "interpolate_dispatch_us through the code's cached tree, decode of a clean word ",
-            "and faulted_decode of the every-16th-symbol word, null above 2^14; ",
             "partial_orbit is a roots-of-unity code on 5/8 of the 2^log2_len orbit at half the ",
             "orbit's degree, the shape of bench_e2e's poly_faulted_fulldecode, its erasures one ",
-            "contiguous sixteenth of the code; quadratic baselines are null above ",
+            "contiguous sixteenth of the code; xgcd runs on the full orbit code's decode triple; ",
+            "quadratic baselines are null above ",
             "2^14; every row runs on one thread; consecutive_sum: the recovery sum ",
             "of P(x) over x = start .. start + count - 1 at degree d over the engine's first prime for a ",
             "length-(d+1) code, Horner per point (horner_us) against Faulhaber's formula: ",
@@ -820,7 +706,7 @@ fn main() {
             "cached power sums), cold_us the first sum over the modulus (fills the Bernoulli ",
             "cache); breakeven_count = transform_us over Horner's cost per point)\",\n",
             "  \"prime_schedule\": \"smallest q >= 2^61 (the engine's prime_floor) with ",
-            "q = 1 mod 2^(log2_len+1); consecutive_smallest: smallest prime q >= 2^61; ",
+            "q = 1 mod 2^(log2_len+1); ",
             "consecutive_sum: the engine's walk, q = 1 mod 2^ntt_log_len(d+1)\",\n",
             "  \"samples\": {},\n",
             "  \"timer\": \"best-of-samples wall clock, release build\",\n",

@@ -5,18 +5,14 @@
 //! `O(n^{(ω+ε)k/3})`), against NP's sequential `O(n^{(ω+ε)k/3})` — the
 //! optimal tradeoff. We report measured wall times and the resource
 //! ratios as n grows, k = 6, Strassen tensor (ω = log2 7).
-//!
-//! Pass `--ntt` to switch the engine to the NTT-friendly prime schedule
-//! (accelerated codeword pipeline) and compare end-to-end prepare times.
 
 use camelot_bench::{fmt_duration, time, Table};
 use camelot_cliques::{count_cliques_circuit, count_cliques_nesetril_poljak, KCliqueCount};
-use camelot_core::{CamelotProblem, Engine, EngineConfig};
+use camelot_core::{CamelotProblem, Engine};
 use camelot_graph::{count_k_cliques, gen};
 use camelot_linalg::MatMulTensor;
 
 fn main() {
-    let ntt = std::env::args().any(|a| a == "--ntt");
     let tensor = MatMulTensor::strassen();
     let mut table = Table::new(&[
         "n",
@@ -38,11 +34,7 @@ fn main() {
         assert_eq!(circ.to_u64(), Some(brute));
         let problem = KCliqueCount::new(g, 6);
         let nodes = 16usize;
-        let mut config = EngineConfig::sequential(nodes, 4);
-        if ntt {
-            config = config.with_ntt_primes();
-        }
-        let (outcome, t_camelot) = time(|| Engine::new(config.clone()).run(&problem).unwrap());
+        let (outcome, t_camelot) = time(|| Engine::sequential(nodes, 4).run(&problem).unwrap());
         assert_eq!(outcome.output.to_u64(), Some(brute));
         table.row(&[
             n.to_string(),
@@ -55,10 +47,7 @@ fn main() {
             fmt_duration(t_brute),
         ]);
     }
-    let schedule = if ntt { "NTT-friendly" } else { "default" };
-    table.print(&format!(
-        "E1: 6-clique counting, Camelot ({schedule} primes) vs Nešetřil–Poljak vs brute force"
-    ));
+    table.print("E1: 6-clique counting, Camelot vs Nešetřil–Poljak vs brute force");
     println!("paper claim: per-node O(n^(2.81*k/6)); NP total O(n^(2.81*k/3));");
     println!("Camelot total resource = NP total (optimal tradeoff of §1.4).");
 }

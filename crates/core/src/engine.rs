@@ -6,7 +6,9 @@
 //! 1. derive the proof parameters and the prime moduli from the spec
 //!    (every node could do this independently from the common input);
 //! 2. for each prime, have the simulated cluster evaluate
-//!    `P(0), …, P(e-1) (mod q)` with faults injected per the plan;
+//!    `P(1), P(ω), …, P(ω^{e-1}) (mod q)` — the first `e` points of the
+//!    orbit of a root of unity `ω` of order `2^k ≥ e`, which every prime
+//!    of the walk has — with faults injected per the plan;
 //! 3. have every honest node Gao-decode its received word, recovering the
 //!    proof *and the identities of the failed nodes*;
 //! 4. spot-check the decoded proof against fresh evaluations of `P` at
@@ -26,22 +28,22 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which evaluation points the engine's Reed–Solomon codes use. Both
-/// schedules take the same primes, the first `q ≡ 1 (mod 2^k)` above
-/// the floor with `2^k` at least twice the code length
-/// ([`choose_primes`]), so every codeword-sized product, and the
-/// Faulhaber recovery sums of [`crate::PrimeProof::sum_eval_consecutive`],
-/// can run through the number-theoretic transform. Every node derives
-/// the same primes and points from the common input (§1.3 of the
-/// paper), whichever variant is configured.
+/// A point schedule a configuration (or a service request) may name.
+/// The engine ignores it: both schedules take the same primes, the
+/// first `q ≡ 1 (mod 2^k)` above the floor with `2^k` at least twice the
+/// code length ([`choose_primes`]), and every prime's code is the
+/// root-of-unity orbit code, whatever is configured. A certificate
+/// carries no points, so it is the same either way. Only a replay that
+/// rebuilds a prepare outside the engine reads the schedule, to choose
+/// the code it decodes on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PrimeSchedule {
-    /// Consecutive points `0, 1, …, e − 1` — the paper's schedule.
+    /// Consecutive points `0, 1, …, e − 1` — the paper's schedule (1).
     #[default]
     Smallest,
-    /// The first `e` powers of a root of unity of order `2^k`
-    /// ([`choose_primes_ntt`] names the same primes), so encoding is one
-    /// forward transform and decoding interpolates on the orbit.
+    /// The first `e` powers of a root of unity of order `2^k`, so
+    /// encoding is one forward transform and decoding interpolates on
+    /// the orbit.
     NttFriendly,
 }
 
@@ -89,8 +91,9 @@ impl RecoveryPolicy {
 pub struct EngineConfig {
     /// The simulated cluster (node count, backend).
     pub cluster: ClusterConfig,
-    /// Evaluation-point schedule (default: consecutive points; both
-    /// schedules walk the same primes).
+    /// Evaluation-point schedule (default: consecutive points). The
+    /// engine ignores it and decodes every prime on its orbit; only a
+    /// replay outside the engine reads it.
     pub prime_schedule: PrimeSchedule,
     /// Fault budget `f`: the code length is `e = d + 1 + 2f`, so up to
     /// `f` corrupted symbols (or any mix of errors and twice as many
@@ -142,9 +145,9 @@ impl EngineConfig {
         self
     }
 
-    /// Switches the codes to roots-of-unity points
-    /// ([`PrimeSchedule::NttFriendly`]), accelerating the codeword
-    /// pipeline for large code lengths.
+    /// Names [`PrimeSchedule::NttFriendly`]. The engine's codes are on
+    /// roots-of-unity points under either schedule, so this changes no
+    /// run; only a replay outside the engine reads it.
     #[must_use]
     pub fn with_ntt_primes(mut self) -> Self {
         self.prime_schedule = PrimeSchedule::NttFriendly;
@@ -319,7 +322,7 @@ pub fn code_length(spec: &ProofSpec, fault_tolerance: usize) -> usize {
 /// bits of the answer, a prepare pays its per-prime round, evaluation
 /// pass, decode and spot checks once per 61 bits, and a wrong proof
 /// survives a spot check with probability at most `d/2^61`. The prover
-/// ([`choose_primes`], [`choose_primes_ntt`]) and the verifier
+/// ([`choose_primes`]) and the verifier
 /// ([`Engine::redeem`]) both read the floor here, so they cannot drift.
 #[must_use]
 pub fn prime_floor(spec: &ProofSpec, code_len: usize) -> u64 {
@@ -398,17 +401,6 @@ pub fn choose_primes(spec: &ProofSpec, code_len: usize) -> Vec<u64> {
 #[must_use]
 pub fn ntt_log_len(code_len: usize) -> u32 {
     (2 * code_len.max(1)).next_power_of_two().trailing_zeros()
-}
-
-/// The primes of [`PrimeSchedule::NttFriendly`]: the same walk as
-/// [`choose_primes`], which both schedules share.
-///
-/// # Panics
-///
-/// As [`choose_primes`].
-#[must_use]
-pub fn choose_primes_ntt(spec: &ProofSpec, code_len: usize) -> Vec<u64> {
-    choose_primes(spec, code_len)
 }
 
 /// The Camelot engine.
@@ -717,15 +709,18 @@ impl Engine {
 
         for &q in primes {
             let field = PrimeField::new_unchecked(q);
-            // Evaluation schedule: consecutive points by default; the
-            // first `e` powers of a root of unity under the NTT-friendly
-            // schedule, making encode/decode transform-backed. Every
-            // node derives the same points from the common input.
-            let code = match self.config.prime_schedule {
-                PrimeSchedule::Smallest => RsCode::consecutive(&field, e),
-                PrimeSchedule::NttFriendly => RsCode::roots_of_unity(&field, e)
-                    .unwrap_or_else(|| RsCode::consecutive(&field, e)),
-            };
+            // The first `e` powers of a root of unity of order
+            // `2^k >= e`: every prime of the walk is `1 mod 2^k`, so
+            // encode and decode are transform-backed. Every node derives
+            // the same points from the common input.
+            let code = RsCode::roots_of_unity(&field, e).ok_or_else(|| {
+                CamelotError::BadConfiguration {
+                    reason: format!(
+                        "modulus {q} has no root of unity of order {}",
+                        e.next_power_of_two()
+                    ),
+                }
+            })?;
             let points = code.points().to_vec();
             let evaluators: Vec<Box<dyn Evaluate + '_>> =
                 problems.iter().map(|p| p.evaluator(&field)).collect();
@@ -1293,10 +1288,10 @@ mod tests {
     }
 
     #[test]
-    fn choose_primes_ntt_is_deterministic_and_admissible() {
+    fn choose_primes_is_deterministic_and_admissible() {
         let spec = ProofSpec::new(10, 1 << 22, 150);
-        let primes = choose_primes_ntt(&spec, 300);
-        assert_eq!(primes, choose_primes_ntt(&spec, 300));
+        let primes = choose_primes(&spec, 300);
+        assert_eq!(primes, choose_primes(&spec, 300));
         let k = ntt_log_len(300); // 2^k = 1024
         assert_eq!(1u64 << k, 1024);
         for &q in &primes {

@@ -6,8 +6,10 @@
 //! * a problem is a proof polynomial `P(x) mod q` plus a fast evaluation
 //!   algorithm ([`CamelotProblem`] / [`Evaluate`]);
 //! * proof preparation is distributed Reed–Solomon encoding: `K` nodes
-//!   jointly evaluate `P(0..e-1)` ([`Engine::run`], over the simulated
-//!   byzantine cluster of `camelot-cluster`);
+//!   jointly evaluate `P` at `e` points — the first `e` powers of a
+//!   root of unity of order `2^k ≥ e`, which every prime of the walk
+//!   has ([`Engine::run`], over the simulated byzantine cluster of
+//!   `camelot-cluster`);
 //! * robustness is intrinsic: each node Gao-decodes its received word,
 //!   recovering the proof and *identifying* the failed nodes
 //!   ([`Certificate`]);
@@ -26,8 +28,8 @@ mod verify;
 mod wire;
 
 pub use engine::{
-    choose_primes, choose_primes_ntt, code_length, ntt_log_len, prime_floor, CamelotOutcome,
-    Certificate, Engine, EngineConfig, PrimeSchedule, RecoveryPolicy, RunReport,
+    choose_primes, code_length, ntt_log_len, prime_floor, CamelotOutcome, Certificate, Engine,
+    EngineConfig, PrimeSchedule, RecoveryPolicy, RunReport,
 };
 pub use error::CamelotError;
 pub use merlin::{arthur_verify, merlin_prove};

@@ -6,11 +6,11 @@
 //! Newton interpolation, and the `O(R)` consecutive-node Lagrange basis
 //! evaluation of §5.3 that the clique/triangle evaluation algorithms use.
 //!
-//! Past measured crossover sizes, [`PointTree::eval_many`] and
-//! [`interpolate_fast`] switch to subproduct-tree algorithms
-//! (`O(M(n) log n)`) whose products run through cached [`NttPlan`]s when
-//! the modulus is NTT-friendly; the naive routines are retained as
-//! oracles.
+//! Products, Newton divisions ([`div_rem_fast`]), the half-GCD
+//! ([`partial_xgcd_fast`]) and [`vanishing_poly`] run through cached
+//! [`NttPlan`]s when the modulus is NTT-friendly. Multipoint evaluation
+//! and interpolation stay Horner and Newton: the engine's codes live on
+//! a root-of-unity orbit, where both are one transform.
 //!
 //! Every routine runs on the calling thread. The paper's parallelism is
 //! its `K` nodes, each evaluating and decoding sequentially, so threads
@@ -43,5 +43,5 @@ pub use hgcd::partial_xgcd_fast;
 pub use interp::{
     eval_many, interpolate, interpolate_consecutive, lagrange_basis_at, ConsecutiveBasis,
 };
-pub use multipoint::{cached_ntt_plan, div_rem_fast, interpolate_fast, vanishing_poly, PointTree};
+pub use multipoint::{cached_ntt_plan, div_rem_fast, vanishing_poly};
 pub use ntt::NttPlan;

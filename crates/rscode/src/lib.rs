@@ -10,8 +10,7 @@
 //!
 //! * [`RsCode::encode`] — message polynomial → codeword (what honest nodes
 //!   jointly compute, each contributing a slice); one forward NTT for a
-//!   [`RsCode::roots_of_unity`] code, subproduct-tree multipoint
-//!   evaluation past a crossover length otherwise;
+//!   [`RsCode::roots_of_unity`] code, Horner per point otherwise;
 //! * [`RsCode::decode`] — received word (with erasures for crashed nodes
 //!   and errors for corrupted ones) → proof polynomial + error locations,
 //!   correct whenever `#errors <= (e' - d - 1) / 2` over the `e'` symbols
@@ -114,7 +113,9 @@
 //! ```
 
 use camelot_ff::PrimeField;
-use camelot_poly::{cached_ntt_plan, div_rem_fast, vanishing_poly, NttPlan, PointTree, Poly};
+use camelot_poly::{
+    cached_ntt_plan, div_rem_fast, eval_many, interpolate, vanishing_poly, NttPlan, Poly,
+};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -173,11 +174,10 @@ enum Domain {
         /// Where the final division runs.
         coset: Coset,
     },
-    /// The code's own points, in the subproduct tree over them (node
-    /// inverse series and Lagrange weights memoized): its root is `G0`,
-    /// and it evaluates and interpolates by descent past the crossover
-    /// lengths of `camelot-poly`, by Horner and Newton below them.
-    Points { tree: Arc<PointTree> },
+    /// The code's own points: `G0` is their vanishing polynomial, and
+    /// the code evaluates by Horner per point and interpolates by
+    /// Newton's divided differences.
+    Points,
 }
 
 /// The coset `c·⟨ω⟩` of an orbit, for `c` the first of `2, 3, …` with
@@ -346,7 +346,9 @@ impl std::error::Error for DecodeError {}
 
 impl RsCode {
     /// Code over the consecutive points `0, 1, ..., e-1` — the evaluation
-    /// schedule (1) of the paper.
+    /// schedule (1) of the paper. Encoding is Horner per point and every
+    /// decode interpolates by Newton, both `O(e²)`; the engine's codes
+    /// are [`RsCode::roots_of_unity`] codes.
     ///
     /// # Panics
     ///
@@ -379,11 +381,10 @@ impl RsCode {
             },
             "evaluation points must be distinct"
         );
-        let tree = Arc::new(PointTree::new(field, &points));
         RsCode {
+            g0: vanishing_poly(field, &points),
             points,
-            g0: tree.vanishing().clone(),
-            domain: Domain::Points { tree },
+            domain: Domain::Points,
             accepted: Mutex::default(),
         }
     }
@@ -462,7 +463,7 @@ impl RsCode {
     }
 
     /// `poly` (of degree below the domain size) at every domain element:
-    /// one forward NTT on an orbit, [`PointTree::eval_many`] otherwise.
+    /// one forward NTT on an orbit, Horner per point otherwise.
     fn evaluate_domain(&self, field: &PrimeField, poly: &Poly) -> Vec<u64> {
         match &self.domain {
             Domain::Orbit { plan, .. } => {
@@ -471,23 +472,23 @@ impl RsCode {
                 plan.forward(&mut values);
                 values
             }
-            Domain::Points { tree } => {
-                debug_assert_eq!(tree.modulus(), field.modulus(), "code built over another field");
-                tree.eval_many(poly)
-            }
+            Domain::Points => eval_many(field, poly, &self.points),
         }
     }
 
     /// The polynomial of degree below the domain size taking `values`
     /// (reduced, one per domain element): one inverse NTT on an orbit,
-    /// [`PointTree::interpolate`] otherwise.
-    fn interpolate_domain(&self, mut values: Vec<u64>) -> Poly {
+    /// Newton's [`interpolate`] otherwise.
+    fn interpolate_domain(&self, field: &PrimeField, mut values: Vec<u64>) -> Poly {
         match &self.domain {
             Domain::Orbit { plan, .. } => {
                 plan.inverse(&mut values);
                 Poly::from_reduced(values)
             }
-            Domain::Points { tree } => tree.interpolate(&values),
+            Domain::Points => {
+                let pairs: Vec<(u64, u64)> = self.points.iter().copied().zip(values).collect();
+                interpolate(field, &pairs)
+            }
         }
     }
 
@@ -497,7 +498,7 @@ impl RsCode {
     fn locator(&self, field: &PrimeField, erased: &[usize]) -> Option<Locator> {
         let tail = match &self.domain {
             Domain::Orbit { tail, .. } => tail.as_ref(),
-            Domain::Points { .. } => None,
+            Domain::Points => None,
         };
         if erased.is_empty() {
             return tail.map(|t| Locator { values: t.clone(), erased: Poly::constant(1) });
@@ -521,9 +522,9 @@ impl RsCode {
             (Some(locator), Domain::Orbit { .. }) => {
                 let mut values = self.evaluate_domain(field, &v);
                 field.mul_slice(&mut values, &locator.values);
-                self.interpolate_domain(values)
+                self.interpolate_domain(field, values)
             }
-            (Some(locator), Domain::Points { .. }) => v.mul(field, &locator.erased),
+            (Some(locator), Domain::Points) => v.mul(field, &locator.erased),
         }
     }
 
@@ -593,11 +594,8 @@ impl RsCode {
     /// `(P(x_1), ..., P(x_e))`.
     ///
     /// For a [`RsCode::roots_of_unity`] code this is one forward NTT of
-    /// the zero-padded coefficients (`O(e log e)`). Otherwise it routes
-    /// through subproduct-tree multipoint evaluation past a crossover
-    /// length and Horner per point below it — see
-    /// [`PointTree::eval_many`]. The output is bit-identical
-    /// across all paths.
+    /// the zero-padded coefficients (`O(e log e)`); otherwise Horner per
+    /// point (`O(d·e)`). The output is bit-identical either way.
     ///
     /// # Panics
     ///
@@ -681,7 +679,7 @@ impl RsCode {
         if let Some(locator) = &locator {
             field.mul_slice(&mut scaled, &locator.values);
         }
-        let h = self.interpolate_domain(scaled);
+        let h = self.interpolate_domain(field, scaled);
         profile.interpolate = interp_start.elapsed();
         if h.is_zero() {
             // All received symbols are zero: the unique closest codeword is
@@ -1049,8 +1047,8 @@ mod tests {
         }
     }
 
-    /// A code on general points keeps its subproduct tree and its last
-    /// accepted decode: repeated encodes and decodes (the
+    /// A code on general points keeps its last accepted decode: repeated
+    /// encodes and decodes (the
     /// `decode_at_all_nodes` pattern — every deciding node decodes the
     /// same code, and the repeat is certified against the first) must
     /// return identical results on warm caches, equal to a fresh code's.
@@ -1081,9 +1079,8 @@ mod tests {
 
     /// Whatever state a code keeps changes no result: the first decode,
     /// a repeat certified against it, a fresh code and a cloned code
-    /// must all produce identical results (the code's tree memoizes
-    /// inverse series and Lagrange weights across them, and a clone
-    /// starts with no accepted decode), and a second erasure pattern on
+    /// must all produce identical results (a clone starts with no
+    /// accepted decode), and a second erasure pattern on
     /// the same code decodes to the same message.
     #[test]
     fn erasure_decode_repeat_fresh_and_cloned_codes_agree() {
@@ -1122,8 +1119,8 @@ mod tests {
         assert_eq!(out.erasure_positions, vec![0, 1, 2]);
     }
 
-    /// A roots-of-unity code keeps no tree at all: erasure decodes run
-    /// on transforms over the whole orbit, and first, certified repeat
+    /// On a roots-of-unity code erasure decodes run on transforms over
+    /// the whole orbit, and first, certified repeat
     /// and fresh code agree — for a full and for a partial orbit.
     #[test]
     fn roots_of_unity_erasure_decode_repeat_and_fresh_code_agree() {
@@ -1182,8 +1179,7 @@ mod tests {
     }
 
     /// Every kind of code against the oracle above: consecutive points
-    /// on one tree leaf, on several, and one past the point count where
-    /// tree interpolation replaces Newton, a full orbit and
+    /// at three lengths, the longest past 2048, a full orbit and
     /// four partial ones, one of them over a word-sized prime, and a full
     /// and a partial orbit filling the group of `Z_257`; no erasure, one,
     /// a node's contiguous slice, and as many as leave `d + 1` symbols;
@@ -1437,7 +1433,7 @@ mod tests {
     fn fresh_code(field: &PrimeField, code: &RsCode) -> RsCode {
         match &code.domain {
             Domain::Orbit { .. } => RsCode::roots_of_unity(field, code.len()).unwrap(),
-            Domain::Points { .. } => RsCode::with_points(field, code.points().to_vec()),
+            Domain::Points => RsCode::with_points(field, code.points().to_vec()),
         }
     }
 

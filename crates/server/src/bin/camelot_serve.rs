@@ -19,8 +19,9 @@
 //! the 60 s default); `--demote-dead-workers` turns a dead or hung
 //! worker into an erasure the round decodes through instead of a failed
 //! round; `--escalations` lets the engine raise the fault budget when a
-//! round decodes outside the configured radius. Each request names its
-//! own prime schedule, and its certificate is prepared under it.
+//! round decodes outside the configured radius. A request may name
+//! either prime schedule; both are prepared in the same batches on the
+//! same primes and points, into the same certificate.
 
 #![cfg_attr(
     not(test),

@@ -20,12 +20,11 @@
 
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
-use crate::wire::{read_frame, schedule_token, PolyRequest, Request, Response};
+use crate::wire::{read_frame, PolyRequest, Request, Response};
 use camelot_cluster::{PreparedProgram, SocketTransport};
 use camelot_core::{
     CamelotError, CamelotOutcome, CamelotProblem, Certificate, ChaosPlan, Engine, EngineConfig,
-    Evaluate, PrimeProof, PrimeSchedule, ProofSpec, RecoveryPolicy, Transport, TransportTuning,
-    WorkerMode,
+    Evaluate, PrimeProof, ProofSpec, RecoveryPolicy, Transport, TransportTuning, WorkerMode,
 };
 use camelot_ff::{crt_u, PrimeField, Residue};
 use camelot_store::{cert_key, CertKey, CertStore};
@@ -143,13 +142,13 @@ struct Pending {
 /// threads behind an [`Arc`]; all interior state is synchronized.
 pub struct Service {
     config: ServiceConfig,
-    /// The persistent transport; clones (one lives inside each engine)
-    /// share the same worker pool.
+    /// The persistent transport; its clone inside the engine shares the
+    /// same worker pool.
     transport: SocketTransport,
-    /// One engine per prime schedule, all on the one transport: a
-    /// request's own schedule picks the engine that prepares it.
-    smallest: Engine,
-    ntt: Engine,
+    /// The engine every request is prepared and redeemed on, whichever
+    /// prime schedule it names: the engine decodes every prime on its
+    /// orbit, and the certificate is the same either way.
+    engine: Engine,
     store: Mutex<CertStore>,
     /// The admission queue; the request that makes it non-empty is the
     /// leader of the next batch.
@@ -183,10 +182,7 @@ impl Service {
         engine_config.seed = config.seed;
         engine_config.recovery = config.recovery;
         let shared: Arc<dyn Transport + Send + Sync> = Arc::new(transport.clone());
-        let engine = |prime_schedule| {
-            let config = EngineConfig { prime_schedule, ..engine_config.clone() };
-            Engine::with_transport(config, Arc::clone(&shared))
-        };
+        let engine = Engine::with_transport(engine_config, shared);
         let store = match &config.store_dir {
             Some(dir) => CertStore::with_dir(config.store_capacity, dir.clone())
                 .map_err(|e| e.to_string())?,
@@ -195,8 +191,7 @@ impl Service {
         Ok(Service {
             config,
             transport,
-            smallest: engine(PrimeSchedule::Smallest),
-            ntt: engine(PrimeSchedule::NttFriendly),
+            engine,
             store: Mutex::new(store),
             queue: Mutex::new(Vec::new()),
             requests: AtomicUsize::new(0),
@@ -204,17 +199,10 @@ impl Service {
         })
     }
 
-    /// The engine preparing under `schedule`.
-    fn engine(&self, schedule: PrimeSchedule) -> &Engine {
-        match schedule {
-            PrimeSchedule::Smallest => &self.smallest,
-            PrimeSchedule::NttFriendly => &self.ntt,
-        }
-    }
-
     /// The content address of a request: problem family, canonical
-    /// input, prime schedule, and the engine parameters that change the
-    /// prepared certificate.
+    /// input, and the engine parameters that change the prepared
+    /// certificate. The prime schedule is not among them: both walk the
+    /// same primes, and the engine decodes on the same orbit for both.
     fn cache_key(&self, poly: &PolyRequest) -> CertKey {
         let mut coefficients = Vec::with_capacity(poly.coefficients.len() * 8);
         for &c in &poly.coefficients {
@@ -226,7 +214,6 @@ impl Service {
             &poly.sum_count.to_le_bytes(),
             &poly.value_bits.to_le_bytes(),
             &poly.min_modulus.to_le_bytes(),
-            schedule_token(poly.schedule).as_bytes(),
             &(self.config.nodes as u64).to_le_bytes(),
             &(self.config.fault_tolerance as u64).to_le_bytes(),
         ])
@@ -252,7 +239,7 @@ impl Service {
         let key = self.cache_key(poly);
         let cached = lock(&self.store).get(&key);
         if let Some(certificate) = cached {
-            if let Ok(outcome) = self.engine(poly.schedule).redeem(&problem, &certificate) {
+            if let Ok(outcome) = self.engine.redeem(&problem, &certificate) {
                 return Ok(outcome);
             }
             // A cached certificate that no longer spot-checks is
@@ -292,29 +279,17 @@ impl Service {
         }
     }
 
-    /// Runs one admitted batch and distributes the results: one shared
-    /// batch of rounds per prime schedule present, each under the
-    /// schedule its requests asked for.
-    fn run_batch_for(&self, mut batch: Vec<Pending>) {
-        while let Some(first) = batch.first() {
-            let schedule = first.problem.0.schedule;
-            let (same, rest) =
-                batch.into_iter().partition(|pending| pending.problem.0.schedule == schedule);
-            self.run_schedule_batch(self.engine(schedule), same);
-            batch = rest;
-        }
-    }
-
-    /// Runs the requests of one prime schedule on `engine`.
-    fn run_schedule_batch(&self, engine: &Engine, batch: Vec<Pending>) {
+    /// Runs one admitted batch — one shared batch of rounds, whatever
+    /// prime schedules its requests name — and distributes the results.
+    fn run_batch_for(&self, batch: Vec<Pending>) {
         let problems: Vec<ServicePoly> = batch.iter().map(|p| p.problem.clone()).collect();
-        let mut result = engine.run_batch(&problems);
+        let mut result = self.engine.run_batch(&problems);
         if matches!(&result, Err(CamelotError::TransportFailed { .. })) {
             // A dead worker is just Crash with a cause: record it,
             // respawn via the pool health check, retry the batch once.
             self.worker_failures.fetch_add(1, Ordering::SeqCst);
             if self.transport.repair_pool().is_ok() {
-                result = engine.run_batch(&problems);
+                result = self.engine.run_batch(&problems);
             }
         }
         match result {
@@ -347,7 +322,7 @@ impl Service {
         self.requests.fetch_add(1, Ordering::SeqCst);
         check_answer_bits(poly)?;
         let certificate = Certificate::from_wire(certificate_text)?;
-        self.engine(poly.schedule).redeem(&ServicePoly(poly.clone()), &certificate)
+        self.engine.redeem(&ServicePoly(poly.clone()), &certificate)
     }
 
     /// Chaos hook: forcibly takes down pool worker `node`.

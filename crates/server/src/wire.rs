@@ -50,7 +50,9 @@ pub struct PolyRequest {
     pub value_bits: u64,
     /// Lower bound on usable prime moduli.
     pub min_modulus: u64,
-    /// Prime schedule the certificate must be prepared under.
+    /// Prime schedule the client names. Both values are accepted and
+    /// prepare the same certificate: the engine walks one prime
+    /// sequence and decodes every prime on its orbit.
     pub schedule: PrimeSchedule,
 }
 
@@ -114,7 +116,7 @@ pub struct Response {
     pub certificate: Option<String>,
 }
 
-pub(crate) fn schedule_token(schedule: PrimeSchedule) -> &'static str {
+fn schedule_token(schedule: PrimeSchedule) -> &'static str {
     match schedule {
         PrimeSchedule::Smallest => "smallest",
         PrimeSchedule::NttFriendly => "ntt",

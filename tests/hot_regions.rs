@@ -117,8 +117,9 @@ fn hot_regions_are_reduction_clone_and_allocation_free() {
     }
     assert!(findings.is_empty(), "hot-region violations:\n{}", findings.join("\n"));
     // A marker renamed or a file moved out of `crates/*/src` would
-    // silently drop a region from the scan; adding one updates this.
-    assert_eq!(regions, 14, "hot regions found under crates/*/src");
+    // silently drop a region from the scan; adding or deleting one
+    // updates this.
+    assert_eq!(regions, 13, "hot regions found under crates/*/src");
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! certificates, worker-failure recovery, and the TCP daemon loop.
 
 use camelot::core::{
-    choose_primes, choose_primes_ntt, ntt_log_len, CamelotError, CamelotOutcome, CamelotProblem,
-    ChaosEffect, ChaosPlan, Engine, FailureCause, PrimeSchedule, WorkerMode,
+    choose_primes, ntt_log_len, CamelotError, CamelotOutcome, CamelotProblem, ChaosEffect,
+    ChaosPlan, Engine, FailureCause, PrimeSchedule, WorkerMode,
 };
 use camelot::server::{
     request, run_daemon, PolyRequest, Request, Service, ServiceConfig, ServicePoly,
@@ -88,26 +88,22 @@ fn concurrent_requests_share_one_batch_of_rounds() {
     service.shutdown().unwrap();
 }
 
-/// The moduli of `outcome`'s certificate, checked against the prime walk
-/// of the schedule `p` asked for.
+/// The answer and moduli of `outcome`'s certificate: the one prime walk
+/// both schedules share, `1 mod 2^ntt_log_len(e)`.
 fn assert_prepared_under_its_schedule(p: &PolyRequest, outcome: &CamelotOutcome<u128>) {
     assert_eq!(outcome.output, poly_sum(&p.coefficients, p.sum_count));
     let e = outcome.certificate.code_length;
     let moduli: Vec<u64> = outcome.certificate.proofs.iter().map(|proof| proof.modulus).collect();
     let spec = ServicePoly(p.clone()).spec();
-    match p.schedule {
-        PrimeSchedule::Smallest => assert_eq!(moduli, choose_primes(&spec, e)),
-        PrimeSchedule::NttFriendly => {
-            let step = 1u64 << ntt_log_len(e);
-            assert!(moduli.iter().all(|q| q % step == 1), "{moduli:?} not 1 mod {step}");
-            assert_eq!(moduli, choose_primes_ntt(&spec, e));
-        }
-    }
+    let step = 1u64 << ntt_log_len(e);
+    assert!(moduli.iter().all(|q| q % step == 1), "{moduli:?} not 1 mod {step}");
+    assert_eq!(moduli, choose_primes(&spec, e), "{:?}", p.schedule);
 }
 
-/// A request's prime schedule is the one its certificate is prepared
-/// under, on a daemon with default settings: alone, and in one
-/// admission window beside a request asking for the other schedule.
+/// A request naming either prime schedule is prepared on the shared
+/// prime walk, on a daemon with default settings: alone, and in one
+/// admission window beside a request naming the other schedule, with
+/// which it now shares one batch of rounds.
 #[test]
 fn each_request_is_prepared_under_its_own_prime_schedule() {
     let service = service(400);
@@ -129,7 +125,9 @@ fn each_request_is_prepared_under_its_own_prime_schedule() {
         })
         .collect();
     for (p, handle) in polys.iter().zip(handles) {
-        assert_prepared_under_its_schedule(p, &handle.join().unwrap());
+        let outcome = handle.join().unwrap();
+        assert_prepared_under_its_schedule(p, &outcome);
+        assert_eq!(outcome.report.coalesced_requests, 2, "both schedules share one batch");
     }
     service.shutdown().unwrap();
 }
@@ -154,6 +152,24 @@ fn repeat_query_is_served_from_the_store_with_zero_rounds() {
     // A different polynomial is a different content address: miss.
     let other = service.prepare(&poly(vec![2, 0, 0, 0, 4])).unwrap();
     assert!(other.report.rounds > 0);
+    service.shutdown().unwrap();
+}
+
+/// The store keys a problem without its prime schedule: a request
+/// naming the other schedule redeems the certificate the first one
+/// prepared, with zero rounds.
+#[test]
+fn either_schedule_redeems_the_same_stored_certificate() {
+    let service = service(5);
+    let p = poly(vec![1, 4, 1, 4, 2]);
+    let first = service.prepare(&p).unwrap();
+    assert!(first.report.rounds > 0);
+    let ntt = PolyRequest { schedule: PrimeSchedule::NttFriendly, ..p };
+    let second = service.prepare(&ntt).unwrap();
+    assert_eq!(second.report.rounds, 0, "the other schedule must hit the store");
+    assert_eq!(second.report.cache_hits, 1);
+    assert_eq!(second.output, first.output);
+    assert_eq!(second.certificate, first.certificate);
     service.shutdown().unwrap();
 }
 
