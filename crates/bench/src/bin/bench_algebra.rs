@@ -60,7 +60,7 @@ use camelot_ff::{ntt_prime, PrimeField, RngLike, SplitMix64};
 use camelot_linalg::{MatMulTensor, YatesPlan};
 use camelot_partition::Shape;
 use camelot_poly::{
-    cached_ntt_plan, eval_many, lagrange_basis_at, sum_consecutive, sum_transform_len,
+    cached_ntt_plan, eval_many, lagrange_basis_at, sum_by_power_sums, sum_transform_len,
     ConsecutiveBasis, Poly,
 };
 use camelot_rscode::{DecodeProfile, RsCode};
@@ -481,8 +481,9 @@ fn evaluator_bench(field: &PrimeField, samples: usize, rng: &mut SplitMix64) -> 
 /// Recovery sums over consecutive points at degree `d` (`d + 1`
 /// coefficients) over the prime the engine's walk picks for a length
 /// `d + 1` code: one Horner pass per point against Faulhaber's formula
-/// ([`sum_consecutive`]), at `count = d/3` (the shape of the cliques
-/// recovery, 343 points at degree 1026) and `count = 4d`. `cold_us` is
+/// ([`sum_by_power_sums`] told to build), at `count = d/3` (the shape
+/// of the cliques recovery, 343 points at degree 1026) and
+/// `count = 4d`. `cold_us` is
 /// the first sum over the modulus, which fills the Bernoulli cache (the
 /// modulus's NTT plans are built beforehand, as the engine's code would
 /// have); `transform_us` is a sum over a run not summed before (one
@@ -511,7 +512,7 @@ fn consecutive_sum_bench(log: u32, samples: usize, rng: &mut SplitMix64) -> Stri
     };
     let _ = cached_ntt_plan(&field, ntt_log_len(d + 1));
     let cold_start = Instant::now();
-    let cold = sum_consecutive(&field, &coeffs, start, 1);
+    let cold = sum_by_power_sums(&field, &coeffs, start, 1, true);
     let t_cold = cold_start.elapsed();
     assert_eq!(cold, Some(horner(start, 1)), "cold Faulhaber sum diverged from Horner");
     let shapes: Vec<String> = [d / 3, 4 * d]
@@ -519,16 +520,17 @@ fn consecutive_sum_bench(log: u32, samples: usize, rng: &mut SplitMix64) -> Stri
         .map(|&count| {
             let count = count as u64;
             for run in [start, start, start ^ 1] {
-                let sum = sum_consecutive(&field, &coeffs, run, count);
+                let sum = sum_by_power_sums(&field, &coeffs, run, count, true);
                 assert_eq!(sum, Some(horner(run, count)), "Faulhaber sum diverged from Horner");
             }
             let t_horner = best_of(samples, || horner(start, count));
             let mut fresh = start;
             let t_fast = best_of(samples, || {
                 fresh = fresh.wrapping_add(2);
-                sum_consecutive(&field, &coeffs, fresh, count)
+                sum_by_power_sums(&field, &coeffs, fresh, count, true)
             });
-            let t_repeat = best_of(samples, || sum_consecutive(&field, &coeffs, start, count));
+            let t_repeat =
+                best_of(samples, || sum_by_power_sums(&field, &coeffs, start, count, true));
             let breakeven = us(t_fast) / (us(t_horner) / count as f64);
             format!(
                 "{{\"count\": {count}, \"horner_us\": {:.2}, \"transform_us\": {:.2}, \

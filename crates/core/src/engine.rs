@@ -329,66 +329,90 @@ pub fn prime_floor(spec: &ProofSpec, code_len: usize) -> u64 {
     spec.min_modulus.max((code_len as u64).saturating_add(1)).max(1 << 61)
 }
 
+/// Bits of coverage every modulus of the walk counts: [`prime_floor`]
+/// is at least `2^61` and the range ends at `MAX_MODULUS = 2^62`, so
+/// each modulus `q` has `⌊log₂ q⌋ = 61`, and being odd, `q > 2^61`.
+const WALK_PRIME_BITS: u64 = 61;
+
+/// The most primes a walk takes; a spec that needs more is refused
+/// before any search. Every prime costs a broadcast round, an
+/// evaluation pass, a decode per deciding node and its spot checks, so
+/// the cap bounds what one spec can make a prepare or a redeem spend.
+/// 1024 primes cover answers of up to 62,463 bits, far beyond what any
+/// catalogue spec asks for, and the walk finds them in milliseconds.
+/// Without a cap, a spec of `u64::MAX − 2` value bits searched for
+/// primes without end.
+const MAX_WALK_PRIMES: u64 = 1024;
+
 /// What the prover's walk and the verifier both enforce: every modulus
 /// lies in `prime_floor..MAX_MODULUS` (the field layer's headroom), and
-/// the primes' bit counts sum to at least the returned target,
-/// `value_bits + 2` (their product exceeds `2^(value_bits + 1)`: one
-/// guard bit for symmetric signed lifts). A spec whose range is empty
-/// or whose target overflows a `u64` admits no walk.
-fn prime_walk(spec: &ProofSpec, code_len: usize) -> Result<(Range<u64>, u64), String> {
+/// there are at least the returned count of distinct ones,
+/// `n = ⌈(value_bits + 1)/61⌉`. Each exceeds `2^61`, so their product
+/// exceeds `2^(61·n) ≥ 2^(value_bits + 1)`: values below
+/// `2^value_bits`, with one guard bit for symmetric signed lifts. A spec
+/// whose range is empty, or whose `n` exceeds [`MAX_WALK_PRIMES`],
+/// admits no walk.
+fn prime_walk(spec: &ProofSpec, code_len: usize) -> Result<(Range<u64>, usize), String> {
     let floor = prime_floor(spec, code_len);
     if floor >= MAX_MODULUS {
         return Err(format!("modulus floor {floor} is not below MAX_MODULUS = {MAX_MODULUS}"));
     }
-    let target = spec.value_bits.checked_add(2).ok_or_else(|| {
-        format!("{} value bits overflow the prime coverage count", spec.value_bits)
-    })?;
-    Ok((floor..MAX_MODULUS, target))
+    // `⌈(v + 1)/61⌉ = ⌊v/61⌋ + 1`, which cannot overflow.
+    let primes = spec.value_bits / WALK_PRIME_BITS + 1;
+    if primes > MAX_WALK_PRIMES {
+        return Err(format!(
+            "{} value bits need {primes} primes, above the walk's cap of {MAX_WALK_PRIMES}",
+            spec.value_bits
+        ));
+    }
+    Ok((floor..MAX_MODULUS, primes as usize))
 }
 
 /// The prime walk of both schedules: upward through [`prime_walk`]'s
 /// range, taking the first prime `q ≡ 1 (mod 2^k)` at or above the
-/// cursor, `k = `[`ntt_log_len`]`(code_len)`, until the coverage target
-/// is met.
+/// cursor, `k = `[`ntt_log_len`]`(code_len)`, until it holds the count
+/// [`prime_walk`] asks for.
 pub(crate) fn accumulate_primes(
     spec: &ProofSpec,
     code_len: usize,
 ) -> Result<Vec<u64>, CamelotError> {
     let bad = |reason| CamelotError::BadConfiguration { reason };
-    let (range, target) = prime_walk(spec, code_len).map_err(bad)?;
+    let (range, count) = prime_walk(spec, code_len).map_err(bad)?;
     let step = 1u64 << ntt_log_len(code_len);
-    let mut primes = Vec::new();
-    let mut bits_covered = 0u64;
+    let mut primes = Vec::with_capacity(count);
     let mut cursor = range.start;
-    while bits_covered < target {
+    while primes.len() < count {
         // The first `m·step + 1 >= cursor`; `cursor < 2^62` and
         // `step <= 2^63` keep it inside a u64. The search stops at
         // `MAX_MODULUS`, where `ntt_prime` and `next_prime` would panic.
         let first = cursor.saturating_sub(1).div_ceil(step).max(1) * step + 1;
         let Some(p) = (first..range.end).step_by(step as usize).find(|&q| is_prime_u64(q)) else {
             return Err(bad(format!(
-                "no prime q = 1 mod {step} in {cursor}..{} for {target} bits of coverage",
+                "no prime q = 1 mod {step} in {cursor}..{} for {count} primes",
                 range.end
             )));
         };
-        bits_covered += 63 - u64::from(p.leading_zeros());
         cursor = p + 1;
         primes.push(p);
     }
     Ok(primes)
 }
 
-/// Deterministically selects prime moduli for a spec: all primes are at
-/// least [`prime_floor`], their product exceeds `2^(value_bits + 1)`
-/// (one guard bit for symmetric signed lifts), and every prime is
-/// `q ≡ 1 (mod 2^k)` for `k = `[`ntt_log_len`]`(code_len)`, so codeword
-/// products and recovery sums run through the number-theoretic
-/// transform whichever points the codes use.
+/// Deterministically selects prime moduli for a spec: the fewest
+/// primes of at least [`prime_floor`] whose product exceeds
+/// `2^(value_bits + 1)` (one guard bit for symmetric signed lifts).
+/// Every walk prime lies in `[2^61, 2^62)` and counts 61 bits, so that
+/// is `⌈(value_bits + 1)/61⌉` primes — one for up to 60 value bits —
+/// and every prime is `q ≡ 1 (mod 2^k)` for
+/// `k = `[`ntt_log_len`]`(code_len)`, so codeword products and recovery
+/// sums run through the number-theoretic transform whichever points the
+/// codes use. A spec needing more than 1024 primes (62,463 value bits)
+/// is refused before any search.
 ///
 /// # Panics
 ///
 /// Panics when the spec admits no prime walk (its floor is at or above
-/// `MAX_MODULUS`, or `value_bits + 2` overflows); the engine reports
+/// `MAX_MODULUS`, or it needs more than 1024 primes); the engine reports
 /// such a spec as [`CamelotError::BadConfiguration`] instead.
 #[must_use]
 pub fn choose_primes(spec: &ProofSpec, code_len: usize) -> Vec<u64> {
@@ -564,7 +588,8 @@ impl Engine {
     ///   structurally fit the problem's spec (wrong degree bound, no or
     ///   duplicate moduli, a modulus below [`prime_floor`], at or above
     ///   `MAX_MODULUS` or not prime, insufficient CRT coverage, a
-    ///   coefficient not reduced mod its modulus);
+    ///   coefficient not reduced mod its modulus, a spec the prime walk
+    ///   refuses);
     /// * [`CamelotError::VerificationFailed`] if a spot check rejects;
     /// * recovery errors from the problem itself.
     pub fn redeem<P: CamelotProblem>(
@@ -595,11 +620,11 @@ impl Engine {
             });
         }
         // A certificate need not have come through `from_wire`: check the
-        // range here too, before a modulus reaches the bit count below
-        // (which underflows on 0) or a `PrimeField` (Barrett headroom).
+        // range here too, before a modulus counts toward CRT coverage
+        // below or reaches a `PrimeField` (Barrett headroom).
         // The d/q soundness bound presumes a field, so a composite
         // modulus is rejected as well, however well it spot-checks.
-        let (admissible, target) = prime_walk(&spec, certificate.code_length)
+        let (admissible, needed) = prime_walk(&spec, certificate.code_length)
             .map_err(|reason| CamelotError::MalformedProof { reason })?;
         if let Some(&q) = moduli.iter().find(|q| !admissible.contains(q)) {
             return Err(CamelotError::MalformedProof {
@@ -611,11 +636,15 @@ impl Engine {
                 reason: format!("modulus {q} is not prime"),
             });
         }
-        let bits: u64 =
-            certificate.proofs.iter().map(|p| 63 - u64::from(p.modulus.leading_zeros())).sum();
-        if bits < target {
+        // Distinct admissible moduli each exceed `2^61`: the count is the
+        // coverage. A certificate with more than the walk takes today
+        // (an earlier walk's) covers more, and redeems.
+        if moduli.len() < needed {
             return Err(CamelotError::MalformedProof {
-                reason: format!("certificate moduli cover {bits} bits, spec needs {target}"),
+                reason: format!(
+                    "certificate carries {} moduli, spec needs {needed} for CRT coverage",
+                    moduli.len()
+                ),
             });
         }
 
@@ -911,7 +940,7 @@ mod tests {
     use super::*;
     use crate::problem::Evaluate;
     use camelot_cluster::FaultKind;
-    use camelot_ff::{crt_u, Residue};
+    use camelot_ff::{crt_i, crt_u, Residue, UBig};
 
     /// Toy problem: P(x) = (c + x)^3 mod q for a hidden constant c; the
     /// "answer" is P(0) = c^3 recovered over the integers.
@@ -1147,16 +1176,18 @@ mod tests {
         }
     }
 
-    /// Specs no prime walk can serve: a coverage target that wraps
+    /// Specs no prime walk can serve: a coverage target that wrapped
     /// (`u64::MAX` bits used to walk one prime and return a wrong
-    /// answer, `u64::MAX - 1` to walk without end), a floor at or above
-    /// `MAX_MODULUS` (`2^62` used to prepare over moduli `redeem`
-    /// refuses, `u64::MAX` to panic in the prime search), and a floor
-    /// with no prime left below `MAX_MODULUS`.
-    fn inadmissible_specs() -> [ProofSpec; 5] {
+    /// answer) or that needs more primes than the walk's cap
+    /// (`u64::MAX - 1` and `u64::MAX - 2` bits used to walk without
+    /// end), a floor at or above `MAX_MODULUS` (`2^62` used to prepare
+    /// over moduli `redeem` refuses, `u64::MAX` to panic in the prime
+    /// search), and a floor with no prime left below `MAX_MODULUS`.
+    fn inadmissible_specs() -> [ProofSpec; 6] {
         [
             ProofSpec::new(3, 1 << 20, u64::MAX),
             ProofSpec::new(3, 1 << 20, u64::MAX - 1),
+            ProofSpec::new(3, 1 << 20, u64::MAX - 2),
             ProofSpec::new(3, MAX_MODULUS, 96),
             ProofSpec::new(3, u64::MAX, 96),
             ProofSpec::new(3, MAX_MODULUS - 1, 96),
@@ -1321,9 +1352,9 @@ mod tests {
     }
 
     /// Both schedules pick exactly as many primes as `primes_needed`
-    /// says 61-bit primes need for `value_bits + 2` bits (the walk's
-    /// `61·n > value_bits + 1`), all in `[floor, 2^62)`, and both walk
-    /// `1 mod 2^ntt_log_len(e)`.
+    /// says 61-bit primes need for a signed `value_bits` answer,
+    /// `value_bits + 1` bits (the walk's `61·n ≥ value_bits + 1`), all in
+    /// `[floor, 2^62)`, and both walk `1 mod 2^ntt_log_len(e)`.
     #[test]
     fn prime_count_is_what_61_bit_primes_need() {
         let e = 100;
@@ -1331,7 +1362,7 @@ mod tests {
         for value_bits in [0, 1, 59, 60, 61, 120, 121, 200] {
             let spec = ProofSpec::new(10, 1 << 20, value_bits);
             let floor = prime_floor(&spec, e);
-            let needed = camelot_ff::primes_needed(value_bits + 2, 61);
+            let needed = camelot_ff::primes_needed(value_bits + 1, 61);
             for (schedule, config) in [
                 ("smallest", EngineConfig::sequential(4, 1)),
                 ("ntt", EngineConfig::sequential(4, 1).with_ntt_primes()),
@@ -1345,6 +1376,71 @@ mod tests {
                     assert_eq!((q - 1) % step, 0, "{schedule}: {q} is not 1 mod {step}");
                 }
             }
+        }
+    }
+
+    /// `2^bits` as a big integer.
+    fn power_of_two(bits: u64) -> UBig {
+        let words = (0..bits / 63).fold(UBig::one(), |acc, _| acc.mul_u64(1 << 63));
+        words.mul_u64(1 << (bits % 63))
+    }
+
+    /// The walk takes the fewest primes that cover the signed range:
+    /// their product exceeds `2^(value_bits + 1)`, and without the last
+    /// prime it does not, at every width up to 400 bits and at both
+    /// edges of the cap, where the next width is refused.
+    #[test]
+    fn the_walk_covers_exactly() {
+        let cap_bits = 61 * MAX_WALK_PRIMES - 1;
+        for value_bits in (0..=400).chain([cap_bits - 61, cap_bits]) {
+            let primes = choose_primes(&ProofSpec::new(3, 1 << 20, value_bits), 8);
+            let (last, rest) = primes.split_last().expect("at least one prime");
+            let without_last = rest.iter().fold(UBig::one(), |acc, &q| acc.mul_u64(q));
+            let bound = power_of_two(value_bits + 1);
+            assert!(without_last.mul_u64(*last) > bound, "{value_bits} bits");
+            assert!(without_last <= bound, "{value_bits} bits: a prime too many");
+        }
+        let over = ProofSpec::new(3, 1 << 20, cap_bits + 1);
+        assert!(matches!(accumulate_primes(&over, 8), Err(CamelotError::BadConfiguration { .. })));
+    }
+
+    /// A 60-bit answer, signed or unsigned, at its extremes, recovers
+    /// from one prime, and a 60-bit run takes one round.
+    #[test]
+    fn sixty_bits_recover_on_one_prime_in_one_round() {
+        let spec = ProofSpec::new(3, 1 << 20, 60);
+        let primes = choose_primes(&spec, 8);
+        assert_eq!(primes.len(), 1);
+        let q = primes[0];
+        let residue = |v: i128| [Residue { modulus: q, value: v.rem_euclid(i128::from(q)) as u64 }];
+        let top = (1i128 << 60) - 1;
+        for v in [0, top] {
+            assert_eq!(crt_u(&residue(v)).to_u128(), Some(v as u128), "unsigned {v}");
+        }
+        for v in [-top, 0, top] {
+            assert_eq!(crt_i(&residue(v)).to_i128(), Some(v), "signed {v}");
+        }
+        let outcome = Engine::sequential(4, 1).run(&Posed(spec)).unwrap();
+        assert_eq!(outcome.output, 99u128.pow(3));
+        assert_eq!((outcome.report.rounds, outcome.certificate.proofs.len()), (1, 1));
+    }
+
+    /// The walk counts its primes before it searches: the widest specs
+    /// are refused at once by the prover and the verifier alike, where
+    /// `u64::MAX - 2` bits used to search without end.
+    #[test]
+    fn the_widest_specs_are_refused_before_any_search() {
+        let engine = Engine::sequential(4, 2);
+        let prepared = engine.run(&Cube { c: 99 }).unwrap();
+        for value_bits in [u64::MAX - 1, u64::MAX - 2] {
+            let spec = ProofSpec::new(3, 1 << 20, value_bits);
+            let start = Instant::now();
+            assert!(matches!(engine.run(&Posed(spec)), Err(CamelotError::BadConfiguration { .. })));
+            assert!(matches!(
+                engine.redeem(&Posed(spec), &prepared.certificate),
+                Err(CamelotError::MalformedProof { .. })
+            ));
+            assert!(start.elapsed() < Duration::from_secs(1), "{value_bits} bits");
         }
     }
 }

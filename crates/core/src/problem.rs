@@ -10,6 +10,7 @@
 use crate::error::CamelotError;
 use camelot_cluster::{EvalProgram, PreparedProgram};
 use camelot_ff::PrimeField;
+use camelot_poly::PowerSumRoute;
 
 /// Static parameters of a proof polynomial, derivable by every node from
 /// the common input (§1.3 of the paper assumes `d` and `q` are easy to
@@ -95,10 +96,10 @@ impl Evaluate for PreparedProgram {
     }
 }
 
-/// [`PrimeProof::sum_eval_consecutive`] takes the transform path when
-/// Horner's `count · len` steps exceed this many per transform point
-/// ([`camelot_poly::sum_transform_len`], about `2·len`): what a first
-/// sum over a run costs. The `consecutive_sum` rows of
+/// [`PrimeProof::sum_eval_consecutive`] builds a run's power sums by
+/// transform when Horner's `count · len` steps exceed this many per
+/// transform point ([`camelot_poly::sum_transform_len`], about `2·len`):
+/// what a first sum over a run costs. The `consecutive_sum` rows of
 /// `BENCH_algebra.json` put the breakeven, `breakeven_count · (d + 1) /
 /// transform_len`, at 18–32 steps (median 26) for degrees `2^8` to
 /// `2^14`; inside `catalogue_inproc`'s recovery, where node evaluation
@@ -139,34 +140,48 @@ impl PrimeProof {
     /// points are consecutive in `Z_q`: `x` starts at `start mod q` and
     /// steps by one modulo `q`.
     ///
-    /// Past a crossover — Horner's `count · len` steps against 28 per
-    /// point of the transform a first sum over the run costs, 55–110
-    /// points by the proof length — the sum is
-    /// [`camelot_poly::sum_consecutive`]: the dot product of the
-    /// coefficients with the run's power sums, computed by Faulhaber's
-    /// formula in one forward and one inverse transform the first time
-    /// the run comes up over the modulus, and cached. Every prime of the
-    /// engine's walk has the transform that takes; a modulus without one
-    /// of the length needed (certificates from before the walk kept only
-    /// NTT-friendly primes), or one not above `len + 1`, does not, and
-    /// there, as below the crossover, the sum is one
-    /// [`PrimeField::horner`] pass per point. Both return the same field
+    /// Past a crossover, and on the second sighting of a run below it,
+    /// the sum is [`camelot_poly::sum_by_power_sums`]: the dot product
+    /// of the coefficients with the run's power sums, built the first
+    /// time they pay over the modulus, and cached. Where the modulus has
+    /// a transform of the length needed (every prime of the engine's
+    /// walk has), they cost one forward and one inverse transform by
+    /// Faulhaber's formula, and the crossover is Horner's `count · len`
+    /// steps against 28 per transform point, 55–110 points by the proof
+    /// length. Elsewhere (certificates from before the walk kept only
+    /// NTT-friendly primes) they cost the telescoping recurrence's
+    /// `len²/2` multiply-adds, and the crossover is `count > len/2`.
+    /// Below the crossover, and on a modulus not above `len + 1`, the
+    /// sum is one [`PrimeField::horner`] pass per point. So on every
+    /// modulus above `len + 1` a sum costs at most a bounded multiple of
+    /// `len²` steps, whatever the count. All paths return the same field
     /// element.
     #[must_use]
     pub fn sum_eval_consecutive(&self, start: u64, count: u64) -> u64 {
-        self.sum_by_transform(start, count).unwrap_or_else(|| self.sum_by_horner(start, count))
+        self.sum_by_power_sums(start, count).unwrap_or_else(|| self.sum_by_horner(start, count))
     }
 
-    /// The transform path of [`PrimeProof::sum_eval_consecutive`], or
+    /// The power-sum path of [`PrimeProof::sum_eval_consecutive`], or
     /// `None` where the dispatch runs Horner.
-    fn sum_by_transform(&self, start: u64, count: u64) -> Option<u64> {
-        let len = self.coefficients.len();
-        let transform = camelot_poly::sum_transform_len(len) as u128;
-        if u128::from(count) * len as u128 <= SUM_STEPS_PER_TRANSFORM_POINT * transform {
-            return None;
-        }
+    fn sum_by_power_sums(&self, start: u64, count: u64) -> Option<u64> {
         let field = PrimeField::new_unchecked(self.modulus);
-        camelot_poly::sum_consecutive(&field, &self.coefficients, start, count)
+        let build = self.power_sums_pay(&field, count)?;
+        camelot_poly::sum_by_power_sums(&field, &self.coefficients, start, count, build)
+    }
+
+    /// Whether a first sum over a `count`-point run is past the
+    /// crossover, where building the run's power sums costs less than
+    /// Horner; `None` where the modulus admits no power sums.
+    fn power_sums_pay(&self, field: &PrimeField, count: u64) -> Option<bool> {
+        let len = self.coefficients.len() as u128;
+        let first = match camelot_poly::power_sum_route(field, self.coefficients.len())? {
+            PowerSumRoute::Transform(n) => SUM_STEPS_PER_TRANSFORM_POINT * n as u128,
+            // Its `len²/2` dot-product steps took 0.85–1.27 × as long as
+            // `len²/2` Horner steps at 65 to 2049 coefficients (2-core
+            // x86-64 VM).
+            PowerSumRoute::Recurrence => len * len / 2,
+        };
+        Some(u128::from(count) * len > first)
     }
 
     /// The Horner path: one four-chain pass per point.
@@ -348,18 +363,22 @@ mod tests {
         (PrimeProof { modulus: q, coefficients }, Box::new(value))
     }
 
-    /// The Faulhaber transform path and the Horner loop return the same
-    /// field element at every proof length, count and start: on primes
-    /// whose transforms serve the length, where the dispatch must take
-    /// the transform once the count is past the crossover; on primes
-    /// whose transforms are too short and on the first prime above
-    /// `2^61`, which has none; and on primes at most the proof length,
-    /// where the factorials are not invertible. The reference sums the
-    /// proof's values along runs of consecutive points that cross `q` and
+    /// The power-sum paths and the Horner loop return the same field
+    /// element at every proof length, count and start: on primes whose
+    /// transforms serve the length, where the dispatch must take the
+    /// transform once the count is past the crossover; on primes whose
+    /// transforms are too short and on the first prime above `2^61`,
+    /// which has none, where it must take the recurrence instead; and on
+    /// primes at most the proof length, where the factorials are not
+    /// invertible and only Horner applies. The reference sums the proof's
+    /// values along runs of consecutive points that cross `q` and
     /// `2^64`, and at every start the proof's Horner value is checked
-    /// against them. Where the dispatch runs Horner at 1027 coefficients
-    /// or more, only counts up to 5 are summed (an unoptimised build
-    /// would take minutes over the rest).
+    /// against them. Starts `0` and `q`, `1` and `q + 1` begin the same
+    /// runs, so every run below the crossover is summed twice, the
+    /// second time from its power sums. Where the recurrence serves 1027
+    /// coefficients or more, only counts up to 5 are summed (its
+    /// `len²/2` steps take seconds in an unoptimised build); at 257 it
+    /// sums every count.
     #[test]
     fn transform_sums_match_horner_sums() {
         let ntt = (11..=14).map(|k| (prime_of_order(k), k));
@@ -382,7 +401,19 @@ mod tests {
                 2049 => 12,
                 _ => 13,
             };
-            let served = order >= needed && q > len as u64 + 1;
+            let invertible = q > len as u64 + 1;
+            let served = order >= needed && invertible;
+            let route = camelot_poly::power_sum_route(&field, len);
+            if len >= 257 {
+                let expect = match (served, invertible) {
+                    (true, _) => {
+                        Some(PowerSumRoute::Transform(camelot_poly::sum_transform_len(len)))
+                    }
+                    (false, true) => Some(PowerSumRoute::Recurrence),
+                    (false, false) => None,
+                };
+                assert_eq!(route, expect, "q = {q}, len = {len}");
+            }
             let n = len as u64;
             let all_counts = [0, 1, 5, n / 3, n, 4 * n];
             let counts = if served || len < 1027 { &all_counts[..] } else { &all_counts[..3] };
@@ -411,13 +442,10 @@ mod tests {
                         .fold(0, |s, &v| field.add(s, v));
                     let at = format!("q = {q}, len = {len}, start = {start}, count = {count}");
                     assert_eq!(p.sum_eval_consecutive(start, count), expect, "{at}");
-                    let transform = p.sum_by_transform(start, count);
-                    assert!(transform.is_none_or(|t| t == expect), "{at}");
-                    if served && len >= 257 && count >= n {
-                        assert!(transform.is_some(), "transform path not taken: {at}");
-                    }
-                    if !served {
-                        assert!(transform.is_none(), "transform path without a plan: {at}");
+                    let pays = p.power_sums_pay(&field, count);
+                    assert_eq!(pays.is_some(), invertible, "{at}");
+                    if invertible && len >= 257 && count >= n {
+                        assert_eq!(pays, Some(true), "power sums not built: {at}");
                     }
                 }
             }

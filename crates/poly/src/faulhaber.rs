@@ -23,6 +23,12 @@
 //! over a modulus builds the tables, only the first over a run pays the
 //! transform, and a run summed again — the same problem shape verified
 //! twice, on the primes its spec fixes — costs one dot product.
+//!
+//! A modulus without a transform of the length needed gets the same
+//! power sums from the telescoping recurrence
+//! `Σ_{i≤j} C(j+1, i)·W_i = b^{j+1} − a^{j+1}`, in `len²/2`
+//! multiply-adds and no transform, so a sum over any run costs a bounded
+//! amount on every prime above `len + 1`.
 
 use crate::multipoint::{cached_ntt_plan, inv_series, MulContext};
 use crate::ntt::NttPlan;
@@ -95,14 +101,18 @@ struct PowerSums {
     sums: Vec<u64>,
 }
 
+/// A run of `len`-coefficient sums from `a` to `b`.
+type Run = (usize, u64, u64);
+
 /// One modulus's cache entry: tables grown to the longest length asked
-/// for, the spectra of the lengths asked for, and the power sums of the
-/// runs asked for.
+/// for, the spectra of the lengths asked for, the power sums of the
+/// runs they were built for, and the runs summed once without them.
 #[derive(Default)]
 struct Entry {
     tables: Option<Arc<SumTables>>,
     spectra: Vec<Arc<BernoulliSpectrum>>,
     power_sums: Vec<Arc<PowerSums>>,
+    sighted: Vec<Run>,
 }
 
 impl Entry {
@@ -110,7 +120,21 @@ impl Entry {
     fn words(&self) -> usize {
         let tables = self.tables.as_ref().map_or(0, |t| t.fact.len() * 2 + t.bernoulli.len());
         let spectra: usize = self.spectra.iter().map(|s| s.data.len()).sum();
-        tables + spectra + self.power_sums.iter().map(|w| w.sums.len()).sum::<usize>()
+        let sighted = 3 * self.sighted.len();
+        tables + spectra + sighted + self.power_sums.iter().map(|w| w.sums.len()).sum::<usize>()
+    }
+
+    /// Whether `run` was summed before without power sums; notes it if
+    /// not.
+    fn sighted_before(&mut self, run: Run) -> bool {
+        if self.sighted.contains(&run) {
+            return true;
+        }
+        if self.sighted.len() >= SHAPES_PER_MODULUS {
+            self.sighted.clear();
+        }
+        self.sighted.push(run);
+        false
     }
 }
 
@@ -236,32 +260,84 @@ fn power_sums(
     h
 }
 
-/// The transform length [`sum_consecutive`] runs on for `len`
-/// coefficients: the power of two covering `len`, or twice that when
-/// more than a few product coefficients would wrap around — about
-/// `2·len` either way. One forward and one inverse transform of this
-/// length are what a sum over a run not summed before costs, against
-/// `count · len` steps of Horner.
+/// `W_m = Σ_{x=a}^{b−1} x^m` for `m < len` by the telescoping
+/// recurrence `Σ_{i≤j} C(j+1, i)·W_i = b^{j+1} − a^{j+1}`, divided
+/// through by `(j+1)!`: with `T_i = W_i/i!`,
+/// `T_j = (b^{j+1} − a^{j+1})/(j+1)! − Σ_{i<j} T_i/(j+1−i)!`, one dot
+/// product per `j`. Needs `q > len`; no transform.
+fn power_sums_by_recurrence(field: &PrimeField, len: usize, a: u64, b: u64) -> Vec<u64> {
+    let mut fact = Vec::with_capacity(len + 1);
+    fact.push(1u64);
+    for k in 1..=len as u64 {
+        fact.push(field.mul(fact[fact.len() - 1], k));
+    }
+    // `1/k!` from `k = len` down to `0`: the slice `[len − j − 1, len − 1)`
+    // holds `1/(j+1)!, …, 1/2!`, the weights of `T_0, …, T_{j−1}`.
+    let mut inv_fact_desc = Vec::with_capacity(len + 1);
+    let mut inv = field.inv(fact[len]);
+    for k in (1..=len as u64).rev() {
+        inv_fact_desc.push(inv);
+        inv = field.mul(inv, k);
+    }
+    inv_fact_desc.push(inv);
+    let mut t = Vec::with_capacity(len);
+    let (mut pa, mut pb) = (a, b);
+    for j in 0..len {
+        let head = field.mul(field.sub(pb, pa), inv_fact_desc[len - j - 1]);
+        let tail = field.dot(&t, &inv_fact_desc[len - j - 1..len - 1]);
+        t.push(field.sub(head, tail));
+        pa = field.mul(pa, a);
+        pb = field.mul(pb, b);
+    }
+    field.mul_slice(&mut t, &fact[..len]);
+    t
+}
+
+/// How [`sum_by_power_sums`] builds a run's power sums over a modulus.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PowerSumRoute {
+    /// Faulhaber's formula: one forward and one inverse transform of
+    /// this length ([`sum_transform_len`]).
+    Transform(usize),
+    /// The telescoping recurrence, `len²/2` multiply-adds: the modulus
+    /// has no transform of the length needed.
+    Recurrence,
+}
+
+/// The route [`sum_by_power_sums`] takes for `len` coefficients over
+/// `field`, or `None` where neither applies: the modulus must exceed
+/// `len + 1`, so every factorial involved is invertible.
 #[must_use]
-pub fn sum_transform_len(len: usize) -> usize {
-    1 << transform_log(len)
+pub fn power_sum_route(field: &PrimeField, len: usize) -> Option<PowerSumRoute> {
+    if field.modulus() <= len as u64 + 1 {
+        return None;
+    }
+    Some(match cached_ntt_plan(field, transform_log(len)) {
+        Some(plan) => PowerSumRoute::Transform(plan.len()),
+        None => PowerSumRoute::Recurrence,
+    })
 }
 
 /// `Σ_{x=start}^{start+count-1} P(x) mod q` for `P = Σ coeffs[m]·x^m`
 /// (reduced coefficients), the points stepping by one modulo `q` from
-/// `start mod q` — by Faulhaber's formula (see the module docs): the
-/// dot product of the coefficients with the run's power sums
-/// `m! · [t^m] F(t)·B(t)`, which cost one forward and one inverse
-/// transform of length [`sum_transform_len`] the first time a run and
-/// length come up over a modulus, and nothing after.
+/// `start mod q`, as the dot product of the coefficients with the run's
+/// power sums — when they are at hand. They are when an earlier call
+/// cached them, or are built now (by [`power_sum_route`]'s route) and
+/// cached when `build` holds or the run was summed once before over the
+/// modulus: the second sighting of a run pays for its power sums, and
+/// every later one is a dot product. Otherwise `None`, and the run is
+/// noted as sighted; `None` too where [`power_sum_route`] is.
 ///
-/// `None` when the formula does not apply: the modulus must exceed
-/// `coeffs.len() + 1` (so every factorial involved is invertible) and
-/// admit an NTT plan of length [`sum_transform_len`]. Where it returns a
-/// value, that value is the unique field element a Horner pass per point
-/// sums to.
+/// Where it returns a value, that value is the unique field element a
+/// Horner pass per point sums to.
 #[must_use]
-pub fn sum_consecutive(field: &PrimeField, coeffs: &[u64], start: u64, count: u64) -> Option<u64> {
+pub fn sum_by_power_sums(
+    field: &PrimeField,
+    coeffs: &[u64],
+    start: u64,
+    count: u64,
+    build: bool,
+) -> Option<u64> {
     let len = coeffs.len();
     let q = field.modulus();
     if q <= len as u64 + 1 {
@@ -270,25 +346,44 @@ pub fn sum_consecutive(field: &PrimeField, coeffs: &[u64], start: u64, count: u6
     if len == 0 || count == 0 {
         return Some(0);
     }
-    let plan = cached_ntt_plan(field, transform_log(len))?;
     let a = field.reduce(start);
     let b = field.add(a, field.reduce(count));
+    let plan = cached_ntt_plan(field, transform_log(len));
     let known = |w: &&Arc<PowerSums>| (w.len, w.a, w.b) == (len, a, b);
-    let cached = with_entry(q, |entry| match entry.power_sums.iter().find(known) {
-        Some(w) => Ok(Arc::clone(w)),
-        None => Err(prepared(entry, field, len, plan)),
-    });
+    let cached = with_entry(q, |entry| {
+        if let Some(w) = entry.power_sums.iter().find(known) {
+            return Some(Ok(Arc::clone(w)));
+        }
+        if !build && !entry.sighted_before((len, a, b)) {
+            return None;
+        }
+        Some(Err(plan.map(|plan| prepared(entry, field, len, plan))))
+    })?;
     let sums = match cached {
         Ok(w) => w,
-        Err((tables, spectrum)) => {
-            // The transform runs outside the lock.
-            let sums = power_sums(field, &tables, &spectrum, a, b);
+        Err(built) => {
+            // The power sums are built outside the lock.
+            let sums = match built {
+                Some((tables, spectrum)) => power_sums(field, &tables, &spectrum, a, b),
+                None => power_sums_by_recurrence(field, len, a, b),
+            };
             let w = Arc::new(PowerSums { len, a, b, sums });
             with_entry(q, |entry| remember(&mut entry.power_sums, &w));
             w
         }
     };
     Some(field.dot(coeffs, &sums.sums))
+}
+
+/// The transform length [`sum_by_power_sums`] runs on for `len`
+/// coefficients: the power of two covering `len`, or twice that when
+/// more than a few product coefficients would wrap around — about
+/// `2·len` either way. One forward and one inverse transform of this
+/// length are what a sum over a run not summed before costs, against
+/// `count · len` steps of Horner.
+#[must_use]
+pub fn sum_transform_len(len: usize) -> usize {
+    1 << transform_log(len)
 }
 
 #[cfg(test)]
@@ -346,7 +441,7 @@ mod tests {
                 for start in [0, 5, q - 1, u64::MAX] {
                     for count in [1u64, 2, 13, 200, q] {
                         assert_eq!(
-                            sum_consecutive(&field, &coeffs, start, count),
+                            sum_by_power_sums(&field, &coeffs, start, count, true),
                             Some(horner_sum(&field, &coeffs, start, count % q)),
                             "len {len}, start {start}, count {count}"
                         );
@@ -356,16 +451,71 @@ mod tests {
         }
     }
 
+    /// The telescoping recurrence's power sums give Horner's sums at
+    /// every count up to three times the proof length, over primes with
+    /// and without a transform of the length needed, from starts that
+    /// wrap the modulus; where a transform exists, they are its power
+    /// sums.
+    #[test]
+    fn recurrence_matches_horner_at_every_count() {
+        let plain = camelot_ff::next_prime(1 << 61);
+        for q in [ntt_prime(1 << 61, 12).0, plain, 1_000_000_007, 101] {
+            let field = PrimeField::new(q).unwrap();
+            let mut rng = SplitMix64::new(q);
+            for len in [1usize, 2, 5, 17, 40] {
+                let coeffs: Vec<u64> = (0..len).map(|_| field.sample(&mut rng)).collect();
+                for start in [0, q - 2, u64::MAX] {
+                    let a = field.reduce(start);
+                    for count in 0..=3 * len as u64 {
+                        let b = field.add(a, field.reduce(count));
+                        let sums = power_sums_by_recurrence(&field, len, a, b);
+                        let at = format!("q = {q}, len = {len}, start = {start}, count = {count}");
+                        assert_eq!(
+                            field.dot(&coeffs, &sums),
+                            horner_sum(&field, &coeffs, start, count),
+                            "{at}"
+                        );
+                        if let Some(PowerSumRoute::Transform(_)) = power_sum_route(&field, len) {
+                            let plan = cached_ntt_plan(&field, transform_log(len)).unwrap();
+                            let (tables, spectrum) =
+                                with_entry(q, |entry| prepared(entry, &field, len, plan));
+                            assert_eq!(power_sums(&field, &tables, &spectrum, a, b), sums, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A run below any crossover is summed from power sums on its
+    /// second sighting, by whichever route the modulus has, and from the
+    /// cache after that.
+    #[test]
+    fn a_run_sighted_twice_gets_its_power_sums() {
+        let plain = camelot_ff::next_prime((1 << 61) + (1 << 40));
+        for q in [ntt_prime((1 << 61) + (1 << 40), 12).0, plain] {
+            let field = PrimeField::new(q).unwrap();
+            let coeffs = [3, 1, 4, 1, 5];
+            let expect = horner_sum(&field, &coeffs, 7, 64);
+            assert_eq!(sum_by_power_sums(&field, &coeffs, 7, 64, false), None, "mod {q}");
+            for _ in 0..2 {
+                assert_eq!(sum_by_power_sums(&field, &coeffs, 7, 64, false), Some(expect));
+            }
+            assert_eq!(sum_by_power_sums(&field, &coeffs, 8, 64, false), None, "another run");
+        }
+    }
+
     #[test]
     fn refuses_small_moduli_and_missing_plans() {
         let small = PrimeField::new(97).unwrap();
-        assert_eq!(sum_consecutive(&small, &[1; 96], 0, 5), None);
-        assert_eq!(sum_consecutive(&small, &[1; 95], 0, 5), None);
+        assert_eq!(power_sum_route(&small, 96), None);
+        assert_eq!(sum_by_power_sums(&small, &[1; 96], 0, 5, true), None);
+        assert_eq!(power_sum_route(&small, 95), Some(PowerSumRoute::Recurrence));
         // 96 = 2^5·3: 16 coefficients fit a length-32 transform, 32
         // would need one of length 64.
-        assert!(sum_consecutive(&small, &[1; 16], 0, 5).is_some());
-        assert_eq!(sum_consecutive(&small, &[1; 32], 0, 5), None);
+        assert_eq!(power_sum_route(&small, 16), Some(PowerSumRoute::Transform(32)));
+        assert_eq!(power_sum_route(&small, 32), Some(PowerSumRoute::Recurrence));
         let plain = PrimeField::new(1_000_000_007).unwrap();
-        assert_eq!(sum_consecutive(&plain, &[1; 10], 0, 5), None);
+        assert_eq!(power_sum_route(&plain, 10), Some(PowerSumRoute::Recurrence));
     }
 }

@@ -38,7 +38,7 @@ mod multipoint;
 mod ntt;
 
 pub use dense::Poly;
-pub use faulhaber::{sum_consecutive, sum_transform_len};
+pub use faulhaber::{power_sum_route, sum_by_power_sums, sum_transform_len, PowerSumRoute};
 pub use hgcd::partial_xgcd_fast;
 pub use interp::{
     eval_many, interpolate, interpolate_consecutive, lagrange_basis_at, ConsecutiveBasis,

@@ -9,7 +9,9 @@
 //! fixed instance per proof polynomial in the workspace, recorded with
 //! the prime walk starting at `2^61` and taking only primes
 //! `q ≡ 1 (mod 2^k)`, `2^k` at least twice the code length, for both
-//! point schedules. Beside each digest is the recovered answer, recorded
+//! point schedules, and taking the fewest that cover `value_bits + 1`
+//! bits (one for `explicit_poly`'s 60 bits, where the walk used to take
+//! two; no other instance's count changed). Beside each digest is the recovered answer, recorded
 //! on the commit before the floor moved (27d9e89, first primes above
 //! `2^20`): the certificates changed with each walk, the answers did not.
 //! Evaluation results are field elements, so any correct re-association
@@ -29,7 +31,7 @@ use camelot::graph::{
     gen, tutte::potts_value_mod, Graph, MultiGraph,
 };
 use camelot::partition::{ChromaticValue, PottsValue, SetPartitions};
-use camelot::poly::{interpolate, sum_consecutive};
+use camelot::poly::{interpolate, power_sum_route, PowerSumRoute};
 use camelot::server::{PolyRequest, ServicePoly};
 use camelot::triangles::TriangleCount;
 
@@ -217,7 +219,7 @@ fn certificates_match_recorded_digests() {
         ("cnf", 0x4db5_cbd3_8eab_79f3, "41"),
         ("hamilton", 0x1b18_e51f_b37a_687e, "22"),
         ("set_covers", 0xa865_56b3_57ab_8f24, "102"),
-        ("explicit_poly", 0x1626_fe53_bbaa_0a12, "307327293097594"),
+        ("explicit_poly", 0xf3ae_5181_dd5b_b0ac, "307327293097594"),
     ];
     let row = |name: &str, digest: u64, answer: &str| {
         format!("(\"{name}\", {digest:#018x}, \"{answer}\"),")
@@ -373,8 +375,9 @@ fn answers_match_sequential_oracles_and_merlin() {
 /// A certificate on the primes the walk took before it kept only
 /// `q ≡ 1 (mod 2^k)` — consecutive primes from `2^61`, as store files
 /// written then hold — still redeems, with the right answer: those
-/// moduli have no transform of the length the recovery sum needs, so it
-/// runs Horner. The proofs are the cliques evaluator interpolated at
+/// moduli have no transform of the length the recovery sum needs, so its
+/// power sums come from the recurrence. The proofs are the cliques
+/// evaluator interpolated at
 /// `d + 1` points mod each prime, which is what a decode produced.
 #[test]
 fn certificates_on_the_earlier_prime_walk_still_redeem() {
@@ -392,10 +395,10 @@ fn certificates_on_the_earlier_prime_walk_still_redeem() {
             let evaluator = problem.evaluator(&field);
             let points: Vec<(u64, u64)> = (0..=d as u64).map(|x| (x, evaluator.eval(x))).collect();
             let coefficients = interpolate(&field, &points).coeffs().to_vec();
-            // The recovery sum (from 1, over the form's rank, well past
-            // the transform crossover) cannot take the transform here.
-            let rank = problem.rank() as u64;
-            assert_eq!(sum_consecutive(&field, &coefficients, 1, rank), None, "mod {q}");
+            // The recovery sum (from 1, over the form's rank) cannot take
+            // the transform here.
+            let route = power_sum_route(&field, coefficients.len());
+            assert_eq!(route, Some(PowerSumRoute::Recurrence), "mod {q}");
             PrimeProof { modulus: q, coefficients }
         })
         .collect();

@@ -3,9 +3,11 @@
 //! certificates, worker-failure recovery, and the TCP daemon loop.
 
 use camelot::core::{
-    choose_primes, ntt_log_len, CamelotError, CamelotOutcome, CamelotProblem, ChaosEffect,
-    ChaosPlan, Engine, FailureCause, PrimeSchedule, WorkerMode,
+    choose_primes, ntt_log_len, CamelotError, CamelotOutcome, CamelotProblem, Certificate,
+    ChaosEffect, ChaosPlan, Engine, FailureCause, PrimeProof, PrimeSchedule, ProofSpec, WorkerMode,
 };
+use camelot::ff::{is_prime_u64, PrimeField};
+use camelot::poly::interpolate;
 use camelot::server::{
     request, run_daemon, PolyRequest, Request, Service, ServiceConfig, ServicePoly,
 };
@@ -204,7 +206,8 @@ fn hung_worker_is_demoted_within_the_deadline_and_the_round_still_decodes() {
         ..ServiceConfig::default()
     };
     let service = Arc::new(Service::new(config).unwrap());
-    let p = poly(vec![4, 0, 9]);
+    // 100 bits take two primes, so two rounds.
+    let p = PolyRequest { value_bits: 100, ..poly(vec![4, 0, 9]) };
     let outcome = service.prepare(&p).unwrap();
     assert_eq!(outcome.output, poly_sum(&p.coefficients, p.sum_count));
     // What the rounds cost is asserted on virtual time by the pool's
@@ -293,8 +296,9 @@ fn answers_wider_than_u128_are_refused_before_any_round() {
     );
     shut_down_within_a_second(&addr, daemon);
 
-    // Past the service, the engine itself refuses a coverage target that
-    // wraps, instead of walking one prime and answering mod that prime.
+    // Past the service, the engine itself refuses a spec wider than its
+    // prime walk's cap, where a coverage target that wrapped once walked
+    // one prime and answered mod that prime.
     let wrapped = ServicePoly(PolyRequest {
         coefficients: vec![(1 << 63) + 5, 1],
         sum_count: 1,
@@ -305,6 +309,75 @@ fn answers_wider_than_u128_are_refused_before_any_round() {
         Engine::sequential(4, 1).run(&wrapped),
         Err(CamelotError::BadConfiguration { .. })
     ));
+}
+
+/// A 60-bit certificate on two primes — what the walk took for 60 bits
+/// before it took the fewest that cover them, and what a store written
+/// then holds — still redeems, on the engine and through the daemon's
+/// `verify`, with the right answer. The proofs are the request's
+/// polynomial interpolated at `d + 1` points mod each prime, which is
+/// what a decode produced.
+#[test]
+fn two_prime_certificates_of_sixty_bits_still_redeem() {
+    let p = poly(vec![2, 7, 1, 8, 2, 8]);
+    let problem = ServicePoly(p.clone());
+    let spec = problem.spec();
+    let d = spec.degree_bound;
+    let e = d + 3;
+    let moduli = choose_primes(&ProofSpec { value_bits: 61, ..spec }, e);
+    assert_eq!((moduli.len(), choose_primes(&spec, e).len()), (2, 1));
+    let proofs = moduli
+        .iter()
+        .map(|&q| {
+            let field = PrimeField::new(q).expect("prime");
+            let evaluator = problem.evaluator(&field);
+            let points: Vec<(u64, u64)> = (0..=d as u64).map(|x| (x, evaluator.eval(x))).collect();
+            PrimeProof { modulus: q, coefficients: interpolate(&field, &points).coeffs().to_vec() }
+        })
+        .collect();
+    let certificate = Certificate {
+        proofs,
+        code_length: e,
+        degree_bound: d,
+        identified_faulty_nodes: Vec::new(),
+        crashed_nodes: Vec::new(),
+    };
+    let expect = poly_sum(&p.coefficients, p.sum_count);
+    let redeemed = Engine::sequential(4, 1).redeem(&problem, &certificate).expect("redeems");
+    assert_eq!(redeemed.output, expect);
+    let service = service(5);
+    let verified = service.verify(&p, &certificate.to_wire()).expect("verifies");
+    assert_eq!((verified.output, verified.report.rounds), (expect, 0));
+    assert_eq!(verified.certificate.proofs.len(), 2);
+    service.shutdown().unwrap();
+}
+
+/// A client-made certificate on an admissible prime with no transform
+/// for the sum (`q ≡ 3 mod 4` above `2^61`), asking for the sum over
+/// `u64::MAX` points, is verified in bounded time: the run's power sums
+/// come from the recurrence, not from a Horner pass per point. The
+/// answer is `Σ_{x<N} (4 + 9x²) = 4N + 3(N − 1)N(2N − 1)/2 mod q`.
+#[test]
+fn verify_sums_any_count_on_any_admissible_prime_in_bounded_time() {
+    let q = ((1u64 << 61) + 3..).step_by(4).find(|&q| is_prime_u64(q)).expect("a prime");
+    let p = PolyRequest { sum_count: u64::MAX, ..poly(vec![4, 0, 9]) };
+    let certificate = Certificate {
+        proofs: vec![PrimeProof { modulus: q, coefficients: vec![4, 0, 9] }],
+        code_length: 5,
+        degree_bound: 2,
+        identified_faulty_nodes: Vec::new(),
+        crashed_nodes: Vec::new(),
+    };
+    let service = service(5);
+    let start = Instant::now();
+    let outcome = service.verify(&p, &certificate.to_wire()).expect("verifies");
+    assert!(start.elapsed() < Duration::from_secs(1), "took {:?}", start.elapsed());
+    let field = PrimeField::new(q).expect("prime");
+    let n = field.reduce(p.sum_count);
+    let cubic = field.mul(field.mul(field.sub(n, 1), n), field.sub(field.add(n, n), 1));
+    let expect = field.add(field.mul(4, n), field.mul(field.mul(3, cubic), field.inv(2)));
+    assert_eq!(outcome.output, u128::from(expect));
+    service.shutdown().unwrap();
 }
 
 /// Starts a daemon on an ephemeral port over `service`.
