@@ -24,6 +24,10 @@
 //!   Horner, and one node's 160-point slice of a 4096-point orbit at
 //!   degree 2048 by Horner per point vs one forward transform
 //!   (`PreparedProgram::eval_slice`);
+//! * the orbit-code build behind every engine prime
+//!   (`orbit_code_build`), for a `(q, e)` the process has not seen and
+//!   again from the process-wide domain cache, at the end-to-end
+//!   benchmark's shapes;
 //! * the recovery sum over consecutive points (`consecutive_sum`):
 //!   Horner per point against Faulhaber's formula in one transform, on
 //!   a run not summed before, on the same run again, and on the first
@@ -551,6 +555,80 @@ fn consecutive_sum_bench(log: u32, samples: usize, rng: &mut SplitMix64) -> Stri
     )
 }
 
+/// The code lengths of the orbit-build rows: `poly_faulted_fulldecode`
+/// (degree 2048, 250 faults), `catalogue_inproc`'s five problems, one
+/// prime each, degree 255 at 32 faults, and a daemon-sized request
+/// (degree 63, 16 faults).
+const ORBIT_BUILD_SHAPES: [(&str, &[usize]); 4] = [
+    ("poly_faulted_fulldecode", &[2549]),
+    ("catalogue_inproc", &[149, 1031, 197, 1139, 149]),
+    ("degree_255", &[320]),
+    ("daemon", &[96]),
+];
+
+/// `RsCode::roots_of_unity` for every length of each shape, in order,
+/// each over a prime of the engine's walk: `cold_us` on primes the
+/// process has not built a code for (their NTT plans already cached;
+/// best of `samples` fresh primes), `cached_us` the same calls again,
+/// served by the domain cache. A repeated length in a shape shares its
+/// prime, and so its domain, as one engine run does. Returns the
+/// `"orbit_code_build"` JSON array and prints a table.
+fn orbit_build_bench(samples: usize) -> String {
+    let mut table = Table::new(&["orbit code build", "lens", "cold", "cached", "x"]);
+    let rows: Vec<String> = ORBIT_BUILD_SHAPES
+        .iter()
+        .map(|&(shape, lens)| {
+            let build = |fields: &[PrimeField]| -> Vec<RsCode> {
+                fields
+                    .iter()
+                    .zip(lens)
+                    .map(|(field, &e)| RsCode::roots_of_unity(field, e).expect("an engine prime"))
+                    .collect()
+            };
+            let mut floors: Vec<u64> = lens.iter().map(|&e| engine_floor(e)).collect();
+            let mut fields = Vec::new();
+            let mut t_cold = Duration::MAX;
+            for _ in 0..samples {
+                fields = lens
+                    .iter()
+                    .zip(&mut floors)
+                    .map(|(&e, floor)| {
+                        let (q, _) = ntt_prime(*floor, ntt_log_len(e));
+                        *floor = q + 1;
+                        let field = PrimeField::new(q).unwrap();
+                        let _ = cached_ntt_plan(&field, e.next_power_of_two().trailing_zeros());
+                        field
+                    })
+                    .collect();
+                let start = Instant::now();
+                let cold = std::hint::black_box(build(&fields));
+                t_cold = t_cold.min(start.elapsed());
+                assert_eq!(build(&fields), cold, "a cached code differs from its first build");
+            }
+            let t_cached = best_of(samples, || build(&fields));
+            let joined = |values: Vec<String>| values.join(", ");
+            let lens_text = joined(lens.iter().map(usize::to_string).collect());
+            table.row(&[
+                shape.to_string(),
+                lens_text.clone(),
+                fmt_duration(t_cold),
+                format!("{:.2}us", us(t_cached)),
+                format!("{:.0}", speedup(t_cold, t_cached)),
+            ]);
+            let orbits = joined(lens.iter().map(|e| e.next_power_of_two().to_string()).collect());
+            format!(
+                "    {{\"shape\": \"{shape}\", \"lens\": [{lens_text}], \"orbits\": [{orbits}], \
+                 \"cold_us\": {:.2}, \"cached_us\": {:.2}, \"speedup\": {:.1}}}",
+                us(t_cold),
+                us(t_cached),
+                speedup(t_cold, t_cached),
+            )
+        })
+        .collect();
+    table.print("orbit code build: a new (q, e) vs the domain cache");
+    rows.join(",\n")
+}
+
 fn main() {
     let args = parse_args();
     let kernel_field =
@@ -558,6 +636,7 @@ fn main() {
     let kernels = kernel_bench(&kernel_field, args.samples, &mut SplitMix64::new(0xCA_FE_F0_0D));
     let evaluators =
         evaluator_bench(&kernel_field, args.samples, &mut SplitMix64::new(0xE7_A1_0A_7E));
+    let builds = orbit_build_bench(args.samples);
     let mut sum_rng = SplitMix64::new(0x5E_F0_01);
     let sums: Vec<String> = (args.min_log..=args.max_log.min(NAIVE_MAX_LOG))
         .map(|log| consecutive_sum_bench(log, args.samples, &mut sum_rng))
@@ -683,7 +762,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"camelot-bench-algebra/v13\",\n",
+            "  \"schema\": \"camelot-bench-algebra/v14\",\n",
             "  \"description\": \"Field slice-kernel throughput (Melem/s, chunked vs per-element ",
             "scalar loops), the per-point building blocks of the catalogue evaluators (ns per ",
             "call, each beside what it replaced; orbit_slice is one node's slice of the 4096 ",
@@ -700,7 +779,11 @@ fn main() {
             "orbit's degree, the shape of bench_e2e's poly_faulted_fulldecode, its erasures one ",
             "contiguous sixteenth of the code; xgcd runs on the full orbit code's decode triple; ",
             "quadratic baselines are null above ",
-            "2^14; every row runs on one thread; consecutive_sum: the recovery sum ",
+            "2^14; every row runs on one thread; orbit_code_build: RsCode::roots_of_unity for ",
+            "each of a shape's lengths over a prime of the engine's walk, cold_us for a (q, e) ",
+            "the process has not seen (NTT plan already cached; best of samples fresh primes), ",
+            "cached_us the same calls served by the process-wide domain cache; ",
+            "consecutive_sum: the recovery sum ",
             "of P(x) over x = start .. start + count - 1 at degree d over the engine's first prime for a ",
             "length-(d+1) code, Horner per point (horner_us) against Faulhaber's formula: ",
             "transform_us on a run not summed before (one forward and one inverse transform of ",
@@ -714,6 +797,7 @@ fn main() {
             "  \"timer\": \"best-of-samples wall clock, release build\",\n",
             "{},\n",
             "{},\n",
+            "  \"orbit_code_build\": [\n{}\n  ],\n",
             "  \"consecutive_sum\": [\n{}\n  ],\n",
             "  \"results\": [\n{}\n  ]\n",
             "}}\n"
@@ -721,6 +805,7 @@ fn main() {
         args.samples,
         kernels,
         evaluators,
+        builds,
         sums.join(",\n"),
         rows.join(",\n")
     );

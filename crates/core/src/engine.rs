@@ -750,11 +750,10 @@ impl Engine {
                     ),
                 }
             })?;
-            let points = code.points().to_vec();
             let evaluators: Vec<Box<dyn Evaluate + '_>> =
                 problems.iter().map(|p| p.evaluator(&field)).collect();
             let round_eval = ProblemRound { evaluators: &evaluators };
-            let spec = RoundSpec { field: &field, points: &points, plan: &plan };
+            let spec = RoundSpec { field: &field, points: code.points(), plan: &plan };
             // One broadcast round per prime for the whole batch.
             let round =
                 transport.run(&spec, &round_eval).map_err(|err| CamelotError::TransportFailed {
@@ -1078,6 +1077,50 @@ mod tests {
         assert_eq!(outcome.report.total_evaluations, e * primes);
         assert_eq!(outcome.report.verification_evaluations, 2 * primes);
         assert!(outcome.report.max_node_evaluations >= e.div_ceil(5) * primes);
+    }
+
+    /// [`Cube`] counting every evaluation of its polynomial.
+    struct Counted {
+        cube: Cube,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CamelotProblem for Counted {
+        type Output = u128;
+
+        fn spec(&self) -> ProofSpec {
+            self.cube.spec()
+        }
+
+        fn evaluator<'a>(&'a self, field: &PrimeField) -> Box<dyn Evaluate + 'a> {
+            let cube = self.cube.evaluator(field);
+            Box::new(move |x: u64| {
+                self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                cube.eval(x)
+            })
+        }
+
+        fn recover(&self, proofs: &[PrimeProof]) -> Result<u128, CamelotError> {
+            self.cube.recover(proofs)
+        }
+    }
+
+    /// A run reports `verification_trials` spot checks per prime, and
+    /// runs every one it reports: the problem sees the node evaluations
+    /// and those, nothing more and nothing less.
+    #[test]
+    fn a_run_reports_every_spot_check_it_ran() {
+        let problem = Counted { cube: Cube { c: 1 << 30 }, calls: Default::default() };
+        let mut config = EngineConfig::sequential(4, 1);
+        config.verification_trials = 5;
+        let report = Engine::new(config).run(&problem).unwrap().report;
+        let primes = report.primes.len();
+        assert_eq!(primes, 2);
+        assert_eq!(report.verification_evaluations, 5 * primes);
+        assert_eq!(
+            problem.calls.into_inner(),
+            report.total_evaluations + report.verification_evaluations
+        );
     }
 
     #[test]

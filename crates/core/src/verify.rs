@@ -126,12 +126,48 @@ mod tests {
         }
     }
 
+    /// P(x) = 5x over any modulus, a zero constant term; answer = 0.
+    struct Slope;
+
+    impl CamelotProblem for Slope {
+        type Output = u64;
+
+        fn spec(&self) -> ProofSpec {
+            ProofSpec::new(1, 1 << 20, 20)
+        }
+
+        fn evaluator<'a>(&'a self, field: &PrimeField) -> Box<dyn Evaluate + 'a> {
+            let f = *field;
+            Box::new(move |x: u64| f.mul(5, f.reduce(x)))
+        }
+
+        fn recover(&self, proofs: &[PrimeProof]) -> Result<u64, CamelotError> {
+            Ok(proofs[0].eval(0))
+        }
+    }
+
     #[test]
     fn correct_proof_always_accepts() {
         let proof = PrimeProof { modulus: 1_048_583, coefficients: vec![7, 5] };
         let report = spot_check(&Affine, &proof, 16, 1).unwrap();
         assert!(report.accepted);
         assert_eq!(report.trials_run, 16);
+    }
+
+    /// An accepted proof ran every trial it reports: the evaluator is
+    /// asked once per trial.
+    #[test]
+    fn an_accepted_proof_runs_every_trial() {
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let field = PrimeField::new(1_048_583).unwrap();
+        let counted = |x: u64| {
+            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Affine.evaluator(&field).eval(x)
+        };
+        let proof = PrimeProof { modulus: field.modulus(), coefficients: vec![7, 5] };
+        let report = run_trials(&field, &counted, &proof, 16, 1);
+        assert_eq!(report, VerifyReport { trials_run: 16, accepted: true });
+        assert_eq!(calls.into_inner(), 16);
     }
 
     #[test]
@@ -165,6 +201,15 @@ mod tests {
                 Err(CamelotError::MalformedProof { .. })
             ));
         }
+        // A zero coefficient lifted to exactly `q`: the smallest
+        // unreduced value.
+        let slope = PrimeProof { modulus: q, coefficients: vec![0, 5] };
+        assert!(spot_check(&Slope, &slope, 16, 1).unwrap().accepted);
+        let lifted = PrimeProof { modulus: q, coefficients: vec![q, 5] };
+        assert!(matches!(
+            spot_check(&Slope, &lifted, 16, 1),
+            Err(CamelotError::MalformedProof { .. })
+        ));
     }
 
     #[test]

@@ -167,6 +167,9 @@ mod tests {
     fn out_of_range_coefficient_rejected() {
         let wire = sample().to_wire().replace("proof 101 1 2 3", "proof 101 1 2 200");
         assert!(matches!(Certificate::from_wire(&wire), Err(CamelotError::MalformedProof { .. })));
+        // The zero coefficient lifted to exactly the modulus.
+        let wire = sample().to_wire().replace("proof 103 9 0 55", "proof 103 9 103 55");
+        assert!(matches!(Certificate::from_wire(&wire), Err(CamelotError::MalformedProof { .. })));
     }
 
     /// A modulus no `PrimeField` can carry never leaves the parser:
@@ -188,6 +191,9 @@ mod tests {
     #[test]
     fn degree_violation_rejected() {
         let wire = sample().to_wire().replace("proof 101 1 2 3", "proof 101 1 2 3 4 5");
+        assert!(matches!(Certificate::from_wire(&wire), Err(CamelotError::MalformedProof { .. })));
+        // Degree d + 1, one past the bound, refused by the parser itself.
+        let wire = sample().to_wire().replace("proof 101 1 2 3", "proof 101 1 2 3 4");
         assert!(matches!(Certificate::from_wire(&wire), Err(CamelotError::MalformedProof { .. })));
     }
 

@@ -93,6 +93,21 @@
 //! Gao's algorithm would have returned on that view, and a byzantine
 //! candidate only sends the others back to it.
 //!
+//! ## One domain per `(q, e)`
+//!
+//! An orbit code's domain — its points, `G0 = x^{2^k} − 1`, the tail
+//! locator's values on the orbit and on the coset, and the coset's
+//! powers — follows from the modulus and the code length alone, as the
+//! paper's Knights derive their evaluation points from the common
+//! input. [`RsCode::roots_of_unity`] builds it once per `(q, e)` into a
+//! small process-wide cache, beside the NTT plans of
+//! [`camelot_poly::cached_ntt_plan`] and bounded the same way, and every
+//! code of that pair holds the same tables by reference: a hit copies
+//! nothing. [`RsCode::consecutive`] does the same with its points and
+//! their `G0`. The accepted decode is not part of the domain. Every
+//! code starts with its own, empty, so a certification never crosses
+//! from one code to another.
+//!
 //! ## Example
 //!
 //! ```
@@ -123,10 +138,6 @@ use std::time::{Duration, Instant};
 /// `Z_q`.
 #[derive(Debug)]
 pub struct RsCode {
-    points: Vec<u64>,
-    /// `G_0(x) = Π_{t∈D} (x - t)` over the whole domain, precomputed for
-    /// decoding.
-    g0: Poly,
     domain: Domain,
     /// The last decode this code accepted whose codeword it had at hand,
     /// which later views are certified against (see the crate docs). A
@@ -149,12 +160,7 @@ struct Accepted {
 impl Clone for RsCode {
     /// A clone is the same code, with no accepted decode of its own.
     fn clone(&self) -> Self {
-        RsCode {
-            points: self.points.clone(),
-            g0: self.g0.clone(),
-            domain: self.domain.clone(),
-            accepted: Mutex::default(),
-        }
+        RsCode { domain: self.domain.clone(), accepted: Mutex::default() }
     }
 }
 
@@ -162,28 +168,139 @@ impl Clone for RsCode {
 /// crate docs).
 #[derive(Clone, Debug)]
 enum Domain {
-    /// The orbit `ω^0, …, ω^{2^k-1}` of a [`RsCode::roots_of_unity`]
-    /// code, whose points are its first `e` elements: evaluation and
-    /// interpolation are one transform of `plan`.
-    Orbit {
-        plan: Arc<NttPlan>,
-        /// `Π_{j>=e} (ω^i - ω^j)` per orbit index `i` — the values of
-        /// the locator of the tail no symbol is ever received for.
-        /// `None` when `e` fills the orbit.
-        tail: Option<Vec<u64>>,
-        /// Where the final division runs.
-        coset: Coset,
-    },
-    /// The code's own points: `G0` is their vanishing polynomial, and
-    /// the code evaluates by Horner per point and interpolates by
-    /// Newton's divided differences.
-    Points,
+    /// The orbit of a [`RsCode::roots_of_unity`] code, shared by every
+    /// code of its `(q, e)`.
+    Orbit(Arc<Orbit>),
+    /// The code's own points, shared by every [`RsCode::consecutive`]
+    /// code of its `(q, e)`.
+    Points(Arc<PointSet>),
+}
+
+/// A code's own points: `G0` is their vanishing polynomial, and the
+/// code evaluates by Horner per point and interpolates by Newton's
+/// divided differences.
+#[derive(Debug, PartialEq, Eq)]
+struct PointSet {
+    points: Vec<u64>,
+    /// `G_0(x) = Π_i (x - x_i)`, precomputed for decoding.
+    g0: Poly,
+}
+
+impl PointSet {
+    /// `points` with their vanishing polynomial.
+    fn new(field: &PrimeField, points: Vec<u64>) -> Self {
+        PointSet { g0: vanishing_poly(field, &points), points }
+    }
+}
+
+/// The orbit `ω^0, …, ω^{2^k-1}` of a [`RsCode::roots_of_unity`] code,
+/// whose points are its first `e` elements: evaluation and
+/// interpolation are one transform of `plan`. Everything here follows
+/// from `(q, e)` alone, so [`ORBITS`] builds it once per pair.
+#[derive(Debug)]
+struct Orbit {
+    plan: Arc<NttPlan>,
+    /// `ω^0, …, ω^{e-1}`.
+    points: Vec<u64>,
+    /// `x^{2^k} − 1`, on which the whole orbit vanishes.
+    g0: Poly,
+    /// `Π_{j>=e} (ω^i - ω^j)` per orbit index `i` — the values of the
+    /// locator of the tail no symbol is ever received for. `None` when
+    /// `e` fills the orbit.
+    tail: Option<Vec<u64>>,
+    /// Where the final division runs.
+    coset: Coset,
+}
+
+impl Orbit {
+    /// The orbit domain of a length-`e` code over `field`, or `None`
+    /// when the modulus has no root of unity of order `2^k >= e`.
+    fn build(field: &PrimeField, e: usize) -> Option<Self> {
+        let k = e.next_power_of_two().trailing_zeros();
+        let plan = cached_ntt_plan(field, k)?;
+        let n = plan.len();
+        // The ω^i are distinct (ω has order 2^k >= e).
+        let mut points = Vec::with_capacity(n);
+        let mut x = 1u64;
+        for _ in 0..n {
+            points.push(x);
+            x = field.mul(x, plan.root());
+        }
+        let tail_locator = (e < n).then(|| vanishing_poly(field, &points[e..]));
+        let coset = Coset::new(field, &plan, tail_locator.as_ref());
+        let tail = tail_locator.map(|locator| {
+            let mut values = locator.into_coeffs();
+            values.resize(n, 0);
+            plan.forward(&mut values);
+            values
+        });
+        points.truncate(e);
+        points.shrink_to_fit();
+        let g0 = Poly::monomial(1, n).sub(field, &Poly::constant(1));
+        Some(Orbit { plan, points, g0, tail, coset })
+    }
+}
+
+/// Bound on each domain cache. A run touches one `(q, e)` per prime
+/// and a daemon a handful of request shapes, so this is generous. An
+/// orbit entry holds five tables of `N = 2^k` words and the `e`
+/// points, at most 48 B per orbit point — about 0.2 MB at `N = 4096` —
+/// and shares its twiddle tables with [`cached_ntt_plan`]; a
+/// consecutive entry holds 16 B per point.
+const DOMAIN_CACHE_CAPACITY: usize = 8;
+
+/// The process-wide orbit domains: every [`RsCode::roots_of_unity`]
+/// code of one `(q, e)` shares one [`Orbit`].
+static ORBITS: DomainCache<Orbit> = DomainCache::new();
+
+/// The process-wide points `0, …, e − 1` and their `G0`: every
+/// [`RsCode::consecutive`] code of one `(q, e)` shares one [`PointSet`].
+static CONSECUTIVE: DomainCache<PointSet> = DomainCache::new();
+
+/// A bounded map from `(q, e)` to a domain.
+struct DomainCache<T>(Mutex<Vec<Entry<T>>>);
+
+/// One cached domain with its `(q, e)`.
+type Entry<T> = ((u64, usize), Arc<T>);
+
+impl<T> DomainCache<T> {
+    const fn new() -> Self {
+        DomainCache(Mutex::new(Vec::new()))
+    }
+
+    /// The domain of `(q, e)`, built by `build` on a miss. The build runs
+    /// unlocked; two racing builders make bit-identical domains, and
+    /// the later one takes the entry the earlier one inserted.
+    fn get(&self, key: (u64, usize), build: impl FnOnce() -> Option<T>) -> Option<Arc<T>> {
+        let lookup = |entries: &[Entry<T>]| {
+            entries.iter().find(|(k, _)| *k == key).map(|(_, domain)| Arc::clone(domain))
+        };
+        if let Some(domain) = lookup(&self.lock()) {
+            return Some(domain);
+        }
+        let built = Arc::new(build()?);
+        let mut entries = self.lock();
+        if let Some(domain) = lookup(&entries) {
+            return Some(domain);
+        }
+        if entries.len() >= DOMAIN_CACHE_CAPACITY {
+            // A wholesale reset, as the plan cache does: reaching the
+            // bound at all means the process churns through shapes.
+            entries.clear();
+        }
+        entries.push((key, Arc::clone(&built)));
+        Some(built)
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Entry<T>>> {
+        self.0.lock().expect("domain cache poisoned")
+    }
 }
 
 /// The coset `c·⟨ω⟩` of an orbit, for `c` the first of `2, 3, …` with
 /// `c^{2^k} ≠ 1`: it shares no element with the orbit, so no root of the
 /// tail's or the erased symbols' locator lies on it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct Coset {
     /// `c^i` for `i < 2^k`: coefficient `i` scaled by it, a forward NTT
     /// evaluates at `c·ω^j`.
@@ -249,7 +366,7 @@ impl PartialEq for RsCode {
     fn eq(&self, other: &Self) -> bool {
         // `g0` and the domain are derived from the points and the kind
         // of code; the accepted decode changes no result.
-        self.points == other.points
+        self.points() == other.points()
             && std::mem::discriminant(&self.domain) == std::mem::discriminant(&other.domain)
     }
 }
@@ -348,7 +465,8 @@ impl RsCode {
     /// Code over the consecutive points `0, 1, ..., e-1` — the evaluation
     /// schedule (1) of the paper. Encoding is Horner per point and every
     /// decode interpolates by Newton, both `O(e²)`; the engine's codes
-    /// are [`RsCode::roots_of_unity`] codes.
+    /// are [`RsCode::roots_of_unity`] codes. Every code of one `(q, e)`
+    /// shares the points and `G0` the first such call built.
     ///
     /// # Panics
     ///
@@ -361,7 +479,10 @@ impl RsCode {
             u64::try_from(e).is_ok_and(|e| e <= field.modulus()),
             "code length exceeds field size"
         );
-        Self::with_points(field, (0..e as u64).collect())
+        let points = CONSECUTIVE
+            .get((field.modulus(), e), || Some(PointSet::new(field, (0..e as u64).collect())));
+        let points = points.expect("consecutive points always build");
+        RsCode { domain: Domain::Points(points), accepted: Mutex::default() }
     }
 
     /// Code over caller-chosen distinct points.
@@ -381,12 +502,8 @@ impl RsCode {
             },
             "evaluation points must be distinct"
         );
-        RsCode {
-            g0: vanishing_poly(field, &points),
-            points,
-            domain: Domain::Points,
-            accepted: Mutex::default(),
-        }
+        let points = Arc::new(PointSet::new(field, points));
+        RsCode { domain: Domain::Points(points), accepted: Mutex::default() }
     }
 
     /// Code over the first `e` powers `ω^0, …, ω^{e-1}` of a primitive
@@ -397,6 +514,10 @@ impl RsCode {
     /// inverse one: the code's domain is the whole orbit, and when `e`
     /// falls short of `2^k` the unused tail counts as erased.
     ///
+    /// Every code of one `(q, e)` shares the domain the first such call
+    /// in the process built, and starts with no accepted decode of its
+    /// own (see the crate docs).
+    ///
     /// Returns `None` when the modulus has no root of the required order
     /// (`2^k` must divide `q - 1`).
     ///
@@ -406,52 +527,38 @@ impl RsCode {
     #[must_use]
     pub fn roots_of_unity(field: &PrimeField, e: usize) -> Option<Self> {
         assert!(e > 0, "code length must be positive");
-        let k = e.next_power_of_two().trailing_zeros();
-        let plan = cached_ntt_plan(field, k)?;
-        let n = plan.len();
-        // The ω^i are distinct (ω has order 2^k >= e).
-        let mut points = Vec::with_capacity(n);
-        let mut x = 1u64;
-        for _ in 0..n {
-            points.push(x);
-            x = field.mul(x, plan.root());
-        }
-        let tail_locator = (e < n).then(|| vanishing_poly(field, &points[e..]));
-        let coset = Coset::new(field, &plan, tail_locator.as_ref());
-        let tail = tail_locator.map(|locator| {
-            let mut values = locator.into_coeffs();
-            values.resize(n, 0);
-            plan.forward(&mut values);
-            values
-        });
-        points.truncate(e);
-        // The whole orbit vanishes on x^{2^k} - 1, whatever `e` is.
-        let g0 = Poly::monomial(1, n).sub(field, &Poly::constant(1));
-        Some(RsCode {
-            points,
-            g0,
-            domain: Domain::Orbit { plan, tail, coset },
-            accepted: Mutex::default(),
-        })
+        let orbit = ORBITS.get((field.modulus(), e), || Orbit::build(field, e))?;
+        Some(RsCode { domain: Domain::Orbit(orbit), accepted: Mutex::default() })
     }
 
     /// Code length `e`.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.points().len()
     }
 
     /// True if the code has no points (never constructible; kept for API
     /// completeness alongside [`RsCode::len`]).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.points().is_empty()
     }
 
     /// The evaluation points.
     #[must_use]
     pub fn points(&self) -> &[u64] {
-        &self.points
+        match &self.domain {
+            Domain::Orbit(orbit) => &orbit.points,
+            Domain::Points(set) => &set.points,
+        }
+    }
+
+    /// `G_0(x) = Π_{t∈D} (x - t)` over the whole domain.
+    fn g0(&self) -> &Poly {
+        match &self.domain {
+            Domain::Orbit(orbit) => &orbit.g0,
+            Domain::Points(set) => &set.g0,
+        }
     }
 
     /// Maximum number of symbol errors correctable when all `e` symbols
@@ -459,20 +566,20 @@ impl RsCode {
     /// `(e - d - 1) / 2`.
     #[must_use]
     pub fn correction_radius(&self, degree_bound: usize) -> usize {
-        self.points.len().saturating_sub(degree_bound + 1) / 2
+        self.len().saturating_sub(degree_bound + 1) / 2
     }
 
     /// `poly` (of degree below the domain size) at every domain element:
     /// one forward NTT on an orbit, Horner per point otherwise.
     fn evaluate_domain(&self, field: &PrimeField, poly: &Poly) -> Vec<u64> {
         match &self.domain {
-            Domain::Orbit { plan, .. } => {
+            Domain::Orbit(orbit) => {
                 let mut values = poly.coeffs().to_vec();
-                values.resize(plan.len(), 0);
-                plan.forward(&mut values);
+                values.resize(orbit.plan.len(), 0);
+                orbit.plan.forward(&mut values);
                 values
             }
-            Domain::Points => eval_many(field, poly, &self.points),
+            Domain::Points(set) => eval_many(field, poly, &set.points),
         }
     }
 
@@ -481,12 +588,12 @@ impl RsCode {
     /// Newton's [`interpolate`] otherwise.
     fn interpolate_domain(&self, field: &PrimeField, mut values: Vec<u64>) -> Poly {
         match &self.domain {
-            Domain::Orbit { plan, .. } => {
-                plan.inverse(&mut values);
+            Domain::Orbit(orbit) => {
+                orbit.plan.inverse(&mut values);
                 Poly::from_reduced(values)
             }
-            Domain::Points => {
-                let pairs: Vec<(u64, u64)> = self.points.iter().copied().zip(values).collect();
+            Domain::Points(set) => {
+                let pairs: Vec<(u64, u64)> = set.points.iter().copied().zip(values).collect();
                 interpolate(field, &pairs)
             }
         }
@@ -497,13 +604,13 @@ impl RsCode {
     /// (`Λ = 1`).
     fn locator(&self, field: &PrimeField, erased: &[usize]) -> Option<Locator> {
         let tail = match &self.domain {
-            Domain::Orbit { tail, .. } => tail.as_ref(),
-            Domain::Points => None,
+            Domain::Orbit(orbit) => orbit.tail.as_ref(),
+            Domain::Points(_) => None,
         };
         if erased.is_empty() {
             return tail.map(|t| Locator { values: t.clone(), erased: Poly::constant(1) });
         }
-        let roots: Vec<u64> = erased.iter().map(|&i| self.points[i]).collect();
+        let roots: Vec<u64> = erased.iter().map(|&i| self.points()[i]).collect();
         let poly = vanishing_poly(field, &roots);
         let mut values = self.evaluate_domain(field, &poly);
         if let Some(t) = tail {
@@ -519,12 +626,12 @@ impl RsCode {
     fn times_locator(&self, field: &PrimeField, v: Poly, locator: Option<&Locator>) -> Poly {
         match (locator, &self.domain) {
             (None, _) => v,
-            (Some(locator), Domain::Orbit { .. }) => {
+            (Some(locator), Domain::Orbit(_)) => {
                 let mut values = self.evaluate_domain(field, &v);
                 field.mul_slice(&mut values, &locator.values);
                 self.interpolate_domain(field, values)
             }
-            (Some(locator), Domain::Points) => v.mul(field, &locator.erased),
+            (Some(locator), Domain::Points(_)) => v.mul(field, &locator.erased),
         }
     }
 
@@ -564,9 +671,10 @@ impl RsCode {
         v: &Poly,
         locator: Option<&Locator>,
     ) -> Option<Option<Poly>> {
-        let Domain::Orbit { plan, coset, .. } = &self.domain else { return None };
+        let Domain::Orbit(orbit) = &self.domain else { return None };
+        let Orbit { plan, coset, points, .. } = &**orbit;
         let erased = locator.map(|l| &l.erased).filter(|erased| erased.degree() > Some(0));
-        let absent = plan.len() - self.points.len() + erased.and_then(Poly::degree).unwrap_or(0);
+        let absent = plan.len() - points.len() + erased.and_then(Poly::degree).unwrap_or(0);
         let divisor_degree = v.degree().expect("a nonzero cofactor") + absent;
         let Some(dg) = g.degree() else { return Some(Some(Poly::zero())) };
         if divisor_degree > dg {
@@ -603,11 +711,11 @@ impl RsCode {
     #[must_use]
     pub fn encode(&self, field: &PrimeField, message: &Poly) -> Vec<u64> {
         assert!(
-            message.degree().is_none_or(|d| d < self.points.len()),
+            message.degree().is_none_or(|d| d < self.len()),
             "message degree must be below the code length"
         );
         let mut values = self.evaluate_domain(field, message);
-        values.truncate(self.points.len());
+        values.truncate(self.len());
         values
     }
 
@@ -623,7 +731,8 @@ impl RsCode {
     /// [`DecodeError::LengthMismatch`] for a wrong-size word,
     /// [`DecodeError::TooFewSymbols`] if fewer than `degree_bound + 1`
     /// symbols survive, [`DecodeError::BeyondRadius`] if Gao's algorithm
-    /// asserts failure.
+    /// asserts failure. An `Ok` lies within `(e' - degree_bound - 1) / 2`
+    /// of the received symbols: the decoder checks that it does.
     pub fn decode(
         &self,
         field: &PrimeField,
@@ -648,7 +757,7 @@ impl RsCode {
         degree_bound: usize,
     ) -> Result<(Decoded, DecodeProfile), DecodeError> {
         let mut profile = DecodeProfile::default();
-        let e = self.points.len();
+        let e = self.len();
         if received.len() != e {
             return Err(DecodeError::LengthMismatch { got: received.len(), expected: e });
         }
@@ -661,10 +770,11 @@ impl RsCode {
         if e_prime < degree_bound + 1 {
             return Err(DecodeError::TooFewSymbols { received: e_prime, needed: degree_bound + 1 });
         }
+        let radius = (e_prime - degree_bound - 1) / 2;
         // Within the survivors' radius of the accepted codeword, Gao
         // would return its message.
         let certify_start = Instant::now();
-        let certified = self.certify(field, received, &word, e_prime, degree_bound);
+        let certified = self.certify(field, received, &word, radius, degree_bound);
         profile.reencode = certify_start.elapsed();
         if let Some((poly, error_positions)) = certified {
             return Ok((Decoded { poly, error_positions, erasure_positions }, profile));
@@ -672,7 +782,7 @@ impl RsCode {
         // h = Λ·G1: the interpolant over the whole domain of the received
         // values scaled by Λ's (zero at every absent position).
         let interp_start = Instant::now();
-        let n = self.g0.coeffs().len() - 1; // |D| = deg G0
+        let n = self.g0().coeffs().len() - 1; // |D| = deg G0
         let locator = self.locator(field, &erasure_positions);
         let mut scaled = word.clone();
         scaled.resize(n, 0);
@@ -693,7 +803,7 @@ impl RsCode {
         // structured half-GCD past the crossover operand length.
         let stop = (e_prime + degree_bound + 2) / 2 + (n - e_prime); // ceil((e'+d+1)/2) + |A|
         let xgcd_start = Instant::now();
-        let (_, v, g) = self.g0.partial_xgcd_fast(field, &h, stop);
+        let (_, v, g) = self.g0().partial_xgcd_fast(field, &h, stop);
         profile.xgcd = xgcd_start.elapsed();
         if v.is_zero() {
             return Err(DecodeError::BeyondRadius);
@@ -724,9 +834,12 @@ impl RsCode {
             // Identify error locations by re-encoding the decoded message
             // (one NTT for a roots-of-unity code, multipoint evaluation
             // otherwise) and comparing with the reduced received symbols.
+            // They are roots of `v`, whose degree the stop bounds by the
+            // radius, so Gao's output is never farther away: one that is
+            // is refused here, whatever the Euclid did.
             let codeword = self.encode(field, &p);
             let located =
-                mismatches(received, &word, &codeword, e).expect("a word has e positions");
+                mismatches(received, &word, &codeword, radius).ok_or(DecodeError::BeyondRadius)?;
             self.accept(field, degree_bound, codeword, &p);
             located
         };
@@ -744,14 +857,13 @@ impl RsCode {
         field: &PrimeField,
         received: &[Option<u64>],
         word: &[u64],
-        e_prime: usize,
+        radius: usize,
         degree_bound: usize,
     ) -> Option<(Poly, Vec<usize>)> {
         let accepted = self.accepted.lock().expect("accepted-decode lock poisoned").clone()?;
         if accepted.modulus != field.modulus() || accepted.degree_bound != degree_bound {
             return None;
         }
-        let radius = (e_prime - degree_bound - 1) / 2;
         let errors = mismatches(received, word, &accepted.codeword, radius)?;
         Some((accepted.message.clone(), errors))
     }
@@ -1260,7 +1372,8 @@ mod tests {
             let mut rng = SplitMix64::new(20);
             for e in [256usize, 160] {
                 let code = RsCode::roots_of_unity(&field, e).unwrap();
-                let Domain::Orbit { plan, coset, .. } = &code.domain else { unreachable!() };
+                let Domain::Orbit(orbit) = &code.domain else { unreachable!() };
+                let Orbit { plan, coset, .. } = &**orbit;
                 let n = plan.len();
                 for erased in [Vec::new(), (3..e).step_by(17).collect::<Vec<usize>>()] {
                     let locator = code.locator(&field, &erased);
@@ -1429,11 +1542,11 @@ mod tests {
         }
     }
 
-    /// The same code built anew, with nothing accepted yet.
+    /// The same code, with nothing accepted yet.
     fn fresh_code(field: &PrimeField, code: &RsCode) -> RsCode {
         match &code.domain {
-            Domain::Orbit { .. } => RsCode::roots_of_unity(field, code.len()).unwrap(),
-            Domain::Points => RsCode::with_points(field, code.points().to_vec()),
+            Domain::Orbit(_) => RsCode::roots_of_unity(field, code.len()).unwrap(),
+            Domain::Points(_) => RsCode::with_points(field, code.points().to_vec()),
         }
     }
 
@@ -1600,5 +1713,216 @@ mod tests {
             assert_eq!(out.poly, msg, "trial {trial}: d={d} e={e} errors={errors}");
             assert_eq!(out.error_positions, corrupted.into_iter().collect::<Vec<_>>());
         }
+    }
+
+    /// Gao's radius as a postcondition: every `Ok` lies within
+    /// `(e' - d - 1) / 2` of its received word and names exactly the
+    /// positions where it differs. Full and partial orbits and points,
+    /// with and without erasures, at both parities of `e' + d + 1`;
+    /// words at the radius, one past it and far past it, of a message
+    /// at the degree bound and of one a degree under it. That last
+    /// message one past the radius is what a stop degree one too low
+    /// would decode.
+    #[test]
+    fn every_decode_lies_within_the_radius_of_its_word() {
+        let mut rng = SplitMix64::new(22);
+        for (kind, field, code) in &shortcut_codes() {
+            let e = code.len();
+            for d in [e / 2, e / 2 + 1] {
+                for degree in [d, d - 1] {
+                    let msg = random_message(field, degree, &mut rng);
+                    let clean = code.encode(field, &msg);
+                    for erased in shortcut_erasures(e) {
+                        let mut survivors: Vec<usize> =
+                            (0..e).filter(|i| !erased.contains(i)).collect();
+                        for i in (1..survivors.len()).rev() {
+                            survivors.swap(i, (rng.next_u64() as usize) % (i + 1));
+                        }
+                        let radius = (survivors.len() - d - 1) / 2;
+                        let far = (radius + survivors.len()) / 2 + 1;
+                        for errors in [radius, radius + 1, far] {
+                            let mut word: Vec<Option<u64>> =
+                                clean.iter().copied().map(Some).collect();
+                            for &pos in &erased {
+                                word[pos] = None;
+                            }
+                            for &pos in &survivors[..errors] {
+                                word[pos] = Some(field.add(clean[pos], 1 + rng.next_u64() % 1000));
+                            }
+                            let what = format!(
+                                "{kind} e = {e}, d = {d}, message degree {degree}: {} erased, \
+                                 {errors} errors (radius {radius})",
+                                erased.len()
+                            );
+                            match code.decode(field, &word, d) {
+                                Ok(out) => {
+                                    let located = reencoded_errors(field, code, &word, &out);
+                                    assert!(located.len() <= radius, "{what}: {located:?}");
+                                    assert_eq!(out.error_positions, located, "{what}");
+                                    if errors <= radius {
+                                        assert_eq!(out.poly, msg, "{what}");
+                                    }
+                                }
+                                Err(err) => {
+                                    assert_eq!(err, DecodeError::BeyondRadius, "{what}");
+                                    assert!(errors > radius, "{what}: refused within the radius");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The orbit domain `code` shares.
+    fn orbit_of(code: &RsCode) -> &Arc<Orbit> {
+        let Domain::Orbit(orbit) = &code.domain else { panic!("not an orbit code") };
+        orbit
+    }
+
+    /// The orbit domain of `(q, e)` from `cache`.
+    fn orbit_from(cache: &DomainCache<Orbit>, field: &PrimeField, e: usize) -> Arc<Orbit> {
+        cache.get((field.modulus(), e), || Orbit::build(field, e)).unwrap()
+    }
+
+    /// `a` and `b` are the same orbit domain, table by table.
+    fn assert_same_orbit(a: &Orbit, b: &Orbit, what: &str) {
+        assert_eq!((a.plan.len(), a.plan.root()), (b.plan.len(), b.plan.root()), "{what}: plan");
+        assert_eq!(a.points, b.points, "{what}: points");
+        assert_eq!(a.g0, b.g0, "{what}: g0");
+        assert_eq!(a.tail, b.tail, "{what}: tail");
+        assert_eq!(a.coset, b.coset, "{what}: coset");
+    }
+
+    /// A cached code's domain equals one built afresh, on the first call
+    /// for its `(q, e)` and on every later one: a full orbit, partial
+    /// ones, `e = 1`, `e = N/2 + 1`, a word-sized prime and the group of
+    /// `Z_257`; and consecutive points, up to all of `Z_257`.
+    #[test]
+    fn cached_orbits_equal_fresh_builds() {
+        let (q, _) = camelot_ff::ntt_prime(1 << 20, 12);
+        let ntt = PrimeField::new(q).unwrap();
+        let fermat = PrimeField::new(257).unwrap();
+        let shapes = [
+            (ntt, 256),
+            (ntt, 255),
+            (ntt, 160),
+            (ntt, 129),
+            (ntt, 1),
+            (ntt, 2),
+            (word_field(), 160),
+            (fermat, 256),
+            (fermat, 129),
+        ];
+        for (field, e) in shapes {
+            let what = format!("q = {}, e = {e}", field.modulus());
+            let fresh = Orbit::build(&field, e).unwrap();
+            for _ in 0..2 {
+                let code = RsCode::roots_of_unity(&field, e).unwrap();
+                assert_same_orbit(orbit_of(&code), &fresh, &what);
+                assert_eq!(fresh.points.len(), e, "{what}");
+            }
+        }
+        let plain = f();
+        assert!(RsCode::roots_of_unity(&plain, 8).is_none());
+        for (field, e) in [(plain, 1), (plain, 30), (ntt, 200), (fermat, 257)] {
+            let fresh = PointSet::new(&field, (0..e as u64).collect());
+            for _ in 0..2 {
+                let Domain::Points(set) = &RsCode::consecutive(&field, e).domain else {
+                    panic!("not a code on points")
+                };
+                assert_eq!(**set, fresh, "consecutive q = {}, e = {e}", field.modulus());
+            }
+        }
+    }
+
+    /// Codes share a domain, never a memo: a decode on one cached code,
+    /// on an orbit or on consecutive points, leaves every other code of
+    /// its `(q, e)` — built by the cache or cloned — with nothing
+    /// accepted. A clone shares its domain, and the cache hands the one
+    /// domain it built to every later caller.
+    #[test]
+    fn cached_codes_share_the_domain_and_not_the_memo() {
+        let (q, _) = camelot_ff::ntt_prime(1 << 20, 12);
+        let field = PrimeField::new(q).unwrap();
+        let memo_is_empty = |code: &RsCode| code.accepted.lock().unwrap().is_none();
+        let codes = |e: usize| {
+            if e == 200 {
+                [RsCode::consecutive(&field, e), RsCode::consecutive(&field, e)]
+            } else {
+                [
+                    RsCode::roots_of_unity(&field, e).unwrap(),
+                    RsCode::roots_of_unity(&field, e).unwrap(),
+                ]
+            }
+        };
+        for e in [256, 160, 200] {
+            let [decoder, other] = codes(e);
+            let clone = decoder.clone();
+            assert_eq!(clone.points().as_ptr(), decoder.points().as_ptr(), "e = {e}");
+            let msg = random_message(&field, e / 2, &mut SplitMix64::new(23));
+            let word: Vec<Option<u64>> =
+                decoder.encode(&field, &msg).into_iter().map(Some).collect();
+            assert_eq!(decoder.decode(&field, &word, e / 2).unwrap().poly, msg);
+            assert!(!memo_is_empty(&decoder), "e = {e}: a clean word is its own codeword");
+            assert!(memo_is_empty(&other) && memo_is_empty(&clone), "e = {e}");
+            assert_eq!(other, decoder);
+        }
+        let cache = DomainCache::new();
+        let first = orbit_from(&cache, &field, 160);
+        assert!(Arc::ptr_eq(&first, &orbit_from(&cache, &field, 160)));
+    }
+
+    /// Past its capacity the cache resets, and a key seen before the
+    /// reset is built again, equal to a fresh build.
+    #[test]
+    fn a_rehit_after_the_cache_resets_equals_a_fresh_build() {
+        let (q, _) = camelot_ff::ntt_prime(1 << 20, 12);
+        let field = PrimeField::new(q).unwrap();
+        let cache = DomainCache::new();
+        let first = orbit_from(&cache, &field, 1);
+        for e in 2..=DOMAIN_CACHE_CAPACITY + 1 {
+            orbit_from(&cache, &field, e);
+            assert!(cache.lock().len() <= DOMAIN_CACHE_CAPACITY, "e = {e}");
+        }
+        let again = orbit_from(&cache, &field, 1);
+        assert!(!Arc::ptr_eq(&first, &again), "the reset dropped the first entry");
+        assert_same_orbit(&again, &Orbit::build(&field, 1).unwrap(), "e = 1 after a reset");
+        let last = DOMAIN_CACHE_CAPACITY + 1;
+        let code = RsCode::roots_of_unity(&field, last).unwrap();
+        assert_same_orbit(orbit_of(&code), &Orbit::build(&field, last).unwrap(), "global");
+    }
+
+    /// Four threads that ask for one `(q, e)` at once all get equal
+    /// codes, from the process cache and from a cold one; the cold one
+    /// hands all four the entry it kept.
+    #[test]
+    fn racing_builders_get_equal_codes() {
+        let (q, _) = camelot_ff::ntt_prime(1 << 20, 12);
+        let field = PrimeField::new(q).unwrap();
+        let e = 200;
+        let fresh = Orbit::build(&field, e).unwrap();
+        let cache = DomainCache::new();
+        let barrier = std::sync::Barrier::new(4);
+        let results: Vec<(RsCode, Arc<Orbit>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let code = RsCode::roots_of_unity(&field, e).unwrap();
+                        (code, orbit_from(&cache, &field, e))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("builder panicked")).collect()
+        });
+        let kept = orbit_from(&cache, &field, e);
+        for (code, orbit) in &results {
+            assert_same_orbit(orbit_of(code), &fresh, "process cache");
+            assert_eq!(code, &results[0].0);
+            assert!(Arc::ptr_eq(orbit, &kept), "cold cache");
+        }
+        assert_same_orbit(&kept, &fresh, "cold cache");
     }
 }
