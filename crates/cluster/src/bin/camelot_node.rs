@@ -4,11 +4,10 @@
 //! `camelot-task v1` message it reconstructs the round from the task
 //! alone (field, fault behaviour, evaluation programs, assigned points —
 //! the paper's "common input"), evaluates its slice, applies its fault
-//! sender-side, and replies with its `camelot-reply v1` frames. It
-//! answers `camelot-ping v1` health checks and exits cleanly on a
-//! `camelot-shutdown v1` frame or when the coordinator closes the
-//! connection at a message boundary. Spawned by `SocketTransport` in
-//! process mode:
+//! sender-side, and replies with its `camelot-reply v1` frames. It exits
+//! cleanly on a `camelot-shutdown v1` frame or when the coordinator
+//! closes the connection at a message boundary. Spawned by
+//! `SocketTransport` in process mode:
 //!
 //! ```text
 //! camelot-node --connect 127.0.0.1:PORT

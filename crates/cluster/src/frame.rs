@@ -36,7 +36,7 @@
 )]
 
 use std::fmt::{self, Display, Write as _};
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Read};
 use std::str::{FromStr, SplitAsciiWhitespace};
 
 /// The line that closes every frame.
@@ -302,22 +302,42 @@ impl<'a> Record<'a> {
     }
 }
 
+/// The most bytes a frame read off a stream may take: far above any
+/// frame a 2^20-coefficient request makes, and a bound on what a peer
+/// streaming one endless line can make a reader buffer.
+const MAX_FRAME_BYTES: u64 = 64 << 20;
+
 /// Reads one frame off a stream, through its `end` line; `Ok(None)` on
 /// a clean end of stream before any byte. The stream's own errors pass
 /// through (a read timeout is `WouldBlock` or `TimedOut`); a stream that
-/// ends inside a frame is [`io::ErrorKind::UnexpectedEof`].
+/// ends inside a frame is [`io::ErrorKind::UnexpectedEof`], and a frame
+/// longer than 64 MiB is [`io::ErrorKind::InvalidData`].
 pub fn read_frame<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
+    read_frame_within(reader, MAX_FRAME_BYTES)
+}
+
+/// [`read_frame`] with at most `cap` bytes to the frame.
+fn read_frame_within<R: BufRead>(reader: &mut R, cap: u64) -> io::Result<Option<String>> {
+    let mut limited = reader.take(cap);
     let mut text = String::new();
     loop {
         let start = text.len();
-        if reader.read_line(&mut text)? == 0 {
+        let read = limited.read_line(&mut text)?;
+        let line = text.get(start..).unwrap_or_default();
+        // An `end` line counts once it is whole: its newline read, or
+        // the stream over before the cap.
+        if is_end(line) && (line.ends_with('\n') || limited.limit() > 0) {
+            return Ok(Some(text));
+        }
+        if limited.limit() == 0 {
+            let message = format!("frame longer than {cap} bytes");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, message));
+        }
+        if read == 0 {
             if text.is_empty() {
                 return Ok(None);
             }
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "stream closed mid-frame"));
-        }
-        if text.get(start..).is_some_and(is_end) {
-            return Ok(Some(text));
         }
     }
 }
@@ -383,5 +403,20 @@ mod tests {
         let cut = read_frame(&mut stream).unwrap_err();
         assert_eq!(cut.kind(), io::ErrorKind::UnexpectedEof);
         assert_eq!(read_frame(&mut stream).unwrap(), None);
+    }
+
+    #[test]
+    fn read_frame_refuses_a_frame_one_byte_over_its_cap() {
+        let frame = "a v1\nn 1\nend\n";
+        let cap = frame.len() as u64;
+        let mut stream = frame.as_bytes();
+        assert_eq!(read_frame_within(&mut stream, cap).unwrap().as_deref(), Some(frame));
+        for over in ["a v1\nn 12\nend\n", "a v1\nn 1\n\nend\n", "a v1\nn 1\nend \n"] {
+            let err = read_frame_within(&mut over.as_bytes(), cap).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{over:?}");
+        }
+        let endless = io::repeat(b'x');
+        let err = read_frame_within(&mut io::BufReader::new(endless), 1 << 16).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -49,5 +49,5 @@ pub use transport::{
     control_frame, encode_reply, execute_task, frame_wire_cost, parse_reply, serve_worker_loop,
     sibling_binary, sibling_worker_binary, Backend, ClusterConfig, EvalProgram, InProcess,
     PreparedProgram, SocketTransport, Task, Transport, TransportError, WorkerMode, WorkerPool,
-    PING_HEADER, PONG_HEADER, REPLY_HEADER, SHUTDOWN_HEADER, TASK_HEADER,
+    REPLY_HEADER, SHUTDOWN_HEADER, TASK_HEADER,
 };

@@ -72,9 +72,8 @@ impl Deadline {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransportTuning {
     /// The I/O deadline: the one deadline a round's replies share, and
-    /// the longest a worker handshake or a health check may take before
-    /// the peer is declared dead. Defaults to [`SOCKET_TIMEOUT_ENV`] or
-    /// 60 s.
+    /// the longest a worker handshake may take before the worker is
+    /// declared dead. Defaults to [`SOCKET_TIMEOUT_ENV`] or 60 s.
     pub io_deadline: Duration,
     /// When true, a dead/slow/misbehaving remote is *demoted* to
     /// [`FaultKind::Crash`](crate::FaultKind::Crash) with a structured

@@ -439,13 +439,9 @@ pub const REPLY_HEADER: &str = "camelot-reply v1";
 /// Control frame: the coordinator tells a persistent worker to exit
 /// cleanly (replaces best-effort process kill as the teardown path).
 pub const SHUTDOWN_HEADER: &str = "camelot-shutdown v1";
-/// Control frame: health-check probe to a persistent worker.
-pub const PING_HEADER: &str = "camelot-ping v1";
-/// Control frame: a live worker's answer to a ping.
-pub const PONG_HEADER: &str = "camelot-pong v1";
 
-/// The record-less frame (`<header>\nend\n`) of the shutdown/ping/pong
-/// messages of the persistent worker protocol.
+/// The record-less frame (`<header>\nend\n`) of the shutdown message
+/// of the persistent worker protocol.
 #[must_use]
 pub fn control_frame(header: &str) -> String {
     FrameWriter::new(header).end()

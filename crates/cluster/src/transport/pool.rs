@@ -9,10 +9,15 @@
 //! one `recv_timeout` at a time, bounded by the round's one deadline —
 //! while the [`Drain`] state machine decides which replies count, who is
 //! demoted and why, and when the round is over. No socket carries a read
-//! timer. Health checks (`camelot-ping v1`/`camelot-pong v1`) are
-//! answered through the same channel; teardown is always an explicit
-//! `camelot-shutdown v1` frame plus the connection shut down both ways,
-//! which also ends the lane's reader.
+//! timer. Teardown is always an explicit `camelot-shutdown v1` frame
+//! plus the connection shut down both ways, which also ends the lane's
+//! reader.
+//!
+//! A lost worker has one way back: every round starts by giving each
+//! down lane — killed, demoted, or scrapped by a failed round — one
+//! respawn attempt, before its tasks go out. A lane that cannot come
+//! back is demoted with [`FailureCause::RespawnExhausted`], or, failing
+//! fast, fails the round naming its node.
 //!
 //! A message is matched to the request it answers by its lane's
 //! generation and its number on the lane, never by when it arrives:
@@ -39,9 +44,7 @@ use crate::transport::socket::{
     accept_with_deadline, io_err, read_reply, reap_child, serve_worker_loop, task_for_node,
     WorkerMode, LANE_BUFFER,
 };
-use crate::transport::{
-    control_frame, EvalProgram, TransportError, PING_HEADER, PONG_HEADER, SHUTDOWN_HEADER,
-};
+use crate::transport::{control_frame, EvalProgram, TransportError, SHUTDOWN_HEADER};
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -168,8 +171,8 @@ pub struct WorkerPool {
     listener: TcpListener,
     addr: SocketAddr,
     mode: WorkerMode,
-    /// One slot per node; `None` marks a lane that is down (killed or
-    /// scrapped) and awaiting [`WorkerPool::ensure_ready`].
+    /// One slot per node; `None` marks a lane that is down (killed,
+    /// demoted or scrapped) until the next round respawns it.
     lanes: Vec<Option<PoolLane>>,
     /// One bit per node: its lane ran out the previous round's deadline
     /// (see the [`Drain`] docs).
@@ -181,8 +184,8 @@ pub struct WorkerPool {
     retired: Vec<(WorkerHandle, JoinHandle<()>, Deadline)>,
     respawns: usize,
     tuning: TransportTuning,
-    /// Every lane's reader sends down a clone of `outbox`; rounds and
-    /// health checks wait on `inbox`.
+    /// Every lane's reader sends down a clone of `outbox`; rounds wait
+    /// on `inbox`.
     outbox: Sender<Arrival>,
     inbox: Receiver<Arrival>,
     /// Lanes connected so far: the next lane's generation.
@@ -234,7 +237,7 @@ impl WorkerPool {
         self.lanes.len()
     }
 
-    /// Lifetime count of lanes respawned by [`WorkerPool::ensure_ready`].
+    /// Lifetime count of lanes respawned at the start of a round.
     #[must_use]
     pub fn respawns(&self) -> usize {
         self.respawns
@@ -369,41 +372,6 @@ impl WorkerPool {
         }
     }
 
-    /// Health-checks every lane and respawns the dead ones. Returns how
-    /// many lanes were respawned. All lanes are pinged first and the
-    /// pongs collected under one I/O deadline, so the check costs one
-    /// deadline however many workers are hung.
-    ///
-    /// # Errors
-    ///
-    /// A respawn failure (e.g. the worker binary disappeared); lanes
-    /// already respawned stay live.
-    pub fn ensure_ready(&mut self) -> Result<usize, TransportError> {
-        self.reap_finished();
-        let ping = control_frame(PING_HEADER);
-        for node in 0..self.lanes.len() {
-            if self.request(node, &ping, 1).is_err() {
-                self.retire_lane(node);
-            }
-        }
-        let deadline = Deadline::after(self.tuning.io_deadline);
-        while self.lanes.iter().flatten().any(|lane| lane.owed > 0) {
-            let Some((node, read)) = self.next_reply(Wait::Deadline, deadline) else { break };
-            if !read.is_ok_and(|text| text.lines().next() == Some(PONG_HEADER)) {
-                self.retire_lane(node);
-            }
-        }
-        let before = self.respawns;
-        for node in 0..self.lanes.len() {
-            // Down, or no pong by the deadline.
-            if self.lanes.get(node).and_then(Option::as_ref).is_none_or(|lane| lane.owed > 0) {
-                self.retire_lane(node);
-                self.respawn_lane(node)?;
-            }
-        }
-        Ok(self.respawns - before)
-    }
-
     /// Runs one broadcast round over the persistent lanes: writes every
     /// node's task first (workers compute concurrently), then takes the
     /// replies as they arrive under one deadline that starts when the
@@ -413,19 +381,19 @@ impl WorkerPool {
     /// silent costs it once, not once a round. Chaos effects ride in the
     /// tasks; the afflicted workers sabotage their own replies.
     ///
+    /// Every down lane gets one respawn attempt before the tasks go out.
+    ///
     /// # Errors
     ///
     /// Without demotion (`demote == false`, the legacy fail-fast mode),
-    /// a down lane or a worker I/O/protocol failure surfaces as
-    /// [`TransportError::WorkerFailed`] naming the node, and any
-    /// failure scraps *all* lanes — survivors may hold undelivered
-    /// tasks or untaken replies — until the next
-    /// [`WorkerPool::ensure_ready`] brings the pool back.
+    /// a lane that cannot be respawned or a worker I/O/protocol failure
+    /// surfaces as [`TransportError::WorkerFailed`] naming the node, and
+    /// any failure scraps *all* lanes — survivors may hold undelivered
+    /// tasks or untaken replies — so the next round respawns every one.
     ///
     /// With demotion enabled, per-node failures retire *only* the
-    /// failed lane and book a [`Demotion`] with the structured cause;
-    /// down lanes get one respawn attempt at round start, and a lane
-    /// that cannot come back is demoted with
+    /// failed lane and book a [`Demotion`] with the structured cause; a
+    /// lane that cannot come back is demoted with
     /// [`FailureCause::RespawnExhausted`]. The round then completes via
     /// erasure decoding. Retiring never waits for the worker: it is
     /// reaped at a later round boundary.
@@ -441,13 +409,19 @@ impl WorkerPool {
         let mut drain = Drain::new(spec.points.len(), programs.len(), demote, self.suspect.clone());
         self.reap_finished();
 
-        // With demotion enabled, give every down lane one respawn
-        // attempt before the round starts.
-        if demote {
-            for node in 0..nodes {
-                if self.lanes.get(node).is_some_and(Option::is_none)
-                    && self.respawn_lane(node).is_err()
-                {
+        for node in 0..nodes {
+            if self.lanes.get(node).is_some_and(Option::is_none) {
+                if let Err(err) = self.respawn_lane(node) {
+                    if !demote {
+                        // The round's failure names the node either way.
+                        let err = match err {
+                            TransportError::WorkerFailed { .. } => err,
+                            other => {
+                                TransportError::WorkerFailed { node, reason: other.to_string() }
+                            }
+                        };
+                        return Err(self.fail_round(err));
+                    }
                     drain.demote_node(node, FailureCause::RespawnExhausted);
                 }
             }
@@ -518,9 +492,8 @@ impl WorkerPool {
 
     /// Chaos hook: forcibly takes down worker `node` — a hard kill for
     /// a process worker, a disconnect for a thread worker (which then
-    /// exits on EOF) — and retires its lane. The slot stays empty, so the
-    /// next round reports [`TransportError::WorkerFailed`] until
-    /// [`WorkerPool::ensure_ready`] respawns the lane.
+    /// exits on EOF) — and retires its lane. The slot stays empty until
+    /// the next round respawns it before its tasks go out.
     ///
     /// # Errors
     ///
@@ -588,7 +561,7 @@ mod tests {
     use super::*;
     use crate::transport::socket::read_message_or_eof;
     use crate::transport::{encode_reply, execute_task, Task};
-    use crate::{FaultPlan, RoundSpec};
+    use crate::{FaultPlan, FrameBody, RoundSpec};
     use camelot_ff::PrimeField;
     use std::time::Instant;
 
@@ -711,16 +684,71 @@ mod tests {
     }
 
     /// A failed fail-fast round scraps every lane, and what was known
-    /// about them with it.
+    /// about them with it; the next round respawns every lane.
     #[test]
     fn a_failed_round_forgets_its_suspects() {
         let mut pool = pool_with_a_suspect(Duration::from_millis(300));
-        // Without demotion the impostor's empty slot fails the round.
-        let failed = round(&mut pool, None, false);
-        assert!(matches!(failed, Err(TransportError::WorkerFailed { node: IMPOSTOR, .. })));
+        // The impostor's slot is respawned; node 0 then hangs up.
+        let reset = ChaosPlan::with_effects(NODES, &[(0, ChaosEffect::Reset)]).unwrap();
+        let failed = round(&mut pool, Some(&reset), false);
+        assert!(matches!(failed, Err(TransportError::WorkerFailed { node: 0, .. })));
         assert_eq!(pool.live_workers(), 0);
         assert!(pool.suspects().is_empty());
+        let respawns = pool.respawns();
+        round(&mut pool, None, false).unwrap();
+        assert_eq!(pool.respawns(), respawns + NODES);
         pool.shutdown().unwrap();
+    }
+
+    /// A killed worker costs no failed round in either mode: the next
+    /// round respawns its lane before the tasks go out, and the word is
+    /// the one from before the kill.
+    #[test]
+    fn a_killed_lane_is_respawned_at_the_next_round_start() {
+        for demote in [false, true] {
+            let mut pool =
+                WorkerPool::start(WorkerMode::Threads, NODES, tuning(Duration::from_secs(60)))
+                    .unwrap();
+            let (before, _) = round(&mut pool, None, demote).unwrap();
+            pool.kill_worker(1).unwrap();
+            assert_eq!(pool.live_workers(), NODES - 1);
+            let (after, demotions) = round(&mut pool, None, demote).unwrap();
+            assert_eq!(pool.respawns(), 1, "demote = {demote}");
+            assert_eq!(demotions, vec![]);
+            let word = |frames: &[NodeFrames]| -> Vec<FrameBody> {
+                frames.iter().map(|node| node.body.clone()).collect()
+            };
+            assert_eq!(word(&after), word(&before));
+            assert_eq!(pool.live_workers(), NODES);
+            pool.shutdown().unwrap();
+        }
+    }
+
+    /// A lane that cannot come back is demoted with `RespawnExhausted`,
+    /// or, failing fast, fails the round naming its node.
+    #[test]
+    fn a_failed_respawn_demotes_the_node_or_fails_the_round() {
+        for demote in [true, false] {
+            let mut pool =
+                WorkerPool::start(WorkerMode::Threads, NODES, tuning(Duration::from_secs(60)))
+                    .unwrap();
+            pool.kill_worker(1).unwrap();
+            // `false` spawns fine and exits 1 without connecting.
+            pool.mode = WorkerMode::Process("/bin/false".into());
+            let outcome = round(&mut pool, None, demote);
+            if demote {
+                let (frames, demotions) = outcome.unwrap();
+                let exhausted = Demotion { node: 1, cause: FailureCause::RespawnExhausted };
+                assert_eq!(demotions, vec![exhausted]);
+                assert_eq!(frames.len(), NODES);
+                assert_eq!(pool.live_workers(), NODES - 1);
+            } else {
+                assert!(matches!(outcome, Err(TransportError::WorkerFailed { node: 1, .. })));
+                assert_eq!(pool.live_workers(), 0);
+            }
+            assert_eq!(pool.respawns(), 0);
+            pool.shutdown().unwrap();
+        }
     }
 
     /// The wall-clock smoke of "a trickler cannot stretch a round": a

@@ -3,13 +3,13 @@
 //! boundaries with nothing shared but the wire.
 //!
 //! The coordinator keeps a [`WorkerPool`] of `K` long-lived workers,
-//! one loopback connection each; every round writes one [`Task`] down
-//! every lane and takes back one reply per worker. Workers are either
-//! in-process threads (always available; still full TCP + text frames)
-//! or spawned `camelot-node` processes ([`WorkerMode::Process`]), in
-//! which case every node runs in its own OS process and reconstructs
-//! the round from the task message alone — the paper's "common input"
-//! made literal.
+//! one loopback connection each; every round respawns the lanes that
+//! are down, writes one [`Task`] down every lane and takes back one
+//! reply per worker. Workers are either in-process threads (always
+//! available; still full TCP + text frames) or spawned `camelot-node`
+//! processes ([`WorkerMode::Process`]), in which case every node runs
+//! in its own OS process and reconstructs the round from the task
+//! message alone — the paper's "common input" made literal.
 //!
 //! This module holds the worker side of the protocol
 //! ([`serve_worker_loop`], which inflicts a task's chaos effect on its
@@ -28,8 +28,8 @@ use crate::round::{assemble_round, node_slice, RoundEval, RoundOutcome, RoundSpe
 use crate::transport::drain::Read;
 use crate::transport::pool::WorkerPool;
 use crate::transport::{
-    check_chaos, control_frame, encode_reply, execute_task, EvalProgram, Task, Transport,
-    TransportError, PING_HEADER, PONG_HEADER, SHUTDOWN_HEADER,
+    check_chaos, encode_reply, execute_task, EvalProgram, Task, Transport, TransportError,
+    SHUTDOWN_HEADER,
 };
 use std::io::{BufRead, BufReader, ErrorKind, Read as _, Write};
 use std::net::{TcpListener, TcpStream};
@@ -122,18 +122,8 @@ impl SocketTransport {
         }
     }
 
-    /// Health-checks the pool: pings every lane and respawns dead
-    /// workers. Returns how many lanes were respawned (0 when the pool
-    /// is healthy or not started).
-    ///
-    /// # Errors
-    ///
-    /// A respawn failure (e.g. the worker binary disappeared).
-    pub fn repair_pool(&self) -> Result<usize, TransportError> {
-        self.pool_state().as_mut().map_or(Ok(0), WorkerPool::ensure_ready)
-    }
-
-    /// Lifetime count of pool worker respawns (0 without a pool).
+    /// Lifetime count of pool worker respawns at round start (0 without
+    /// a pool).
     #[must_use]
     pub fn pool_respawns(&self) -> usize {
         self.pool_state().as_ref().map_or(0, WorkerPool::respawns)
@@ -155,8 +145,7 @@ impl SocketTransport {
 
     /// Chaos hook: forcibly takes down pool worker `node` (hard-kills a
     /// process worker, disconnects a thread worker), simulating a crash.
-    /// The next round reports [`TransportError::WorkerFailed`] for that
-    /// node until [`SocketTransport::repair_pool`] respawns it.
+    /// The next round respawns it before its tasks go out.
     ///
     /// # Errors
     ///
@@ -188,8 +177,11 @@ pub(crate) fn read_message_or_eof<R: BufRead>(
     reader: &mut R,
 ) -> Result<Option<String>, TransportError> {
     read_frame(reader).map_err(|e| match e.kind() {
-        // A message cut short is the sender's protocol violation.
-        ErrorKind::UnexpectedEof => TransportError::Protocol { reason: e.to_string() },
+        // A message cut short, or one past the frame cap or not UTF-8,
+        // is the sender's protocol violation.
+        ErrorKind::UnexpectedEof | ErrorKind::InvalidData => {
+            TransportError::Protocol { reason: e.to_string() }
+        }
         _ => io_err("reading message", &e),
     })
 }
@@ -269,10 +261,9 @@ impl WorkerAction {
 /// explicit `camelot-shutdown v1` frame or closes the connection at a
 /// message boundary (both are clean exits). Each task is executed and
 /// answered with the task's chaos effect (if any) inflicted on the
-/// reply sender-side, exactly like the algebraic faults.
-/// `camelot-ping v1` frames are answered with `camelot-pong v1` — the
-/// pool's health check. The entire worker side of the protocol;
-/// `camelot-node` is a thin wrapper around this.
+/// reply sender-side, exactly like the algebraic faults. The entire
+/// worker side of the protocol; `camelot-node` is a thin wrapper around
+/// this.
 ///
 /// # Errors
 ///
@@ -285,30 +276,18 @@ pub fn serve_worker_loop(stream: TcpStream) -> Result<(), TransportError> {
         let Some(text) = read_message_or_eof(&mut reader)? else {
             return Ok(());
         };
-        match text.lines().next() {
-            Some(SHUTDOWN_HEADER) => return Ok(()),
-            Some(PING_HEADER) => {
-                stream
-                    .write_all(control_frame(PONG_HEADER).as_bytes())
-                    .and_then(|()| stream.flush())
-                    .map_err(|e| io_err("writing pong", &e))?;
-            }
-            _ => {
-                let task = Task::from_wire(&text)?;
-                let frames = execute_task(&task);
-                let action = worker_action(
-                    task.chaos,
-                    task.deadline_ms,
-                    task.modulus,
-                    encode_reply(&frames),
-                );
-                if !perform_action(&mut stream, action)? {
-                    // Chaos ended with the connection closed; this lane
-                    // dies with it and the coordinator demotes the node.
-                    // A clean worker exit, by design.
-                    return Ok(());
-                }
-            }
+        if text.lines().next() == Some(SHUTDOWN_HEADER) {
+            return Ok(());
+        }
+        let task = Task::from_wire(&text)?;
+        let frames = execute_task(&task);
+        let action =
+            worker_action(task.chaos, task.deadline_ms, task.modulus, encode_reply(&frames));
+        if !perform_action(&mut stream, action)? {
+            // Chaos ended with the connection closed; this lane dies
+            // with it and the coordinator demotes the node. A clean
+            // worker exit, by design.
+            return Ok(());
         }
     }
 }
@@ -557,10 +536,10 @@ mod tests {
         transport.shutdown_pool().unwrap();
     }
 
-    /// Killing a pool worker surfaces as `WorkerFailed` on the next
-    /// round; `repair_pool` respawns it and rounds succeed again.
+    /// A killed pool worker is respawned by the next round, which
+    /// succeeds with the word from before the kill.
     #[test]
-    fn killed_pool_worker_fails_then_respawns() {
+    fn a_killed_pool_worker_is_respawned_by_the_next_round() {
         let field = PrimeField::new(1_000_003).unwrap();
         let points: Vec<u64> = (0..16).collect();
         let plan = FaultPlan::all_honest(3);
@@ -569,16 +548,11 @@ mod tests {
         let transport = SocketTransport::persistent(WorkerMode::Threads);
         let first = transport.run(&spec, &eval).unwrap();
         transport.kill_pool_worker(1).unwrap();
-        let err = transport.run(&spec, &eval).unwrap_err();
-        assert!(
-            matches!(err, TransportError::WorkerFailed { node: 1, .. }),
-            "expected WorkerFailed for node 1, got {err}"
-        );
-        let respawned = transport.repair_pool().unwrap();
-        assert!(respawned >= 1, "repair must respawn the killed lane");
-        assert_eq!(transport.pool_respawns(), respawned);
+        assert_eq!(transport.pool_live_workers(), 2);
         let again = transport.run(&spec, &eval).unwrap();
         assert!(again.broadcasts[0].same_word(&first.broadcasts[0]));
+        assert_eq!(transport.pool_respawns(), 1);
+        assert_eq!(transport.pool_live_workers(), 3);
         transport.shutdown_pool().unwrap();
     }
 

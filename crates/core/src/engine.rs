@@ -229,8 +229,6 @@ impl Certificate {
 /// Work accounting for a run.
 #[derive(Clone, Debug, Default)]
 pub struct RunReport {
-    /// Number of compute nodes.
-    pub nodes: usize,
     /// Prime moduli used.
     pub primes: Vec<u64>,
     /// Code length per prime.
@@ -242,8 +240,6 @@ pub struct RunReport {
     pub max_node_evaluations: usize,
     /// Spot-check evaluations spent on verification.
     pub verification_evaluations: usize,
-    /// Wall-clock time of the busiest node, summed over primes.
-    pub critical_path: Duration,
     /// Broadcast rounds this run took part in — exactly one per prime.
     /// A batched run shares each round across all its problems: every
     /// outcome of the batch records the *same* shared round counters
@@ -649,7 +645,6 @@ impl Engine {
         }
 
         let mut report = RunReport {
-            nodes: self.config.cluster.nodes,
             primes: certificate.proofs.iter().map(|p| p.modulus).collect(),
             code_length: certificate.code_length,
             cache_hits: 1,
@@ -727,7 +722,6 @@ impl Engine {
                 faulty: BTreeSet::new(),
                 crashed: BTreeSet::new(),
                 report: RunReport {
-                    nodes: self.config.cluster.nodes,
                     primes: primes.to_vec(),
                     code_length: e,
                     coalesced_requests: specs.len(),
@@ -787,8 +781,6 @@ impl Engine {
                 let acc = &mut accs[i];
                 acc.report.total_evaluations += broadcast.total_evaluations();
                 acc.report.max_node_evaluations += broadcast.max_node_evaluations();
-                acc.report.critical_path +=
-                    broadcast.stats.iter().map(|s| s.elapsed).max().unwrap_or_default();
                 acc.report.rounds += 1;
                 acc.report.symbols_broadcast += round.traffic.symbols_broadcast;
                 acc.report.bytes_on_wire += round.traffic.bytes_on_wire;
@@ -938,7 +930,7 @@ impl RoundEval for ProblemRound<'_> {
 mod tests {
     use super::*;
     use crate::problem::Evaluate;
-    use camelot_cluster::FaultKind;
+    use camelot_cluster::{FaultKind, InProcess, RoundOutcome, TransportError};
     use camelot_ff::{crt_i, crt_u, Residue, UBig};
 
     /// Toy problem: P(x) = (c + x)^3 mod q for a hidden constant c; the
@@ -1033,6 +1025,53 @@ mod tests {
         assert_eq!(outcome.certificate.code_length, 3 + 1 + 4);
         assert_eq!(outcome.certificate.crashed_nodes, vec![0, 1]);
         assert_eq!(outcome.report.erasures_seen, 4 * outcome.report.primes.len());
+    }
+
+    /// A transport whose first round fails as a lost worker's does and
+    /// whose later rounds run on the in-process bus.
+    struct FailsOnce {
+        failed: std::sync::atomic::AtomicBool,
+        bus: InProcess,
+    }
+
+    impl Transport for FailsOnce {
+        fn name(&self) -> &'static str {
+            "fails-once"
+        }
+
+        fn run(
+            &self,
+            spec: &RoundSpec<'_>,
+            eval: &dyn RoundEval,
+        ) -> Result<RoundOutcome, TransportError> {
+            if !self.failed.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                return Err(TransportError::WorkerFailed { node: 1, reason: "killed".into() });
+            }
+            self.bus.run(spec, eval)
+        }
+    }
+
+    /// The one retry a transport failure gets is the engine's: it runs
+    /// the whole prepare again, into the certificate a clean run makes.
+    #[test]
+    fn a_transport_failure_is_retried_into_the_clean_certificate() {
+        let problem = Cube { c: 17 };
+        let fails_once = || -> Arc<dyn Transport + Send + Sync> {
+            Arc::new(FailsOnce { failed: false.into(), bus: InProcess::new() })
+        };
+        let config = EngineConfig::sequential(4, 1);
+        let clean = Engine::new(config.clone()).run(&problem).unwrap();
+        let retry_once = RecoveryPolicy { max_retries: 1, ..RecoveryPolicy::none() };
+        let retried =
+            Engine::with_transport(config.clone().with_recovery(retry_once), fails_once())
+                .run(&problem)
+                .unwrap();
+        assert_eq!(retried.report.retries, 1);
+        assert_eq!(retried.output, clean.output);
+        assert_eq!(retried.certificate, clean.certificate);
+
+        let failed = Engine::with_transport(config, fails_once()).run(&problem).unwrap_err();
+        assert!(matches!(failed, CamelotError::TransportFailed { .. }), "{failed}");
     }
 
     #[test]

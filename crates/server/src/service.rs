@@ -15,8 +15,9 @@
 //!   through [`Engine::redeem`] (spot checks, no trust) and is served
 //!   with **zero** rounds.
 //! * **Fault handling** — a dead pool worker is just `Crash` with a
-//!   cause: the failed round surfaces as a worker failure, the pool is
-//!   health-checked and respawned, and the batch retries once.
+//!   cause: the pool respawns it when the next round starts, and a batch
+//!   whose round fails on a lost worker is retried once by the engine's
+//!   [`RecoveryPolicy`], whose retry respawns the pool.
 
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
@@ -71,12 +72,13 @@ pub struct ServiceConfig {
     /// Optional transport-level chaos plan injected into every round.
     pub chaos: Option<ChaosPlan>,
     /// Engine recovery policy (transport retries, redundancy
-    /// escalation).
+    /// escalation); the default retries a batch once after a transport
+    /// failure.
     pub recovery: RecoveryPolicy,
     /// Demote a dead/slow/hung pool worker to an erasure mid-round
     /// instead of failing the round (the round then completes via
-    /// erasure decoding; the default keeps the historical
-    /// fail-then-respawn-then-retry behaviour).
+    /// erasure decoding; by default the round fails and the engine's
+    /// retry runs it again on a respawned pool).
     pub demote_dead_workers: bool,
 }
 
@@ -94,7 +96,7 @@ impl Default for ServiceConfig {
             io_deadline: None,
             client_timeout: CLIENT_TIMEOUT,
             chaos: None,
-            recovery: RecoveryPolicy::none(),
+            recovery: RecoveryPolicy { max_retries: 1, ..RecoveryPolicy::none() },
             demote_dead_workers: false,
         }
     }
@@ -228,8 +230,8 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Engine failures ([`CamelotError`]); a worker failure is retried
-    /// once after respawning the pool, then surfaced. A request whose
+    /// Engine failures ([`CamelotError`]), a transport failure once the
+    /// configured [`RecoveryPolicy`] has spent its retries. A request whose
     /// answer cannot fit a `u128` is refused before it reaches the store
     /// or the admission queue.
     pub fn prepare(&self, poly: &PolyRequest) -> Result<CamelotOutcome<u128>, CamelotError> {
@@ -281,16 +283,17 @@ impl Service {
 
     /// Runs one admitted batch — one shared batch of rounds, whatever
     /// prime schedules its requests name — and distributes the results.
+    /// A batch the engine had to retry, or gave up on, after a transport
+    /// failure counts as a worker failure.
     fn run_batch_for(&self, batch: Vec<Pending>) {
         let problems: Vec<ServicePoly> = batch.iter().map(|p| p.problem.clone()).collect();
-        let mut result = self.engine.run_batch(&problems);
-        if matches!(&result, Err(CamelotError::TransportFailed { .. })) {
-            // A dead worker is just Crash with a cause: record it,
-            // respawn via the pool health check, retry the batch once.
+        let result = self.engine.run_batch(&problems);
+        let failed = match &result {
+            Ok(outcomes) => outcomes.iter().any(|outcome| outcome.report.retries > 0),
+            Err(err) => matches!(err, CamelotError::TransportFailed { .. }),
+        };
+        if failed {
             self.worker_failures.fetch_add(1, Ordering::SeqCst);
-            if self.transport.repair_pool().is_ok() {
-                result = self.engine.run_batch(&problems);
-            }
         }
         match result {
             Ok(outcomes) => {

@@ -104,7 +104,8 @@ pub struct Response {
     pub workers: usize,
     /// Lifetime worker respawns (status).
     pub respawns: usize,
-    /// Rounds that failed with a worker failure (status).
+    /// Batches that hit a transport failure, whether the engine's retry
+    /// saved them or not (status).
     pub worker_failures: usize,
     /// Requests handled so far (status).
     pub requests: usize,

@@ -181,13 +181,19 @@ fn killed_worker_is_respawned_and_service_recovers() {
     let first = service.prepare(&poly(vec![6, 6, 6])).unwrap();
     assert!(first.report.rounds > 0);
     service.crash_worker(1).unwrap();
-    // The next batch hits the dead worker, records the failure, repairs
-    // the pool, and retries — the caller just sees a success.
+    // The next round respawns the dead worker before its tasks go out:
+    // the kill costs no failed batch and no retry.
     let second = service.prepare(&poly(vec![7, 7, 7])).unwrap();
     assert_eq!(second.output, poly_sum(&[7, 7, 7], 16));
+    assert_eq!(second.report.retries, 0, "the kill must cost no retry");
     let status = service.status();
-    assert!(status.worker_failures >= 1, "the kill must be recorded");
+    assert_eq!(status.worker_failures, 0, "the kill must cost no failed batch");
     assert!(status.respawns >= 1, "the pool must have respawned the worker");
+    assert_eq!(
+        status.workers,
+        ServiceConfig::default().nodes,
+        "the pool must be back to full strength"
+    );
     service.shutdown().unwrap();
 }
 

@@ -7,7 +7,7 @@
 
 use camelot::cluster::{
     control_frame, encode_reply, garble_reply, parse_reply, ChaosEffect, EvalProgram, FaultKind,
-    FrameBody, NodeFrames, Task, PING_HEADER,
+    FrameBody, NodeFrames, Task, SHUTDOWN_HEADER,
 };
 use camelot::core::{Certificate, PrimeProof, PrimeSchedule};
 use camelot::server::{PolyRequest, Request, Response};
@@ -170,7 +170,7 @@ fn garbled_reply_bytes_are_pinned() {
 
 #[test]
 fn control_frame_bytes_are_pinned() {
-    assert_eq!(control_frame(PING_HEADER), "camelot-ping v1\nend\n");
+    assert_eq!(control_frame(SHUTDOWN_HEADER), "camelot-shutdown v1\nend\n");
 }
 
 #[test]
